@@ -337,11 +337,11 @@ def _build_report_bundle(result, scenario, street_types, schools, tracts, link_i
         street_types,
         schools,
         tracts,
-        school_radius_m=scenario.school_radius_m,
         morning_window_s=scenario.morning_window_s,
         school_morning_s=scenario.school_morning_s,
-        link_index=link_index,
         tract_of_link=tract_of_link,
+        stats=stats,
+        exposures=exposures,
     )
     return report, exposures
 

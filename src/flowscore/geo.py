@@ -10,6 +10,8 @@ import json
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 Point = tuple[float, float]
 BBox = tuple[float, float, float, float]
 
@@ -56,12 +58,23 @@ def _on_segment(p: Point, a: Point, b: Point) -> bool:
     )
 
 
-def segments_intersect(a: Point, b: Point, c: Point, d: Point) -> bool:
+def _crosses_properly(a: Point, b: Point, c: Point, d: Point):
+    """Segments ab and cd cross at a point interior to both.
+
+    Works elementwise when the coordinates are numpy columns.
+    """
     o1 = _orient(a, b, c)
     o2 = _orient(a, b, d)
     o3 = _orient(c, d, a)
     o4 = _orient(c, d, b)
-    if ((o1 > 0) != (o2 > 0)) and ((o3 > 0) != (o4 > 0)) and o1 != 0 and o2 != 0 and o3 != 0 and o4 != 0:
+    return (
+        ((o1 > 0) != (o2 > 0)) & ((o3 > 0) != (o4 > 0))
+        & (o1 != 0) & (o2 != 0) & (o3 != 0) & (o4 != 0)
+    )
+
+
+def segments_intersect(a: Point, b: Point, c: Point, d: Point) -> bool:
+    if _crosses_properly(a, b, c, d):
         return True
     return (
         _on_segment(c, a, b)
@@ -213,9 +226,8 @@ class SpatialIndex:
 
 
 def build_link_index(network) -> SpatialIndex:
-    return SpatialIndex(
-        (link.id, polyline_bbox(link.geometry)) for link in network.links
-    )
+    """Index keyed by each link's position in network.links."""
+    return SpatialIndex(enumerate(polyline_bbox(link.geometry) for link in network.links))
 
 
 def links_within_radius(point: Point, radius_m: float, network, index: SpatialIndex | None = None) -> list[int]:
@@ -223,16 +235,14 @@ def links_within_radius(point: Point, radius_m: float, network, index: SpatialIn
     if radius_m < 0:
         raise ValueError("radius must be nonnegative")
     if index is None:
-        candidates = [link.id for link in network.links]
+        candidates = network.links
     else:
         x, y = point
-        candidates = index.query((x - radius_m, y - radius_m, x + radius_m, y + radius_m))
-    out = []
-    for link_id in candidates:
-        link = network.link_by_id[link_id]
-        if point_polyline_distance(point, link.geometry) <= radius_m:
-            out.append(link_id)
-    return sorted(out)
+        hits = index.query((x - radius_m, y - radius_m, x + radius_m, y + radius_m))
+        candidates = [network.links[i] for i in hits]
+    return sorted(
+        link.id for link in candidates if point_polyline_distance(point, link.geometry) <= radius_m
+    )
 
 
 @dataclass(frozen=True)
@@ -254,7 +264,8 @@ def link_midpoint(link) -> Point:
 
 
 def build_tract_index(tracts) -> SpatialIndex:
-    return SpatialIndex((t.id, polyline_bbox(t.polygon)) for t in tracts)
+    """Index keyed by each tract's position in the input list."""
+    return SpatialIndex(enumerate(polyline_bbox(t.polygon) for t in tracts))
 
 
 def link_tract(link, tracts, index: SpatialIndex | None = None):
@@ -265,8 +276,8 @@ def link_tract(link, tracts, index: SpatialIndex | None = None):
     """
     mid = link_midpoint(link)
     if index is not None:
-        candidate_ids = set(index.query((mid[0], mid[1], mid[0], mid[1])))
-        candidates = [t for t in tracts if t.id in candidate_ids]
+        # positions come back ascending, i.e. in input order
+        candidates = [tracts[i] for i in index.query((mid[0], mid[1], mid[0], mid[1]))]
     else:
         candidates = tracts
     for tract in candidates:
@@ -275,83 +286,240 @@ def link_tract(link, tracts, index: SpatialIndex | None = None):
     return None
 
 
-def _interior_point_in(p: Point, polygon) -> bool:
-    ring = _closed_ring(polygon)
-    for a, b in zip(ring, ring[1:]):
-        if _on_segment(p, a, b):
-            return False
-    return point_in_polygon(p, polygon)
-
-
 def validate_tracts(tracts) -> list[str]:
-    """Warn on tract pairs whose interiors appear to overlap."""
-    warnings = []
-    boxes = {t.id: polyline_bbox(t.polygon) for t in tracts}
-    for i, ta in enumerate(tracts):
-        for tb in tracts[i + 1 :]:
-            if not bboxes_overlap(boxes[ta.id], boxes[tb.id]):
-                continue
-            overlap = any(_interior_point_in(p, tb.polygon) for p in ta.polygon) or any(
-                _interior_point_in(p, ta.polygon) for p in tb.polygon
-            )
-            if not overlap:
-                ring_a = _closed_ring(ta.polygon)
-                ring_b = _closed_ring(tb.polygon)
-                for a0, a1 in zip(ring_a, ring_a[1:]):
-                    if overlap:
-                        break
-                    for b0, b1 in zip(ring_b, ring_b[1:]):
-                        o1 = _orient(a0, a1, b0)
-                        o2 = _orient(a0, a1, b1)
-                        o3 = _orient(b0, b1, a0)
-                        o4 = _orient(b0, b1, a1)
-                        if (
-                            o1 != 0 and o2 != 0 and o3 != 0 and o4 != 0
-                            and (o1 > 0) != (o2 > 0)
-                            and (o3 > 0) != (o4 > 0)
-                        ):
-                            overlap = True
-                            break
-            if overlap:
-                warnings.append(f"tracts {ta.id} and {tb.id} overlap")
-    return warnings
+    """Warn on tract pairs whose interiors appear to overlap.
+
+    Only pairs whose bboxes touch are tested; warnings follow input order.
+    """
+    boxes = [polyline_bbox(t.polygon) for t in tracts]
+    index = SpatialIndex(enumerate(boxes))
+    pairs = [(i, j) for i, box in enumerate(boxes) for j in index.query(box) if j > i]
+    overlap = polygons_overlap(
+        [tracts[i].polygon for i, _ in pairs], [tracts[j].polygon for _, j in pairs]
+    )
+    return [
+        f"tracts {tracts[i].id} and {tracts[j].id} overlap"
+        for (i, j), hit in zip(pairs, overlap.tolist())
+        if hit
+    ]
 
 
-def _load_polygon_features(path: str):
+# Batched exact predicates. They run over numpy columns with the same
+# IEEE operations, in the same order, as the scalar functions above, so
+# each answer is the scalar one bit for bit. Work goes in chunks of about
+# _CHUNK items to bound memory.
+
+_CHUNK = 1 << 16
+
+
+class _Shapes:
+    """Vertices of many polylines or rings as flat numpy columns.
+
+    Shape k's vertices start at first[k]; its n_segments[k] segments join
+    consecutive vertices. Rings are closed the way _closed_ring closes them.
+    """
+
+    def __init__(self, shapes, closed: bool):
+        points, sizes = [], []
+        for shape in shapes:
+            pts = _closed_ring(shape) if closed else shape
+            points.extend(pts)
+            sizes.append(len(pts))
+        xy = np.array(points, dtype=float).reshape(-1, 2)
+        self.x, self.y = xy[:, 0], xy[:, 1]
+        sizes = np.array(sizes, dtype=np.int64)
+        self.first = np.cumsum(sizes) - sizes
+        self.n_segments = sizes - 1
+
+    def vertex(self, k, m):
+        v = self.first[k] + m
+        return self.x[v], self.y[v]
+
+    def segment(self, k, m):
+        """Endpoints of segment m of shape k."""
+        return self.vertex(k, m), self.vertex(k, m + 1)
+
+
+def _ragged(counts):
+    """Owner k and local index m < counts[k] of every item."""
+    owner = np.repeat(np.arange(len(counts)), counts)
+    local = np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts)
+    return owner, local
+
+
+def _pairs_of(n_a, n_b):
+    """Owner k and index pair (i, j), i < n_a[k], j < n_b[k], of every item."""
+    owner, local = _ragged(n_a * n_b)
+    width = n_b[owner]
+    return owner, local // width, local % width
+
+
+def _any_per(owner, mask, n: int) -> np.ndarray:
+    return np.bincount(owner[mask], minlength=n) > 0
+
+
+def _chunks(costs):
+    """Consecutive ranges whose summed cost stays near _CHUNK."""
+    start, total = 0, 0
+    for k, cost in enumerate(costs):
+        total += cost
+        if total >= _CHUNK:
+            yield start, k + 1
+            start, total = k + 1, 0
+    if start < len(costs):
+        yield start, len(costs)
+
+
+def _on_segments(p, a, b) -> np.ndarray:
+    """_on_segment elementwise."""
+    (px, py), (ax, ay), (bx, by) = p, a, b
+    scale = np.maximum.reduce([np.ones_like(ax), abs(ax), abs(ay), abs(bx), abs(by)])
+    return (
+        ~(abs(_orient(a, b, p)) > _EPS * scale * scale)
+        & (np.minimum(ax, bx) - _EPS <= px) & (px <= np.maximum(ax, bx) + _EPS)
+        & (np.minimum(ay, by) - _EPS <= py) & (py <= np.maximum(ay, by) + _EPS)
+    )
+
+
+def _points_in_rings(p, ring_of_point, rings: _Shapes):
+    """Per point: whether it lies on its ring, and whether the even-odd
+    crossing count is odd.
+
+    point_in_polygon is `on or odd`; the strict interior is `odd and not on`.
+    """
+    n = len(ring_of_point)
+    point, m = _ragged(rings.n_segments[ring_of_point])
+    a, b = rings.segment(ring_of_point[point], m)
+    px, py = p[0][point], p[1][point]
+    (x0, y0), (x1, y1) = a, b
+    on = _any_per(point, _on_segments((px, py), a, b), n)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x_cross = x1 + (py - y1) * (x0 - x1) / (y0 - y1)
+    crossing = ((y0 > py) != (y1 > py)) & (px < x_cross)
+    return on, np.bincount(point[crossing], minlength=n) % 2 == 1
+
+
+def _segment_within(p, a, b, radius_m: float) -> np.ndarray:
+    """point_segment_distance(p, a, b) <= radius_m elementwise.
+
+    np.hypot can differ from math.hypot in the last bit, so it only
+    screens: a distance within 1e-9 of the radius is taken again with
+    math.hypot from the same components.
+    """
+    (px, py), (ax, ay), (bx, by) = p, a, b
+    dx, dy = bx - ax, by - ay
+    seg_len2 = dx * dx + dy * dy
+    degenerate = seg_len2 == 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = ((px - ax) * dx + (py - ay) * dy) / seg_len2
+    t = np.maximum(0.0, np.minimum(1.0, t))
+    ex = np.where(degenerate, px - ax, px - (ax + t * dx))
+    ey = np.where(degenerate, py - ay, py - (ay + t * dy))
+    dist = np.hypot(ex, ey)
+    within = dist <= radius_m
+    for k in np.flatnonzero(abs(dist - radius_m) <= 1e-9 * (1.0 + abs(radius_m))):
+        within[k] = math.hypot(ex[k], ey[k]) <= radius_m
+    return within
+
+
+def polygon_polyline_within(polygons, polylines, radius_m: float) -> np.ndarray:
+    """polygon_polyline_distance(polygons[k], polylines[k]) <= radius_m for every k."""
+    out = np.zeros(len(polygons), dtype=bool)
+    costs = [len(g) * len(line) for g, line in zip(polygons, polylines)]
+    for lo, hi in _chunks(costs):
+        rings, lines = _Shapes(polygons[lo:hi], True), _Shapes(polylines[lo:hi], False)
+        n = hi - lo
+        on, odd = _points_in_rings(lines.vertex(np.arange(n), 0), np.arange(n), rings)
+        k, i, j = _pairs_of(lines.n_segments, rings.n_segments)
+        a, b = lines.segment(k, i)
+        c, d = rings.segment(k, j)
+        intersect = (
+            _crosses_properly(a, b, c, d)
+            | _on_segments(c, a, b) | _on_segments(d, a, b)
+            | _on_segments(a, c, d) | _on_segments(b, c, d)
+        )
+        near = (
+            _segment_within(a, c, d, radius_m) | _segment_within(b, c, d, radius_m)
+            | _segment_within(c, a, b, radius_m) | _segment_within(d, a, b, radius_m)
+        )
+        # touching means distance 0, which is within any radius >= 0
+        touching = on | odd | _any_per(k, intersect, n)
+        out[lo:hi] = (touching & (radius_m >= 0.0)) | _any_per(k, near, n)
+    return out
+
+
+def polygons_overlap(polygons_a, polygons_b) -> np.ndarray:
+    """Whether the interiors of polygons_a[k] and polygons_b[k] appear to overlap.
+
+    True when a vertex of one lies strictly inside the other, or two edges
+    cross at a point interior to both; polygons that only share edges or
+    corners do not overlap.
+    """
+    out = np.zeros(len(polygons_a), dtype=bool)
+    costs = [(len(a) + 1) * (len(b) + 1) for a, b in zip(polygons_a, polygons_b)]
+    for lo, hi in _chunks(costs):
+        ring_a, ring_b = _Shapes(polygons_a[lo:hi], True), _Shapes(polygons_b[lo:hi], True)
+        n = hi - lo
+        k, i, j = _pairs_of(ring_a.n_segments, ring_b.n_segments)
+        hit = _any_per(k, _crosses_properly(*ring_a.segment(k, i), *ring_b.segment(k, j)), n)
+        for inner, outer, polygons in ((ring_a, ring_b, polygons_a), (ring_b, ring_a, polygons_b)):
+            # each polygon's vertices as stored, like the scalar `for p in polygon`
+            k, m = _ragged(np.array([len(g) for g in polygons[lo:hi]], dtype=np.int64))
+            on, odd = _points_in_rings(inner.vertex(k, m), k, outer)
+            hit |= _any_per(k, odd & ~on, n)
+        out[lo:hi] = hit
+    return out
+
+
+def _load_polygon_features(path: str, id_key: str):
+    """(id, properties, ring) of each Polygon feature, in file order.
+
+    Ids must be unique integers and coordinates finite; errors name the
+    feature, counting from 1.
+    """
     with open(path) as fh:
         doc = json.load(fh)
     if doc.get("type") != "FeatureCollection":
         raise ValueError(f"{path}: expected a GeoJSON FeatureCollection")
+    kind = id_key.removesuffix("_id")
+    first_use: dict[int, int] = {}
     out = []
-    for feature in doc.get("features", []):
+    for number, feature in enumerate(doc.get("features", []), start=1):
         geom = feature.get("geometry") or {}
         if geom.get("type") != "Polygon":
             raise ValueError(f"{path}: only Polygon geometries are supported")
         # exterior ring only; holes are out of scope for these inputs
         ring = [(float(x), float(y)) for x, y in geom["coordinates"][0]]
+        if not all(math.isfinite(x) and math.isfinite(y) for x, y in ring):
+            raise ValueError(f"{path}: feature {number} has a non-finite coordinate")
         if len(ring) > 1 and ring[0] == ring[-1]:
             ring = ring[:-1]
-        out.append((feature.get("properties") or {}, tuple(ring)))
+        props = feature.get("properties") or {}
+        if id_key not in props:
+            raise ValueError(f"{path}: {kind} feature {number} missing {id_key}")
+        try:
+            feature_id = int(props[id_key])
+        except (TypeError, ValueError):
+            raise ValueError(
+                f"{path}: {id_key} {props[id_key]!r} is not an integer (feature {number})"
+            ) from None
+        if feature_id in first_use:
+            raise ValueError(
+                f"{path}: duplicate {id_key} {feature_id} in feature {number}"
+                f" (first in feature {first_use[feature_id]})"
+            )
+        first_use[feature_id] = number
+        out.append((feature_id, props, tuple(ring)))
     return out
 
 
 def load_tracts(path: str) -> list[Tract]:
-    tracts = []
-    for props, ring in _load_polygon_features(path):
-        if "tract_id" not in props:
-            raise ValueError(f"{path}: tract feature missing tract_id")
-        try:
-            tract_id = int(props["tract_id"])
-        except (TypeError, ValueError):
-            raise ValueError(
-                f"{path}: tract_id {props['tract_id']!r} is not an integer"
-            ) from None
-        tracts.append(
-            Tract(
-                id=tract_id,
-                polygon=ring,
-                population=float(props.get("population", 0.0)),
-                is_coc=bool(props.get("is_coc", False)),
-            )
+    return [
+        Tract(
+            id=tract_id,
+            polygon=ring,
+            population=float(props.get("population", 0.0)),
+            is_coc=bool(props.get("is_coc", False)),
         )
-    return tracts
+        for tract_id, props, ring in _load_polygon_features(path, "tract_id")
+    ]

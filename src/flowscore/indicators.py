@@ -313,15 +313,23 @@ def build_report(
     school_morning_s=SCHOOL_MORNING_S,
     link_index: geo.SpatialIndex | None = None,
     tract_of_link: list | None = None,
+    stats: LinkDailyStats | None = None,
+    exposures: dict[int, SchoolExposure] | None = None,
 ) -> IndicatorReport:
-    """Assemble the 15-indicator report for one objective's day."""
+    """Assemble the 15-indicator report for one objective's day.
+
+    stats and exposures, when given, must come from daily_stats and
+    school_exposure for this assignment and these school settings.
+    """
     network = assignment.network
-    stats = daily_stats(assignment, network)
+    if stats is None:
+        stats = daily_stats(assignment, network)
 
     nr_mask = street_type_mask(network, street_types, StreetType.NEIGHBORHOOD_RESIDENTIAL)
     nr_vmt, nr_vhd = filtered_vmt_vhd(stats, nr_mask)
 
-    exposures = school_exposure(stats, schools, link_index, school_radius_m, school_morning_s)
+    if exposures is None:
+        exposures = school_exposure(stats, schools, link_index, school_radius_m, school_morning_s)
     exposed = [e for e in exposures.values() if e.level is not ExposureLevel.NONE]
     buffered_links = sorted({lid for e in exposures.values() for lid in e.link_ids})
     buffered_idx = np.array([network.link_index[i] for i in buffered_links], dtype=np.int64)

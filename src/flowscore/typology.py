@@ -75,7 +75,8 @@ def transport_context(link) -> TransportContext:
 
 
 def build_parcel_index(parcels) -> geo.SpatialIndex:
-    return geo.SpatialIndex((p.id, geo.polyline_bbox(p.polygon)) for p in parcels)
+    """Index keyed by each parcel's position in the input list."""
+    return geo.SpatialIndex(enumerate(geo.polyline_bbox(p.polygon) for p in parcels))
 
 
 def dominant_land_use(
@@ -87,22 +88,34 @@ def dominant_land_use(
     """Land use of the largest parcel within the buffer of the link.
 
     Ties go to the smaller parcel id; no parcel in range means OTHER.
+    Without an index every parcel is a candidate.
     """
-    if index is not None:
-        x0, y0, x1, y1 = geo.polyline_bbox(link.geometry)
-        b = adjacency_buffer_m
-        candidate_ids = set(index.query((x0 - b, y0 - b, x1 + b, y1 + b)))
-        candidates = [p for p in parcels if p.id in candidate_ids]
-    else:
-        candidates = parcels
-    best = None
-    for parcel in candidates:
-        if geo.polygon_polyline_distance(parcel.polygon, link.geometry) <= adjacency_buffer_m:
-            if best is None or (parcel.area, -parcel.id) > (best.area, -best.id):
-                best = parcel
-    if best is None:
-        return LandUse.OTHER
-    return best.land_use
+    return _dominant_land_uses([link], parcels, adjacency_buffer_m, index)[0]
+
+
+def _dominant_land_uses(links, parcels, adjacency_buffer_m, index) -> list[LandUse]:
+    """dominant_land_use of every link, with the exact tests batched."""
+    b = adjacency_buffer_m
+    pair_link, pair_parcel = [], []
+    for k, link in enumerate(links):
+        if index is None:
+            candidates = range(len(parcels))
+        else:
+            x0, y0, x1, y1 = geo.polyline_bbox(link.geometry)
+            candidates = index.query((x0 - b, y0 - b, x1 + b, y1 + b))
+        pair_link.extend([k] * len(candidates))
+        pair_parcel.extend(candidates)
+    within = geo.polygon_polyline_within(
+        [parcels[i].polygon for i in pair_parcel], [links[k].geometry for k in pair_link], b
+    )
+    best = [None] * len(links)
+    # candidates come in input order, so the strict > keeps the first of equals
+    for k, i, ok in zip(pair_link, pair_parcel, within.tolist()):
+        if ok:
+            parcel, top = parcels[i], best[k]
+            if top is None or (parcel.area, -parcel.id) > (top.area, -top.id):
+                best[k] = parcel
+    return [LandUse.OTHER if p is None else p.land_use for p in best]
 
 
 _NON_HIGHWAY_TABLE = {
@@ -134,33 +147,26 @@ def classify_network(
 ) -> dict[int, StreetType]:
     if index is None:
         index = build_parcel_index(parcels)
-    out: dict[int, StreetType] = {}
-    for link in network.links:
-        context = transport_context(link)
-        if context is TransportContext.HIGHWAY:
-            # land use cannot change the outcome, skip the geometry work
-            out[link.id] = StreetType.HIGHWAY
-            continue
-        use = dominant_land_use(link, parcels, adjacency_buffer_m, index)
-        out[link.id] = classify_street(context, use)
-    return out
+    contexts = [transport_context(link) for link in network.links]
+    # land use cannot change a highway's type, so highways skip the geometry work
+    streets = [
+        link for link, context in zip(network.links, contexts) if context is not TransportContext.HIGHWAY
+    ]
+    uses = iter(_dominant_land_uses(streets, parcels, adjacency_buffer_m, index))
+    return {
+        link.id: StreetType.HIGHWAY if context is TransportContext.HIGHWAY
+        else classify_street(context, next(uses))
+        for link, context in zip(network.links, contexts)
+    }
 
 
 def load_parcels(path: str) -> list[Parcel]:
     codes = {u.value: u for u in LandUse}
     parcels = []
-    for props, ring in geo._load_polygon_features(path):
-        if "parcel_id" not in props:
-            raise ValueError(f"{path}: parcel feature missing parcel_id")
+    for parcel_id, props, ring in geo._load_polygon_features(path, "parcel_id"):
         code = props.get("land_use")
         if code not in codes:
             raise ValueError(f"{path}: bad land_use {code!r} (want one of R,C,I,P,O)")
-        try:
-            parcel_id = int(props["parcel_id"])
-        except (TypeError, ValueError):
-            raise ValueError(
-                f"{path}: parcel_id {props['parcel_id']!r} is not an integer"
-            ) from None
         parcels.append(Parcel(id=parcel_id, polygon=ring, land_use=codes[code]))
     return parcels
 

@@ -241,6 +241,27 @@ def test_indicators_command_matches_full_run(tmp_path, town_run):
         assert rebuilt == (run_out / name).read_bytes(), name
 
 
+def test_exposure_and_daily_stats_computed_once_per_report(tmp_path, monkeypatch, town_run):
+    from flowscore import indicators
+
+    calls = {"school_exposure": 0, "daily_stats": 0}
+    for name in calls:
+        real = getattr(indicators, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(indicators, name, counted)
+    cfg, _ = town_run
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
+    assert calls == {"school_exposure": 3, "daily_stats": 3}
+    calls.update(school_exposure=0, daily_stats=0)
+    assert main(["indicators", "--config", cfg, "--objective", "uet",
+                 "--out", str(tmp_path / "run")]) == 0
+    assert calls == {"school_exposure": 1, "daily_stats": 1}
+
+
 def test_indicators_command_requires_assignment(tmp_path, capsys):
     cfg = town_scenario(tmp_path)
     rc = main(["indicators", "--config", cfg, "--objective", "uet"])

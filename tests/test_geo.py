@@ -252,3 +252,26 @@ def test_load_tracts_rejects_non_integer_id(tmp_path):
     )
     with pytest.raises(ValueError, match="tract_id 'T1' is not an integer"):
         load_tracts(str(path))
+
+
+def test_load_tracts_rejects_duplicate_ids(tmp_path):
+    path = tmp_path / "dup.geojson"
+    write_tracts_geojson(path, [
+        Tract(4, square(0.0, 0.0, 10.0), 100.0, False),
+        Tract(5, square(50.0, 0.0, 10.0), 100.0, False),
+        Tract(4, square(5000.0, 0.0, 10.0), 100.0, True),
+    ])
+    with pytest.raises(ValueError, match=r"duplicate tract_id 4 in feature 3 \(first in feature 1\)"):
+        load_tracts(str(path))
+
+
+@pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+def test_load_tracts_rejects_non_finite_coordinates(tmp_path, bad):
+    path = tmp_path / "nan.geojson"
+    write_tracts_geojson(path, [
+        Tract(1, square(0.0, 0.0, 10.0), 100.0, False),
+        Tract(2, ((0.0, 0.0), (60.0, 0.0), (60.0, 60.0)), 100.0, False),
+    ])
+    path.write_text(path.read_text().replace("[60.0, 60.0]", f"[60.0, {bad}]"))
+    with pytest.raises(ValueError, match="nan.geojson: feature 2 has a non-finite coordinate"):
+        load_tracts(str(path))

@@ -449,6 +449,16 @@ def test_build_report_is_deterministic():
     assert a == b
 
 
+def test_build_report_reuses_given_stats_and_exposures():
+    assignment, types, schools, tracts = report_fixture()
+    stats = daily_stats(assignment)
+    exposures = school_exposure(stats, schools)
+    fresh = build_report(assignment, types, schools, tracts, tract_of_link=[1, 2, 2, 2])
+    reused = build_report(assignment, types, schools, tracts, tract_of_link=[1, 2, 2, 2],
+                          stats=stats, exposures=exposures)
+    assert reused == fresh
+
+
 def test_build_report_without_completed_trips():
     assignment, types, schools, tracts = report_fixture()
     recs = [record(1, "forced", 5.0, 0.9, 0.4, 2.5),

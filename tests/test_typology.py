@@ -194,3 +194,22 @@ def test_link_types_csv_roundtrip(tmp_path):
     assert lines[0] == "link_id,street_type"
     assert lines[1].startswith("1,")
     assert len(lines) == 101
+
+
+def test_load_parcels_rejects_duplicate_ids(tmp_path):
+    near = Parcel(7, square(100.0, -30.0, 20.0), LandUse.COMMERCIAL)
+    far = Parcel(7, square(5100.0, 5000.0, 20.0), LandUse.RESIDENTIAL)
+    path = tmp_path / "dup.geojson"
+    write_parcels_geojson(path, [near, far])
+    with pytest.raises(ValueError, match=r"duplicate parcel_id 7 in feature 2 \(first in feature 1\)"):
+        load_parcels(str(path))
+
+
+def test_load_parcels_rejects_non_finite_coordinates(tmp_path):
+    ok = Parcel(1, square(0.0, 0.0, 30.0), LandUse.COMMERCIAL)
+    bad = Parcel(2, ((0.0, 0.0), (60.0, 0.0), (60.0, 60.0), (0.0, 60.0)), LandUse.RESIDENTIAL)
+    path = tmp_path / "nan.geojson"
+    write_parcels_geojson(path, [ok, bad])
+    path.write_text(path.read_text().replace("[60.0, 60.0]", "[60.0, NaN]"))
+    with pytest.raises(ValueError, match="nan.geojson: feature 2 has a non-finite coordinate"):
+        load_parcels(str(path))
