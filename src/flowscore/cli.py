@@ -253,7 +253,7 @@ def write_exposure_csv(path, exposures: dict[int, indicators.SchoolExposure]) ->
             writer.writerow([school_id, e.level.value, _fmt(e.buffer_vmt_morning)])
 
 
-def read_flows_csv(path, network, config: SolverConfig) -> list[FlowState]:
+def read_flows_csv(path, network, objective: Objective, config: SolverConfig) -> list[FlowState]:
     n = config.n_intervals
     flows = np.zeros((n, network.n_links))
     times = np.tile(network.free_flow_h, (n, 1))
@@ -267,11 +267,11 @@ def read_flows_csv(path, network, config: SolverConfig) -> list[FlowState]:
     for k in range(n):
         states.append(
             FlowState(
-                objective=Objective.UET,
+                objective=objective,
                 flow_vph=flows[k],
                 time_h=times[k],
                 speed_mph=network.length_miles / times[k],
-                cost=times[k].copy(),
+                cost=qdta._cost_vector(network, objective, flows[k], config),
                 converged=True,
                 gap=0.0,
                 iterations=0,
@@ -505,7 +505,7 @@ def _cmd_indicators(args) -> int:
     result = AssignmentResult(
         objective=objective,
         interval_s=scenario.solver.interval_s,
-        flow_states=read_flows_csv(flows_path, network, scenario.solver),
+        flow_states=read_flows_csv(flows_path, network, objective, scenario.solver),
         records=read_trips_csv(trips_path),
         forced_entered=np.zeros(network.n_links, dtype=np.int64),
         network=network,

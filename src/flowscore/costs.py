@@ -85,8 +85,8 @@ def _ret(out):
 
 def _check_flow(flow):
     arr = np.asarray(flow, dtype=float)
-    if np.any(arr < 0):
-        raise ValueError("flow must be nonnegative")
+    if not np.all((arr >= 0) & (arr < np.inf)):
+        raise ValueError("flow must be finite and nonnegative")
     return arr
 
 

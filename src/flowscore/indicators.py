@@ -33,12 +33,16 @@ class School:
     pct_minority: float
 
     def __post_init__(self) -> None:
+        if not np.isfinite([self.x, self.y]).all():
+            raise ValueError(f"school {self.id}: non-finite coordinate")
         if not 0.0 <= self.pct_minority <= 100.0:
             raise ValueError(f"school {self.id}: pct_minority outside [0, 100]")
 
 
 def load_schools(path: str) -> list[School]:
+    """Schools in file order; ids must be unique and coordinates finite."""
     schools = []
+    seen: set[int] = set()
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         required = ("school_id", "x", "y", "pct_minority")
@@ -58,6 +62,9 @@ def load_schools(path: str) -> list[School]:
                 )
             except ValueError as exc:
                 raise ValueError(f"{exc}, row {row_no}") from None
+            if schools[-1].id in seen:
+                raise ValueError(f"duplicate school_id {schools[-1].id}, row {row_no}")
+            seen.add(schools[-1].id)
     return schools
 
 

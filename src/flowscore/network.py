@@ -102,7 +102,6 @@ class Network:
                 raise ValueError(f"duplicate node id {node.id}")
             self.node_by_id[node.id] = node
         self.link_by_id: dict[int, Link] = {}
-        self.adjacency: dict[int, list[int]] = {n.id: [] for n in self.nodes}
         for link in self.links:
             if link.id in self.link_by_id:
                 raise ValueError(f"duplicate link id {link.id}")
@@ -111,7 +110,6 @@ class Network:
             if link.to_node not in self.node_by_id:
                 raise ValueError(f"unknown node {link.to_node} on link {link.id}")
             self.link_by_id[link.id] = link
-            self.adjacency[link.from_node].append(link.id)
 
         self.node_index: dict[int, int] = {n.id: i for i, n in enumerate(self.nodes)}
         self.link_index: dict[int, int] = {l.id: i for i, l in enumerate(self.links)}

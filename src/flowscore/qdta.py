@@ -30,6 +30,9 @@ from .network import Network
 logger = logging.getLogger(__name__)
 
 DAY_SECONDS = 86400.0
+# Caps the step-size bisection, which otherwise never ends when
+# line_search_tol is below 2**-60.
+_LINE_SEARCH_MAX_ITER = 60
 
 
 class Objective(enum.Enum):
@@ -65,7 +68,6 @@ class SolverConfig:
     max_iterations: int = 100
     relative_gap: float = 1e-4
     line_search_tol: float = 1e-6
-    line_search_max_iter: int = 60
     speed_floor_mph: float = 5.0
     speed_cap_mph: float = 90.0
     bpr: BprParams = DEFAULT_BPR
@@ -80,8 +82,6 @@ class SolverConfig:
             raise ValueError("relative_gap must be in (0, 1)")
         if not 0 < self.line_search_tol < 1:
             raise ValueError("line_search_tol must be in (0, 1)")
-        if self.line_search_max_iter < 1:
-            raise ValueError("line_search_max_iter must be >= 1")
         if not 0 < self.speed_floor_mph < self.speed_cap_mph:
             raise ValueError("need 0 < speed floor < speed cap")
 
@@ -183,6 +183,7 @@ class RoutingGraph:
             if e - s > 1
         ]
         self.indptr = np.searchsorted(self.edge_u, np.arange(n + 1)).astype(np.int32)
+        self._last = None
 
     def collapse(self, link_costs: np.ndarray):
         cs = link_costs[self.perm]
@@ -193,6 +194,9 @@ class RoutingGraph:
         return edge_cost, chosen
 
     def shortest_paths(self, source_idx: np.ndarray, link_costs: np.ndarray):
+        last = self._last
+        if last and np.array_equal(last[0], source_idx) and np.array_equal(last[1], link_costs):
+            return last[2]
         edge_cost, chosen = self.collapse(link_costs)
         # Dijkstra needs strictly positive weights; the cost models are
         # positive for sane parameters, this only guards float dust.
@@ -204,6 +208,10 @@ class RoutingGraph:
         dist, pred = _csgraph_dijkstra(
             graph, directed=True, indices=source_idx, return_predecessors=True
         )
+        # The trip walk asks again for the last Frank-Wolfe tree. The key is a copy,
+        # so a cost vector edited in place misses; hits share the read-only tree.
+        dist.flags.writeable = pred.flags.writeable = chosen.flags.writeable = False
+        self._last = (np.array(source_idx), np.array(link_costs), (dist, pred, chosen))
         return dist, pred, chosen
 
     def edge_slot(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -230,17 +238,20 @@ def _routing(network: Network) -> RoutingGraph:
     return network._routing_cache
 
 
-def _cost_vector(network: Network, objective: Objective, flows, config: SolverConfig) -> np.ndarray:
+def _cost_vector(links, objective: Objective, flows, config: SolverConfig) -> np.ndarray:
+    """Link costs per objective. `links` is a Network or a single Link:
+    anything with length_miles, speed_mph and capacity_vph."""
+    free_flow_h = links.length_miles / links.speed_mph
     if objective is Objective.UET:
-        out = costs.bpr_time(network.free_flow_h, flows, network.capacity_vph, config.bpr)
+        out = costs.bpr_time(free_flow_h, flows, links.capacity_vph, config.bpr)
     elif objective is Objective.SOT:
-        out = costs.marginal_time_cost(network.free_flow_h, flows, network.capacity_vph, config.bpr)
+        out = costs.marginal_time_cost(free_flow_h, flows, links.capacity_vph, config.bpr)
     else:
         out = costs.eco_assignment_cost(
-            network.length_miles,
-            network.speed_mph,
+            links.length_miles,
+            links.speed_mph,
             flows,
-            network.capacity_vph,
+            links.capacity_vph,
             config.bpr,
             config.fuel,
             config.speed_floor_mph,
@@ -262,24 +273,7 @@ def _objective_value(network: Network, objective: Objective, flows, config: Solv
 
 def assignment_cost(objective: Objective, link, flow: float, config: SolverConfig | None = None) -> float:
     """Generalized cost of one link at the given flow, per objective."""
-    config = config or SolverConfig()
-    fft = link.length_miles / link.speed_mph
-    if objective is Objective.UET:
-        return float(costs.bpr_time(fft, flow, link.capacity_vph, config.bpr))
-    if objective is Objective.SOT:
-        return float(costs.marginal_time_cost(fft, flow, link.capacity_vph, config.bpr))
-    return float(
-        costs.eco_assignment_cost(
-            link.length_miles,
-            link.speed_mph,
-            flow,
-            link.capacity_vph,
-            config.bpr,
-            config.fuel,
-            config.speed_floor_mph,
-            config.speed_cap_mph,
-        )
-    )
+    return float(_cost_vector(link, objective, flow, config or SolverConfig()))
 
 
 def bucket_demand(trips, interval_s: float = 900.0) -> list[dict[tuple[int, int], int]]:
@@ -313,7 +307,6 @@ class _DemandBatch:
                 raise ValueError(f"origin equals destination for node {o}")
         self.items = items
         origins = sorted({od[0] for od, _ in items})
-        self.source_ids = origins
         self.source_idx = np.array([network.node_index[o] for o in origins], dtype=np.int64)
         row_of = {o: i for i, o in enumerate(origins)}
         self.od_row = np.array([row_of[od[0]] for od, _ in items], dtype=np.int64)
@@ -325,8 +318,9 @@ class _DemandBatch:
         return not self.items
 
 
-def _load_all_or_nothing(graph: RoutingGraph, batch: _DemandBatch, dist, pred, chosen):
-    """Put each OD's whole demand on its current shortest path."""
+def _load_all_or_nothing(graph: RoutingGraph, batch: _DemandBatch, link_costs: np.ndarray):
+    """Put each OD's whole demand on its least-cost path at link_costs."""
+    dist, pred, chosen = graph.shortest_paths(batch.source_idx, link_costs)
     flows = np.zeros(graph.net.n_links, dtype=float)
     reachable = np.isfinite(dist[batch.od_row, batch.od_dest])
     unreachable = [
@@ -361,8 +355,7 @@ def all_or_nothing(network: Network, od_demand, link_costs):
     if batch.empty:
         return np.zeros(network.n_links, dtype=float), []
     link_costs = np.asarray(link_costs, dtype=float)
-    dist, pred, chosen = graph.shortest_paths(batch.source_idx, link_costs)
-    return _load_all_or_nothing(graph, batch, dist, pred, chosen)
+    return _load_all_or_nothing(graph, batch, link_costs)
 
 
 def _line_search(network, objective, config, f, d) -> float:
@@ -373,7 +366,7 @@ def _line_search(network, objective, config, f, d) -> float:
     if slope(1.0) <= 0.0:
         return 1.0
     lo, hi = 0.0, 1.0
-    for _ in range(config.line_search_max_iter):
+    for _ in range(_LINE_SEARCH_MAX_ITER):
         if hi - lo <= config.line_search_tol:
             break
         mid = 0.5 * (lo + hi)
@@ -389,7 +382,6 @@ def assign_interval(
     od_demand,
     objective: Objective,
     config: SolverConfig | None = None,
-    warm_start: np.ndarray | None = None,
 ) -> FlowState:
     """Frank-Wolfe assignment of one interval's demand.
 
@@ -398,8 +390,7 @@ def assign_interval(
     """
     config = config or SolverConfig()
     graph = _routing(network)
-    counts = {od: q for od, q in od_demand.items()}
-    rates = {od: q / config.interval_h for od, q in counts.items()}
+    rates = {od: q / config.interval_h for od, q in od_demand.items()}
     batch = _DemandBatch(network, rates)
 
     def finish(flows, converged, gap, log, unreachable):
@@ -423,17 +414,8 @@ def assign_interval(
         zeros = np.zeros(network.n_links, dtype=float)
         return finish(zeros, True, 0.0, [(0.0, 0.0)], [])
 
-    if warm_start is not None:
-        f = np.array(warm_start, dtype=float)
-        if f.shape != (network.n_links,):
-            raise ValueError("warm_start has the wrong shape")
-        if np.any(f < 0):
-            raise ValueError("warm_start flows must be nonnegative")
-        unreachable: list = []
-    else:
-        cost0 = _cost_vector(network, objective, np.zeros(network.n_links), config)
-        dist, pred, chosen = graph.shortest_paths(batch.source_idx, cost0)
-        f, unreachable = _load_all_or_nothing(graph, batch, dist, pred, chosen)
+    cost0 = _cost_vector(network, objective, np.zeros(network.n_links), config)
+    f, unreachable = _load_all_or_nothing(graph, batch, cost0)
 
     best_lower_bound = -math.inf
     log: list[tuple[float, float]] = []
@@ -441,8 +423,7 @@ def assign_interval(
     gap = math.inf
     for it in range(1, config.max_iterations + 1):
         cost = _cost_vector(network, objective, f, config)
-        dist, pred, chosen = graph.shortest_paths(batch.source_idx, cost)
-        y, unreachable = _load_all_or_nothing(graph, batch, dist, pred, chosen)
+        y, unreachable = _load_all_or_nothing(graph, batch, cost)
         value = _objective_value(network, objective, f, config)
         if objective is Objective.UET:
             lb = value + float(cost @ (y - f))
@@ -471,16 +452,10 @@ def assign_interval(
     return finish(f, converged, gap, log, unreachable)
 
 
-def advance_trips(
-    network: Network,
-    flow_state: FlowState,
-    active_trips: list[_TripState],
-    interval_s: float,
-    fuel: FuelParams | None = None,
-    speed_floor_mph: float = 5.0,
-    speed_cap_mph: float = 90.0,
-):
-    """Walk each active trip along its least-cost path for one interval.
+def _walk(network: Network, trips: list[_TripState], link_costs, time_h, speed_mph,
+          budget_h: float, fuel: FuelParams | None, speed_floor_mph, speed_cap_mph, finished: str):
+    """Walk each trip along its least-cost path at link_costs until it
+    arrives (recorded with status `finished`) or budget_h runs out.
 
     Every trip fully traverses at least one link; a link is started
     whenever budget remains, so the last link may overdraw the budget
@@ -489,27 +464,22 @@ def advance_trips(
     Returns (finished records, still-active states, per-link entry counts).
     """
     graph = _routing(network)
-    budget_h = interval_s / 3600.0
-    if budget_h <= 0:
-        raise ValueError("interval_s must be positive")
-    fuel = fuel or DEFAULT_FUEL
     entered = np.zeros(network.n_links, dtype=np.int64)
     records: list[TripRecord] = []
     residual: list[_TripState] = []
-    if not active_trips:
+    if not trips:
         return records, residual, entered
 
-    sources = sorted({t.current_node for t in active_trips})
+    sources = sorted({t.current_node for t in trips})
     source_idx = np.array([network.node_index[s] for s in sources], dtype=np.int64)
     row_of = {s: i for i, s in enumerate(sources)}
-    dist, pred, chosen = graph.shortest_paths(source_idx, flow_state.cost)
+    dist, pred, chosen = graph.shortest_paths(source_idx, link_costs)
 
     path_cache: dict[tuple[int, int], np.ndarray | None] = {}
-    speeds = np.clip(flow_state.speed_mph, speed_floor_mph, speed_cap_mph)
-    per_mile = np.asarray(costs.fuel_per_mile(speeds, fuel))
-    link_fuel_l = network.length_miles * per_mile
+    speeds = np.clip(speed_mph, speed_floor_mph, speed_cap_mph)
+    link_fuel_l = network.length_miles * np.asarray(costs.fuel_per_mile(speeds, fuel))
 
-    for trip in active_trips:
+    for trip in trips:
         od = (trip.current_node, trip.request.destination)
         if od not in path_cache:
             row = row_of[od[0]]
@@ -520,7 +490,7 @@ def advance_trips(
         if path is None:
             records.append(trip.to_record("failed"))
             continue
-        times = flow_state.time_h[path]
+        times = time_h[path]
         elapsed_before = np.concatenate(([0.0], np.cumsum(times)[:-1]))
         n_take = int(np.count_nonzero(elapsed_before < budget_h))
         n_take = max(1, min(n_take, len(path)))
@@ -532,11 +502,30 @@ def advance_trips(
         trip.fuel_l += float(link_fuel_l[taken].sum())
         trip.links.extend(int(network.link_ids[i]) for i in taken)
         if n_take == len(path):
-            records.append(trip.to_record("completed"))
+            records.append(trip.to_record(finished))
         else:
             trip.current_node = network.links[taken[-1]].to_node
             residual.append(trip)
     return records, residual, entered
+
+
+def advance_trips(
+    network: Network,
+    flow_state: FlowState,
+    active_trips: list[_TripState],
+    interval_s: float,
+    fuel: FuelParams | None = None,
+    speed_floor_mph: float = 5.0,
+    speed_cap_mph: float = 90.0,
+):
+    """Walk each active trip along its least-cost path for one interval.
+
+    Returns (finished records, still-active states, per-link entry counts).
+    """
+    if interval_s <= 0:
+        raise ValueError("interval_s must be positive")
+    return _walk(network, active_trips, flow_state.cost, flow_state.time_h, flow_state.speed_mph,
+                 interval_s / 3600.0, fuel, speed_floor_mph, speed_cap_mph, "completed")
 
 
 @dataclass
@@ -631,37 +620,13 @@ def run_day(
         flow_states.append(state)
         records.extend(done)
 
-    forced_entered = np.zeros(network.n_links, dtype=np.int64)
-    if residual:
-        # day over: finish leftovers on free-flow paths and flag them
-        graph = _routing(network)
-        cost0 = _cost_vector(network, objective, np.zeros(network.n_links), config)
-        residual.sort(key=lambda t: t.request.trip_id)
-        sources = sorted({t.current_node for t in residual})
-        source_idx = np.array([network.node_index[s] for s in sources], dtype=np.int64)
-        row_of = {s: i for i, s in enumerate(sources)}
-        dist, pred, chosen = graph.shortest_paths(source_idx, cost0)
-        free_speed = np.clip(network.speed_mph, config.speed_floor_mph, config.speed_cap_mph)
-        free_fuel = network.length_miles * np.asarray(costs.fuel_per_mile(free_speed, config.fuel))
-        cache: dict[tuple[int, int], np.ndarray | None] = {}
-        for trip in residual:
-            od = (trip.current_node, trip.request.destination)
-            if od not in cache:
-                row = row_of[od[0]]
-                cache[od] = graph.path_links(
-                    row, int(source_idx[row]), network.node_index[od[1]], dist, pred, chosen
-                )
-            path = cache[od]
-            if path is None:
-                records.append(trip.to_record("failed"))
-                continue
-            np.add.at(forced_entered, path, 1)
-            trip.time_h += float(network.free_flow_h[path].sum())
-            trip.distance_miles += float(network.length_miles[path].sum())
-            trip.free_flow_h += float(network.free_flow_h[path].sum())
-            trip.fuel_l += float(free_fuel[path].sum())
-            trip.links.extend(int(network.link_ids[i]) for i in path)
-            records.append(trip.to_record("forced"))
+    # day over: finish leftovers on free-flow paths and flag them, at speed_mph
+    # (length / free_flow_h can differ in the last bit, and so the fuel)
+    cost0 = _cost_vector(network, objective, np.zeros(network.n_links), config)
+    forced, _, forced_entered = _walk(network, residual, cost0, network.free_flow_h,
+                                      network.speed_mph, math.inf, config.fuel,
+                                      config.speed_floor_mph, config.speed_cap_mph, "forced")
+    records.extend(forced)
 
     records.sort(key=lambda r: r.trip_id)
     return AssignmentResult(

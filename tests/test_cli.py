@@ -2,6 +2,7 @@ import csv
 import json
 import shutil
 
+import numpy as np
 import pytest
 
 from flowscore.charts import load_comparison
@@ -11,10 +12,12 @@ from flowscore.cli import (
     compare_cities,
     load_scenario,
     main,
+    read_flows_csv,
 )
 from flowscore.indicators import INDICATOR_NAMES, School
 from flowscore.geo import Tract
-from flowscore.network import Network, Node
+from flowscore.network import Network, Node, load_network
+from flowscore.qdta import Objective, load_trips, run_day
 from flowscore.typology import StreetType, read_link_types
 
 from fixtures import (
@@ -239,6 +242,22 @@ def test_indicators_command_matches_full_run(tmp_path, town_run):
     for name in ("indicators_uet.csv", "school_exposure_uet.csv"):
         rebuilt = (tmp_path / "steps" / name).read_bytes()
         assert rebuilt == (run_out / name).read_bytes(), name
+
+
+def test_reloaded_flows_keep_objective_and_costs(tmp_path, town_run):
+    cfg, _ = town_run
+    out = tmp_path / "steps"
+    assert main(["assign", "--config", cfg, "--objective", "sof", "--out", str(out)]) == 0
+    scenario = load_scenario(cfg)
+    network = load_network(str(scenario.nodes), str(scenario.links))
+    trips = load_trips(str(scenario.trips))
+    want = run_day(network, trips, Objective.SOF, scenario.solver).flow_states
+    got = read_flows_csv(out / "flows_sof.csv", network, Objective.SOF, scenario.solver)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.objective is Objective.SOF
+        for name in ("flow_vph", "time_h", "speed_mph", "cost"):
+            assert np.array_equal(getattr(g, name), getattr(w, name)), name
 
 
 def test_exposure_and_daily_stats_computed_once_per_report(tmp_path, monkeypatch, town_run):

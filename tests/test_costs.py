@@ -196,6 +196,14 @@ def test_negative_flow_rejected():
         marginal_time_cost(0.02, np.array([5.0, -2.0]), 1000.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+def test_flow_must_be_finite_and_nonnegative(bad):
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        bpr_time(1.0, bad, 100.0)
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        marginal_time_cost(0.02, np.array([5.0, bad]), 1000.0)
+
+
 def test_speed_domain_enforced():
     with pytest.raises(ValueError):
         fuel_per_mile(0.5)

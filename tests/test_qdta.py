@@ -50,14 +50,14 @@ def diamond_network() -> Network:
     return Network(nodes, links)
 
 
-def chain_network() -> Network:
+def chain_network(capacity_vph=1e6) -> Network:
     """1->2->3->4 with free-flow times 20, 15 and 5 minutes."""
     nodes = [Node(1, 0.0, 0.0), Node(2, 16093.44, 0.0), Node(3, 28163.52, 0.0),
              Node(4, 32186.88, 0.0)]
     by_id = {n.id: n for n in nodes}
     spec = [(1, 1, 2, 10.0), (2, 2, 3, 7.5), (3, 3, 4, 2.5)]
     links = [
-        Link(lid, a, b, length, 30.0, 1e6, 5, 2,
+        Link(lid, a, b, length, 30.0, capacity_vph, 5, 2,
              detour_geometry(by_id[a], by_id[b], length))
         for lid, a, b, length in spec
     ]
@@ -276,16 +276,6 @@ def test_wardrop_on_diamond():
     assert abs(t_fast - t_slow) / max(t_fast, t_slow) <= 0.01
 
 
-def test_warm_start_reaches_same_optimum():
-    net = pigou_network()
-    cold = assign_interval(net, {(1, 2): 750}, Objective.UET, TIGHT)
-    seed = np.zeros(net.n_links)
-    seed[net.link_index[1]] = PIGOU_DEMAND_VPH  # everything on the wide link
-    warm = assign_interval(net, {(1, 2): 750}, Objective.UET, TIGHT, warm_start=seed)
-    assert warm.converged
-    assert warm.flow_vph[1] == pytest.approx(cold.flow_vph[1], rel=5e-3)
-
-
 def test_unreachable_demand_reported_in_counts():
     net = diamond_network()
     state = assign_interval(net, {(1, 4): 10, (4, 1): 7}, Objective.UET, TIGHT)
@@ -437,6 +427,79 @@ def test_run_day_forces_leftovers_at_midnight():
     _, _, rel = result.conservation()
     assert rel <= 1e-12
     assert result.counts()["forced"] == 1
+
+
+def count_dijkstra(monkeypatch) -> list:
+    calls = []
+    real = qdta._csgraph_dijkstra
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(qdta, "_csgraph_dijkstra", counted)
+    return calls
+
+
+@pytest.mark.parametrize("objective", list(Objective))
+def test_run_day_walk_reuses_final_frank_wolfe_tree(monkeypatch, objective):
+    calls = count_dijkstra(monkeypatch)
+    # capacity low enough that one trip moves the costs off free flow
+    net = chain_network(capacity_vph=10.0)
+    # three 5-minute trips in three intervals, one forced at midnight
+    trips = [TripRequest(i + 1, 3, 4, 3600.0 * i) for i in range(3)]
+    trips.append(TripRequest(4, 1, 4, 86_000.0))
+    result = run_day(net, trips, objective)
+    busy = [fs for fs in result.flow_states if fs.flow_vph.any()]
+    assert len(busy) == 4 and all(fs.iterations == 1 for fs in busy)
+    assert result.counts() == {"completed": 3, "forced": 1, "failed": 0}
+    # per interval: free-flow costs, then cost(f), whose tree the walk reuses
+    assert len(calls) == 2 * 4 + 1
+
+
+def test_shortest_paths_recomputes_after_in_place_cost_change(monkeypatch):
+    calls = count_dijkstra(monkeypatch)
+    net = diamond_network()
+    graph = qdta._routing(net)
+    source = np.array([net.node_index[1]])
+    cost = net.free_flow_h.copy()
+    dist, pred, _ = graph.shortest_paths(source, cost)
+    assert pred[0, net.node_index[4]] == net.node_index[2]
+    again = graph.shortest_paths(source.copy(), cost.copy())
+    assert again[0] is dist and len(calls) == 1
+    assert not dist.flags.writeable  # hits share the tree
+    cost[net.link_index[1]] = 100.0
+    dist, pred, _ = graph.shortest_paths(source, cost)
+    assert len(calls) == 2
+    assert pred[0, net.node_index[4]] == net.node_index[3]
+    assert dist[0, net.node_index[4]] == pytest.approx(0.3)
+
+
+def test_forced_completion_fuel_uses_link_speeds():
+    # length / (length / speed) != speed for 1.0 and 0.5 mi at 49 mph
+    nodes = [Node(1, 0.0, 0.0), Node(2, 16093.44, 0.0), Node(3, 17093.44, 0.0),
+             Node(4, 17593.44, 0.0)]
+    by_id = {n.id: n for n in nodes}
+    spec = [(1, 1, 2, 10.0, 30.0), (2, 2, 3, 1.0, 49.0), (3, 3, 4, 0.5, 49.0)]
+    links = [Link(lid, a, b, length, speed, 1e6, 5, 2,
+                  detour_geometry(by_id[a], by_id[b], length))
+             for lid, a, b, length, speed in spec]
+    net = Network(nodes, links)
+    derived = net.length_miles / net.free_flow_h
+    assert not np.array_equal(derived, net.speed_mph)
+
+    result = run_day(net, [TripRequest(1, 1, 4, 86_000.0)], Objective.UET)
+    rec = result.records[0]
+    assert rec.status == "forced" and result.forced_entered.tolist() == [0, 1, 1]
+    cfg = SolverConfig()
+
+    def link_fuel(speeds):
+        speeds = np.clip(speeds, cfg.speed_floor_mph, cfg.speed_cap_mph)
+        return net.length_miles * fuel_per_mile(speeds, cfg.fuel)
+
+    walked = float(link_fuel(result.flow_states[95].speed_mph)[[0]].sum())
+    assert rec.fuel_l == walked + float(link_fuel(net.speed_mph)[[1, 2]].sum())
+    assert rec.fuel_l != walked + float(link_fuel(derived)[[1, 2]].sum())
 
 
 def test_run_day_failed_trip():
