@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import itertools
 import json
 import logging
 import sys
@@ -175,6 +176,11 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
+def _reprs(values) -> map:
+    """Each value as _fmt writes a float, for a whole column at once."""
+    return map(repr, np.asarray(values, dtype=float).tolist())
+
+
 def write_flows_csv(path, result: AssignmentResult) -> None:
     """One row per (interval, link) with nonzero assigned flow."""
     network = result.network
@@ -182,16 +188,14 @@ def write_flows_csv(path, result: AssignmentResult) -> None:
         writer = csv.writer(fh)
         writer.writerow(["interval", "link_id", "flow_vph", "time_h", "speed_mph"])
         for k, fs in enumerate(result.flow_states):
-            for i in np.nonzero(fs.flow_vph > 0)[0]:
-                writer.writerow(
-                    [
-                        k,
-                        int(network.link_ids[i]),
-                        _fmt(fs.flow_vph[i]),
-                        _fmt(fs.time_h[i]),
-                        _fmt(fs.speed_mph[i]),
-                    ]
-                )
+            i = np.nonzero(fs.flow_vph > 0)[0]
+            writer.writerows(zip(
+                itertools.repeat(k),
+                network.link_ids[i].tolist(),
+                _reprs(fs.flow_vph[i]),
+                _reprs(fs.time_h[i]),
+                _reprs(fs.speed_mph[i]),
+            ))
 
 
 def write_trips_csv(path, result: AssignmentResult) -> None:
@@ -211,21 +215,17 @@ def write_trips_csv(path, result: AssignmentResult) -> None:
                 "links",
             ]
         )
-        for rec in result.records:
-            writer.writerow(
-                [
-                    rec.trip_id,
-                    rec.status,
-                    _fmt(rec.start_s),
-                    _fmt(rec.end_s),
-                    _fmt(rec.distance_miles),
-                    _fmt(rec.time_h),
-                    _fmt(rec.free_flow_h),
-                    _fmt(rec.delay_h),
-                    _fmt(rec.fuel_l),
-                    "|".join(str(l) for l in rec.links),
-                ]
+        # row by row: whole-day columns would hold every record's text at once
+        writer.writerows(
+            (
+                rec.trip_id,
+                rec.status,
+                *map(repr, map(float, (rec.start_s, rec.end_s, rec.distance_miles, rec.time_h,
+                                       rec.free_flow_h, rec.delay_h, rec.fuel_l))),
+                "|".join(map(str, rec.links)),
             )
+            for rec in result.records
+        )
 
 
 def write_convergence_csv(path, result: AssignmentResult) -> None:

@@ -81,6 +81,7 @@ class LinkDailyStats:
         self.adt = veh.sum(axis=0)
         self.vmt = self.adt * network.length_miles
         self.vhd = (veh * (times_h - network.free_flow_h)).sum(axis=0)
+        self._window_vmt: dict[tuple, np.ndarray] = {}
 
     @property
     def n_intervals(self) -> int:
@@ -90,6 +91,17 @@ class LinkDailyStats:
         start, end = window_s
         k = np.arange(self.n_intervals)
         return (k * self.interval_s < end) & ((k + 1) * self.interval_s > start)
+
+    def window_vmt(self, window_s) -> np.ndarray:
+        """Per-link VMT over the intervals overlapping window_s, computed
+        once per window; the array is read-only, since callers share it."""
+        key = tuple(window_s)
+        if key not in self._window_vmt:
+            sel = self.intervals_overlapping(window_s)
+            vmt = (self.flows_vph[sel].sum(axis=0) * self.interval_h) * self.network.length_miles
+            vmt.flags.writeable = False
+            self._window_vmt[key] = vmt
+        return self._window_vmt[key]
 
 
 def daily_stats(assignment, network=None) -> LinkDailyStats:
@@ -179,8 +191,7 @@ def school_exposure(
     network = stats.network
     if link_index is None:
         link_index = geo.build_link_index(network)
-    sel = stats.intervals_overlapping(morning_s)
-    morning_vmt = (stats.flows_vph[sel].sum(axis=0) * stats.interval_h) * network.length_miles
+    morning_vmt = stats.window_vmt(morning_s)
     out: dict[int, SchoolExposure] = {}
     for school in schools:
         ids = geo.links_within_radius((school.x, school.y), radius_m, network, link_index)
@@ -340,9 +351,8 @@ def build_report(
     exposed = [e for e in exposures.values() if e.level is not ExposureLevel.NONE]
     buffered_links = sorted({lid for e in exposures.values() for lid in e.link_ids})
     buffered_idx = np.array([network.link_index[i] for i in buffered_links], dtype=np.int64)
-    sel = stats.intervals_overlapping(school_morning_s)
     school_vmt = float(
-        ((stats.flows_vph[sel].sum(axis=0) * stats.interval_h) * network.length_miles)[buffered_idx].sum()
+        stats.window_vmt(school_morning_s)[buffered_idx].sum()
     ) if len(buffered_idx) else 0.0
 
     accidents = highway_accidents(stats, street_types, spf)

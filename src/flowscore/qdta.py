@@ -33,6 +33,9 @@ DAY_SECONDS = 86400.0
 # Caps the step-size bisection, which otherwise never ends when
 # line_search_tol is below 2**-60.
 _LINE_SEARCH_MAX_ITER = 60
+# Cost vectors whose shortest-path rows RoutingGraph keeps: each interval's
+# zero-flow costs and the latest Frank-Wolfe costs, whose tree the walk reuses.
+_KEPT_COST_VECTORS = 2
 
 
 class Objective(enum.Enum):
@@ -183,7 +186,7 @@ class RoutingGraph:
             if e - s > 1
         ]
         self.indptr = np.searchsorted(self.edge_u, np.arange(n + 1)).astype(np.int32)
-        self._last = None
+        self._trees: list[_SolvedRows] = []  # most recently used first
 
     def collapse(self, link_costs: np.ndarray):
         cs = link_costs[self.perm]
@@ -194,42 +197,54 @@ class RoutingGraph:
         return edge_cost, chosen
 
     def shortest_paths(self, source_idx: np.ndarray, link_costs: np.ndarray):
-        last = self._last
-        if last and np.array_equal(last[0], source_idx) and np.array_equal(last[1], link_costs):
-            return last[2]
-        edge_cost, chosen = self.collapse(link_costs)
-        # Dijkstra needs strictly positive weights; the cost models are
-        # positive for sane parameters, this only guards float dust.
-        edge_cost = np.maximum(edge_cost, 1e-12)
-        graph = csr_matrix(
-            (edge_cost, self.edge_v, self.indptr),
-            shape=(self.n_nodes, self.n_nodes),
-        )
-        dist, pred = _csgraph_dijkstra(
-            graph, directed=True, indices=source_idx, return_predecessors=True
-        )
-        # The trip walk asks again for the last Frank-Wolfe tree. The key is a copy,
-        # so a cost vector edited in place misses; hits share the read-only tree.
-        dist.flags.writeable = pred.flags.writeable = chosen.flags.writeable = False
-        self._last = (np.array(source_idx), np.array(link_costs), (dist, pred, chosen))
-        return dist, pred, chosen
+        """(dist, pred, chosen) at link_costs: one dist and pred row per
+        source, in the order asked for, and the link chosen per edge.
+
+        Rows solved for the two most recently used cost vectors are kept,
+        so Dijkstra runs only for sources without a row at these costs.
+        scipy solves each source on its own, so a row is the same whichever
+        batch solved it.
+        """
+        tree = next((t for t in self._trees if np.array_equal(t.costs, link_costs)), None)
+        if tree is None:
+            tree = _SolvedRows(self, link_costs)
+        self._trees = [tree] + [t for t in self._trees if t is not tree][:_KEPT_COST_VECTORS - 1]
+        return tree.rows(source_idx)
 
     def edge_slot(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         return np.searchsorted(self.edge_key, u.astype(np.int64) * self.n_nodes + v)
 
-    def path_links(self, row: int, origin_idx: int, dest_idx: int, dist, pred, chosen):
-        """Link index sequence origin -> dest, or None when unreachable."""
-        if not math.isfinite(dist[row, dest_idx]):
-            return None
-        seq = [dest_idx]
-        node = dest_idx
-        while node != origin_idx:
-            node = int(pred[row, node])
-            seq.append(node)
-        seq.reverse()
-        heads = np.array(seq[:-1], dtype=np.int64)
-        tails = np.array(seq[1:], dtype=np.int64)
-        return chosen[self.edge_slot(heads, tails)]
+
+class _SolvedRows:
+    """Shortest-path rows solved so far at one cost vector."""
+
+    def __init__(self, graph: RoutingGraph, link_costs: np.ndarray):
+        # a copy, so a cost vector edited in place misses
+        self.costs = np.array(link_costs)
+        edge_cost, self.chosen = graph.collapse(link_costs)
+        self.chosen.flags.writeable = False  # every caller shares it
+        # Dijkstra needs strictly positive weights; the cost models are
+        # positive for sane parameters, this only guards float dust.
+        edge_cost = np.maximum(edge_cost, 1e-12)
+        n = graph.n_nodes
+        self.graph = csr_matrix((edge_cost, graph.edge_v, graph.indptr), shape=(n, n))
+        self.row_of: dict[int, int] = {}
+        self.dist = np.empty((0, n), dtype=float)
+        self.pred = np.empty((0, n), dtype=np.int32)
+
+    def rows(self, source_idx: np.ndarray):
+        sources = np.asarray(source_idx).tolist()
+        missing = [s for s in dict.fromkeys(sources) if s not in self.row_of]
+        if missing:
+            dist, pred = _csgraph_dijkstra(
+                self.graph, directed=True, indices=np.array(missing, dtype=np.int64),
+                return_predecessors=True,
+            )
+            self.row_of.update(zip(missing, range(len(self.row_of), len(self.row_of) + len(missing))))
+            self.dist = np.concatenate((self.dist, dist))
+            self.pred = np.concatenate((self.pred, pred))
+        rows = [self.row_of[s] for s in sources]
+        return self.dist[rows], self.pred[rows], self.chosen
 
 
 def _routing(network: Network) -> RoutingGraph:
@@ -318,6 +333,24 @@ class _DemandBatch:
         return not self.items
 
 
+def _backward_steps(graph: RoutingGraph, pred, chosen, row, dest, origin):
+    """Trace least-cost paths from their destinations back to their origins.
+
+    Path i runs origin[i] -> dest[i] in pred's row row[i]. Step s yields
+    (positions of the paths that have an s-th link counted from the
+    destination end, those links' indices).
+    """
+    cur = dest
+    pos = np.arange(dest.size)
+    while cur.size:
+        prev = pred[row, cur].astype(np.int64)
+        yield pos, chosen[graph.edge_slot(prev, cur)]
+        cur = prev
+        keep = cur != origin
+        if not keep.all():
+            cur, row, origin, pos = cur[keep], row[keep], origin[keep], pos[keep]
+
+
 def _load_all_or_nothing(graph: RoutingGraph, batch: _DemandBatch, link_costs: np.ndarray):
     """Put each OD's whole demand on its least-cost path at link_costs."""
     dist, pred, chosen = graph.shortest_paths(batch.source_idx, link_costs)
@@ -327,21 +360,12 @@ def _load_all_or_nothing(graph: RoutingGraph, batch: _DemandBatch, link_costs: n
         (batch.items[i][0][0], batch.items[i][0][1], batch.items[i][1])
         for i in np.nonzero(~reachable)[0]
     ]
-    cur = batch.od_dest[reachable]
     row = batch.od_row[reachable]
     rate = batch.od_rate[reachable]
-    origin = batch.source_idx[row]
-    while cur.size:
-        prev = pred[row, cur].astype(np.int64)
-        slots = graph.edge_slot(prev, cur)
-        np.add.at(flows, chosen[slots], rate)
-        cur = prev
-        keep = cur != origin
-        if not keep.all():
-            cur = cur[keep]
-            row = row[keep]
-            rate = rate[keep]
-            origin = origin[keep]
+    steps = _backward_steps(graph, pred, chosen, row, batch.od_dest[reachable],
+                            batch.source_idx[row])
+    for pos, links in steps:
+        np.add.at(flows, links, rate[pos])
     return flows, unreachable
 
 
@@ -393,7 +417,7 @@ def assign_interval(
     rates = {od: q / config.interval_h for od, q in od_demand.items()}
     batch = _DemandBatch(network, rates)
 
-    def finish(flows, converged, gap, log, unreachable):
+    def finish(flows, cost, converged, gap, log, unreachable):
         time_h = np.asarray(
             costs.bpr_time(network.free_flow_h, flows, network.capacity_vph, config.bpr)
         )
@@ -402,7 +426,7 @@ def assign_interval(
             flow_vph=flows,
             time_h=time_h,
             speed_mph=network.length_miles / time_h,
-            cost=_cost_vector(network, objective, flows, config),
+            cost=cost,
             converged=converged,
             gap=gap,
             iterations=len(log),
@@ -412,7 +436,8 @@ def assign_interval(
 
     if batch.empty:
         zeros = np.zeros(network.n_links, dtype=float)
-        return finish(zeros, True, 0.0, [(0.0, 0.0)], [])
+        return finish(zeros, _cost_vector(network, objective, zeros, config), True, 0.0,
+                      [(0.0, 0.0)], [])
 
     cost0 = _cost_vector(network, objective, np.zeros(network.n_links), config)
     f, unreachable = _load_all_or_nothing(graph, batch, cost0)
@@ -449,7 +474,8 @@ def assign_interval(
             config.max_iterations,
             gap,
         )
-    return finish(f, converged, gap, log, unreachable)
+    # f moves only after the stopping tests, so cost is still cost(f)
+    return finish(f, cost, converged, gap, log, unreachable)
 
 
 def _walk(network: Network, trips: list[_TripState], link_costs, time_h, speed_mph,
@@ -461,50 +487,83 @@ def _walk(network: Network, trips: list[_TripState], link_costs, time_h, speed_m
     whenever budget remains, so the last link may overdraw the budget
     (the overdraft simply shows up in the recorded travel time).
 
+    All trips walk at once: one padded matrix holds the path of every
+    distinct (current node, destination) pair, and each trip's sums run
+    over its row with the same numpy reductions as over a 1-D path.
+
     Returns (finished records, still-active states, per-link entry counts).
     """
     graph = _routing(network)
-    entered = np.zeros(network.n_links, dtype=np.int64)
     records: list[TripRecord] = []
     residual: list[_TripState] = []
     if not trips:
-        return records, residual, entered
+        return records, residual, np.zeros(network.n_links, dtype=np.int64)
 
-    sources = sorted({t.current_node for t in trips})
-    source_idx = np.array([network.node_index[s] for s in sources], dtype=np.int64)
-    row_of = {s: i for i, s in enumerate(sources)}
-    dist, pred, chosen = graph.shortest_paths(source_idx, link_costs)
+    pair_of: dict[tuple[int, int], int] = {}
+    trip_pair = np.array(
+        [pair_of.setdefault((t.current_node, t.request.destination), len(pair_of)) for t in trips]
+    )
+    pair_origin = np.array([network.node_index[o] for o, _ in pair_of], dtype=np.int64)
+    pair_dest = np.array([network.node_index[d] for _, d in pair_of], dtype=np.int64)
+    sources, pair_row = np.unique(pair_origin, return_inverse=True)
+    dist, pred, chosen = graph.shortest_paths(sources, link_costs)
 
-    path_cache: dict[tuple[int, int], np.ndarray | None] = {}
+    # paths[p, :length[p]] holds pair p's link indices, origin first
+    reached = np.nonzero(np.isfinite(dist[pair_row, pair_dest]))[0]
+    steps = list(_backward_steps(graph, pred, chosen, pair_row[reached], pair_dest[reached],
+                                 pair_origin[reached]))
+    length = np.zeros(len(pair_of), dtype=np.int64)
+    for pos, _ in steps:
+        length[reached[pos]] += 1
+    paths = np.zeros((len(pair_of), len(steps)), dtype=np.int64)
+    for s, (pos, links) in enumerate(steps):
+        p = reached[pos]
+        paths[p, length[p] - 1 - s] = links
+
+    walking = np.nonzero(length[trip_pair] > 0)[0]
+    path = paths[trip_pair[walking]]
+    path_len = length[trip_pair[walking]]
+    times = time_h[path]
+    elapsed_before = np.zeros_like(times)
+    elapsed_before[:, 1:] = np.cumsum(times, axis=1)[:, :-1]
+    column = np.arange(path.shape[1])
+    n_take = np.count_nonzero((elapsed_before < budget_h) & (column < path_len[:, None]), axis=1)
+    n_take = np.clip(n_take, 1, path_len)
+
     speeds = np.clip(speed_mph, speed_floor_mph, speed_cap_mph)
     link_fuel_l = network.length_miles * np.asarray(costs.fuel_per_mile(speeds, fuel))
+    time_sum, dist_sum, free_flow_sum, fuel_sum = (np.empty(walking.size) for _ in range(4))
+    for n in np.unique(n_take):
+        sel = np.nonzero(n_take == n)[0]
+        taken = path[sel, :n]
+        time_sum[sel] = times[sel, :n].sum(axis=1)
+        dist_sum[sel] = network.length_miles[taken].sum(axis=1)
+        free_flow_sum[sel] = network.free_flow_h[taken].sum(axis=1)
+        fuel_sum[sel] = link_fuel_l[taken].sum(axis=1)
+    taken = path[column < n_take[:, None]]  # row by row
+    entered = np.bincount(taken, minlength=network.n_links).astype(np.int64)
 
-    for trip in trips:
-        od = (trip.current_node, trip.request.destination)
-        if od not in path_cache:
-            row = row_of[od[0]]
-            path_cache[od] = graph.path_links(
-                row, int(source_idx[row]), network.node_index[od[1]], dist, pred, chosen
-            )
-        path = path_cache[od]
-        if path is None:
+    # records and residual states, in the order the trips came
+    taken_ids = network.link_ids[taken].tolist()
+    ends = np.cumsum(n_take).tolist()
+    n_take, arrived = n_take.tolist(), (n_take == path_len).tolist()
+    time_sum, dist_sum = time_sum.tolist(), dist_sum.tolist()
+    free_flow_sum, fuel_sum = free_flow_sum.tolist(), fuel_sum.tolist()
+    walk_row = np.full(len(trips), -1)
+    walk_row[walking] = np.arange(walking.size)
+    for trip, j in zip(trips, walk_row.tolist()):
+        if j < 0:
             records.append(trip.to_record("failed"))
             continue
-        times = time_h[path]
-        elapsed_before = np.concatenate(([0.0], np.cumsum(times)[:-1]))
-        n_take = int(np.count_nonzero(elapsed_before < budget_h))
-        n_take = max(1, min(n_take, len(path)))
-        taken = path[:n_take]
-        np.add.at(entered, taken, 1)
-        trip.time_h += float(times[:n_take].sum())
-        trip.distance_miles += float(network.length_miles[taken].sum())
-        trip.free_flow_h += float(network.free_flow_h[taken].sum())
-        trip.fuel_l += float(link_fuel_l[taken].sum())
-        trip.links.extend(int(network.link_ids[i]) for i in taken)
-        if n_take == len(path):
+        trip.time_h += time_sum[j]
+        trip.distance_miles += dist_sum[j]
+        trip.free_flow_h += free_flow_sum[j]
+        trip.fuel_l += fuel_sum[j]
+        trip.links.extend(taken_ids[ends[j] - n_take[j]:ends[j]])
+        if arrived[j]:
             records.append(trip.to_record(finished))
         else:
-            trip.current_node = network.links[taken[-1]].to_node
+            trip.current_node = network.links[int(taken[ends[j] - 1])].to_node
             residual.append(trip)
     return records, residual, entered
 

@@ -244,6 +244,18 @@ def test_school_exposure_morning_vmt():
     assert out[1].buffer_vmt_morning == pytest.approx(1000.0)
 
 
+def test_window_vmt_computed_once_per_window():
+    net = isolated_links_network([(1, 1.0, 30.0, 600.0, 5, 2), (2, 2.5, 30.0, 600.0, 5, 2)])
+    flows = np.random.default_rng(3).uniform(0.0, 900.0, size=(96, 2))
+    stats = make_stats(net, flows)
+    window = (25200.0, 28800.0)
+    vmt = stats.window_vmt(window)
+    sel = stats.intervals_overlapping(window)
+    assert np.array_equal(vmt, (flows[sel].sum(axis=0) * stats.interval_h) * net.length_miles)
+    assert stats.window_vmt(list(window)) is vmt and not vmt.flags.writeable
+    assert not np.array_equal(stats.window_vmt((0.0, 3600.0)), vmt)
+
+
 def test_school_exposure_monotone_in_flow():
     rng = np.random.default_rng(7)
     specs = [(i, 1.0, 30.0, 600.0, 5, 2) for i in range(1, 7)]

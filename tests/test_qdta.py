@@ -434,7 +434,7 @@ def count_dijkstra(monkeypatch) -> list:
     real = qdta._csgraph_dijkstra
 
     def counted(*args, **kwargs):
-        calls.append(1)
+        calls.append(np.atleast_1d(kwargs["indices"]).tolist())
         return real(*args, **kwargs)
 
     monkeypatch.setattr(qdta, "_csgraph_dijkstra", counted)
@@ -453,8 +453,12 @@ def test_run_day_walk_reuses_final_frank_wolfe_tree(monkeypatch, objective):
     busy = [fs for fs in result.flow_states if fs.flow_vph.any()]
     assert len(busy) == 4 and all(fs.iterations == 1 for fs in busy)
     assert result.counts() == {"completed": 3, "forced": 1, "failed": 0}
-    # per interval: free-flow costs, then cost(f), whose tree the walk reuses
-    assert len(calls) == 2 * 4 + 1
+    # Rows are kept per source for the last two cost vectors. Node 3's first
+    # interval solves free-flow costs and cost(f), whose tree the walk reuses;
+    # its next two intervals have the same costs and source and solve nothing.
+    # Node 1's interval solves a new source at free-flow costs and a new
+    # cost(f), and the forced walk from node 2 at free-flow costs one more.
+    assert len(calls) == 2 + 0 + 0 + 2 + 1
 
 
 def test_shortest_paths_recomputes_after_in_place_cost_change(monkeypatch):
@@ -466,13 +470,76 @@ def test_shortest_paths_recomputes_after_in_place_cost_change(monkeypatch):
     dist, pred, _ = graph.shortest_paths(source, cost)
     assert pred[0, net.node_index[4]] == net.node_index[2]
     again = graph.shortest_paths(source.copy(), cost.copy())
-    assert again[0] is dist and len(calls) == 1
-    assert not dist.flags.writeable  # hits share the tree
+    assert np.array_equal(again[0], dist) and len(calls) == 1
     cost[net.link_index[1]] = 100.0
     dist, pred, _ = graph.shortest_paths(source, cost)
     assert len(calls) == 2
     assert pred[0, net.node_index[4]] == net.node_index[3]
     assert dist[0, net.node_index[4]] == pytest.approx(0.3)
+
+
+def test_shortest_paths_solves_each_source_once_per_cost_vector(monkeypatch):
+    calls = count_dijkstra(monkeypatch)
+    net = diamond_network()
+    graph = qdta._routing(net)
+    a, b, c = (net.node_index[n] for n in (1, 2, 3))
+    cost = net.free_flow_h.copy()
+    first = graph.shortest_paths(np.array([b, a]), cost)
+    second = graph.shortest_paths(np.array([a, c, b, a]), cost.copy())
+    assert calls == [[b, a], [c]]
+    # rows come back in the order asked for, as a batch of their own solves them
+    fresh = qdta.RoutingGraph(net).shortest_paths(np.array([a, c, b, a]), cost)
+    for got, want in zip(second, fresh):
+        assert np.array_equal(got, want)
+    assert np.array_equal(second[0][[2, 0]], first[0])
+    assert np.array_equal(second[1][[2, 0]], first[1])
+
+
+def test_shortest_paths_subset_of_solved_sources_runs_no_dijkstra(monkeypatch):
+    calls = count_dijkstra(monkeypatch)
+    net = diamond_network()
+    graph = qdta._routing(net)
+    sources = np.array([net.node_index[n] for n in (1, 2, 3)])
+    dist, pred, _ = graph.shortest_paths(sources, net.free_flow_h)
+    sub = graph.shortest_paths(sources[[2, 0]], net.free_flow_h.copy())
+    assert len(calls) == 1
+    assert np.array_equal(sub[0], dist[[2, 0]]) and np.array_equal(sub[1], pred[[2, 0]])
+
+
+def test_shortest_paths_in_place_edit_misses_beside_a_kept_vector(monkeypatch):
+    calls = count_dijkstra(monkeypatch)
+    net = diamond_network()
+    graph = qdta._routing(net)
+    source = np.array([net.node_index[1]])
+    other = net.free_flow_h * 2.0
+    cost = net.free_flow_h.copy()
+    graph.shortest_paths(source, cost)
+    graph.shortest_paths(source, other)
+    cost[net.link_index[1]] = 100.0
+    dist, pred, _ = graph.shortest_paths(source, cost)
+    assert len(calls) == 3
+    assert pred[0, net.node_index[4]] == net.node_index[3]
+    graph.shortest_paths(source, other)
+    assert len(calls) == 3
+
+
+def test_shortest_paths_third_cost_vector_evicts_least_recently_used(monkeypatch):
+    calls = count_dijkstra(monkeypatch)
+    net = diamond_network()
+    graph = qdta._routing(net)
+    source = np.array([net.node_index[1]])
+    first, second, third = (net.free_flow_h * k for k in (1.0, 2.0, 3.0))
+    graph.shortest_paths(source, first)
+    graph.shortest_paths(source, second)
+    graph.shortest_paths(source, first)  # a hit makes first the most recent
+    assert len(calls) == 2
+    graph.shortest_paths(source, third)  # evicts second
+    assert len(calls) == 3
+    graph.shortest_paths(source, first)
+    graph.shortest_paths(source, third)
+    assert len(calls) == 3
+    graph.shortest_paths(source, second)
+    assert len(calls) == 4
 
 
 def test_forced_completion_fuel_uses_link_speeds():
