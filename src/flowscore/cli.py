@@ -20,18 +20,10 @@ from pathlib import Path
 import numpy as np
 
 from . import charts, geo, indicators, qdta, typology
-from .charts import ComparisonRow, ComparisonTable
+from .charts import ComparisonRow, ComparisonTable, _fmt_value
 from .costs import BprParams, FuelParams
 from .network import LoadError, load_network
-from .qdta import (
-    AssignmentResult,
-    FlowState,
-    Objective,
-    SolverConfig,
-    TripRecord,
-    load_trips,
-    run_day,
-)
+from .qdta import AssignmentResult, Objective, SolverConfig, TripRecord, load_trips, run_day
 
 logger = logging.getLogger(__name__)
 
@@ -170,14 +162,8 @@ def load_scenario(path) -> Scenario:
     )
 
 
-def _fmt(x) -> str:
-    if x is None:
-        return "NA"
-    return repr(float(x))
-
-
 def _reprs(values) -> map:
-    """Each value as _fmt writes a float, for a whole column at once."""
+    """Each value as _fmt_value writes a float, for a whole column at once."""
     return map(repr, np.asarray(values, dtype=float).tolist())
 
 
@@ -233,7 +219,7 @@ def write_convergence_csv(path, result: AssignmentResult) -> None:
         writer = csv.writer(fh)
         writer.writerow(["interval", "iterations", "relative_gap", "converged"])
         for k, fs in enumerate(result.flow_states):
-            writer.writerow([k, fs.iterations, _fmt(fs.gap), int(fs.converged)])
+            writer.writerow([k, fs.iterations, _fmt_value(fs.gap), int(fs.converged)])
 
 
 def write_indicators_csv(path, report: indicators.IndicatorReport) -> None:
@@ -241,7 +227,7 @@ def write_indicators_csv(path, report: indicators.IndicatorReport) -> None:
         writer = csv.writer(fh)
         writer.writerow(["theme", "indicator", "unit", "value"])
         for v in report.values:
-            writer.writerow([v.theme, v.name, v.unit, _fmt(v.value)])
+            writer.writerow([v.theme, v.name, v.unit, _fmt_value(v.value)])
 
 
 def write_exposure_csv(path, exposures: dict[int, indicators.SchoolExposure]) -> None:
@@ -250,34 +236,25 @@ def write_exposure_csv(path, exposures: dict[int, indicators.SchoolExposure]) ->
         writer.writerow(["school_id", "exposure", "buffer_vmt_7_8am"])
         for school_id in sorted(exposures):
             e = exposures[school_id]
-            writer.writerow([school_id, e.level.value, _fmt(e.buffer_vmt_morning)])
+            writer.writerow([school_id, e.level.value, _fmt_value(e.buffer_vmt_morning)])
 
 
-def read_flows_csv(path, network, objective: Objective, config: SolverConfig) -> list[FlowState]:
+def read_flows_csv(path, network, config: SolverConfig) -> indicators.LinkDailyStats:
+    """The day's link stats from a flows CSV; absent rows are zero flow at free-flow time."""
     n = config.n_intervals
     flows = np.zeros((n, network.n_links))
     times = np.tile(network.free_flow_h, (n, 1))
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            k = int(row["interval"])
-            i = network.link_index[int(row["link_id"])]
+        for row_no, row in enumerate(csv.DictReader(fh), start=2):
+            k, link_id = int(row["interval"]), int(row["link_id"])
+            if not 0 <= k < n:
+                raise ValueError(f"interval {k} outside the day's {n} intervals in {path}, row {row_no}")
+            if link_id not in network.link_index:
+                raise ValueError(f"unknown link_id {link_id} in {path}, row {row_no}")
+            i = network.link_index[link_id]
             flows[k, i] = float(row["flow_vph"])
             times[k, i] = float(row["time_h"])
-    states = []
-    for k in range(n):
-        states.append(
-            FlowState(
-                objective=objective,
-                flow_vph=flows[k],
-                time_h=times[k],
-                speed_mph=network.length_miles / times[k],
-                cost=qdta._cost_vector(network, objective, flows[k], config),
-                converged=True,
-                gap=0.0,
-                iterations=0,
-            )
-        )
-    return states
+    return indicators.LinkDailyStats(network, flows, times, config.interval_s)
 
 
 def read_trips_csv(path) -> list[TripRecord]:
@@ -301,17 +278,19 @@ def read_trips_csv(path) -> list[TripRecord]:
     return records
 
 
-def _load_inputs(scenario: Scenario):
+def _load_city_network(scenario: Scenario):
     network = load_network(str(scenario.nodes), str(scenario.links))
     for warning in network.validation.warnings:
         logger.warning("network: %s", warning)
-    parcels = typology.load_parcels(str(scenario.parcels))
+    return network
+
+
+def _load_schools_and_tracts(scenario: Scenario):
     schools = indicators.load_schools(str(scenario.schools))
     tracts = geo.load_tracts(str(scenario.tracts))
     for warning in geo.validate_tracts(tracts):
         logger.warning("tracts: %s", warning)
-    trips = load_trips(str(scenario.trips))
-    return network, parcels, schools, tracts, trips
+    return schools, tracts
 
 
 def _run_one(args) -> AssignmentResult:
@@ -327,59 +306,74 @@ def _assign_all(network, trips, scenario: Scenario) -> list[AssignmentResult]:
     return [_run_one(t) for t in tasks]
 
 
-def _build_report_bundle(result, scenario, street_types, schools, tracts, link_index, tract_of_link):
-    stats = indicators.daily_stats(result)
+def _classify_streets(scenario: Scenario, network):
+    """Classify every link from the parcels and write link_types.csv."""
+    parcels = typology.load_parcels(str(scenario.parcels))
+    street_types = typology.classify_network(network, parcels, scenario.adjacency_buffer_m)
+    scenario.out_dir.mkdir(parents=True, exist_ok=True)
+    typology.write_link_types(scenario.out_dir / "link_types.csv", street_types, network)
+    return street_types
+
+
+def _write_assignment(out: Path, result: AssignmentResult) -> bool:
+    """Write one objective's flows, trips and convergence; True if some
+    interval stopped above the gap tolerance."""
+    tag = result.objective.value
+    out.mkdir(parents=True, exist_ok=True)
+    write_flows_csv(out / f"flows_{tag}.csv", result)
+    write_trips_csv(out / f"trips_{tag}.csv", result)
+    write_convergence_csv(out / f"convergence_{tag}.csv", result)
+    unconverged = [k for k, fs in enumerate(result.flow_states) if not fs.converged]
+    if unconverged:
+        logger.warning(
+            "%s: %d interval(s) stopped above the gap tolerance: %s",
+            tag,
+            len(unconverged),
+            unconverged[:10],
+        )
+    return bool(unconverged)
+
+
+def _score(scenario: Scenario, tag: str, stats, records, street_types, schools, tracts,
+           link_index, tract_of_link) -> indicators.IndicatorReport:
+    """Score one objective's day and write its indicator and exposure tables."""
     exposures = indicators.school_exposure(
         stats, schools, link_index, scenario.school_radius_m, scenario.school_morning_s
     )
     report = indicators.build_report(
-        result,
+        stats,
+        exposures,
+        records,
         street_types,
         schools,
         tracts,
+        tract_of_link,
         morning_window_s=scenario.morning_window_s,
         school_morning_s=scenario.school_morning_s,
-        tract_of_link=tract_of_link,
-        stats=stats,
-        exposures=exposures,
     )
-    return report, exposures
+    write_indicators_csv(scenario.out_dir / f"indicators_{tag}.csv", report)
+    write_exposure_csv(scenario.out_dir / f"school_exposure_{tag}.csv", exposures)
+    return report
 
 
 def run_scenario(scenario: Scenario) -> int:
     """Full pipeline: classify, assign every objective, score, compare."""
-    network, parcels, schools, tracts, trips = _load_inputs(scenario)
+    network = _load_city_network(scenario)
+    schools, tracts = _load_schools_and_tracts(scenario)
+    trips = load_trips(str(scenario.trips))
     out = scenario.out_dir
-    out.mkdir(parents=True, exist_ok=True)
-
-    street_types = typology.classify_network(network, parcels, scenario.adjacency_buffer_m)
-    typology.write_link_types(out / "link_types.csv", street_types, network)
+    street_types = _classify_streets(scenario, network)
     link_index = geo.build_link_index(network)
     tract_of_link = indicators.link_tract_ids(network, tracts)
 
     results = _assign_all(network, trips, scenario)
     reports = []
     any_unconverged = False
-    for objective, result in zip(scenario.objectives, results):
-        tag = objective.value
-        write_flows_csv(out / f"flows_{tag}.csv", result)
-        write_trips_csv(out / f"trips_{tag}.csv", result)
-        write_convergence_csv(out / f"convergence_{tag}.csv", result)
-        report, exposures = _build_report_bundle(
-            result, scenario, street_types, schools, tracts, link_index, tract_of_link
-        )
-        write_indicators_csv(out / f"indicators_{tag}.csv", report)
-        write_exposure_csv(out / f"school_exposure_{tag}.csv", exposures)
-        reports.append(report)
-        unconverged = [k for k, fs in enumerate(result.flow_states) if not fs.converged]
-        if unconverged:
-            any_unconverged = True
-            logger.warning(
-                "%s: %d interval(s) stopped above the gap tolerance: %s",
-                tag,
-                len(unconverged),
-                unconverged[:10],
-            )
+    for result in results:
+        any_unconverged |= _write_assignment(out, result)
+        reports.append(_score(scenario, result.objective.value, indicators.daily_stats(result),
+                              result.records, street_types, schools, tracts, link_index,
+                              tract_of_link))
 
     table = ComparisonTable(
         objectives=tuple(o.value for o in scenario.objectives),
@@ -435,7 +429,7 @@ def compare_cities(paths, names=None):
         meta = indicators.INDICATOR_META[i]
         row = [meta[0], ind_name, meta[2]]
         for table_rows in by_name:
-            row.extend(_fmt(v) for v in table_rows[ind_name].values)
+            row.extend(_fmt_value(v) for v in table_rows[ind_name].values)
         rows.append(row)
     return header, rows
 
@@ -459,64 +453,38 @@ def _cmd_run(args) -> int:
 
 def _cmd_classify(args) -> int:
     scenario = _with_out(load_scenario(args.config), args.out)
-    network = load_network(str(scenario.nodes), str(scenario.links))
-    for warning in network.validation.warnings:
-        logger.warning("network: %s", warning)
-    parcels = typology.load_parcels(str(scenario.parcels))
-    street_types = typology.classify_network(network, parcels, scenario.adjacency_buffer_m)
-    scenario.out_dir.mkdir(parents=True, exist_ok=True)
-    typology.write_link_types(scenario.out_dir / "link_types.csv", street_types, network)
+    _classify_streets(scenario, _load_city_network(scenario))
     return 0
 
 
 def _cmd_assign(args) -> int:
     scenario = _with_out(load_scenario(args.config), args.out)
-    objective = Objective.parse(args.objective)
-    network = load_network(str(scenario.nodes), str(scenario.links))
+    network = _load_city_network(scenario)
     trips = load_trips(str(scenario.trips))
-    result = run_day(network, trips, objective, scenario.solver)
-    scenario.out_dir.mkdir(parents=True, exist_ok=True)
-    tag = objective.value
-    write_flows_csv(scenario.out_dir / f"flows_{tag}.csv", result)
-    write_trips_csv(scenario.out_dir / f"trips_{tag}.csv", result)
-    write_convergence_csv(scenario.out_dir / f"convergence_{tag}.csv", result)
-    if any(not fs.converged for fs in result.flow_states):
-        logger.warning("%s: some intervals stopped above the gap tolerance", tag)
+    _write_assignment(scenario.out_dir,
+                      run_day(network, trips, Objective.parse(args.objective), scenario.solver))
     return 0
 
 
 def _cmd_indicators(args) -> int:
     scenario = _with_out(load_scenario(args.config), args.out)
-    objective = Objective.parse(args.objective)
-    tag = objective.value
+    tag = Objective.parse(args.objective).value
     out = scenario.out_dir
     flows_path = out / f"flows_{tag}.csv"
     trips_path = out / f"trips_{tag}.csv"
     for required in (flows_path, trips_path):
         if not required.exists():
             raise ConfigError(f"missing assignment output: {required} (run `assign` first)")
-    network, parcels, schools, tracts, _trips = _load_inputs(scenario)
+    network = _load_city_network(scenario)
+    schools, tracts = _load_schools_and_tracts(scenario)
     types_path = out / "link_types.csv"
     if types_path.exists():
         street_types = typology.read_link_types(types_path)
     else:
-        street_types = typology.classify_network(network, parcels, scenario.adjacency_buffer_m)
-        typology.write_link_types(types_path, street_types, network)
-    result = AssignmentResult(
-        objective=objective,
-        interval_s=scenario.solver.interval_s,
-        flow_states=read_flows_csv(flows_path, network, objective, scenario.solver),
-        records=read_trips_csv(trips_path),
-        forced_entered=np.zeros(network.n_links, dtype=np.int64),
-        network=network,
-    )
-    link_index = geo.build_link_index(network)
-    tract_of_link = indicators.link_tract_ids(network, tracts)
-    report, exposures = _build_report_bundle(
-        result, scenario, street_types, schools, tracts, link_index, tract_of_link
-    )
-    write_indicators_csv(out / f"indicators_{tag}.csv", report)
-    write_exposure_csv(out / f"school_exposure_{tag}.csv", exposures)
+        street_types = _classify_streets(scenario, network)
+    _score(scenario, tag, read_flows_csv(flows_path, network, scenario.solver),
+           read_trips_csv(trips_path), street_types, schools, tracts,
+           geo.build_link_index(network), indicators.link_tract_ids(network, tracts))
     return 0
 
 

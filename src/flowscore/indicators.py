@@ -15,6 +15,7 @@ import numpy as np
 
 from . import costs, geo
 from .costs import SpfParams
+from .network import _require_columns
 from .typology import StreetType
 
 MORNING_PEAK_S = (25200.0, 32400.0)  # 07:00-09:00
@@ -45,11 +46,7 @@ def load_schools(path: str) -> list[School]:
     seen: set[int] = set()
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        required = ("school_id", "x", "y", "pct_minority")
-        present = set(reader.fieldnames or ())
-        for col in required:
-            if col not in present:
-                raise ValueError(f"missing column '{col}' in schools file {path}")
+        _require_columns(reader.fieldnames, ("school_id", "x", "y", "pct_minority"), path, "schools")
         for row_no, row in enumerate(reader, start=2):
             try:
                 schools.append(
@@ -104,12 +101,10 @@ class LinkDailyStats:
         return self._window_vmt[key]
 
 
-def daily_stats(assignment, network=None) -> LinkDailyStats:
-    if network is None:
-        network = assignment.network
+def daily_stats(assignment) -> LinkDailyStats:
     flows = np.stack([fs.flow_vph for fs in assignment.flow_states])
     times = np.stack([fs.time_h for fs in assignment.flow_states])
-    return LinkDailyStats(network, flows, times, assignment.interval_s)
+    return LinkDailyStats(assignment.network, flows, times, assignment.interval_s)
 
 
 def filtered_vmt_vhd(stats: LinkDailyStats, link_mask) -> tuple[float, float]:
@@ -143,11 +138,11 @@ class TripStats:
     total_fuel_l: float
 
 
-def trip_stats(assignment) -> TripStats:
+def trip_stats(records) -> TripStats:
     """Means over completed trips; totals include forced completions."""
-    completed = [r for r in assignment.records if r.status == "completed"]
-    forced = [r for r in assignment.records if r.status == "forced"]
-    failed = [r for r in assignment.records if r.status == "failed"]
+    completed = [r for r in records if r.status == "completed"]
+    forced = [r for r in records if r.status == "forced"]
+    failed = [r for r in records if r.status == "failed"]
     if not completed:
         raise ValueError("no completed trips to average over")
     n = len(completed)
@@ -158,7 +153,7 @@ def trip_stats(assignment) -> TripStats:
         avg_distance_miles=sum(r.distance_miles for r in completed) / n,
         avg_delay_min=sum(r.delay_h for r in completed) * 60.0 / n,
         avg_fuel_l=sum(r.fuel_l for r in completed) / n,
-        total_fuel_l=sum(r.fuel_l for r in assignment.records),
+        total_fuel_l=sum(r.fuel_l for r in records),
     )
 
 
@@ -321,33 +316,24 @@ class IndicatorReport:
 
 
 def build_report(
-    assignment,
+    stats: LinkDailyStats,
+    exposures: dict[int, SchoolExposure],
+    records,
     street_types: dict[int, StreetType],
     schools,
     tracts,
+    tract_of_link: list,
     spf: SpfParams | None = None,
-    school_radius_m: float = SCHOOL_RADIUS_M,
     morning_window_s=MORNING_PEAK_S,
     school_morning_s=SCHOOL_MORNING_S,
-    link_index: geo.SpatialIndex | None = None,
-    tract_of_link: list | None = None,
-    stats: LinkDailyStats | None = None,
-    exposures: dict[int, SchoolExposure] | None = None,
 ) -> IndicatorReport:
-    """Assemble the 15-indicator report for one objective's day.
-
-    stats and exposures, when given, must come from daily_stats and
-    school_exposure for this assignment and these school settings.
-    """
-    network = assignment.network
-    if stats is None:
-        stats = daily_stats(assignment, network)
+    """Assemble the 15-indicator report for one objective's day from its
+    link stats, its school exposures and its trip records."""
+    network = stats.network
 
     nr_mask = street_type_mask(network, street_types, StreetType.NEIGHBORHOOD_RESIDENTIAL)
     nr_vmt, nr_vhd = filtered_vmt_vhd(stats, nr_mask)
 
-    if exposures is None:
-        exposures = school_exposure(stats, schools, link_index, school_radius_m, school_morning_s)
     exposed = [e for e in exposures.values() if e.level is not ExposureLevel.NONE]
     buffered_links = sorted({lid for e in exposures.values() for lid in e.link_ids})
     buffered_idx = np.array([network.link_index[i] for i in buffered_links], dtype=np.int64)
@@ -361,14 +347,14 @@ def build_report(
     congested = congested_miles(stats, morning_window_s)
 
     try:
-        tstats = trip_stats(assignment)
+        tstats = trip_stats(records)
         avg_len: float | None = tstats.avg_distance_miles
         avg_delay: float | None = max(tstats.avg_delay_min, 0.0)
         avg_fuel: float | None = tstats.avg_fuel_l
         total_fuel = tstats.total_fuel_l
     except ValueError:
         avg_len = avg_delay = avg_fuel = None
-        total_fuel = sum(r.fuel_l for r in assignment.records)
+        total_fuel = sum(r.fuel_l for r in records)
 
     minority = minority_exposure_share(exposures, schools)
     equity = equity_shares(stats, tracts, tract_of_link)

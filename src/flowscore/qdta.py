@@ -25,7 +25,7 @@ from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
 from . import costs
 from .costs import BprParams, FuelParams, DEFAULT_BPR, DEFAULT_FUEL
-from .network import Network
+from .network import Network, _require_columns
 
 logger = logging.getLogger(__name__)
 
@@ -289,21 +289,6 @@ def _objective_value(network: Network, objective: Objective, flows, config: Solv
 def assignment_cost(objective: Objective, link, flow: float, config: SolverConfig | None = None) -> float:
     """Generalized cost of one link at the given flow, per objective."""
     return float(_cost_vector(link, objective, flow, config or SolverConfig()))
-
-
-def bucket_demand(trips, interval_s: float = 900.0) -> list[dict[tuple[int, int], int]]:
-    """Aggregate trips into per-interval origin-destination counts."""
-    if interval_s <= 0:
-        raise ValueError("interval_s must be positive")
-    n_intervals = math.ceil(DAY_SECONDS / interval_s)
-    buckets: list[dict[tuple[int, int], int]] = [{} for _ in range(n_intervals)]
-    for trip in trips:
-        if not 0 <= trip.depart_s < DAY_SECONDS:
-            raise ValueError(f"trip {trip.trip_id}: departure outside [0, 86400)")
-        k = int(trip.depart_s // interval_s)
-        od = (trip.origin, trip.destination)
-        buckets[k][od] = buckets[k].get(od, 0) + 1
-    return buckets
 
 
 class _DemandBatch:
@@ -602,10 +587,6 @@ class AssignmentResult:
     def interval_h(self) -> float:
         return self.interval_s / 3600.0
 
-    @property
-    def convergence(self) -> list[list[tuple[float, float]]]:
-        return [fs.log for fs in self.flow_states]
-
     def counts(self) -> dict[str, int]:
         out = {"completed": 0, "forced": 0, "failed": 0}
         for rec in self.records:
@@ -704,11 +685,8 @@ def load_trips(path: str) -> list[TripRequest]:
     seen: set[int] = set()
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        required = ("trip_id", "origin", "destination", "depart_s")
-        present = set(reader.fieldnames or ())
-        for col in required:
-            if col not in present:
-                raise ValueError(f"missing column '{col}' in trips file {path}")
+        _require_columns(reader.fieldnames, ("trip_id", "origin", "destination", "depart_s"), path,
+                         "trips")
         for row_no, row in enumerate(reader, start=2):
             try:
                 trip_id = int(row["trip_id"])

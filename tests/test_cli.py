@@ -1,6 +1,11 @@
 import csv
+import importlib.util
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +19,7 @@ from flowscore.cli import (
     main,
     read_flows_csv,
 )
-from flowscore.indicators import INDICATOR_NAMES, School
+from flowscore.indicators import INDICATOR_NAMES, School, daily_stats
 from flowscore.geo import Tract
 from flowscore.network import Network, Node, load_network
 from flowscore.qdta import Objective, load_trips, run_day
@@ -29,14 +34,17 @@ from fixtures import (
     write_scenario,
 )
 
+ROOT = Path(__file__).resolve().parents[1]
 
-def town_network() -> Network:
+
+def town_network(scale=1.0) -> Network:
     """Two routes between nodes 1 and 4: a low-capacity residential pair and
-    a faster diagonal pair, so congestion splits the flow."""
+    a faster diagonal pair, so congestion splits the flow. scale stretches
+    every coordinate and so every link length."""
     n1 = Node(1, 0.0, 0.0)
-    n2 = Node(2, M, 0.0)
-    n3 = Node(3, M, -M / 2.0)
-    n4 = Node(4, 2.0 * M, 0.0)
+    n2 = Node(2, scale * M, 0.0)
+    n3 = Node(3, scale * M, scale * -M / 2.0)
+    n4 = Node(4, scale * 2.0 * M, 0.0)
     links = [
         straight_link(1, n1, n2, 30.0, 400.0, 5, 2),
         straight_link(2, n2, n4, 30.0, 400.0, 5, 2),
@@ -46,23 +54,39 @@ def town_network() -> Network:
     return Network([n1, n2, n3, n4], links)
 
 
-def town_scenario(dirpath, config_overrides=None) -> str:
-    net = town_network()
+def town_scenario(dirpath, config_overrides=None, scale=1.0, late_trips=0) -> str:
+    net = town_network(scale)
     trips = uniform_trips(1, 4, 600, start_s=25_200.0, spacing_s=0.5)
+    trips += uniform_trips(1, 4, late_trips, start_s=86_000.0, first_id=601)
     parcels = [blanket_parcel(net, "R")]
-    schools = [School(1, M / 2.0, 10.0, 80.0)]
+    schools = [School(1, scale * M / 2.0, 10.0, 80.0)]
     tracts = [
-        Tract(1, square(M / 2.0, 0.0, 1000.0), 1000.0, True),
-        Tract(2, square(3000.0, 0.0, 1090.0), 9000.0, False),
+        Tract(1, square(scale * M / 2.0, 0.0, scale * 1000.0), 1000.0, True),
+        Tract(2, square(scale * 3000.0, 0.0, scale * 1090.0), 9000.0, False),
     ]
     return write_scenario(dirpath, net, trips, parcels, schools, tracts,
                           config_overrides)
+
+
+def long_town_scenario(dirpath) -> str:
+    """The town stretched twelvefold: every link takes more than one 15-minute
+    interval, so each trip spills into the next interval, and the trips that
+    leave in the last interval are forced to finish at the end of the day."""
+    return town_scenario(dirpath, scale=12.0, late_trips=40)
 
 
 @pytest.fixture(scope="module")
 def town_run(tmp_path_factory):
     base = tmp_path_factory.mktemp("town")
     cfg = town_scenario(base)
+    assert main(["run", "--config", cfg]) == 0
+    return cfg, base / "out"
+
+
+@pytest.fixture(scope="module")
+def long_town_run(tmp_path_factory):
+    base = tmp_path_factory.mktemp("long_town")
+    cfg = long_town_scenario(base)
     assert main(["run", "--config", cfg]) == 0
     return cfg, base / "out"
 
@@ -234,30 +258,46 @@ def test_classify_command(tmp_path):
     assert types[4] is StreetType.RESIDENTIAL_THROUGHWAY
 
 
-def test_indicators_command_matches_full_run(tmp_path, town_run):
-    cfg, run_out = town_run
+def test_long_town_spills_and_forces_trips(long_town_run):
+    _, out = long_town_run
+    for tag in ("uet", "sot", "sof"):
+        with open(out / f"trips_{tag}.csv", newline="") as fh:
+            trips = list(csv.DictReader(fh))
+        statuses = [t["status"] for t in trips]
+        assert statuses.count("forced") >= 1
+        # a completed trip that ends in a later interval than it left in spilled
+        assert any(
+            t["status"] == "completed" and float(t["end_s"]) // 900 > float(t["start_s"]) // 900
+            for t in trips
+        )
+
+
+@pytest.mark.parametrize("objective", ["uet", "sot", "sof"])
+@pytest.mark.parametrize("run", ["town_run", "long_town_run"], ids=["town", "long_town"])
+def test_indicators_command_matches_full_run(tmp_path, request, run, objective):
+    cfg, run_out = request.getfixturevalue(run)
     out = str(tmp_path / "steps")
-    assert main(["assign", "--config", cfg, "--objective", "uet", "--out", out]) == 0
-    assert main(["indicators", "--config", cfg, "--objective", "uet", "--out", out]) == 0
-    for name in ("indicators_uet.csv", "school_exposure_uet.csv"):
+    assert main(["assign", "--config", cfg, "--objective", objective, "--out", out]) == 0
+    assert main(["indicators", "--config", cfg, "--objective", objective, "--out", out]) == 0
+    for name in (f"flows_{objective}.csv", f"trips_{objective}.csv",
+                 f"convergence_{objective}.csv", "link_types.csv",
+                 f"indicators_{objective}.csv", f"school_exposure_{objective}.csv"):
         rebuilt = (tmp_path / "steps" / name).read_bytes()
         assert rebuilt == (run_out / name).read_bytes(), name
 
 
-def test_reloaded_flows_keep_objective_and_costs(tmp_path, town_run):
+def test_read_flows_csv_equals_daily_stats_of_the_day(tmp_path, town_run):
     cfg, _ = town_run
     out = tmp_path / "steps"
     assert main(["assign", "--config", cfg, "--objective", "sof", "--out", str(out)]) == 0
     scenario = load_scenario(cfg)
     network = load_network(str(scenario.nodes), str(scenario.links))
     trips = load_trips(str(scenario.trips))
-    want = run_day(network, trips, Objective.SOF, scenario.solver).flow_states
-    got = read_flows_csv(out / "flows_sof.csv", network, Objective.SOF, scenario.solver)
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        assert g.objective is Objective.SOF
-        for name in ("flow_vph", "time_h", "speed_mph", "cost"):
-            assert np.array_equal(getattr(g, name), getattr(w, name)), name
+    want = daily_stats(run_day(network, trips, Objective.SOF, scenario.solver))
+    got = read_flows_csv(out / "flows_sof.csv", network, scenario.solver)
+    assert got.interval_s == want.interval_s
+    assert np.array_equal(got.flows_vph, want.flows_vph)
+    assert np.array_equal(got.times_h, want.times_h)
 
 
 def test_exposure_and_daily_stats_computed_once_per_report(tmp_path, monkeypatch, town_run):
@@ -278,7 +318,35 @@ def test_exposure_and_daily_stats_computed_once_per_report(tmp_path, monkeypatch
     calls.update(school_exposure=0, daily_stats=0)
     assert main(["indicators", "--config", cfg, "--objective", "uet",
                  "--out", str(tmp_path / "run")]) == 0
-    assert calls == {"school_exposure": 1, "daily_stats": 1}
+    # the stats come from flows_uet.csv
+    assert calls == {"school_exposure": 1, "daily_stats": 0}
+
+
+def test_benchmark_tracer_finds_every_layer(tmp_path, town_run):
+    # the tracer patches the package's modules, so it runs in its own process
+    spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    cfg, run_out = town_run
+    out, spans_path = tmp_path / "traced", tmp_path / "spans.json"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "tracer.py"), cfg, str(out), str(spans_path)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    traced = json.loads(spans_path.read_text())
+    assert traced["missing"] == []
+    seen = {span[0] for span in traced["spans"]}
+    assert [name for _, _, name, _ in tracer.LAYERS if name not in seen] == []
+    metrics = tracer.summarize(traced["spans"])
+    assert metrics["indicators.daily_stats_calls"] == 3
+    assert metrics["indicators.school_exposure_calls"] == 3
+    names = sorted(p.name for p in run_out.iterdir())
+    assert sorted(p.name for p in out.iterdir()) == names
+    for name in names:
+        assert (out / name).read_bytes() == (run_out / name).read_bytes(), name
 
 
 def test_indicators_command_requires_assignment(tmp_path, capsys):
@@ -286,6 +354,26 @@ def test_indicators_command_requires_assignment(tmp_path, capsys):
     rc = main(["indicators", "--config", cfg, "--objective", "uet"])
     assert rc == 2
     assert "run `assign` first" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("column, value, message", [
+    (0, "96", "interval 96 outside the day's 96 intervals"),
+    (1, "99", "unknown link_id 99"),
+])
+def test_indicators_command_rejects_flows_of_another_scenario(tmp_path, capsys, column, value,
+                                                              message):
+    cfg = town_scenario(tmp_path)
+    flows_path = tmp_path / "out" / "flows_uet.csv"
+    assert main(["assign", "--config", cfg, "--objective", "uet"]) == 0
+    rows = flows_path.read_text().splitlines()
+    fields = rows[1].split(",")
+    fields[column] = value
+    rows[1] = ",".join(fields)
+    flows_path.write_text("\n".join(rows) + "\n")
+    capsys.readouterr()
+    assert main(["indicators", "--config", cfg, "--objective", "uet"]) == 1
+    err = capsys.readouterr().err
+    assert message in err and "row 2" in err
 
 
 def test_assign_rejects_unknown_objective(tmp_path):

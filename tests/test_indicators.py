@@ -170,11 +170,6 @@ def record(trip_id, status, distance, time_h, free_flow_h, fuel, start=25200.0):
                       free_flow_h, fuel)
 
 
-class FakeAssignment:
-    def __init__(self, records):
-        self.records = records
-
-
 def test_trip_stats_means_and_totals():
     recs = [
         record(1, "completed", 4.0, 0.20, 0.15, 0.30),
@@ -182,7 +177,7 @@ def test_trip_stats_means_and_totals():
         record(3, "forced", 9.0, 1.00, 0.50, 0.80),
         record(4, "failed", 0.0, 0.0, 0.0, 0.0),
     ]
-    ts = trip_stats(FakeAssignment(recs))
+    ts = trip_stats(recs)
     assert (ts.n_completed, ts.n_forced, ts.n_failed) == (2, 1, 1)
     assert ts.avg_distance_miles == pytest.approx(5.0)
     # delays: 0.05 h and 0 h over two completed trips
@@ -192,14 +187,14 @@ def test_trip_stats_means_and_totals():
 
 
 def test_trip_stats_free_flow_trip_has_zero_delay():
-    ts = trip_stats(FakeAssignment([record(1, "completed", 2.0, 0.08, 0.08, 0.1)]))
+    ts = trip_stats([record(1, "completed", 2.0, 0.08, 0.08, 0.1)])
     assert ts.avg_delay_min == 0.0
 
 
 def test_trip_stats_requires_a_completed_trip():
     recs = [record(1, "forced", 3.0, 0.5, 0.2, 0.4), record(2, "failed", 0, 0, 0, 0)]
     with pytest.raises(ValueError, match="no completed trips"):
-        trip_stats(FakeAssignment(recs))
+        trip_stats(recs)
 
 
 def exposure_fixture(adts):
@@ -399,12 +394,21 @@ def report_fixture():
     return assignment, types, schools, tracts
 
 
+def report_of(assignment, types, schools, tracts, records=None):
+    """build_report on the fixture's day, as the command line scores it."""
+    stats = daily_stats(assignment)
+    exposures = school_exposure(stats, schools)
+    if records is None:
+        records = assignment.records
+    return build_report(stats, exposures, records, types, schools, tracts, [1, 2, 2, 2])
+
+
 def test_build_report_rows_match_single_ops():
     assignment, types, schools, tracts = report_fixture()
     tract_of = [1, 2, 2, 2]
-    report = build_report(assignment, types, schools, tracts,
-                          tract_of_link=tract_of)
     stats = daily_stats(assignment)
+    report = build_report(stats, school_exposure(stats, schools), assignment.records,
+                          types, schools, tracts, tract_of)
     net = assignment.network
 
     nr_vmt, nr_vhd = filtered_vmt_vhd(
@@ -437,7 +441,7 @@ def test_build_report_rows_match_single_ops():
     assert report.by_name("Congested network miles in morning") == pytest.approx(
         congested_miles(stats))
 
-    ts = trip_stats(assignment)
+    ts = trip_stats(assignment.records)
     assert report.by_name("Average trip length") == pytest.approx(ts.avg_distance_miles)
     assert report.by_name("Average trip delay") == pytest.approx(ts.avg_delay_min)
     assert report.by_name("Total fuel consumption") == pytest.approx(ts.total_fuel_l)
@@ -456,30 +460,15 @@ def test_build_report_rows_match_single_ops():
 
 def test_build_report_is_deterministic():
     assignment, types, schools, tracts = report_fixture()
-    a = build_report(assignment, types, schools, tracts, tract_of_link=[1, 2, 2, 2])
-    b = build_report(assignment, types, schools, tracts, tract_of_link=[1, 2, 2, 2])
-    assert a == b
-
-
-def test_build_report_reuses_given_stats_and_exposures():
-    assignment, types, schools, tracts = report_fixture()
-    stats = daily_stats(assignment)
-    exposures = school_exposure(stats, schools)
-    fresh = build_report(assignment, types, schools, tracts, tract_of_link=[1, 2, 2, 2])
-    reused = build_report(assignment, types, schools, tracts, tract_of_link=[1, 2, 2, 2],
-                          stats=stats, exposures=exposures)
-    assert reused == fresh
+    assert report_of(assignment, types, schools, tracts) == report_of(
+        assignment, types, schools, tracts)
 
 
 def test_build_report_without_completed_trips():
     assignment, types, schools, tracts = report_fixture()
     recs = [record(1, "forced", 5.0, 0.9, 0.4, 2.5),
             record(2, "failed", 0.0, 0.0, 0.0, 0.0)]
-    assignment = AssignmentResult(assignment.objective, assignment.interval_s,
-                                  assignment.flow_states, recs,
-                                  assignment.forced_entered, assignment.network)
-    report = build_report(assignment, types, schools, tracts,
-                          tract_of_link=[1, 2, 2, 2])
+    report = report_of(assignment, types, schools, tracts, recs)
     assert report.by_name("Average trip length") is None
     assert report.by_name("Average trip delay") is None
     assert report.by_name("Average trip fuel consumption") is None
@@ -489,18 +478,13 @@ def test_build_report_without_completed_trips():
 def test_build_report_clamps_negative_average_delay():
     assignment, types, schools, tracts = report_fixture()
     recs = [record(1, "completed", 1.0, 0.0332, 1.0 / 30.0, 0.07)]
-    assignment = AssignmentResult(assignment.objective, assignment.interval_s,
-                                  assignment.flow_states, recs,
-                                  assignment.forced_entered, assignment.network)
-    report = build_report(assignment, types, schools, tracts,
-                          tract_of_link=[1, 2, 2, 2])
+    report = report_of(assignment, types, schools, tracts, recs)
     assert report.by_name("Average trip delay") == 0.0
 
 
 def test_report_validation_rejects_bad_rows():
     assignment, types, schools, tracts = report_fixture()
-    good = build_report(assignment, types, schools, tracts,
-                        tract_of_link=[1, 2, 2, 2])
+    good = report_of(assignment, types, schools, tracts)
     rows = list(good.values)
     rows[0], rows[1] = rows[1], rows[0]
     with pytest.raises(ValueError, match="out of order"):

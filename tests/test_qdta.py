@@ -14,7 +14,6 @@ from flowscore.qdta import (
     all_or_nothing,
     assign_interval,
     assignment_cost,
-    bucket_demand,
     load_trips,
     run_day,
 )
@@ -82,6 +81,11 @@ def free_flow_state(network, objective=Objective.UET) -> FlowState:
 
 
 def test_bucket_demand_interval_boundaries():
+    # 1 mi each way at 30 mph: every trip finishes in the interval it leaves in,
+    # so each interval's flow is its departures at 4 veh/h per trip
+    a, b = Node(1, 0.0, 0.0), Node(2, 1609.344, 0.0)
+    net = Network([a, b], [Link(1, 1, 2, 1.0, 30.0, 1e6, 5, 2, ((a.x, a.y), (b.x, b.y))),
+                           Link(2, 2, 1, 1.0, 30.0, 1e6, 5, 2, ((b.x, b.y), (a.x, a.y)))])
     trips = [
         TripRequest(1, 1, 2, 0.0),
         TripRequest(2, 1, 2, 899.9),
@@ -90,12 +94,15 @@ def test_bucket_demand_interval_boundaries():
         TripRequest(5, 1, 2, 86_399.0),
         TripRequest(6, 2, 1, 25_800.0),
     ]
-    buckets = bucket_demand(trips, 900.0)
-    assert len(buckets) == 96
-    assert buckets[0] == {(1, 2): 2}
-    assert buckets[1] == {(1, 2): 1}
-    assert buckets[28] == {(1, 2): 1, (2, 1): 1}
-    assert buckets[95] == {(1, 2): 1}
+    result = run_day(net, trips, Objective.UET, SolverConfig(interval_s=900.0))
+    flows = np.stack([fs.flow_vph for fs in result.flow_states])
+    want = np.zeros((96, 2))
+    want[0] = [8.0, 0.0]
+    want[1] = [4.0, 0.0]
+    want[28] = [4.0, 4.0]
+    want[95] = [4.0, 0.0]
+    assert np.array_equal(flows, want)
+    assert result.counts() == {"completed": 6, "forced": 0, "failed": 0}
 
 
 def test_trip_request_validation():
