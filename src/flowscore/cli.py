@@ -472,9 +472,15 @@ def _cmd_indicators(args) -> int:
     out = scenario.out_dir
     flows_path = out / f"flows_{tag}.csv"
     trips_path = out / f"trips_{tag}.csv"
-    for required in (flows_path, trips_path):
+    convergence_path = out / f"convergence_{tag}.csv"
+    for required in (flows_path, trips_path, convergence_path):
         if not required.exists():
             raise ConfigError(f"missing assignment output: {required} (run `assign` first)")
+    with open(convergence_path, newline="") as fh:
+        n_rows = sum(1 for _ in csv.reader(fh)) - 1  # one row per interval
+    if n_rows != scenario.solver.n_intervals:
+        raise ValueError(f"{convergence_path} has {n_rows} intervals, but interval_s "
+                         f"{scenario.solver.interval_s:g} makes {scenario.solver.n_intervals}")
     network = _load_city_network(scenario)
     schools, tracts = _load_schools_and_tracts(scenario)
     types_path = out / "link_types.csv"

@@ -18,44 +18,8 @@ BBox = tuple[float, float, float, float]
 _EPS = 1e-9
 
 
-def point_segment_distance(p: Point, a: Point, b: Point) -> float:
-    px, py = p
-    ax, ay = a
-    bx, by = b
-    dx, dy = bx - ax, by - ay
-    seg_len2 = dx * dx + dy * dy
-    if seg_len2 == 0.0:
-        return math.hypot(px - ax, py - ay)
-    t = ((px - ax) * dx + (py - ay) * dy) / seg_len2
-    t = max(0.0, min(1.0, t))
-    return math.hypot(px - (ax + t * dx), py - (ay + t * dy))
-
-
-def point_polyline_distance(p: Point, polyline) -> float:
-    """Minimum distance from p to any segment of the polyline."""
-    best = math.inf
-    for a, b in zip(polyline, polyline[1:]):
-        d = point_segment_distance(p, a, b)
-        if d < best:
-            best = d
-    if math.isinf(best):
-        # single-point "polyline"
-        return math.hypot(p[0] - polyline[0][0], p[1] - polyline[0][1])
-    return best
-
-
 def _orient(a: Point, b: Point, c: Point) -> float:
     return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-
-
-def _on_segment(p: Point, a: Point, b: Point) -> bool:
-    scale = max(1.0, abs(a[0]), abs(a[1]), abs(b[0]), abs(b[1]))
-    if abs(_orient(a, b, p)) > _EPS * scale * scale:
-        return False
-    return (
-        min(a[0], b[0]) - _EPS <= p[0] <= max(a[0], b[0]) + _EPS
-        and min(a[1], b[1]) - _EPS <= p[1] <= max(a[1], b[1]) + _EPS
-    )
 
 
 def _crosses_properly(a: Point, b: Point, c: Point, d: Point):
@@ -73,49 +37,11 @@ def _crosses_properly(a: Point, b: Point, c: Point, d: Point):
     )
 
 
-def segments_intersect(a: Point, b: Point, c: Point, d: Point) -> bool:
-    if _crosses_properly(a, b, c, d):
-        return True
-    return (
-        _on_segment(c, a, b)
-        or _on_segment(d, a, b)
-        or _on_segment(a, c, d)
-        or _on_segment(b, c, d)
-    )
-
-
-def segment_segment_distance(a: Point, b: Point, c: Point, d: Point) -> float:
-    if segments_intersect(a, b, c, d):
-        return 0.0
-    return min(
-        point_segment_distance(a, c, d),
-        point_segment_distance(b, c, d),
-        point_segment_distance(c, a, b),
-        point_segment_distance(d, a, b),
-    )
-
-
 def _closed_ring(polygon) -> list[Point]:
     ring = list(polygon)
     if ring[0] != ring[-1]:
         ring.append(ring[0])
     return ring
-
-
-def point_in_polygon(p: Point, polygon) -> bool:
-    """Even-odd containment; points on the boundary count as inside."""
-    ring = _closed_ring(polygon)
-    for a, b in zip(ring, ring[1:]):
-        if _on_segment(p, a, b):
-            return True
-    px, py = p
-    inside = False
-    for (x0, y0), (x1, y1) in zip(ring, ring[1:]):
-        if (y0 > py) != (y1 > py):
-            x_cross = x1 + (py - y1) * (x0 - x1) / (y0 - y1)
-            if px < x_cross:
-                inside = not inside
-    return inside
 
 
 def polygon_area(polygon) -> float:
@@ -126,26 +52,13 @@ def polygon_area(polygon) -> float:
     return abs(acc) / 2.0
 
 
-def polygon_polyline_distance(polygon, polyline) -> float:
-    """Zero when the polyline touches or enters the polygon."""
-    if point_in_polygon(polyline[0], polygon):
-        return 0.0
-    ring = _closed_ring(polygon)
-    best = math.inf
-    for pa, pb in zip(polyline, polyline[1:]):
-        for qa, qb in zip(ring, ring[1:]):
-            d = segment_segment_distance(pa, pb, qa, qb)
-            if d < best:
-                best = d
-                if best == 0.0:
-                    return 0.0
-    return best
-
-
 def polyline_length(polyline) -> float:
-    return sum(
-        math.hypot(b[0] - a[0], b[1] - a[1]) for a, b in zip(polyline, polyline[1:])
-    )
+    # added left to right: sum() compensates float rounding on Python >= 3.12,
+    # which can move a midpoint by an ulp and so flip a tract on a shared edge
+    total = 0.0
+    for (x0, y0), (x1, y1) in zip(polyline, polyline[1:]):
+        total += math.hypot(x1 - x0, y1 - y0)
+    return total
 
 
 def point_along_polyline(polyline, distance: float) -> Point:
@@ -180,11 +93,9 @@ class SpatialIndex:
     Exact geometry predicates stay with the caller.
     """
 
-    def __init__(self, items, cell_size: float | None = None):
+    def __init__(self, items):
         self._bboxes: dict = dict(items)
-        if cell_size is None:
-            cell_size = self._pick_cell_size()
-        self._cell = cell_size
+        self._cell = self._pick_cell_size()
         self._grid: dict[tuple[int, int], list] = {}
         for key, bbox in self._bboxes.items():
             for cell in self._cells_for(bbox):
@@ -221,9 +132,6 @@ class SpatialIndex:
                     hits.add(key)
         return sorted(hits)
 
-    def __len__(self) -> int:
-        return len(self._bboxes)
-
 
 def build_link_index(network) -> SpatialIndex:
     """Index keyed by each link's position in network.links."""
@@ -232,17 +140,26 @@ def build_link_index(network) -> SpatialIndex:
 
 def links_within_radius(point: Point, radius_m: float, network, index: SpatialIndex | None = None) -> list[int]:
     """Ids of links whose geometry comes within radius_m of point (inclusive)."""
+    return links_within_radii([point], radius_m, network, index)[0]
+
+
+def links_within_radii(points, radius_m: float, network, index: SpatialIndex | None = None) -> list[list[int]]:
+    """Per point, the sorted ids of the links whose geometry comes within
+    radius_m of it (inclusive)."""
     if radius_m < 0:
         raise ValueError("radius must be nonnegative")
-    if index is None:
-        candidates = network.links
-    else:
-        x, y = point
-        hits = index.query((x - radius_m, y - radius_m, x + radius_m, y + radius_m))
-        candidates = [network.links[i] for i in hits]
-    return sorted(
-        link.id for link in candidates if point_polyline_distance(point, link.geometry) <= radius_m
-    )
+    p = np.array(points, dtype=float).reshape(-1, 2)
+    boxes = [_padded((x, y, x, y), radius_m) for x, y in p.tolist()]
+    point, link = _candidates(boxes, index, network.n_links)
+    lines = _Shapes([line.geometry for line in network.links], False)
+    within = np.zeros(len(point), dtype=bool)
+    for lo, hi in _chunks(lines.n_segments[link].tolist()):
+        pair, m = _ragged(lines.n_segments[link[lo:hi]])
+        k = point[lo:hi][pair]
+        near = _segment_within((p[k, 0], p[k, 1]), *lines.segment(link[lo:hi][pair], m), radius_m)
+        within[lo:hi] = _any_per(pair, near, hi - lo)
+    ends = np.cumsum(np.bincount(point[within], minlength=len(p)))
+    return [sorted(ids.tolist()) for ids in np.split(network.link_ids[link[within]], ends)[:-1]]
 
 
 @dataclass(frozen=True)
@@ -255,8 +172,8 @@ class Tract:
     def __post_init__(self) -> None:
         if len(self.polygon) < 3:
             raise ValueError(f"tract {self.id} polygon needs >= 3 points")
-        if self.population < 0:
-            raise ValueError(f"tract {self.id} has negative population")
+        if not (math.isfinite(self.population) and self.population >= 0):
+            raise ValueError(f"tract {self.id} population must be finite and nonnegative")
 
 
 def link_midpoint(link) -> Point:
@@ -268,22 +185,22 @@ def build_tract_index(tracts) -> SpatialIndex:
     return SpatialIndex(enumerate(polyline_bbox(t.polygon) for t in tracts))
 
 
-def link_tract(link, tracts, index: SpatialIndex | None = None):
-    """Tract id containing the link's length midpoint, or None.
-
-    With overlapping tracts the first match in input order wins; overlap
-    itself is reported by validate_tracts.
-    """
-    mid = link_midpoint(link)
-    if index is not None:
-        # positions come back ascending, i.e. in input order
-        candidates = [tracts[i] for i in index.query((mid[0], mid[1], mid[0], mid[1]))]
-    else:
-        candidates = tracts
-    for tract in candidates:
-        if point_in_polygon(mid, tract.polygon):
-            return tract.id
-    return None
+def link_tracts(links, tracts, index: SpatialIndex | None = None) -> list:
+    """Per link, the id of the first tract in input order that holds the link's
+    length midpoint, boundary included, or None (validate_tracts reports overlaps)."""
+    mids = np.array([link_midpoint(link) for link in links], dtype=float).reshape(-1, 2)
+    boxes = [_padded((x, y, x, y), 0.0) for x, y in mids.tolist()]
+    link, tract = _candidates(boxes, index, len(tracts))
+    inside = np.zeros(len(link), dtype=bool)
+    for lo, hi in _chunks([len(tracts[j].polygon) + 1 for j in tract.tolist()]):
+        rings = _Shapes([tracts[j].polygon for j in tract[lo:hi].tolist()], True)
+        k = link[lo:hi]
+        on, odd = _points_in_rings((mids[k, 0], mids[k, 1]), np.arange(hi - lo), rings)
+        inside[lo:hi] = on | odd
+    first: dict[int, int] = {}  # pairs run by link and then by tract position
+    for k, j in zip(link[inside].tolist(), tract[inside].tolist()):
+        first.setdefault(k, j)
+    return [tracts[first[k]].id if k in first else None for k in range(len(mids))]
 
 
 def validate_tracts(tracts) -> list[str]:
@@ -292,22 +209,20 @@ def validate_tracts(tracts) -> list[str]:
     Only pairs whose bboxes touch are tested; warnings follow input order.
     """
     boxes = [polyline_bbox(t.polygon) for t in tracts]
-    index = SpatialIndex(enumerate(boxes))
-    pairs = [(i, j) for i, box in enumerate(boxes) for j in index.query(box) if j > i]
-    overlap = polygons_overlap(
-        [tracts[i].polygon for i, _ in pairs], [tracts[j].polygon for _, j in pairs]
-    )
+    i, j = _candidates(boxes, SpatialIndex(enumerate(boxes)), len(boxes))
+    i, j = i[j > i].tolist(), j[j > i].tolist()
+    overlap = polygons_overlap([tracts[a].polygon for a in i], [tracts[b].polygon for b in j])
     return [
-        f"tracts {tracts[i].id} and {tracts[j].id} overlap"
-        for (i, j), hit in zip(pairs, overlap.tolist())
+        f"tracts {tracts[a].id} and {tracts[b].id} overlap"
+        for a, b, hit in zip(i, j, overlap.tolist())
         if hit
     ]
 
 
 # Batched exact predicates. They run over numpy columns with the same
-# IEEE operations, in the same order, as the scalar functions above, so
-# each answer is the scalar one bit for bit. Work goes in chunks of about
-# _CHUNK items to bound memory.
+# IEEE operations, in the same order, as the scalar reference in
+# tests/geo_reference.py, so each answer is the scalar one bit for bit.
+# Work goes in chunks of about _CHUNK items to bound memory.
 
 _CHUNK = 1 << 16
 
@@ -356,6 +271,23 @@ def _pairs_of(n_a, n_b):
 
 def _any_per(owner, mask, n: int) -> np.ndarray:
     return np.bincount(owner[mask], minlength=n) > 0
+
+
+def _padded(box: BBox, radius_m: float) -> BBox:
+    """box grown by radius_m, and by enough more that neither rounding nor
+    the _EPS tolerance of the exact tests can leave out what they accept."""
+    pad = radius_m + _EPS * (2.0 + max(map(abs, box)) + radius_m)
+    return (box[0] - pad, box[1] - pad, box[2] + pad, box[3] + pad)
+
+
+def _candidates(boxes, index: SpatialIndex | None, n_all: int):
+    """Item k and candidate position j of every pair, ordered by k and then
+    by j: the index hits of boxes[k], or all n_all positions without an index."""
+    if index is None:
+        return np.repeat(np.arange(len(boxes)), n_all), np.tile(np.arange(n_all), len(boxes))
+    hits = [index.query(box) for box in boxes]
+    owner = np.repeat(np.arange(len(hits)), [len(h) for h in hits])
+    return owner, np.array([j for h in hits for j in h], dtype=np.int64)
 
 
 def _chunks(costs):
@@ -423,7 +355,8 @@ def _segment_within(p, a, b, radius_m: float) -> np.ndarray:
 
 
 def polygon_polyline_within(polygons, polylines, radius_m: float) -> np.ndarray:
-    """polygon_polyline_distance(polygons[k], polylines[k]) <= radius_m for every k."""
+    """polygon_polyline_distance(polygons[k], polylines[k]) <= radius_m for every k,
+    as the scalar reference in tests/geo_reference.py decides it."""
     out = np.zeros(len(polygons), dtype=bool)
     costs = [len(g) * len(line) for g, line in zip(polygons, polylines)]
     for lo, hi in _chunks(costs):
@@ -514,12 +447,16 @@ def _load_polygon_features(path: str, id_key: str):
 
 
 def load_tracts(path: str) -> list[Tract]:
-    return [
-        Tract(
-            id=tract_id,
-            polygon=ring,
-            population=float(props.get("population", 0.0)),
-            is_coc=bool(props.get("is_coc", False)),
-        )
-        for tract_id, props, ring in _load_polygon_features(path, "tract_id")
-    ]
+    """Tracts in file order. `population` must be a finite number >= 0 and
+    `is_coc` a JSON boolean or 0/1; errors name the feature."""
+    tracts = []
+    features = _load_polygon_features(path, "tract_id")
+    for number, (tract_id, props, ring) in enumerate(features, start=1):
+        is_coc = props.get("is_coc", False)
+        if not (isinstance(is_coc, (int, float)) and is_coc in (0, 1)):
+            raise ValueError(f"{path}: is_coc {is_coc!r} is not a boolean or 0/1 (feature {number})")
+        try:
+            tracts.append(Tract(tract_id, ring, float(props.get("population", 0.0)), bool(is_coc)))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: {exc} (feature {number})") from None
+    return tracts

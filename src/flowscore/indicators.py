@@ -187,9 +187,9 @@ def school_exposure(
     if link_index is None:
         link_index = geo.build_link_index(network)
     morning_vmt = stats.window_vmt(morning_s)
+    buffers = geo.links_within_radii([(s.x, s.y) for s in schools], radius_m, network, link_index)
     out: dict[int, SchoolExposure] = {}
-    for school in schools:
-        ids = geo.links_within_radius((school.x, school.y), radius_m, network, link_index)
+    for school, ids in zip(schools, buffers):
         idx = np.array([network.link_index[i] for i in ids], dtype=np.int64)
         adts = stats.adt[idx] if len(idx) else np.empty(0)
         if len(idx) and float(adts.max(initial=0.0)) > ADT_HIGH:
@@ -217,39 +217,17 @@ def minority_exposure_share(exposures: dict[int, SchoolExposure], schools, thres
 class EquityShares:
     coc_vmt: float
     coc_vhd: float
-    coc_vmt_pct: float
-    coc_vhd_pct: float
-    coc_population_pct: float
 
 
-def link_tract_ids(network, tracts, tract_index: geo.SpatialIndex | None = None) -> list:
-    if tract_index is None:
-        tract_index = geo.build_tract_index(tracts)
-    return [geo.link_tract(link, tracts, tract_index) for link in network.links]
+def link_tract_ids(network, tracts) -> list:
+    return geo.link_tracts(network.links, tracts, geo.build_tract_index(tracts))
 
 
-def equity_shares(
-    stats: LinkDailyStats,
-    tracts,
-    tract_of_link: list | None = None,
-) -> EquityShares:
-    network = stats.network
-    if tract_of_link is None:
-        tract_of_link = link_tract_ids(network, tracts)
+def equity_shares(stats: LinkDailyStats, tracts, tract_of_link: list) -> EquityShares:
+    """Daily VMT and VHD on links in communities of concern."""
     coc_ids = {t.id for t in tracts if t.is_coc}
     mask = np.array([tid in coc_ids for tid in tract_of_link], dtype=bool)
-    coc_vmt, coc_vhd = filtered_vmt_vhd(stats, mask)
-    total_vmt = float(stats.vmt.sum())
-    total_vhd = float(stats.vhd.sum())
-    total_pop = sum(t.population for t in tracts)
-    coc_pop = sum(t.population for t in tracts if t.is_coc)
-    return EquityShares(
-        coc_vmt=coc_vmt,
-        coc_vhd=coc_vhd,
-        coc_vmt_pct=100.0 * coc_vmt / total_vmt if total_vmt > 0 else 0.0,
-        coc_vhd_pct=100.0 * coc_vhd / total_vhd if total_vhd > 0 else 0.0,
-        coc_population_pct=100.0 * coc_pop / total_pop if total_pop > 0 else 0.0,
-    )
+    return EquityShares(*filtered_vmt_vhd(stats, mask))
 
 
 def highway_accidents(

@@ -11,6 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import geo
+
 METERS_PER_MILE = 1609.344
 
 NODE_COLUMNS = ("node_id", "x", "y")
@@ -140,7 +142,7 @@ class Network:
     def _validate(self) -> ValidationReport:
         report = ValidationReport()
         for link in self.links:
-            measured = _polyline_length_m(link.geometry) / METERS_PER_MILE
+            measured = geo.polyline_length(link.geometry) / METERS_PER_MILE
             declared = link.length_miles
             if abs(measured - declared) > 0.05 * declared:
                 report.warnings.append(
@@ -180,13 +182,6 @@ class Network:
                 f"{report.orphans}"
             )
         return report
-
-
-def _polyline_length_m(points: tuple[tuple[float, float], ...]) -> float:
-    total = 0.0
-    for (x0, y0), (x1, y1) in zip(points, points[1:]):
-        total += math.hypot(x1 - x0, y1 - y0)
-    return total
 
 
 def parse_wkt_linestring(text: str) -> tuple[tuple[float, float], ...]:

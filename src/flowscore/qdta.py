@@ -253,20 +253,18 @@ def _routing(network: Network) -> RoutingGraph:
     return network._routing_cache
 
 
-def _cost_vector(links, objective: Objective, flows, config: SolverConfig) -> np.ndarray:
-    """Link costs per objective. `links` is a Network or a single Link:
-    anything with length_miles, speed_mph and capacity_vph."""
-    free_flow_h = links.length_miles / links.speed_mph
+def _cost_vector(network: Network, objective: Objective, flows, config: SolverConfig) -> np.ndarray:
+    """Link costs per objective."""
     if objective is Objective.UET:
-        out = costs.bpr_time(free_flow_h, flows, links.capacity_vph, config.bpr)
+        out = costs.bpr_time(network.free_flow_h, flows, network.capacity_vph, config.bpr)
     elif objective is Objective.SOT:
-        out = costs.marginal_time_cost(free_flow_h, flows, links.capacity_vph, config.bpr)
+        out = costs.marginal_time_cost(network.free_flow_h, flows, network.capacity_vph, config.bpr)
     else:
         out = costs.eco_assignment_cost(
-            links.length_miles,
-            links.speed_mph,
+            network.length_miles,
+            network.speed_mph,
             flows,
-            links.capacity_vph,
+            network.capacity_vph,
             config.bpr,
             config.fuel,
             config.speed_floor_mph,
@@ -284,11 +282,6 @@ def _objective_value(network: Network, objective: Objective, flows, config: Solv
     v = np.clip(network.length_miles / t, config.speed_floor_mph, config.speed_cap_mph)
     per_veh = network.length_miles * np.asarray(costs.fuel_per_mile(v, config.fuel))
     return float(np.sum(flows * per_veh))
-
-
-def assignment_cost(objective: Objective, link, flow: float, config: SolverConfig | None = None) -> float:
-    """Generalized cost of one link at the given flow, per objective."""
-    return float(_cost_vector(link, objective, flow, config or SolverConfig()))
 
 
 class _DemandBatch:

@@ -96,15 +96,8 @@ def dominant_land_use(
 def _dominant_land_uses(links, parcels, adjacency_buffer_m, index) -> list[LandUse]:
     """dominant_land_use of every link, with the exact tests batched."""
     b = adjacency_buffer_m
-    pair_link, pair_parcel = [], []
-    for k, link in enumerate(links):
-        if index is None:
-            candidates = range(len(parcels))
-        else:
-            x0, y0, x1, y1 = geo.polyline_bbox(link.geometry)
-            candidates = index.query((x0 - b, y0 - b, x1 + b, y1 + b))
-        pair_link.extend([k] * len(candidates))
-        pair_parcel.extend(candidates)
+    boxes = [geo._padded(geo.polyline_bbox(link.geometry), b) for link in links]
+    pair_link, pair_parcel = (a.tolist() for a in geo._candidates(boxes, index, len(parcels)))
     within = geo.polygon_polyline_within(
         [parcels[i].polygon for i in pair_parcel], [links[k].geometry for k in pair_link], b
     )

@@ -376,6 +376,16 @@ def test_indicators_command_rejects_flows_of_another_scenario(tmp_path, capsys, 
     assert message in err and "row 2" in err
 
 
+def test_indicators_command_rejects_flows_of_another_interval(tmp_path, capsys):
+    cfg = town_scenario(tmp_path, {"interval_s": 900.0})
+    assert main(["assign", "--config", cfg, "--objective", "uet"]) == 0
+    cfg = town_scenario(tmp_path, {"interval_s": 1800.0})
+    capsys.readouterr()
+    assert main(["indicators", "--config", cfg, "--objective", "uet"]) == 1
+    err = capsys.readouterr().err
+    assert "convergence_uet.csv has 96 intervals" in err and "makes 48" in err
+
+
 def test_assign_rejects_unknown_objective(tmp_path):
     cfg = town_scenario(tmp_path)
     with pytest.raises(SystemExit):

@@ -10,23 +10,25 @@ from flowscore.geo import (
     bboxes_overlap,
     build_link_index,
     link_midpoint,
-    link_tract,
+    link_tracts,
     links_within_radius,
     load_tracts,
     point_along_polyline,
-    point_in_polygon,
-    point_polyline_distance,
-    point_segment_distance,
     polygon_area,
-    polygon_polyline_distance,
     polyline_bbox,
     polyline_length,
-    segment_segment_distance,
-    segments_intersect,
     validate_tracts,
 )
 
 from fixtures import grid_network, square, write_tracts_geojson
+from geo_reference import (
+    point_in_polygon,
+    point_polyline_distance,
+    point_segment_distance,
+    polygon_polyline_distance,
+    segment_segment_distance,
+    segments_intersect,
+)
 
 
 UNIT_SQUARE = ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0))
@@ -189,10 +191,10 @@ def test_link_tract_first_match_wins_on_overlap():
     link = net.links[0]
     big = Tract(10, square(800.0, 0.0, 900.0), 1000.0, False)
     small = Tract(20, square(800.0, 0.0, 900.0), 500.0, True)
-    assert link_tract(link, [big, small]) == 10
-    assert link_tract(link, [small, big]) == 20
+    assert link_tracts([link], [big, small]) == [10]
+    assert link_tracts([link], [small, big]) == [20]
     far = Tract(30, square(1e6, 1e6, 10.0), 10.0, False)
-    assert link_tract(link, [far]) is None
+    assert link_tracts([link], [far]) == [None]
 
 
 def test_validate_tracts_flags_overlaps_only():
@@ -274,4 +276,37 @@ def test_load_tracts_rejects_non_finite_coordinates(tmp_path, bad):
     ])
     path.write_text(path.read_text().replace("[60.0, 60.0]", f"[60.0, {bad}]"))
     with pytest.raises(ValueError, match="nan.geojson: feature 2 has a non-finite coordinate"):
+        load_tracts(str(path))
+
+
+def two_tract_file(path, second_population=250.0):
+    write_tracts_geojson(path, [
+        Tract(1, square(0.0, 0.0, 10.0), 100.0, False),
+        Tract(2, square(50.0, 0.0, 10.0), second_population, True),
+    ])
+    return path
+
+
+@pytest.mark.parametrize("bad", ["NaN", "Infinity", "-1.0"])
+def test_load_tracts_rejects_bad_population(tmp_path, bad):
+    path = two_tract_file(tmp_path / "pop.geojson")
+    path.write_text(path.read_text().replace("250.0", bad))
+    with pytest.raises(ValueError, match=r"pop.geojson: tract 2 population must be finite "
+                                         r"and nonnegative \(feature 2\)"):
+        load_tracts(str(path))
+
+
+@pytest.mark.parametrize("value, want", [("true", True), ("false", False), ("1.0", True)])
+def test_load_tracts_reads_is_coc_as_boolean_or_0_1(tmp_path, value, want):
+    path = two_tract_file(tmp_path / "coc.geojson")
+    path.write_text(path.read_text().replace('"is_coc": 1', f'"is_coc": {value}'))
+    assert [t.is_coc for t in load_tracts(str(path))] == [False, want]
+
+
+@pytest.mark.parametrize("bad", ['"false"', '"true"', "2", "null", "0.5"])
+def test_load_tracts_rejects_other_is_coc(tmp_path, bad):
+    path = two_tract_file(tmp_path / "coc.geojson")
+    path.write_text(path.read_text().replace('"is_coc": 1', f'"is_coc": {bad}'))
+    with pytest.raises(ValueError, match=r"coc.geojson: is_coc .* is not a boolean or 0/1 "
+                                         r"\(feature 2\)"):
         load_tracts(str(path))

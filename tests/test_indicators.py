@@ -20,6 +20,7 @@ from flowscore.indicators import (
     equity_shares,
     filtered_vmt_vhd,
     highway_accidents,
+    link_tract_ids,
     load_schools,
     minority_exposure_share,
     school_exposure,
@@ -298,8 +299,6 @@ def test_equity_shares_population_and_vmt():
     stats = make_stats(net, flows, interval_s=3600.0)
     shares = equity_shares(stats, tracts, tract_of_link=[1, 2, 2])
     assert shares.coc_vmt == pytest.approx(400.0)
-    assert shares.coc_vmt_pct == pytest.approx(40.0)
-    assert shares.coc_population_pct == pytest.approx(32.0)
     assert shares.coc_vhd == 0.0
 
 
@@ -308,13 +307,12 @@ def test_equity_shares_degenerate_cases():
     stats = make_stats(net, np.zeros((4, 1)))
     no_coc = [Tract(1, square(0.0, 0.0, 5000.0), 100.0, False)]
     shares = equity_shares(stats, no_coc, tract_of_link=[1])
-    assert (shares.coc_vmt, shares.coc_vmt_pct, shares.coc_population_pct) == (0.0, 0.0, 0.0)
+    assert (shares.coc_vmt, shares.coc_vhd) == (0.0, 0.0)
 
     all_coc = [Tract(1, square(0.0, 0.0, 5000.0), 100.0, True)]
     busy = make_stats(net, np.full((4, 1), 500.0))
     shares = equity_shares(busy, all_coc, tract_of_link=[1])
-    assert shares.coc_vmt_pct == pytest.approx(100.0)
-    assert shares.coc_population_pct == pytest.approx(100.0)
+    assert shares.coc_vmt == pytest.approx(float(busy.vmt.sum()))
 
 
 def test_equity_shares_resolves_tracts_geometrically():
@@ -323,9 +321,8 @@ def test_equity_shares_resolves_tracts_geometrically():
     # tract 1 encloses link 1's midpoint; link 2 (10 km north) is offshore
     tracts = [Tract(1, square(M / 2.0, 0.0, 2000.0), 1000.0, True)]
     stats = make_stats(net, np.array([[100.0, 100.0]]), interval_s=3600.0)
-    shares = equity_shares(stats, tracts)
+    shares = equity_shares(stats, tracts, link_tract_ids(net, tracts))
     assert shares.coc_vmt == pytest.approx(100.0)
-    assert shares.coc_vmt_pct == pytest.approx(50.0)
 
 
 def test_highway_accidents_sums_spf_over_highways():

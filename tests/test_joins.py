@@ -7,6 +7,7 @@ so every run checks the same cases.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from flowscore import geo, indicators
@@ -23,6 +24,7 @@ from flowscore.typology import (
     transport_context,
 )
 
+import geo_reference
 from fixtures import square
 
 BUFFER = 20.0
@@ -90,7 +92,7 @@ def random_parcels(rng, network, n_random):
 def scan_land_use(link, parcels, buffer_m):
     best = None
     for parcel in parcels:
-        if geo.polygon_polyline_distance(parcel.polygon, link.geometry) <= buffer_m:
+        if geo_reference.polygon_polyline_distance(parcel.polygon, link.geometry) <= buffer_m:
             if best is None or (parcel.area, -parcel.id) > (best.area, -best.id):
                 best = parcel
     return LandUse.OTHER if best is None else best.land_use
@@ -124,7 +126,7 @@ def test_polygon_polyline_within_matches_scalar_distance(seed, buffer_m):
     pairs.append((parcels[0].polygon + parcels[0].polygon[:1], network.links[0].geometry))
     pairs.append((parcels[0].polygon, network.links[0].geometry[:1]))
     got = geo.polygon_polyline_within([g for g, _ in pairs], [line for _, line in pairs], buffer_m)
-    want = [geo.polygon_polyline_distance(g, line) <= buffer_m for g, line in pairs]
+    want = [geo_reference.polygon_polyline_distance(g, line) <= buffer_m for g, line in pairs]
     assert got.tolist() == want
 
 
@@ -135,11 +137,66 @@ def test_within_uses_the_scalar_distance_at_the_radius():
     x, y = 28.263393315194936, 13.220327407835743
     triangle = ((0.0, 0.0), (-1.0, -3.0), (-3.0, -1.0))
     line = ((x, y), (2.0 * x, 2.0 * y))
-    d = geo.polygon_polyline_distance(triangle, line)
+    d = geo_reference.polygon_polyline_distance(triangle, line)
     assert d == math.hypot(x, y)
     for radius in (d, math.nextafter(d, 0.0), math.nextafter(d, math.inf)):
         got = geo.polygon_polyline_within([triangle], [line], radius)
         assert got.tolist() == [d <= radius]
+
+
+# a point whose distance from the origin np.hypot rounds one ulp above
+# math.hypot on common libms (see the test above), and that distance
+PROBE = (28.263393315194936, 13.220327407835743)
+PROBE_D = math.hypot(*PROBE)
+RADII = (0.0, BUFFER, 35.5, PROBE_D, math.nextafter(PROBE_D, 0.0),
+         math.nextafter(PROBE_D, math.inf))
+
+
+def around(v):
+    return (math.nextafter(v, -math.inf), v, math.nextafter(v, math.inf))
+
+
+def radius_points(rng, network, radius_m, n_random):
+    """Scattered points, PROBE, and points at radius_m from the interior and
+    from both ends of every straight link, each also one ulp either side."""
+    points = [tuple(p) for p in rng.uniform(-80.0, 700.0, (n_random, 2)).tolist()]
+    points.append(PROBE)
+    for link in network.links:
+        (x0, y0), (x1, y1) = link.geometry[0], link.geometry[-1]
+        if len(link.geometry) != 2 or y0 != y1:
+            continue
+        inner = x0 + float(rng.integers(1, x1 - x0))
+        for y in (y0 + radius_m, y0 - radius_m):
+            points += [(inner, v) for v in around(y)]
+        for x in (x0 - radius_m, x1 + radius_m):
+            points += [(v, y0) for v in around(x)]
+    return points
+
+
+@cases
+@given(seed=st.integers(0, 2**32 - 1), n_links=st.integers(1, 12), n_random=st.integers(0, 30))
+@pytest.mark.parametrize("radius_m", RADII)
+def test_links_within_radii_matches_scan(radius_m, seed, n_links, n_random):
+    rng = np.random.default_rng(seed)
+    streets = street_network(rng, n_links)
+    # a straight link ending at the origin, so PROBE's nearest point is the origin
+    ends = Node(10**6, -60.0, 0.0), Node(10**6 + 1, 0.0, 0.0)
+    probe = Link(10**6, ends[0].id, ends[1].id, 60.0 / 1609.344, 25.0, 800.0, 5, 2,
+                 ((-60.0, 0.0), (0.0, 0.0)))
+    links = streets.links + [probe]
+    network = Network(streets.nodes + list(ends), [links[i] for i in rng.permutation(len(links))])
+    points = radius_points(rng, network, radius_m, n_random)
+    want = [
+        sorted(link.id for link in network.links
+               if geo_reference.point_polyline_distance(p, link.geometry) <= radius_m)
+        for p in points
+    ]
+    index = geo.build_link_index(network)
+    assert geo.links_within_radii(points, radius_m, network, index) == want
+    assert geo.links_within_radii(points, radius_m, network) == want
+    assert geo.links_within_radius(PROBE, radius_m, network, index) == want[n_random]
+    assert geo.links_within_radii([], radius_m, network, index) == []
+    assert geo.links_within_radii([], radius_m, network) == []
 
 
 def test_parcels_sharing_an_id_still_join_by_position():
@@ -153,6 +210,19 @@ def test_parcels_sharing_an_id_still_join_by_position():
         assert dominant_land_use(link, parcels, BUFFER, index) is LandUse.COMMERCIAL
         assert dominant_land_use(link, parcels, BUFFER, None) is LandUse.COMMERCIAL
         assert classify_network(network, parcels) == {1: StreetType.NEIGHBORHOOD_COMMERCIAL}
+
+
+def test_index_keeps_parcels_that_rounding_would_drop():
+    # x + 35.5 rounds below 6.0, yet the parcel's edge at x = 6 lies 35.5
+    # from the link as the exact test computes it
+    x = -29.500000000000004
+    assert x + 35.5 < 6.0
+    assert geo_reference.point_segment_distance((6.0, 50.0), (x, 0.0), (x, 100.0)) == 35.5
+    link = Link(1, 1, 2, 100.0 / 1609.344, 25.0, 800.0, 5, 2, ((x, 0.0), (x, 100.0)))
+    parcels = [Parcel(1, square(13.0, 50.0, 7.0), LandUse.COMMERCIAL)]
+    index = build_parcel_index(parcels)
+    assert dominant_land_use(link, parcels, 35.5, index) is LandUse.COMMERCIAL
+    assert dominant_land_use(link, parcels, 35.5, None) is LandUse.COMMERCIAL
 
 
 def tract_city(rng, n_side, n_random, closed):
@@ -206,10 +276,23 @@ def test_link_tract_matches_scan(seed, n_side, n_random, closed):
     index = geo.build_tract_index(tracts)
     got = indicators.link_tract_ids(network, tracts)
     for link, tract_id in zip(network.links, got):
-        assert geo.link_tract(link, tracts, index) == tract_id
+        assert geo.link_tracts([link], tracts, index) == [tract_id]
+        assert geo.link_tracts([link], tracts) == [tract_id]
         mid = geo.link_midpoint(link)
-        first = next((t.id for t in tracts if geo.point_in_polygon(mid, t.polygon)), None)
+        first = next((t.id for t in tracts if geo_reference.point_in_polygon(mid, t.polygon)), None)
         assert tract_id == first
+
+
+def test_link_tracts_index_keeps_midpoints_within_the_edge_tolerance():
+    # midpoints one ulp outside a tract's edge lie on it for the exact test,
+    # so the index must offer that tract too
+    tracts = [Tract(1, square(50.0, 50.0, 50.0), 10.0, True)]
+    index = geo.build_tract_index(tracts)
+    for x in (math.nextafter(100.0, math.inf), math.nextafter(0.0, -math.inf)):
+        link = Link(1, 1, 2, 20.0 / 1609.344, 25.0, 800.0, 5, 2, ((x, 40.0), (x, 60.0)))
+        mid = geo.link_midpoint(link)
+        assert mid == (x, 50.0) and geo_reference.point_in_polygon(mid, tracts[0].polygon)
+        assert geo.link_tracts([link], tracts, index) == geo.link_tracts([link], tracts) == [1]
 
 
 def scan_tract_overlaps(tracts):
@@ -217,9 +300,9 @@ def scan_tract_overlaps(tracts):
 
     def interior(p, polygon):
         ring = geo._closed_ring(polygon)
-        if any(geo._on_segment(p, a, b) for a, b in zip(ring, ring[1:])):
+        if any(geo_reference._on_segment(p, a, b) for a, b in zip(ring, ring[1:])):
             return False
-        return geo.point_in_polygon(p, polygon)
+        return geo_reference.point_in_polygon(p, polygon)
 
     def proper_crossing(polygon_a, polygon_b):
         ring_a, ring_b = geo._closed_ring(polygon_a), geo._closed_ring(polygon_b)

@@ -13,7 +13,6 @@ from flowscore.qdta import (
     TripRequest,
     all_or_nothing,
     assign_interval,
-    assignment_cost,
     load_trips,
     run_day,
 )
@@ -290,16 +289,20 @@ def test_unreachable_demand_reported_in_counts():
 
 
 def test_assignment_cost_scalar_helper():
+    # the objective -> cost mapping, read off the narrow Pigou link
     net = pigou_network()
-    narrow = net.links[1]
-    cfg = SolverConfig()
-    assert assignment_cost(Objective.UET, narrow, 1000.0, cfg) == pytest.approx(
+
+    def narrow_cost(objective, flow):
+        flows = np.array([0.0, flow])
+        return qdta._cost_vector(net, objective, flows, SolverConfig())[1]
+
+    assert narrow_cost(Objective.UET, 1000.0) == pytest.approx(
         costs.bpr_time(0.5, 1000.0, 1000.0)
     )
-    assert assignment_cost(Objective.SOT, narrow, 1000.0, cfg) == pytest.approx(
+    assert narrow_cost(Objective.SOT, 1000.0) == pytest.approx(
         costs.marginal_time_cost(0.5, 1000.0, 1000.0)
     )
-    assert assignment_cost(Objective.SOF, narrow, 0.0, cfg) == pytest.approx(
+    assert narrow_cost(Objective.SOF, 0.0) == pytest.approx(
         costs.eco_assignment_cost(10.0, 20.0, 0.0, 1000.0)
     )
 
