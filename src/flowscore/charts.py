@@ -9,6 +9,8 @@ import csv
 from dataclasses import dataclass
 from xml.sax.saxutils import escape
 
+from .network import write_csv
+
 OBJECTIVE_COLORS = {
     "uet": "#1f77b4",  # blue
     "sot": "#ff7f0e",  # orange
@@ -38,11 +40,8 @@ def _fmt_value(x: float | None) -> str:
 
 
 def write_comparison(path, table: ComparisonTable) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["theme", "indicator", "unit", *table.objectives])
-        for row in table.rows:
-            writer.writerow([row.theme, row.name, row.unit, *[_fmt_value(v) for v in row.values]])
+    write_csv(path, ["theme", "indicator", "unit", *table.objectives],
+              ([row.theme, row.name, row.unit, *map(_fmt_value, row.values)] for row in table.rows))
 
 
 def load_comparison(path) -> ComparisonTable:

@@ -12,6 +12,7 @@ import dataclasses
 import itertools
 import json
 import logging
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -22,7 +23,7 @@ import numpy as np
 from . import charts, geo, indicators, qdta, typology
 from .charts import ComparisonRow, ComparisonTable, _fmt_value
 from .costs import BprParams, FuelParams
-from .network import LoadError, load_network
+from .network import LoadError, _require_columns, load_network, write_csv
 from .qdta import AssignmentResult, Objective, SolverConfig, TripRecord, load_trips, run_day
 
 logger = logging.getLogger(__name__)
@@ -53,6 +54,8 @@ DEFAULT_CONFIG = {
     "school_morning_s": [25200.0, 28800.0],
     "workers": 1,
 }
+TRIP_COLUMNS = ("trip_id", "status", "start_s", "end_s", "distance_miles", "time_h", "free_flow_h",
+                "delay_h", "fuel_l", "links")
 
 
 class ConfigError(ValueError):
@@ -169,74 +172,49 @@ def _reprs(values) -> map:
 
 def write_flows_csv(path, result: AssignmentResult) -> None:
     """One row per (interval, link) with nonzero assigned flow."""
-    network = result.network
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["interval", "link_id", "flow_vph", "time_h", "speed_mph"])
+    def rows():
         for k, fs in enumerate(result.flow_states):
             i = np.nonzero(fs.flow_vph > 0)[0]
-            writer.writerows(zip(
+            yield from zip(
                 itertools.repeat(k),
-                network.link_ids[i].tolist(),
+                result.network.link_ids[i].tolist(),
                 _reprs(fs.flow_vph[i]),
                 _reprs(fs.time_h[i]),
                 _reprs(fs.speed_mph[i]),
-            ))
+            )
+
+    write_csv(path, ["interval", "link_id", "flow_vph", "time_h", "speed_mph"], rows())
 
 
 def write_trips_csv(path, result: AssignmentResult) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "trip_id",
-                "status",
-                "start_s",
-                "end_s",
-                "distance_miles",
-                "time_h",
-                "free_flow_h",
-                "delay_h",
-                "fuel_l",
-                "links",
-            ]
+    # row by row: whole-day columns would hold every record's text at once
+    write_csv(path, TRIP_COLUMNS, (
+        (
+            rec.trip_id,
+            rec.status,
+            *map(repr, map(float, (rec.start_s, rec.end_s, rec.distance_miles, rec.time_h,
+                                   rec.free_flow_h, rec.delay_h, rec.fuel_l))),
+            "|".join(map(str, rec.links)),
         )
-        # row by row: whole-day columns would hold every record's text at once
-        writer.writerows(
-            (
-                rec.trip_id,
-                rec.status,
-                *map(repr, map(float, (rec.start_s, rec.end_s, rec.distance_miles, rec.time_h,
-                                       rec.free_flow_h, rec.delay_h, rec.fuel_l))),
-                "|".join(map(str, rec.links)),
-            )
-            for rec in result.records
-        )
+        for rec in result.records
+    ))
 
 
 def write_convergence_csv(path, result: AssignmentResult) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["interval", "iterations", "relative_gap", "converged"])
-        for k, fs in enumerate(result.flow_states):
-            writer.writerow([k, fs.iterations, _fmt_value(fs.gap), int(fs.converged)])
+    write_csv(path, ["interval", "iterations", "relative_gap", "converged"],
+              ([k, fs.iterations, _fmt_value(fs.gap), int(fs.converged)]
+               for k, fs in enumerate(result.flow_states)))
 
 
 def write_indicators_csv(path, report: indicators.IndicatorReport) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["theme", "indicator", "unit", "value"])
-        for v in report.values:
-            writer.writerow([v.theme, v.name, v.unit, _fmt_value(v.value)])
+    write_csv(path, ["theme", "indicator", "unit", "value"],
+              ([v.theme, v.name, v.unit, _fmt_value(v.value)] for v in report.values))
 
 
 def write_exposure_csv(path, exposures: dict[int, indicators.SchoolExposure]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["school_id", "exposure", "buffer_vmt_7_8am"])
-        for school_id in sorted(exposures):
-            e = exposures[school_id]
-            writer.writerow([school_id, e.level.value, _fmt_value(e.buffer_vmt_morning)])
+    write_csv(path, ["school_id", "exposure", "buffer_vmt_7_8am"],
+              ([i, exposures[i].level.value, _fmt_value(exposures[i].buffer_vmt_morning)]
+               for i in sorted(exposures)))
 
 
 def read_flows_csv(path, network, config: SolverConfig) -> indicators.LinkDailyStats:
@@ -246,35 +224,37 @@ def read_flows_csv(path, network, config: SolverConfig) -> indicators.LinkDailyS
     times = np.tile(network.free_flow_h, (n, 1))
     with open(path, newline="") as fh:
         for row_no, row in enumerate(csv.DictReader(fh), start=2):
-            k, link_id = int(row["interval"]), int(row["link_id"])
+            try:
+                k, link_id = int(row["interval"]), int(row["link_id"])
+                flow, time_h = float(row["flow_vph"]), float(row["time_h"])
+            except (TypeError, ValueError):
+                raise ValueError(f"non-numeric flow field in {path}, row {row_no}") from None
             if not 0 <= k < n:
                 raise ValueError(f"interval {k} outside the day's {n} intervals in {path}, row {row_no}")
             if link_id not in network.link_index:
                 raise ValueError(f"unknown link_id {link_id} in {path}, row {row_no}")
             i = network.link_index[link_id]
-            flows[k, i] = float(row["flow_vph"])
-            times[k, i] = float(row["time_h"])
+            flows[k, i], times[k, i] = flow, time_h
     return indicators.LinkDailyStats(network, flows, times, config.interval_s)
 
 
 def read_trips_csv(path) -> list[TripRecord]:
     records = []
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            links = tuple(int(x) for x in row["links"].split("|")) if row["links"] else ()
-            records.append(
-                TripRecord(
-                    trip_id=int(row["trip_id"]),
-                    status=row["status"],
-                    links=links,
-                    start_s=float(row["start_s"]),
-                    end_s=float(row["end_s"]),
-                    distance_miles=float(row["distance_miles"]),
-                    time_h=float(row["time_h"]),
-                    free_flow_h=float(row["free_flow_h"]),
-                    fuel_l=float(row["fuel_l"]),
-                )
-            )
+        reader = csv.DictReader(fh)
+        _require_columns(reader.fieldnames, TRIP_COLUMNS, path, "trips")
+        for row_no, row in enumerate(reader, start=2):
+            if row["status"] not in ("completed", "forced", "failed"):
+                raise ValueError(f"unknown trip status {row['status']!r} in {path}, row {row_no}")
+            try:
+                links = tuple(int(x) for x in row["links"].split("|")) if row["links"] else ()
+                values = [float(row[c]) for c in ("start_s", "end_s", "distance_miles", "time_h",
+                                                  "free_flow_h", "fuel_l")]
+                if not all(map(math.isfinite, values)):
+                    raise ValueError
+                records.append(TripRecord(int(row["trip_id"]), row["status"], links, *values))
+            except (TypeError, ValueError):
+                raise ValueError(f"non-numeric trip field in {path}, row {row_no}") from None
     return records
 
 
@@ -434,13 +414,6 @@ def compare_cities(paths, names=None):
     return header, rows
 
 
-def write_compare_csv(path, header, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def _with_out(scenario: Scenario, out) -> Scenario:
     if out is None:
         return scenario
@@ -486,6 +459,9 @@ def _cmd_indicators(args) -> int:
     types_path = out / "link_types.csv"
     if types_path.exists():
         street_types = typology.read_link_types(types_path)
+        missing = [link.id for link in network.links if link.id not in street_types]
+        if missing:
+            raise ValueError(f"{types_path} has no street type for link {missing[0]}")
     else:
         street_types = _classify_streets(scenario, network)
     _score(scenario, tag, read_flows_csv(flows_path, network, scenario.solver),
@@ -502,7 +478,7 @@ def _cmd_chart(args) -> int:
 def _cmd_compare(args) -> int:
     names = args.names.split(",") if args.names else None
     header, rows = compare_cities(args.files, names)
-    write_compare_csv(args.out, header, rows)
+    write_csv(args.out, header, rows)
     return 0
 
 

@@ -172,21 +172,16 @@ def marginal_fuel_cost(
 ):
     """d(f * fuel(v(f)))/df with v(f) the BPR congested speed.
 
-    The congested speed must stay inside the fuel model domain; see
-    eco_assignment_cost for the clamped variant the solver uses.
+    The congested speed must stay inside the fuel model domain; inside
+    it, this is eco_assignment_cost clamped to the domain's bounds, where
+    the clamp never binds.
     """
-    fp = fuel or DEFAULT_FUEL
     length = np.asarray(length_miles, dtype=float)
-    free_speed = np.asarray(free_speed_mph, dtype=float)
-    flow = _check_flow(flow_vph)
-    fft = length / free_speed
-    t = bpr_time(fft, flow, capacity_vph, bpr)
-    v = _check_speed(length / np.asarray(t, dtype=float))
-    m = length * (fp.a + fp.b / v + fp.c * v**2)
-    dm_dv = length * (-fp.b / v**2 + 2.0 * fp.c * v)
-    c_prime = bpr_time_gradient(fft, flow, capacity_vph, bpr)
-    dv_df = -length * np.asarray(c_prime, dtype=float) / np.asarray(t, dtype=float) ** 2
-    return _ret(m + flow * dm_dv * dv_df)
+    fft = length / np.asarray(free_speed_mph, dtype=float)
+    t = bpr_time(fft, _check_flow(flow_vph), capacity_vph, bpr)
+    _check_speed(length / np.asarray(t, dtype=float))
+    return eco_assignment_cost(length_miles, free_speed_mph, flow_vph, capacity_vph, bpr, fuel,
+                               FUEL_SPEED_MIN, FUEL_SPEED_MAX)
 
 
 def eco_assignment_cost(

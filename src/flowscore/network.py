@@ -214,6 +214,13 @@ def _require_columns(fieldnames, required, path: str, kind: str) -> None:
             raise LoadError(f"missing column '{col}' in {kind} file {path}")
 
 
+def write_csv(path, header, rows) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def _parse_int(raw: str, col: str, row: int) -> int:
     try:
         return int(raw)
@@ -304,25 +311,19 @@ def load_network(nodes_path: str, links_path: str) -> Network:
 
 def save_network(network: Network, nodes_path: str, links_path: str) -> None:
     """Write the network back out; load_network(save_network(n)) == n."""
-    with open(nodes_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(NODE_COLUMNS)
-        for node in network.nodes:
-            writer.writerow([node.id, repr(float(node.x)), repr(float(node.y))])
-    with open(links_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(LINK_COLUMNS)
-        for link in network.links:
-            writer.writerow(
-                [
-                    link.id,
-                    link.from_node,
-                    link.to_node,
-                    repr(float(link.length_miles)),
-                    repr(float(link.speed_mph)),
-                    repr(float(link.capacity_vph)),
-                    link.fclass,
-                    link.lanes,
-                    format_wkt_linestring(link.geometry),
-                ]
-            )
+    write_csv(nodes_path, NODE_COLUMNS,
+              ([node.id, repr(float(node.x)), repr(float(node.y))] for node in network.nodes))
+    write_csv(links_path, LINK_COLUMNS, (
+        [
+            link.id,
+            link.from_node,
+            link.to_node,
+            repr(float(link.length_miles)),
+            repr(float(link.speed_mph)),
+            repr(float(link.capacity_vph)),
+            link.fclass,
+            link.lanes,
+            format_wkt_linestring(link.geometry),
+        ]
+        for link in network.links
+    ))

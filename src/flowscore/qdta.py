@@ -16,7 +16,6 @@ import csv
 import enum
 import logging
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -131,29 +130,47 @@ class TripRecord:
         return self.time_h - self.free_flow_h
 
 
-@dataclass
-class _TripState:
-    request: TripRequest
-    current_node: int
-    links: list[int] = field(default_factory=list)
-    time_h: float = 0.0
-    distance_miles: float = 0.0
-    free_flow_h: float = 0.0
-    fuel_l: float = 0.0
+class _Trips:
+    """One objective's day of trips as columns, in trip-id order.
 
-    def to_record(self, status: str) -> TripRecord:
-        start = self.request.depart_s
-        return TripRecord(
-            trip_id=self.request.trip_id,
-            status=status,
-            links=tuple(self.links),
-            start_s=start,
-            end_s=start + self.time_h * 3600.0,
-            distance_miles=self.distance_miles,
-            time_h=self.time_h,
-            free_flow_h=self.free_flow_h,
-            fuel_l=self.fuel_l,
-        )
+    Node columns hold node indices. Each walk appends one leg, (trip
+    positions, link indices) row by row, so a trip's links are its legs'
+    entries in walk order.
+    """
+
+    def __init__(self, network: Network, requests):
+        self.requests = sorted(requests, key=lambda r: r.trip_id)
+        for a, b in zip(self.requests, self.requests[1:]):
+            if a.trip_id == b.trip_id:
+                raise ValueError(f"duplicate trip_id {a.trip_id}")
+        for r in self.requests:
+            if r.origin not in network.node_index:
+                raise ValueError(f"trip {r.trip_id}: unknown origin {r.origin}")
+            if r.destination not in network.node_index:
+                raise ValueError(f"trip {r.trip_id}: unknown destination {r.destination}")
+        n = len(self.requests)
+        self.node = np.array([network.node_index[r.origin] for r in self.requests], dtype=np.int64)
+        self.dest = np.array([network.node_index[r.destination] for r in self.requests],
+                             dtype=np.int64)
+        self.time_h, self.distance_miles, self.free_flow_h, self.fuel_l = (
+            np.zeros(n) for _ in range(4))
+        self.status = np.full(n, None, dtype=object)
+        self.legs: list[tuple[np.ndarray, np.ndarray]] = []
+
+    def records(self, network: Network) -> list[TripRecord]:
+        pos = np.concatenate([p for p, _ in self.legs] or [np.empty(0, np.int32)])
+        links = np.concatenate([l for _, l in self.legs] or [np.empty(0, np.int32)])
+        # an object array, so every record shares one int per link id
+        ids = np.array(network.link_ids.tolist(), dtype=object)
+        link_ids = ids[links[np.argsort(pos, kind="stable")]].tolist()
+        ends = np.cumsum(np.bincount(pos, minlength=len(self.requests))).tolist()
+        return [
+            TripRecord(r.trip_id, status, tuple(link_ids[start:end]), r.depart_s,
+                       r.depart_s + time_h * 3600.0, distance, time_h, free_flow, fuel)
+            for r, status, start, end, time_h, distance, free_flow, fuel in zip(
+                self.requests, self.status.tolist(), [0] + ends[:-1], ends, self.time_h.tolist(),
+                self.distance_miles.tolist(), self.free_flow_h.tolist(), self.fuel_l.tolist())
+        ]
 
 
 class RoutingGraph:
@@ -456,33 +473,31 @@ def assign_interval(
     return finish(f, cost, converged, gap, log, unreachable)
 
 
-def _walk(network: Network, trips: list[_TripState], link_costs, time_h, speed_mph,
+def _walk(network: Network, trips: _Trips, active: np.ndarray, link_costs, time_h, speed_mph,
           budget_h: float, fuel: FuelParams | None, speed_floor_mph, speed_cap_mph, finished: str):
-    """Walk each trip along its least-cost path at link_costs until it
-    arrives (recorded with status `finished`) or budget_h runs out.
+    """Walk the trips at positions `active` along their least-cost paths at
+    link_costs until they arrive (status `finished`) or budget_h runs out.
 
     Every trip fully traverses at least one link; a link is started
     whenever budget remains, so the last link may overdraw the budget
-    (the overdraft simply shows up in the recorded travel time).
+    (the overdraft simply shows up in the recorded travel time). A trip
+    with no path gets status "failed".
 
     All trips walk at once: one padded matrix holds the path of every
     distinct (current node, destination) pair, and each trip's sums run
     over its row with the same numpy reductions as over a 1-D path.
 
-    Returns (finished records, still-active states, per-link entry counts).
+    Returns (positions that arrived, positions still walking, per-link
+    entry counts).
     """
     graph = _routing(network)
-    records: list[TripRecord] = []
-    residual: list[_TripState] = []
-    if not trips:
-        return records, residual, np.zeros(network.n_links, dtype=np.int64)
+    if not active.size:
+        return active, active, np.zeros(network.n_links, dtype=np.int64)
 
-    pair_of: dict[tuple[int, int], int] = {}
-    trip_pair = np.array(
-        [pair_of.setdefault((t.current_node, t.request.destination), len(pair_of)) for t in trips]
-    )
-    pair_origin = np.array([network.node_index[o] for o, _ in pair_of], dtype=np.int64)
-    pair_dest = np.array([network.node_index[d] for _, d in pair_of], dtype=np.int64)
+    n_nodes = network.n_nodes
+    pair_key, trip_pair = np.unique(trips.node[active] * n_nodes + trips.dest[active],
+                                    return_inverse=True)
+    pair_origin, pair_dest = np.divmod(pair_key, n_nodes)
     sources, pair_row = np.unique(pair_origin, return_inverse=True)
     dist, pred, chosen = graph.shortest_paths(sources, link_costs)
 
@@ -490,15 +505,17 @@ def _walk(network: Network, trips: list[_TripState], link_costs, time_h, speed_m
     reached = np.nonzero(np.isfinite(dist[pair_row, pair_dest]))[0]
     steps = list(_backward_steps(graph, pred, chosen, pair_row[reached], pair_dest[reached],
                                  pair_origin[reached]))
-    length = np.zeros(len(pair_of), dtype=np.int64)
+    length = np.zeros(pair_key.size, dtype=np.int64)
     for pos, _ in steps:
         length[reached[pos]] += 1
-    paths = np.zeros((len(pair_of), len(steps)), dtype=np.int64)
+    paths = np.zeros((pair_key.size, len(steps)), dtype=np.int64)
     for s, (pos, links) in enumerate(steps):
         p = reached[pos]
         paths[p, length[p] - 1 - s] = links
 
-    walking = np.nonzero(length[trip_pair] > 0)[0]
+    walking = length[trip_pair] > 0
+    trips.status[active[~walking]] = "failed"
+    moved = active[walking]
     path = paths[trip_pair[walking]]
     path_len = length[trip_pair[walking]]
     times = time_h[path]
@@ -510,59 +527,44 @@ def _walk(network: Network, trips: list[_TripState], link_costs, time_h, speed_m
 
     speeds = np.clip(speed_mph, speed_floor_mph, speed_cap_mph)
     link_fuel_l = network.length_miles * np.asarray(costs.fuel_per_mile(speeds, fuel))
-    time_sum, dist_sum, free_flow_sum, fuel_sum = (np.empty(walking.size) for _ in range(4))
     for n in np.unique(n_take):
         sel = np.nonzero(n_take == n)[0]
-        taken = path[sel, :n]
-        time_sum[sel] = times[sel, :n].sum(axis=1)
-        dist_sum[sel] = network.length_miles[taken].sum(axis=1)
-        free_flow_sum[sel] = network.free_flow_h[taken].sum(axis=1)
-        fuel_sum[sel] = link_fuel_l[taken].sum(axis=1)
+        taken, at = path[sel, :n], moved[sel]
+        trips.time_h[at] += times[sel, :n].sum(axis=1)
+        trips.distance_miles[at] += network.length_miles[taken].sum(axis=1)
+        trips.free_flow_h[at] += network.free_flow_h[taken].sum(axis=1)
+        trips.fuel_l[at] += link_fuel_l[taken].sum(axis=1)
     taken = path[column < n_take[:, None]]  # row by row
+    trips.legs.append((np.repeat(moved, n_take).astype(np.int32), taken.astype(np.int32)))
     entered = np.bincount(taken, minlength=network.n_links).astype(np.int64)
 
-    # records and residual states, in the order the trips came
-    taken_ids = network.link_ids[taken].tolist()
-    ends = np.cumsum(n_take).tolist()
-    n_take, arrived = n_take.tolist(), (n_take == path_len).tolist()
-    time_sum, dist_sum = time_sum.tolist(), dist_sum.tolist()
-    free_flow_sum, fuel_sum = free_flow_sum.tolist(), fuel_sum.tolist()
-    walk_row = np.full(len(trips), -1)
-    walk_row[walking] = np.arange(walking.size)
-    for trip, j in zip(trips, walk_row.tolist()):
-        if j < 0:
-            records.append(trip.to_record("failed"))
-            continue
-        trip.time_h += time_sum[j]
-        trip.distance_miles += dist_sum[j]
-        trip.free_flow_h += free_flow_sum[j]
-        trip.fuel_l += fuel_sum[j]
-        trip.links.extend(taken_ids[ends[j] - n_take[j]:ends[j]])
-        if arrived[j]:
-            records.append(trip.to_record(finished))
-        else:
-            trip.current_node = network.links[int(taken[ends[j] - 1])].to_node
-            residual.append(trip)
-    return records, residual, entered
+    trips.node[moved] = network.link_to[path[np.arange(moved.size), n_take - 1]]
+    arrived = n_take == path_len
+    trips.status[moved[arrived]] = finished
+    return moved[arrived], moved[~arrived], entered
 
 
 def advance_trips(
     network: Network,
     flow_state: FlowState,
-    active_trips: list[_TripState],
+    trips: _Trips,
+    active_trips: np.ndarray,
     interval_s: float,
     fuel: FuelParams | None = None,
     speed_floor_mph: float = 5.0,
     speed_cap_mph: float = 90.0,
 ):
-    """Walk each active trip along its least-cost path for one interval.
+    """Walk the trips at positions active_trips along their least-cost
+    paths for one interval.
 
-    Returns (finished records, still-active states, per-link entry counts).
+    Returns (positions that arrived, positions still walking, per-link
+    entry counts).
     """
     if interval_s <= 0:
         raise ValueError("interval_s must be positive")
-    return _walk(network, active_trips, flow_state.cost, flow_state.time_h, flow_state.speed_mph,
-                 interval_s / 3600.0, fuel, speed_floor_mph, speed_cap_mph, "completed")
+    return _walk(network, trips, active_trips, flow_state.cost, flow_state.time_h,
+                 flow_state.speed_mph, interval_s / 3600.0, fuel, speed_floor_mph, speed_cap_mph,
+                 "completed")
 
 
 @dataclass
@@ -622,51 +624,36 @@ def run_day(
 ) -> AssignmentResult:
     """Assign and advance a whole day of trips for one objective."""
     config = config or SolverConfig()
-    for trip in trips:
-        if trip.origin not in network.node_index:
-            raise ValueError(f"trip {trip.trip_id}: unknown origin {trip.origin}")
-        if trip.destination not in network.node_index:
-            raise ValueError(f"trip {trip.trip_id}: unknown destination {trip.destination}")
-    by_interval: list[list[TripRequest]] = [[] for _ in range(config.n_intervals)]
-    for trip in trips:
-        by_interval[int(trip.depart_s // config.interval_s)].append(trip)
+    day = _Trips(network, trips)
+    bucket = np.array([r.depart_s for r in day.requests]) // config.interval_s
+    node_ids = [node.id for node in network.nodes]
+    n_nodes = network.n_nodes
 
-    residual: list[_TripState] = []
-    records: list[TripRecord] = []
+    residual = np.empty(0, dtype=np.int64)
     flow_states: list[FlowState] = []
     for k in range(config.n_intervals):
-        fresh = [_TripState(req, req.origin) for req in by_interval[k]]
-        active = residual + fresh
-        active.sort(key=lambda t: t.request.trip_id)
-        demand = Counter((t.current_node, t.request.destination) for t in active)
+        active = np.union1d(residual, np.flatnonzero(bucket == k))  # in trip-id order
+        od_key, count = np.unique(day.node[active] * n_nodes + day.dest[active],
+                                  return_counts=True)
+        demand = {(node_ids[o], node_ids[d]): q for o, d, q in
+                  zip((od_key // n_nodes).tolist(), (od_key % n_nodes).tolist(), count.tolist())}
         state = assign_interval(network, demand, objective, config)
-        done, residual, entered = advance_trips(
-            network,
-            state,
-            active,
-            config.interval_s,
-            fuel=config.fuel,
-            speed_floor_mph=config.speed_floor_mph,
-            speed_cap_mph=config.speed_cap_mph,
-        )
-        state.entered = entered
+        _, residual, state.entered = advance_trips(
+            network, state, day, active, config.interval_s, fuel=config.fuel,
+            speed_floor_mph=config.speed_floor_mph, speed_cap_mph=config.speed_cap_mph)
         flow_states.append(state)
-        records.extend(done)
 
     # day over: finish leftovers on free-flow paths and flag them, at speed_mph
     # (length / free_flow_h can differ in the last bit, and so the fuel)
     cost0 = _cost_vector(network, objective, np.zeros(network.n_links), config)
-    forced, _, forced_entered = _walk(network, residual, cost0, network.free_flow_h,
-                                      network.speed_mph, math.inf, config.fuel,
-                                      config.speed_floor_mph, config.speed_cap_mph, "forced")
-    records.extend(forced)
-
-    records.sort(key=lambda r: r.trip_id)
+    _, _, forced_entered = _walk(network, day, residual, cost0, network.free_flow_h,
+                                 network.speed_mph, math.inf, config.fuel,
+                                 config.speed_floor_mph, config.speed_cap_mph, "forced")
     return AssignmentResult(
         objective=objective,
         interval_s=config.interval_s,
         flow_states=flow_states,
-        records=records,
+        records=day.records(network),
         forced_entered=forced_entered,
         network=network,
     )

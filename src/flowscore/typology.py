@@ -6,6 +6,7 @@ import enum
 from dataclasses import dataclass
 
 from . import geo
+from .network import _require_columns, write_csv
 
 
 class LandUse(enum.Enum):
@@ -165,17 +166,22 @@ def load_parcels(path: str) -> list[Parcel]:
 
 
 def write_link_types(path: str, street_types: dict[int, StreetType], network) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["link_id", "street_type"])
-        for link in network.links:
-            writer.writerow([link.id, street_types[link.id].value])
+    write_csv(path, ["link_id", "street_type"],
+              ([link.id, street_types[link.id].value] for link in network.links))
 
 
 def read_link_types(path: str) -> dict[int, StreetType]:
     by_value = {t.value: t for t in StreetType}
     out: dict[int, StreetType] = {}
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            out[int(row["link_id"])] = by_value[row["street_type"]]
+        reader = csv.DictReader(fh)
+        _require_columns(reader.fieldnames, ("link_id", "street_type"), path, "link types")
+        for row_no, row in enumerate(reader, start=2):
+            if row["street_type"] not in by_value:
+                raise ValueError(
+                    f"unknown street_type {row['street_type']!r} in {path}, row {row_no}")
+            try:
+                out[int(row["link_id"])] = by_value[row["street_type"]]
+            except (TypeError, ValueError):
+                raise ValueError(f"non-numeric link_id in {path}, row {row_no}") from None
     return out

@@ -322,12 +322,13 @@ def test_exposure_and_daily_stats_computed_once_per_report(tmp_path, monkeypatch
     assert calls == {"school_exposure": 1, "daily_stats": 0}
 
 
-def test_benchmark_tracer_finds_every_layer(tmp_path, town_run):
+def traced_run(tmp_path, cfg, run_out):
+    """Run the benchmark's tracer on cfg; check that it found every layer
+    and wrote the same files as run_out. Returns (metrics, out dir)."""
     # the tracer patches the package's modules, so it runs in its own process
     spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
-    cfg, run_out = town_run
     out, spans_path = tmp_path / "traced", tmp_path / "spans.json"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
@@ -340,13 +341,31 @@ def test_benchmark_tracer_finds_every_layer(tmp_path, town_run):
     assert traced["missing"] == []
     seen = {span[0] for span in traced["spans"]}
     assert [name for _, _, name, _ in tracer.LAYERS if name not in seen] == []
-    metrics = tracer.summarize(traced["spans"])
-    assert metrics["indicators.daily_stats_calls"] == 3
-    assert metrics["indicators.school_exposure_calls"] == 3
     names = sorted(p.name for p in run_out.iterdir())
     assert sorted(p.name for p in out.iterdir()) == names
     for name in names:
         assert (out / name).read_bytes() == (run_out / name).read_bytes(), name
+    return tracer.summarize(traced["spans"]), out
+
+
+def test_benchmark_tracer_finds_every_layer(tmp_path, town_run):
+    metrics, _ = traced_run(tmp_path, *town_run)
+    assert metrics["indicators.daily_stats_calls"] == 3
+    assert metrics["indicators.school_exposure_calls"] == 3
+
+
+def test_benchmark_tracer_counts_every_walked_trip_once(tmp_path, long_town_run):
+    metrics, out = traced_run(tmp_path, *long_town_run)
+    statuses = []
+    for tag in ("uet", "sot", "sof"):
+        with open(out / f"trips_{tag}.csv", newline="") as fh:
+            statuses += [row["status"] for row in csv.DictReader(fh)]
+    # a walked trip arrives, fails or spills into the next interval
+    assert metrics["qdta.trips_walked"] == (
+        metrics["qdta.trips_spilled"] + statuses.count("completed") + statuses.count("failed"))
+    assert metrics["qdta.forced_trips"] == statuses.count("forced")
+    assert (metrics["qdta.trips_walked"], metrics["qdta.trips_spilled"],
+            metrics["qdta.forced_trips"]) == (3720, 1920, 120)
 
 
 def test_indicators_command_requires_assignment(tmp_path, capsys):
@@ -384,6 +403,49 @@ def test_indicators_command_rejects_flows_of_another_interval(tmp_path, capsys):
     assert main(["indicators", "--config", cfg, "--objective", "uet"]) == 1
     err = capsys.readouterr().err
     assert "convergence_uet.csv has 96 intervals" in err and "makes 48" in err
+
+
+@pytest.fixture(scope="module")
+def town_assigned(tmp_path_factory):
+    """The town's uet assignment and link types, before scoring."""
+    base = tmp_path_factory.mktemp("town_assigned")
+    cfg = town_scenario(base)
+    assert main(["assign", "--config", cfg, "--objective", "uet"]) == 0
+    assert main(["classify", "--config", cfg]) == 0
+    return base
+
+
+def _edit_row(path, row_no, column, value):
+    """Set one field of a CSV file; row_no counts the header as row 1."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    if value is None:
+        del rows[row_no - 1]
+    else:
+        rows[row_no - 1][rows[0].index(column)] = value
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+
+
+@pytest.mark.parametrize("name, row_no, column, value, message", [
+    ("link_types.csv", 4, None, None, "link_types.csv has no street type for link 3"),
+    ("link_types.csv", 2, "street_type", "Boulevard",
+     "unknown street_type 'Boulevard' in {path}, row 2"),
+    ("trips_uet.csv", 3, "distance_miles", "abc", "non-numeric trip field in {path}, row 3"),
+    ("trips_uet.csv", 4, "fuel_l", "nan", "non-numeric trip field in {path}, row 4"),
+    ("trips_uet.csv", 5, "status", "parked", "unknown trip status 'parked' in {path}, row 5"),
+    ("flows_uet.csv", 3, "time_h", "abc", "non-numeric flow field in {path}, row 3"),
+], ids=["missing_link_type", "unknown_street_type", "non_numeric_trip", "nan_trip",
+        "unknown_status", "non_numeric_flow"])
+def test_indicators_command_names_bad_assignment_outputs(tmp_path, capsys, town_assigned, name,
+                                                         row_no, column, value, message):
+    shutil.copytree(town_assigned, tmp_path, dirs_exist_ok=True)
+    path = tmp_path / "out" / name
+    _edit_row(path, row_no, column, value)
+    capsys.readouterr()
+    assert main(["indicators", "--config", str(tmp_path / "config.json"),
+                 "--objective", "uet"]) == 1
+    assert message.format(path=path) in capsys.readouterr().err
 
 
 def test_assign_rejects_unknown_objective(tmp_path):

@@ -323,23 +323,23 @@ def test_non_convergence_warns_and_flags(caplog):
 def test_advance_trips_budget_walk():
     net = chain_network()
     state = free_flow_state(net)
-    trip = qdta._TripState(TripRequest(1, 1, 4, 0.0), 1)
-    records, residual, entered = qdta.advance_trips(net, state, [trip], 900.0)
+    trips = qdta._Trips(net, [TripRequest(1, 1, 4, 0.0)])
+    arrived, residual, entered = qdta.advance_trips(net, state, trips, np.arange(1), 900.0)
     # 20 min first link overruns the 15 min budget but is still taken whole
-    assert records == [] and len(residual) == 1
-    assert residual[0].current_node == 2
-    assert residual[0].time_h == pytest.approx(10.0 / 30.0)
+    assert arrived.size == 0 and residual.tolist() == [0]
+    assert net.nodes[trips.node[0]].id == 2
+    assert trips.time_h[0] == pytest.approx(10.0 / 30.0)
     assert entered.tolist() == [1, 0, 0]
 
-    records, residual, entered = qdta.advance_trips(net, state, residual, 900.0)
+    arrived, residual, entered = qdta.advance_trips(net, state, trips, residual, 900.0)
     # second link ends exactly at the budget boundary; the third must wait
-    assert records == [] and len(residual) == 1
-    assert residual[0].current_node == 3
+    assert arrived.size == 0 and residual.tolist() == [0]
+    assert net.nodes[trips.node[0]].id == 3
     assert entered.tolist() == [0, 1, 0]
 
-    records, residual, entered = qdta.advance_trips(net, state, residual, 900.0)
-    assert residual == [] and len(records) == 1
-    rec = records[0]
+    arrived, residual, entered = qdta.advance_trips(net, state, trips, residual, 900.0)
+    assert residual.size == 0 and arrived.tolist() == [0]
+    [rec] = trips.records(net)
     assert rec.status == "completed"
     assert rec.links == (1, 2, 3)
     assert rec.time_h == pytest.approx(40.0 / 60.0)
@@ -353,9 +353,10 @@ def test_advance_trips_completes_inside_budget():
     net = chain_network()
     state = free_flow_state(net)
     # start at node 3: 5 minutes of path in a 15 minute budget
-    trip = qdta._TripState(TripRequest(2, 3, 4, 0.0), 3)
-    records, residual, entered = qdta.advance_trips(net, state, [trip], 900.0)
-    assert residual == []
+    trips = qdta._Trips(net, [TripRequest(2, 3, 4, 0.0)])
+    arrived, residual, entered = qdta.advance_trips(net, state, trips, np.arange(1), 900.0)
+    assert residual.size == 0
+    records = trips.records(net)
     assert records[0].status == "completed"
     assert records[0].links == (3,)
     assert entered.tolist() == [0, 0, 1]
@@ -364,9 +365,10 @@ def test_advance_trips_completes_inside_budget():
 def test_advance_trips_unreachable_fails():
     net = diamond_network()
     state = free_flow_state(net)
-    trip = qdta._TripState(TripRequest(3, 4, 1, 0.0), 4)
-    records, residual, entered = qdta.advance_trips(net, state, [trip], 900.0)
-    assert residual == [] and not entered.any()
+    trips = qdta._Trips(net, [TripRequest(3, 4, 1, 0.0)])
+    arrived, residual, entered = qdta.advance_trips(net, state, trips, np.arange(1), 900.0)
+    assert residual.size == 0 and not entered.any()
+    records = trips.records(net)
     assert records[0].status == "failed"
     assert records[0].links == ()
     assert records[0].end_s == records[0].start_s
@@ -375,14 +377,14 @@ def test_advance_trips_unreachable_fails():
 def test_advance_trips_fuel_uses_congested_speeds():
     net = chain_network()
     state = free_flow_state(net)
-    trip = qdta._TripState(TripRequest(4, 1, 4, 0.0), 1)
+    trips = qdta._Trips(net, [TripRequest(4, 1, 4, 0.0)])
+    active = np.arange(1)
     for _ in range(3):
-        records, residual, _ = qdta.advance_trips(net, state, [trip], 900.0)
-        if records:
+        arrived, active, _ = qdta.advance_trips(net, state, trips, active, 900.0)
+        if arrived.size:
             break
-        trip = residual[0]
     want = 20.0 * fuel_per_mile(30.0)
-    assert records[0].fuel_l == pytest.approx(want, rel=1e-12)
+    assert trips.records(net)[0].fuel_l == pytest.approx(want, rel=1e-12)
 
 
 # whole-day runs
@@ -596,6 +598,13 @@ def test_run_day_rejects_unknown_nodes():
         run_day(net, [TripRequest(1, 99, 4, 0.0)], Objective.UET)
     with pytest.raises(ValueError, match="unknown destination"):
         run_day(net, [TripRequest(1, 1, 99, 0.0)], Objective.UET)
+
+
+def test_run_day_rejects_repeated_trip_ids():
+    net = chain_network()
+    trips = [TripRequest(2, 1, 4, 0.0), TripRequest(7, 1, 4, 10.0), TripRequest(2, 3, 4, 5000.0)]
+    with pytest.raises(ValueError, match="duplicate trip_id 2$"):
+        run_day(net, trips, Objective.UET)
 
 
 def test_run_day_is_deterministic():

@@ -1,12 +1,15 @@
-"""The array trip walk against a scalar reference walker.
+"""The array trip walk and the whole day against scalar references.
 
-The reference walks one trip at a time: it traces each trip's path
-through pred, then takes links while budget remains, with the 1-D numpy
-sums the array walk must reproduce bit for bit. Random grids come from
-hypothesis-drawn seeds, derandomized, so every run checks the same cases.
+The reference walks one trip at a time, on plain per-trip state copied
+from a `_Trips` snapshot: it traces each trip's path through pred, then
+takes links while budget remains, with the 1-D numpy sums the array walk
+must reproduce bit for bit. The reference day drives it the way a day of
+intervals runs. Random grids come from hypothesis-drawn seeds,
+derandomized, so every run checks the same cases.
 """
-import copy
 import math
+from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -18,19 +21,49 @@ from flowscore.qdta import TripRecord, TripRequest
 cases = settings(max_examples=40, deadline=None, derandomize=True)
 
 
+@dataclass
+class RefTrip:
+    request: TripRequest
+    node: int  # node index
+    dest: int
+    time_h: float
+    distance_miles: float
+    free_flow_h: float
+    fuel_l: float
+    links: list  # link indices, in the order taken
+    status: str | None
+
+    def record(self, network) -> TripRecord:
+        start = self.request.depart_s
+        return TripRecord(self.request.trip_id, self.status,
+                          tuple(int(network.link_ids[i]) for i in self.links), start,
+                          start + self.time_h * 3600.0, self.distance_miles, self.time_h,
+                          self.free_flow_h, self.fuel_l)
+
+
+def snapshot(trips) -> list[RefTrip]:
+    """Each trip's columns and legs copied into its own RefTrip."""
+    links = [[] for _ in trips.requests]
+    for pos, idx in trips.legs:
+        for p, i in zip(pos.tolist(), idx.tolist()):
+            links[p].append(i)
+    return [RefTrip(r, int(trips.node[i]), int(trips.dest[i]), float(trips.time_h[i]),
+                    float(trips.distance_miles[i]), float(trips.free_flow_h[i]),
+                    float(trips.fuel_l[i]), links[i], trips.status[i])
+            for i, r in enumerate(trips.requests)]
+
+
 def reference_walk(network, trips, link_costs, time_h, speed_mph, budget_h, fuel,
                    speed_floor_mph, speed_cap_mph, finished):
-    """One trip at a time along its own traced path."""
+    """Walk the RefTrips one at a time along their own traced paths, in
+    place; returns the per-link entry counts."""
     graph = qdta._routing(network)
     entered = np.zeros(network.n_links, dtype=np.int64)
-    records: list[TripRecord] = []
-    residual = []
     if not trips:
-        return records, residual, entered
-    sources = sorted({t.current_node for t in trips})
-    source_idx = np.array([network.node_index[s] for s in sources], dtype=np.int64)
+        return entered
+    sources = sorted({t.node for t in trips})
     row_of = {s: i for i, s in enumerate(sources)}
-    dist, pred, chosen = graph.shortest_paths(source_idx, link_costs)
+    dist, pred, chosen = graph.shortest_paths(np.array(sources, dtype=np.int64), link_costs)
 
     def path_links(row, origin_idx, dest_idx):
         if not math.isfinite(dist[row, dest_idx]):
@@ -48,10 +81,9 @@ def reference_walk(network, trips, link_costs, time_h, speed_mph, budget_h, fuel
     speeds = np.clip(speed_mph, speed_floor_mph, speed_cap_mph)
     link_fuel_l = network.length_miles * np.asarray(costs.fuel_per_mile(speeds, fuel))
     for trip in trips:
-        row = row_of[trip.current_node]
-        path = path_links(row, int(source_idx[row]), network.node_index[trip.request.destination])
+        path = path_links(row_of[trip.node], trip.node, trip.dest)
         if path is None:
-            records.append(trip.to_record("failed"))
+            trip.status = "failed"
             continue
         times = time_h[path]
         elapsed_before = np.concatenate(([0.0], np.cumsum(times)[:-1]))
@@ -63,13 +95,11 @@ def reference_walk(network, trips, link_costs, time_h, speed_mph, budget_h, fuel
         trip.distance_miles += float(network.length_miles[taken].sum())
         trip.free_flow_h += float(network.free_flow_h[taken].sum())
         trip.fuel_l += float(link_fuel_l[taken].sum())
-        trip.links.extend(int(network.link_ids[i]) for i in taken)
+        trip.links.extend(int(i) for i in taken)
+        trip.node = network.node_index[network.links[int(taken[-1])].to_node]
         if n_take == len(path):
-            records.append(trip.to_record(finished))
-        else:
-            trip.current_node = network.links[taken[-1]].to_node
-            residual.append(trip)
-    return records, residual, entered
+            trip.status = finished
+    return entered
 
 
 def random_grid(rng):
@@ -103,35 +133,49 @@ def random_grid(rng):
 
 
 def random_trips(rng, network):
-    """Trips that share a few ODs, some of them unreachable, with walked
-    distance already on the clock."""
+    """Trips with shuffled ids that share a few ODs, some of them
+    unreachable, half of them with walked distance and links already on
+    the clock."""
     node_ids = [n.id for n in network.nodes]
     ods = []
     while len(ods) < 6:
         o, d = (int(x) for x in rng.choice(node_ids, 2))
         if o != d:
             ods.append((o, d))
-    trips = []
-    for k in range(int(rng.integers(1, 30))):
+    n = int(rng.integers(1, 30))
+    ids = rng.permutation(n) * 3 + 1
+    requests = []
+    for k in range(n):
         o, d = ods[int(rng.integers(len(ods)))]
-        state = qdta._TripState(TripRequest(k + 1, o, d, float(rng.uniform(0, 80000))), o)
-        if rng.random() < 0.5:
-            state.time_h, state.distance_miles = float(rng.uniform(0, 2)), float(rng.uniform(0, 9))
-            state.free_flow_h, state.fuel_l = float(rng.uniform(0, 2)), float(rng.uniform(0, 3))
-            state.links = [int(x) for x in rng.integers(1, 99, 3)]
-        trips.append(state)
+        requests.append(TripRequest(int(ids[k]), o, d, float(rng.uniform(0, 80000))))
+    trips = qdta._Trips(network, requests)
+    preset = np.flatnonzero(rng.random(n) < 0.5)
+    for column, hi in ((trips.time_h, 2), (trips.distance_miles, 9), (trips.free_flow_h, 2),
+                       (trips.fuel_l, 3)):
+        column[preset] = rng.uniform(0, hi, preset.size)
+    trips.legs.append((np.repeat(preset, 3).astype(np.int32),
+                       rng.integers(0, network.n_links, 3 * preset.size).astype(np.int32)))
     return trips
 
 
-def assert_same_walk(got, want):
-    (records, residual, entered), (ref_records, ref_residual, ref_entered) = got, want
-    assert records == ref_records
-    assert [t.request for t in residual] == [t.request for t in ref_residual]
-    for t, r in zip(residual, ref_residual):
-        assert (t.current_node, t.time_h, t.distance_miles, t.free_flow_h, t.fuel_l, t.links) == (
-            r.current_node, r.time_h, r.distance_miles, r.free_flow_h, r.fuel_l, r.links)
-        assert all(type(v) is float for v in (t.time_h, t.distance_miles, t.free_flow_h, t.fuel_l))
-    assert entered.dtype == ref_entered.dtype and np.array_equal(entered, ref_entered)
+def walk_both(net, trips, active, *walk):
+    """One array walk checked against the reference walk from the same
+    snapshot; returns the positions still walking."""
+    want = snapshot(trips)
+    want_entered = reference_walk(net, [want[i] for i in active.tolist()], *walk)
+    arrived, residual, entered = qdta._walk(net, trips, active, *walk)
+    got = snapshot(trips)
+    for g, w in zip(got, want):
+        assert (g.status, g.node, g.time_h, g.distance_miles, g.free_flow_h, g.fuel_l) == (
+            w.status, w.node, w.time_h, w.distance_miles, w.free_flow_h, w.fuel_l)
+    assert [r.links for r in trips.records(net)] == [w.record(net).links for w in want]
+    assert all(c.dtype == np.float64 for c in (trips.time_h, trips.distance_miles,
+                                               trips.free_flow_h, trips.fuel_l))
+    assert entered.dtype == want_entered.dtype and np.array_equal(entered, want_entered)
+    finished = walk[-1]
+    assert arrived.tolist() == [i for i in active.tolist() if want[i].status == finished]
+    assert residual.tolist() == [i for i in active.tolist() if want[i].status is None]
+    return residual
 
 
 @cases
@@ -144,18 +188,13 @@ def test_walk_matches_scalar_reference(seed):
     trips = random_trips(rng, net)
     budget_h = float(rng.choice([0.0, 0.02, 0.1, 0.25, 1.0]))
     walk = (link_costs, time_h, net.length_miles / time_h, budget_h, None, 5.0, 90.0, "completed")
+    active = np.arange(len(trips.requests))
     for _ in range(4):  # residual trips restart mid-route
-        want = reference_walk(net, copy.deepcopy(trips), *walk)
-        got = qdta._walk(net, trips, *walk)
-        assert_same_walk(got, want)
-        trips = got[1]
+        active = walk_both(net, trips, active, *walk)
     # the forced completion: free-flow costs, no budget, at the links' speeds
     cost0 = qdta._cost_vector(net, qdta.Objective.SOF, np.zeros(net.n_links), qdta.SolverConfig())
     forced = (cost0, net.free_flow_h, net.speed_mph, math.inf, None, 5.0, 90.0, "forced")
-    want = reference_walk(net, copy.deepcopy(trips), *forced)
-    got = qdta._walk(net, trips, *forced)
-    assert_same_walk(got, want)
-    assert got[1] == []
+    assert walk_both(net, trips, active, *forced).size == 0
 
 
 @settings(max_examples=10, deadline=None, derandomize=True)
@@ -172,15 +211,63 @@ def test_walk_matches_scalar_reference_on_long_paths(seed):
              for k in range(n)]
     net = Network(nodes, links)
     time_h = net.free_flow_h * rng.uniform(1.0, 3.0, n)
-    trips = []
+    requests = []
     for k in range(20):
         o = int(rng.integers(1, n))
         d = int(rng.integers(o + 1, n + 2))
-        trips.append(qdta._TripState(TripRequest(k + 1, o, d, 0.0), o))
+        requests.append(TripRequest(k + 1, o, d, 0.0))
+    trips = qdta._Trips(net, requests)
     budget_h = float(rng.uniform(0.5, 30.0))
     walk = (time_h, time_h, net.length_miles / time_h, budget_h, None, 5.0, 90.0, "completed")
-    while trips:
-        want = reference_walk(net, copy.deepcopy(trips), *walk)
-        got = qdta._walk(net, trips, *walk)
-        assert_same_walk(got, want)
-        trips = got[1]
+    active = np.arange(len(requests))
+    while active.size:
+        active = walk_both(net, trips, active, *walk)
+
+
+def reference_day(network, requests, objective, config):
+    """A day walked one trip at a time: each interval's Counter demand over
+    its active trips in trip-id order, assign_interval, the reference walk;
+    then the forced walk of the leftovers. Returns (records, entered per
+    interval, forced entries)."""
+    index = network.node_index
+    states = sorted((RefTrip(r, index[r.origin], index[r.destination], 0.0, 0.0, 0.0, 0.0, [],
+                             None) for r in requests), key=lambda t: t.request.trip_id)
+    node_ids = [n.id for n in network.nodes]
+    residual, entered = [], []
+    for k in range(config.n_intervals):
+        fresh = [t for t in states if int(t.request.depart_s // config.interval_s) == k]
+        active = sorted(residual + fresh, key=lambda t: t.request.trip_id)
+        demand = Counter((node_ids[t.node], node_ids[t.dest]) for t in active)
+        state = qdta.assign_interval(network, demand, objective, config)
+        entered.append(reference_walk(network, active, state.cost, state.time_h,
+                                      state.speed_mph, config.interval_h, config.fuel,
+                                      config.speed_floor_mph, config.speed_cap_mph, "completed"))
+        residual = [t for t in active if t.status is None]
+    cost0 = qdta._cost_vector(network, objective, np.zeros(network.n_links), config)
+    forced_entered = reference_walk(network, residual, cost0, network.free_flow_h,
+                                    network.speed_mph, math.inf, config.fuel,
+                                    config.speed_floor_mph, config.speed_cap_mph, "forced")
+    return [t.record(network) for t in states], entered, forced_entered
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_run_day_matches_reference_day(seed):
+    # departures in the day's last half hour, so trips spill from interval
+    # to interval and the last ones are forced at midnight
+    rng = np.random.default_rng(seed)
+    net = random_grid(rng)
+    node_ids = [n.id for n in net.nodes]
+    requests = []
+    for trip_id in rng.permutation(int(rng.integers(1, 80))) + 1:
+        o, d = (int(x) for x in rng.choice(node_ids, 2, replace=False))
+        requests.append(TripRequest(int(trip_id), o, d, float(rng.uniform(84_600.0, 86_400.0))))
+    objective = qdta.Objective(str(rng.choice(["uet", "sot", "sof"])))
+    config = qdta.SolverConfig(interval_s=float(rng.choice([600.0, 900.0])), max_iterations=4)
+    result = qdta.run_day(net, requests, objective, config)
+    records, entered, forced_entered = reference_day(net, requests, objective, config)
+    assert result.records == records
+    assert len(result.flow_states) == len(entered)
+    for fs, want in zip(result.flow_states, entered):
+        assert np.array_equal(fs.entered, want)
+    assert np.array_equal(result.forced_entered, forced_entered)
