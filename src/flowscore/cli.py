@@ -24,7 +24,7 @@ from . import charts, geo, indicators, qdta, typology
 from .charts import ComparisonRow, ComparisonTable, _fmt_value
 from .costs import BprParams, FuelParams
 from .network import LoadError, _require_columns, load_network, write_csv
-from .qdta import AssignmentResult, Objective, SolverConfig, TripRecord, load_trips, run_day
+from .qdta import AssignmentResult, Objective, SolverConfig, TripTable, load_trips, run_day
 
 logger = logging.getLogger(__name__)
 
@@ -54,6 +54,7 @@ DEFAULT_CONFIG = {
     "school_morning_s": [25200.0, 28800.0],
     "workers": 1,
 }
+FLOW_COLUMNS = ("interval", "link_id", "flow_vph", "time_h", "speed_mph")
 TRIP_COLUMNS = ("trip_id", "status", "start_s", "end_s", "distance_miles", "time_h", "free_flow_h",
                 "delay_h", "fuel_l", "links")
 
@@ -183,20 +184,17 @@ def write_flows_csv(path, result: AssignmentResult) -> None:
                 _reprs(fs.speed_mph[i]),
             )
 
-    write_csv(path, ["interval", "link_id", "flow_vph", "time_h", "speed_mph"], rows())
+    write_csv(path, FLOW_COLUMNS, rows())
 
 
 def write_trips_csv(path, result: AssignmentResult) -> None:
-    # row by row: whole-day columns would hold every record's text at once
-    write_csv(path, TRIP_COLUMNS, (
-        (
-            rec.trip_id,
-            rec.status,
-            *map(repr, map(float, (rec.start_s, rec.end_s, rec.distance_miles, rec.time_h,
-                                   rec.free_flow_h, rec.delay_h, rec.fuel_l))),
-            "|".join(map(str, rec.links)),
-        )
-        for rec in result.records
+    # each row's text is made as it is written, never a whole day's at once
+    t = result.trips
+    write_csv(path, TRIP_COLUMNS, zip(
+        t.trip_id.tolist(), t.status.tolist(),
+        *map(_reprs, (t.start_s, t.end_s, t.distance_miles, t.time_h, t.free_flow_h,
+                      t.time_h - t.free_flow_h, t.fuel_l)),
+        ("|".join(map(str, links)) for links in t.link_lists()),
     ))
 
 
@@ -222,8 +220,11 @@ def read_flows_csv(path, network, config: SolverConfig) -> indicators.LinkDailyS
     n = config.n_intervals
     flows = np.zeros((n, network.n_links))
     times = np.tile(network.free_flow_h, (n, 1))
+    seen: set[tuple[int, int]] = set()
     with open(path, newline="") as fh:
-        for row_no, row in enumerate(csv.DictReader(fh), start=2):
+        reader = csv.DictReader(fh)
+        _require_columns(reader.fieldnames, FLOW_COLUMNS, path, "flows")
+        for row_no, row in enumerate(reader, start=2):
             try:
                 k, link_id = int(row["interval"]), int(row["link_id"])
                 flow, time_h = float(row["flow_vph"]), float(row["time_h"])
@@ -233,13 +234,18 @@ def read_flows_csv(path, network, config: SolverConfig) -> indicators.LinkDailyS
                 raise ValueError(f"interval {k} outside the day's {n} intervals in {path}, row {row_no}")
             if link_id not in network.link_index:
                 raise ValueError(f"unknown link_id {link_id} in {path}, row {row_no}")
+            if (k, link_id) in seen:
+                raise ValueError(f"duplicate interval {k}, link_id {link_id} in {path}, "
+                                 f"row {row_no}")
+            seen.add((k, link_id))
             i = network.link_index[link_id]
             flows[k, i], times[k, i] = flow, time_h
     return indicators.LinkDailyStats(network, flows, times, config.interval_s)
 
 
-def read_trips_csv(path) -> list[TripRecord]:
-    records = []
+def read_trips_csv(path) -> TripTable:
+    """A trips CSV's rows, in file order; delay_h is left out, as time_h - free_flow_h."""
+    status_of, values, offsets, links = {}, [], [0], []  # status_of: trip id -> status
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         _require_columns(reader.fieldnames, TRIP_COLUMNS, path, "trips")
@@ -247,15 +253,22 @@ def read_trips_csv(path) -> list[TripRecord]:
             if row["status"] not in ("completed", "forced", "failed"):
                 raise ValueError(f"unknown trip status {row['status']!r} in {path}, row {row_no}")
             try:
-                links = tuple(int(x) for x in row["links"].split("|")) if row["links"] else ()
-                values = [float(row[c]) for c in ("start_s", "end_s", "distance_miles", "time_h",
-                                                  "free_flow_h", "fuel_l")]
-                if not all(map(math.isfinite, values)):
+                trip_id = int(row["trip_id"])
+                links += (int(x) for x in row["links"].split("|")) if row["links"] else ()
+                values.append([float(row[c]) for c in ("start_s", "end_s", "distance_miles",
+                                                       "time_h", "free_flow_h", "fuel_l")])
+                if not all(map(math.isfinite, values[-1])):
                     raise ValueError
-                records.append(TripRecord(int(row["trip_id"]), row["status"], links, *values))
             except (TypeError, ValueError):
                 raise ValueError(f"non-numeric trip field in {path}, row {row_no}") from None
-    return records
+            if trip_id in status_of:
+                raise ValueError(f"duplicate trip_id {trip_id} in {path}, row {row_no}")
+            status_of[trip_id] = row["status"]
+            offsets.append(len(links))
+    return TripTable(np.array(list(status_of), dtype=np.int64),
+                     np.array(list(status_of.values()), dtype=object),
+                     *np.reshape(values, (-1, 6)).T, np.array(offsets),
+                     np.array(links, dtype=np.int64))
 
 
 def _load_city_network(scenario: Scenario):
@@ -314,7 +327,7 @@ def _write_assignment(out: Path, result: AssignmentResult) -> bool:
     return bool(unconverged)
 
 
-def _score(scenario: Scenario, tag: str, stats, records, street_types, schools, tracts,
+def _score(scenario: Scenario, tag: str, stats, trips, street_types, schools, tracts,
            link_index, tract_of_link) -> indicators.IndicatorReport:
     """Score one objective's day and write its indicator and exposure tables."""
     exposures = indicators.school_exposure(
@@ -323,7 +336,7 @@ def _score(scenario: Scenario, tag: str, stats, records, street_types, schools, 
     report = indicators.build_report(
         stats,
         exposures,
-        records,
+        trips,
         street_types,
         schools,
         tracts,
@@ -352,7 +365,7 @@ def run_scenario(scenario: Scenario) -> int:
     for result in results:
         any_unconverged |= _write_assignment(out, result)
         reports.append(_score(scenario, result.objective.value, indicators.daily_stats(result),
-                              result.records, street_types, schools, tracts, link_index,
+                              result.trips, street_types, schools, tracts, link_index,
                               tract_of_link))
 
     table = ComparisonTable(
@@ -462,6 +475,9 @@ def _cmd_indicators(args) -> int:
         missing = [link.id for link in network.links if link.id not in street_types]
         if missing:
             raise ValueError(f"{types_path} has no street type for link {missing[0]}")
+        unknown = [i for i in street_types if i not in network.link_index]
+        if unknown:
+            raise ValueError(f"{types_path} names link {unknown[0]}, which the network lacks")
     else:
         street_types = _classify_streets(scenario, network)
     _score(scenario, tag, read_flows_csv(flows_path, network, scenario.solver),

@@ -120,41 +120,9 @@ def street_type_mask(network, street_types: dict[int, StreetType], wanted: Stree
 def congested_miles(stats: LinkDailyStats, window_s=MORNING_PEAK_S) -> float:
     """Miles of links hitting v/c >= 1 in any interval of the window."""
     sel = stats.intervals_overlapping(window_s)
-    if not sel.any():
-        return 0.0
     vc = stats.flows_vph[sel] / stats.network.capacity_vph
     congested = (vc >= 1.0).any(axis=0)
     return float(stats.network.length_miles[congested].sum())
-
-
-@dataclass(frozen=True)
-class TripStats:
-    n_completed: int
-    n_forced: int
-    n_failed: int
-    avg_distance_miles: float
-    avg_delay_min: float
-    avg_fuel_l: float
-    total_fuel_l: float
-
-
-def trip_stats(records) -> TripStats:
-    """Means over completed trips; totals include forced completions."""
-    completed = [r for r in records if r.status == "completed"]
-    forced = [r for r in records if r.status == "forced"]
-    failed = [r for r in records if r.status == "failed"]
-    if not completed:
-        raise ValueError("no completed trips to average over")
-    n = len(completed)
-    return TripStats(
-        n_completed=n,
-        n_forced=len(forced),
-        n_failed=len(failed),
-        avg_distance_miles=sum(r.distance_miles for r in completed) / n,
-        avg_delay_min=sum(r.delay_h for r in completed) * 60.0 / n,
-        avg_fuel_l=sum(r.fuel_l for r in completed) / n,
-        total_fuel_l=sum(r.fuel_l for r in records),
-    )
 
 
 class ExposureLevel(enum.Enum):
@@ -191,14 +159,14 @@ def school_exposure(
     out: dict[int, SchoolExposure] = {}
     for school, ids in zip(schools, buffers):
         idx = np.array([network.link_index[i] for i in ids], dtype=np.int64)
-        adts = stats.adt[idx] if len(idx) else np.empty(0)
-        if len(idx) and float(adts.max(initial=0.0)) > ADT_HIGH:
+        adts = stats.adt[idx]
+        if float(adts.max(initial=0.0)) > ADT_HIGH:
             level = ExposureLevel.HIGH
-        elif len(idx) and bool(((adts >= ADT_MEDIUM) & (adts <= ADT_HIGH)).any()):
+        elif bool(((adts >= ADT_MEDIUM) & (adts <= ADT_HIGH)).any()):
             level = ExposureLevel.MEDIUM
         else:
             level = ExposureLevel.NONE
-        vmt = float(morning_vmt[idx].sum()) if len(idx) else 0.0
+        vmt = float(morning_vmt[idx].sum())
         out[school.id] = SchoolExposure(school.id, level, vmt, tuple(ids))
     return out
 
@@ -296,7 +264,7 @@ class IndicatorReport:
 def build_report(
     stats: LinkDailyStats,
     exposures: dict[int, SchoolExposure],
-    records,
+    trips,
     street_types: dict[int, StreetType],
     schools,
     tracts,
@@ -306,7 +274,13 @@ def build_report(
     school_morning_s=SCHOOL_MORNING_S,
 ) -> IndicatorReport:
     """Assemble the 15-indicator report for one objective's day from its
-    link stats, its school exposures and its trip records."""
+    link stats, its school exposures and its trips.
+
+    trips has the columns of `qdta.TripTable` (status, distance_miles,
+    time_h, free_flow_h, fuel_l). The trip averages are over completed
+    trips, None when there is none; total fuel counts every trip. Each
+    sum runs left to right in row order.
+    """
     network = stats.network
 
     nr_mask = street_type_mask(network, street_types, StreetType.NEIGHBORHOOD_RESIDENTIAL)
@@ -315,47 +289,31 @@ def build_report(
     exposed = [e for e in exposures.values() if e.level is not ExposureLevel.NONE]
     buffered_links = sorted({lid for e in exposures.values() for lid in e.link_ids})
     buffered_idx = np.array([network.link_index[i] for i in buffered_links], dtype=np.int64)
-    school_vmt = float(
-        stats.window_vmt(school_morning_s)[buffered_idx].sum()
-    ) if len(buffered_idx) else 0.0
+    school_vmt = float(stats.window_vmt(school_morning_s)[buffered_idx].sum())
 
     accidents = highway_accidents(stats, street_types, spf)
-    all_mask = np.ones(network.n_links, dtype=bool)
-    total_vmt, total_vhd = filtered_vmt_vhd(stats, all_mask)
+    total_vmt, total_vhd = filtered_vmt_vhd(stats, np.ones(network.n_links, dtype=bool))
     congested = congested_miles(stats, morning_window_s)
 
-    try:
-        tstats = trip_stats(records)
-        avg_len: float | None = tstats.avg_distance_miles
-        avg_delay: float | None = max(tstats.avg_delay_min, 0.0)
-        avg_fuel: float | None = tstats.avg_fuel_l
-        total_fuel = tstats.total_fuel_l
-    except ValueError:
-        avg_len = avg_delay = avg_fuel = None
-        total_fuel = sum(r.fuel_l for r in records)
+    done = trips.status == "completed"
+    n_done = int(np.count_nonzero(done))
+    avg_len = avg_delay = avg_fuel = None
+    if n_done:
+        avg_len = sum(trips.distance_miles[done].tolist()) / n_done
+        delay_h = trips.time_h[done] - trips.free_flow_h[done]
+        avg_delay = max(sum(delay_h.tolist()) * 60.0 / n_done, 0.0)
+        avg_fuel = sum(trips.fuel_l[done].tolist()) / n_done
+    total_fuel = sum(trips.fuel_l.tolist())
 
     minority = minority_exposure_share(exposures, schools)
     equity = equity_shares(stats, tracts, tract_of_link)
 
     numbers = (
-        nr_vmt,
-        nr_vhd,
-        float(len(exposed)),
-        school_vmt,
-        accidents,
-        total_vmt,
-        total_vhd,
-        congested,
-        avg_len,
-        avg_delay,
-        minority,
-        equity.coc_vmt,
-        equity.coc_vhd,
-        total_fuel,
-        avg_fuel,
+        nr_vmt, nr_vhd, float(len(exposed)), school_vmt,  # Neighborhood
+        accidents,  # Safety
+        total_vmt, total_vhd, congested, avg_len, avg_delay,  # Mobility
+        minority, equity.coc_vmt, equity.coc_vhd,  # Equity
+        total_fuel, avg_fuel,  # Environment
     )
-    values = tuple(
-        IndicatorValue(theme, name, unit, value)
-        for (theme, name, unit), value in zip(INDICATOR_META, numbers)
-    )
-    return IndicatorReport(values)
+    return IndicatorReport(tuple(IndicatorValue(*meta, value)
+                                 for meta, value in zip(INDICATOR_META, numbers)))

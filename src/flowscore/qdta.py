@@ -130,6 +130,31 @@ class TripRecord:
         return self.time_h - self.free_flow_h
 
 
+@dataclass(eq=False)
+class TripTable:
+    """A day of trips as columns, one row per trip, in trip-id order from
+    `run_day` and in file order from `cli.read_trips_csv`.
+
+    Trip i drove the link ids links[offsets[i]:offsets[i + 1]], in order.
+    """
+
+    trip_id: np.ndarray
+    status: np.ndarray  # completed | forced | failed
+    start_s: np.ndarray
+    end_s: np.ndarray
+    distance_miles: np.ndarray
+    time_h: np.ndarray
+    free_flow_h: np.ndarray
+    fuel_l: np.ndarray
+    offsets: np.ndarray
+    links: np.ndarray
+
+    def link_lists(self):
+        """Each trip's link ids as a list, in row order."""
+        links, bounds = self.links.tolist(), self.offsets.tolist()
+        return (links[a:b] for a, b in zip(bounds, bounds[1:]))
+
+
 class _Trips:
     """One objective's day of trips as columns, in trip-id order.
 
@@ -149,6 +174,7 @@ class _Trips:
             if r.destination not in network.node_index:
                 raise ValueError(f"trip {r.trip_id}: unknown destination {r.destination}")
         n = len(self.requests)
+        self.depart_s = np.array([r.depart_s for r in self.requests], dtype=float)
         self.node = np.array([network.node_index[r.origin] for r in self.requests], dtype=np.int64)
         self.dest = np.array([network.node_index[r.destination] for r in self.requests],
                              dtype=np.int64)
@@ -157,20 +183,16 @@ class _Trips:
         self.status = np.full(n, None, dtype=object)
         self.legs: list[tuple[np.ndarray, np.ndarray]] = []
 
-    def records(self, network: Network) -> list[TripRecord]:
+    def table(self, network: Network) -> TripTable:
+        """The walked trips, each trip's legs gathered in walk order."""
         pos = np.concatenate([p for p, _ in self.legs] or [np.empty(0, np.int32)])
         links = np.concatenate([l for _, l in self.legs] or [np.empty(0, np.int32)])
-        # an object array, so every record shares one int per link id
-        ids = np.array(network.link_ids.tolist(), dtype=object)
-        link_ids = ids[links[np.argsort(pos, kind="stable")]].tolist()
-        ends = np.cumsum(np.bincount(pos, minlength=len(self.requests))).tolist()
-        return [
-            TripRecord(r.trip_id, status, tuple(link_ids[start:end]), r.depart_s,
-                       r.depart_s + time_h * 3600.0, distance, time_h, free_flow, fuel)
-            for r, status, start, end, time_h, distance, free_flow, fuel in zip(
-                self.requests, self.status.tolist(), [0] + ends[:-1], ends, self.time_h.tolist(),
-                self.distance_miles.tolist(), self.free_flow_h.tolist(), self.fuel_l.tolist())
-        ]
+        offsets = np.concatenate(([0], np.cumsum(np.bincount(pos, minlength=len(self.requests)))))
+        return TripTable(
+            np.array([r.trip_id for r in self.requests], dtype=np.int64), self.status,
+            self.depart_s, self.depart_s + self.time_h * 3600.0, self.distance_miles, self.time_h,
+            self.free_flow_h, self.fuel_l, offsets,
+            network.link_ids[links[np.argsort(pos, kind="stable")]])
 
 
 class RoutingGraph:
@@ -323,10 +345,6 @@ class _DemandBatch:
         self.od_dest = np.array([network.node_index[od[1]] for od, _ in items], dtype=np.int64)
         self.od_rate = np.array([q for _, q in items], dtype=float)
 
-    @property
-    def empty(self) -> bool:
-        return not self.items
-
 
 def _backward_steps(graph: RoutingGraph, pred, chosen, row, dest, origin):
     """Trace least-cost paths from their destinations back to their origins.
@@ -371,7 +389,7 @@ def all_or_nothing(network: Network, od_demand, link_costs):
     """
     graph = _routing(network)
     batch = _DemandBatch(network, od_demand)
-    if batch.empty:
+    if not batch.items:
         return np.zeros(network.n_links, dtype=float), []
     link_costs = np.asarray(link_costs, dtype=float)
     return _load_all_or_nothing(graph, batch, link_costs)
@@ -429,7 +447,7 @@ def assign_interval(
             unreachable=[(o, d, r * config.interval_h) for o, d, r in unreachable],
         )
 
-    if batch.empty:
+    if not batch.items:
         zeros = np.zeros(network.n_links, dtype=float)
         return finish(zeros, _cost_vector(network, objective, zeros, config), True, 0.0,
                       [(0.0, 0.0)], [])
@@ -574,7 +592,7 @@ class AssignmentResult:
     objective: Objective
     interval_s: float
     flow_states: list[FlowState]
-    records: list[TripRecord]
+    trips: TripTable
     forced_entered: np.ndarray
     network: Network
 
@@ -582,11 +600,18 @@ class AssignmentResult:
     def interval_h(self) -> float:
         return self.interval_s / 3600.0
 
+    @property
+    def records(self) -> list[TripRecord]:
+        """One TripRecord per row of `trips`, built anew on each access."""
+        t = self.trips
+        return list(map(TripRecord, t.trip_id.tolist(), t.status.tolist(),
+                        map(tuple, t.link_lists()),
+                        *(c.tolist() for c in (t.start_s, t.end_s, t.distance_miles, t.time_h,
+                                               t.free_flow_h, t.fuel_l))))
+
     def counts(self) -> dict[str, int]:
-        out = {"completed": 0, "forced": 0, "failed": 0}
-        for rec in self.records:
-            out[rec.status] += 1
-        return out
+        return {s: int(np.count_nonzero(self.trips.status == s))
+                for s in ("completed", "forced", "failed")}
 
     def total_system_time_h(self) -> float:
         """Vehicle-hours implied by the converged interval flows."""
@@ -606,7 +631,7 @@ class AssignmentResult:
 
     def conservation(self) -> tuple[float, float, float]:
         """(trip miles, tallied link miles, relative error)."""
-        trip_miles = sum(rec.distance_miles for rec in self.records)
+        trip_miles = sum(self.trips.distance_miles.tolist())
         entry_total = self.forced_entered.astype(float).copy()
         for fs in self.flow_states:
             if fs.entered is not None:
@@ -625,7 +650,7 @@ def run_day(
     """Assign and advance a whole day of trips for one objective."""
     config = config or SolverConfig()
     day = _Trips(network, trips)
-    bucket = np.array([r.depart_s for r in day.requests]) // config.interval_s
+    bucket = day.depart_s // config.interval_s
     node_ids = [node.id for node in network.nodes]
     n_nodes = network.n_nodes
 
@@ -653,7 +678,7 @@ def run_day(
         objective=objective,
         interval_s=config.interval_s,
         flow_states=flow_states,
-        records=day.records(network),
+        trips=day.table(network),
         forced_entered=forced_entered,
         network=network,
     )

@@ -18,7 +18,9 @@ from flowscore.cli import (
     load_scenario,
     main,
     read_flows_csv,
+    read_trips_csv,
 )
+from flowscore import qdta
 from flowscore.indicators import INDICATOR_NAMES, School, daily_stats
 from flowscore.geo import Tract
 from flowscore.network import Network, Node, load_network
@@ -368,6 +370,36 @@ def test_benchmark_tracer_counts_every_walked_trip_once(tmp_path, long_town_run)
             metrics["qdta.forced_trips"]) == (3720, 1920, 120)
 
 
+def test_pipeline_builds_no_trip_records(tmp_path, monkeypatch):
+    def no_record(*args):
+        raise RuntimeError("a TripRecord was built")
+
+    monkeypatch.setattr(qdta, "TripRecord", no_record)
+    with pytest.raises(RuntimeError):
+        run_day(town_network(), uniform_trips(1, 4, 1, start_s=0.0), Objective.UET).records
+    cfg = long_town_scenario(tmp_path)
+    assert main(["run", "--config", cfg]) == 0
+    steps = str(tmp_path / "steps")
+    assert main(["assign", "--config", cfg, "--objective", "sof", "--out", steps]) == 0
+    assert main(["indicators", "--config", cfg, "--objective", "sof", "--out", steps]) == 0
+
+
+def test_long_town_flow_vmt_exceeds_trip_vmt(long_town_run):
+    # Each interval loads a spilled trip's whole remaining path, but the
+    # trip drives only part of it before the interval ends, so flow-based
+    # VMT (the VMT indicators) exceeds trip-based VMT (the trip averages).
+    cfg, out = long_town_run
+    scenario = load_scenario(cfg)
+    network = load_network(str(scenario.nodes), str(scenario.links))
+    result = run_day(network, load_trips(str(scenario.trips)), Objective.UET, scenario.solver)
+    trip_miles, link_miles, rel = result.conservation()
+    assert trip_miles == sum(read_trips_csv(out / "trips_uet.csv").distance_miles.tolist())
+    assert rel <= 1e-14
+    assert trip_miles == pytest.approx(15473.312629199863, rel=1e-12)
+    flow_miles = float(daily_stats(result).vmt.sum())
+    assert flow_miles - trip_miles == pytest.approx(8532.854638061006, rel=1e-9)
+
+
 def test_indicators_command_requires_assignment(tmp_path, capsys):
     cfg = town_scenario(tmp_path)
     rc = main(["indicators", "--config", cfg, "--objective", "uet"])
@@ -416,12 +448,21 @@ def town_assigned(tmp_path_factory):
 
 
 def _edit_row(path, row_no, column, value):
-    """Set one field of a CSV file; row_no counts the header as row 1."""
+    """Set one field of a CSV file; row_no counts the header as row 1.
+
+    A value of None deletes the row, or the whole column when row_no is
+    None. A row_no one past the last row first appends a copy of the last
+    row."""
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
-    if value is None:
+    if row_no is None:
+        at = rows[0].index(column)
+        rows = [row[:at] + row[at + 1:] for row in rows]
+    elif value is None:
         del rows[row_no - 1]
     else:
+        if row_no == len(rows) + 1:
+            rows.append(list(rows[-1]))
         rows[row_no - 1][rows[0].index(column)] = value
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerows(rows)
@@ -431,12 +472,17 @@ def _edit_row(path, row_no, column, value):
     ("link_types.csv", 4, None, None, "link_types.csv has no street type for link 3"),
     ("link_types.csv", 2, "street_type", "Boulevard",
      "unknown street_type 'Boulevard' in {path}, row 2"),
+    ("link_types.csv", 6, "link_id", "999", "{path} names link 999, which the network lacks"),
     ("trips_uet.csv", 3, "distance_miles", "abc", "non-numeric trip field in {path}, row 3"),
     ("trips_uet.csv", 4, "fuel_l", "nan", "non-numeric trip field in {path}, row 4"),
     ("trips_uet.csv", 5, "status", "parked", "unknown trip status 'parked' in {path}, row 5"),
+    ("trips_uet.csv", 602, "trip_id", "600", "duplicate trip_id 600 in {path}, row 602"),
     ("flows_uet.csv", 3, "time_h", "abc", "non-numeric flow field in {path}, row 3"),
-], ids=["missing_link_type", "unknown_street_type", "non_numeric_trip", "nan_trip",
-        "unknown_status", "non_numeric_flow"])
+    ("flows_uet.csv", 3, "link_id", "1", "duplicate interval 28, link_id 1 in {path}, row 3"),
+    ("flows_uet.csv", None, "time_h", None, "missing column 'time_h' in flows file {path}"),
+], ids=["missing_link_type", "unknown_street_type", "unknown_link_type", "non_numeric_trip",
+        "nan_trip", "unknown_status", "repeated_trip", "non_numeric_flow",
+        "repeated_flow", "missing_flow_column"])
 def test_indicators_command_names_bad_assignment_outputs(tmp_path, capsys, town_assigned, name,
                                                          row_no, column, value, message):
     shutil.copytree(town_assigned, tmp_path, dirs_exist_ok=True)

@@ -25,10 +25,9 @@ from flowscore.indicators import (
     minority_exposure_share,
     school_exposure,
     street_type_mask,
-    trip_stats,
 )
 from flowscore.network import Network, Node
-from flowscore.qdta import AssignmentResult, FlowState, Objective, TripRecord
+from flowscore.qdta import AssignmentResult, FlowState, Objective, TripTable
 from flowscore.typology import StreetType
 
 from fixtures import M, square, straight_link, write_schools_csv
@@ -165,37 +164,14 @@ def test_congested_miles_window_and_threshold():
     assert congested_miles(stats, (45000.0, 45900.0)) == pytest.approx(0.7)
 
 
-def record(trip_id, status, distance, time_h, free_flow_h, fuel, start=25200.0):
-    end = start + time_h * 3600.0 if status != "failed" else start
-    return TripRecord(trip_id, status, (1,), start, end, distance, time_h,
-                      free_flow_h, fuel)
-
-
-def test_trip_stats_means_and_totals():
-    recs = [
-        record(1, "completed", 4.0, 0.20, 0.15, 0.30),
-        record(2, "completed", 6.0, 0.30, 0.30, 0.42),
-        record(3, "forced", 9.0, 1.00, 0.50, 0.80),
-        record(4, "failed", 0.0, 0.0, 0.0, 0.0),
-    ]
-    ts = trip_stats(recs)
-    assert (ts.n_completed, ts.n_forced, ts.n_failed) == (2, 1, 1)
-    assert ts.avg_distance_miles == pytest.approx(5.0)
-    # delays: 0.05 h and 0 h over two completed trips
-    assert ts.avg_delay_min == pytest.approx(1.5)
-    assert ts.avg_fuel_l == pytest.approx(0.36)
-    assert ts.total_fuel_l == pytest.approx(0.30 + 0.42 + 0.80)
-
-
-def test_trip_stats_free_flow_trip_has_zero_delay():
-    ts = trip_stats([record(1, "completed", 2.0, 0.08, 0.08, 0.1)])
-    assert ts.avg_delay_min == 0.0
-
-
-def test_trip_stats_requires_a_completed_trip():
-    recs = [record(1, "forced", 3.0, 0.5, 0.2, 0.4), record(2, "failed", 0, 0, 0, 0)]
-    with pytest.raises(ValueError, match="no completed trips"):
-        trip_stats(recs)
+def trip_table(*rows):
+    """A TripTable of (trip_id, status, distance, time_h, free_flow_h, fuel)
+    rows, each trip on link 1 from 07:00."""
+    ids, status, distance, time_h, free_flow_h, fuel = (np.array(c) for c in zip(*rows))
+    n = len(rows)
+    return TripTable(ids, status.astype(object), np.full(n, 25200.0), 25200.0 + time_h * 3600.0,
+                     distance, time_h, free_flow_h, fuel, np.arange(n + 1),
+                     np.ones(n, dtype=np.int64))
 
 
 def exposure_fixture(adts):
@@ -380,31 +356,31 @@ def report_fixture():
                   True, 0.0, 1, [(0.0, 0.0)])
         for k in range(40)
     ]
-    recs = [
-        record(1, "completed", 1.0, 1.0 / 30.0, 1.0 / 30.0, link_fuel(1.0, 30.0)),
-        record(2, "completed", 3.0, 0.15, 0.10, 0.25),
-        record(3, "forced", 5.0, 0.9, 0.4, 0.60),
-        record(4, "failed", 0.0, 0.0, 0.0, 0.0),
-    ]
-    assignment = AssignmentResult(Objective.UET, 900.0, states, recs,
+    trips = trip_table(
+        (1, "completed", 1.0, 1.0 / 30.0, 1.0 / 30.0, link_fuel(1.0, 30.0)),
+        (2, "completed", 3.0, 0.15, 0.10, 0.25),
+        (3, "forced", 5.0, 0.9, 0.4, 0.60),
+        (4, "failed", 0.0, 0.0, 0.0, 0.0),
+    )
+    assignment = AssignmentResult(Objective.UET, 900.0, states, trips,
                                   np.zeros(4, dtype=np.int64), net)
     return assignment, types, schools, tracts
 
 
-def report_of(assignment, types, schools, tracts, records=None):
+def report_of(assignment, types, schools, tracts, trips=None):
     """build_report on the fixture's day, as the command line scores it."""
     stats = daily_stats(assignment)
     exposures = school_exposure(stats, schools)
-    if records is None:
-        records = assignment.records
-    return build_report(stats, exposures, records, types, schools, tracts, [1, 2, 2, 2])
+    if trips is None:
+        trips = assignment.trips
+    return build_report(stats, exposures, trips, types, schools, tracts, [1, 2, 2, 2])
 
 
 def test_build_report_rows_match_single_ops():
     assignment, types, schools, tracts = report_fixture()
     tract_of = [1, 2, 2, 2]
     stats = daily_stats(assignment)
-    report = build_report(stats, school_exposure(stats, schools), assignment.records,
+    report = build_report(stats, school_exposure(stats, schools), assignment.trips,
                           types, schools, tracts, tract_of)
     net = assignment.network
 
@@ -438,11 +414,12 @@ def test_build_report_rows_match_single_ops():
     assert report.by_name("Congested network miles in morning") == pytest.approx(
         congested_miles(stats))
 
-    ts = trip_stats(assignment.records)
-    assert report.by_name("Average trip length") == pytest.approx(ts.avg_distance_miles)
-    assert report.by_name("Average trip delay") == pytest.approx(ts.avg_delay_min)
-    assert report.by_name("Total fuel consumption") == pytest.approx(ts.total_fuel_l)
-    assert report.by_name("Average trip fuel consumption") == pytest.approx(ts.avg_fuel_l)
+    # averages over the two completed trips; total fuel counts every trip
+    assert report.by_name("Average trip length") == pytest.approx(2.0)
+    assert report.by_name("Average trip delay") == pytest.approx(0.05 * 60.0 / 2)
+    fuel = link_fuel(1.0, 30.0)
+    assert report.by_name("Total fuel consumption") == pytest.approx(fuel + 0.25 + 0.60)
+    assert report.by_name("Average trip fuel consumption") == pytest.approx((fuel + 0.25) / 2)
 
     # exposed schools are ids 1 (80% minority) and 2 (10%)
     assert report.by_name(
@@ -461,11 +438,33 @@ def test_build_report_is_deterministic():
         assignment, types, schools, tracts)
 
 
+def test_build_report_trip_means_and_totals():
+    assignment, types, schools, tracts = report_fixture()
+    trips = trip_table(
+        (1, "completed", 4.0, 0.20, 0.15, 0.30),
+        (2, "completed", 6.0, 0.30, 0.30, 0.42),
+        (3, "forced", 9.0, 1.00, 0.50, 0.80),
+        (4, "failed", 0.0, 0.0, 0.0, 0.0),
+    )
+    report = report_of(assignment, types, schools, tracts, trips)
+    assert report.by_name("Average trip length") == pytest.approx(5.0)
+    # delays: 0.05 h and 0 h over two completed trips
+    assert report.by_name("Average trip delay") == pytest.approx(1.5)
+    assert report.by_name("Average trip fuel consumption") == pytest.approx(0.36)
+    assert report.by_name("Total fuel consumption") == pytest.approx(0.30 + 0.42 + 0.80)
+
+
+def test_build_report_free_flow_trip_has_zero_delay():
+    assignment, types, schools, tracts = report_fixture()
+    trips = trip_table((1, "completed", 2.0, 0.08, 0.08, 0.1))
+    assert report_of(assignment, types, schools, tracts, trips).by_name(
+        "Average trip delay") == 0.0
+
+
 def test_build_report_without_completed_trips():
     assignment, types, schools, tracts = report_fixture()
-    recs = [record(1, "forced", 5.0, 0.9, 0.4, 2.5),
-            record(2, "failed", 0.0, 0.0, 0.0, 0.0)]
-    report = report_of(assignment, types, schools, tracts, recs)
+    trips = trip_table((1, "forced", 5.0, 0.9, 0.4, 2.5), (2, "failed", 0.0, 0.0, 0.0, 0.0))
+    report = report_of(assignment, types, schools, tracts, trips)
     assert report.by_name("Average trip length") is None
     assert report.by_name("Average trip delay") is None
     assert report.by_name("Average trip fuel consumption") is None
@@ -474,8 +473,8 @@ def test_build_report_without_completed_trips():
 
 def test_build_report_clamps_negative_average_delay():
     assignment, types, schools, tracts = report_fixture()
-    recs = [record(1, "completed", 1.0, 0.0332, 1.0 / 30.0, 0.07)]
-    report = report_of(assignment, types, schools, tracts, recs)
+    trips = trip_table((1, "completed", 1.0, 0.0332, 1.0 / 30.0, 0.07))
+    report = report_of(assignment, types, schools, tracts, trips)
     assert report.by_name("Average trip delay") == 0.0
 
 

@@ -339,13 +339,13 @@ def test_advance_trips_budget_walk():
 
     arrived, residual, entered = qdta.advance_trips(net, state, trips, residual, 900.0)
     assert residual.size == 0 and arrived.tolist() == [0]
-    [rec] = trips.records(net)
-    assert rec.status == "completed"
-    assert rec.links == (1, 2, 3)
-    assert rec.time_h == pytest.approx(40.0 / 60.0)
-    assert rec.end_s == pytest.approx(2400.0)
-    assert rec.distance_miles == pytest.approx(20.0)
-    assert rec.delay_h == pytest.approx(0.0, abs=1e-12)
+    table = trips.table(net)
+    assert table.status.tolist() == ["completed"]
+    assert list(table.link_lists()) == [[1, 2, 3]]
+    assert table.time_h[0] == pytest.approx(40.0 / 60.0)
+    assert table.end_s[0] == pytest.approx(2400.0)
+    assert table.distance_miles[0] == pytest.approx(20.0)
+    assert table.time_h[0] - table.free_flow_h[0] == pytest.approx(0.0, abs=1e-12)
     assert entered.tolist() == [0, 0, 1]
 
 
@@ -356,9 +356,9 @@ def test_advance_trips_completes_inside_budget():
     trips = qdta._Trips(net, [TripRequest(2, 3, 4, 0.0)])
     arrived, residual, entered = qdta.advance_trips(net, state, trips, np.arange(1), 900.0)
     assert residual.size == 0
-    records = trips.records(net)
-    assert records[0].status == "completed"
-    assert records[0].links == (3,)
+    table = trips.table(net)
+    assert table.status.tolist() == ["completed"]
+    assert list(table.link_lists()) == [[3]]
     assert entered.tolist() == [0, 0, 1]
 
 
@@ -368,10 +368,10 @@ def test_advance_trips_unreachable_fails():
     trips = qdta._Trips(net, [TripRequest(3, 4, 1, 0.0)])
     arrived, residual, entered = qdta.advance_trips(net, state, trips, np.arange(1), 900.0)
     assert residual.size == 0 and not entered.any()
-    records = trips.records(net)
-    assert records[0].status == "failed"
-    assert records[0].links == ()
-    assert records[0].end_s == records[0].start_s
+    table = trips.table(net)
+    assert table.status.tolist() == ["failed"]
+    assert list(table.link_lists()) == [[]]
+    assert table.end_s[0] == table.start_s[0]
 
 
 def test_advance_trips_fuel_uses_congested_speeds():
@@ -384,7 +384,7 @@ def test_advance_trips_fuel_uses_congested_speeds():
         if arrived.size:
             break
     want = 20.0 * fuel_per_mile(30.0)
-    assert trips.records(net)[0].fuel_l == pytest.approx(want, rel=1e-12)
+    assert trips.table(net).fuel_l[0] == pytest.approx(want, rel=1e-12)
 
 
 # whole-day runs

@@ -168,7 +168,8 @@ def walk_both(net, trips, active, *walk):
     for g, w in zip(got, want):
         assert (g.status, g.node, g.time_h, g.distance_miles, g.free_flow_h, g.fuel_l) == (
             w.status, w.node, w.time_h, w.distance_miles, w.free_flow_h, w.fuel_l)
-    assert [r.links for r in trips.records(net)] == [w.record(net).links for w in want]
+    assert [tuple(links) for links in trips.table(net).link_lists()] == [
+        w.record(net).links for w in want]
     assert all(c.dtype == np.float64 for c in (trips.time_h, trips.distance_miles,
                                                trips.free_flow_h, trips.fuel_l))
     assert entered.dtype == want_entered.dtype and np.array_equal(entered, want_entered)
