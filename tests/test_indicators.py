@@ -471,6 +471,20 @@ def test_build_report_without_completed_trips():
     assert report.by_name("Total fuel consumption") == pytest.approx(2.5)
 
 
+def test_trip_stats_requires_a_completed_trip():
+    assignment, types, schools, tracts = report_fixture()
+    forced = (1, "forced", 3.0, 0.5, 0.2, 0.4)
+    report = report_of(assignment, types, schools, tracts, trip_table(forced))
+    assert report.by_name("Average trip length") is None
+    # one completed trip alone sets the averages; the forced trip adds only fuel
+    trips = trip_table(forced, (2, "completed", 2.0, 0.1, 0.05, 0.3))
+    report = report_of(assignment, types, schools, tracts, trips)
+    assert report.by_name("Average trip length") == pytest.approx(2.0)
+    assert report.by_name("Average trip delay") == pytest.approx(3.0)
+    assert report.by_name("Average trip fuel consumption") == pytest.approx(0.3)
+    assert report.by_name("Total fuel consumption") == pytest.approx(0.7)
+
+
 def test_build_report_clamps_negative_average_delay():
     assignment, types, schools, tracts = report_fixture()
     trips = trip_table((1, "completed", 1.0, 0.0332, 1.0 / 30.0, 0.07))
