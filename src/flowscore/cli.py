@@ -7,6 +7,7 @@ re-running a scenario reproduces byte-identical files.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import itertools
@@ -14,6 +15,7 @@ import json
 import logging
 import math
 import sys
+from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -57,6 +59,7 @@ DEFAULT_CONFIG = {
 FLOW_COLUMNS = ("interval", "link_id", "flow_vph", "time_h", "speed_mph")
 TRIP_COLUMNS = ("trip_id", "status", "start_s", "end_s", "distance_miles", "time_h", "free_flow_h",
                 "delay_h", "fuel_l", "links")
+_TRIP_SIZES = ("distance_miles", "time_h", "free_flow_h", "fuel_l")  # none may be negative
 
 
 class ConfigError(ValueError):
@@ -230,6 +233,9 @@ def read_flows_csv(path, network, config: SolverConfig) -> indicators.LinkDailyS
                 flow, time_h = float(row["flow_vph"]), float(row["time_h"])
             except (TypeError, ValueError):
                 raise ValueError(f"non-numeric flow field in {path}, row {row_no}") from None
+            for column, value in (("flow_vph", flow), ("time_h", time_h)):
+                if not 0 <= value < math.inf:
+                    raise ValueError(f"non-finite or negative {column} in {path}, row {row_no}")
             if not 0 <= k < n:
                 raise ValueError(f"interval {k} outside the day's {n} intervals in {path}, row {row_no}")
             if link_id not in network.link_index:
@@ -255,12 +261,14 @@ def read_trips_csv(path) -> TripTable:
             try:
                 trip_id = int(row["trip_id"])
                 links += (int(x) for x in row["links"].split("|")) if row["links"] else ()
-                values.append([float(row[c]) for c in ("start_s", "end_s", "distance_miles",
-                                                       "time_h", "free_flow_h", "fuel_l")])
+                values.append([float(row[c]) for c in ("start_s", "end_s", *_TRIP_SIZES)])
                 if not all(map(math.isfinite, values[-1])):
                     raise ValueError
             except (TypeError, ValueError):
                 raise ValueError(f"non-numeric trip field in {path}, row {row_no}") from None
+            for column, value in zip(_TRIP_SIZES, values[-1][2:]):
+                if value < 0:
+                    raise ValueError(f"negative {column} in {path}, row {row_no}")
             if trip_id in status_of:
                 raise ValueError(f"duplicate trip_id {trip_id} in {path}, row {row_no}")
             status_of[trip_id] = row["status"]
@@ -291,12 +299,15 @@ def _run_one(args) -> AssignmentResult:
     return run_day(network, trips, objective, config)
 
 
-def _assign_all(network, trips, scenario: Scenario) -> list[AssignmentResult]:
+def _assign_all(network, trips, scenario: Scenario) -> Iterator[AssignmentResult]:
+    """Each objective's day, in objective order. With one worker, the next
+    day is assigned only when the caller asks for it."""
     tasks = [(network, trips, obj, scenario.solver) for obj in scenario.objectives]
     if scenario.workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=min(scenario.workers, len(tasks))) as pool:
-            return list(pool.map(_run_one, tasks))
-    return [_run_one(t) for t in tasks]
+            yield from pool.map(_run_one, tasks)
+    else:
+        yield from map(_run_one, tasks)
 
 
 def _classify_streets(scenario: Scenario, network):
@@ -359,14 +370,18 @@ def run_scenario(scenario: Scenario) -> int:
     link_index = geo.build_link_index(network)
     tract_of_link = indicators.link_tract_ids(network, tracts)
 
-    results = _assign_all(network, trips, scenario)
     reports = []
     any_unconverged = False
-    for result in results:
-        any_unconverged |= _write_assignment(out, result)
-        reports.append(_score(scenario, result.objective.value, indicators.daily_stats(result),
-                              result.trips, street_types, schools, tracts, link_index,
-                              tract_of_link))
+    # each day is written and scored as it arrives, then dropped before
+    # the next is assigned; only its report is kept. closing() shuts the
+    # worker pool down when writing or scoring a day fails.
+    with contextlib.closing(_assign_all(network, trips, scenario)) as days:
+        for result in days:
+            any_unconverged |= _write_assignment(out, result)
+            reports.append(_score(scenario, result.objective.value,
+                                  indicators.daily_stats(result), result.trips, street_types,
+                                  schools, tracts, link_index, tract_of_link))
+            del result
 
     table = ComparisonTable(
         objectives=tuple(o.value for o in scenario.objectives),

@@ -95,33 +95,34 @@ class SpatialIndex:
 
     def __init__(self, items):
         self._bboxes: dict = dict(items)
-        self._cell = self._pick_cell_size()
+        self._cell = 1.0
+        self._occupied = (0, 0, -1, -1)  # the cell range holding items; empty here
+        if self._bboxes:
+            boxes = self._bboxes.values()
+            x0 = min(b[0] for b in boxes)
+            y0 = min(b[1] for b in boxes)
+            x1 = max(b[2] for b in boxes)
+            y1 = max(b[3] for b in boxes)
+            extent = max(x1 - x0, y1 - y0)
+            if extent > 0:
+                self._cell = extent / max(1.0, math.sqrt(len(self._bboxes)))
+            self._occupied = self._cell_range((x0, y0, x1, y1))
         self._grid: dict[tuple[int, int], list] = {}
         for key, bbox in self._bboxes.items():
             for cell in self._cells_for(bbox):
                 self._grid.setdefault(cell, []).append(key)
 
-    def _pick_cell_size(self) -> float:
-        if not self._bboxes:
-            return 1.0
-        boxes = self._bboxes.values()
-        x0 = min(b[0] for b in boxes)
-        y0 = min(b[1] for b in boxes)
-        x1 = max(b[2] for b in boxes)
-        y1 = max(b[3] for b in boxes)
-        extent = max(x1 - x0, y1 - y0)
-        if extent <= 0:
-            return 1.0
-        return extent / max(1.0, math.sqrt(len(self._bboxes)))
+    def _cell_range(self, bbox: BBox) -> tuple[int, int, int, int]:
+        c = self._cell
+        return (math.floor(bbox[0] / c), math.floor(bbox[1] / c),
+                math.floor(bbox[2] / c), math.floor(bbox[3] / c))
 
     def _cells_for(self, bbox: BBox):
-        c = self._cell
-        ix0 = math.floor(bbox[0] / c)
-        iy0 = math.floor(bbox[1] / c)
-        ix1 = math.floor(bbox[2] / c)
-        iy1 = math.floor(bbox[3] / c)
-        for ix in range(ix0, ix1 + 1):
-            for iy in range(iy0, iy1 + 1):
+        """The cells bbox covers, left out those beyond every item."""
+        ix0, iy0, ix1, iy1 = self._cell_range(bbox)
+        ox0, oy0, ox1, oy1 = self._occupied
+        for ix in range(max(ix0, ox0), min(ix1, ox1) + 1):
+            for iy in range(max(iy0, oy0), min(iy1, oy1) + 1):
                 yield (ix, iy)
 
     def query(self, bbox: BBox) -> list:

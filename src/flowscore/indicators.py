@@ -66,18 +66,27 @@ def load_schools(path: str) -> list[School]:
 
 
 class LinkDailyStats:
-    """Per-link daily aggregates plus the interval flow matrix."""
+    """Per-link daily aggregates plus the interval flow matrix.
 
-    def __init__(self, network, flows_vph: np.ndarray, times_h: np.ndarray, interval_s: float):
+    times_h holds each interval's link times, as a matrix or as any
+    iterable of rows; it is read once and not kept. The daily sums add
+    the intervals one row at a time, in order, onto zero, as
+    `.sum(axis=0)` of the stacked rows does on two or more links, so no
+    (interval x link) temporary is made.
+    """
+
+    def __init__(self, network, flows_vph: np.ndarray, times_h, interval_s: float):
         self.network = network
         self.flows_vph = flows_vph  # (n_intervals, n_links)
-        self.times_h = times_h
         self.interval_s = interval_s
         self.interval_h = interval_s / 3600.0
-        veh = flows_vph * self.interval_h
-        self.adt = veh.sum(axis=0)
+        self.adt = np.zeros(network.n_links)
+        self.vhd = np.zeros(network.n_links)
+        for flow, time_h in zip(flows_vph, times_h, strict=True):
+            veh = flow * self.interval_h
+            self.adt += veh
+            self.vhd += veh * (time_h - network.free_flow_h)
         self.vmt = self.adt * network.length_miles
-        self.vhd = (veh * (times_h - network.free_flow_h)).sum(axis=0)
         self._window_vmt: dict[tuple, np.ndarray] = {}
 
     @property
@@ -102,9 +111,9 @@ class LinkDailyStats:
 
 
 def daily_stats(assignment) -> LinkDailyStats:
-    flows = np.stack([fs.flow_vph for fs in assignment.flow_states])
-    times = np.stack([fs.time_h for fs in assignment.flow_states])
-    return LinkDailyStats(assignment.network, flows, times, assignment.interval_s)
+    states = assignment.flow_states
+    return LinkDailyStats(assignment.network, np.stack([fs.flow_vph for fs in states]),
+                          (fs.time_h for fs in states), assignment.interval_s)
 
 
 def filtered_vmt_vhd(stats: LinkDailyStats, link_mask) -> tuple[float, float]:

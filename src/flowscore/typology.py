@@ -181,7 +181,10 @@ def read_link_types(path: str) -> dict[int, StreetType]:
                 raise ValueError(
                     f"unknown street_type {row['street_type']!r} in {path}, row {row_no}")
             try:
-                out[int(row["link_id"])] = by_value[row["street_type"]]
+                link_id = int(row["link_id"])
             except (TypeError, ValueError):
                 raise ValueError(f"non-numeric link_id in {path}, row {row_no}") from None
+            if link_id in out:
+                raise ValueError(f"duplicate link_id {link_id} in {path}, row {row_no}")
+            out[link_id] = by_value[row["street_type"]]
     return out

@@ -1,10 +1,12 @@
 import csv
+import gc
 import importlib.util
 import json
 import os
 import shutil
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +22,7 @@ from flowscore.cli import (
     read_flows_csv,
     read_trips_csv,
 )
-from flowscore import qdta
+from flowscore import cli, qdta
 from flowscore.indicators import INDICATOR_NAMES, School, daily_stats
 from flowscore.geo import Tract
 from flowscore.network import Network, Node, load_network
@@ -299,7 +301,39 @@ def test_read_flows_csv_equals_daily_stats_of_the_day(tmp_path, town_run):
     got = read_flows_csv(out / "flows_sof.csv", network, scenario.solver)
     assert got.interval_s == want.interval_s
     assert np.array_equal(got.flows_vph, want.flows_vph)
-    assert np.array_equal(got.times_h, want.times_h)
+    for name in ("adt", "vmt", "vhd"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
+def test_run_releases_each_day_before_the_next(tmp_path, monkeypatch):
+    days, alive = [], []
+
+    def tracked_run_day(*args, **kwargs):
+        gc.collect()
+        alive.append(sum(day() is not None for day in days))
+        result = run_day(*args, **kwargs)
+        days.append(weakref.ref(result))
+        return result
+
+    monkeypatch.setattr(cli, "run_day", tracked_run_day)
+    assert main(["run", "--config", town_scenario(tmp_path)]) == 0
+    # no earlier objective's day is alive when the next one is assigned
+    assert alive == [0, 0, 0]
+
+
+def test_run_keeps_the_days_written_before_an_objective_fails(tmp_path, monkeypatch, capsys):
+    def failing_run_day(network, trips, objective, config):
+        if objective is Objective.SOF:
+            raise ValueError("sof failed")
+        return run_day(network, trips, objective, config)
+
+    monkeypatch.setattr(cli, "run_day", failing_run_day)
+    assert main(["run", "--config", town_scenario(tmp_path)]) == 1
+    assert "sof failed" in capsys.readouterr().err
+    written = {p.name for p in (tmp_path / "out").iterdir()}
+    for tag in ("uet", "sot"):
+        assert {f"flows_{tag}.csv", f"indicators_{tag}.csv"} <= written
+    assert not written & {"flows_sof.csv", "comparison.csv", "chart.svg"}
 
 
 def test_exposure_and_daily_stats_computed_once_per_report(tmp_path, monkeypatch, town_run):
@@ -473,16 +507,27 @@ def _edit_row(path, row_no, column, value):
     ("link_types.csv", 2, "street_type", "Boulevard",
      "unknown street_type 'Boulevard' in {path}, row 2"),
     ("link_types.csv", 6, "link_id", "999", "{path} names link 999, which the network lacks"),
+    ("link_types.csv", 6, "link_id", "2", "duplicate link_id 2 in {path}, row 6"),
     ("trips_uet.csv", 3, "distance_miles", "abc", "non-numeric trip field in {path}, row 3"),
     ("trips_uet.csv", 4, "fuel_l", "nan", "non-numeric trip field in {path}, row 4"),
     ("trips_uet.csv", 5, "status", "parked", "unknown trip status 'parked' in {path}, row 5"),
     ("trips_uet.csv", 602, "trip_id", "600", "duplicate trip_id 600 in {path}, row 602"),
+    ("trips_uet.csv", 6, "distance_miles", "-50.0", "negative distance_miles in {path}, row 6"),
+    ("trips_uet.csv", 7, "time_h", "-0.1", "negative time_h in {path}, row 7"),
+    ("trips_uet.csv", 8, "free_flow_h", "-0.1", "negative free_flow_h in {path}, row 8"),
+    ("trips_uet.csv", 9, "fuel_l", "-1.0", "negative fuel_l in {path}, row 9"),
     ("flows_uet.csv", 3, "time_h", "abc", "non-numeric flow field in {path}, row 3"),
+    ("flows_uet.csv", 2, "flow_vph", "-5.0", "non-finite or negative flow_vph in {path}, row 2"),
+    ("flows_uet.csv", 3, "flow_vph", "nan", "non-finite or negative flow_vph in {path}, row 3"),
+    ("flows_uet.csv", 4, "time_h", "-0.1", "non-finite or negative time_h in {path}, row 4"),
+    ("flows_uet.csv", 5, "time_h", "inf", "non-finite or negative time_h in {path}, row 5"),
     ("flows_uet.csv", 3, "link_id", "1", "duplicate interval 28, link_id 1 in {path}, row 3"),
     ("flows_uet.csv", None, "time_h", None, "missing column 'time_h' in flows file {path}"),
-], ids=["missing_link_type", "unknown_street_type", "unknown_link_type", "non_numeric_trip",
-        "nan_trip", "unknown_status", "repeated_trip", "non_numeric_flow",
-        "repeated_flow", "missing_flow_column"])
+], ids=["missing_link_type", "unknown_street_type", "unknown_link_type", "repeated_link_type",
+        "non_numeric_trip", "nan_trip", "unknown_status", "repeated_trip",
+        "negative_trip_distance", "negative_trip_time", "negative_trip_free_flow",
+        "negative_trip_fuel", "non_numeric_flow", "negative_flow", "nan_flow",
+        "negative_flow_time", "infinite_flow_time", "repeated_flow", "missing_flow_column"])
 def test_indicators_command_names_bad_assignment_outputs(tmp_path, capsys, town_assigned, name,
                                                          row_no, column, value, message):
     shutil.copytree(town_assigned, tmp_path, dirs_exist_ok=True)

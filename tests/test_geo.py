@@ -138,6 +138,29 @@ def test_spatial_index_degenerate_inputs():
     assert idx.query((6.1, 6.1, 7, 7)) == []
 
 
+class _CountingGrid(dict):
+    """A SpatialIndex grid that counts the cells a query looks up."""
+    visits = 0
+
+    def get(self, cell, default=None):
+        self.visits += 1
+        return super().get(cell, default)
+
+
+@pytest.mark.parametrize("items, occupied_cells", [
+    ([], 0),
+    ([(1, (5.0, 5.0, 5.0, 5.0)), (2, (5.0, 5.0, 5.0, 5.0))], 1),
+    ([(1, (0.0, 0.0, 1.0, 1.0)), (2, (9.0, 9.0, 10.0, 10.0))], 4),
+], ids=["empty", "one_point", "two_corners"])
+def test_spatial_index_query_visits_only_occupied_cells(items, occupied_cells):
+    # an index without extent has 1 m cells, so this box covers 40,000 of
+    # them; the two corners' cells are 7.07 m wide
+    index = SpatialIndex(items)
+    index._grid = _CountingGrid(index._grid)
+    assert index.query((-100.0, -100.0, 100.0, 100.0)) == [k for k, _ in items]
+    assert index._grid.visits <= occupied_cells
+
+
 def test_links_within_radius_inclusive_and_sorted():
     net = grid_network(2, 2, spacing_miles=1.0)
     index = build_link_index(net)

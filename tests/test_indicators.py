@@ -101,6 +101,40 @@ def test_adt_is_interval_sum():
     assert np.allclose(stats.vmt, expect_adt * net.length_miles, rtol=1e-12)
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_link_daily_stats_equal_the_stacked_sums(seed):
+    # the stats add one interval at a time; on two or more links that must
+    # give the bytes of the stacked (interval x link) formulas
+    rng = np.random.default_rng(seed)
+    n_links = int(rng.integers(2, 40))
+    net = isolated_links_network([(i + 1, float(rng.uniform(0.05, 3.0)),
+                                   float(rng.uniform(20.0, 70.0)), 900.0, 4, 2)
+                                  for i in range(n_links)])
+    interval_s = float(rng.choice([900.0, 1800.0, 3600.0]))
+    shape = (int(86_400 / interval_s), n_links)
+    flows = rng.uniform(0.0, 3000.0, shape) * (rng.random(shape) < 0.7)
+    flows[rng.random(shape[0]) < 0.3] = 0.0  # intervals without traffic
+    flows[:, 0] = -0.0  # a link without traffic all day: the sums start from +0.0
+    times = net.free_flow_h * (1.0 + rng.exponential(0.5, shape))
+    veh = flows * (interval_s / 3600.0)
+    adt = veh.sum(axis=0)
+    window = (25_200.0, 32_400.0)
+    k = np.arange(shape[0])
+    sel = (k * interval_s < window[1]) & ((k + 1) * interval_s > window[0])
+    want = {
+        "adt": adt,
+        "vmt": adt * net.length_miles,
+        "vhd": (veh * (times - net.free_flow_h)).sum(axis=0),
+        "window_vmt": (flows[sel].sum(axis=0) * (interval_s / 3600.0)) * net.length_miles,
+    }
+    for times_h in (times, iter(list(times))):  # a matrix, or rows as daily_stats gives them
+        stats = LinkDailyStats(net, flows, times_h, interval_s)
+        got = {"adt": stats.adt, "vmt": stats.vmt, "vhd": stats.vhd,
+               "window_vmt": stats.window_vmt(window)}
+        for name in want:
+            assert got[name].tobytes() == want[name].tobytes(), name
+
+
 def test_all_zero_flows_give_zero_stats():
     net = isolated_links_network([(1, 1.0, 30.0, 600.0, 5, 2), (2, 2.0, 30.0, 600.0, 5, 2)])
     stats = make_stats(net, np.zeros((96, 2)))

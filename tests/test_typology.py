@@ -17,7 +17,7 @@ from flowscore.typology import (
     write_link_types,
 )
 
-from fixtures import square, write_parcels_geojson
+from fixtures import grid_network, square, write_parcels_geojson
 
 HALF_MILE_M = 804.672
 
@@ -139,6 +139,11 @@ def test_dominant_land_use_index_agrees_with_scan():
 def test_dominant_land_use_no_candidates():
     link = _street(5, 25.0)
     assert dominant_land_use(link, [], 20.0) is LandUse.OTHER
+
+
+def test_classify_network_without_parcels_gives_others():
+    types = classify_network(grid_network(3, 3), [])
+    assert set(types.values()) == {StreetType.OTHERS}
 
 
 def test_parcel_area_validation():
