@@ -128,7 +128,7 @@ def load_scenario(path) -> Scenario:
             bpr=BprParams(float(cfg["bpr_alpha"]), float(cfg["bpr_beta"])),
             fuel=FuelParams(float(cfg["fuel_a"]), float(cfg["fuel_b"]), float(cfg["fuel_c"])),
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # int(inf) overflows
         raise ConfigError(f"bad solver settings: {exc}") from None
 
     def window(key: str) -> tuple[float, float]:
@@ -176,15 +176,18 @@ def _reprs(values) -> map:
 
 def write_flows_csv(path, result: AssignmentResult) -> None:
     """One row per (interval, link) with nonzero assigned flow."""
+    net = result.network
+
     def rows():
-        for k, fs in enumerate(result.flow_states):
-            i = np.nonzero(fs.flow_vph > 0)[0]
+        for k, rec in enumerate(result.intervals):
+            j = np.nonzero(rec.flow_vph > 0)[0]
+            i = rec.links[j]
             yield from zip(
                 itertools.repeat(k),
-                result.network.link_ids[i].tolist(),
-                _reprs(fs.flow_vph[i]),
-                _reprs(fs.time_h[i]),
-                _reprs(fs.speed_mph[i]),
+                net.link_ids[i].tolist(),
+                _reprs(rec.flow_vph[j]),
+                _reprs(rec.time_h[j]),
+                _reprs(net.length_miles[i] / rec.time_h[j]),
             )
 
     write_csv(path, FLOW_COLUMNS, rows())
@@ -203,8 +206,8 @@ def write_trips_csv(path, result: AssignmentResult) -> None:
 
 def write_convergence_csv(path, result: AssignmentResult) -> None:
     write_csv(path, ["interval", "iterations", "relative_gap", "converged"],
-              ([k, fs.iterations, _fmt_value(fs.gap), int(fs.converged)]
-               for k, fs in enumerate(result.flow_states)))
+              ([k, rec.iterations, _fmt_value(rec.gap), int(rec.converged)]
+               for k, rec in enumerate(result.intervals)))
 
 
 def write_indicators_csv(path, report: indicators.IndicatorReport) -> None:
@@ -327,7 +330,7 @@ def _write_assignment(out: Path, result: AssignmentResult) -> bool:
     write_flows_csv(out / f"flows_{tag}.csv", result)
     write_trips_csv(out / f"trips_{tag}.csv", result)
     write_convergence_csv(out / f"convergence_{tag}.csv", result)
-    unconverged = [k for k, fs in enumerate(result.flow_states) if not fs.converged]
+    unconverged = [k for k, rec in enumerate(result.intervals) if not rec.converged]
     if unconverged:
         logger.warning(
             "%s: %d interval(s) stopped above the gap tolerance: %s",

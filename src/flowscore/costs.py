@@ -22,10 +22,11 @@ class BprParams:
     beta: float = 4.0
 
     def __post_init__(self) -> None:
-        if self.alpha < 0:
-            raise ValueError("alpha must be nonnegative")
-        if self.beta < 1:
-            raise ValueError("beta must be >= 1")
+        # a finite alpha and beta >= 1 keep bpr_time(t0, 0) == t0
+        if not 0 <= self.alpha < math.inf:
+            raise ValueError("alpha must be finite and nonnegative")
+        if not 1 <= self.beta < math.inf:
+            raise ValueError("beta must be finite and >= 1")
 
 
 @dataclass(frozen=True)
@@ -37,6 +38,9 @@ class FuelParams:
     c: float = 0.00001588
 
     def __post_init__(self) -> None:
+        for name in ("a", "b", "c"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"fuel curve coefficient {name} must be finite")
         if self.b <= 0 or self.c <= 0:
             raise ValueError("fuel curve needs b > 0 and c > 0")
         speeds = np.arange(5.0, 90.0 + 1e-9, 0.5)

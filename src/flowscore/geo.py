@@ -225,7 +225,7 @@ def validate_tracts(tracts) -> list[str]:
 # tests/geo_reference.py, so each answer is the scalar one bit for bit.
 # Work goes in chunks of about _CHUNK items to bound memory.
 
-_CHUNK = 1 << 16
+_CHUNK = 1 << 14
 
 
 class _Shapes:

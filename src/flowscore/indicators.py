@@ -111,9 +111,13 @@ class LinkDailyStats:
 
 
 def daily_stats(assignment) -> LinkDailyStats:
-    states = assignment.flow_states
-    return LinkDailyStats(assignment.network, np.stack([fs.flow_vph for fs in states]),
-                          (fs.time_h for fs in states), assignment.interval_s)
+    """The link stats of a `qdta.AssignmentResult`'s interval records."""
+    network, intervals = assignment.network, assignment.intervals
+    flows = np.zeros((len(intervals), network.n_links))
+    for row, rec in zip(flows, intervals):
+        row[rec.links] = rec.flow_vph
+    return LinkDailyStats(network, flows, (rec.time_row(network.free_flow_h) for rec in intervals),
+                          assignment.interval_s)
 
 
 def filtered_vmt_vhd(stats: LinkDailyStats, link_mask) -> tuple[float, float]:

@@ -76,6 +76,10 @@ class SolverConfig:
     fuel: FuelParams = DEFAULT_FUEL
 
     def __post_init__(self) -> None:
+        for name in ("interval_s", "relative_gap", "line_search_tol", "speed_floor_mph",
+                     "speed_cap_mph"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.interval_s <= 0:
             raise ValueError("interval_s must be positive")
         if self.max_iterations < 1:
@@ -111,6 +115,50 @@ class FlowState:
     log: list[tuple[float, float]] = field(default_factory=list)
     unreachable: list[tuple[int, int, float]] = field(default_factory=list)
     entered: np.ndarray | None = None
+
+
+@dataclass(eq=False)
+class IntervalRecord:
+    """One interval of a day as `run_day` keeps it.
+
+    Only the links whose flow is not zero are held: their positions, in
+    ascending order, and their flow and time. A link is kept by the bits
+    of its flow, so a -0.0 flow stays. Every other link has zero flow and,
+    since bpr_time(t0, 0) is t0, its free-flow time. Trips entered link
+    entered_links[j] entered_count[j] times.
+    """
+
+    links: np.ndarray
+    flow_vph: np.ndarray
+    time_h: np.ndarray
+    entered_links: np.ndarray
+    entered_count: np.ndarray
+    converged: bool
+    gap: float
+    iterations: int
+    log: list[tuple[float, float]]
+    unreachable: list[tuple[int, int, float]]
+
+    @classmethod
+    def of(cls, state: FlowState) -> "IntervalRecord":
+        """The record of a state whose `entered` is set."""
+        links = np.flatnonzero(state.flow_vph.view(np.int64)).astype(np.int32)
+        entered = np.flatnonzero(state.entered).astype(np.int32)
+        return cls(links, state.flow_vph[links], state.time_h[links], entered,
+                   state.entered[entered], state.converged, state.gap, state.iterations,
+                   state.log, state.unreachable)
+
+    def flow_row(self, n_links: int) -> np.ndarray:
+        """The flow of every link."""
+        row = np.zeros(n_links)
+        row[self.links] = self.flow_vph
+        return row
+
+    def time_row(self, free_flow_h: np.ndarray) -> np.ndarray:
+        """The time of every link."""
+        row = free_flow_h.copy()
+        row[self.links] = self.time_h
+        return row
 
 
 @dataclass(frozen=True)
@@ -395,6 +443,14 @@ def all_or_nothing(network: Network, od_demand, link_costs):
     return _load_all_or_nothing(graph, batch, link_costs)
 
 
+def _flow_state(network: Network, objective: Objective, config: SolverConfig, flows, cost,
+                converged, gap, iterations, log, unreachable, entered=None) -> FlowState:
+    """A FlowState at flows, with time and speed from the whole link vector."""
+    time_h = np.asarray(costs.bpr_time(network.free_flow_h, flows, network.capacity_vph, config.bpr))
+    return FlowState(objective, flows, time_h, network.length_miles / time_h, cost, converged, gap,
+                     iterations, log, unreachable, entered)
+
+
 def _line_search(network, objective, config, f, d) -> float:
     def slope(sigma: float) -> float:
         x = np.maximum(f + sigma * d, 0.0)
@@ -431,21 +487,8 @@ def assign_interval(
     batch = _DemandBatch(network, rates)
 
     def finish(flows, cost, converged, gap, log, unreachable):
-        time_h = np.asarray(
-            costs.bpr_time(network.free_flow_h, flows, network.capacity_vph, config.bpr)
-        )
-        return FlowState(
-            objective=objective,
-            flow_vph=flows,
-            time_h=time_h,
-            speed_mph=network.length_miles / time_h,
-            cost=cost,
-            converged=converged,
-            gap=gap,
-            iterations=len(log),
-            log=log,
-            unreachable=[(o, d, r * config.interval_h) for o, d, r in unreachable],
-        )
+        return _flow_state(network, objective, config, flows, cost, converged, gap, len(log), log,
+                           [(o, d, r * config.interval_h) for o, d, r in unreachable])
 
     if not batch.items:
         zeros = np.zeros(network.n_links, dtype=float)
@@ -587,18 +630,41 @@ def advance_trips(
 
 @dataclass
 class AssignmentResult:
-    """A day of interval flow states plus every trip's itinerary."""
+    """A day of interval records plus every trip's itinerary."""
 
     objective: Objective
-    interval_s: float
-    flow_states: list[FlowState]
+    config: SolverConfig
+    intervals: list[IntervalRecord]
     trips: TripTable
     forced_entered: np.ndarray
     network: Network
 
     @property
+    def interval_s(self) -> float:
+        return self.config.interval_s
+
+    @property
     def interval_h(self) -> float:
-        return self.interval_s / 3600.0
+        return self.config.interval_h
+
+    @property
+    def flow_states(self) -> list[FlowState]:
+        """One dense FlowState per interval, rebuilt anew on each access.
+
+        Time, speed and cost come from the same whole-vector calls on the
+        same flows as in `assign_interval`, so they are the same bits.
+        """
+        net = self.network
+        states = []
+        for rec in self.intervals:
+            flows = rec.flow_row(net.n_links)
+            entered = np.zeros(net.n_links, dtype=np.int64)
+            entered[rec.entered_links] = rec.entered_count
+            states.append(_flow_state(
+                net, self.objective, self.config, flows,
+                _cost_vector(net, self.objective, flows, self.config), rec.converged, rec.gap,
+                rec.iterations, list(rec.log), list(rec.unreachable), entered))
+        return states
 
     @property
     def records(self) -> list[TripRecord]:
@@ -615,27 +681,27 @@ class AssignmentResult:
 
     def total_system_time_h(self) -> float:
         """Vehicle-hours implied by the converged interval flows."""
-        return float(
-            sum((fs.flow_vph * fs.time_h).sum() for fs in self.flow_states) * self.interval_h
-        )
+        net = self.network
+        return float(sum((rec.flow_row(net.n_links) * rec.time_row(net.free_flow_h)).sum()
+                         for rec in self.intervals) * self.interval_h)
 
-    def total_fuel_from_flows(self, config: SolverConfig | None = None) -> float:
+    def total_fuel_from_flows(self) -> float:
         """Liters implied by the converged interval flows."""
-        config = config or SolverConfig(interval_s=self.interval_s)
+        net, config = self.network, self.config
         total = 0.0
-        for fs in self.flow_states:
-            v = np.clip(fs.speed_mph, config.speed_floor_mph, config.speed_cap_mph)
+        for rec in self.intervals:
+            speed = net.length_miles / rec.time_row(net.free_flow_h)
+            v = np.clip(speed, config.speed_floor_mph, config.speed_cap_mph)
             per_mile = np.asarray(costs.fuel_per_mile(v, config.fuel))
-            total += float((fs.flow_vph * self.network.length_miles * per_mile).sum())
+            total += float((rec.flow_row(net.n_links) * net.length_miles * per_mile).sum())
         return total * self.interval_h
 
     def conservation(self) -> tuple[float, float, float]:
         """(trip miles, tallied link miles, relative error)."""
         trip_miles = sum(self.trips.distance_miles.tolist())
         entry_total = self.forced_entered.astype(float).copy()
-        for fs in self.flow_states:
-            if fs.entered is not None:
-                entry_total += fs.entered
+        for rec in self.intervals:
+            entry_total[rec.entered_links] += rec.entered_count
         link_miles = float((entry_total * self.network.length_miles).sum())
         scale = max(abs(trip_miles), abs(link_miles), 1e-12)
         return trip_miles, link_miles, abs(trip_miles - link_miles) / scale
@@ -655,7 +721,7 @@ def run_day(
     n_nodes = network.n_nodes
 
     residual = np.empty(0, dtype=np.int64)
-    flow_states: list[FlowState] = []
+    intervals: list[IntervalRecord] = []
     for k in range(config.n_intervals):
         active = np.union1d(residual, np.flatnonzero(bucket == k))  # in trip-id order
         od_key, count = np.unique(day.node[active] * n_nodes + day.dest[active],
@@ -666,7 +732,7 @@ def run_day(
         _, residual, state.entered = advance_trips(
             network, state, day, active, config.interval_s, fuel=config.fuel,
             speed_floor_mph=config.speed_floor_mph, speed_cap_mph=config.speed_cap_mph)
-        flow_states.append(state)
+        intervals.append(IntervalRecord.of(state))
 
     # day over: finish leftovers on free-flow paths and flag them, at speed_mph
     # (length / free_flow_h can differ in the last bit, and so the fuel)
@@ -676,8 +742,8 @@ def run_day(
                                  config.speed_floor_mph, config.speed_cap_mph, "forced")
     return AssignmentResult(
         objective=objective,
-        interval_s=config.interval_s,
-        flow_states=flow_states,
+        config=config,
+        intervals=intervals,
         trips=day.table(network),
         forced_entered=forced_entered,
         network=network,

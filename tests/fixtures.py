@@ -3,13 +3,17 @@ scenario files the CLI consumes."""
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import math
 
 import numpy as np
+import pytest
 
+from flowscore import costs, qdta
+from flowscore.indicators import LinkDailyStats, daily_stats
 from flowscore.network import METERS_PER_MILE, Link, Network, Node, save_network
-from flowscore.qdta import TripRequest
+from flowscore.qdta import AssignmentResult, FlowState, IntervalRecord, SolverConfig, TripRequest
 
 M = METERS_PER_MILE
 
@@ -303,3 +307,70 @@ def write_scenario(dirpath, network, trips, parcels=(), schools=(), tracts=(),
     config_path = dirpath / "config.json"
     config_path.write_text(json.dumps(config, indent=2))
     return str(config_path)
+
+
+def assignment_of(network, states, trips, interval_s=900.0) -> AssignmentResult:
+    """A day of hand-made FlowStates as `run_day` keeps one: an interval
+    record per state, and no link entered where a state sets none."""
+    no_entries = np.zeros(network.n_links, dtype=np.int64)
+    intervals = [IntervalRecord.of(dataclasses.replace(
+        fs, entered=no_entries if fs.entered is None else fs.entered)) for fs in states]
+    return AssignmentResult(states[0].objective, SolverConfig(interval_s=interval_s), intervals,
+                            trips, no_entries, network)
+
+
+def assigned_day(network, trips, objective, config):
+    """`run_day`'s result, and the FlowStates its `assign_interval` calls
+    returned, with `entered` as `run_day` set it."""
+    states, assign = [], qdta.assign_interval
+
+    def keep(*args, **kwargs):
+        states.append(assign(*args, **kwargs))
+        return states[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qdta, "assign_interval", keep)
+        result = qdta.run_day(network, trips, objective, config)
+    return result, states
+
+
+def assert_same_states(got, want) -> None:
+    """FlowStates equal field by field, arrays in dtype and bytes."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        for f in dataclasses.fields(FlowState):
+            x, y = getattr(a, f.name), getattr(b, f.name)
+            if isinstance(y, np.ndarray):
+                assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), f.name
+            else:
+                assert x == y, f.name
+
+
+def assert_dense_figures(result, states, window_s=(25_200.0, 32_400.0)) -> None:
+    """daily_stats, the two flow totals and conservation() of a day equal,
+    with ==, the formulas over whole link rows of its dense states."""
+    net, config = result.network, result.config
+    stats = daily_stats(result)
+    want = LinkDailyStats(net, np.stack([fs.flow_vph for fs in states]),
+                          (fs.time_h for fs in states), result.interval_s)
+    for name in ("flows_vph", "adt", "vhd", "vmt"):
+        assert getattr(stats, name).tobytes() == getattr(want, name).tobytes(), name
+    assert stats.window_vmt(window_s).tobytes() == want.window_vmt(window_s).tobytes()
+
+    assert result.total_system_time_h() == float(
+        sum((fs.flow_vph * fs.time_h).sum() for fs in states) * result.interval_h)
+    fuel = 0.0
+    for fs in states:
+        v = np.clip(fs.speed_mph, config.speed_floor_mph, config.speed_cap_mph)
+        per_mile = np.asarray(costs.fuel_per_mile(v, config.fuel))
+        fuel += float((fs.flow_vph * net.length_miles * per_mile).sum())
+    assert result.total_fuel_from_flows() == fuel * result.interval_h
+
+    trip_miles = sum(result.trips.distance_miles.tolist())
+    entry_total = result.forced_entered.astype(float).copy()
+    for fs in states:
+        entry_total += fs.entered
+    link_miles = float((entry_total * net.length_miles).sum())
+    scale = max(abs(trip_miles), abs(link_miles), 1e-12)
+    assert result.conservation() == (trip_miles, link_miles,
+                                     abs(trip_miles - link_miles) / scale)

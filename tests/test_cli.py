@@ -2,6 +2,7 @@ import csv
 import gc
 import importlib.util
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -31,6 +32,9 @@ from flowscore.typology import StreetType, read_link_types
 
 from fixtures import (
     M,
+    assert_dense_figures,
+    assert_same_states,
+    assigned_day,
     blanket_parcel,
     square,
     straight_link,
@@ -416,6 +420,50 @@ def test_pipeline_builds_no_trip_records(tmp_path, monkeypatch):
     steps = str(tmp_path / "steps")
     assert main(["assign", "--config", cfg, "--objective", "sof", "--out", steps]) == 0
     assert main(["indicators", "--config", cfg, "--objective", "sof", "--out", steps]) == 0
+
+
+@pytest.mark.parametrize("scenario", [town_scenario, long_town_scenario],
+                         ids=["town", "long_town"])
+def test_pipeline_builds_no_dense_day(tmp_path, monkeypatch, scenario):
+    def no_dense_day(self):
+        raise RuntimeError("a day of dense FlowStates was built")
+
+    monkeypatch.setattr(qdta.AssignmentResult, "flow_states", property(no_dense_day))
+    with pytest.raises(RuntimeError):
+        run_day(town_network(), uniform_trips(1, 4, 1, start_s=0.0), Objective.UET).flow_states
+    cfg = scenario(tmp_path)
+    assert main(["run", "--config", cfg]) == 0
+    steps = str(tmp_path / "steps")
+    assert main(["assign", "--config", cfg, "--objective", "sot", "--out", steps]) == 0
+    assert main(["indicators", "--config", cfg, "--objective", "sot", "--out", steps]) == 0
+
+
+@pytest.mark.parametrize("objective", list(Objective), ids=lambda o: o.value)
+@pytest.mark.parametrize("scenario", [town_scenario, long_town_scenario],
+                         ids=["town", "long_town"])
+def test_flow_states_rebuild_the_assigned_states(tmp_path, scenario, objective):
+    scenario = load_scenario(scenario(tmp_path))
+    network = load_network(str(scenario.nodes), str(scenario.links))
+    result, states = assigned_day(network, load_trips(str(scenario.trips)), objective,
+                                  scenario.solver)
+    assert_same_states(result.flow_states, states)
+    assert_dense_figures(result, states)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key, named", [
+    ("interval_s", "interval_s"), ("max_iterations", "to integer"),
+    ("relative_gap", "relative_gap"), ("line_search_tol", "line_search_tol"),
+    ("speed_floor_mph", "speed_floor_mph"), ("speed_cap_mph", "speed_cap_mph"),
+    ("bpr_alpha", "alpha"), ("bpr_beta", "beta"),
+    ("fuel_a", "coefficient a"), ("fuel_b", "coefficient b"), ("fuel_c", "coefficient c"),
+])
+def test_run_rejects_non_finite_solver_settings(tmp_path, capsys, key, named, value):
+    cfg = town_scenario(tmp_path, config_overrides={key: value})
+    assert main(["run", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: bad solver settings: ") and named in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_long_town_flow_vmt_exceeds_trip_vmt(long_town_run):

@@ -27,10 +27,10 @@ from flowscore.indicators import (
     street_type_mask,
 )
 from flowscore.network import Network, Node
-from flowscore.qdta import AssignmentResult, FlowState, Objective, TripTable
+from flowscore.qdta import FlowState, Objective, TripTable
 from flowscore.typology import StreetType
 
-from fixtures import M, square, straight_link, write_schools_csv
+from fixtures import M, assignment_of, square, straight_link, write_schools_csv
 
 
 def isolated_links_network(specs):
@@ -396,8 +396,7 @@ def report_fixture():
         (3, "forced", 5.0, 0.9, 0.4, 0.60),
         (4, "failed", 0.0, 0.0, 0.0, 0.0),
     )
-    assignment = AssignmentResult(Objective.UET, 900.0, states, trips,
-                                  np.zeros(4, dtype=np.int64), net)
+    assignment = assignment_of(net, states, trips)
     return assignment, types, schools, tracts
 
 

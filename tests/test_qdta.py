@@ -5,9 +5,11 @@ import pytest
 
 from flowscore import costs, qdta
 from flowscore.costs import fuel_per_mile
+from flowscore.indicators import daily_stats
 from flowscore.network import Link, Network, Node
 from flowscore.qdta import (
     FlowState,
+    IntervalRecord,
     Objective,
     SolverConfig,
     TripRequest,
@@ -19,9 +21,12 @@ from flowscore.qdta import (
 
 from fixtures import (
     PIGOU_DEMAND_VPH,
+    assert_same_states,
+    assignment_of,
     corridor_network,
     corridor_od,
     detour_geometry,
+    grid_network,
     pigou_network,
     uniform_trips,
 )
@@ -627,3 +632,33 @@ def test_total_system_time_and_fuel_accessors():
     # one interval at 3000 vph, both routes at 1.0 h: 750 veh-hours
     assert result.total_system_time_h() == pytest.approx(750.0, rel=2e-3)
     assert result.total_fuel_from_flows() > 0
+
+
+def test_interval_record_keeps_a_negative_zero_flow():
+    net = chain_network()
+    flows = np.array([-0.0, 0.0, 250.0])
+    config = SolverConfig()
+    state = qdta._flow_state(net, Objective.SOF, config, flows,
+                             qdta._cost_vector(net, Objective.SOF, flows, config), True, 0.0, 1,
+                             [(0.0, 1.0)], [], np.array([0, 0, 3], dtype=np.int64))
+    record = IntervalRecord.of(state)
+    assert record.links.tolist() == [0, 2]
+    assert (record.entered_links.tolist(), record.entered_count.tolist()) == ([2], [3])
+    result = assignment_of(net, [state], trips=None)
+    assert_same_states(result.flow_states, [state])
+    assert daily_stats(result).flows_vph.tobytes() == flows.tobytes()
+
+
+def test_interval_records_grow_with_loaded_links_not_with_the_day():
+    net = grid_network(12, 12)  # 528 links
+    trips = uniform_trips(1, 144, 40, start_s=8 * 3600.0)
+    result = run_day(net, trips, Objective.UET)
+    loaded = sum(rec.links.size for rec in result.intervals)
+    entered = sum(rec.entered_links.size for rec in result.intervals)
+    nbytes = sum(a.nbytes for rec in result.intervals
+                 for a in (rec.links, rec.flow_vph, rec.time_h, rec.entered_links,
+                           rec.entered_count))
+    # a link position, its flow and its time; a link position and its count
+    assert nbytes == 20 * loaded + 12 * entered
+    assert 0 < loaded == sum(np.count_nonzero(fs.flow_vph) for fs in result.flow_states)
+    assert nbytes * 100 < 96 * net.n_links * 5 * 8  # five dense link arrays per interval

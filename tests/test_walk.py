@@ -18,6 +18,8 @@ from flowscore import costs, qdta
 from flowscore.network import Link, Network, Node
 from flowscore.qdta import TripRecord, TripRequest
 
+from fixtures import assert_dense_figures, assert_same_states
+
 cases = settings(max_examples=40, deadline=None, derandomize=True)
 
 
@@ -228,27 +230,28 @@ def test_walk_matches_scalar_reference_on_long_paths(seed):
 def reference_day(network, requests, objective, config):
     """A day walked one trip at a time: each interval's Counter demand over
     its active trips in trip-id order, assign_interval, the reference walk;
-    then the forced walk of the leftovers. Returns (records, entered per
-    interval, forced entries)."""
+    then the forced walk of the leftovers. Returns (records, each
+    interval's FlowState with its entries set, forced entries)."""
     index = network.node_index
     states = sorted((RefTrip(r, index[r.origin], index[r.destination], 0.0, 0.0, 0.0, 0.0, [],
                              None) for r in requests), key=lambda t: t.request.trip_id)
     node_ids = [n.id for n in network.nodes]
-    residual, entered = [], []
+    residual, flow_states = [], []
     for k in range(config.n_intervals):
         fresh = [t for t in states if int(t.request.depart_s // config.interval_s) == k]
         active = sorted(residual + fresh, key=lambda t: t.request.trip_id)
         demand = Counter((node_ids[t.node], node_ids[t.dest]) for t in active)
         state = qdta.assign_interval(network, demand, objective, config)
-        entered.append(reference_walk(network, active, state.cost, state.time_h,
-                                      state.speed_mph, config.interval_h, config.fuel,
-                                      config.speed_floor_mph, config.speed_cap_mph, "completed"))
+        state.entered = reference_walk(network, active, state.cost, state.time_h,
+                                       state.speed_mph, config.interval_h, config.fuel,
+                                       config.speed_floor_mph, config.speed_cap_mph, "completed")
+        flow_states.append(state)
         residual = [t for t in active if t.status is None]
     cost0 = qdta._cost_vector(network, objective, np.zeros(network.n_links), config)
     forced_entered = reference_walk(network, residual, cost0, network.free_flow_h,
                                     network.speed_mph, math.inf, config.fuel,
                                     config.speed_floor_mph, config.speed_cap_mph, "forced")
-    return [t.record(network) for t in states], entered, forced_entered
+    return [t.record(network) for t in states], flow_states, forced_entered
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -266,9 +269,10 @@ def test_run_day_matches_reference_day(seed):
     objective = qdta.Objective(str(rng.choice(["uet", "sot", "sof"])))
     config = qdta.SolverConfig(interval_s=float(rng.choice([600.0, 900.0])), max_iterations=4)
     result = qdta.run_day(net, requests, objective, config)
-    records, entered, forced_entered = reference_day(net, requests, objective, config)
+    records, flow_states, forced_entered = reference_day(net, requests, objective, config)
     assert result.records == records
-    assert len(result.flow_states) == len(entered)
-    for fs, want in zip(result.flow_states, entered):
-        assert np.array_equal(fs.entered, want)
+    # the dense states rebuilt from run_day's interval records are the bytes
+    # of the ones assign_interval returned
+    assert_same_states(result.flow_states, flow_states)
     assert np.array_equal(result.forced_entered, forced_entered)
+    assert_dense_figures(result, flow_states, window_s=(84_600.0, 86_400.0))
