@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from xml.sax.saxutils import escape
 
 from .network import write_csv
 
@@ -31,6 +30,11 @@ class ComparisonRow:
 class ComparisonTable:
     objectives: tuple[str, ...]
     rows: tuple[ComparisonRow, ...]
+
+
+def _escape(text: str) -> str:
+    """Text escaped for SVG character data: &, < and >."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _fmt_value(x: float | None) -> str:
@@ -82,14 +86,14 @@ def render_chart_svg(table: ComparisonTable, title: str = "Objective comparison"
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" height="{height:.0f}" '
         f'viewBox="0 0 {width:.0f} {height:.0f}" font-family="Helvetica, Arial, sans-serif">',
         f'<rect x="0" y="0" width="{width:.0f}" height="{height:.0f}" fill="#ffffff"/>',
-        f'<text x="16" y="24" font-size="16" fill="#1a1a1a">{escape(title)}</text>',
+        f'<text x="16" y="24" font-size="16" fill="#1a1a1a">{_escape(title)}</text>',
     ]
     x = 16.0
     for obj in table.objectives:
         color = OBJECTIVE_COLORS.get(obj, FALLBACK_COLOR)
         parts.append(f'<rect x="{x:.2f}" y="34" width="12" height="12" fill="{color}"/>')
         parts.append(
-            f'<text x="{x + 16:.2f}" y="44" font-size="12" fill="#1a1a1a">{escape(obj.upper())}</text>'
+            f'<text x="{x + 16:.2f}" y="44" font-size="12" fill="#1a1a1a">{_escape(obj.upper())}</text>'
         )
         x += 90.0
 
@@ -101,7 +105,7 @@ def render_chart_svg(table: ComparisonTable, title: str = "Objective comparison"
         label_y = y + (group_h - group_gap) / 2.0 + 4.0
         parts.append(
             f'<text x="{label_w - 10:.2f}" y="{label_y:.2f}" font-size="11" '
-            f'fill="#1a1a1a" text-anchor="end">{escape(label)}</text>'
+            f'fill="#1a1a1a" text-anchor="end">{_escape(label)}</text>'
         )
         for j, obj in enumerate(table.objectives):
             v = row.values[j]
@@ -116,7 +120,7 @@ def render_chart_svg(table: ComparisonTable, title: str = "Objective comparison"
             text = "NA" if v is None else f"{v:.6g}"
             parts.append(
                 f'<text x="{label_w + w + 6:.2f}" y="{bar_y + bar_h - 3:.2f}" '
-                f'font-size="10" fill="#444444">{escape(text)}</text>'
+                f'font-size="10" fill="#444444">{_escape(text)}</text>'
             )
         y += group_h
     parts.append("</svg>")

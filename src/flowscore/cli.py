@@ -60,6 +60,7 @@ FLOW_COLUMNS = ("interval", "link_id", "flow_vph", "time_h", "speed_mph")
 TRIP_COLUMNS = ("trip_id", "status", "start_s", "end_s", "distance_miles", "time_h", "free_flow_h",
                 "delay_h", "fuel_l", "links")
 _TRIP_SIZES = ("distance_miles", "time_h", "free_flow_h", "fuel_l")  # none may be negative
+_TRIP_BLOCK = 1 << 14  # trip rows written at a time
 
 
 class ConfigError(ValueError):
@@ -194,14 +195,19 @@ def write_flows_csv(path, result: AssignmentResult) -> None:
 
 
 def write_trips_csv(path, result: AssignmentResult) -> None:
-    # each row's text is made as it is written, never a whole day's at once
     t = result.trips
-    write_csv(path, TRIP_COLUMNS, zip(
-        t.trip_id.tolist(), t.status.tolist(),
-        *map(_reprs, (t.start_s, t.end_s, t.distance_miles, t.time_h, t.free_flow_h,
-                      t.time_h - t.free_flow_h, t.fuel_l)),
-        ("|".join(map(str, links)) for links in t.link_lists()),
-    ))
+    link_texts = ("|".join(map(str, links)) for links in t.link_lists())
+
+    def rows():  # a block of rows is made into text as it is written, never a whole day's
+        for a in range(0, t.trip_id.size, _TRIP_BLOCK):
+            b = slice(a, a + _TRIP_BLOCK)
+            yield from zip(t.trip_id[b].tolist(), t.status[b].tolist(),
+                           *map(_reprs, (t.start_s[b], t.end_s[b], t.distance_miles[b], t.time_h[b],
+                                         t.free_flow_h[b], t.time_h[b] - t.free_flow_h[b],
+                                         t.fuel_l[b])),
+                           itertools.islice(link_texts, _TRIP_BLOCK))
+
+    write_csv(path, TRIP_COLUMNS, rows())
 
 
 def write_convergence_csv(path, result: AssignmentResult) -> None:
@@ -224,8 +230,7 @@ def write_exposure_csv(path, exposures: dict[int, indicators.SchoolExposure]) ->
 def read_flows_csv(path, network, config: SolverConfig) -> indicators.LinkDailyStats:
     """The day's link stats from a flows CSV; absent rows are zero flow at free-flow time."""
     n = config.n_intervals
-    flows = np.zeros((n, network.n_links))
-    times = np.tile(network.free_flow_h, (n, 1))
+    rows = [([], [], []) for _ in range(n)]  # per interval: link positions, flows, times
     seen: set[tuple[int, int]] = set()
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -247,9 +252,11 @@ def read_flows_csv(path, network, config: SolverConfig) -> indicators.LinkDailyS
                 raise ValueError(f"duplicate interval {k}, link_id {link_id} in {path}, "
                                  f"row {row_no}")
             seen.add((k, link_id))
-            i = network.link_index[link_id]
-            flows[k, i], times[k, i] = flow, time_h
-    return indicators.LinkDailyStats(network, flows, times, config.interval_s)
+            for column, value in zip(rows[k], (network.link_index[link_id], flow, time_h)):
+                column.append(value)
+    return indicators.LinkDailyStats(
+        network, ((np.array(links, dtype=np.int64), np.array(flows), np.array(times))
+                  for links, flows, times in rows), config.interval_s)
 
 
 def read_trips_csv(path) -> TripTable:
@@ -344,20 +351,11 @@ def _write_assignment(out: Path, result: AssignmentResult) -> bool:
 def _score(scenario: Scenario, tag: str, stats, trips, street_types, schools, tracts,
            link_index, tract_of_link) -> indicators.IndicatorReport:
     """Score one objective's day and write its indicator and exposure tables."""
-    exposures = indicators.school_exposure(
-        stats, schools, link_index, scenario.school_radius_m, scenario.school_morning_s
-    )
-    report = indicators.build_report(
-        stats,
-        exposures,
-        trips,
-        street_types,
-        schools,
-        tracts,
-        tract_of_link,
-        morning_window_s=scenario.morning_window_s,
-        school_morning_s=scenario.school_morning_s,
-    )
+    exposures = indicators.school_exposure(stats, schools, link_index, scenario.school_radius_m,
+                                           scenario.school_morning_s)
+    report = indicators.build_report(stats, exposures, trips, street_types, schools, tracts,
+                                     tract_of_link, morning_window_s=scenario.morning_window_s,
+                                     school_morning_s=scenario.school_morning_s)
     write_indicators_csv(scenario.out_dir / f"indicators_{tag}.csv", report)
     write_exposure_csv(scenario.out_dir / f"school_exposure_{tag}.csv", exposures)
     return report
@@ -386,18 +384,9 @@ def run_scenario(scenario: Scenario) -> int:
                                   schools, tracts, link_index, tract_of_link))
             del result
 
-    table = ComparisonTable(
-        objectives=tuple(o.value for o in scenario.objectives),
-        rows=tuple(
-            ComparisonRow(
-                theme=meta[0],
-                name=meta[1],
-                unit=meta[2],
-                values=tuple(report.values[i].value for report in reports),
-            )
-            for i, meta in enumerate(indicators.INDICATOR_META)
-        ),
-    )
+    table = ComparisonTable(tuple(o.value for o in scenario.objectives), tuple(
+        ComparisonRow(*meta, tuple(report.values[i].value for report in reports))
+        for i, meta in enumerate(indicators.INDICATOR_META)))
     charts.write_comparison(out / "comparison.csv", table)
     charts.emit_chart(table, out / "chart.svg")
     if any_unconverged:

@@ -285,7 +285,7 @@ def _candidates(boxes, index: SpatialIndex | None, n_all: int):
     """Item k and candidate position j of every pair, ordered by k and then
     by j: the index hits of boxes[k], or all n_all positions without an index."""
     if index is None:
-        return np.repeat(np.arange(len(boxes)), n_all), np.tile(np.arange(n_all), len(boxes))
+        return tuple(np.indices((len(boxes), n_all)).reshape(2, -1))
     hits = [index.query(box) for box in boxes]
     owner = np.repeat(np.arange(len(hits)), [len(h) for h in hits])
     return owner, np.array([j for h in hits for j in h], dtype=np.int64)

@@ -66,45 +66,50 @@ def load_schools(path: str) -> list[School]:
 
 
 class LinkDailyStats:
-    """Per-link daily aggregates plus the interval flow matrix.
+    """Per-link daily aggregates of a day's sparse interval rows, kept as given.
 
-    times_h holds each interval's link times, as a matrix or as any
-    iterable of rows; it is read once and not kept. The daily sums add
-    the intervals one row at a time, in order, onto zero, as
-    `.sum(axis=0)` of the stacked rows does on two or more links, so no
-    (interval x link) temporary is made.
+    Each row is one interval's (links, flow_vph, time_h): link positions,
+    each at most once, and their flow and time; other links carry no flow.
+    The sums add the rows in order onto zero, as `.sum(axis=0)` of the
+    dense (interval x link) matrix does on two or more links.
     """
 
-    def __init__(self, network, flows_vph: np.ndarray, times_h, interval_s: float):
+    def __init__(self, network, rows, interval_s: float):
         self.network = network
-        self.flows_vph = flows_vph  # (n_intervals, n_links)
+        self.rows = list(rows)
         self.interval_s = interval_s
         self.interval_h = interval_s / 3600.0
         self.adt = np.zeros(network.n_links)
         self.vhd = np.zeros(network.n_links)
-        for flow, time_h in zip(flows_vph, times_h, strict=True):
+        for links, flow, time_h in self.rows:
             veh = flow * self.interval_h
-            self.adt += veh
-            self.vhd += veh * (time_h - network.free_flow_h)
+            self.adt[links] += veh
+            self.vhd[links] += veh * (time_h - network.free_flow_h[links])
         self.vmt = self.adt * network.length_miles
         self._window_vmt: dict[tuple, np.ndarray] = {}
 
     @property
     def n_intervals(self) -> int:
-        return self.flows_vph.shape[0]
+        return len(self.rows)
 
     def intervals_overlapping(self, window_s) -> np.ndarray:
         start, end = window_s
         k = np.arange(self.n_intervals)
         return (k * self.interval_s < end) & ((k + 1) * self.interval_s > start)
 
+    def window_rows(self, window_s):
+        """The rows of the intervals overlapping window_s, in order."""
+        return (row for row, hit in zip(self.rows, self.intervals_overlapping(window_s)) if hit)
+
     def window_vmt(self, window_s) -> np.ndarray:
         """Per-link VMT over the intervals overlapping window_s, computed
         once per window; the array is read-only, since callers share it."""
         key = tuple(window_s)
         if key not in self._window_vmt:
-            sel = self.intervals_overlapping(window_s)
-            vmt = (self.flows_vph[sel].sum(axis=0) * self.interval_h) * self.network.length_miles
+            flow = np.zeros(self.network.n_links)
+            for links, flow_vph, _ in self.window_rows(window_s):
+                flow[links] += flow_vph
+            vmt = (flow * self.interval_h) * self.network.length_miles
             vmt.flags.writeable = False
             self._window_vmt[key] = vmt
         return self._window_vmt[key]
@@ -112,11 +117,8 @@ class LinkDailyStats:
 
 def daily_stats(assignment) -> LinkDailyStats:
     """The link stats of a `qdta.AssignmentResult`'s interval records."""
-    network, intervals = assignment.network, assignment.intervals
-    flows = np.zeros((len(intervals), network.n_links))
-    for row, rec in zip(flows, intervals):
-        row[rec.links] = rec.flow_vph
-    return LinkDailyStats(network, flows, (rec.time_row(network.free_flow_h) for rec in intervals),
+    return LinkDailyStats(assignment.network,
+                          ((rec.links, rec.flow_vph, rec.time_h) for rec in assignment.intervals),
                           assignment.interval_s)
 
 
@@ -132,10 +134,11 @@ def street_type_mask(network, street_types: dict[int, StreetType], wanted: Stree
 
 def congested_miles(stats: LinkDailyStats, window_s=MORNING_PEAK_S) -> float:
     """Miles of links hitting v/c >= 1 in any interval of the window."""
-    sel = stats.intervals_overlapping(window_s)
-    vc = stats.flows_vph[sel] / stats.network.capacity_vph
-    congested = (vc >= 1.0).any(axis=0)
-    return float(stats.network.length_miles[congested].sum())
+    network = stats.network
+    congested = np.zeros(network.n_links, dtype=bool)
+    for links, flow_vph, _ in stats.window_rows(window_s):
+        congested[links] |= flow_vph / network.capacity_vph[links] >= 1.0
+    return float(network.length_miles[congested].sum())
 
 
 class ExposureLevel(enum.Enum):

@@ -50,18 +50,47 @@ class Objective(enum.Enum):
             raise ValueError(f"unknown objective {name!r} (want uet, sot or sof)") from None
 
 
-@dataclass(frozen=True)
-class TripRequest:
-    trip_id: int
-    origin: int
-    destination: int
-    depart_s: float
+class _BadRow(ValueError):
+    """A broken `Departures` rule, at table row `position`."""
+
+    def __init__(self, message: str, position: int):
+        super().__init__(message)
+        self.position = position
+
+
+@dataclass(eq=False)
+class Departures:
+    """A day's trip requests as columns, one row per trip: trip_id, the
+    origin and destination node ids, and depart_s.
+
+    Trip ids are unique, no trip ends where it starts, and 0 <= depart_s
+    < 86400 (so never NaN); the error names the first row that breaks one.
+    """
+
+    trip_id: np.ndarray
+    origin: np.ndarray
+    destination: np.ndarray
+    depart_s: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.origin == self.destination:
-            raise ValueError(f"trip {self.trip_id}: origin equals destination")
-        if not 0 <= self.depart_s < DAY_SECONDS:
-            raise ValueError(f"trip {self.trip_id}: departure {self.depart_s} outside [0, 86400)")
+        ids = [np.asarray(c) for c in (self.trip_id, self.origin, self.destination)]
+        if any(c.size and c.dtype.kind not in "iu" for c in ids):
+            raise ValueError("trip_id, origin and destination must hold integers")
+        self.trip_id, self.origin, self.destination = (c.astype(np.int64) for c in ids)
+        self.depart_s = np.asarray(self.depart_s, dtype=float)
+        if {c.shape for c in (*ids, self.depart_s)} != {(self.trip_id.size,)}:
+            raise ValueError("departure columns must be 1-D and of one length")
+        repeated = np.ones(self.trip_id.size, dtype=bool)
+        repeated[np.unique(self.trip_id, return_index=True)[1]] = False
+        loop = self.origin == self.destination
+        outside = ~((0 <= self.depart_s) & (self.depart_s < DAY_SECONDS))
+        bad = np.flatnonzero(repeated | loop | outside)
+        if bad.size:
+            i = int(bad[0])
+            trip, depart = self.trip_id[i], self.depart_s[i]
+            raise _BadRow(f"duplicate trip_id {trip}" if repeated[i] else
+                          f"trip {trip}: origin equals destination" if loop[i] else
+                          f"trip {trip}: departure {depart} outside [0, 86400)", i)
 
 
 @dataclass(frozen=True)
@@ -148,18 +177,6 @@ class IntervalRecord:
                    state.entered[entered], state.converged, state.gap, state.iterations,
                    state.log, state.unreachable)
 
-    def flow_row(self, n_links: int) -> np.ndarray:
-        """The flow of every link."""
-        row = np.zeros(n_links)
-        row[self.links] = self.flow_vph
-        return row
-
-    def time_row(self, free_flow_h: np.ndarray) -> np.ndarray:
-        """The time of every link."""
-        row = free_flow_h.copy()
-        row[self.links] = self.time_h
-        return row
-
 
 @dataclass(frozen=True)
 class TripRecord:
@@ -199,8 +216,8 @@ class TripTable:
 
     def link_lists(self):
         """Each trip's link ids as a list, in row order."""
-        links, bounds = self.links.tolist(), self.offsets.tolist()
-        return (links[a:b] for a, b in zip(bounds, bounds[1:]))
+        bounds = self.offsets.tolist()
+        return (self.links[a:b].tolist() for a, b in zip(bounds, bounds[1:]))
 
 
 class _Trips:
@@ -211,21 +228,20 @@ class _Trips:
     entries in walk order.
     """
 
-    def __init__(self, network: Network, requests):
-        self.requests = sorted(requests, key=lambda r: r.trip_id)
-        for a, b in zip(self.requests, self.requests[1:]):
-            if a.trip_id == b.trip_id:
-                raise ValueError(f"duplicate trip_id {a.trip_id}")
-        for r in self.requests:
-            if r.origin not in network.node_index:
-                raise ValueError(f"trip {r.trip_id}: unknown origin {r.origin}")
-            if r.destination not in network.node_index:
-                raise ValueError(f"trip {r.trip_id}: unknown destination {r.destination}")
-        n = len(self.requests)
-        self.depart_s = np.array([r.depart_s for r in self.requests], dtype=float)
-        self.node = np.array([network.node_index[r.origin] for r in self.requests], dtype=np.int64)
-        self.dest = np.array([network.node_index[r.destination] for r in self.requests],
-                             dtype=np.int64)
+    def __init__(self, network: Network, departures: Departures):
+        order = np.argsort(departures.trip_id, kind="stable")
+        self.trip_id = departures.trip_id[order]
+        self.depart_s = departures.depart_s[order]
+        known = np.fromiter(network.node_index, dtype=np.int64, count=network.n_nodes)
+        sorter = np.argsort(known)
+        for end, column in (("origin", "node"), ("destination", "dest")):
+            ids = getattr(departures, end)[order]
+            at = sorter[np.searchsorted(known, ids, sorter=sorter).clip(max=known.size - 1)]
+            unknown = np.flatnonzero(known[at] != ids)
+            if unknown.size:
+                raise ValueError(f"trip {self.trip_id[unknown[0]]}: unknown {end} {ids[unknown[0]]}")
+            setattr(self, column, at)
+        n = self.trip_id.size
         self.time_h, self.distance_miles, self.free_flow_h, self.fuel_l = (
             np.zeros(n) for _ in range(4))
         self.status = np.full(n, None, dtype=object)
@@ -235,11 +251,10 @@ class _Trips:
         """The walked trips, each trip's legs gathered in walk order."""
         pos = np.concatenate([p for p, _ in self.legs] or [np.empty(0, np.int32)])
         links = np.concatenate([l for _, l in self.legs] or [np.empty(0, np.int32)])
-        offsets = np.concatenate(([0], np.cumsum(np.bincount(pos, minlength=len(self.requests)))))
+        offsets = np.concatenate(([0], np.cumsum(np.bincount(pos, minlength=self.trip_id.size))))
         return TripTable(
-            np.array([r.trip_id for r in self.requests], dtype=np.int64), self.status,
-            self.depart_s, self.depart_s + self.time_h * 3600.0, self.distance_miles, self.time_h,
-            self.free_flow_h, self.fuel_l, offsets,
+            self.trip_id, self.status, self.depart_s, self.depart_s + self.time_h * 3600.0,
+            self.distance_miles, self.time_h, self.free_flow_h, self.fuel_l, offsets,
             network.link_ids[links[np.argsort(pos, kind="stable")]])
 
 
@@ -375,8 +390,9 @@ class _DemandBatch:
     """Sorted OD demand with node indices resolved once."""
 
     def __init__(self, network: Network, od_demand):
-        if any(q < 0 for q in od_demand.values()):
-            raise ValueError("demand must be nonnegative")
+        for (o, d), q in od_demand.items():
+            if not 0 <= q < math.inf:
+                raise ValueError(f"demand for ({o}, {d}) must be finite and nonnegative")
         items = sorted((od, float(q)) for od, q in od_demand.items() if q > 0)
         for (o, d), _ in items:
             if o not in network.node_index:
@@ -657,7 +673,8 @@ class AssignmentResult:
         net = self.network
         states = []
         for rec in self.intervals:
-            flows = rec.flow_row(net.n_links)
+            flows = np.zeros(net.n_links)
+            flows[rec.links] = rec.flow_vph
             entered = np.zeros(net.n_links, dtype=np.int64)
             entered[rec.entered_links] = rec.entered_count
             states.append(_flow_state(
@@ -681,19 +698,17 @@ class AssignmentResult:
 
     def total_system_time_h(self) -> float:
         """Vehicle-hours implied by the converged interval flows."""
-        net = self.network
-        return float(sum((rec.flow_row(net.n_links) * rec.time_row(net.free_flow_h)).sum()
-                         for rec in self.intervals) * self.interval_h)
+        return float(sum((fs.flow_vph * fs.time_h).sum() for fs in self.flow_states)
+                     * self.interval_h)
 
     def total_fuel_from_flows(self) -> float:
         """Liters implied by the converged interval flows."""
-        net, config = self.network, self.config
+        length, config = self.network.length_miles, self.config
         total = 0.0
-        for rec in self.intervals:
-            speed = net.length_miles / rec.time_row(net.free_flow_h)
-            v = np.clip(speed, config.speed_floor_mph, config.speed_cap_mph)
+        for fs in self.flow_states:
+            v = np.clip(fs.speed_mph, config.speed_floor_mph, config.speed_cap_mph)
             per_mile = np.asarray(costs.fuel_per_mile(v, config.fuel))
-            total += float((rec.flow_row(net.n_links) * net.length_miles * per_mile).sum())
+            total += float((fs.flow_vph * length * per_mile).sum())
         return total * self.interval_h
 
     def conservation(self) -> tuple[float, float, float]:
@@ -707,12 +722,8 @@ class AssignmentResult:
         return trip_miles, link_miles, abs(trip_miles - link_miles) / scale
 
 
-def run_day(
-    network: Network,
-    trips,
-    objective: Objective,
-    config: SolverConfig | None = None,
-) -> AssignmentResult:
+def run_day(network: Network, trips: Departures, objective: Objective,
+            config: SolverConfig | None = None) -> AssignmentResult:
     """Assign and advance a whole day of trips for one objective."""
     config = config or SolverConfig()
     day = _Trips(network, trips)
@@ -740,37 +751,24 @@ def run_day(
     _, _, forced_entered = _walk(network, day, residual, cost0, network.free_flow_h,
                                  network.speed_mph, math.inf, config.fuel,
                                  config.speed_floor_mph, config.speed_cap_mph, "forced")
-    return AssignmentResult(
-        objective=objective,
-        config=config,
-        intervals=intervals,
-        trips=day.table(network),
-        forced_entered=forced_entered,
-        network=network,
-    )
+    return AssignmentResult(objective, config, intervals, day.table(network), forced_entered,
+                            network)
 
 
-def load_trips(path: str) -> list[TripRequest]:
-    """Read trips.csv (trip_id, origin, destination, depart_s)."""
-    trips: list[TripRequest] = []
-    seen: set[int] = set()
+def load_trips(path: str) -> Departures:
+    """Read trips.csv (trip_id, origin, destination, depart_s) into one
+    `Departures` table, in file order."""
+    columns = {"trip_id": [], "origin": [], "destination": [], "depart_s": []}
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        _require_columns(reader.fieldnames, ("trip_id", "origin", "destination", "depart_s"), path,
-                         "trips")
+        _require_columns(reader.fieldnames, tuple(columns), path, "trips")
         for row_no, row in enumerate(reader, start=2):
             try:
-                trip_id = int(row["trip_id"])
-                origin = int(row["origin"])
-                destination = int(row["destination"])
-                depart_s = float(row["depart_s"])
+                for (name, column), parse in zip(columns.items(), (int, int, int, float)):
+                    column.append(parse(row[name]))
             except (TypeError, ValueError):
                 raise ValueError(f"non-numeric trip field, row {row_no}") from None
-            if trip_id in seen:
-                raise ValueError(f"duplicate trip_id {trip_id}, row {row_no}")
-            seen.add(trip_id)
-            try:
-                trips.append(TripRequest(trip_id, origin, destination, depart_s))
-            except ValueError as exc:
-                raise ValueError(f"{exc}, row {row_no}") from None
-    return trips
+    try:
+        return Departures(**columns)
+    except _BadRow as exc:
+        raise ValueError(f"{exc}, row {exc.position + 2}") from None

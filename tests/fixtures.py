@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 from flowscore import costs, qdta
-from flowscore.indicators import LinkDailyStats, daily_stats
+from flowscore.indicators import congested_miles, daily_stats
 from flowscore.network import METERS_PER_MILE, Link, Network, Node, save_network
-from flowscore.qdta import AssignmentResult, FlowState, IntervalRecord, SolverConfig, TripRequest
+from flowscore.qdta import AssignmentResult, Departures, FlowState, IntervalRecord, SolverConfig
 
 M = METERS_PER_MILE
 
@@ -189,41 +189,43 @@ def perf_network() -> Network:
     return Network(nodes, links)
 
 
-def perf_trips(n_trips=100_000, seed=42, rows=50, cols=50) -> list[TripRequest]:
+def perf_trips(n_trips=100_000, seed=42, rows=50, cols=50) -> Departures:
     """Morning-heavy demand between 64 zone centroids.
 
     Destinations are adjacent zones only (3 mi hauls) so congestion, not
     distance, decides whether a trip spills into the next interval.
     """
     rng = np.random.default_rng(seed)
-    zone_rc = [3 + 6 * i for i in range(8)]
-    zones = [(r, c) for r in zone_rc for c in zone_rc]
-    origins = rng.integers(0, len(zones), size=n_trips)
-    offsets = ((-1, 0), (1, 0), (0, -1), (0, 1))
+    zone_rc = 3 + 6 * np.arange(8)
+    origins = rng.integers(0, zone_rc.size ** 2, size=n_trips)
+    offsets = np.array(((-1, 0), (1, 0), (0, -1), (0, 1)))
     pick = rng.integers(0, len(offsets), size=n_trips)
     peak = rng.random(n_trips) < 0.6
     depart_peak = rng.uniform(6.5 * 3600, 9.5 * 3600, size=n_trips)
     depart_flat = rng.uniform(0.0, 86_400.0 - 1.0, size=n_trips)
-    lo, hi = zone_rc[0], zone_rc[-1]
-    trips = []
-    for i in range(n_trips):
-        zr, zc = zones[origins[i]]
-        dr, dc = offsets[pick[i]]
-        tr, tc = zr + 6 * dr, zc + 6 * dc
-        if not (lo <= tr <= hi and lo <= tc <= hi):
-            tr, tc = zr - 6 * dr, zc - 6 * dc
-        origin = zr * cols + zc + 1
-        dest = tr * cols + tc + 1
-        depart = depart_peak[i] if peak[i] else depart_flat[i]
-        trips.append(TripRequest(i + 1, origin, dest, float(depart)))
-    return trips
+    zr, zc = zone_rc[origins // zone_rc.size], zone_rc[origins % zone_rc.size]
+    dr, dc = offsets[pick].T
+    tr, tc = zr + 6 * dr, zc + 6 * dc
+    inside = (zone_rc[0] <= tr) & (tr <= zone_rc[-1]) & (zone_rc[0] <= tc) & (tc <= zone_rc[-1])
+    tr, tc = np.where(inside, tr, zr - 6 * dr), np.where(inside, tc, zc - 6 * dc)
+    return Departures(np.arange(1, n_trips + 1), zr * cols + zc + 1, tr * cols + tc + 1,
+                      np.where(peak, depart_peak, depart_flat))
 
 
-def uniform_trips(origin, destination, count, start_s, spacing_s=1.0, first_id=1):
-    return [
-        TripRequest(first_id + i, origin, destination, start_s + i * spacing_s)
-        for i in range(count)
-    ]
+def uniform_trips(origin, destination, count, start_s, spacing_s=1.0, first_id=1) -> Departures:
+    return Departures(np.arange(first_id, first_id + count), np.full(count, origin),
+                      np.full(count, destination), start_s + np.arange(count) * spacing_s)
+
+
+def departures(*rows) -> Departures:
+    """A Departures table of (trip_id, origin, destination, depart_s) rows."""
+    return Departures(*map(list, zip(*rows)))
+
+
+def joined(*tables) -> Departures:
+    """The rows of each Departures table, one table after the other."""
+    return Departures(*(np.concatenate([getattr(t, f.name) for t in tables])
+                        for f in dataclasses.fields(Departures)))
 
 
 def square(cx, cy, half):
@@ -280,8 +282,8 @@ def write_trips_csv(path, trips) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["trip_id", "origin", "destination", "depart_s"])
-        for t in trips:
-            writer.writerow([t.trip_id, t.origin, t.destination, repr(float(t.depart_s))])
+        writer.writerows(zip(trips.trip_id.tolist(), trips.origin.tolist(),
+                             trips.destination.tolist(), map(repr, trips.depart_s.tolist())))
 
 
 def write_scenario(dirpath, network, trips, parcels=(), schools=(), tracts=(),
@@ -351,11 +353,26 @@ def assert_dense_figures(result, states, window_s=(25_200.0, 32_400.0)) -> None:
     with ==, the formulas over whole link rows of its dense states."""
     net, config = result.network, result.config
     stats = daily_stats(result)
-    want = LinkDailyStats(net, np.stack([fs.flow_vph for fs in states]),
-                          (fs.time_h for fs in states), result.interval_s)
-    for name in ("flows_vph", "adt", "vhd", "vmt"):
-        assert getattr(stats, name).tobytes() == getattr(want, name).tobytes(), name
-    assert stats.window_vmt(window_s).tobytes() == want.window_vmt(window_s).tobytes()
+    flows = np.stack([fs.flow_vph for fs in states])
+    veh = flows * result.interval_h
+    adt, vhd = np.zeros(net.n_links), np.zeros(net.n_links)
+    for veh_row, fs in zip(veh, states):
+        adt += veh_row
+        vhd += veh_row * (fs.time_h - net.free_flow_h)
+    k = np.arange(len(states))
+    sel = (k * result.interval_s < window_s[1]) & ((k + 1) * result.interval_s > window_s[0])
+    want = {
+        "adt": adt,
+        "vhd": vhd,
+        "vmt": adt * net.length_miles,
+        "window_vmt": (flows[sel].sum(axis=0) * result.interval_h) * net.length_miles,
+    }
+    got = {"adt": stats.adt, "vhd": stats.vhd, "vmt": stats.vmt,
+           "window_vmt": stats.window_vmt(window_s)}
+    for name in want:
+        assert got[name].tobytes() == want[name].tobytes(), name
+    congested = ((flows[sel] / net.capacity_vph) >= 1.0).any(axis=0)
+    assert congested_miles(stats, window_s) == float(net.length_miles[congested].sum())
 
     assert result.total_system_time_h() == float(
         sum((fs.flow_vph * fs.time_h).sum() for fs in states) * result.interval_h)

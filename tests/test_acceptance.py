@@ -264,7 +264,7 @@ def test_criterion_08_school_exposure_boundaries():
         links.append(straight_link(i + 1, a, b, 30.0, 600.0, 5, 2))
     net = Network(nodes, links)
     # one 3600 s interval makes each link's ADT equal its flow
-    stats = LinkDailyStats(net, np.array([adts]), np.tile(net.free_flow_h, (1, 1)), 3600.0)
+    stats = LinkDailyStats(net, [(np.arange(len(adts)), np.array(adts), net.free_flow_h)], 3600.0)
     schools = [School(i + 1, M / 2.0, 10_000.0 * i, 50.0) for i in range(len(adts))]
     levels = {sid: e.level for sid, e in school_exposure(stats, schools).items()}
     assert levels[1] is ExposureLevel.NONE     # 24,999
@@ -295,7 +295,7 @@ def test_criterion_10_desk_scale_performance():
     net = perf_network()
     trips = perf_trips()
     assert len(net.links) == 10_000
-    assert len(trips) == 100_000
+    assert trips.trip_id.size == 100_000
     cfg = SolverConfig()
     assert cfg.n_intervals == 96
 

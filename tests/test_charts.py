@@ -1,3 +1,4 @@
+import hashlib
 import re
 
 import pytest
@@ -124,3 +125,17 @@ def test_labels_are_escaped():
     assert "VMT &lt;&amp;&gt; peak" in svg
     assert "A &amp; B &lt;chart&gt;" in svg
     assert "<chart>" not in svg
+
+
+def test_chart_escapes_markup_in_title_and_labels():
+    table = ComparisonTable(("uet", "a&<b>"), (
+        ComparisonRow("Mobility", "VMT <&> trips", "miles & <km>", (1.0, 2.5)),
+        ComparisonRow("Safety", "A&&B >> C<<", "n", (None, 0.0)),
+    ))
+    svg = render_chart_svg(table, title='Fuel & <time> > "speed"')
+    assert '>Fuel &amp; &lt;time&gt; &gt; "speed"</text>' in svg
+    assert ">A&amp;&lt;B&gt;</text>" in svg
+    assert ">A&amp;&amp;B &gt;&gt; C&lt;&lt; (n)</text>" in svg
+    # the bytes xml.sax.saxutils.escape gave for the same table
+    assert hashlib.sha256(svg.encode()).hexdigest() == (
+        "04d04fdbde3b256d3344c6a5011645421f430457d2bd00e50c85474ff194eed6")

@@ -24,7 +24,7 @@ from flowscore.cli import (
     read_trips_csv,
 )
 from flowscore import cli, qdta
-from flowscore.indicators import INDICATOR_NAMES, School, daily_stats
+from flowscore.indicators import INDICATOR_NAMES, School, congested_miles, daily_stats
 from flowscore.geo import Tract
 from flowscore.network import Network, Node, load_network
 from flowscore.qdta import Objective, load_trips, run_day
@@ -36,6 +36,7 @@ from fixtures import (
     assert_same_states,
     assigned_day,
     blanket_parcel,
+    joined,
     square,
     straight_link,
     uniform_trips,
@@ -64,8 +65,8 @@ def town_network(scale=1.0) -> Network:
 
 def town_scenario(dirpath, config_overrides=None, scale=1.0, late_trips=0) -> str:
     net = town_network(scale)
-    trips = uniform_trips(1, 4, 600, start_s=25_200.0, spacing_s=0.5)
-    trips += uniform_trips(1, 4, late_trips, start_s=86_000.0, first_id=601)
+    trips = joined(uniform_trips(1, 4, 600, start_s=25_200.0, spacing_s=0.5),
+                   uniform_trips(1, 4, late_trips, start_s=86_000.0, first_id=601))
     parcels = [blanket_parcel(net, "R")]
     schools = [School(1, scale * M / 2.0, 10.0, 80.0)]
     tracts = [
@@ -297,16 +298,50 @@ def test_indicators_command_matches_full_run(tmp_path, request, run, objective):
 def test_read_flows_csv_equals_daily_stats_of_the_day(tmp_path, town_run):
     cfg, _ = town_run
     out = tmp_path / "steps"
-    assert main(["assign", "--config", cfg, "--objective", "sof", "--out", str(out)]) == 0
     scenario = load_scenario(cfg)
     network = load_network(str(scenario.nodes), str(scenario.links))
     trips = load_trips(str(scenario.trips))
-    want = daily_stats(run_day(network, trips, Objective.SOF, scenario.solver))
-    got = read_flows_csv(out / "flows_sof.csv", network, scenario.solver)
-    assert got.interval_s == want.interval_s
-    assert np.array_equal(got.flows_vph, want.flows_vph)
-    for name in ("adt", "vmt", "vhd"):
-        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    windows = (scenario.morning_window_s, scenario.school_morning_s)
+    for objective in Objective:
+        tag = objective.value
+        assert main(["assign", "--config", cfg, "--objective", tag, "--out", str(out)]) == 0
+        want = daily_stats(run_day(network, trips, objective, scenario.solver))
+        got = read_flows_csv(out / f"flows_{tag}.csv", network, scenario.solver)
+        assert (got.interval_s, got.n_intervals) == (want.interval_s, want.n_intervals)
+        for name in ("adt", "vmt", "vhd"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (tag, name)
+        for window in windows:
+            assert got.window_vmt(window).tobytes() == want.window_vmt(window).tobytes(), tag
+        assert (np.float64(congested_miles(got, windows[0])).tobytes()
+                == np.float64(congested_miles(want, windows[0])).tobytes()), tag
+
+
+def test_run_ignores_the_row_order_of_trips_csv(tmp_path, town_run):
+    cfg, run_out = town_run
+    base = tmp_path / "shuffled"
+    shutil.copytree(Path(cfg).parent, base, ignore=shutil.ignore_patterns("out"))
+    lines = (base / "trips.csv").read_text().splitlines(keepends=True)
+    rows = lines[1:]
+    np.random.default_rng(11).shuffle(rows)
+    assert rows != lines[1:]
+    (base / "trips.csv").write_text("".join(lines[:1] + rows))
+    assert main(["run", "--config", str(base / "config.json")]) == 0
+    names = sorted(p.name for p in run_out.iterdir())
+    assert sorted(p.name for p in (base / "out").iterdir()) == names
+    for name in names:
+        assert (base / "out" / name).read_bytes() == (run_out / name).read_bytes(), name
+
+
+def test_trips_csv_bytes_do_not_depend_on_the_write_block(tmp_path, monkeypatch):
+    # the long town's day: trips that spill, and trips forced at midnight
+    trips = joined(uniform_trips(1, 4, 600, start_s=25_200.0, spacing_s=0.5),
+                   uniform_trips(1, 4, 40, start_s=86_000.0, first_id=601))
+    result = run_day(town_network(12.0), trips, Objective.SOT)
+    cli.write_trips_csv(tmp_path / "whole.csv", result)
+    monkeypatch.setattr(cli, "_TRIP_BLOCK", 7)  # 640 rows: 91 full blocks and one of 3
+    cli.write_trips_csv(tmp_path / "blocks.csv", result)
+    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+    assert len(read_trips_csv(tmp_path / "blocks.csv").trip_id) == 640
 
 
 def test_run_releases_each_day_before_the_next(tmp_path, monkeypatch):

@@ -48,11 +48,27 @@ def isolated_links_network(specs):
     return Network(nodes, links)
 
 
+def dense_rows(flows, times):
+    """One (links, flow_vph, time_h) row per interval that lists every link."""
+    links = np.arange(flows.shape[1])
+    return [(links, flow, time_h) for flow, time_h in zip(flows, times, strict=True)]
+
+
+def sparse_rows(flows, times):
+    """One row per interval that lists only the links whose flow is not zero by its bits."""
+    rows = []
+    for flow, time_h in zip(flows, times, strict=True):
+        links = np.flatnonzero(flow.view(np.int64))
+        rows.append((links, flow[links], time_h[links]))
+    return rows
+
+
 def make_stats(network, flows_vph, times_h=None, interval_s=900.0):
     flows = np.asarray(flows_vph, dtype=float)
     if times_h is None:
         times_h = np.broadcast_to(network.free_flow_h, flows.shape).copy()
-    return LinkDailyStats(network, flows, np.asarray(times_h, dtype=float), interval_s)
+    return LinkDailyStats(network, dense_rows(flows, np.asarray(times_h, dtype=float)),
+                          interval_s)
 
 
 def free_flow_state(network, flow_vph, entered=None):
@@ -103,8 +119,9 @@ def test_adt_is_interval_sum():
 
 @pytest.mark.parametrize("seed", range(6))
 def test_link_daily_stats_equal_the_stacked_sums(seed):
-    # the stats add one interval at a time; on two or more links that must
-    # give the bytes of the stacked (interval x link) formulas
+    # the stats add one interval at a time, from rows that list every link
+    # or only the loaded ones; on two or more links that must give the
+    # bytes of the stacked (interval x link) formulas
     rng = np.random.default_rng(seed)
     n_links = int(rng.integers(2, 40))
     net = isolated_links_network([(i + 1, float(rng.uniform(0.05, 3.0)),
@@ -127,12 +144,14 @@ def test_link_daily_stats_equal_the_stacked_sums(seed):
         "vhd": (veh * (times - net.free_flow_h)).sum(axis=0),
         "window_vmt": (flows[sel].sum(axis=0) * (interval_s / 3600.0)) * net.length_miles,
     }
-    for times_h in (times, iter(list(times))):  # a matrix, or rows as daily_stats gives them
-        stats = LinkDailyStats(net, flows, times_h, interval_s)
+    for rows in (dense_rows(flows, times), iter(sparse_rows(flows, times))):
+        stats = LinkDailyStats(net, rows, interval_s)
         got = {"adt": stats.adt, "vmt": stats.vmt, "vhd": stats.vhd,
                "window_vmt": stats.window_vmt(window)}
         for name in want:
             assert got[name].tobytes() == want[name].tobytes(), name
+        congested = (flows[sel] / net.capacity_vph >= 1.0).any(axis=0)
+        assert congested_miles(stats, window) == float(net.length_miles[congested].sum())
 
 
 def test_all_zero_flows_give_zero_stats():
@@ -432,8 +451,9 @@ def test_build_report_rows_match_single_ops():
 
     # union of buffered links {1, 2}: shared link 1 is counted once
     sel = stats.intervals_overlapping((25200.0, 28800.0))
+    flows = np.stack([fs.flow_vph for fs in assignment.flow_states])
     union_vmt = float(
-        ((stats.flows_vph[sel].sum(axis=0) * stats.interval_h) * net.length_miles)[:2].sum()
+        ((flows[sel].sum(axis=0) * stats.interval_h) * net.length_miles)[:2].sum()
     )
     assert report.by_name("VMT near schools in morning hours") == pytest.approx(union_vmt)
     per_school = exposures[1].buffer_vmt_morning + exposures[2].buffer_vmt_morning

@@ -12,7 +12,6 @@ from flowscore.qdta import (
     IntervalRecord,
     Objective,
     SolverConfig,
-    TripRequest,
     all_or_nothing,
     assign_interval,
     load_trips,
@@ -25,8 +24,10 @@ from fixtures import (
     assignment_of,
     corridor_network,
     corridor_od,
+    departures,
     detour_geometry,
     grid_network,
+    joined,
     pigou_network,
     uniform_trips,
 )
@@ -90,14 +91,14 @@ def test_bucket_demand_interval_boundaries():
     a, b = Node(1, 0.0, 0.0), Node(2, 1609.344, 0.0)
     net = Network([a, b], [Link(1, 1, 2, 1.0, 30.0, 1e6, 5, 2, ((a.x, a.y), (b.x, b.y))),
                            Link(2, 2, 1, 1.0, 30.0, 1e6, 5, 2, ((b.x, b.y), (a.x, a.y)))])
-    trips = [
-        TripRequest(1, 1, 2, 0.0),
-        TripRequest(2, 1, 2, 899.9),
-        TripRequest(3, 1, 2, 900.0),
-        TripRequest(4, 1, 2, 25_800.0),  # 07:10
-        TripRequest(5, 1, 2, 86_399.0),
-        TripRequest(6, 2, 1, 25_800.0),
-    ]
+    trips = departures(
+        (1, 1, 2, 0.0),
+        (2, 1, 2, 899.9),
+        (3, 1, 2, 900.0),
+        (4, 1, 2, 25_800.0),  # 07:10
+        (5, 1, 2, 86_399.0),
+        (6, 2, 1, 25_800.0),
+    )
     result = run_day(net, trips, Objective.UET, SolverConfig(interval_s=900.0))
     flows = np.stack([fs.flow_vph for fs in result.flow_states])
     want = np.zeros((96, 2))
@@ -110,12 +111,21 @@ def test_bucket_demand_interval_boundaries():
 
 
 def test_trip_request_validation():
-    with pytest.raises(ValueError):
-        TripRequest(1, 5, 5, 0.0)
-    with pytest.raises(ValueError):
-        TripRequest(1, 1, 2, -1.0)
-    with pytest.raises(ValueError):
-        TripRequest(1, 1, 2, 86_400.0)
+    with pytest.raises(ValueError, match="^trip 1: origin equals destination$"):
+        departures((1, 5, 5, 0.0))
+    with pytest.raises(ValueError, match=r"^trip 1: departure -1.0 outside \[0, 86400\)$"):
+        departures((1, 1, 2, -1.0))
+    with pytest.raises(ValueError, match="outside"):
+        departures((1, 1, 2, 86_400.0))
+    with pytest.raises(ValueError, match="^trip 3: departure nan outside"):
+        departures((2, 1, 2, 0.0), (3, 1, 2, math.nan))
+    # the first row that breaks a rule is named
+    with pytest.raises(ValueError, match="^trip 4: origin equals destination$"):
+        departures((2, 1, 2, 0.0), (4, 2, 2, 0.0), (2, 1, 2, -5.0))
+    with pytest.raises(ValueError, match="must hold integers"):
+        departures((1.5, 1, 2, 0.0))
+    with pytest.raises(ValueError, match="one length"):
+        qdta.Departures([1, 2], [1, 1], [2, 2], [0.0])
 
 
 def test_solver_config_validation():
@@ -154,6 +164,18 @@ def test_load_trips_errors(tmp_path):
 
 
 # all-or-nothing loading
+
+
+@pytest.mark.parametrize("demand", [math.nan, math.inf, -math.inf, -1.0],
+                         ids=["nan", "inf", "-inf", "negative"])
+def test_bad_demand_is_rejected_naming_its_od(demand):
+    net = diamond_network()
+    od_demand = {(1, 4): 10.0, (2, 4): demand}
+    named = r"^demand for \(2, 4\) must be finite and nonnegative$"
+    with pytest.raises(ValueError, match=named):
+        assign_interval(net, od_demand, Objective.UET)
+    with pytest.raises(ValueError, match=named):
+        all_or_nothing(net, od_demand, net.free_flow_h)
 
 
 def test_aon_tie_breaks_to_smaller_link_id():
@@ -328,7 +350,7 @@ def test_non_convergence_warns_and_flags(caplog):
 def test_advance_trips_budget_walk():
     net = chain_network()
     state = free_flow_state(net)
-    trips = qdta._Trips(net, [TripRequest(1, 1, 4, 0.0)])
+    trips = qdta._Trips(net, departures((1, 1, 4, 0.0)))
     arrived, residual, entered = qdta.advance_trips(net, state, trips, np.arange(1), 900.0)
     # 20 min first link overruns the 15 min budget but is still taken whole
     assert arrived.size == 0 and residual.tolist() == [0]
@@ -358,7 +380,7 @@ def test_advance_trips_completes_inside_budget():
     net = chain_network()
     state = free_flow_state(net)
     # start at node 3: 5 minutes of path in a 15 minute budget
-    trips = qdta._Trips(net, [TripRequest(2, 3, 4, 0.0)])
+    trips = qdta._Trips(net, departures((2, 3, 4, 0.0)))
     arrived, residual, entered = qdta.advance_trips(net, state, trips, np.arange(1), 900.0)
     assert residual.size == 0
     table = trips.table(net)
@@ -370,7 +392,7 @@ def test_advance_trips_completes_inside_budget():
 def test_advance_trips_unreachable_fails():
     net = diamond_network()
     state = free_flow_state(net)
-    trips = qdta._Trips(net, [TripRequest(3, 4, 1, 0.0)])
+    trips = qdta._Trips(net, departures((3, 4, 1, 0.0)))
     arrived, residual, entered = qdta.advance_trips(net, state, trips, np.arange(1), 900.0)
     assert residual.size == 0 and not entered.any()
     table = trips.table(net)
@@ -382,7 +404,7 @@ def test_advance_trips_unreachable_fails():
 def test_advance_trips_fuel_uses_congested_speeds():
     net = chain_network()
     state = free_flow_state(net)
-    trips = qdta._Trips(net, [TripRequest(4, 1, 4, 0.0)])
+    trips = qdta._Trips(net, departures((4, 1, 4, 0.0)))
     active = np.arange(1)
     for _ in range(3):
         arrived, active, _ = qdta.advance_trips(net, state, trips, active, 900.0)
@@ -416,7 +438,7 @@ def test_run_day_pigou_matches_single_interval():
 
 def test_run_day_residuals_reenter_next_interval():
     net = chain_network()
-    result = run_day(net, [TripRequest(1, 1, 4, 0.0)], Objective.UET)
+    result = run_day(net, departures((1, 1, 4, 0.0)), Objective.UET)
     # interval 0 assigns the whole path, the trip only clears link 1
     assert result.flow_states[0].entered.tolist() == [1, 0, 0]
     assert result.flow_states[1].entered.tolist() == [0, 1, 0]
@@ -434,7 +456,7 @@ def test_run_day_residuals_reenter_next_interval():
 def test_run_day_forces_leftovers_at_midnight():
     net = chain_network()
     # departs 23:53:20; only one link fits before the day ends
-    result = run_day(net, [TripRequest(1, 1, 4, 86_000.0)], Objective.UET)
+    result = run_day(net, departures((1, 1, 4, 86_000.0)), Objective.UET)
     rec = result.records[0]
     assert rec.status == "forced"
     assert rec.links == (1, 2, 3)
@@ -464,8 +486,7 @@ def test_run_day_walk_reuses_final_frank_wolfe_tree(monkeypatch, objective):
     # capacity low enough that one trip moves the costs off free flow
     net = chain_network(capacity_vph=10.0)
     # three 5-minute trips in three intervals, one forced at midnight
-    trips = [TripRequest(i + 1, 3, 4, 3600.0 * i) for i in range(3)]
-    trips.append(TripRequest(4, 1, 4, 86_000.0))
+    trips = departures(*[(i + 1, 3, 4, 3600.0 * i) for i in range(3)], (4, 1, 4, 86_000.0))
     result = run_day(net, trips, objective)
     busy = [fs for fs in result.flow_states if fs.flow_vph.any()]
     assert len(busy) == 4 and all(fs.iterations == 1 for fs in busy)
@@ -572,7 +593,7 @@ def test_forced_completion_fuel_uses_link_speeds():
     derived = net.length_miles / net.free_flow_h
     assert not np.array_equal(derived, net.speed_mph)
 
-    result = run_day(net, [TripRequest(1, 1, 4, 86_000.0)], Objective.UET)
+    result = run_day(net, departures((1, 1, 4, 86_000.0)), Objective.UET)
     rec = result.records[0]
     assert rec.status == "forced" and result.forced_entered.tolist() == [0, 1, 1]
     cfg = SolverConfig()
@@ -590,7 +611,7 @@ def test_run_day_failed_trip():
     nodes = [Node(1, 0.0, 0.0), Node(2, 16093.44, 0.0), Node(3, 0.0, 16093.44)]
     links = [Link(1, 1, 2, 10.0, 30.0, 1000.0, 5, 2, ((0.0, 0.0), (16093.44, 0.0)))]
     net = Network(nodes, links)
-    result = run_day(net, [TripRequest(1, 1, 3, 100.0)], Objective.UET)
+    result = run_day(net, departures((1, 1, 3, 100.0)), Objective.UET)
     assert result.counts()["failed"] == 1
     assert result.records[0].distance_miles == 0.0
     state = result.flow_states[0]
@@ -600,23 +621,23 @@ def test_run_day_failed_trip():
 def test_run_day_rejects_unknown_nodes():
     net = chain_network()
     with pytest.raises(ValueError, match="unknown origin"):
-        run_day(net, [TripRequest(1, 99, 4, 0.0)], Objective.UET)
+        run_day(net, departures((1, 99, 4, 0.0)), Objective.UET)
     with pytest.raises(ValueError, match="unknown destination"):
-        run_day(net, [TripRequest(1, 1, 99, 0.0)], Objective.UET)
+        run_day(net, departures((1, 1, 99, 0.0)), Objective.UET)
 
 
 def test_run_day_rejects_repeated_trip_ids():
     net = chain_network()
-    trips = [TripRequest(2, 1, 4, 0.0), TripRequest(7, 1, 4, 10.0), TripRequest(2, 3, 4, 5000.0)]
     with pytest.raises(ValueError, match="duplicate trip_id 2$"):
-        run_day(net, trips, Objective.UET)
+        run_day(net, departures((2, 1, 4, 0.0), (7, 1, 4, 10.0), (2, 3, 4, 5000.0)),
+                Objective.UET)
 
 
 def test_run_day_is_deterministic():
     net = corridor_network()
     o, d = corridor_od()
-    trips = uniform_trips(o, d, 300, start_s=7 * 3600.0, spacing_s=2.0)
-    trips += uniform_trips(d, o, 200, start_s=7.5 * 3600.0, spacing_s=2.0, first_id=1001)
+    trips = joined(uniform_trips(o, d, 300, start_s=7 * 3600.0, spacing_s=2.0),
+                   uniform_trips(d, o, 200, start_s=7.5 * 3600.0, spacing_s=2.0, first_id=1001))
     a = run_day(net, trips, Objective.SOT)
     b = run_day(net, trips, Objective.SOT)
     for fa, fb in zip(a.flow_states, b.flow_states):
@@ -646,7 +667,11 @@ def test_interval_record_keeps_a_negative_zero_flow():
     assert (record.entered_links.tolist(), record.entered_count.tolist()) == ([2], [3])
     result = assignment_of(net, [state], trips=None)
     assert_same_states(result.flow_states, [state])
-    assert daily_stats(result).flows_vph.tobytes() == flows.tobytes()
+    # the stats read the record's own arrays, the -0.0 flow included
+    record = result.intervals[0]
+    links, flow_vph, time_h = daily_stats(result).rows[0]
+    assert links is record.links and flow_vph is record.flow_vph and time_h is record.time_h
+    assert flow_vph.tobytes() == flows[[0, 2]].tobytes()
 
 
 def test_interval_records_grow_with_loaded_links_not_with_the_day():

@@ -16,16 +16,17 @@ from hypothesis import given, settings, strategies as st
 
 from flowscore import costs, qdta
 from flowscore.network import Link, Network, Node
-from flowscore.qdta import TripRecord, TripRequest
+from flowscore.qdta import TripRecord
 
-from fixtures import assert_dense_figures, assert_same_states
+from fixtures import assert_dense_figures, assert_same_states, departures
 
 cases = settings(max_examples=40, deadline=None, derandomize=True)
 
 
 @dataclass
 class RefTrip:
-    request: TripRequest
+    trip_id: int
+    depart_s: float
     node: int  # node index
     dest: int
     time_h: float
@@ -36,8 +37,8 @@ class RefTrip:
     status: str | None
 
     def record(self, network) -> TripRecord:
-        start = self.request.depart_s
-        return TripRecord(self.request.trip_id, self.status,
+        start = self.depart_s
+        return TripRecord(self.trip_id, self.status,
                           tuple(int(network.link_ids[i]) for i in self.links), start,
                           start + self.time_h * 3600.0, self.distance_miles, self.time_h,
                           self.free_flow_h, self.fuel_l)
@@ -45,14 +46,15 @@ class RefTrip:
 
 def snapshot(trips) -> list[RefTrip]:
     """Each trip's columns and legs copied into its own RefTrip."""
-    links = [[] for _ in trips.requests]
+    links = [[] for _ in trips.trip_id]
     for pos, idx in trips.legs:
         for p, i in zip(pos.tolist(), idx.tolist()):
             links[p].append(i)
-    return [RefTrip(r, int(trips.node[i]), int(trips.dest[i]), float(trips.time_h[i]),
-                    float(trips.distance_miles[i]), float(trips.free_flow_h[i]),
-                    float(trips.fuel_l[i]), links[i], trips.status[i])
-            for i, r in enumerate(trips.requests)]
+    return [RefTrip(int(trips.trip_id[i]), float(trips.depart_s[i]), int(trips.node[i]),
+                    int(trips.dest[i]), float(trips.time_h[i]), float(trips.distance_miles[i]),
+                    float(trips.free_flow_h[i]), float(trips.fuel_l[i]), links[i],
+                    trips.status[i])
+            for i in range(trips.trip_id.size)]
 
 
 def reference_walk(network, trips, link_costs, time_h, speed_mph, budget_h, fuel,
@@ -146,11 +148,11 @@ def random_trips(rng, network):
             ods.append((o, d))
     n = int(rng.integers(1, 30))
     ids = rng.permutation(n) * 3 + 1
-    requests = []
+    rows = []
     for k in range(n):
         o, d = ods[int(rng.integers(len(ods)))]
-        requests.append(TripRequest(int(ids[k]), o, d, float(rng.uniform(0, 80000))))
-    trips = qdta._Trips(network, requests)
+        rows.append((int(ids[k]), o, d, float(rng.uniform(0, 80000))))
+    trips = qdta._Trips(network, departures(*rows))
     preset = np.flatnonzero(rng.random(n) < 0.5)
     for column, hi in ((trips.time_h, 2), (trips.distance_miles, 9), (trips.free_flow_h, 2),
                        (trips.fuel_l, 3)):
@@ -191,7 +193,7 @@ def test_walk_matches_scalar_reference(seed):
     trips = random_trips(rng, net)
     budget_h = float(rng.choice([0.0, 0.02, 0.1, 0.25, 1.0]))
     walk = (link_costs, time_h, net.length_miles / time_h, budget_h, None, 5.0, 90.0, "completed")
-    active = np.arange(len(trips.requests))
+    active = np.arange(trips.trip_id.size)
     for _ in range(4):  # residual trips restart mid-route
         active = walk_both(net, trips, active, *walk)
     # the forced completion: free-flow costs, no budget, at the links' speeds
@@ -214,32 +216,34 @@ def test_walk_matches_scalar_reference_on_long_paths(seed):
              for k in range(n)]
     net = Network(nodes, links)
     time_h = net.free_flow_h * rng.uniform(1.0, 3.0, n)
-    requests = []
+    rows = []
     for k in range(20):
         o = int(rng.integers(1, n))
         d = int(rng.integers(o + 1, n + 2))
-        requests.append(TripRequest(k + 1, o, d, 0.0))
-    trips = qdta._Trips(net, requests)
+        rows.append((k + 1, o, d, 0.0))
+    trips = qdta._Trips(net, departures(*rows))
     budget_h = float(rng.uniform(0.5, 30.0))
     walk = (time_h, time_h, net.length_miles / time_h, budget_h, None, 5.0, 90.0, "completed")
-    active = np.arange(len(requests))
+    active = np.arange(len(rows))
     while active.size:
         active = walk_both(net, trips, active, *walk)
 
 
-def reference_day(network, requests, objective, config):
+def reference_day(network, trips, objective, config):
     """A day walked one trip at a time: each interval's Counter demand over
     its active trips in trip-id order, assign_interval, the reference walk;
     then the forced walk of the leftovers. Returns (records, each
     interval's FlowState with its entries set, forced entries)."""
     index = network.node_index
-    states = sorted((RefTrip(r, index[r.origin], index[r.destination], 0.0, 0.0, 0.0, 0.0, [],
-                             None) for r in requests), key=lambda t: t.request.trip_id)
+    rows = zip(trips.trip_id.tolist(), trips.depart_s.tolist(), trips.origin.tolist(),
+               trips.destination.tolist())
+    states = sorted((RefTrip(trip_id, depart_s, index[o], index[d], 0.0, 0.0, 0.0, 0.0, [], None)
+                     for trip_id, depart_s, o, d in rows), key=lambda t: t.trip_id)
     node_ids = [n.id for n in network.nodes]
     residual, flow_states = [], []
     for k in range(config.n_intervals):
-        fresh = [t for t in states if int(t.request.depart_s // config.interval_s) == k]
-        active = sorted(residual + fresh, key=lambda t: t.request.trip_id)
+        fresh = [t for t in states if int(t.depart_s // config.interval_s) == k]
+        active = sorted(residual + fresh, key=lambda t: t.trip_id)
         demand = Counter((node_ids[t.node], node_ids[t.dest]) for t in active)
         state = qdta.assign_interval(network, demand, objective, config)
         state.entered = reference_walk(network, active, state.cost, state.time_h,
@@ -262,14 +266,15 @@ def test_run_day_matches_reference_day(seed):
     rng = np.random.default_rng(seed)
     net = random_grid(rng)
     node_ids = [n.id for n in net.nodes]
-    requests = []
+    rows = []
     for trip_id in rng.permutation(int(rng.integers(1, 80))) + 1:
         o, d = (int(x) for x in rng.choice(node_ids, 2, replace=False))
-        requests.append(TripRequest(int(trip_id), o, d, float(rng.uniform(84_600.0, 86_400.0))))
+        rows.append((int(trip_id), o, d, float(rng.uniform(84_600.0, 86_400.0))))
+    trips = departures(*rows)
     objective = qdta.Objective(str(rng.choice(["uet", "sot", "sof"])))
     config = qdta.SolverConfig(interval_s=float(rng.choice([600.0, 900.0])), max_iterations=4)
-    result = qdta.run_day(net, requests, objective, config)
-    records, flow_states, forced_entered = reference_day(net, requests, objective, config)
+    result = qdta.run_day(net, trips, objective, config)
+    records, flow_states, forced_entered = reference_day(net, trips, objective, config)
     assert result.records == records
     # the dense states rebuilt from run_day's interval records are the bytes
     # of the ones assign_interval returned
