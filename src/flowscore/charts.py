@@ -5,10 +5,9 @@ formatting and no timestamps, ids or randomness.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
-from .network import write_csv
+from .network import TEXT, Cell, LoadError, read_columns, write_csv
 
 OBJECTIVE_COLORS = {
     "uet": "#1f77b4",  # blue
@@ -49,19 +48,16 @@ def write_comparison(path, table: ComparisonTable) -> None:
 
 
 def load_comparison(path) -> ComparisonTable:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or header[:3] != ["theme", "indicator", "unit"]:
-            raise ValueError(f"{path}: not a comparison table")
-        objectives = tuple(header[3:])
-        if not objectives:
-            raise ValueError(f"{path}: no objective columns")
-        rows = []
-        for raw in reader:
-            values = tuple(None if v == "NA" else float(v) for v in raw[3:])
-            rows.append(ComparisonRow(raw[0], raw[1], raw[2], values))
-    return ComparisonTable(objectives, tuple(rows))
+    """A comparison table as write_comparison writes it: theme, indicator,
+    unit, then one column of values (or NA) per objective."""
+    columns = read_columns(path, "comparison", dict.fromkeys(("theme", "indicator", "unit"), TEXT),
+                           rest=Cell(lambda text: None if text == "NA" else float(text),
+                                     "a number or NA"))
+    theme, name, unit, *values = columns.values()
+    if not values:
+        raise LoadError(f"no objective columns in {path}, row 1")
+    return ComparisonTable(tuple(columns)[3:], tuple(
+        ComparisonRow(*row[:3], row[3:]) for row in zip(theme, name, unit, *values)))
 
 
 def render_chart_svg(table: ComparisonTable, title: str = "Objective comparison") -> str:

@@ -8,12 +8,10 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import dataclasses
 import itertools
 import json
 import logging
-import math
 import sys
 from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
@@ -25,7 +23,8 @@ import numpy as np
 from . import charts, geo, indicators, qdta, typology
 from .charts import ComparisonRow, ComparisonTable, _fmt_value
 from .costs import BprParams, FuelParams
-from .network import LoadError, _require_columns, load_network, write_csv
+from .network import (FINITE, INT64, LINK_IDS, check_rows, load_network, naming_rows, one_of,
+                      read_columns, repeats, write_csv)
 from .qdta import AssignmentResult, Objective, SolverConfig, TripTable, load_trips, run_day
 
 logger = logging.getLogger(__name__)
@@ -59,7 +58,6 @@ DEFAULT_CONFIG = {
 FLOW_COLUMNS = ("interval", "link_id", "flow_vph", "time_h", "speed_mph")
 TRIP_COLUMNS = ("trip_id", "status", "start_s", "end_s", "distance_miles", "time_h", "free_flow_h",
                 "delay_h", "fuel_l", "links")
-_TRIP_SIZES = ("distance_miles", "time_h", "free_flow_h", "fuel_l")  # none may be negative
 _TRIP_BLOCK = 1 << 14  # trip rows written at a time
 
 
@@ -229,64 +227,35 @@ def write_exposure_csv(path, exposures: dict[int, indicators.SchoolExposure]) ->
 
 def read_flows_csv(path, network, config: SolverConfig) -> indicators.LinkDailyStats:
     """The day's link stats from a flows CSV; absent rows are zero flow at free-flow time."""
+    columns = read_columns(path, "flows", dict(zip(FLOW_COLUMNS, (INT64, INT64, FINITE, FINITE))))
+    k, link_id = (np.array(columns[name], dtype=np.int64) for name in ("interval", "link_id"))
+    flow, time_h = np.array(columns["flow_vph"]), np.array(columns["time_h"])
+    pos = np.array([network.link_index.get(i, -1) for i in columns["link_id"]], dtype=np.int64)
     n = config.n_intervals
-    rows = [([], [], []) for _ in range(n)]  # per interval: link positions, flows, times
-    seen: set[tuple[int, int]] = set()
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        _require_columns(reader.fieldnames, FLOW_COLUMNS, path, "flows")
-        for row_no, row in enumerate(reader, start=2):
-            try:
-                k, link_id = int(row["interval"]), int(row["link_id"])
-                flow, time_h = float(row["flow_vph"]), float(row["time_h"])
-            except (TypeError, ValueError):
-                raise ValueError(f"non-numeric flow field in {path}, row {row_no}") from None
-            for column, value in (("flow_vph", flow), ("time_h", time_h)):
-                if not 0 <= value < math.inf:
-                    raise ValueError(f"non-finite or negative {column} in {path}, row {row_no}")
-            if not 0 <= k < n:
-                raise ValueError(f"interval {k} outside the day's {n} intervals in {path}, row {row_no}")
-            if link_id not in network.link_index:
-                raise ValueError(f"unknown link_id {link_id} in {path}, row {row_no}")
-            if (k, link_id) in seen:
-                raise ValueError(f"duplicate interval {k}, link_id {link_id} in {path}, "
-                                 f"row {row_no}")
-            seen.add((k, link_id))
-            for column, value in zip(rows[k], (network.link_index[link_id], flow, time_h)):
-                column.append(value)
-    return indicators.LinkDailyStats(
-        network, ((np.array(links, dtype=np.int64), np.array(flows), np.array(times))
-                  for links, flows, times in rows), config.interval_s)
+    with naming_rows(path):
+        check_rows({"k": k, "link_id": link_id}, {
+            "negative flow_vph": flow < 0, "negative time_h": time_h < 0,
+            f"interval {{k}} outside the day's {n} intervals": (k < 0) | (k >= n),
+            "unknown link_id {link_id}": pos < 0,
+            "duplicate interval {k}, link_id {link_id}": repeats(k * network.n_links + pos)})
+    order = np.argsort(k, kind="stable")  # an interval's rows stay in file order
+    return indicators.LinkDailyStats(network, ((pos[r], flow[r], time_h[r]) for r in np.split(
+        order, np.searchsorted(k[order], np.arange(1, n)))), config.interval_s)
 
 
 def read_trips_csv(path) -> TripTable:
     """A trips CSV's rows, in file order; delay_h is left out, as time_h - free_flow_h."""
-    status_of, values, offsets, links = {}, [], [0], []  # status_of: trip id -> status
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        _require_columns(reader.fieldnames, TRIP_COLUMNS, path, "trips")
-        for row_no, row in enumerate(reader, start=2):
-            if row["status"] not in ("completed", "forced", "failed"):
-                raise ValueError(f"unknown trip status {row['status']!r} in {path}, row {row_no}")
-            try:
-                trip_id = int(row["trip_id"])
-                links += (int(x) for x in row["links"].split("|")) if row["links"] else ()
-                values.append([float(row[c]) for c in ("start_s", "end_s", *_TRIP_SIZES)])
-                if not all(map(math.isfinite, values[-1])):
-                    raise ValueError
-            except (TypeError, ValueError):
-                raise ValueError(f"non-numeric trip field in {path}, row {row_no}") from None
-            for column, value in zip(_TRIP_SIZES, values[-1][2:]):
-                if value < 0:
-                    raise ValueError(f"negative {column} in {path}, row {row_no}")
-            if trip_id in status_of:
-                raise ValueError(f"duplicate trip_id {trip_id} in {path}, row {row_no}")
-            status_of[trip_id] = row["status"]
-            offsets.append(len(links))
-    return TripTable(np.array(list(status_of), dtype=np.int64),
-                     np.array(list(status_of.values()), dtype=object),
-                     *np.reshape(values, (-1, 6)).T, np.array(offsets),
-                     np.array(links, dtype=np.int64))
+    columns = read_columns(path, "trips", {
+        "trip_id": INT64, "status": one_of({s: s for s in ("completed", "forced", "failed")}),
+        **dict.fromkeys(("start_s", "end_s", "distance_miles", "time_h", "free_flow_h", "fuel_l"),
+                        FINITE), "links": LINK_IDS})
+    links = columns.pop("links")
+    offsets = np.cumsum([0, *map(len, links)])
+    links = np.frombuffer(bytearray().join(links), dtype=np.int64)
+    with naming_rows(path):
+        return TripTable(np.array(columns.pop("trip_id"), dtype=np.int64),
+                         np.array(columns.pop("status"), dtype=object),
+                         *map(np.array, columns.values()), offsets, links)
 
 
 def _load_city_network(scenario: Scenario):
@@ -469,8 +438,7 @@ def _cmd_indicators(args) -> int:
     for required in (flows_path, trips_path, convergence_path):
         if not required.exists():
             raise ConfigError(f"missing assignment output: {required} (run `assign` first)")
-    with open(convergence_path, newline="") as fh:
-        n_rows = sum(1 for _ in csv.reader(fh)) - 1  # one row per interval
+    n_rows = len(read_columns(convergence_path, "convergence", {"interval": INT64})["interval"])
     if n_rows != scenario.solver.n_intervals:
         raise ValueError(f"{convergence_path} has {n_rows} intervals, but interval_s "
                          f"{scenario.solver.interval_s:g} makes {scenario.solver.n_intervals}")
@@ -482,9 +450,9 @@ def _cmd_indicators(args) -> int:
         missing = [link.id for link in network.links if link.id not in street_types]
         if missing:
             raise ValueError(f"{types_path} has no street type for link {missing[0]}")
-        unknown = [i for i in street_types if i not in network.link_index]
-        if unknown:
-            raise ValueError(f"{types_path} names link {unknown[0]}, which the network lacks")
+        with naming_rows(types_path):  # street_types holds the rows in file order
+            check_rows({"link_id": list(street_types)},
+                       {"unknown link_id {link_id}": [i not in network.link_index for i in street_types]})
     else:
         street_types = _classify_streets(scenario, network)
     _score(scenario, tag, read_flows_csv(flows_path, network, scenario.solver),
@@ -570,7 +538,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (LoadError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # a LoadError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -7,7 +7,6 @@ trips, no exposed schools) are reported as None, never as zero.
 """
 from __future__ import annotations
 
-import csv
 import enum
 from dataclasses import dataclass
 
@@ -15,7 +14,7 @@ import numpy as np
 
 from . import costs, geo
 from .costs import SpfParams
-from .network import _require_columns
+from .network import INT64, NUMBER, check_rows, naming_rows, read_rows, repeats
 from .typology import StreetType
 
 MORNING_PEAK_S = (25200.0, 32400.0)  # 07:00-09:00
@@ -42,26 +41,11 @@ class School:
 
 def load_schools(path: str) -> list[School]:
     """Schools in file order; ids must be unique and coordinates finite."""
-    schools = []
-    seen: set[int] = set()
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        _require_columns(reader.fieldnames, ("school_id", "x", "y", "pct_minority"), path, "schools")
-        for row_no, row in enumerate(reader, start=2):
-            try:
-                schools.append(
-                    School(
-                        id=int(row["school_id"]),
-                        x=float(row["x"]),
-                        y=float(row["y"]),
-                        pct_minority=float(row["pct_minority"]),
-                    )
-                )
-            except ValueError as exc:
-                raise ValueError(f"{exc}, row {row_no}") from None
-            if schools[-1].id in seen:
-                raise ValueError(f"duplicate school_id {schools[-1].id}, row {row_no}")
-            seen.add(schools[-1].id)
+    schools = read_rows(path, "schools", {"school_id": INT64, "x": NUMBER, "y": NUMBER,
+                                          "pct_minority": NUMBER}, School)
+    ids = [s.id for s in schools]
+    with naming_rows(path):
+        check_rows({"id": ids}, {"duplicate school_id {id}": repeats(ids)})
     return schools
 
 

@@ -5,9 +5,12 @@ capacities veh/h, so derived free-flow times come out in hours.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
+from array import array
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -30,7 +33,17 @@ LINK_COLUMNS = (
 
 
 class LoadError(ValueError):
-    """Raised when a network input file violates the interchange contract."""
+    """Raised when an input CSV breaks its format or its table's rules; the
+    message ends with the file and the row (the header is row 1)."""
+
+
+class _BadRow(ValueError):
+    """A broken table rule at row `position` (0 is the first data row) of
+    the table named `table`, where a type holds more than one."""
+
+    def __init__(self, message: str, position: int, table: str = ""):
+        super().__init__(message)
+        self.position, self.table = position, table
 
 
 @dataclass(frozen=True)
@@ -99,18 +112,17 @@ class Network:
         self.nodes: list[Node] = list(nodes)
         self.links: list[Link] = list(links)
         self.node_by_id: dict[int, Node] = {}
-        for node in self.nodes:
+        for i, node in enumerate(self.nodes):
             if node.id in self.node_by_id:
-                raise ValueError(f"duplicate node id {node.id}")
+                raise _BadRow(f"duplicate node id {node.id}", i, "nodes")
             self.node_by_id[node.id] = node
         self.link_by_id: dict[int, Link] = {}
-        for link in self.links:
+        for i, link in enumerate(self.links):
             if link.id in self.link_by_id:
-                raise ValueError(f"duplicate link id {link.id}")
-            if link.from_node not in self.node_by_id:
-                raise ValueError(f"unknown node {link.from_node} on link {link.id}")
-            if link.to_node not in self.node_by_id:
-                raise ValueError(f"unknown node {link.to_node} on link {link.id}")
+                raise _BadRow(f"duplicate link id {link.id}", i, "links")
+            for end, node in (("from", link.from_node), ("to", link.to_node)):
+                if node not in self.node_by_id:
+                    raise _BadRow(f"unknown node {node} ({end}) on link {link.id}", i, "links")
             self.link_by_id[link.id] = link
 
         self.node_index: dict[int, int] = {n.id: i for i, n in enumerate(self.nodes)}
@@ -207,13 +219,6 @@ def format_wkt_linestring(points: tuple[tuple[float, float], ...]) -> str:
     return f"LINESTRING ({inner})"
 
 
-def _require_columns(fieldnames, required, path: str, kind: str) -> None:
-    present = set(fieldnames or ())
-    for col in required:
-        if col not in present:
-            raise LoadError(f"missing column '{col}' in {kind} file {path}")
-
-
 def write_csv(path, header, rows) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -221,92 +226,140 @@ def write_csv(path, header, rows) -> None:
         writer.writerows(rows)
 
 
-def _parse_int(raw: str, col: str, row: int) -> int:
-    try:
-        return int(raw)
-    except (TypeError, ValueError):
-        raise LoadError(f"non-numeric {col}, row {row}") from None
+class Cell(NamedTuple):
+    """How the cells of one CSV column parse: `parse(text)` raises
+    ValueError, OverflowError or KeyError on a cell that is not `want`."""
+
+    parse: Callable[[str], object]
+    want: str
 
 
-def _parse_float(raw: str, col: str, row: int) -> float:
+def _int64(text: str) -> int:
+    value = int(text)
+    if -(1 << 63) <= value < 1 << 63:
+        return value
+    raise OverflowError(text)
+
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if math.isfinite(value):
+        return value
+    raise ValueError(text)
+
+
+INT64 = Cell(_int64, "an int64")
+FINITE = Cell(_finite, "a finite number")
+NUMBER = Cell(float, "a number")
+TEXT = Cell(str, "text")
+WKT = Cell(parse_wkt_linestring, "a WKT LINESTRING")
+
+
+def _link_ids(text: str) -> array:
+    """A trip's links as int64s in an array("q"), which holds them in 8
+    bytes each where a list of ints holds a pointer and an int object."""
+    return array("q", map(int, text.split("|")) if text else ())
+
+
+LINK_IDS = Cell(_link_ids, "int64 link ids joined by '|'")
+
+
+def one_of(choices: dict) -> Cell:
+    """A cell that must be one of the keys of `choices`, parsed to its value."""
+    return Cell(choices.__getitem__, "one of " + ", ".join(choices))
+
+
+def read_columns(path, kind: str, parsers: dict[str, Cell], rest: Cell | None = None) -> dict:
+    """The columns named in `parsers` of the CSV file at `path`, each a list
+    of its cells parsed in row order; with `rest`, every other column of
+    the header too, parsed by `rest`, in header order.
+
+    A missing or repeated column, a row whose cell count differs from the
+    header's, or a cell its parser rejects raises a LoadError that names
+    the file and the row, and the column and its value. Blank lines are
+    skipped.
+    """
+    with open(path, newline="") as fh:
+        rows = filter(None, csv.reader(fh))
+        header = next(rows, [])
+        for name in parsers:
+            if name not in header:
+                raise LoadError(f"missing {kind} column {name!r} in {path}, row 1")
+        for i, name in enumerate(header):
+            if name in header[:i]:
+                raise LoadError(f"repeated {kind} column {name!r} in {path}, row 1")
+        if rest is not None:
+            parsers = {**parsers, **{name: rest for name in header if name not in parsers}}
+        columns = {name: [] for name in parsers}
+        cells = [(name, columns[name], header.index(name), cell.parse)
+                 for name, cell in parsers.items()]
+        for row_no, row in enumerate(rows, start=2):
+            if len(row) != len(header):
+                raise LoadError(f"{len(row)} cells under a {len(header)}-column header "
+                                f"in {path}, row {row_no}")
+            try:
+                for name, column, i, parse in cells:
+                    column.append(parse(row[i]))
+            except (ValueError, OverflowError, KeyError):
+                raise LoadError(f"{name} {row[i]!r} is not {parsers[name].want} "
+                                f"in {path}, row {row_no}") from None
+    return columns
+
+
+@contextlib.contextmanager
+def naming_rows(path, **paths):
+    """Turn a `_BadRow` raised inside into a LoadError naming its file
+    (`paths[table]`, else `path`) and its row."""
     try:
-        value = float(raw)
-    except (TypeError, ValueError):
-        raise LoadError(f"non-numeric {col}, row {row}") from None
-    if not math.isfinite(value):
-        raise LoadError(f"non-numeric {col}, row {row}")
-    return value
+        yield
+    except _BadRow as exc:
+        raise LoadError(f"{exc} in {paths.get(exc.table, path)}, row {exc.position + 2}") from None
+
+
+def read_rows(path, kind: str, parsers: dict[str, Cell], make) -> list:
+    """make(*row) for each row of `read_columns`, columns in `parsers` order;
+    a ValueError that make raises names the file and the row."""
+    columns = read_columns(path, kind, parsers)
+    made = []
+    try:
+        for row in zip(*columns.values()):
+            made.append(make(*row))
+    except ValueError as exc:
+        raise LoadError(f"{exc} in {path}, row {len(made) + 2}") from None
+    return made
+
+
+def repeats(keys) -> np.ndarray:
+    """True at each row whose key an earlier row holds."""
+    repeated = np.ones(len(keys), dtype=bool)
+    repeated[np.unique(keys, return_index=True)[1]] = False
+    return repeated
+
+
+def check_rows(columns: dict, rules: dict) -> None:
+    """Raise a `_BadRow` at the first row that breaks a rule. `rules` maps
+    each rule's message, formatted with the row's values of `columns`, to
+    its mask of breaking rows; a row that breaks several is named by the
+    first of them."""
+    bad = np.flatnonzero(np.logical_or.reduce(list(rules.values())))
+    if bad.size:
+        i = int(bad[0])
+        rule = next(rule for rule, broken in rules.items() if broken[i])
+        raise _BadRow(rule.format(**{name: column[i] for name, column in columns.items()}), i)
 
 
 def load_network(nodes_path: str, links_path: str) -> Network:
-    """Read the node and link CSVs, validating every field.
+    """Read the node and link CSVs; `Link` and `Network` check the rows.
 
-    Errors name the offending row (physical line, header is row 1) and
-    column so bad inputs can be fixed without spelunking.
+    Errors name the file, the offending row (the header is row 1), and
+    the column or the broken rule, so bad inputs can be fixed without
+    spelunking.
     """
-    nodes: list[Node] = []
-    with open(nodes_path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        _require_columns(reader.fieldnames, NODE_COLUMNS, nodes_path, "nodes")
-        for row_no, row in enumerate(reader, start=2):
-            nodes.append(
-                Node(
-                    id=_parse_int(row["node_id"], "node_id", row_no),
-                    x=_parse_float(row["x"], "x", row_no),
-                    y=_parse_float(row["y"], "y", row_no),
-                )
-            )
-    node_ids = {n.id for n in nodes}
-    if len(node_ids) != len(nodes):
-        raise LoadError(f"duplicate node ids in {nodes_path}")
-
-    links: list[Link] = []
-    with open(links_path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        _require_columns(reader.fieldnames, LINK_COLUMNS, links_path, "links")
-        seen: set[int] = set()
-        for row_no, row in enumerate(reader, start=2):
-            link_id = _parse_int(row["link_id"], "link_id", row_no)
-            if link_id in seen:
-                raise LoadError(f"duplicate link_id {link_id}, row {row_no}")
-            seen.add(link_id)
-            from_node = _parse_int(row["from"], "from", row_no)
-            to_node = _parse_int(row["to"], "to", row_no)
-            for node_ref, col in ((from_node, "from"), (to_node, "to")):
-                if node_ref not in node_ids:
-                    raise LoadError(f"unknown node {node_ref} in {col}, row {row_no}")
-            if from_node == to_node:
-                raise LoadError(f"self loop on link {link_id}, row {row_no}")
-            values = {}
-            for col in ("length_miles", "speed_mph", "capacity_vph"):
-                value = _parse_float(row[col], col, row_no)
-                if value <= 0:
-                    raise LoadError(f"nonpositive {col}, row {row_no}")
-                values[col] = value
-            fclass = _parse_int(row["fclass"], "fclass", row_no)
-            if fclass not in (1, 2, 3, 4, 5):
-                raise LoadError(f"fclass out of range 1..5, row {row_no}")
-            lanes = _parse_int(row["lanes"], "lanes", row_no)
-            if not 1 <= lanes <= 8:
-                raise LoadError(f"lanes out of range 1..8, row {row_no}")
-            try:
-                geometry = parse_wkt_linestring(row["wkt_geometry"])
-            except ValueError as exc:
-                raise LoadError(f"bad wkt_geometry, row {row_no}: {exc}") from None
-            links.append(
-                Link(
-                    id=link_id,
-                    from_node=from_node,
-                    to_node=to_node,
-                    length_miles=values["length_miles"],
-                    speed_mph=values["speed_mph"],
-                    capacity_vph=values["capacity_vph"],
-                    fclass=fclass,
-                    lanes=lanes,
-                    geometry=geometry,
-                )
-            )
-    return Network(nodes, links)
+    nodes = read_rows(nodes_path, "nodes", dict(zip(NODE_COLUMNS, (INT64, FINITE, FINITE))), Node)
+    links = read_rows(links_path, "links", dict(zip(LINK_COLUMNS, (
+        INT64, INT64, INT64, FINITE, FINITE, FINITE, INT64, INT64, WKT))), Link)
+    with naming_rows(links_path, nodes=nodes_path):
+        return Network(nodes, links)
 
 
 def save_network(network: Network, nodes_path: str, links_path: str) -> None:

@@ -12,7 +12,6 @@ working range.
 """
 from __future__ import annotations
 
-import csv
 import enum
 import logging
 import math
@@ -24,7 +23,7 @@ from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
 from . import costs
 from .costs import BprParams, FuelParams, DEFAULT_BPR, DEFAULT_FUEL
-from .network import Network, _require_columns
+from .network import INT64, NUMBER, Network, check_rows, naming_rows, read_columns, repeats
 
 logger = logging.getLogger(__name__)
 
@@ -50,14 +49,6 @@ class Objective(enum.Enum):
             raise ValueError(f"unknown objective {name!r} (want uet, sot or sof)") from None
 
 
-class _BadRow(ValueError):
-    """A broken `Departures` rule, at table row `position`."""
-
-    def __init__(self, message: str, position: int):
-        super().__init__(message)
-        self.position = position
-
-
 @dataclass(eq=False)
 class Departures:
     """A day's trip requests as columns, one row per trip: trip_id, the
@@ -80,17 +71,11 @@ class Departures:
         self.depart_s = np.asarray(self.depart_s, dtype=float)
         if {c.shape for c in (*ids, self.depart_s)} != {(self.trip_id.size,)}:
             raise ValueError("departure columns must be 1-D and of one length")
-        repeated = np.ones(self.trip_id.size, dtype=bool)
-        repeated[np.unique(self.trip_id, return_index=True)[1]] = False
-        loop = self.origin == self.destination
-        outside = ~((0 <= self.depart_s) & (self.depart_s < DAY_SECONDS))
-        bad = np.flatnonzero(repeated | loop | outside)
-        if bad.size:
-            i = int(bad[0])
-            trip, depart = self.trip_id[i], self.depart_s[i]
-            raise _BadRow(f"duplicate trip_id {trip}" if repeated[i] else
-                          f"trip {trip}: origin equals destination" if loop[i] else
-                          f"trip {trip}: departure {depart} outside [0, 86400)", i)
+        check_rows(vars(self), {
+            "duplicate trip_id {trip_id}": repeats(self.trip_id),
+            "trip {trip_id}: origin equals destination": self.origin == self.destination,
+            "trip {trip_id}: departure {depart_s} outside [0, 86400)":
+                ~((0 <= self.depart_s) & (self.depart_s < DAY_SECONDS))})
 
 
 @dataclass(frozen=True)
@@ -201,6 +186,8 @@ class TripTable:
     `run_day` and in file order from `cli.read_trips_csv`.
 
     Trip i drove the link ids links[offsets[i]:offsets[i + 1]], in order.
+    Trip ids are unique, and no distance, time or fuel is negative; the
+    error names the first row that breaks one.
     """
 
     trip_id: np.ndarray
@@ -213,6 +200,12 @@ class TripTable:
     fuel_l: np.ndarray
     offsets: np.ndarray
     links: np.ndarray
+
+    def __post_init__(self) -> None:
+        check_rows(vars(self), {
+            **{f"negative {name}": getattr(self, name) < 0
+               for name in ("distance_miles", "time_h", "free_flow_h", "fuel_l")},
+            "duplicate trip_id {trip_id}": repeats(self.trip_id)})
 
     def link_lists(self):
         """Each trip's link ids as a list, in row order."""
@@ -758,17 +751,7 @@ def run_day(network: Network, trips: Departures, objective: Objective,
 def load_trips(path: str) -> Departures:
     """Read trips.csv (trip_id, origin, destination, depart_s) into one
     `Departures` table, in file order."""
-    columns = {"trip_id": [], "origin": [], "destination": [], "depart_s": []}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        _require_columns(reader.fieldnames, tuple(columns), path, "trips")
-        for row_no, row in enumerate(reader, start=2):
-            try:
-                for (name, column), parse in zip(columns.items(), (int, int, int, float)):
-                    column.append(parse(row[name]))
-            except (TypeError, ValueError):
-                raise ValueError(f"non-numeric trip field, row {row_no}") from None
-    try:
+    columns = read_columns(path, "trips", {"trip_id": INT64, "origin": INT64,
+                                           "destination": INT64, "depart_s": NUMBER})
+    with naming_rows(path):
         return Departures(**columns)
-    except _BadRow as exc:
-        raise ValueError(f"{exc}, row {exc.position + 2}") from None

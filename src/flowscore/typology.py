@@ -1,12 +1,11 @@
 """Street typology: functional class x adjacent land use -> street type."""
 from __future__ import annotations
 
-import csv
 import enum
 from dataclasses import dataclass
 
 from . import geo
-from .network import _require_columns, write_csv
+from .network import INT64, check_rows, naming_rows, one_of, read_columns, repeats, write_csv
 
 
 class LandUse(enum.Enum):
@@ -171,20 +170,9 @@ def write_link_types(path: str, street_types: dict[int, StreetType], network) ->
 
 
 def read_link_types(path: str) -> dict[int, StreetType]:
-    by_value = {t.value: t for t in StreetType}
-    out: dict[int, StreetType] = {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        _require_columns(reader.fieldnames, ("link_id", "street_type"), path, "link types")
-        for row_no, row in enumerate(reader, start=2):
-            if row["street_type"] not in by_value:
-                raise ValueError(
-                    f"unknown street_type {row['street_type']!r} in {path}, row {row_no}")
-            try:
-                link_id = int(row["link_id"])
-            except (TypeError, ValueError):
-                raise ValueError(f"non-numeric link_id in {path}, row {row_no}") from None
-            if link_id in out:
-                raise ValueError(f"duplicate link_id {link_id} in {path}, row {row_no}")
-            out[link_id] = by_value[row["street_type"]]
-    return out
+    """Each link's street type, in file order; a link may appear once."""
+    columns = read_columns(path, "link types", {
+        "link_id": INT64, "street_type": one_of({t.value: t for t in StreetType})})
+    with naming_rows(path):
+        check_rows(columns, {"duplicate link_id {link_id}": repeats(columns["link_id"])})
+    return dict(zip(columns["link_id"], columns["street_type"]))

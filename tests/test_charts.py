@@ -57,10 +57,13 @@ def test_comparison_round_trip_preserves_floats_exactly(tmp_path):
 def test_load_comparison_rejects_bad_files(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b,c\n1,2,3\n")
-    with pytest.raises(ValueError, match="not a comparison table"):
+    with pytest.raises(ValueError, match=f"^missing comparison column 'theme' in {re.escape(str(path))}, row 1$"):
         load_comparison(path)
     path.write_text("theme,indicator,unit\nMobility,VMT,miles\n")
-    with pytest.raises(ValueError, match="no objective columns"):
+    with pytest.raises(ValueError, match=f"^no objective columns in {re.escape(str(path))}, row 1$"):
+        load_comparison(path)
+    path.write_text("theme,indicator,unit,uet,uet\nMobility,VMT,miles,1.0,2.0\n")
+    with pytest.raises(ValueError, match=f"^repeated comparison column 'uet' in {re.escape(str(path))}, row 1$"):
         load_comparison(path)
 
 

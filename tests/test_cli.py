@@ -109,6 +109,18 @@ def test_no_command_exits_2():
     assert main([]) == 2
 
 
+def test_importing_the_cli_loads_no_xml_or_http_modules():
+    # every command's process pays for what `import flowscore.cli` loads;
+    # xml.sax.saxutils once pulled in urllib.request and http.client, ~40 ms
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    code = ("import sys, flowscore.cli; "
+            "print(sorted({'xml.sax', 'urllib.request', 'http.client'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
+
+
 def test_load_scenario_rejects_bad_configs(tmp_path):
     cfg = town_scenario(tmp_path)
     base_raw = json.loads((tmp_path / "config.json").read_text())
@@ -585,41 +597,97 @@ def _edit_row(path, row_no, column, value):
         csv.writer(fh).writerows(rows)
 
 
-@pytest.mark.parametrize("name, row_no, column, value, message", [
-    ("link_types.csv", 4, None, None, "link_types.csv has no street type for link 3"),
-    ("link_types.csv", 2, "street_type", "Boulevard",
-     "unknown street_type 'Boulevard' in {path}, row 2"),
-    ("link_types.csv", 6, "link_id", "999", "{path} names link 999, which the network lacks"),
-    ("link_types.csv", 6, "link_id", "2", "duplicate link_id 2 in {path}, row 6"),
-    ("trips_uet.csv", 3, "distance_miles", "abc", "non-numeric trip field in {path}, row 3"),
-    ("trips_uet.csv", 4, "fuel_l", "nan", "non-numeric trip field in {path}, row 4"),
-    ("trips_uet.csv", 5, "status", "parked", "unknown trip status 'parked' in {path}, row 5"),
-    ("trips_uet.csv", 602, "trip_id", "600", "duplicate trip_id 600 in {path}, row 602"),
-    ("trips_uet.csv", 6, "distance_miles", "-50.0", "negative distance_miles in {path}, row 6"),
-    ("trips_uet.csv", 7, "time_h", "-0.1", "negative time_h in {path}, row 7"),
-    ("trips_uet.csv", 8, "free_flow_h", "-0.1", "negative free_flow_h in {path}, row 8"),
-    ("trips_uet.csv", 9, "fuel_l", "-1.0", "negative fuel_l in {path}, row 9"),
-    ("flows_uet.csv", 3, "time_h", "abc", "non-numeric flow field in {path}, row 3"),
-    ("flows_uet.csv", 2, "flow_vph", "-5.0", "non-finite or negative flow_vph in {path}, row 2"),
-    ("flows_uet.csv", 3, "flow_vph", "nan", "non-finite or negative flow_vph in {path}, row 3"),
-    ("flows_uet.csv", 4, "time_h", "-0.1", "non-finite or negative time_h in {path}, row 4"),
-    ("flows_uet.csv", 5, "time_h", "inf", "non-finite or negative time_h in {path}, row 5"),
-    ("flows_uet.csv", 3, "link_id", "1", "duplicate interval 28, link_id 1 in {path}, row 3"),
-    ("flows_uet.csv", None, "time_h", None, "missing column 'time_h' in flows file {path}"),
+_STREET_TYPES = ", ".join(t.value for t in StreetType)
+_STATUSES = "completed, forced, failed"
+
+
+# Every loader error reads "<rule or cell> in <path>, row <n>", the header
+# being row 1. Each case edits one file of the assigned town, then runs the
+# command that reads it: `assign` reads trips.csv, `indicators` the rest.
+@pytest.mark.parametrize("command, name, row_no, column, value, message", [
+    ("indicators", "out/link_types.csv", 4, None, None,
+     "{path} has no street type for link 3"),
+    ("indicators", "out/link_types.csv", 2, "street_type", "Boulevard",
+     f"street_type 'Boulevard' is not one of {_STREET_TYPES} in {{path}}, row 2"),
+    ("indicators", "out/link_types.csv", 6, "link_id", "999", "unknown link_id 999 in {path}, row 6"),
+    ("indicators", "out/link_types.csv", 6, "link_id", "2", "duplicate link_id 2 in {path}, row 6"),
+    ("indicators", "out/trips_uet.csv", 3, "distance_miles", "abc",
+     "distance_miles 'abc' is not a finite number in {path}, row 3"),
+    ("indicators", "out/trips_uet.csv", 4, "fuel_l", "nan",
+     "fuel_l 'nan' is not a finite number in {path}, row 4"),
+    ("indicators", "out/trips_uet.csv", 5, "status", "parked",
+     f"status 'parked' is not one of {_STATUSES} in {{path}}, row 5"),
+    ("indicators", "out/trips_uet.csv", 602, "trip_id", "600", "duplicate trip_id 600 in {path}, row 602"),
+    ("indicators", "out/trips_uet.csv", 6, "distance_miles", "-50.0",
+     "negative distance_miles in {path}, row 6"),
+    ("indicators", "out/trips_uet.csv", 7, "time_h", "-0.1", "negative time_h in {path}, row 7"),
+    ("indicators", "out/trips_uet.csv", 8, "free_flow_h", "-0.1",
+     "negative free_flow_h in {path}, row 8"),
+    ("indicators", "out/trips_uet.csv", 9, "fuel_l", "-1.0", "negative fuel_l in {path}, row 9"),
+    ("indicators", "out/flows_uet.csv", 3, "time_h", "abc",
+     "time_h 'abc' is not a finite number in {path}, row 3"),
+    ("indicators", "out/flows_uet.csv", 2, "flow_vph", "-5.0", "negative flow_vph in {path}, row 2"),
+    ("indicators", "out/flows_uet.csv", 3, "flow_vph", "nan",
+     "flow_vph 'nan' is not a finite number in {path}, row 3"),
+    ("indicators", "out/flows_uet.csv", 4, "time_h", "-0.1", "negative time_h in {path}, row 4"),
+    ("indicators", "out/flows_uet.csv", 5, "time_h", "inf",
+     "time_h 'inf' is not a finite number in {path}, row 5"),
+    ("indicators", "out/flows_uet.csv", 3, "link_id", "1",
+     "duplicate interval 28, link_id 1 in {path}, row 3"),
+    ("indicators", "out/flows_uet.csv", None, "time_h", None,
+     "missing flows column 'time_h' in {path}, row 1"),
+    ("indicators", "nodes.csv", None, "y", None, "missing nodes column 'y' in {path}, row 1"),
+    ("indicators", "nodes.csv", 3, "x", "abc", "x 'abc' is not a finite number in {path}, row 3"),
+    ("indicators", "nodes.csv", 2, "x", "nan", "x 'nan' is not a finite number in {path}, row 2"),
+    ("indicators", "nodes.csv", 3, "node_id", "1", "duplicate node id 1 in {path}, row 3"),
+    ("indicators", "links.csv", 3, "link_id", "1", "duplicate link id 1 in {path}, row 3"),
+    ("indicators", "links.csv", 2, "to", "99", "unknown node 99 (to) on link 1 in {path}, row 2"),
+    ("indicators", "links.csv", 2, "length_miles", "0.0",
+     "nonpositive length_miles on link 1 in {path}, row 2"),
+    ("indicators", "links.csv", 2, "speed_mph", "-5.0",
+     "nonpositive speed_mph on link 1 in {path}, row 2"),
+    ("indicators", "links.csv", 2, "capacity_vph", "0.0",
+     "nonpositive capacity_vph on link 1 in {path}, row 2"),
+    ("indicators", "links.csv", 2, "fclass", "6", "fclass 6 on link 1 not in 1..5 in {path}, row 2"),
+    ("indicators", "links.csv", 2, "lanes", "9", "lanes 9 on link 1 not in 1..8 in {path}, row 2"),
+    ("indicators", "links.csv", 2, "to", "1", "link 1 is a self loop in {path}, row 2"),
+    ("indicators", "links.csv", 2, "wkt_geometry", "nonsense",
+     "wkt_geometry 'nonsense' is not a WKT LINESTRING in {path}, row 2"),
+    ("assign", "trips.csv", 3, "trip_id", "1", "duplicate trip_id 1 in {path}, row 3"),
+    ("assign", "trips.csv", None, "depart_s", None, "missing trips column 'depart_s' in {path}, row 1"),
+    ("assign", "trips.csv", 2, "destination", "x", "destination 'x' is not an int64 in {path}, row 2"),
+    ("assign", "trips.csv", 2, "destination", "1",
+     "trip 1: origin equals destination in {path}, row 2"),
+    ("assign", "trips.csv", 2, "trip_id", "99999999999999999999",
+     "trip_id '99999999999999999999' is not an int64 in {path}, row 2"),
+    ("indicators", "schools.csv", None, "pct_minority", None,
+     "missing schools column 'pct_minority' in {path}, row 1"),
+    ("indicators", "schools.csv", 2, "pct_minority", "150",
+     "school 1: pct_minority outside [0, 100] in {path}, row 2"),
+    ("indicators", "schools.csv", 3, "x", "5000.0", "duplicate school_id 1 in {path}, row 3"),
+    ("indicators", "schools.csv", 2, "x", "nan", "school 1: non-finite coordinate in {path}, row 2"),
+    ("indicators", "schools.csv", 2, "y", "inf", "school 1: non-finite coordinate in {path}, row 2"),
+    ("indicators", "schools.csv", 2, "x", "-inf", "school 1: non-finite coordinate in {path}, row 2"),
 ], ids=["missing_link_type", "unknown_street_type", "unknown_link_type", "repeated_link_type",
         "non_numeric_trip", "nan_trip", "unknown_status", "repeated_trip",
         "negative_trip_distance", "negative_trip_time", "negative_trip_free_flow",
         "negative_trip_fuel", "non_numeric_flow", "negative_flow", "nan_flow",
-        "negative_flow_time", "infinite_flow_time", "repeated_flow", "missing_flow_column"])
-def test_indicators_command_names_bad_assignment_outputs(tmp_path, capsys, town_assigned, name,
-                                                         row_no, column, value, message):
+        "negative_flow_time", "infinite_flow_time", "repeated_flow", "missing_flow_column",
+        "missing_node_column", "non_numeric_node", "nan_node", "repeated_node", "repeated_link",
+        "unknown_node", "nonpositive_length", "nonpositive_speed", "nonpositive_capacity",
+        "fclass_out_of_range", "lanes_out_of_range", "self_loop", "bad_geometry",
+        "repeated_trip_request", "missing_departure_column", "non_numeric_trip_request",
+        "trip_to_its_origin", "trip_id_beyond_int64", "missing_school_column",
+        "school_minority_share_out_of_range", "repeated_school", "nan_school_x", "inf_school_y",
+        "negative_inf_school_x"])
+def test_indicators_command_names_bad_assignment_outputs(tmp_path, capsys, town_assigned, command,
+                                                         name, row_no, column, value, message):
     shutil.copytree(town_assigned, tmp_path, dirs_exist_ok=True)
-    path = tmp_path / "out" / name
+    path = tmp_path / name
     _edit_row(path, row_no, column, value)
     capsys.readouterr()
-    assert main(["indicators", "--config", str(tmp_path / "config.json"),
-                 "--objective", "uet"]) == 1
-    assert message.format(path=path) in capsys.readouterr().err
+    assert main([command, "--config", str(tmp_path / "config.json"), "--objective", "uet"]) == 1
+    assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"
 
 
 def test_assign_rejects_unknown_objective(tmp_path):
@@ -662,6 +730,35 @@ def test_compare_command_merges_cities(tmp_path, town_run):
         head = next(csv.reader(fh))
     assert head[3:] == ["north_uet", "north_sot", "north_sof",
                         "south_uet", "south_sot", "south_sof"]
+
+
+def _reject_comparison(tmp_path, capsys, good, edit, message):
+    """`chart` and `compare` each exit 1 on the edited copy of a good
+    comparison table, naming it, and `compare` writes nothing."""
+    bad = tmp_path / "bad.csv"
+    with open(good, newline="") as fh:
+        rows = list(csv.reader(fh))
+    edit(rows)
+    with open(bad, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    capsys.readouterr()
+    assert main(["chart", "--comparison", str(bad), "--out", str(tmp_path / "bad.svg")]) == 1
+    assert capsys.readouterr().err == f"error: {message} in {bad}, row 5\n"
+    merged = tmp_path / "cities.csv"
+    assert main(["compare", str(good), str(bad), "--out", str(merged)]) == 1
+    assert capsys.readouterr().err == f"error: {message} in {bad}, row 5\n"
+    assert not merged.exists()
+
+
+def test_chart_and_compare_reject_a_comparison_row_missing_a_cell(tmp_path, capsys, town_run):
+    _reject_comparison(tmp_path, capsys, town_run[1] / "comparison.csv",
+                       lambda rows: rows[4].pop(), "5 cells under a 6-column header")
+
+
+def test_chart_and_compare_reject_a_non_numeric_comparison_value(tmp_path, capsys, town_run):
+    _reject_comparison(tmp_path, capsys, town_run[1] / "comparison.csv",
+                       lambda rows: rows[4].__setitem__(4, "abc"),
+                       "sot 'abc' is not a number or NA")
 
 
 def test_compare_cities_input_validation(tmp_path, town_run):

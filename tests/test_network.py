@@ -5,7 +5,6 @@ import pytest
 from flowscore.network import (
     METERS_PER_MILE,
     Link,
-    LoadError,
     Network,
     Node,
     format_wkt_linestring,
@@ -73,74 +72,6 @@ def test_save_load_roundtrip(tmp_path):
     assert [n.id for n in loaded.nodes] == [n.id for n in net.nodes]
     for a, b in zip(net.links, loaded.links):
         assert a == b  # frozen dataclasses compare by value
-
-
-def test_missing_column(tmp_path):
-    nodes = tmp_path / "nodes.csv"
-    links = tmp_path / "links.csv"
-    write_csv(nodes, ["node_id", "x"], [[1, 0.0]])
-    write_csv(links, ["link_id"], [[1]])
-    with pytest.raises(LoadError, match="missing column 'y'"):
-        load_network(str(nodes), str(links))
-
-
-def test_non_numeric_field_reports_row(tmp_path):
-    nodes, links = valid_files(tmp_path)
-    write_csv(nodes, ["node_id", "x", "y"], [[1, 0.0, 0.0], [2, "abc", 0.0]])
-    with pytest.raises(LoadError, match="non-numeric x, row 3"):
-        load_network(nodes, links)
-
-
-def test_nan_rejected(tmp_path):
-    nodes, links = valid_files(tmp_path)
-    write_csv(nodes, ["node_id", "x", "y"], [[1, "nan", 0.0], [2, 1609.344, 0.0]])
-    with pytest.raises(LoadError, match="non-numeric x, row 2"):
-        load_network(nodes, links)
-
-
-def test_duplicate_ids(tmp_path):
-    nodes, links = valid_files(tmp_path)
-    write_csv(nodes, ["node_id", "x", "y"], [[1, 0.0, 0.0], [1, 1.0, 0.0]])
-    with pytest.raises(LoadError, match="duplicate node ids"):
-        load_network(nodes, links)
-
-    nodes, links = valid_files(tmp_path)
-    header = ["link_id", "from", "to", "length_miles", "speed_mph", "capacity_vph",
-              "fclass", "lanes", "wkt_geometry"]
-    row = [10, 1, 2, 1.0, 30.0, 600.0, 5, 2, wkt((0.0, 0.0), (1609.344, 0.0))]
-    write_csv(links, header, [row, row])
-    with pytest.raises(LoadError, match="duplicate link_id 10, row 3"):
-        load_network(nodes, links)
-
-
-def test_unknown_node_reference(tmp_path):
-    nodes, links = valid_files(tmp_path)
-    header = ["link_id", "from", "to", "length_miles", "speed_mph", "capacity_vph",
-              "fclass", "lanes", "wkt_geometry"]
-    write_csv(links, header,
-              [[10, 1, 99, 1.0, 30.0, 600.0, 5, 2, wkt((0.0, 0.0), (1.0, 0.0))]])
-    with pytest.raises(LoadError, match="unknown node 99 in to, row 2"):
-        load_network(nodes, links)
-
-
-def test_nonpositive_and_range_fields(tmp_path):
-    header = ["link_id", "from", "to", "length_miles", "speed_mph", "capacity_vph",
-              "fclass", "lanes", "wkt_geometry"]
-    g = wkt((0.0, 0.0), (1609.344, 0.0))
-    cases = [
-        ([10, 1, 2, 0.0, 30.0, 600.0, 5, 2, g], "nonpositive length_miles, row 2"),
-        ([10, 1, 2, 1.0, -5.0, 600.0, 5, 2, g], "nonpositive speed_mph, row 2"),
-        ([10, 1, 2, 1.0, 30.0, 0.0, 5, 2, g], "nonpositive capacity_vph, row 2"),
-        ([10, 1, 2, 1.0, 30.0, 600.0, 6, 2, g], "fclass out of range 1..5, row 2"),
-        ([10, 1, 2, 1.0, 30.0, 600.0, 5, 9, g], "lanes out of range 1..8, row 2"),
-        ([10, 1, 1, 1.0, 30.0, 600.0, 5, 2, g], "self loop on link 10, row 2"),
-        ([10, 1, 2, 1.0, 30.0, 600.0, 5, 2, "nonsense"], "bad wkt_geometry, row 2"),
-    ]
-    for row, message in cases:
-        nodes, links = valid_files(tmp_path)
-        write_csv(links, header, [row])
-        with pytest.raises(LoadError, match=message):
-            load_network(nodes, links)
 
 
 def test_link_constructor_validation():

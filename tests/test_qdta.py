@@ -14,7 +14,6 @@ from flowscore.qdta import (
     SolverConfig,
     all_or_nothing,
     assign_interval,
-    load_trips,
     run_day,
 )
 
@@ -145,22 +144,6 @@ def test_objective_parse():
     assert Objective.parse(" SOT ") is Objective.SOT
     with pytest.raises(ValueError, match="unknown objective"):
         Objective.parse("fuel")
-
-
-def test_load_trips_errors(tmp_path):
-    path = tmp_path / "trips.csv"
-    path.write_text("trip_id,origin,destination,depart_s\n1,1,2,0\n1,1,2,60\n")
-    with pytest.raises(ValueError, match="duplicate trip_id 1, row 3"):
-        load_trips(str(path))
-    path.write_text("trip_id,origin,destination\n1,1,2\n")
-    with pytest.raises(ValueError, match="missing column 'depart_s'"):
-        load_trips(str(path))
-    path.write_text("trip_id,origin,destination,depart_s\n1,1,x,0\n")
-    with pytest.raises(ValueError, match="non-numeric trip field, row 2"):
-        load_trips(str(path))
-    path.write_text("trip_id,origin,destination,depart_s\n1,2,2,0\n")
-    with pytest.raises(ValueError, match="row 2"):
-        load_trips(str(path))
 
 
 # all-or-nothing loading
