@@ -12,6 +12,7 @@ import dataclasses
 import itertools
 import json
 import logging
+import math
 import sys
 from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
@@ -141,8 +142,8 @@ def load_scenario(path) -> Scenario:
 
     buffer_m = float(cfg["adjacency_buffer_m"])
     radius_m = float(cfg["school_radius_m"])
-    if buffer_m < 0 or radius_m < 0:
-        raise ConfigError("buffers must be nonnegative")
+    if not (0 <= buffer_m < math.inf and 0 <= radius_m < math.inf):  # NaN fails both
+        raise ConfigError("buffers must be finite and nonnegative")
     workers = int(cfg["workers"])
     if workers < 1:
         raise ConfigError("workers must be >= 1")
@@ -318,9 +319,9 @@ def _write_assignment(out: Path, result: AssignmentResult) -> bool:
 
 
 def _score(scenario: Scenario, tag: str, stats, trips, street_types, schools, tracts,
-           link_index, tract_of_link) -> indicators.IndicatorReport:
+           tract_of_link) -> indicators.IndicatorReport:
     """Score one objective's day and write its indicator and exposure tables."""
-    exposures = indicators.school_exposure(stats, schools, link_index, scenario.school_radius_m,
+    exposures = indicators.school_exposure(stats, schools, scenario.school_radius_m,
                                            scenario.school_morning_s)
     report = indicators.build_report(stats, exposures, trips, street_types, schools, tracts,
                                      tract_of_link, morning_window_s=scenario.morning_window_s,
@@ -337,7 +338,6 @@ def run_scenario(scenario: Scenario) -> int:
     trips = load_trips(str(scenario.trips))
     out = scenario.out_dir
     street_types = _classify_streets(scenario, network)
-    link_index = geo.build_link_index(network)
     tract_of_link = indicators.link_tract_ids(network, tracts)
 
     reports = []
@@ -350,7 +350,7 @@ def run_scenario(scenario: Scenario) -> int:
             any_unconverged |= _write_assignment(out, result)
             reports.append(_score(scenario, result.objective.value,
                                   indicators.daily_stats(result), result.trips, street_types,
-                                  schools, tracts, link_index, tract_of_link))
+                                  schools, tracts, tract_of_link))
             del result
 
     table = ComparisonTable(tuple(o.value for o in scenario.objectives), tuple(
@@ -457,7 +457,7 @@ def _cmd_indicators(args) -> int:
         street_types = _classify_streets(scenario, network)
     _score(scenario, tag, read_flows_csv(flows_path, network, scenario.solver),
            read_trips_csv(trips_path), street_types, schools, tracts,
-           geo.build_link_index(network), indicators.link_tract_ids(network, tracts))
+           indicators.link_tract_ids(network, tracts))
     return 0
 
 

@@ -1,8 +1,10 @@
-"""Planar geometry helpers and a uniform-grid spatial index.
+"""Planar geometry helpers and the spatial joins built on them.
 
-Everything works in meters on projected coordinates. Boundary cases are
-inclusive throughout: a point on a polygon edge is inside, a geometry at
-exactly the query radius is returned.
+Everything works in meters on projected coordinates. Each join takes its
+candidate pairs from one box join, `_candidates`, and decides every pair
+with the batched exact predicates. Boundary cases are inclusive
+throughout: a point on a polygon edge is inside, a geometry at exactly
+the query radius is returned.
 """
 from __future__ import annotations
 
@@ -81,77 +83,24 @@ def polyline_bbox(polyline) -> BBox:
     return (min(xs), min(ys), max(xs), max(ys))
 
 
-def bboxes_overlap(a: BBox, b: BBox) -> bool:
-    return a[0] <= b[2] and a[2] >= b[0] and a[1] <= b[3] and a[3] >= b[1]
+def build_link_index(network) -> np.ndarray:
+    """The (n_links, 4) bounding boxes of the links, in network.links order."""
+    return np.array([polyline_bbox(link.geometry) for link in network.links], dtype=float).reshape(-1, 4)
 
 
-class SpatialIndex:
-    """Uniform grid over bounding boxes.
-
-    query() returns exactly the ids whose stored bbox overlaps the query
-    bbox (same answer as a brute-force scan), sorted for determinism.
-    Exact geometry predicates stay with the caller.
-    """
-
-    def __init__(self, items):
-        self._bboxes: dict = dict(items)
-        self._cell = 1.0
-        self._occupied = (0, 0, -1, -1)  # the cell range holding items; empty here
-        if self._bboxes:
-            boxes = self._bboxes.values()
-            x0 = min(b[0] for b in boxes)
-            y0 = min(b[1] for b in boxes)
-            x1 = max(b[2] for b in boxes)
-            y1 = max(b[3] for b in boxes)
-            extent = max(x1 - x0, y1 - y0)
-            if extent > 0:
-                self._cell = extent / max(1.0, math.sqrt(len(self._bboxes)))
-            self._occupied = self._cell_range((x0, y0, x1, y1))
-        self._grid: dict[tuple[int, int], list] = {}
-        for key, bbox in self._bboxes.items():
-            for cell in self._cells_for(bbox):
-                self._grid.setdefault(cell, []).append(key)
-
-    def _cell_range(self, bbox: BBox) -> tuple[int, int, int, int]:
-        c = self._cell
-        return (math.floor(bbox[0] / c), math.floor(bbox[1] / c),
-                math.floor(bbox[2] / c), math.floor(bbox[3] / c))
-
-    def _cells_for(self, bbox: BBox):
-        """The cells bbox covers, left out those beyond every item."""
-        ix0, iy0, ix1, iy1 = self._cell_range(bbox)
-        ox0, oy0, ox1, oy1 = self._occupied
-        for ix in range(max(ix0, ox0), min(ix1, ox1) + 1):
-            for iy in range(max(iy0, oy0), min(iy1, oy1) + 1):
-                yield (ix, iy)
-
-    def query(self, bbox: BBox) -> list:
-        hits = set()
-        for cell in self._cells_for(bbox):
-            for key in self._grid.get(cell, ()):
-                if key not in hits and bboxes_overlap(self._bboxes[key], bbox):
-                    hits.add(key)
-        return sorted(hits)
-
-
-def build_link_index(network) -> SpatialIndex:
-    """Index keyed by each link's position in network.links."""
-    return SpatialIndex(enumerate(polyline_bbox(link.geometry) for link in network.links))
-
-
-def links_within_radius(point: Point, radius_m: float, network, index: SpatialIndex | None = None) -> list[int]:
+def links_within_radius(point: Point, radius_m: float, network) -> list[int]:
     """Ids of links whose geometry comes within radius_m of point (inclusive)."""
-    return links_within_radii([point], radius_m, network, index)[0]
+    return links_within_radii([point], radius_m, network)[0]
 
 
-def links_within_radii(points, radius_m: float, network, index: SpatialIndex | None = None) -> list[list[int]]:
+def links_within_radii(points, radius_m: float, network) -> list[list[int]]:
     """Per point, the sorted ids of the links whose geometry comes within
     radius_m of it (inclusive)."""
-    if radius_m < 0:
-        raise ValueError("radius must be nonnegative")
+    if not 0 <= radius_m < math.inf:  # NaN fails too
+        raise ValueError("radius must be finite and nonnegative")
     p = np.array(points, dtype=float).reshape(-1, 2)
     boxes = [_padded((x, y, x, y), radius_m) for x, y in p.tolist()]
-    point, link = _candidates(boxes, index, network.n_links)
+    point, link = _candidates(boxes, build_link_index(network))
     lines = _Shapes([line.geometry for line in network.links], False)
     within = np.zeros(len(point), dtype=bool)
     for lo, hi in _chunks(lines.n_segments[link].tolist()):
@@ -181,17 +130,12 @@ def link_midpoint(link) -> Point:
     return point_along_polyline(link.geometry, polyline_length(link.geometry) / 2.0)
 
 
-def build_tract_index(tracts) -> SpatialIndex:
-    """Index keyed by each tract's position in the input list."""
-    return SpatialIndex(enumerate(polyline_bbox(t.polygon) for t in tracts))
-
-
-def link_tracts(links, tracts, index: SpatialIndex | None = None) -> list:
+def link_tracts(links, tracts) -> list:
     """Per link, the id of the first tract in input order that holds the link's
     length midpoint, boundary included, or None (validate_tracts reports overlaps)."""
     mids = np.array([link_midpoint(link) for link in links], dtype=float).reshape(-1, 2)
     boxes = [_padded((x, y, x, y), 0.0) for x, y in mids.tolist()]
-    link, tract = _candidates(boxes, index, len(tracts))
+    link, tract = _candidates(boxes, [polyline_bbox(t.polygon) for t in tracts])
     inside = np.zeros(len(link), dtype=bool)
     for lo, hi in _chunks([len(tracts[j].polygon) + 1 for j in tract.tolist()]):
         rings = _Shapes([tracts[j].polygon for j in tract[lo:hi].tolist()], True)
@@ -210,7 +154,7 @@ def validate_tracts(tracts) -> list[str]:
     Only pairs whose bboxes touch are tested; warnings follow input order.
     """
     boxes = [polyline_bbox(t.polygon) for t in tracts]
-    i, j = _candidates(boxes, SpatialIndex(enumerate(boxes)), len(boxes))
+    i, j = _candidates(boxes, boxes)
     i, j = i[j > i].tolist(), j[j > i].tolist()
     overlap = polygons_overlap([tracts[a].polygon for a in i], [tracts[b].polygon for b in j])
     return [
@@ -281,14 +225,56 @@ def _padded(box: BBox, radius_m: float) -> BBox:
     return (box[0] - pad, box[1] - pad, box[2] + pad, box[3] + pad)
 
 
-def _candidates(boxes, index: SpatialIndex | None, n_all: int):
-    """Item k and candidate position j of every pair, ordered by k and then
-    by j: the index hits of boxes[k], or all n_all positions without an index."""
-    if index is None:
-        return tuple(np.indices((len(boxes), n_all)).reshape(2, -1))
-    hits = [index.query(box) for box in boxes]
-    owner = np.repeat(np.arange(len(hits)), [len(h) for h in hits])
-    return owner, np.array([j for h in hits for j in h], dtype=np.int64)
+def _candidates(boxes, items):
+    """Box k and item j of every pair whose boxes overlap, edges and corners
+    included, ordered by k and then by j.
+
+    The items fill a grid of cells extent / sqrt(len(items)) wide, 1 m
+    when they have no extent. A box looks in the cells it covers, clipped
+    to those around the items, and boxes go in _chunks of whole boxes.
+    """
+    boxes = np.asarray(boxes, dtype=float).reshape(-1, 4)
+    items = np.asarray(items, dtype=float).reshape(-1, 4)
+    if not len(items):
+        return tuple(np.zeros((2, 0), dtype=np.int64))
+    lo, hi = items[:, :2].min(axis=0), items[:, 2:].max(axis=0)
+    extent = float((hi - lo).max())
+    cell = extent / max(1.0, math.sqrt(len(items))) if extent > 0 else 1.0
+    lo, hi = np.floor(lo / cell), np.floor(hi / cell)
+    shape = (hi - lo + 1).astype(np.int64)
+    item, at = _cells(*_cell_ranges(items, cell, lo, hi), shape)
+    item = item[np.argsort(at, kind="stable")]
+    counts = np.bincount(at, minlength=shape[0] * shape[1])
+    start = np.cumsum(counts) - counts
+    # a box costs its cells and the pairs it meets there, counted from a summed-area table
+    table = np.pad(counts.reshape(shape).cumsum(0).cumsum(1), ((1, 0), (1, 0)))
+    first, last = _cell_ranges(boxes, cell, lo, hi)
+    (c0, r0), (c1, r1) = first.T, (last + 1).T
+    cost = (c1 - c0) * (r1 - r0) + table[c1, r1] - table[c0, r1] - table[c1, r0] + table[c0, r0]
+    found = [np.zeros(0, dtype=np.int64)]
+    for a, b in _chunks(cost.tolist()):
+        owner, at = _cells(first[a:b], last[a:b], shape)
+        pair, m = _ragged(counts[at])
+        k, j = owner[pair] + a, item[start[at[pair]] + m]
+        hit = ((items[j, :2] <= boxes[k, 2:]) & (items[j, 2:] >= boxes[k, :2])).all(axis=1)
+        found.append(np.unique(k[hit] * len(items) + j[hit]))
+    return np.divmod(np.concatenate(found), len(items))
+
+
+def _cell_ranges(boxes, cell: float, lo, hi):
+    """First and last cell (column, row) of each box, counted from lo and
+    clipped to lo..hi; a box beyond them gets an empty range."""
+    first = np.clip(np.floor(boxes[:, :2] / cell), lo, hi + 1) - lo
+    last = np.clip(np.floor(boxes[:, 2:] / cell), lo - 1, hi) - lo
+    return first.astype(np.int64), last.astype(np.int64)
+
+
+def _cells(first, last, shape):
+    """Owner and flat cell number of every cell in each range."""
+    size = last - first + 1
+    owner, m = _ragged(size[:, 0] * size[:, 1])
+    rows = size[owner, 1]
+    return owner, (first[owner, 0] + m // rows) * shape[1] + first[owner, 1] + m % rows
 
 
 def _chunks(costs):

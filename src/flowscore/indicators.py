@@ -142,7 +142,6 @@ class SchoolExposure:
 def school_exposure(
     stats: LinkDailyStats,
     schools,
-    link_index: geo.SpatialIndex | None = None,
     radius_m: float = SCHOOL_RADIUS_M,
     morning_s=SCHOOL_MORNING_S,
 ) -> dict[int, SchoolExposure]:
@@ -152,10 +151,8 @@ def school_exposure(
     in the 25,000..50,000 band (inclusive); anything less is None.
     """
     network = stats.network
-    if link_index is None:
-        link_index = geo.build_link_index(network)
     morning_vmt = stats.window_vmt(morning_s)
-    buffers = geo.links_within_radii([(s.x, s.y) for s in schools], radius_m, network, link_index)
+    buffers = geo.links_within_radii([(s.x, s.y) for s in schools], radius_m, network)
     out: dict[int, SchoolExposure] = {}
     for school, ids in zip(schools, buffers):
         idx = np.array([network.link_index[i] for i in ids], dtype=np.int64)
@@ -188,7 +185,7 @@ class EquityShares:
 
 
 def link_tract_ids(network, tracts) -> list:
-    return geo.link_tracts(network.links, tracts, geo.build_tract_index(tracts))
+    return geo.link_tracts(network.links, tracts)
 
 
 def equity_shares(stats: LinkDailyStats, tracts, tract_of_link: list) -> EquityShares:

@@ -269,6 +269,22 @@ def one_of(choices: dict) -> Cell:
     return Cell(choices.__getitem__, "one of " + ", ".join(choices))
 
 
+# a trips file's `links` cell joins a whole trip's ids: a trip of 30,000
+# links of 5-digit ids outgrows the csv module's default of 128 KiB
+csv.field_size_limit(2**31 - 1)
+
+
+def _csv_rows(path, fh):
+    """The non-blank rows of an open CSV file. A row the csv module cannot
+    read raises a LoadError that names the file and the row."""
+    row_no = 0
+    try:
+        for row_no, row in enumerate(filter(None, csv.reader(fh)), start=1):
+            yield row
+    except csv.Error as exc:  # raised while reading the row after row_no
+        raise LoadError(f"{exc} in {path}, row {row_no + 1}") from None
+
+
 def read_columns(path, kind: str, parsers: dict[str, Cell], rest: Cell | None = None) -> dict:
     """The columns named in `parsers` of the CSV file at `path`, each a list
     of its cells parsed in row order; with `rest`, every other column of
@@ -280,7 +296,7 @@ def read_columns(path, kind: str, parsers: dict[str, Cell], rest: Cell | None = 
     skipped.
     """
     with open(path, newline="") as fh:
-        rows = filter(None, csv.reader(fh))
+        rows = _csv_rows(path, fh)
         header = next(rows, [])
         for name in parsers:
             if name not in header:

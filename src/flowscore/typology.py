@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 from . import geo
@@ -74,30 +75,22 @@ def transport_context(link) -> TransportContext:
     return TransportContext.NEIGHBORHOOD_STREET
 
 
-def build_parcel_index(parcels) -> geo.SpatialIndex:
-    """Index keyed by each parcel's position in the input list."""
-    return geo.SpatialIndex(enumerate(geo.polyline_bbox(p.polygon) for p in parcels))
-
-
-def dominant_land_use(
-    link,
-    parcels,
-    adjacency_buffer_m: float = 20.0,
-    index: geo.SpatialIndex | None = None,
-) -> LandUse:
+def dominant_land_use(link, parcels, adjacency_buffer_m: float = 20.0) -> LandUse:
     """Land use of the largest parcel within the buffer of the link.
 
     Ties go to the smaller parcel id; no parcel in range means OTHER.
-    Without an index every parcel is a candidate.
     """
-    return _dominant_land_uses([link], parcels, adjacency_buffer_m, index)[0]
+    return _dominant_land_uses([link], parcels, adjacency_buffer_m)[0]
 
 
-def _dominant_land_uses(links, parcels, adjacency_buffer_m, index) -> list[LandUse]:
+def _dominant_land_uses(links, parcels, adjacency_buffer_m) -> list[LandUse]:
     """dominant_land_use of every link, with the exact tests batched."""
     b = adjacency_buffer_m
+    if not 0 <= b < math.inf:  # NaN fails too
+        raise ValueError("adjacency buffer must be finite and nonnegative")
     boxes = [geo._padded(geo.polyline_bbox(link.geometry), b) for link in links]
-    pair_link, pair_parcel = (a.tolist() for a in geo._candidates(boxes, index, len(parcels)))
+    parcel_boxes = [geo.polyline_bbox(p.polygon) for p in parcels]
+    pair_link, pair_parcel = (a.tolist() for a in geo._candidates(boxes, parcel_boxes))
     within = geo.polygon_polyline_within(
         [parcels[i].polygon for i in pair_parcel], [links[k].geometry for k in pair_link], b
     )
@@ -132,20 +125,13 @@ def classify_street(context: TransportContext, land_use: LandUse) -> StreetType:
     return _NON_HIGHWAY_TABLE[(context, land_use)]
 
 
-def classify_network(
-    network,
-    parcels,
-    adjacency_buffer_m: float = 20.0,
-    index: geo.SpatialIndex | None = None,
-) -> dict[int, StreetType]:
-    if index is None:
-        index = build_parcel_index(parcels)
+def classify_network(network, parcels, adjacency_buffer_m: float = 20.0) -> dict[int, StreetType]:
     contexts = [transport_context(link) for link in network.links]
     # land use cannot change a highway's type, so highways skip the geometry work
     streets = [
         link for link, context in zip(network.links, contexts) if context is not TransportContext.HIGHWAY
     ]
-    uses = iter(_dominant_land_uses(streets, parcels, adjacency_buffer_m, index))
+    uses = iter(_dominant_land_uses(streets, parcels, adjacency_buffer_m))
     return {
         link.id: StreetType.HIGHWAY if context is TransportContext.HIGHWAY
         else classify_street(context, next(uses))

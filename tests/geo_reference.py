@@ -1,15 +1,22 @@
-"""Scalar geometry predicates, one item at a time: the reference that
-the batched kernels in flowscore.geo must match exactly.
+"""Scalar geometry predicates and spatial joins, one item at a time: the
+reference that the batched kernels and joins in flowscore must match
+exactly.
 
-Each function does the same IEEE operations, in the same order, as its
+Each predicate does the same IEEE operations, in the same order, as its
 batched counterpart (`_segment_within`, `_on_segments`,
 `_points_in_rings`, `polygon_polyline_within`), so the tests require
-equal answers, with no tolerance. Boundary cases are inclusive, as in
+equal answers, with no tolerance. The joins at the end scan every
+candidate with these predicates. Boundary cases are inclusive, as in
 flowscore.geo.
 """
 import math
 
-from flowscore.geo import _EPS, Point, _closed_ring, _crosses_properly, _orient
+from flowscore.geo import _EPS, BBox, Point, _closed_ring, _crosses_properly, _orient, link_midpoint
+from flowscore.typology import LandUse
+
+
+def bboxes_overlap(a: BBox, b: BBox) -> bool:
+    return a[0] <= b[2] and a[2] >= b[0] and a[1] <= b[3] and a[3] >= b[1]
 
 
 def point_segment_distance(p: Point, a: Point, b: Point) -> float:
@@ -100,3 +107,26 @@ def polygon_polyline_distance(polygon, polyline) -> float:
                 if best == 0.0:
                     return 0.0
     return best
+
+
+def links_within_radius(point: Point, radius_m: float, network) -> list[int]:
+    """Sorted ids of the links within radius_m of point, every link tested."""
+    return sorted(link.id for link in network.links
+                  if point_polyline_distance(point, link.geometry) <= radius_m)
+
+
+def dominant_land_use(link, parcels, buffer_m: float) -> LandUse:
+    """Land use of the largest parcel within buffer_m, every parcel tested;
+    ties go to the smaller id."""
+    best = None
+    for parcel in parcels:
+        if polygon_polyline_distance(parcel.polygon, link.geometry) <= buffer_m:
+            if best is None or (parcel.area, -parcel.id) > (best.area, -best.id):
+                best = parcel
+    return LandUse.OTHER if best is None else best.land_use
+
+
+def link_tract(link, tracts):
+    """Id of the first tract that holds the link's midpoint, or None."""
+    mid = link_midpoint(link)
+    return next((t.id for t in tracts if point_in_polygon(mid, t.polygon)), None)

@@ -20,7 +20,7 @@ from flowscore.costs import (
     marginal_time_cost,
     spf_accidents,
 )
-from flowscore.geo import SpatialIndex, bboxes_overlap, build_link_index, links_within_radius
+from flowscore.geo import _candidates, links_within_radius
 from flowscore.indicators import (
     ExposureLevel,
     LinkDailyStats,
@@ -34,6 +34,7 @@ from flowscore.cli import main
 from flowscore.qdta import Objective, SolverConfig, assign_interval, run_day
 from flowscore.typology import StreetType, classify_network
 
+import geo_reference
 from fixtures import (
     M,
     blanket_parcel,
@@ -227,30 +228,29 @@ def test_criterion_07_classification_and_index_oracles():
     mismatches = {lid: (got[lid], want) for lid, want in expected.items() if got[lid] is not want}
     assert not mismatches, mismatches
 
-    # 1,000 random boxes in the index, 1,000 box queries vs brute force
+    # 1,000 random boxes joined with 1,000 query boxes vs brute force
     rng = np.random.default_rng(77)
-    items = {}
-    for key in range(1000):
+    items = []
+    for _ in range(1000):
         x, y = rng.uniform(0.0, 10_000.0, 2)
         w, h = rng.uniform(1.0, 400.0, 2)
-        items[key] = (x, y, x + w, y + h)
-    index = SpatialIndex(items.items())
+        items.append((x, y, x + w, y + h))
+    boxes = []
     for _ in range(1000):
         x, y = rng.uniform(-200.0, 10_200.0, 2)
         w, h = rng.uniform(1.0, 800.0, 2)
-        box = (x, y, x + w, y + h)
-        brute = sorted(k for k, b in items.items() if bboxes_overlap(b, box))
-        assert index.query(box) == brute
+        boxes.append((x, y, x + w, y + h))
+    k, j = _candidates(boxes, items)
+    brute = [(q, i) for q, box in enumerate(boxes) for i, b in enumerate(items)
+             if geo_reference.bboxes_overlap(b, box)]
+    assert list(zip(k.tolist(), j.tolist())) == brute
 
-    # radius queries through the index equal the unindexed scan
+    # radius queries through the box join equal the scalar scan
     net = corridor_network(900.0)
-    link_index = build_link_index(net)
     for _ in range(200):
         pt = (float(rng.uniform(-500.0, 7000.0)), float(rng.uniform(-500.0, 2500.0)))
         radius = float(rng.uniform(10.0, 800.0))
-        assert links_within_radius(pt, radius, net, link_index) == links_within_radius(
-            pt, radius, net, None
-        )
+        assert links_within_radius(pt, radius, net) == geo_reference.links_within_radius(pt, radius, net)
     ok(7, "hand-labeled typology and index-vs-scan equality")
 
 

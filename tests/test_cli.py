@@ -26,7 +26,7 @@ from flowscore.cli import (
 from flowscore import cli, qdta
 from flowscore.indicators import INDICATOR_NAMES, School, congested_miles, daily_stats
 from flowscore.geo import Tract
-from flowscore.network import Network, Node, load_network
+from flowscore.network import LoadError, Network, Node, load_network
 from flowscore.qdta import Objective, load_trips, run_day
 from flowscore.typology import StreetType, read_link_types
 
@@ -121,6 +121,15 @@ def test_importing_the_cli_loads_no_xml_or_http_modules():
     assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
 
 
+def test_every_public_name_resolves():
+    import flowscore
+
+    assert [name for name in flowscore.__all__ if not hasattr(flowscore, name)] == []
+    namespace = {}
+    exec("from flowscore import *", namespace)  # raises on a listed name that is gone
+    assert set(flowscore.__all__) <= set(namespace)
+
+
 def test_load_scenario_rejects_bad_configs(tmp_path):
     cfg = town_scenario(tmp_path)
     base_raw = json.loads((tmp_path / "config.json").read_text())
@@ -160,6 +169,12 @@ def test_load_scenario_rejects_bad_configs(tmp_path):
         load_scenario(with_cfg(interval_s=-900.0))
     with pytest.raises(ConfigError, match="nonnegative"):
         load_scenario(with_cfg(school_radius_m=-5.0))
+    for key in ("school_radius_m", "adjacency_buffer_m"):
+        for value in (math.nan, math.inf):  # written as NaN and Infinity
+            with pytest.raises(ConfigError, match="finite"):
+                load_scenario(with_cfg(**{key: value}))
+    assert main(["run", "--config", with_cfg(school_radius_m=math.nan)]) == 2
+    assert not (tmp_path / "out").exists()  # rejected before any file is written
     assert load_scenario(with_cfg()) is not None
 
 
@@ -354,6 +369,32 @@ def test_trips_csv_bytes_do_not_depend_on_the_write_block(tmp_path, monkeypatch)
     cli.write_trips_csv(tmp_path / "blocks.csv", result)
     assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
     assert len(read_trips_csv(tmp_path / "blocks.csv").trip_id) == 640
+
+
+def write_trips_rows(path, links_cells) -> None:
+    """A trips CSV with one completed trip per links cell, ids from 1."""
+    row = ",completed,0.0,60.0,1.0,0.1,0.1,0.0,0.5,"
+    path.write_text("".join([",".join(cli.TRIP_COLUMNS) + "\n",
+                             *(f"{i}{row}{cell}\n" for i, cell in enumerate(links_cells, start=1))]))
+
+
+def test_read_trips_csv_reads_back_a_trip_of_30000_links(tmp_path):
+    # its links cell is 179,999 characters, beyond the csv module's default field limit
+    links = list(range(10_000, 40_000))
+    write_trips_rows(tmp_path / "trips_uet.csv", ["|".join(map(str, links))])
+    assert read_trips_csv(tmp_path / "trips_uet.csv").links.tolist() == links
+
+
+def test_read_columns_names_the_row_the_csv_module_cannot_read(tmp_path):
+    path = tmp_path / "trips_uet.csv"
+    write_trips_rows(path, ["10000|10001", "|".join(map(str, range(10_000, 10_030)))])
+    limit = csv.field_size_limit(100)  # the second trip's links cell has 179 characters
+    try:
+        with pytest.raises(LoadError) as caught:
+            read_trips_csv(path)
+    finally:
+        csv.field_size_limit(limit)
+    assert str(caught.value) == f"field larger than field limit (100) in {path}, row 3"
 
 
 def test_run_releases_each_day_before_the_next(tmp_path, monkeypatch):

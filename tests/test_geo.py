@@ -5,10 +5,8 @@ import pytest
 
 from flowscore import geo
 from flowscore.geo import (
-    SpatialIndex,
     Tract,
-    bboxes_overlap,
-    build_link_index,
+    _candidates,
     link_midpoint,
     link_tracts,
     links_within_radius,
@@ -21,7 +19,9 @@ from flowscore.geo import (
 )
 
 from fixtures import grid_network, square, write_tracts_geojson
+import geo_reference
 from geo_reference import (
+    bboxes_overlap,
     point_in_polygon,
     point_polyline_distance,
     point_segment_distance,
@@ -110,88 +110,92 @@ def test_bbox_helpers():
     assert polyline_bbox(((1.0, 5.0), (-2.0, 3.0), (0.0, 7.0))) == (-2.0, 3.0, 1.0, 7.0)
     assert bboxes_overlap((0, 0, 1, 1), (1, 1, 2, 2))  # edge touch counts
     assert not bboxes_overlap((0, 0, 1, 1), (1.01, 0, 2, 1))
+    net = grid_network(2, 3)
+    assert geo.build_link_index(net).tolist() == [list(polyline_bbox(link.geometry)) for link in net.links]
 
 
 def test_spatial_index_matches_brute_force():
     rng = np.random.default_rng(21)
     n = 400
-    boxes = {}
-    for i in range(n):
+    boxes = []
+    for _ in range(n):
         x0, y0 = rng.uniform(0, 1000, size=2)
         w, h = rng.uniform(0, 80, size=2)
-        boxes[i] = (x0, y0, x0 + w, y0 + h)
-    index = SpatialIndex(boxes.items())
+        boxes.append((x0, y0, x0 + w, y0 + h))
+    queries = []
     for _ in range(300):
         qx, qy = rng.uniform(-50, 1050, size=2)
         qw, qh = rng.uniform(0, 150, size=2)
-        q = (qx, qy, qx + qw, qy + qh)
-        brute = sorted(k for k, b in boxes.items() if bboxes_overlap(b, q))
-        assert index.query(q) == brute
+        queries.append((qx, qy, qx + qw, qy + qh))
+    k, j = _candidates(queries, boxes)
+    brute = [(a, b) for a, q in enumerate(queries) for b, box in enumerate(boxes) if bboxes_overlap(box, q)]
+    assert list(zip(k.tolist(), j.tolist())) == brute
 
 
 def test_spatial_index_degenerate_inputs():
-    assert SpatialIndex([]).query((0, 0, 1, 1)) == []
+    def hits(boxes, items):
+        k, j = _candidates(boxes, items)
+        return [j[k == q].tolist() for q in range(len(boxes))]
+
+    assert hits([(0, 0, 1, 1)], []) == [[]]
+    assert hits([], [(0, 0, 1, 1)]) == []
     # all boxes are the same point
-    idx = SpatialIndex([(1, (5.0, 5.0, 5.0, 5.0)), (2, (5.0, 5.0, 5.0, 5.0))])
-    assert idx.query((4, 4, 6, 6)) == [1, 2]
-    assert idx.query((5, 5, 5, 5)) == [1, 2]
-    assert idx.query((6.1, 6.1, 7, 7)) == []
-
-
-class _CountingGrid(dict):
-    """A SpatialIndex grid that counts the cells a query looks up."""
-    visits = 0
-
-    def get(self, cell, default=None):
-        self.visits += 1
-        return super().get(cell, default)
+    same = [(5.0, 5.0, 5.0, 5.0), (5.0, 5.0, 5.0, 5.0)]
+    assert hits([(4, 4, 6, 6), (5, 5, 5, 5), (6.1, 6.1, 7, 7)], same) == [[0, 1], [0, 1], []]
 
 
 @pytest.mark.parametrize("items, occupied_cells", [
     ([], 0),
-    ([(1, (5.0, 5.0, 5.0, 5.0)), (2, (5.0, 5.0, 5.0, 5.0))], 1),
-    ([(1, (0.0, 0.0, 1.0, 1.0)), (2, (9.0, 9.0, 10.0, 10.0))], 4),
+    ([(5.0, 5.0, 5.0, 5.0), (5.0, 5.0, 5.0, 5.0)], 1),
+    ([(0.0, 0.0, 1.0, 1.0), (9.0, 9.0, 10.0, 10.0)], 4),
 ], ids=["empty", "one_point", "two_corners"])
-def test_spatial_index_query_visits_only_occupied_cells(items, occupied_cells):
-    # an index without extent has 1 m cells, so this box covers 40,000 of
+def test_spatial_index_query_visits_only_occupied_cells(items, occupied_cells, monkeypatch):
+    # items without extent have 1 m cells, so this box covers 40,000 of
     # them; the two corners' cells are 7.07 m wide
-    index = SpatialIndex(items)
-    index._grid = _CountingGrid(index._grid)
-    assert index.query((-100.0, -100.0, 100.0, 100.0)) == [k for k, _ in items]
-    assert index._grid.visits <= occupied_cells
+    looked = []
+    cells = geo._cells
+
+    def counting_cells(first, last, shape):
+        owner, at = cells(first, last, shape)
+        looked.append(len(at))
+        return owner, at
+
+    monkeypatch.setattr(geo, "_cells", counting_cells)
+    k, j = _candidates([(-100.0, -100.0, 100.0, 100.0)], items)
+    assert (k.tolist(), j.tolist()) == ([0] * len(items), list(range(len(items))))
+    assert sum(looked[1:]) <= occupied_cells  # looked[0] places the items
 
 
 def test_links_within_radius_inclusive_and_sorted():
     net = grid_network(2, 2, spacing_miles=1.0)
-    index = build_link_index(net)
     spacing_m = geo.polyline_length(net.links[0].geometry)
     # query at a node: every incident link touches it, distance 0
-    at_node = links_within_radius((0.0, 0.0), 0.0, net, index)
+    at_node = links_within_radius((0.0, 0.0), 0.0, net)
     assert at_node == sorted(at_node)
     assert len(at_node) == 4  # two outgoing, two incoming
     # exactly at the radius boundary
     mid = (spacing_m / 2.0, spacing_m / 2.0)
     d = spacing_m / 2.0
-    hits = links_within_radius(mid, d, net, index)
+    hits = links_within_radius(mid, d, net)
     assert len(hits) == len(net.links)  # all edges of the unit cell touch
-    just_inside = links_within_radius(mid, d * 0.999, net, index)
+    just_inside = links_within_radius(mid, d * 0.999, net)
     assert just_inside == []
 
 
 def test_links_within_radius_index_agrees_with_scan():
     net = grid_network(4, 5, spacing_miles=0.3)
-    index = build_link_index(net)
     rng = np.random.default_rng(22)
     for _ in range(100):
         p = (float(rng.uniform(-500, 2500)), float(rng.uniform(-500, 2000)))
         r = float(rng.uniform(0, 600))
-        assert links_within_radius(p, r, net, index) == links_within_radius(p, r, net, None)
+        assert links_within_radius(p, r, net) == geo_reference.links_within_radius(p, r, net)
 
 
 def test_links_within_radius_rejects_negative():
     net = grid_network(2, 2)
-    with pytest.raises(ValueError):
-        links_within_radius((0.0, 0.0), -1.0, net)
+    for radius_m in (-1.0, math.nan, math.inf):  # a non-finite radius has no cells to look in
+        with pytest.raises(ValueError):
+            links_within_radius((0.0, 0.0), radius_m, net)
 
 
 def test_tract_validation():

@@ -1,7 +1,7 @@
-"""Spatial joins through the position-keyed index against brute-force scans.
+"""Spatial joins, and the box join under them, against brute-force scans.
 
-The reference scans visit every parcel or tract with the scalar geometry
-functions. Random cities come from hypothesis-drawn seeds, derandomized,
+The reference scans in geo_reference visit every parcel, tract or link
+with the scalar geometry functions. Random cities come from hypothesis-drawn seeds, derandomized,
 so every run checks the same cases.
 """
 import math
@@ -17,7 +17,6 @@ from flowscore.typology import (
     LandUse,
     Parcel,
     StreetType,
-    build_parcel_index,
     classify_network,
     classify_street,
     dominant_land_use,
@@ -58,6 +57,27 @@ def street_network(rng, n_links):
     return Network(nodes, links)
 
 
+def integer_boxes(rng, n, lo, hi):
+    """Boxes on integer corners, so many share edges and corners; about a
+    third of them are points."""
+    corner = rng.integers(lo, hi, (n, 2))
+    size = rng.integers(0, 6, (n, 2)) * (rng.random((n, 1)) < 0.7)
+    return np.hstack([corner, corner + size]).astype(float).tolist()
+
+
+@cases
+@given(seed=st.integers(0, 2**32 - 1), n_boxes=st.integers(0, 40), n_items=st.integers(0, 40))
+def test_candidates_match_brute_force(seed, n_boxes, n_items):
+    rng = np.random.default_rng(seed)
+    items = integer_boxes(rng, n_items, 0, 20)
+    # boxes reach beyond the items' extent on every side, and some lie far off
+    boxes = integer_boxes(rng, n_boxes, -10, 30) + [(-1e6, -1e6, -1e6, -1e6), (-1e6, 5.0, 1e6, 5.0)]
+    k, j = geo._candidates(boxes, items)
+    brute = [(a, b) for a, box in enumerate(boxes) for b, item in enumerate(items)
+             if geo_reference.bboxes_overlap(item, box)]
+    assert list(zip(k.tolist(), j.tolist())) == brute
+
+
 def regular_polygon(rng, cx, cy):
     n = int(rng.integers(3, 8))
     radius = rng.uniform(3.0, 40.0)
@@ -89,15 +109,6 @@ def random_parcels(rng, network, n_random):
     return [parcels[i] for i in rng.permutation(len(parcels))]
 
 
-def scan_land_use(link, parcels, buffer_m):
-    best = None
-    for parcel in parcels:
-        if geo_reference.polygon_polyline_distance(parcel.polygon, link.geometry) <= buffer_m:
-            if best is None or (parcel.area, -parcel.id) > (best.area, -best.id):
-                best = parcel
-    return LandUse.OTHER if best is None else best.land_use
-
-
 @cases
 @given(seed=st.integers(0, 2**32 - 1), n_links=st.integers(1, 20), n_random=st.integers(0, 40))
 def test_classify_network_matches_scans(seed, n_links, n_random):
@@ -105,11 +116,9 @@ def test_classify_network_matches_scans(seed, n_links, n_random):
     network = street_network(rng, n_links)
     parcels = random_parcels(rng, network, n_random)
     got = classify_network(network, parcels, BUFFER)
-    index = build_parcel_index(parcels)
     for link in network.links:
-        use = dominant_land_use(link, parcels, BUFFER, index=None)
-        assert dominant_land_use(link, parcels, BUFFER, index) is use
-        assert scan_land_use(link, parcels, BUFFER) is use
+        use = dominant_land_use(link, parcels, BUFFER)
+        assert geo_reference.dominant_land_use(link, parcels, BUFFER) is use
         assert got[link.id] is classify_street(transport_context(link), use)
     reordered = [parcels[i] for i in rng.permutation(len(parcels))]
     assert classify_network(network, reordered, BUFFER) == got
@@ -186,16 +195,9 @@ def test_links_within_radii_matches_scan(radius_m, seed, n_links, n_random):
     links = streets.links + [probe]
     network = Network(streets.nodes + list(ends), [links[i] for i in rng.permutation(len(links))])
     points = radius_points(rng, network, radius_m, n_random)
-    want = [
-        sorted(link.id for link in network.links
-               if geo_reference.point_polyline_distance(p, link.geometry) <= radius_m)
-        for p in points
-    ]
-    index = geo.build_link_index(network)
-    assert geo.links_within_radii(points, radius_m, network, index) == want
+    want = [geo_reference.links_within_radius(p, radius_m, network) for p in points]
     assert geo.links_within_radii(points, radius_m, network) == want
-    assert geo.links_within_radius(PROBE, radius_m, network, index) == want[n_random]
-    assert geo.links_within_radii([], radius_m, network, index) == []
+    assert geo.links_within_radius(PROBE, radius_m, network) == want[n_random]
     assert geo.links_within_radii([], radius_m, network) == []
 
 
@@ -206,9 +208,8 @@ def test_parcels_sharing_an_id_still_join_by_position():
     link = Link(1, 1, 2, 200.0 / 1609.344, 25.0, 800.0, 5, 2, ((0.0, 0.0), (200.0, 0.0)))
     network = Network([a, b], [link])
     for parcels in ([near, far], [far, near]):
-        index = build_parcel_index(parcels)
-        assert dominant_land_use(link, parcels, BUFFER, index) is LandUse.COMMERCIAL
-        assert dominant_land_use(link, parcels, BUFFER, None) is LandUse.COMMERCIAL
+        assert dominant_land_use(link, parcels, BUFFER) is LandUse.COMMERCIAL
+        assert geo_reference.dominant_land_use(link, parcels, BUFFER) is LandUse.COMMERCIAL
         assert classify_network(network, parcels) == {1: StreetType.NEIGHBORHOOD_COMMERCIAL}
 
 
@@ -220,9 +221,8 @@ def test_index_keeps_parcels_that_rounding_would_drop():
     assert geo_reference.point_segment_distance((6.0, 50.0), (x, 0.0), (x, 100.0)) == 35.5
     link = Link(1, 1, 2, 100.0 / 1609.344, 25.0, 800.0, 5, 2, ((x, 0.0), (x, 100.0)))
     parcels = [Parcel(1, square(13.0, 50.0, 7.0), LandUse.COMMERCIAL)]
-    index = build_parcel_index(parcels)
-    assert dominant_land_use(link, parcels, 35.5, index) is LandUse.COMMERCIAL
-    assert dominant_land_use(link, parcels, 35.5, None) is LandUse.COMMERCIAL
+    assert dominant_land_use(link, parcels, 35.5) is LandUse.COMMERCIAL
+    assert geo_reference.dominant_land_use(link, parcels, 35.5) is LandUse.COMMERCIAL
 
 
 def tract_city(rng, n_side, n_random, closed):
@@ -273,26 +273,21 @@ def test_link_tract_matches_scan(seed, n_side, n_random, closed):
     rng = np.random.default_rng(seed)
     tracts, side = tract_city(rng, n_side, n_random, closed)
     network = edge_links(rng, n_side, side)
-    index = geo.build_tract_index(tracts)
     got = indicators.link_tract_ids(network, tracts)
     for link, tract_id in zip(network.links, got):
-        assert geo.link_tracts([link], tracts, index) == [tract_id]
         assert geo.link_tracts([link], tracts) == [tract_id]
-        mid = geo.link_midpoint(link)
-        first = next((t.id for t in tracts if geo_reference.point_in_polygon(mid, t.polygon)), None)
-        assert tract_id == first
+        assert geo_reference.link_tract(link, tracts) == tract_id
 
 
 def test_link_tracts_index_keeps_midpoints_within_the_edge_tolerance():
     # midpoints one ulp outside a tract's edge lie on it for the exact test,
-    # so the index must offer that tract too
+    # so the box join must offer that tract too
     tracts = [Tract(1, square(50.0, 50.0, 50.0), 10.0, True)]
-    index = geo.build_tract_index(tracts)
     for x in (math.nextafter(100.0, math.inf), math.nextafter(0.0, -math.inf)):
         link = Link(1, 1, 2, 20.0 / 1609.344, 25.0, 800.0, 5, 2, ((x, 40.0), (x, 60.0)))
         mid = geo.link_midpoint(link)
         assert mid == (x, 50.0) and geo_reference.point_in_polygon(mid, tracts[0].polygon)
-        assert geo.link_tracts([link], tracts, index) == geo.link_tracts([link], tracts) == [1]
+        assert geo.link_tracts([link], tracts) == [geo_reference.link_tract(link, tracts)] == [1]
 
 
 def scan_tract_overlaps(tracts):
@@ -358,7 +353,7 @@ def test_joins_scan_their_inputs_once():
         network = street_network(rng, n_links)
         parcels = CountingList(random_parcels(rng, network, 30))
         classify_network(network, parcels, BUFFER)
-        assert parcels.scans == 1  # building the index
+        assert parcels.scans == 1  # taking their boxes
         tracts = CountingList(tract_city(rng, 3, 10, False)[0])
         indicators.link_tract_ids(network, tracts)
         assert tracts.scans == 1

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,6 @@ from flowscore.typology import (
     Parcel,
     StreetType,
     TransportContext,
-    build_parcel_index,
     classify_network,
     classify_street,
     dominant_land_use,
@@ -17,6 +18,7 @@ from flowscore.typology import (
     write_link_types,
 )
 
+import geo_reference
 from fixtures import grid_network, square, write_parcels_geojson
 
 HALF_MILE_M = 804.672
@@ -129,11 +131,19 @@ def test_classification_survives_similarity_scaling():
 
 def test_dominant_land_use_index_agrees_with_scan():
     network, parcels, _ = hand_labeled_fixture()
-    index = build_parcel_index(parcels)
     for link in network.links:
-        with_index = dominant_land_use(link, parcels, 20.0, index)
-        without = dominant_land_use(link, parcels, 20.0, None)
-        assert with_index is without
+        assert dominant_land_use(link, parcels, 20.0) is geo_reference.dominant_land_use(link, parcels, 20.0)
+
+
+def test_dominant_land_use_rejects_a_negative_or_non_finite_buffer():
+    network, parcels, _ = hand_labeled_fixture()
+    # a negative buffer made every link OTHER, even one a parcel touches;
+    # a non-finite one has no cells to look in
+    for buffer_m in (-5.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            dominant_land_use(network.links[0], parcels, buffer_m)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            classify_network(network, parcels, buffer_m)
 
 
 def test_dominant_land_use_no_candidates():
