@@ -108,6 +108,20 @@ def load_scenario(path) -> Scenario:
             raise ConfigError(f"missing input file for '{key}': {q}")
         return q
 
+    def number(key: str, value) -> float:
+        try:
+            return float(value)
+        except (TypeError, ValueError, OverflowError):  # a JSON int can outgrow a float
+            raise ConfigError(f"{key}: {value!r} is not a number") from None
+
+    def whole(key: str) -> int:
+        value = number(key, cfg[key])
+        if not value.is_integer():  # NaN and the infinities too
+            raise ConfigError(f"{key}: cannot convert {cfg[key]!r} to integer")
+        return int(value)
+
+    if not isinstance(cfg["objectives"], list):
+        raise ConfigError("objectives must be a list of uet, sot or sof")
     try:
         objectives = [Objective.parse(str(o)) for o in cfg["objectives"]]
     except ValueError as exc:
@@ -118,33 +132,32 @@ def load_scenario(path) -> Scenario:
         raise ConfigError("duplicate objectives in config")
 
     try:
+        num = {key: number(key, cfg[key]) for key in (
+            "interval_s", "relative_gap", "line_search_tol", "speed_floor_mph", "speed_cap_mph",
+            "bpr_alpha", "bpr_beta", "fuel_a", "fuel_b", "fuel_c")}
         solver = SolverConfig(
-            interval_s=float(cfg["interval_s"]),
-            max_iterations=int(cfg["max_iterations"]),
-            relative_gap=float(cfg["relative_gap"]),
-            line_search_tol=float(cfg["line_search_tol"]),
-            speed_floor_mph=float(cfg["speed_floor_mph"]),
-            speed_cap_mph=float(cfg["speed_cap_mph"]),
-            bpr=BprParams(float(cfg["bpr_alpha"]), float(cfg["bpr_beta"])),
-            fuel=FuelParams(float(cfg["fuel_a"]), float(cfg["fuel_b"]), float(cfg["fuel_c"])),
+            max_iterations=whole("max_iterations"),
+            bpr=BprParams(num.pop("bpr_alpha"), num.pop("bpr_beta")),
+            fuel=FuelParams(num.pop("fuel_a"), num.pop("fuel_b"), num.pop("fuel_c")),
+            **num,
         )
-    except (TypeError, ValueError, OverflowError) as exc:  # int(inf) overflows
+    except ValueError as exc:  # a ConfigError is a ValueError
         raise ConfigError(f"bad solver settings: {exc}") from None
 
     def window(key: str) -> tuple[float, float]:
         value = cfg[key]
         if not isinstance(value, (list, tuple)) or len(value) != 2:
             raise ConfigError(f"{key} must be [start_s, end_s]")
-        lo, hi = float(value[0]), float(value[1])
+        lo, hi = number(key, value[0]), number(key, value[1])
         if not 0 <= lo < hi <= qdta.DAY_SECONDS:
             raise ConfigError(f"{key} must satisfy 0 <= start < end <= 86400")
         return lo, hi
 
-    buffer_m = float(cfg["adjacency_buffer_m"])
-    radius_m = float(cfg["school_radius_m"])
+    buffer_m = number("adjacency_buffer_m", cfg["adjacency_buffer_m"])
+    radius_m = number("school_radius_m", cfg["school_radius_m"])
     if not (0 <= buffer_m < math.inf and 0 <= radius_m < math.inf):  # NaN fails both
         raise ConfigError("buffers must be finite and nonnegative")
-    workers = int(cfg["workers"])
+    workers = whole("workers")
     if workers < 1:
         raise ConfigError("workers must be >= 1")
 

@@ -292,9 +292,9 @@ def _chunks(costs):
 def _on_segments(p, a, b) -> np.ndarray:
     """_on_segment elementwise."""
     (px, py), (ax, ay), (bx, by) = p, a, b
-    scale = np.maximum.reduce([np.ones_like(ax), abs(ax), abs(ay), abs(bx), abs(by)])
+    dx, dy = bx - ax, by - ay
     return (
-        ~(abs(_orient(a, b, p)) > _EPS * scale * scale)
+        ~(abs(_orient(a, b, p)) > _EPS * np.maximum(1.0, dx * dx + dy * dy))
         & (np.minimum(ax, bx) - _EPS <= px) & (px <= np.maximum(ax, bx) + _EPS)
         & (np.minimum(ay, by) - _EPS <= py) & (py <= np.maximum(ay, by) + _EPS)
     )
@@ -395,26 +395,38 @@ def _load_polygon_features(path: str, id_key: str):
     """(id, properties, ring) of each Polygon feature, in file order.
 
     Ids must be unique integers and coordinates finite; errors name the
-    feature, counting from 1.
+    file and the feature, counting from 1.
     """
     with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("type") != "FeatureCollection":
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: bad JSON: {exc}") from None
+    if not isinstance(doc, dict) or doc.get("type") != "FeatureCollection":
         raise ValueError(f"{path}: expected a GeoJSON FeatureCollection")
+    features = doc.get("features", [])
+    if not isinstance(features, list):
+        raise ValueError(f"{path}: features must be a list")
     kind = id_key.removesuffix("_id")
     first_use: dict[int, int] = {}
     out = []
-    for number, feature in enumerate(doc.get("features", []), start=1):
-        geom = feature.get("geometry") or {}
-        if geom.get("type") != "Polygon":
-            raise ValueError(f"{path}: only Polygon geometries are supported")
-        # exterior ring only; holes are out of scope for these inputs
-        ring = [(float(x), float(y)) for x, y in geom["coordinates"][0]]
+    for number, feature in enumerate(features, start=1):
+        feature = feature if isinstance(feature, dict) else {}
+        geom = feature.get("geometry")
+        if not isinstance(geom, dict) or geom.get("type") != "Polygon":
+            raise ValueError(f"{path}: only Polygon geometries are supported (feature {number})")
+        try:  # exterior ring only; holes are out of scope for these inputs
+            ring = [(float(x), float(y)) for x, y in geom["coordinates"][0]]
+        except (KeyError, IndexError, TypeError, ValueError):
+            raise ValueError(f"{path}: feature {number} coordinates are not a ring of "
+                             f"[x, y] numbers") from None
         if not all(math.isfinite(x) and math.isfinite(y) for x, y in ring):
             raise ValueError(f"{path}: feature {number} has a non-finite coordinate")
         if len(ring) > 1 and ring[0] == ring[-1]:
             ring = ring[:-1]
         props = feature.get("properties") or {}
+        if not isinstance(props, dict):
+            raise ValueError(f"{path}: feature {number} properties are not an object")
         if id_key not in props:
             raise ValueError(f"{path}: {kind} feature {number} missing {id_key}")
         try:

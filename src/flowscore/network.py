@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from . import geo
 
@@ -105,35 +107,30 @@ class Network:
     """Immutable node/link collection with dense arrays for the solvers.
 
     Links iterate in input row order; parallel links between the same
-    node pair are allowed and keep distinct ids.
+    node pair are allowed and keep distinct ids. Node and link ids are
+    unique, and every link joins two of the nodes. The main component is
+    the largest weakly connected one; of components that tie for largest,
+    the one holding the first node.
     """
 
     def __init__(self, nodes: list[Node], links: list[Link]):
         self.nodes: list[Node] = list(nodes)
         self.links: list[Link] = list(links)
-        self.node_by_id: dict[int, Node] = {}
-        for i, node in enumerate(self.nodes):
-            if node.id in self.node_by_id:
-                raise _BadRow(f"duplicate node id {node.id}", i, "nodes")
-            self.node_by_id[node.id] = node
-        self.link_by_id: dict[int, Link] = {}
-        for i, link in enumerate(self.links):
-            if link.id in self.link_by_id:
-                raise _BadRow(f"duplicate link id {link.id}", i, "links")
-            for end, node in (("from", link.from_node), ("to", link.to_node)):
-                if node not in self.node_by_id:
-                    raise _BadRow(f"unknown node {node} ({end}) on link {link.id}", i, "links")
-            self.link_by_id[link.id] = link
+        self.node_ids = np.array([n.id for n in self.nodes], dtype=np.int64)
+        check_rows({"id": self.node_ids}, {"duplicate node id {id}": repeats(self.node_ids)},
+                   "nodes")
+        self._node_order = np.argsort(self.node_ids)
+        self.link_ids = np.array([l.id for l in self.links], dtype=np.int64)
+        from_ids = np.array([l.from_node for l in self.links], dtype=np.int64)
+        to_ids = np.array([l.to_node for l in self.links], dtype=np.int64)
+        self.link_from, self.link_to = self.node_positions(from_ids), self.node_positions(to_ids)
+        check_rows({"id": self.link_ids, "from": from_ids, "to": to_ids}, {
+            "duplicate link id {id}": repeats(self.link_ids),
+            "unknown node {from} (from) on link {id}": self.link_from < 0,
+            "unknown node {to} (to) on link {id}": self.link_to < 0}, "links")
 
         self.node_index: dict[int, int] = {n.id: i for i, n in enumerate(self.nodes)}
         self.link_index: dict[int, int] = {l.id: i for i, l in enumerate(self.links)}
-        self.link_ids = np.array([l.id for l in self.links], dtype=np.int64)
-        self.link_from = np.array(
-            [self.node_index[l.from_node] for l in self.links], dtype=np.int64
-        )
-        self.link_to = np.array(
-            [self.node_index[l.to_node] for l in self.links], dtype=np.int64
-        )
         self.length_miles = np.array([l.length_miles for l in self.links], dtype=float)
         self.speed_mph = np.array([l.speed_mph for l in self.links], dtype=float)
         self.capacity_vph = np.array([l.capacity_vph for l in self.links], dtype=float)
@@ -151,6 +148,15 @@ class Network:
     def n_links(self) -> int:
         return len(self.links)
 
+    def node_positions(self, ids) -> np.ndarray:
+        """The position in `nodes` of each node id in ids, -1 where no node has it."""
+        ids = np.asarray(ids, dtype=np.int64)
+        if not self.n_nodes:
+            return np.full(ids.shape, -1, dtype=np.int64)
+        at = np.take(self._node_order, np.searchsorted(self.node_ids, ids, sorter=self._node_order),
+                     mode="clip")
+        return np.where(self.node_ids[at] == ids, at, -1)
+
     def _validate(self) -> ValidationReport:
         report = ValidationReport()
         for link in self.links:
@@ -163,26 +169,13 @@ class Network:
                 )
         if not self.nodes:
             return report
-        parent = list(range(self.n_nodes))
-
-        def find(a: int) -> int:
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for u, v in zip(self.link_from, self.link_to):
-            ru, rv = find(int(u)), find(int(v))
-            if ru != rv:
-                parent[ru] = rv
-        sizes: dict[int, int] = {}
-        for i in range(self.n_nodes):
-            sizes[find(i)] = sizes.get(find(i), 0) + 1
-        main_root = max(sizes, key=lambda r: (sizes[r], -r))
-        report.main_component_share = sizes[main_root] / self.n_nodes
-        report.orphans = [
-            self.nodes[i].id for i in range(self.n_nodes) if find(i) != main_root
-        ]
+        n = self.n_nodes
+        graph = csr_matrix((np.ones(self.n_links), (self.link_from, self.link_to)), shape=(n, n))
+        component = connected_components(graph, connection="weak")[1]
+        sizes = np.bincount(component)
+        main = component[np.flatnonzero(sizes[component] == sizes.max())[0]]
+        report.main_component_share = int(sizes[main]) / n
+        report.orphans = self.node_ids[component != main].tolist()
         if not report.primary_component_ok:
             report.warnings.append(
                 f"largest weakly connected component holds only "
@@ -352,16 +345,17 @@ def repeats(keys) -> np.ndarray:
     return repeated
 
 
-def check_rows(columns: dict, rules: dict) -> None:
-    """Raise a `_BadRow` at the first row that breaks a rule. `rules` maps
-    each rule's message, formatted with the row's values of `columns`, to
-    its mask of breaking rows; a row that breaks several is named by the
-    first of them."""
+def check_rows(columns: dict, rules: dict, table: str = "") -> None:
+    """Raise a `_BadRow` of `table` at the first row that breaks a rule.
+    `rules` maps each rule's message, formatted with the row's values of
+    `columns`, to its mask of breaking rows; a row that breaks several is
+    named by the first of them."""
     bad = np.flatnonzero(np.logical_or.reduce(list(rules.values())))
     if bad.size:
         i = int(bad[0])
         rule = next(rule for rule, broken in rules.items() if broken[i])
-        raise _BadRow(rule.format(**{name: column[i] for name, column in columns.items()}), i)
+        raise _BadRow(rule.format(**{name: column[i] for name, column in columns.items()}), i,
+                      table)
 
 
 def load_network(nodes_path: str, links_path: str) -> Network:

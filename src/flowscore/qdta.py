@@ -13,6 +13,7 @@ working range.
 from __future__ import annotations
 
 import enum
+import itertools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -118,7 +119,6 @@ class SolverConfig:
 class FlowState:
     """Converged link flows for one interval plus derived quantities."""
 
-    objective: Objective
     flow_vph: np.ndarray
     time_h: np.ndarray
     speed_mph: np.ndarray
@@ -128,7 +128,6 @@ class FlowState:
     iterations: int
     log: list[tuple[float, float]] = field(default_factory=list)
     unreachable: list[tuple[int, int, float]] = field(default_factory=list)
-    entered: np.ndarray | None = None
 
 
 @dataclass(eq=False)
@@ -154,12 +153,12 @@ class IntervalRecord:
     unreachable: list[tuple[int, int, float]]
 
     @classmethod
-    def of(cls, state: FlowState) -> "IntervalRecord":
-        """The record of a state whose `entered` is set."""
+    def of(cls, state: FlowState, entered: np.ndarray) -> "IntervalRecord":
+        """The record of a state whose trips entered link i entered[i] times."""
         links = np.flatnonzero(state.flow_vph.view(np.int64)).astype(np.int32)
-        entered = np.flatnonzero(state.entered).astype(np.int32)
-        return cls(links, state.flow_vph[links], state.time_h[links], entered,
-                   state.entered[entered], state.converged, state.gap, state.iterations,
+        entered_links = np.flatnonzero(entered).astype(np.int32)
+        return cls(links, state.flow_vph[links], state.time_h[links], entered_links,
+                   entered[entered_links], state.converged, state.gap, state.iterations,
                    state.log, state.unreachable)
 
 
@@ -225,12 +224,10 @@ class _Trips:
         order = np.argsort(departures.trip_id, kind="stable")
         self.trip_id = departures.trip_id[order]
         self.depart_s = departures.depart_s[order]
-        known = np.fromiter(network.node_index, dtype=np.int64, count=network.n_nodes)
-        sorter = np.argsort(known)
         for end, column in (("origin", "node"), ("destination", "dest")):
             ids = getattr(departures, end)[order]
-            at = sorter[np.searchsorted(known, ids, sorter=sorter).clip(max=known.size - 1)]
-            unknown = np.flatnonzero(known[at] != ids)
+            at = network.node_positions(ids)
+            unknown = np.flatnonzero(at < 0)
             if unknown.size:
                 raise ValueError(f"trip {self.trip_id[unknown[0]]}: unknown {end} {ids[unknown[0]]}")
             setattr(self, column, at)
@@ -375,32 +372,40 @@ def _objective_value(network: Network, objective: Objective, flows, config: Solv
         return float(np.sum(flows * costs.bpr_time(network.free_flow_h, flows, network.capacity_vph, config.bpr)))
     t = np.asarray(costs.bpr_time(network.free_flow_h, flows, network.capacity_vph, config.bpr))
     v = np.clip(network.length_miles / t, config.speed_floor_mph, config.speed_cap_mph)
-    per_veh = network.length_miles * np.asarray(costs.fuel_per_mile(v, config.fuel))
-    return float(np.sum(flows * per_veh))
+    return float(np.sum(flows * costs.link_fuel(network.length_miles, v, config.fuel)))
 
 
 class _DemandBatch:
-    """Sorted OD demand with node indices resolved once."""
+    """The ODs of `od_demand` that carry demand, sorted by (origin id,
+    destination id), each at rate demand / hours, with node indices
+    resolved once.
 
-    def __init__(self, network: Network, od_demand):
-        for (o, d), q in od_demand.items():
-            if not 0 <= q < math.inf:
-                raise ValueError(f"demand for ({o}, {d}) must be finite and nonnegative")
-        items = sorted((od, float(q)) for od, q in od_demand.items() if q > 0)
-        for (o, d), _ in items:
-            if o not in network.node_index:
-                raise ValueError(f"unknown origin node {o}")
-            if d not in network.node_index:
-                raise ValueError(f"unknown destination node {d}")
-            if o == d:
-                raise ValueError(f"origin equals destination for node {o}")
-        self.items = items
-        origins = sorted({od[0] for od, _ in items})
-        self.source_idx = np.array([network.node_index[o] for o in origins], dtype=np.int64)
-        row_of = {o: i for i, o in enumerate(origins)}
-        self.od_row = np.array([row_of[od[0]] for od, _ in items], dtype=np.int64)
-        self.od_dest = np.array([network.node_index[od[1]] for od, _ in items], dtype=np.int64)
-        self.od_rate = np.array([q for _, q in items], dtype=float)
+    OD i runs from node o_id[i] to node d_id[i], at node indices
+    source_idx[od_row[i]] and od_dest[i]. A demand that is negative or
+    not finite, or an unknown or equal origin and destination, raises a
+    ValueError naming the first OD that has it.
+    """
+
+    def __init__(self, network: Network, od_demand, hours: float):
+        n = len(od_demand)
+        ids = np.array(list(itertools.chain.from_iterable(od_demand)))
+        if ids.size != 2 * n or n and ids.dtype.kind not in "iu":
+            raise ValueError("OD keys must be (origin, destination) pairs of integer node ids")
+        o_id, d_id = ids.reshape(n, 2).T.astype(np.int64)
+        rate = np.fromiter(od_demand.values(), dtype=float, count=n) / hours
+        check_rows({"o": o_id, "d": d_id}, {"demand for ({o}, {d}) must be finite and nonnegative":
+                                            ~((0 <= rate) & (rate < math.inf))})
+        order = np.flatnonzero(rate > 0)
+        order = order[np.lexsort((d_id[order], o_id[order]))]
+        self.o_id, self.d_id, self.od_rate = o_id[order], d_id[order], rate[order]
+        at = network.node_positions(np.append(self.o_id, self.d_id))
+        o_at, self.od_dest = at[:order.size], at[order.size:]
+        check_rows({"o": self.o_id, "d": self.d_id}, {
+            "unknown origin node {o}": o_at < 0, "unknown destination node {d}": self.od_dest < 0,
+            "origin equals destination for node {o}": self.o_id == self.d_id})
+        first = np.ones(order.size, dtype=bool)  # rows run by origin
+        first[1:] = self.o_id[1:] != self.o_id[:-1]
+        self.source_idx, self.od_row = o_at[first], np.cumsum(first) - 1
 
 
 def _backward_steps(graph: RoutingGraph, pred, chosen, row, dest, origin):
@@ -426,10 +431,8 @@ def _load_all_or_nothing(graph: RoutingGraph, batch: _DemandBatch, link_costs: n
     dist, pred, chosen = graph.shortest_paths(batch.source_idx, link_costs)
     flows = np.zeros(graph.net.n_links, dtype=float)
     reachable = np.isfinite(dist[batch.od_row, batch.od_dest])
-    unreachable = [
-        (batch.items[i][0][0], batch.items[i][0][1], batch.items[i][1])
-        for i in np.nonzero(~reachable)[0]
-    ]
+    unreachable = list(zip(batch.o_id[~reachable].tolist(), batch.d_id[~reachable].tolist(),
+                           batch.od_rate[~reachable].tolist()))
     row = batch.od_row[reachable]
     rate = batch.od_rate[reachable]
     steps = _backward_steps(graph, pred, chosen, row, batch.od_dest[reachable],
@@ -445,19 +448,11 @@ def all_or_nothing(network: Network, od_demand, link_costs):
     Returns (per-link flow vector, list of unreachable (o, d, demand)).
     """
     graph = _routing(network)
-    batch = _DemandBatch(network, od_demand)
-    if not batch.items:
+    batch = _DemandBatch(network, od_demand, 1.0)
+    if not batch.od_rate.size:
         return np.zeros(network.n_links, dtype=float), []
     link_costs = np.asarray(link_costs, dtype=float)
     return _load_all_or_nothing(graph, batch, link_costs)
-
-
-def _flow_state(network: Network, objective: Objective, config: SolverConfig, flows, cost,
-                converged, gap, iterations, log, unreachable, entered=None) -> FlowState:
-    """A FlowState at flows, with time and speed from the whole link vector."""
-    time_h = np.asarray(costs.bpr_time(network.free_flow_h, flows, network.capacity_vph, config.bpr))
-    return FlowState(objective, flows, time_h, network.length_miles / time_h, cost, converged, gap,
-                     iterations, log, unreachable, entered)
 
 
 def _line_search(network, objective, config, f, d) -> float:
@@ -492,14 +487,15 @@ def assign_interval(
     """
     config = config or SolverConfig()
     graph = _routing(network)
-    rates = {od: q / config.interval_h for od, q in od_demand.items()}
-    batch = _DemandBatch(network, rates)
+    batch = _DemandBatch(network, od_demand, config.interval_h)
 
     def finish(flows, cost, converged, gap, log, unreachable):
-        return _flow_state(network, objective, config, flows, cost, converged, gap, len(log), log,
-                           [(o, d, r * config.interval_h) for o, d, r in unreachable])
+        time_h = np.asarray(costs.bpr_time(network.free_flow_h, flows, network.capacity_vph,
+                                           config.bpr))
+        return FlowState(flows, time_h, network.length_miles / time_h, cost, converged, gap,
+                         len(log), log, [(o, d, r * config.interval_h) for o, d, r in unreachable])
 
-    if not batch.items:
+    if not batch.od_rate.size:
         zeros = np.zeros(network.n_links, dtype=float)
         return finish(zeros, _cost_vector(network, objective, zeros, config), True, 0.0,
                       [(0.0, 0.0)], [])
@@ -544,9 +540,10 @@ def assign_interval(
 
 
 def _walk(network: Network, trips: _Trips, active: np.ndarray, link_costs, time_h, speed_mph,
-          budget_h: float, fuel: FuelParams | None, speed_floor_mph, speed_cap_mph, finished: str):
+          budget_h: float, config: SolverConfig, finished: str):
     """Walk the trips at positions `active` along their least-cost paths at
     link_costs until they arrive (status `finished`) or budget_h runs out.
+    Fuel is burnt at speed_mph clamped to the config's speed range.
 
     Every trip fully traverses at least one link; a link is started
     whenever budget remains, so the last link may overdraw the budget
@@ -595,8 +592,8 @@ def _walk(network: Network, trips: _Trips, active: np.ndarray, link_costs, time_
     n_take = np.count_nonzero((elapsed_before < budget_h) & (column < path_len[:, None]), axis=1)
     n_take = np.clip(n_take, 1, path_len)
 
-    speeds = np.clip(speed_mph, speed_floor_mph, speed_cap_mph)
-    link_fuel_l = network.length_miles * np.asarray(costs.fuel_per_mile(speeds, fuel))
+    speeds = np.clip(speed_mph, config.speed_floor_mph, config.speed_cap_mph)
+    link_fuel_l = costs.link_fuel(network.length_miles, speeds, config.fuel)
     for n in np.unique(n_take):
         sel = np.nonzero(n_take == n)[0]
         taken, at = path[sel, :n], moved[sel]
@@ -619,22 +616,16 @@ def advance_trips(
     flow_state: FlowState,
     trips: _Trips,
     active_trips: np.ndarray,
-    interval_s: float,
-    fuel: FuelParams | None = None,
-    speed_floor_mph: float = 5.0,
-    speed_cap_mph: float = 90.0,
+    config: SolverConfig,
 ):
     """Walk the trips at positions active_trips along their least-cost
-    paths for one interval.
+    paths for one interval of `config`.
 
     Returns (positions that arrived, positions still walking, per-link
     entry counts).
     """
-    if interval_s <= 0:
-        raise ValueError("interval_s must be positive")
     return _walk(network, trips, active_trips, flow_state.cost, flow_state.time_h,
-                 flow_state.speed_mph, interval_s / 3600.0, fuel, speed_floor_mph, speed_cap_mph,
-                 "completed")
+                 flow_state.speed_mph, config.interval_h, config, "completed")
 
 
 @dataclass
@@ -657,26 +648,6 @@ class AssignmentResult:
         return self.config.interval_h
 
     @property
-    def flow_states(self) -> list[FlowState]:
-        """One dense FlowState per interval, rebuilt anew on each access.
-
-        Time, speed and cost come from the same whole-vector calls on the
-        same flows as in `assign_interval`, so they are the same bits.
-        """
-        net = self.network
-        states = []
-        for rec in self.intervals:
-            flows = np.zeros(net.n_links)
-            flows[rec.links] = rec.flow_vph
-            entered = np.zeros(net.n_links, dtype=np.int64)
-            entered[rec.entered_links] = rec.entered_count
-            states.append(_flow_state(
-                net, self.objective, self.config, flows,
-                _cost_vector(net, self.objective, flows, self.config), rec.converged, rec.gap,
-                rec.iterations, list(rec.log), list(rec.unreachable), entered))
-        return states
-
-    @property
     def records(self) -> list[TripRecord]:
         """One TripRecord per row of `trips`, built anew on each access."""
         t = self.trips
@@ -689,19 +660,27 @@ class AssignmentResult:
         return {s: int(np.count_nonzero(self.trips.status == s))
                 for s in ("completed", "forced", "failed")}
 
+    def _row_sum(self, rec: IntervalRecord, values: np.ndarray):
+        """The sum of a row of every link that holds values at rec.links and
+        zero elsewhere, with the bits of the same sum over a dense row."""
+        row = np.zeros(self.network.n_links)
+        row[rec.links] = values
+        return row.sum()
+
     def total_system_time_h(self) -> float:
         """Vehicle-hours implied by the converged interval flows."""
-        return float(sum((fs.flow_vph * fs.time_h).sum() for fs in self.flow_states)
+        return float(sum(self._row_sum(rec, rec.flow_vph * rec.time_h) for rec in self.intervals)
                      * self.interval_h)
 
     def total_fuel_from_flows(self) -> float:
         """Liters implied by the converged interval flows."""
         length, config = self.network.length_miles, self.config
         total = 0.0
-        for fs in self.flow_states:
-            v = np.clip(fs.speed_mph, config.speed_floor_mph, config.speed_cap_mph)
-            per_mile = np.asarray(costs.fuel_per_mile(v, config.fuel))
-            total += float((fs.flow_vph * length * per_mile).sum())
+        for rec in self.intervals:
+            v = np.clip(length[rec.links] / rec.time_h, config.speed_floor_mph,
+                        config.speed_cap_mph)
+            total += float(self._row_sum(
+                rec, costs.link_fuel(rec.flow_vph * length[rec.links], v, config.fuel)))
         return total * self.interval_h
 
     def conservation(self) -> tuple[float, float, float]:
@@ -721,7 +700,6 @@ def run_day(network: Network, trips: Departures, objective: Objective,
     config = config or SolverConfig()
     day = _Trips(network, trips)
     bucket = day.depart_s // config.interval_s
-    node_ids = [node.id for node in network.nodes]
     n_nodes = network.n_nodes
 
     residual = np.empty(0, dtype=np.int64)
@@ -730,20 +708,16 @@ def run_day(network: Network, trips: Departures, objective: Objective,
         active = np.union1d(residual, np.flatnonzero(bucket == k))  # in trip-id order
         od_key, count = np.unique(day.node[active] * n_nodes + day.dest[active],
                                   return_counts=True)
-        demand = {(node_ids[o], node_ids[d]): q for o, d, q in
-                  zip((od_key // n_nodes).tolist(), (od_key % n_nodes).tolist(), count.tolist())}
-        state = assign_interval(network, demand, objective, config)
-        _, residual, state.entered = advance_trips(
-            network, state, day, active, config.interval_s, fuel=config.fuel,
-            speed_floor_mph=config.speed_floor_mph, speed_cap_mph=config.speed_cap_mph)
-        intervals.append(IntervalRecord.of(state))
+        o, d = (network.node_ids[at].tolist() for at in np.divmod(od_key, n_nodes))
+        state = assign_interval(network, dict(zip(zip(o, d), count.tolist())), objective, config)
+        _, residual, entered = advance_trips(network, state, day, active, config)
+        intervals.append(IntervalRecord.of(state, entered))
 
     # day over: finish leftovers on free-flow paths and flag them, at speed_mph
     # (length / free_flow_h can differ in the last bit, and so the fuel)
     cost0 = _cost_vector(network, objective, np.zeros(network.n_links), config)
     _, _, forced_entered = _walk(network, day, residual, cost0, network.free_flow_h,
-                                 network.speed_mph, math.inf, config.fuel,
-                                 config.speed_floor_mph, config.speed_cap_mph, "forced")
+                                 network.speed_mph, math.inf, config, "forced")
     return AssignmentResult(objective, config, intervals, day.table(network), forced_entered,
                             network)
 

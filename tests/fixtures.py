@@ -13,7 +13,8 @@ import pytest
 from flowscore import costs, qdta
 from flowscore.indicators import congested_miles, daily_stats
 from flowscore.network import METERS_PER_MILE, Link, Network, Node, save_network
-from flowscore.qdta import AssignmentResult, Departures, FlowState, IntervalRecord, SolverConfig
+from flowscore.qdta import (AssignmentResult, Departures, FlowState, IntervalRecord, Objective,
+                            SolverConfig)
 
 M = METERS_PER_MILE
 
@@ -173,7 +174,7 @@ def perf_network() -> Network:
     net = grid_network(rows, cols, spacing_miles=0.5)
     nodes = list(net.nodes)
     links = list(net.links)
-    by_id = net.node_by_id
+    by_id = {n.id: n for n in nodes}
     diag_len = 0.5 * math.sqrt(2.0)
     for a in range(10):
         for b in range(10):
@@ -311,29 +312,38 @@ def write_scenario(dirpath, network, trips, parcels=(), schools=(), tracts=(),
     return str(config_path)
 
 
-def assignment_of(network, states, trips, interval_s=900.0) -> AssignmentResult:
+def assignment_of(network, states, trips, interval_s=900.0, objective=Objective.UET,
+                  entered=None) -> AssignmentResult:
     """A day of hand-made FlowStates as `run_day` keeps one: an interval
-    record per state, and no link entered where a state sets none."""
+    record per state, with entered[k] the entry counts of state k, and no
+    link entered when entered is None."""
     no_entries = np.zeros(network.n_links, dtype=np.int64)
-    intervals = [IntervalRecord.of(dataclasses.replace(
-        fs, entered=no_entries if fs.entered is None else fs.entered)) for fs in states]
-    return AssignmentResult(states[0].objective, SolverConfig(interval_s=interval_s), intervals,
-                            trips, no_entries, network)
+    intervals = [IntervalRecord.of(fs, no_entries if entered is None else entered[k])
+                 for k, fs in enumerate(states)]
+    return AssignmentResult(objective, SolverConfig(interval_s=interval_s), intervals, trips,
+                            no_entries, network)
 
 
 def assigned_day(network, trips, objective, config):
-    """`run_day`'s result, and the FlowStates its `assign_interval` calls
-    returned, with `entered` as `run_day` set it."""
-    states, assign = [], qdta.assign_interval
+    """`run_day`'s result, the FlowStates its `assign_interval` calls
+    returned, and the entry counts its `advance_trips` calls returned."""
+    states, entered = [], []
+    assign, advance = qdta.assign_interval, qdta.advance_trips
 
-    def keep(*args, **kwargs):
+    def keep_state(*args, **kwargs):
         states.append(assign(*args, **kwargs))
         return states[-1]
 
+    def keep_entered(*args, **kwargs):
+        walked = advance(*args, **kwargs)
+        entered.append(walked[2])
+        return walked
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(qdta, "assign_interval", keep)
+        mp.setattr(qdta, "assign_interval", keep_state)
+        mp.setattr(qdta, "advance_trips", keep_entered)
         result = qdta.run_day(network, trips, objective, config)
-    return result, states
+    return result, states, entered
 
 
 def assert_same_states(got, want) -> None:
@@ -348,9 +358,10 @@ def assert_same_states(got, want) -> None:
                 assert x == y, f.name
 
 
-def assert_dense_figures(result, states, window_s=(25_200.0, 32_400.0)) -> None:
+def assert_dense_figures(result, states, entered, window_s=(25_200.0, 32_400.0)) -> None:
     """daily_stats, the two flow totals and conservation() of a day equal,
-    with ==, the formulas over whole link rows of its dense states."""
+    with ==, the formulas over whole link rows of its dense states and
+    each interval's entry counts."""
     net, config = result.network, result.config
     stats = daily_stats(result)
     flows = np.stack([fs.flow_vph for fs in states])
@@ -385,8 +396,8 @@ def assert_dense_figures(result, states, window_s=(25_200.0, 32_400.0)) -> None:
 
     trip_miles = sum(result.trips.distance_miles.tolist())
     entry_total = result.forced_entered.astype(float).copy()
-    for fs in states:
-        entry_total += fs.entered
+    for row in entered:
+        entry_total += row
     link_miles = float((entry_total * net.length_miles).sum())
     scale = max(abs(trip_miles), abs(link_miles), 1e-12)
     assert result.conservation() == (trip_miles, link_miles,

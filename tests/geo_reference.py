@@ -46,8 +46,10 @@ def point_polyline_distance(p: Point, polyline) -> float:
 
 
 def _on_segment(p: Point, a: Point, b: Point) -> bool:
-    scale = max(1.0, abs(a[0]), abs(a[1]), abs(b[0]), abs(b[1]))
-    if abs(_orient(a, b, p)) > _EPS * scale * scale:
+    # |orient| is |ab| times p's distance from the line through a and b, so
+    # the band is 1e-9 * |ab| wide, whatever the coordinates' magnitude
+    dx, dy = b[0] - a[0], b[1] - a[1]
+    if abs(_orient(a, b, p)) > _EPS * max(1.0, dx * dx + dy * dy):
         return False
     return (
         min(a[0], b[0]) - _EPS <= p[0] <= max(a[0], b[0]) + _EPS

@@ -4,6 +4,7 @@ import importlib.util
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -42,6 +43,8 @@ from fixtures import (
     uniform_trips,
     write_scenario,
 )
+
+from qdta_reference import dense_states
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -100,6 +103,19 @@ def long_town_run(tmp_path_factory):
     return cfg, base / "out"
 
 
+def test_readme_library_use_runs_in_a_scenario_directory(tmp_path, monkeypatch):
+    cfg = town_scenario(tmp_path)
+    assert main(["classify", "--config", cfg]) == 0
+    section = (ROOT / "README.md").read_text().split("\n## Library use\n")[1].split("\n## ")[0]
+    blocks = re.findall(r"```python\n(.*?)```", section, flags=re.S)
+    assert len(blocks) == 6
+    monkeypatch.chdir(tmp_path)
+    namespace = {}
+    for block in blocks:  # in order: each block reads the names the earlier ones set
+        exec(compile(block, "README.md", "exec"), namespace)
+    assert namespace["flows"][namespace["rec"].links].tolist() == namespace["rec"].flow_vph.tolist()
+
+
 def test_print_config(capsys):
     assert main(["--print-config"]) == 0
     assert json.loads(capsys.readouterr().out) == DEFAULT_CONFIG
@@ -130,7 +146,7 @@ def test_every_public_name_resolves():
     assert set(flowscore.__all__) <= set(namespace)
 
 
-def test_load_scenario_rejects_bad_configs(tmp_path):
+def test_load_scenario_rejects_bad_configs(tmp_path, capsys):
     cfg = town_scenario(tmp_path)
     base_raw = json.loads((tmp_path / "config.json").read_text())
 
@@ -175,6 +191,15 @@ def test_load_scenario_rejects_bad_configs(tmp_path):
                 load_scenario(with_cfg(**{key: value}))
     assert main(["run", "--config", with_cfg(school_radius_m=math.nan)]) == 2
     assert not (tmp_path / "out").exists()  # rejected before any file is written
+    capsys.readouterr()
+    for key, value in [("workers", math.inf), ("workers", "abc"), ("workers", math.nan),
+                       ("workers", 2.7), ("max_iterations", 4.5), ("adjacency_buffer_m", "abc"),
+                       ("morning_window_s", ["a", 1]), ("objectives", "uet")]:
+        with pytest.raises(ConfigError, match=key):
+            load_scenario(with_cfg(**{key: value}))
+        assert main(["run", "--config", with_cfg(**{key: value})]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and key in err
     assert load_scenario(with_cfg()) is not None
 
 
@@ -513,17 +538,30 @@ def test_pipeline_builds_no_trip_records(tmp_path, monkeypatch):
 @pytest.mark.parametrize("scenario", [town_scenario, long_town_scenario],
                          ids=["town", "long_town"])
 def test_pipeline_builds_no_dense_day(tmp_path, monkeypatch, scenario):
-    def no_dense_day(self):
-        raise RuntimeError("a day of dense FlowStates was built")
+    # the one dense FlowState of an interval is the one assign_interval returns
+    built, assigned = [], []
+    flow_state, assign = qdta.FlowState, qdta.assign_interval
 
-    monkeypatch.setattr(qdta.AssignmentResult, "flow_states", property(no_dense_day))
-    with pytest.raises(RuntimeError):
-        run_day(town_network(), uniform_trips(1, 4, 1, start_s=0.0), Objective.UET).flow_states
+    def counted_state(*args, **kwargs):
+        built.append(1)
+        return flow_state(*args, **kwargs)
+
+    def counted_assign(*args, **kwargs):
+        assigned.append(1)
+        return assign(*args, **kwargs)
+
+    monkeypatch.setattr(qdta, "FlowState", counted_state)
+    monkeypatch.setattr(qdta, "assign_interval", counted_assign)
     cfg = scenario(tmp_path)
-    assert main(["run", "--config", cfg]) == 0
     steps = str(tmp_path / "steps")
-    assert main(["assign", "--config", cfg, "--objective", "sot", "--out", steps]) == 0
-    assert main(["indicators", "--config", cfg, "--objective", "sot", "--out", steps]) == 0
+    for argv, n_assigned in (
+            (["run", "--config", cfg], 3 * 96),
+            (["assign", "--config", cfg, "--objective", "sot", "--out", steps], 96),
+            (["indicators", "--config", cfg, "--objective", "sot", "--out", steps], 0)):
+        built.clear()
+        assigned.clear()
+        assert main(argv) == 0
+        assert len(built) == len(assigned) == n_assigned, argv[0]
 
 
 @pytest.mark.parametrize("objective", list(Objective), ids=lambda o: o.value)
@@ -532,10 +570,10 @@ def test_pipeline_builds_no_dense_day(tmp_path, monkeypatch, scenario):
 def test_flow_states_rebuild_the_assigned_states(tmp_path, scenario, objective):
     scenario = load_scenario(scenario(tmp_path))
     network = load_network(str(scenario.nodes), str(scenario.links))
-    result, states = assigned_day(network, load_trips(str(scenario.trips)), objective,
-                                  scenario.solver)
-    assert_same_states(result.flow_states, states)
-    assert_dense_figures(result, states)
+    result, states, entered = assigned_day(network, load_trips(str(scenario.trips)), objective,
+                                           scenario.solver)
+    assert_same_states(dense_states(result), states)
+    assert_dense_figures(result, states, entered)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])

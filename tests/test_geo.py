@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from flowscore.geo import (
     polyline_length,
     validate_tracts,
 )
+from flowscore.network import Link
 
 from fixtures import grid_network, square, write_tracts_geojson
 import geo_reference
@@ -224,6 +226,19 @@ def test_link_tract_first_match_wins_on_overlap():
     assert link_tracts([link], [far]) == [None]
 
 
+@pytest.mark.parametrize("side, want", [(1.0, None), (-1.0, 1)], ids=["outside", "inside"])
+def test_link_tracts_edge_band_does_not_grow_with_the_coordinates(side, want):
+    # projected coordinates near (5e5, 4e6): a midpoint 7 m off a 1,414 m
+    # diagonal tract edge is 7 m outside or inside it, not on it
+    x0, y0 = 5e5, 4e6
+    tract = Tract(1, ((x0, y0), (x0 + 1000.0, y0), (x0 + 1000.0, y0 + 1000.0)), 10.0, False)
+    off = side * 7.0 / math.sqrt(2.0)
+    mx, my = x0 + 500.0 - off, y0 + 500.0 + off
+    link = Link(1, 1, 2, 20.0 / 1609.344, 25.0, 800.0, 5, 2, ((mx - 10.0, my), (mx + 10.0, my)))
+    assert link_midpoint(link) == pytest.approx((mx, my), abs=1e-6)
+    assert link_tracts([link], [tract]) == [geo_reference.link_tract(link, [tract])] == [want]
+
+
 def test_validate_tracts_flags_overlaps_only():
     a = Tract(1, square(0.0, 0.0, 10.0), 100.0, False)
     b = Tract(2, square(5.0, 3.0, 10.0), 100.0, False)  # corner inside a
@@ -304,6 +319,37 @@ def test_load_tracts_rejects_non_finite_coordinates(tmp_path, bad):
     path.write_text(path.read_text().replace("[60.0, 60.0]", f"[60.0, {bad}]"))
     with pytest.raises(ValueError, match="nan.geojson: feature 2 has a non-finite coordinate"):
         load_tracts(str(path))
+
+
+def second_polygon(geometry: str) -> str:
+    """A tracts file whose second feature has the given Polygon geometry."""
+    good = '[[0, 0], [1, 0], [1, 1], [0, 0]]'
+    return ('{"type": "FeatureCollection", "features": ['
+            f'{{"type": "Feature", "properties": {{"tract_id": 1}}, '
+            f'"geometry": {{"type": "Polygon", "coordinates": [{good}]}}}}, '
+            f'{{"type": "Feature", "properties": {{"tract_id": 2}}, '
+            f'"geometry": {{"type": "Polygon"{geometry}}}}}]}}')
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"type": "FeatureCollection", "features": [', "bad JSON: "),
+    ("[]", "expected a GeoJSON FeatureCollection"),
+    ('{"type": "FeatureCollection", "features": 5}', "features must be a list"),
+    (second_polygon(""), "feature 2 coordinates are not a ring of"),
+    (second_polygon(', "coordinates": [[[0, 0, 0], [1, 0, 0], [1, 1, 0]]]'),
+     "feature 2 coordinates are not a ring of"),
+    (second_polygon(', "coordinates": [[[0, 0], [1, "east"], [1, 1]]]'),
+     "feature 2 coordinates are not a ring of"),
+], ids=["bad_json", "top_level_list", "features_not_a_list", "no_coordinates", "3d_points",
+        "non_numeric"])
+def test_load_tracts_names_the_file_of_malformed_geojson(tmp_path, text, message):
+    path = tmp_path / "tracts.geojson"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="^" + re.escape(f"{path}: {message}")):
+        load_tracts(str(path))
+    good = tmp_path / "good.geojson"  # the same file with a well-formed second ring loads
+    good.write_text(second_polygon(', "coordinates": [[[0, 0], [1, 0], [1, 1]]]'))
+    assert [t.id for t in load_tracts(str(good))] == [1, 2]
 
 
 def two_tract_file(path, second_population=250.0):

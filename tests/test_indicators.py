@@ -27,10 +27,11 @@ from flowscore.indicators import (
     street_type_mask,
 )
 from flowscore.network import Network, Node
-from flowscore.qdta import FlowState, Objective, TripTable
+from flowscore.qdta import FlowState, TripTable
 from flowscore.typology import StreetType
 
 from fixtures import M, assignment_of, square, straight_link, write_schools_csv
+from qdta_reference import dense_states
 
 
 def isolated_links_network(specs):
@@ -69,22 +70,6 @@ def make_stats(network, flows_vph, times_h=None, interval_s=900.0):
         times_h = np.broadcast_to(network.free_flow_h, flows.shape).copy()
     return LinkDailyStats(network, dense_rows(flows, np.asarray(times_h, dtype=float)),
                           interval_s)
-
-
-def free_flow_state(network, flow_vph, entered=None):
-    times = network.free_flow_h.copy()
-    return FlowState(
-        objective=Objective.UET,
-        flow_vph=np.asarray(flow_vph, dtype=float),
-        time_h=times,
-        speed_mph=network.length_miles / times,
-        cost=times.copy(),
-        converged=True,
-        gap=0.0,
-        iterations=1,
-        log=[(0.0, 0.0)],
-        entered=entered,
-    )
 
 
 def test_adt_vmt_hand_arithmetic():
@@ -404,8 +389,7 @@ def report_fixture():
     flows[28:32, 1] = 30_000.0  # lifts link 2's ADT into the medium band too
     times = net.free_flow_h * rng.uniform(1.0, 1.8, size=(40, 4))
     states = [
-        FlowState(Objective.UET, flows[k], times[k],
-                  net.length_miles / times[k], times[k].copy(),
+        FlowState(flows[k], times[k], net.length_miles / times[k], times[k].copy(),
                   True, 0.0, 1, [(0.0, 0.0)])
         for k in range(40)
     ]
@@ -451,7 +435,7 @@ def test_build_report_rows_match_single_ops():
 
     # union of buffered links {1, 2}: shared link 1 is counted once
     sel = stats.intervals_overlapping((25200.0, 28800.0))
-    flows = np.stack([fs.flow_vph for fs in assignment.flow_states])
+    flows = np.stack([fs.flow_vph for fs in dense_states(assignment)])
     union_vmt = float(
         ((flows[sel].sum(axis=0) * stats.interval_h) * net.length_miles)[:2].sum()
     )

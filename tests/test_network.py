@@ -44,7 +44,7 @@ def valid_files(tmp_path):
 def test_load_minimal_network(tmp_path):
     net = load_network(*valid_files(tmp_path))
     assert net.n_nodes == 2 and net.n_links == 1
-    link = net.link_by_id[10]
+    link = net.links[net.link_index[10]]
     assert link.from_node == 1 and link.to_node == 2
     assert free_flow_time(link) == pytest.approx(1.0 / 30.0)
     assert net.validation.warnings == []
@@ -111,6 +111,12 @@ def test_component_analysis():
     assert net.validation.main_component_share == pytest.approx(9.0 / 11.0)
     assert not net.validation.primary_component_ok
     assert any("largest weakly connected" in w for w in net.validation.warnings)
+    # of two components that tie for largest, the main one holds the first node
+    a, b, c, d = (Node(i, 1000.0 * i, 0.0) for i in (1, 2, 3, 4))
+    tied = Network([a, b, c, d], [straight_link(1, a, d, 30.0, 600.0, 5, 2),
+                                  straight_link(2, b, c, 30.0, 600.0, 5, 2)])
+    assert tied.validation.orphans == [2, 3]
+    assert tied.validation.main_component_share == 0.5
 
 
 def test_orphans_listed_when_component_still_ok():
@@ -126,7 +132,7 @@ def test_parallel_links_kept_distinct():
     net = pigou_network()
     assert net.n_links == 2
     assert net.link_ids[net.link_from == net.node_index[1]].tolist() == [1, 2]
-    assert net.link_by_id[1].capacity_vph != net.link_by_id[2].capacity_vph
+    assert net.capacity_vph[net.link_index[1]] != net.capacity_vph[net.link_index[2]]
 
 
 def test_network_rejects_duplicate_and_dangling():

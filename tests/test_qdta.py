@@ -17,6 +17,8 @@ from flowscore.qdta import (
     run_day,
 )
 
+from qdta_reference import dense_entered, dense_states
+
 from fixtures import (
     PIGOU_DEMAND_VPH,
     assert_same_states,
@@ -32,6 +34,7 @@ from fixtures import (
 )
 
 TIGHT = SolverConfig(relative_gap=1e-6)
+CONFIG = SolverConfig()  # 900 s intervals
 
 
 def diamond_network() -> Network:
@@ -67,10 +70,9 @@ def chain_network(capacity_vph=1e6) -> Network:
     return Network(nodes, links)
 
 
-def free_flow_state(network, objective=Objective.UET) -> FlowState:
+def free_flow_state(network) -> FlowState:
     t = network.free_flow_h.copy()
     return FlowState(
-        objective=objective,
         flow_vph=np.zeros(network.n_links),
         time_h=t,
         speed_mph=network.length_miles / t,
@@ -99,7 +101,7 @@ def test_bucket_demand_interval_boundaries():
         (6, 2, 1, 25_800.0),
     )
     result = run_day(net, trips, Objective.UET, SolverConfig(interval_s=900.0))
-    flows = np.stack([fs.flow_vph for fs in result.flow_states])
+    flows = np.stack([fs.flow_vph for fs in dense_states(result)])
     want = np.zeros((96, 2))
     want[0] = [8.0, 0.0]
     want[1] = [4.0, 0.0]
@@ -334,20 +336,20 @@ def test_advance_trips_budget_walk():
     net = chain_network()
     state = free_flow_state(net)
     trips = qdta._Trips(net, departures((1, 1, 4, 0.0)))
-    arrived, residual, entered = qdta.advance_trips(net, state, trips, np.arange(1), 900.0)
+    arrived, residual, entered = qdta.advance_trips(net, state, trips, np.arange(1), CONFIG)
     # 20 min first link overruns the 15 min budget but is still taken whole
     assert arrived.size == 0 and residual.tolist() == [0]
     assert net.nodes[trips.node[0]].id == 2
     assert trips.time_h[0] == pytest.approx(10.0 / 30.0)
     assert entered.tolist() == [1, 0, 0]
 
-    arrived, residual, entered = qdta.advance_trips(net, state, trips, residual, 900.0)
+    arrived, residual, entered = qdta.advance_trips(net, state, trips, residual, CONFIG)
     # second link ends exactly at the budget boundary; the third must wait
     assert arrived.size == 0 and residual.tolist() == [0]
     assert net.nodes[trips.node[0]].id == 3
     assert entered.tolist() == [0, 1, 0]
 
-    arrived, residual, entered = qdta.advance_trips(net, state, trips, residual, 900.0)
+    arrived, residual, entered = qdta.advance_trips(net, state, trips, residual, CONFIG)
     assert residual.size == 0 and arrived.tolist() == [0]
     table = trips.table(net)
     assert table.status.tolist() == ["completed"]
@@ -364,7 +366,7 @@ def test_advance_trips_completes_inside_budget():
     state = free_flow_state(net)
     # start at node 3: 5 minutes of path in a 15 minute budget
     trips = qdta._Trips(net, departures((2, 3, 4, 0.0)))
-    arrived, residual, entered = qdta.advance_trips(net, state, trips, np.arange(1), 900.0)
+    arrived, residual, entered = qdta.advance_trips(net, state, trips, np.arange(1), CONFIG)
     assert residual.size == 0
     table = trips.table(net)
     assert table.status.tolist() == ["completed"]
@@ -376,7 +378,7 @@ def test_advance_trips_unreachable_fails():
     net = diamond_network()
     state = free_flow_state(net)
     trips = qdta._Trips(net, departures((3, 4, 1, 0.0)))
-    arrived, residual, entered = qdta.advance_trips(net, state, trips, np.arange(1), 900.0)
+    arrived, residual, entered = qdta.advance_trips(net, state, trips, np.arange(1), CONFIG)
     assert residual.size == 0 and not entered.any()
     table = trips.table(net)
     assert table.status.tolist() == ["failed"]
@@ -390,7 +392,7 @@ def test_advance_trips_fuel_uses_congested_speeds():
     trips = qdta._Trips(net, departures((4, 1, 4, 0.0)))
     active = np.arange(1)
     for _ in range(3):
-        arrived, active, _ = qdta.advance_trips(net, state, trips, active, 900.0)
+        arrived, active, _ = qdta.advance_trips(net, state, trips, active, CONFIG)
         if arrived.size:
             break
     want = 20.0 * fuel_per_mile(30.0)
@@ -407,8 +409,9 @@ def test_run_day_pigou_matches_single_interval():
     result = run_day(net, trips, Objective.UET, cfg)
     single = assign_interval(net, {(1, 2): 750}, Objective.UET, cfg)
     k = int(8 * 3600 // 900)
-    assert np.array_equal(result.flow_states[k].flow_vph, single.flow_vph)
-    for j, fs in enumerate(result.flow_states):
+    states = dense_states(result)
+    assert np.array_equal(states[k].flow_vph, single.flow_vph)
+    for j, fs in enumerate(states):
         if j != k:
             assert not fs.flow_vph.any()
             assert fs.converged and fs.gap == 0.0
@@ -423,12 +426,13 @@ def test_run_day_residuals_reenter_next_interval():
     net = chain_network()
     result = run_day(net, departures((1, 1, 4, 0.0)), Objective.UET)
     # interval 0 assigns the whole path, the trip only clears link 1
-    assert result.flow_states[0].entered.tolist() == [1, 0, 0]
-    assert result.flow_states[1].entered.tolist() == [0, 1, 0]
-    assert result.flow_states[2].entered.tolist() == [0, 0, 1]
+    entered, states = dense_entered(result), dense_states(result)
+    assert entered[0].tolist() == [1, 0, 0]
+    assert entered[1].tolist() == [0, 1, 0]
+    assert entered[2].tolist() == [0, 0, 1]
     # carried-over demand shows up as interval-1 flow on the tail links
-    assert result.flow_states[1].flow_vph[net.link_index[2]] > 0
-    assert result.flow_states[1].flow_vph[net.link_index[1]] == 0.0
+    assert states[1].flow_vph[net.link_index[2]] > 0
+    assert states[1].flow_vph[net.link_index[1]] == 0.0
     rec = result.records[0]
     assert rec.status == "completed"
     assert rec.time_h == pytest.approx(40.0 / 60.0)
@@ -445,7 +449,7 @@ def test_run_day_forces_leftovers_at_midnight():
     assert rec.links == (1, 2, 3)
     assert rec.distance_miles == pytest.approx(20.0)
     assert result.forced_entered.tolist() == [0, 1, 1]
-    assert result.flow_states[95].entered.tolist() == [1, 0, 0]
+    assert dense_entered(result)[95].tolist() == [1, 0, 0]
     _, _, rel = result.conservation()
     assert rel <= 1e-12
     assert result.counts()["forced"] == 1
@@ -471,7 +475,7 @@ def test_run_day_walk_reuses_final_frank_wolfe_tree(monkeypatch, objective):
     # three 5-minute trips in three intervals, one forced at midnight
     trips = departures(*[(i + 1, 3, 4, 3600.0 * i) for i in range(3)], (4, 1, 4, 86_000.0))
     result = run_day(net, trips, objective)
-    busy = [fs for fs in result.flow_states if fs.flow_vph.any()]
+    busy = [fs for fs in dense_states(result) if fs.flow_vph.any()]
     assert len(busy) == 4 and all(fs.iterations == 1 for fs in busy)
     assert result.counts() == {"completed": 3, "forced": 1, "failed": 0}
     # Rows are kept per source for the last two cost vectors. Node 3's first
@@ -585,7 +589,7 @@ def test_forced_completion_fuel_uses_link_speeds():
         speeds = np.clip(speeds, cfg.speed_floor_mph, cfg.speed_cap_mph)
         return net.length_miles * fuel_per_mile(speeds, cfg.fuel)
 
-    walked = float(link_fuel(result.flow_states[95].speed_mph)[[0]].sum())
+    walked = float(link_fuel(dense_states(result)[95].speed_mph)[[0]].sum())
     assert rec.fuel_l == walked + float(link_fuel(net.speed_mph)[[1, 2]].sum())
     assert rec.fuel_l != walked + float(link_fuel(derived)[[1, 2]].sum())
 
@@ -597,7 +601,7 @@ def test_run_day_failed_trip():
     result = run_day(net, departures((1, 1, 3, 100.0)), Objective.UET)
     assert result.counts()["failed"] == 1
     assert result.records[0].distance_miles == 0.0
-    state = result.flow_states[0]
+    state = dense_states(result)[0]
     assert state.unreachable == [(1, 3, pytest.approx(1.0))]
 
 
@@ -623,9 +627,10 @@ def test_run_day_is_deterministic():
                    uniform_trips(d, o, 200, start_s=7.5 * 3600.0, spacing_s=2.0, first_id=1001))
     a = run_day(net, trips, Objective.SOT)
     b = run_day(net, trips, Objective.SOT)
-    for fa, fb in zip(a.flow_states, b.flow_states):
+    for fa, fb in zip(dense_states(a), dense_states(b)):
         assert np.array_equal(fa.flow_vph, fb.flow_vph)
-        assert np.array_equal(fa.entered, fb.entered)
+    for ea, eb in zip(dense_entered(a), dense_entered(b)):
+        assert np.array_equal(ea, eb)
     assert a.records == b.records
 
 
@@ -642,14 +647,16 @@ def test_interval_record_keeps_a_negative_zero_flow():
     net = chain_network()
     flows = np.array([-0.0, 0.0, 250.0])
     config = SolverConfig()
-    state = qdta._flow_state(net, Objective.SOF, config, flows,
-                             qdta._cost_vector(net, Objective.SOF, flows, config), True, 0.0, 1,
-                             [(0.0, 1.0)], [], np.array([0, 0, 3], dtype=np.int64))
-    record = IntervalRecord.of(state)
+    time_h = np.asarray(costs.bpr_time(net.free_flow_h, flows, net.capacity_vph, config.bpr))
+    state = FlowState(flows, time_h, net.length_miles / time_h,
+                      qdta._cost_vector(net, Objective.SOF, flows, config), True, 0.0, 1,
+                      [(0.0, 1.0)], [])
+    entered = np.array([0, 0, 3], dtype=np.int64)
+    record = IntervalRecord.of(state, entered)
     assert record.links.tolist() == [0, 2]
     assert (record.entered_links.tolist(), record.entered_count.tolist()) == ([2], [3])
-    result = assignment_of(net, [state], trips=None)
-    assert_same_states(result.flow_states, [state])
+    result = assignment_of(net, [state], trips=None, objective=Objective.SOF, entered=[entered])
+    assert_same_states(dense_states(result), [state])
     # the stats read the record's own arrays, the -0.0 flow included
     record = result.intervals[0]
     links, flow_vph, time_h = daily_stats(result).rows[0]
@@ -668,5 +675,5 @@ def test_interval_records_grow_with_loaded_links_not_with_the_day():
                            rec.entered_count))
     # a link position, its flow and its time; a link position and its count
     assert nbytes == 20 * loaded + 12 * entered
-    assert 0 < loaded == sum(np.count_nonzero(fs.flow_vph) for fs in result.flow_states)
+    assert 0 < loaded == sum(np.count_nonzero(fs.flow_vph) for fs in dense_states(result))
     assert nbytes * 100 < 96 * net.n_links * 5 * 8  # five dense link arrays per interval

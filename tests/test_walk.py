@@ -19,6 +19,7 @@ from flowscore.network import Link, Network, Node
 from flowscore.qdta import TripRecord
 
 from fixtures import assert_dense_figures, assert_same_states, departures
+from qdta_reference import dense_entered, dense_states
 
 cases = settings(max_examples=40, deadline=None, derandomize=True)
 
@@ -57,8 +58,7 @@ def snapshot(trips) -> list[RefTrip]:
             for i in range(trips.trip_id.size)]
 
 
-def reference_walk(network, trips, link_costs, time_h, speed_mph, budget_h, fuel,
-                   speed_floor_mph, speed_cap_mph, finished):
+def reference_walk(network, trips, link_costs, time_h, speed_mph, budget_h, config, finished):
     """Walk the RefTrips one at a time along their own traced paths, in
     place; returns the per-link entry counts."""
     graph = qdta._routing(network)
@@ -82,8 +82,8 @@ def reference_walk(network, trips, link_costs, time_h, speed_mph, budget_h, fuel
         tails = np.array(seq[1:], dtype=np.int64)
         return chosen[graph.edge_slot(heads, tails)]
 
-    speeds = np.clip(speed_mph, speed_floor_mph, speed_cap_mph)
-    link_fuel_l = network.length_miles * np.asarray(costs.fuel_per_mile(speeds, fuel))
+    speeds = np.clip(speed_mph, config.speed_floor_mph, config.speed_cap_mph)
+    link_fuel_l = network.length_miles * np.asarray(costs.fuel_per_mile(speeds, config.fuel))
     for trip in trips:
         path = path_links(row_of[trip.node], trip.node, trip.dest)
         if path is None:
@@ -192,13 +192,14 @@ def test_walk_matches_scalar_reference(seed):
     link_costs = time_h * rng.uniform(0.5, 2.0, net.n_links)
     trips = random_trips(rng, net)
     budget_h = float(rng.choice([0.0, 0.02, 0.1, 0.25, 1.0]))
-    walk = (link_costs, time_h, net.length_miles / time_h, budget_h, None, 5.0, 90.0, "completed")
+    walk = (link_costs, time_h, net.length_miles / time_h, budget_h, qdta.SolverConfig(),
+            "completed")
     active = np.arange(trips.trip_id.size)
     for _ in range(4):  # residual trips restart mid-route
         active = walk_both(net, trips, active, *walk)
     # the forced completion: free-flow costs, no budget, at the links' speeds
     cost0 = qdta._cost_vector(net, qdta.Objective.SOF, np.zeros(net.n_links), qdta.SolverConfig())
-    forced = (cost0, net.free_flow_h, net.speed_mph, math.inf, None, 5.0, 90.0, "forced")
+    forced = (cost0, net.free_flow_h, net.speed_mph, math.inf, qdta.SolverConfig(), "forced")
     assert walk_both(net, trips, active, *forced).size == 0
 
 
@@ -223,7 +224,7 @@ def test_walk_matches_scalar_reference_on_long_paths(seed):
         rows.append((k + 1, o, d, 0.0))
     trips = qdta._Trips(net, departures(*rows))
     budget_h = float(rng.uniform(0.5, 30.0))
-    walk = (time_h, time_h, net.length_miles / time_h, budget_h, None, 5.0, 90.0, "completed")
+    walk = (time_h, time_h, net.length_miles / time_h, budget_h, qdta.SolverConfig(), "completed")
     active = np.arange(len(rows))
     while active.size:
         active = walk_both(net, trips, active, *walk)
@@ -233,29 +234,27 @@ def reference_day(network, trips, objective, config):
     """A day walked one trip at a time: each interval's Counter demand over
     its active trips in trip-id order, assign_interval, the reference walk;
     then the forced walk of the leftovers. Returns (records, each
-    interval's FlowState with its entries set, forced entries)."""
+    interval's FlowState, each interval's entries, forced entries)."""
     index = network.node_index
     rows = zip(trips.trip_id.tolist(), trips.depart_s.tolist(), trips.origin.tolist(),
                trips.destination.tolist())
     states = sorted((RefTrip(trip_id, depart_s, index[o], index[d], 0.0, 0.0, 0.0, 0.0, [], None)
                      for trip_id, depart_s, o, d in rows), key=lambda t: t.trip_id)
     node_ids = [n.id for n in network.nodes]
-    residual, flow_states = [], []
+    residual, flow_states, entered = [], [], []
     for k in range(config.n_intervals):
         fresh = [t for t in states if int(t.depart_s // config.interval_s) == k]
         active = sorted(residual + fresh, key=lambda t: t.trip_id)
         demand = Counter((node_ids[t.node], node_ids[t.dest]) for t in active)
         state = qdta.assign_interval(network, demand, objective, config)
-        state.entered = reference_walk(network, active, state.cost, state.time_h,
-                                       state.speed_mph, config.interval_h, config.fuel,
-                                       config.speed_floor_mph, config.speed_cap_mph, "completed")
+        entered.append(reference_walk(network, active, state.cost, state.time_h, state.speed_mph,
+                                      config.interval_h, config, "completed"))
         flow_states.append(state)
         residual = [t for t in active if t.status is None]
     cost0 = qdta._cost_vector(network, objective, np.zeros(network.n_links), config)
     forced_entered = reference_walk(network, residual, cost0, network.free_flow_h,
-                                    network.speed_mph, math.inf, config.fuel,
-                                    config.speed_floor_mph, config.speed_cap_mph, "forced")
-    return [t.record(network) for t in states], flow_states, forced_entered
+                                    network.speed_mph, math.inf, config, "forced")
+    return [t.record(network) for t in states], flow_states, entered, forced_entered
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -274,10 +273,12 @@ def test_run_day_matches_reference_day(seed):
     objective = qdta.Objective(str(rng.choice(["uet", "sot", "sof"])))
     config = qdta.SolverConfig(interval_s=float(rng.choice([600.0, 900.0])), max_iterations=4)
     result = qdta.run_day(net, trips, objective, config)
-    records, flow_states, forced_entered = reference_day(net, trips, objective, config)
+    records, flow_states, entered, forced_entered = reference_day(net, trips, objective, config)
     assert result.records == records
     # the dense states rebuilt from run_day's interval records are the bytes
     # of the ones assign_interval returned
-    assert_same_states(result.flow_states, flow_states)
+    assert_same_states(dense_states(result), flow_states)
+    for got, want in zip(dense_entered(result), entered, strict=True):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
     assert np.array_equal(result.forced_entered, forced_entered)
-    assert_dense_figures(result, flow_states, window_s=(84_600.0, 86_400.0))
+    assert_dense_figures(result, flow_states, entered, window_s=(84_600.0, 86_400.0))
