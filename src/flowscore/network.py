@@ -129,7 +129,6 @@ class Network:
             "unknown node {from} (from) on link {id}": self.link_from < 0,
             "unknown node {to} (to) on link {id}": self.link_to < 0}, "links")
 
-        self.node_index: dict[int, int] = {n.id: i for i, n in enumerate(self.nodes)}
         self.link_index: dict[int, int] = {l.id: i for i, l in enumerate(self.links)}
         self.length_miles = np.array([l.length_miles for l in self.links], dtype=float)
         self.speed_mph = np.array([l.speed_mph for l in self.links], dtype=float)

@@ -13,7 +13,6 @@ working range.
 from __future__ import annotations
 
 import enum
-import itertools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -388,9 +387,13 @@ class _DemandBatch:
 
     def __init__(self, network: Network, od_demand, hours: float):
         n = len(od_demand)
-        ids = np.array(list(itertools.chain.from_iterable(od_demand)))
-        if ids.size != 2 * n or n and ids.dtype.kind not in "iu":
-            raise ValueError("OD keys must be (origin, destination) pairs of integer node ids")
+        bad_keys = ValueError("OD keys must be (origin, destination) pairs of integer node ids")
+        try:
+            ids = np.array(list(od_demand))
+        except ValueError:  # ragged keys
+            raise bad_keys from None
+        if n and (ids.shape != (n, 2) or ids.dtype.kind not in "iu"):
+            raise bad_keys
         o_id, d_id = ids.reshape(n, 2).T.astype(np.int64)
         rate = np.fromiter(od_demand.values(), dtype=float, count=n) / hours
         check_rows({"o": o_id, "d": d_id}, {"demand for ({o}, {d}) must be finite and nonnegative":

@@ -44,7 +44,7 @@ from fixtures import (
     write_scenario,
 )
 
-from qdta_reference import dense_states
+from qdta_reference import dense_entered, dense_states
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -573,6 +573,8 @@ def test_flow_states_rebuild_the_assigned_states(tmp_path, scenario, objective):
     result, states, entered = assigned_day(network, load_trips(str(scenario.trips)), objective,
                                            scenario.solver)
     assert_same_states(dense_states(result), states)
+    for got, want in zip(dense_entered(result), entered, strict=True):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
     assert_dense_figures(result, states, entered)
 
 

@@ -131,7 +131,7 @@ def test_orphans_listed_when_component_still_ok():
 def test_parallel_links_kept_distinct():
     net = pigou_network()
     assert net.n_links == 2
-    assert net.link_ids[net.link_from == net.node_index[1]].tolist() == [1, 2]
+    assert net.link_ids[net.link_from == net.node_positions([1])[0]].tolist() == [1, 2]
     assert net.capacity_vph[net.link_index[1]] != net.capacity_vph[net.link_index[2]]
 
 

@@ -70,6 +70,10 @@ def chain_network(capacity_vph=1e6) -> Network:
     return Network(nodes, links)
 
 
+def node_at(network, node_id) -> int:
+    return int(network.node_positions([node_id])[0])
+
+
 def free_flow_state(network) -> FlowState:
     t = network.free_flow_h.copy()
     return FlowState(
@@ -157,6 +161,22 @@ def test_bad_demand_is_rejected_naming_its_od(demand):
     net = diamond_network()
     od_demand = {(1, 4): 10.0, (2, 4): demand}
     named = r"^demand for \(2, 4\) must be finite and nonnegative$"
+    with pytest.raises(ValueError, match=named):
+        assign_interval(net, od_demand, Objective.UET)
+    with pytest.raises(ValueError, match=named):
+        all_or_nothing(net, od_demand, net.free_flow_h)
+
+
+@pytest.mark.parametrize("od_demand", [
+    {(1, 2, 3): 10.0, (4,): 5.0},
+    {(1, 4): 10.0, 2: 5.0},
+    {(1, 2, 4): 10.0},
+    {(1.0, 4.0): 10.0},
+    {("1", "4"): 10.0},
+], ids=["ragged", "scalar", "triple", "float", "text"])
+def test_bad_od_keys_are_rejected(od_demand):
+    net = diamond_network()
+    named = r"^OD keys must be \(origin, destination\) pairs of integer node ids$"
     with pytest.raises(ValueError, match=named):
         assign_interval(net, od_demand, Objective.UET)
     with pytest.raises(ValueError, match=named):
@@ -490,24 +510,24 @@ def test_shortest_paths_recomputes_after_in_place_cost_change(monkeypatch):
     calls = count_dijkstra(monkeypatch)
     net = diamond_network()
     graph = qdta._routing(net)
-    source = np.array([net.node_index[1]])
+    source = np.array([node_at(net, 1)])
     cost = net.free_flow_h.copy()
     dist, pred, _ = graph.shortest_paths(source, cost)
-    assert pred[0, net.node_index[4]] == net.node_index[2]
+    assert pred[0, node_at(net, 4)] == node_at(net, 2)
     again = graph.shortest_paths(source.copy(), cost.copy())
     assert np.array_equal(again[0], dist) and len(calls) == 1
     cost[net.link_index[1]] = 100.0
     dist, pred, _ = graph.shortest_paths(source, cost)
     assert len(calls) == 2
-    assert pred[0, net.node_index[4]] == net.node_index[3]
-    assert dist[0, net.node_index[4]] == pytest.approx(0.3)
+    assert pred[0, node_at(net, 4)] == node_at(net, 3)
+    assert dist[0, node_at(net, 4)] == pytest.approx(0.3)
 
 
 def test_shortest_paths_solves_each_source_once_per_cost_vector(monkeypatch):
     calls = count_dijkstra(monkeypatch)
     net = diamond_network()
     graph = qdta._routing(net)
-    a, b, c = (net.node_index[n] for n in (1, 2, 3))
+    a, b, c = (node_at(net, n) for n in (1, 2, 3))
     cost = net.free_flow_h.copy()
     first = graph.shortest_paths(np.array([b, a]), cost)
     second = graph.shortest_paths(np.array([a, c, b, a]), cost.copy())
@@ -524,7 +544,7 @@ def test_shortest_paths_subset_of_solved_sources_runs_no_dijkstra(monkeypatch):
     calls = count_dijkstra(monkeypatch)
     net = diamond_network()
     graph = qdta._routing(net)
-    sources = np.array([net.node_index[n] for n in (1, 2, 3)])
+    sources = np.array([node_at(net, n) for n in (1, 2, 3)])
     dist, pred, _ = graph.shortest_paths(sources, net.free_flow_h)
     sub = graph.shortest_paths(sources[[2, 0]], net.free_flow_h.copy())
     assert len(calls) == 1
@@ -535,7 +555,7 @@ def test_shortest_paths_in_place_edit_misses_beside_a_kept_vector(monkeypatch):
     calls = count_dijkstra(monkeypatch)
     net = diamond_network()
     graph = qdta._routing(net)
-    source = np.array([net.node_index[1]])
+    source = np.array([node_at(net, 1)])
     other = net.free_flow_h * 2.0
     cost = net.free_flow_h.copy()
     graph.shortest_paths(source, cost)
@@ -543,7 +563,7 @@ def test_shortest_paths_in_place_edit_misses_beside_a_kept_vector(monkeypatch):
     cost[net.link_index[1]] = 100.0
     dist, pred, _ = graph.shortest_paths(source, cost)
     assert len(calls) == 3
-    assert pred[0, net.node_index[4]] == net.node_index[3]
+    assert pred[0, node_at(net, 4)] == node_at(net, 3)
     graph.shortest_paths(source, other)
     assert len(calls) == 3
 
@@ -552,7 +572,7 @@ def test_shortest_paths_third_cost_vector_evicts_least_recently_used(monkeypatch
     calls = count_dijkstra(monkeypatch)
     net = diamond_network()
     graph = qdta._routing(net)
-    source = np.array([net.node_index[1]])
+    source = np.array([node_at(net, 1)])
     first, second, third = (net.free_flow_h * k for k in (1.0, 2.0, 3.0))
     graph.shortest_paths(source, first)
     graph.shortest_paths(source, second)

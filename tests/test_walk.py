@@ -100,7 +100,7 @@ def reference_walk(network, trips, link_costs, time_h, speed_mph, budget_h, conf
         trip.free_flow_h += float(network.free_flow_h[taken].sum())
         trip.fuel_l += float(link_fuel_l[taken].sum())
         trip.links.extend(int(i) for i in taken)
-        trip.node = network.node_index[network.links[int(taken[-1])].to_node]
+        trip.node = int(network.link_to[taken[-1]])
         if n_take == len(path):
             trip.status = finished
     return entered
@@ -235,7 +235,7 @@ def reference_day(network, trips, objective, config):
     its active trips in trip-id order, assign_interval, the reference walk;
     then the forced walk of the leftovers. Returns (records, each
     interval's FlowState, each interval's entries, forced entries)."""
-    index = network.node_index
+    index = {node_id: i for i, node_id in enumerate(network.node_ids.tolist())}
     rows = zip(trips.trip_id.tolist(), trips.depart_s.tolist(), trips.origin.tolist(),
                trips.destination.tolist())
     states = sorted((RefTrip(trip_id, depart_s, index[o], index[d], 0.0, 0.0, 0.0, 0.0, [], None)
