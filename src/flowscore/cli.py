@@ -153,10 +153,13 @@ def load_scenario(path) -> Scenario:
             raise ConfigError(f"{key} must satisfy 0 <= start < end <= 86400")
         return lo, hi
 
-    buffer_m = number("adjacency_buffer_m", cfg["adjacency_buffer_m"])
-    radius_m = number("school_radius_m", cfg["school_radius_m"])
-    if not (0 <= buffer_m < math.inf and 0 <= radius_m < math.inf):  # NaN fails both
-        raise ConfigError("buffers must be finite and nonnegative")
+    def buffer(key: str) -> float:
+        value = number(key, cfg[key])
+        if not 0 <= value < math.inf:  # NaN fails too
+            raise ConfigError(f"{key}: {cfg[key]!r} is not finite and nonnegative")
+        return value
+
+    buffer_m, radius_m = buffer("adjacency_buffer_m"), buffer("school_radius_m")
     workers = whole("workers")
     if workers < 1:
         raise ConfigError("workers must be >= 1")

@@ -7,7 +7,7 @@ veh/h, liters.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,6 +50,7 @@ class FuelParams:
             raise ValueError(f"fuel curve nonpositive near {bad} mph")
 
 
+# per lane count, (intercept, ADT exponent) of the crash frequency fit
 _SPF_TABLE = {
     1: (-7.09, 0.98),
     2: (-7.09, 0.98),
@@ -62,22 +63,8 @@ _SPF_TABLE = {
 }
 
 
-@dataclass(frozen=True)
-class SpfParams:
-    """Per-lane-count (intercept, ADT exponent) of the crash frequency fit."""
-
-    by_lanes: dict[int, tuple[float, float]] = field(
-        default_factory=lambda: dict(_SPF_TABLE)
-    )
-
-    def __post_init__(self) -> None:
-        if set(self.by_lanes) != set(range(1, 9)):
-            raise ValueError("SPF table must cover lane counts 1..8 exactly")
-
-
 DEFAULT_BPR = BprParams()
 DEFAULT_FUEL = FuelParams()
-DEFAULT_SPF = SpfParams()
 
 
 def _ret(out):
@@ -100,14 +87,6 @@ def bpr_time(free_flow_h, flow_vph, capacity_vph, params: BprParams | None = Non
     flow = _check_flow(flow_vph)
     ratio = flow / np.asarray(capacity_vph, dtype=float)
     return _ret(np.asarray(free_flow_h, dtype=float) * (1.0 + p.alpha * ratio**p.beta))
-
-
-def bpr_speed(free_speed_mph, flow_vph, capacity_vph, params: BprParams | None = None):
-    """Congested speed; equals the free speed at zero flow."""
-    p = params or DEFAULT_BPR
-    flow = _check_flow(flow_vph)
-    ratio = flow / np.asarray(capacity_vph, dtype=float)
-    return _ret(np.asarray(free_speed_mph, dtype=float) / (1.0 + p.alpha * ratio**p.beta))
 
 
 def bpr_integral(free_flow_h, flow_vph, capacity_vph, params: BprParams | None = None):
@@ -143,18 +122,13 @@ def marginal_time_cost(free_flow_h, flow_vph, capacity_vph, params: BprParams | 
     )
 
 
-def _check_speed(speed_mph):
+def fuel_per_mile(speed_mph, params: FuelParams | None = None):
+    p = params or DEFAULT_FUEL
     speed = np.asarray(speed_mph, dtype=float)
     if np.any(speed < FUEL_SPEED_MIN) or np.any(speed > FUEL_SPEED_MAX):
         raise ValueError(
             f"speed outside fuel model domain [{FUEL_SPEED_MIN}, {FUEL_SPEED_MAX}] mph"
         )
-    return speed
-
-
-def fuel_per_mile(speed_mph, params: FuelParams | None = None):
-    p = params or DEFAULT_FUEL
-    speed = _check_speed(speed_mph)
     return _ret(p.a + p.b / speed + p.c * speed**2)
 
 
@@ -164,28 +138,6 @@ def link_fuel(length_miles, speed_mph, params: FuelParams | None = None):
     if np.any(length < 0):
         raise ValueError("length must be nonnegative")
     return _ret(length * fuel_per_mile(speed_mph, params))
-
-
-def marginal_fuel_cost(
-    length_miles,
-    free_speed_mph,
-    flow_vph,
-    capacity_vph,
-    bpr: BprParams | None = None,
-    fuel: FuelParams | None = None,
-):
-    """d(f * fuel(v(f)))/df with v(f) the BPR congested speed.
-
-    The congested speed must stay inside the fuel model domain; inside
-    it, this is eco_assignment_cost clamped to the domain's bounds, where
-    the clamp never binds.
-    """
-    length = np.asarray(length_miles, dtype=float)
-    fft = length / np.asarray(free_speed_mph, dtype=float)
-    t = bpr_time(fft, _check_flow(flow_vph), capacity_vph, bpr)
-    _check_speed(length / np.asarray(t, dtype=float))
-    return eco_assignment_cost(length_miles, free_speed_mph, flow_vph, capacity_vph, bpr, fuel,
-                               FUEL_SPEED_MIN, FUEL_SPEED_MAX)
 
 
 def eco_assignment_cost(
@@ -220,14 +172,13 @@ def eco_assignment_cost(
     return _ret(m + np.where(unclamped, flow * dm_dv * dv_df, 0.0))
 
 
-def spf_accidents(lanes: int, length_miles: float, adt: float, params: SpfParams | None = None) -> float:
+def spf_accidents(lanes: int, length_miles: float, adt: float) -> float:
     """Expected crashes per year: exp(alpha) * length * ADT^beta.
 
     Zero ADT means no exposure, hence zero crashes (the log-linear fit
     is only defined for positive traffic).
     """
-    p = params or DEFAULT_SPF
-    if lanes not in p.by_lanes:
+    if lanes not in _SPF_TABLE:
         raise ValueError(f"no SPF coefficients for lanes={lanes}")
     if length_miles < 0:
         raise ValueError("length must be nonnegative")
@@ -235,5 +186,5 @@ def spf_accidents(lanes: int, length_miles: float, adt: float, params: SpfParams
         raise ValueError("ADT must be nonnegative")
     if adt == 0:
         return 0.0
-    alpha, beta = p.by_lanes[lanes]
+    alpha, beta = _SPF_TABLE[lanes]
     return math.exp(alpha) * length_miles * adt**beta

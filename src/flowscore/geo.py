@@ -88,11 +88,6 @@ def build_link_index(network) -> np.ndarray:
     return np.array([polyline_bbox(link.geometry) for link in network.links], dtype=float).reshape(-1, 4)
 
 
-def links_within_radius(point: Point, radius_m: float, network) -> list[int]:
-    """Ids of links whose geometry comes within radius_m of point (inclusive)."""
-    return links_within_radii([point], radius_m, network)[0]
-
-
 def links_within_radii(points, radius_m: float, network) -> list[list[int]]:
     """Per point, the sorted ids of the links whose geometry comes within
     radius_m of it (inclusive)."""
@@ -394,8 +389,8 @@ def polygons_overlap(polygons_a, polygons_b) -> np.ndarray:
 def _load_polygon_features(path: str, id_key: str):
     """(id, properties, ring) of each Polygon feature, in file order.
 
-    Ids must be unique integers and coordinates finite; errors name the
-    file and the feature, counting from 1.
+    Ids must be unique whole numbers, not booleans, and coordinates
+    finite; errors name the file and the feature, counting from 1.
     """
     with open(path) as fh:
         try:
@@ -429,11 +424,14 @@ def _load_polygon_features(path: str, id_key: str):
             raise ValueError(f"{path}: feature {number} properties are not an object")
         if id_key not in props:
             raise ValueError(f"{path}: {kind} feature {number} missing {id_key}")
-        try:
-            feature_id = int(props[id_key])
+        value = props[id_key]
+        try:  # int() would truncate 1.5 and take true as 1
+            if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+                raise ValueError
+            feature_id = int(value)
         except (TypeError, ValueError):
             raise ValueError(
-                f"{path}: {id_key} {props[id_key]!r} is not an integer (feature {number})"
+                f"{path}: {id_key} {value!r} is not an integer (feature {number})"
             ) from None
         if feature_id in first_use:
             raise ValueError(
@@ -446,16 +444,18 @@ def _load_polygon_features(path: str, id_key: str):
 
 
 def load_tracts(path: str) -> list[Tract]:
-    """Tracts in file order. `population` must be a finite number >= 0 and
-    `is_coc` a JSON boolean or 0/1; errors name the feature."""
+    """Tracts in file order. `population` must be a finite number >= 0, not
+    a boolean, and `is_coc` a JSON boolean or 0/1; errors name the feature."""
     tracts = []
     features = _load_polygon_features(path, "tract_id")
     for number, (tract_id, props, ring) in enumerate(features, start=1):
-        is_coc = props.get("is_coc", False)
+        is_coc, population = props.get("is_coc", False), props.get("population", 0.0)
         if not (isinstance(is_coc, (int, float)) and is_coc in (0, 1)):
             raise ValueError(f"{path}: is_coc {is_coc!r} is not a boolean or 0/1 (feature {number})")
+        if isinstance(population, bool):
+            raise ValueError(f"{path}: population {population!r} is not a number (feature {number})")
         try:
-            tracts.append(Tract(tract_id, ring, float(props.get("population", 0.0)), bool(is_coc)))
+            tracts.append(Tract(tract_id, ring, float(population), bool(is_coc)))
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{path}: {exc} (feature {number})") from None
     return tracts

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import costs, geo
-from .costs import SpfParams
 from .network import INT64, NUMBER, check_rows, naming_rows, read_rows, repeats
 from .typology import StreetType
 
@@ -168,13 +167,13 @@ def school_exposure(
     return out
 
 
-def minority_exposure_share(exposures: dict[int, SchoolExposure], schools, threshold: float = MINORITY_PCT):
+def minority_exposure_share(exposures: dict[int, SchoolExposure], schools):
     """Percent of exposed schools that are minority schools; None if no school is exposed."""
     by_id = {s.id: s for s in schools}
     exposed = [e for e in exposures.values() if e.level is not ExposureLevel.NONE]
     if not exposed:
         return None
-    minority = sum(1 for e in exposed if by_id[e.school_id].pct_minority >= threshold)
+    minority = sum(1 for e in exposed if by_id[e.school_id].pct_minority >= MINORITY_PCT)
     return 100.0 * minority / len(exposed)
 
 
@@ -195,17 +194,13 @@ def equity_shares(stats: LinkDailyStats, tracts, tract_of_link: list) -> EquityS
     return EquityShares(*filtered_vmt_vhd(stats, mask))
 
 
-def highway_accidents(
-    stats: LinkDailyStats,
-    street_types: dict[int, StreetType],
-    spf: SpfParams | None = None,
-) -> float:
+def highway_accidents(stats: LinkDailyStats, street_types: dict[int, StreetType]) -> float:
     """Expected yearly crashes summed over highway links at their ADT."""
     network = stats.network
     total = 0.0
     for pos, link in enumerate(network.links):
         if street_types[link.id] is StreetType.HIGHWAY:
-            total += costs.spf_accidents(link.lanes, link.length_miles, float(stats.adt[pos]), spf)
+            total += costs.spf_accidents(link.lanes, link.length_miles, float(stats.adt[pos]))
     return total
 
 
@@ -266,7 +261,6 @@ def build_report(
     schools,
     tracts,
     tract_of_link: list,
-    spf: SpfParams | None = None,
     morning_window_s=MORNING_PEAK_S,
     school_morning_s=SCHOOL_MORNING_S,
 ) -> IndicatorReport:
@@ -288,7 +282,7 @@ def build_report(
     buffered_idx = np.array([network.link_index[i] for i in buffered_links], dtype=np.int64)
     school_vmt = float(stats.window_vmt(school_morning_s)[buffered_idx].sum())
 
-    accidents = highway_accidents(stats, street_types, spf)
+    accidents = highway_accidents(stats, street_types)
     total_vmt, total_vhd = filtered_vmt_vhd(stats, np.ones(network.n_links, dtype=bool))
     congested = congested_miles(stats, morning_window_s)
 

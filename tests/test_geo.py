@@ -10,7 +10,7 @@ from flowscore.geo import (
     _candidates,
     link_midpoint,
     link_tracts,
-    links_within_radius,
+    links_within_radii,
     load_tracts,
     point_along_polyline,
     polygon_area,
@@ -19,8 +19,9 @@ from flowscore.geo import (
     validate_tracts,
 )
 from flowscore.network import Link
+from flowscore.typology import LandUse, Parcel, load_parcels
 
-from fixtures import grid_network, square, write_tracts_geojson
+from fixtures import grid_network, square, write_parcels_geojson, write_tracts_geojson
 import geo_reference
 from geo_reference import (
     bboxes_overlap,
@@ -172,15 +173,15 @@ def test_links_within_radius_inclusive_and_sorted():
     net = grid_network(2, 2, spacing_miles=1.0)
     spacing_m = geo.polyline_length(net.links[0].geometry)
     # query at a node: every incident link touches it, distance 0
-    at_node = links_within_radius((0.0, 0.0), 0.0, net)
+    at_node = links_within_radii([(0.0, 0.0)], 0.0, net)[0]
     assert at_node == sorted(at_node)
     assert len(at_node) == 4  # two outgoing, two incoming
     # exactly at the radius boundary
     mid = (spacing_m / 2.0, spacing_m / 2.0)
     d = spacing_m / 2.0
-    hits = links_within_radius(mid, d, net)
+    hits = links_within_radii([mid], d, net)[0]
     assert len(hits) == len(net.links)  # all edges of the unit cell touch
-    just_inside = links_within_radius(mid, d * 0.999, net)
+    just_inside = links_within_radii([mid], d * 0.999, net)[0]
     assert just_inside == []
 
 
@@ -190,14 +191,14 @@ def test_links_within_radius_index_agrees_with_scan():
     for _ in range(100):
         p = (float(rng.uniform(-500, 2500)), float(rng.uniform(-500, 2000)))
         r = float(rng.uniform(0, 600))
-        assert links_within_radius(p, r, net) == geo_reference.links_within_radius(p, r, net)
+        assert links_within_radii([p], r, net)[0] == geo_reference.links_within_radius(p, r, net)
 
 
 def test_links_within_radius_rejects_negative():
     net = grid_network(2, 2)
     for radius_m in (-1.0, math.nan, math.inf):  # a non-finite radius has no cells to look in
         with pytest.raises(ValueError):
-            links_within_radius((0.0, 0.0), radius_m, net)
+            links_within_radii([(0.0, 0.0)], radius_m, net)
 
 
 def test_tract_validation():
@@ -352,6 +353,49 @@ def test_load_tracts_names_the_file_of_malformed_geojson(tmp_path, text, message
     assert [t.id for t in load_tracts(str(good))] == [1, 2]
 
 
+def two_feature_file(path, id_key):
+    """Two tracts or two parcels, with ids 1 and 2."""
+    if id_key == "tract_id":
+        return two_tract_file(path)
+    write_parcels_geojson(path, [Parcel(i, square(50.0 * i, 0.0, 10.0), LandUse.RESIDENTIAL)
+                                 for i in (1, 2)])
+    return path
+
+
+LOADERS = pytest.mark.parametrize("id_key, load", [("tract_id", load_tracts),
+                                                   ("parcel_id", load_parcels)],
+                                  ids=["tracts", "parcels"])
+
+
+@LOADERS
+@pytest.mark.parametrize("bad", ["true", "false"])
+def test_load_features_reject_a_boolean_id(tmp_path, id_key, load, bad):
+    path = two_feature_file(tmp_path / "ids.geojson", id_key)
+    path.write_text(path.read_text().replace(f'"{id_key}": 2', f'"{id_key}": {bad}'))
+    with pytest.raises(ValueError, match=rf"ids.geojson: {id_key} (True|False) is not an integer "
+                                         r"\(feature 2\)"):
+        load(str(path))
+
+
+@LOADERS
+@pytest.mark.parametrize("bad", ["1.5", "1.2", "NaN", "Infinity"])
+def test_load_features_reject_a_fractional_id(tmp_path, id_key, load, bad):
+    # 1.2 must not read as 1, the first feature's id
+    path = two_feature_file(tmp_path / "ids.geojson", id_key)
+    path.write_text(path.read_text().replace(f'"{id_key}": 2', f'"{id_key}": {bad}'))
+    with pytest.raises(ValueError, match=rf"ids.geojson: {id_key} \S+ is not an integer "
+                                         r"\(feature 2\)"):
+        load(str(path))
+
+
+@LOADERS
+@pytest.mark.parametrize("value, want", [("7", 7), ("2.0", 2), ('"7"', 7)])
+def test_load_features_read_whole_ids(tmp_path, id_key, load, value, want):
+    path = two_feature_file(tmp_path / "ids.geojson", id_key)
+    path.write_text(path.read_text().replace(f'"{id_key}": 2', f'"{id_key}": {value}'))
+    assert [f.id for f in load(str(path))] == [1, want]
+
+
 def two_tract_file(path, second_population=250.0):
     write_tracts_geojson(path, [
         Tract(1, square(0.0, 0.0, 10.0), 100.0, False),
@@ -366,6 +410,14 @@ def test_load_tracts_rejects_bad_population(tmp_path, bad):
     path.write_text(path.read_text().replace("250.0", bad))
     with pytest.raises(ValueError, match=r"pop.geojson: tract 2 population must be finite "
                                          r"and nonnegative \(feature 2\)"):
+        load_tracts(str(path))
+
+
+def test_load_tracts_rejects_a_boolean_population(tmp_path):
+    path = two_tract_file(tmp_path / "pop.geojson")
+    path.write_text(path.read_text().replace("250.0", "true"))
+    with pytest.raises(ValueError, match=r"pop.geojson: population True is not a number "
+                                         r"\(feature 2\)"):
         load_tracts(str(path))
 
 

@@ -18,8 +18,8 @@ from flowscore.typology import (
     Parcel,
     StreetType,
     classify_network,
+    _dominant_land_uses,
     classify_street,
-    dominant_land_use,
     transport_context,
 )
 
@@ -117,7 +117,7 @@ def test_classify_network_matches_scans(seed, n_links, n_random):
     parcels = random_parcels(rng, network, n_random)
     got = classify_network(network, parcels, BUFFER)
     for link in network.links:
-        use = dominant_land_use(link, parcels, BUFFER)
+        use = _dominant_land_uses([link], parcels, BUFFER)[0]
         assert geo_reference.dominant_land_use(link, parcels, BUFFER) is use
         assert got[link.id] is classify_street(transport_context(link), use)
     reordered = [parcels[i] for i in rng.permutation(len(parcels))]
@@ -197,7 +197,7 @@ def test_links_within_radii_matches_scan(radius_m, seed, n_links, n_random):
     points = radius_points(rng, network, radius_m, n_random)
     want = [geo_reference.links_within_radius(p, radius_m, network) for p in points]
     assert geo.links_within_radii(points, radius_m, network) == want
-    assert geo.links_within_radius(PROBE, radius_m, network) == want[n_random]
+    assert geo.links_within_radii([PROBE], radius_m, network)[0] == want[n_random]
     assert geo.links_within_radii([], radius_m, network) == []
 
 
@@ -208,7 +208,7 @@ def test_parcels_sharing_an_id_still_join_by_position():
     link = Link(1, 1, 2, 200.0 / 1609.344, 25.0, 800.0, 5, 2, ((0.0, 0.0), (200.0, 0.0)))
     network = Network([a, b], [link])
     for parcels in ([near, far], [far, near]):
-        assert dominant_land_use(link, parcels, BUFFER) is LandUse.COMMERCIAL
+        assert _dominant_land_uses([link], parcels, BUFFER)[0] is LandUse.COMMERCIAL
         assert geo_reference.dominant_land_use(link, parcels, BUFFER) is LandUse.COMMERCIAL
         assert classify_network(network, parcels) == {1: StreetType.NEIGHBORHOOD_COMMERCIAL}
 
@@ -221,7 +221,7 @@ def test_index_keeps_parcels_that_rounding_would_drop():
     assert geo_reference.point_segment_distance((6.0, 50.0), (x, 0.0), (x, 100.0)) == 35.5
     link = Link(1, 1, 2, 100.0 / 1609.344, 25.0, 800.0, 5, 2, ((x, 0.0), (x, 100.0)))
     parcels = [Parcel(1, square(13.0, 50.0, 7.0), LandUse.COMMERCIAL)]
-    assert dominant_land_use(link, parcels, 35.5) is LandUse.COMMERCIAL
+    assert _dominant_land_uses([link], parcels, 35.5)[0] is LandUse.COMMERCIAL
     assert geo_reference.dominant_land_use(link, parcels, 35.5) is LandUse.COMMERCIAL
 
 

@@ -7,14 +7,11 @@ from flowscore.network import (
     Link,
     Network,
     Node,
-    format_wkt_linestring,
-    free_flow_time,
     load_network,
     parse_wkt_linestring,
-    save_network,
 )
 
-from fixtures import grid_network, pigou_network, straight_link
+from fixtures import format_wkt_linestring, grid_network, pigou_network, save_network, straight_link
 
 
 def write_csv(path, header, rows):
@@ -46,7 +43,7 @@ def test_load_minimal_network(tmp_path):
     assert net.n_nodes == 2 and net.n_links == 1
     link = net.links[net.link_index[10]]
     assert link.from_node == 1 and link.to_node == 2
-    assert free_flow_time(link) == pytest.approx(1.0 / 30.0)
+    assert net.free_flow_h[net.link_index[10]] == pytest.approx(1.0 / 30.0)
     assert net.validation.warnings == []
     assert net.validation.primary_component_ok
 

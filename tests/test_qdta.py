@@ -12,11 +12,11 @@ from flowscore.qdta import (
     IntervalRecord,
     Objective,
     SolverConfig,
-    all_or_nothing,
     assign_interval,
     run_day,
 )
 
+from costs_reference import bpr_speed
 from qdta_reference import dense_entered, dense_states
 
 from fixtures import (
@@ -155,6 +155,12 @@ def test_objective_parse():
 # all-or-nothing loading
 
 
+def all_or_nothing(net, od_demand, link_costs):
+    """Each OD's whole demand on its least-cost path at link_costs."""
+    return qdta._load_all_or_nothing(qdta._routing(net), qdta._DemandBatch(net, od_demand, 1.0),
+                                     link_costs)
+
+
 @pytest.mark.parametrize("demand", [math.nan, math.inf, -math.inf, -1.0],
                          ids=["nan", "inf", "-inf", "negative"])
 def test_bad_demand_is_rejected_naming_its_od(demand):
@@ -242,8 +248,8 @@ def pigou_grid(objective: Objective, step=0.1):
             t0n, f_narrow, narrow.capacity_vph
         )
     else:
-        vw = np.clip(costs.bpr_speed(10.0, f_wide, wide.capacity_vph), 5.0, 90.0)
-        vn = np.clip(costs.bpr_speed(20.0, f_narrow, narrow.capacity_vph), 5.0, 90.0)
+        vw = np.clip(bpr_speed(10.0, f_wide, wide.capacity_vph), 5.0, 90.0)
+        vn = np.clip(bpr_speed(20.0, f_narrow, narrow.capacity_vph), 5.0, 90.0)
         z = f_wide * 10.0 * fuel_per_mile(vw) + f_narrow * 10.0 * fuel_per_mile(vn)
     best = int(np.argmin(z))
     return float(f_narrow[best]), float(z[best])
