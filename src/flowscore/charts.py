@@ -123,10 +123,8 @@ def render_chart_svg(table: ComparisonTable, title: str = "Objective comparison"
     return "\n".join(parts) + "\n"
 
 
-def emit_chart(comparison, output_path, title: str = "Objective comparison") -> None:
-    """Render a comparison table (or comparison.csv path) to an SVG file."""
-    if isinstance(comparison, (str, bytes)) or hasattr(comparison, "__fspath__"):
-        comparison = load_comparison(comparison)
-    svg = render_chart_svg(comparison, title)
+def emit_chart(table: ComparisonTable, output_path, title: str = "Objective comparison") -> None:
+    """Render a comparison table to an SVG file."""
+    svg = render_chart_svg(table, title)
     with open(output_path, "w", newline="\n") as fh:
         fh.write(svg)

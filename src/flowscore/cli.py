@@ -282,12 +282,16 @@ def _load_city_network(scenario: Scenario):
     return network
 
 
-def _load_schools_and_tracts(scenario: Scenario):
+def _load_schools_and_tracts(scenario: Scenario, network):
+    """The schools, the links in each school's buffer, the tracts, and each
+    link's tract: every join with the network is made once per run."""
     schools = indicators.load_schools(str(scenario.schools))
     tracts = geo.load_tracts(str(scenario.tracts))
     for warning in geo.validate_tracts(tracts):
         logger.warning("tracts: %s", warning)
-    return schools, tracts
+    buffers = geo.links_within_radii([(s.x, s.y) for s in schools], scenario.school_radius_m,
+                                     network)
+    return schools, buffers, tracts, indicators.link_tract_ids(network, tracts)
 
 
 def _run_one(args) -> AssignmentResult:
@@ -334,11 +338,10 @@ def _write_assignment(out: Path, result: AssignmentResult) -> bool:
     return bool(unconverged)
 
 
-def _score(scenario: Scenario, tag: str, stats, trips, street_types, schools, tracts,
+def _score(scenario: Scenario, tag: str, stats, trips, street_types, schools, buffers, tracts,
            tract_of_link) -> indicators.IndicatorReport:
     """Score one objective's day and write its indicator and exposure tables."""
-    exposures = indicators.school_exposure(stats, schools, scenario.school_radius_m,
-                                           scenario.school_morning_s)
+    exposures = indicators.school_exposure(stats, schools, buffers, scenario.school_morning_s)
     report = indicators.build_report(stats, exposures, trips, street_types, schools, tracts,
                                      tract_of_link, morning_window_s=scenario.morning_window_s,
                                      school_morning_s=scenario.school_morning_s)
@@ -350,11 +353,10 @@ def _score(scenario: Scenario, tag: str, stats, trips, street_types, schools, tr
 def run_scenario(scenario: Scenario) -> int:
     """Full pipeline: classify, assign every objective, score, compare."""
     network = _load_city_network(scenario)
-    schools, tracts = _load_schools_and_tracts(scenario)
+    places = _load_schools_and_tracts(scenario, network)
     trips = load_trips(str(scenario.trips))
     out = scenario.out_dir
     street_types = _classify_streets(scenario, network)
-    tract_of_link = indicators.link_tract_ids(network, tracts)
 
     reports = []
     any_unconverged = False
@@ -366,7 +368,7 @@ def run_scenario(scenario: Scenario) -> int:
             any_unconverged |= _write_assignment(out, result)
             reports.append(_score(scenario, result.objective.value,
                                   indicators.daily_stats(result), result.trips, street_types,
-                                  schools, tracts, tract_of_link))
+                                  *places))
             del result
 
     table = ComparisonTable(tuple(o.value for o in scenario.objectives), tuple(
@@ -397,7 +399,10 @@ def compare_cities(paths, names=None):
         raise ValueError("duplicate city names; disambiguate with --names")
     want = set(indicators.INDICATOR_NAMES)
     for path, table in zip(paths, tables):
-        got = {r.name for r in table.rows}
+        listed = [r.name for r in table.rows]
+        with naming_rows(path):
+            check_rows({"name": listed}, {"repeated indicator {name!r}": repeats(listed)})
+        got = set(listed)
         if got != want:
             missing = sorted(want - got)
             extra = sorted(got - want)
@@ -459,7 +464,7 @@ def _cmd_indicators(args) -> int:
         raise ValueError(f"{convergence_path} has {n_rows} intervals, but interval_s "
                          f"{scenario.solver.interval_s:g} makes {scenario.solver.n_intervals}")
     network = _load_city_network(scenario)
-    schools, tracts = _load_schools_and_tracts(scenario)
+    places = _load_schools_and_tracts(scenario, network)
     types_path = out / "link_types.csv"
     if types_path.exists():
         street_types = typology.read_link_types(types_path)
@@ -472,13 +477,12 @@ def _cmd_indicators(args) -> int:
     else:
         street_types = _classify_streets(scenario, network)
     _score(scenario, tag, read_flows_csv(flows_path, network, scenario.solver),
-           read_trips_csv(trips_path), street_types, schools, tracts,
-           indicators.link_tract_ids(network, tracts))
+           read_trips_csv(trips_path), street_types, *places)
     return 0
 
 
 def _cmd_chart(args) -> int:
-    charts.emit_chart(args.comparison, args.out, title=args.title)
+    charts.emit_chart(charts.load_comparison(args.comparison), args.out, title=args.title)
     return 0
 
 

@@ -1,10 +1,11 @@
 """Planar geometry helpers and the spatial joins built on them.
 
-Everything works in meters on projected coordinates. Each join takes its
-candidate pairs from one box join, `_candidates`, and decides every pair
-with the batched exact predicates. Boundary cases are inclusive
-throughout: a point on a polygon edge is inside, a geometry at exactly
-the query radius is returned.
+Everything works in meters on projected coordinates. Each join builds one
+vertex table (`_Shapes`) per input, takes its candidate pairs from one
+box join, `_candidates`, over the tables' boxes, and decides every pair
+with the batched exact predicates, which index those tables. Boundary
+cases are inclusive throughout: a point on a polygon edge is inside, a
+geometry at exactly the query radius is returned.
 """
 from __future__ import annotations
 
@@ -15,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 Point = tuple[float, float]
-BBox = tuple[float, float, float, float]
 
 _EPS = 1e-9
 
@@ -77,15 +77,10 @@ def point_along_polyline(polyline, distance: float) -> Point:
     return polyline[-1]
 
 
-def polyline_bbox(polyline) -> BBox:
-    xs = [p[0] for p in polyline]
-    ys = [p[1] for p in polyline]
-    return (min(xs), min(ys), max(xs), max(ys))
-
-
-def build_link_index(network) -> np.ndarray:
-    """The (n_links, 4) bounding boxes of the links, in network.links order."""
-    return np.array([polyline_bbox(link.geometry) for link in network.links], dtype=float).reshape(-1, 4)
+def build_link_index(network) -> _Shapes:
+    """The links' vertex table, in network.links order; its boxes() are
+    the links' bounding boxes."""
+    return _Shapes([link.geometry for link in network.links], False)
 
 
 def links_within_radii(points, radius_m: float, network) -> list[list[int]]:
@@ -94,9 +89,8 @@ def links_within_radii(points, radius_m: float, network) -> list[list[int]]:
     if not 0 <= radius_m < math.inf:  # NaN fails too
         raise ValueError("radius must be finite and nonnegative")
     p = np.array(points, dtype=float).reshape(-1, 2)
-    boxes = [_padded((x, y, x, y), radius_m) for x, y in p.tolist()]
-    point, link = _candidates(boxes, build_link_index(network))
-    lines = _Shapes([line.geometry for line in network.links], False)
+    lines = build_link_index(network)
+    point, link = _candidates(_padded(np.hstack([p, p]), radius_m), lines.boxes())
     within = np.zeros(len(point), dtype=bool)
     for lo, hi in _chunks(lines.n_segments[link].tolist()):
         pair, m = _ragged(lines.n_segments[link[lo:hi]])
@@ -129,13 +123,12 @@ def link_tracts(links, tracts) -> list:
     """Per link, the id of the first tract in input order that holds the link's
     length midpoint, boundary included, or None (validate_tracts reports overlaps)."""
     mids = np.array([link_midpoint(link) for link in links], dtype=float).reshape(-1, 2)
-    boxes = [_padded((x, y, x, y), 0.0) for x, y in mids.tolist()]
-    link, tract = _candidates(boxes, [polyline_bbox(t.polygon) for t in tracts])
+    rings = _Shapes([t.polygon for t in tracts], True)
+    link, tract = _candidates(_padded(np.hstack([mids, mids]), 0.0), rings.boxes())
     inside = np.zeros(len(link), dtype=bool)
-    for lo, hi in _chunks([len(tracts[j].polygon) + 1 for j in tract.tolist()]):
-        rings = _Shapes([tracts[j].polygon for j in tract[lo:hi].tolist()], True)
+    for lo, hi in _chunks(rings.n_segments[tract].tolist()):
         k = link[lo:hi]
-        on, odd = _points_in_rings((mids[k, 0], mids[k, 1]), np.arange(hi - lo), rings)
+        on, odd = _points_in_rings((mids[k, 0], mids[k, 1]), tract[lo:hi], rings)
         inside[lo:hi] = on | odd
     first: dict[int, int] = {}  # pairs run by link and then by tract position
     for k, j in zip(link[inside].tolist(), tract[inside].tolist()):
@@ -148,15 +141,13 @@ def validate_tracts(tracts) -> list[str]:
 
     Only pairs whose bboxes touch are tested; warnings follow input order.
     """
-    boxes = [polyline_bbox(t.polygon) for t in tracts]
+    rings = _Shapes([t.polygon for t in tracts], True)
+    boxes = rings.boxes()
     i, j = _candidates(boxes, boxes)
-    i, j = i[j > i].tolist(), j[j > i].tolist()
-    overlap = polygons_overlap([tracts[a].polygon for a in i], [tracts[b].polygon for b in j])
-    return [
-        f"tracts {tracts[a].id} and {tracts[b].id} overlap"
-        for a, b, hit in zip(i, j, overlap.tolist())
-        if hit
-    ]
+    i, j = i[j > i], j[j > i]
+    overlap = polygons_overlap(rings, i, j)
+    return [f"tracts {tracts[a].id} and {tracts[b].id} overlap"
+            for a, b in zip(i[overlap].tolist(), j[overlap].tolist())]
 
 
 # Batched exact predicates. They run over numpy columns with the same
@@ -186,6 +177,11 @@ class _Shapes:
         self.first = np.cumsum(sizes) - sizes
         self.n_segments = sizes - 1
 
+    def boxes(self) -> np.ndarray:
+        """Each shape's (min x, min y, max x, max y), as an (n, 4) array."""
+        ends = (np.minimum.reduceat, np.maximum.reduceat)
+        return np.column_stack([end(xy, self.first) for end in ends for xy in (self.x, self.y)])
+
     def vertex(self, k, m):
         v = self.first[k] + m
         return self.x[v], self.y[v]
@@ -213,11 +209,12 @@ def _any_per(owner, mask, n: int) -> np.ndarray:
     return np.bincount(owner[mask], minlength=n) > 0
 
 
-def _padded(box: BBox, radius_m: float) -> BBox:
-    """box grown by radius_m, and by enough more that neither rounding nor
-    the _EPS tolerance of the exact tests can leave out what they accept."""
-    pad = radius_m + _EPS * (2.0 + max(map(abs, box)) + radius_m)
-    return (box[0] - pad, box[1] - pad, box[2] + pad, box[3] + pad)
+def _padded(boxes: np.ndarray, radius_m: float) -> np.ndarray:
+    """The (n, 4) boxes grown by radius_m, and by enough more that neither
+    rounding nor the _EPS tolerance of the exact tests can leave out what
+    they accept."""
+    pad = (radius_m + _EPS * (2.0 + abs(boxes).max(axis=1) + radius_m))[:, None]
+    return np.hstack([boxes[:, :2] - pad, boxes[:, 2:] + pad])
 
 
 def _candidates(boxes, items):
@@ -336,18 +333,18 @@ def _segment_within(p, a, b, radius_m: float) -> np.ndarray:
     return within
 
 
-def polygon_polyline_within(polygons, polylines, radius_m: float) -> np.ndarray:
-    """polygon_polyline_distance(polygons[k], polylines[k]) <= radius_m for every k,
-    as the scalar reference in tests/geo_reference.py decides it."""
-    out = np.zeros(len(polygons), dtype=bool)
-    costs = [len(g) * len(line) for g, line in zip(polygons, polylines)]
-    for lo, hi in _chunks(costs):
-        rings, lines = _Shapes(polygons[lo:hi], True), _Shapes(polylines[lo:hi], False)
-        n = hi - lo
-        on, odd = _points_in_rings(lines.vertex(np.arange(n), 0), np.arange(n), rings)
-        k, i, j = _pairs_of(lines.n_segments, rings.n_segments)
-        a, b = lines.segment(k, i)
-        c, d = rings.segment(k, j)
+def polygon_polyline_within(rings: _Shapes, ring_of, lines: _Shapes, line_of,
+                            radius_m: float) -> np.ndarray:
+    """Per pair k, whether polygon_polyline_distance(ring ring_of[k],
+    line line_of[k]) <= radius_m, as the scalar reference in
+    tests/geo_reference.py decides it."""
+    out = np.zeros(len(ring_of), dtype=bool)
+    for lo, hi in _chunks((rings.n_segments[ring_of] * (lines.n_segments[line_of] + 1)).tolist()):
+        ring, line, n = ring_of[lo:hi], line_of[lo:hi], hi - lo
+        on, odd = _points_in_rings(lines.vertex(line, 0), ring, rings)
+        k, i, j = _pairs_of(lines.n_segments[line], rings.n_segments[ring])
+        a, b = lines.segment(line[k], i)
+        c, d = rings.segment(ring[k], j)
         intersect = (
             _crosses_properly(a, b, c, d)
             | _on_segments(c, a, b) | _on_segments(d, a, b)
@@ -363,24 +360,24 @@ def polygon_polyline_within(polygons, polylines, radius_m: float) -> np.ndarray:
     return out
 
 
-def polygons_overlap(polygons_a, polygons_b) -> np.ndarray:
-    """Whether the interiors of polygons_a[k] and polygons_b[k] appear to overlap.
+def polygons_overlap(rings: _Shapes, a, b) -> np.ndarray:
+    """Per pair k, whether the interiors of rings a[k] and b[k] appear to overlap.
 
     True when a vertex of one lies strictly inside the other, or two edges
     cross at a point interior to both; polygons that only share edges or
     corners do not overlap.
     """
-    out = np.zeros(len(polygons_a), dtype=bool)
-    costs = [(len(a) + 1) * (len(b) + 1) for a, b in zip(polygons_a, polygons_b)]
-    for lo, hi in _chunks(costs):
-        ring_a, ring_b = _Shapes(polygons_a[lo:hi], True), _Shapes(polygons_b[lo:hi], True)
-        n = hi - lo
-        k, i, j = _pairs_of(ring_a.n_segments, ring_b.n_segments)
-        hit = _any_per(k, _crosses_properly(*ring_a.segment(k, i), *ring_b.segment(k, j)), n)
-        for inner, outer, polygons in ((ring_a, ring_b, polygons_a), (ring_b, ring_a, polygons_b)):
-            # each polygon's vertices as stored, like the scalar `for p in polygon`
-            k, m = _ragged(np.array([len(g) for g in polygons[lo:hi]], dtype=np.int64))
-            on, odd = _points_in_rings(inner.vertex(k, m), k, outer)
+    out = np.zeros(len(a), dtype=bool)
+    segments = rings.n_segments
+    for lo, hi in _chunks(((segments[a] + 1) * (segments[b] + 1)).tolist()):
+        ring_a, ring_b, n = a[lo:hi], b[lo:hi], hi - lo
+        k, i, j = _pairs_of(segments[ring_a], segments[ring_b])
+        hit = _any_per(k, _crosses_properly(*rings.segment(ring_a[k], i),
+                                            *rings.segment(ring_b[k], j)), n)
+        for inner, outer in ((ring_a, ring_b), (ring_b, ring_a)):
+            # a ring's vertices but the closing one, which repeats its first
+            k, m = _ragged(segments[inner])
+            on, odd = _points_in_rings(rings.vertex(inner[k], m), outer[k], rings)
             hit |= _any_per(k, odd & ~on, n)
         out[lo:hi] = hit
     return out

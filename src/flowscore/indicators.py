@@ -18,7 +18,6 @@ from .typology import StreetType
 
 MORNING_PEAK_S = (25200.0, 32400.0)  # 07:00-09:00
 SCHOOL_MORNING_S = (25200.0, 28800.0)  # 07:00-08:00
-SCHOOL_RADIUS_M = 250.0
 ADT_HIGH = 50000.0
 ADT_MEDIUM = 25000.0
 MINORITY_PCT = 75.0
@@ -138,20 +137,16 @@ class SchoolExposure:
     link_ids: tuple[int, ...]
 
 
-def school_exposure(
-    stats: LinkDailyStats,
-    schools,
-    radius_m: float = SCHOOL_RADIUS_M,
-    morning_s=SCHOOL_MORNING_S,
-) -> dict[int, SchoolExposure]:
-    """Traffic exposure of each school from links within the buffer.
+def school_exposure(stats: LinkDailyStats, schools, buffers,
+                    morning_s=SCHOOL_MORNING_S) -> dict[int, SchoolExposure]:
+    """Traffic exposure of each school from the links in its buffer: per
+    school, the sorted link ids that `geo.links_within_radii` gives.
 
     High needs one buffered link with ADT above 50,000; Medium needs one
     in the 25,000..50,000 band (inclusive); anything less is None.
     """
     network = stats.network
     morning_vmt = stats.window_vmt(morning_s)
-    buffers = geo.links_within_radii([(s.x, s.y) for s in schools], radius_m, network)
     out: dict[int, SchoolExposure] = {}
     for school, ids in zip(schools, buffers):
         idx = np.array([network.link_index[i] for i in ids], dtype=np.int64)

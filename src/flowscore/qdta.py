@@ -485,11 +485,6 @@ def assign_interval(
         return FlowState(flows, time_h, network.length_miles / time_h, cost, converged, gap,
                          len(log), log, [(o, d, r * config.interval_h) for o, d, r in unreachable])
 
-    if not batch.od_rate.size:
-        zeros = np.zeros(network.n_links, dtype=float)
-        return finish(zeros, _cost_vector(network, objective, zeros, config), True, 0.0,
-                      [(0.0, 0.0)], [])
-
     cost0 = _cost_vector(network, objective, np.zeros(network.n_links), config)
     f, unreachable = _load_all_or_nothing(graph, batch, cost0)
 
@@ -548,9 +543,6 @@ def _walk(network: Network, trips: _Trips, active: np.ndarray, link_costs, time_
     entry counts).
     """
     graph = _routing(network)
-    if not active.size:
-        return active, active, np.zeros(network.n_links, dtype=np.int64)
-
     n_nodes = network.n_nodes
     pair_key, trip_pair = np.unique(trips.node[active] * n_nodes + trips.dest[active],
                                     return_inverse=True)

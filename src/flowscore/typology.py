@@ -72,19 +72,16 @@ def _dominant_land_uses(links, parcels, adjacency_buffer_m) -> list[LandUse]:
     b = adjacency_buffer_m
     if not 0 <= b < math.inf:  # NaN fails too
         raise ValueError("adjacency buffer must be finite and nonnegative")
-    boxes = [geo._padded(geo.polyline_bbox(link.geometry), b) for link in links]
-    parcel_boxes = [geo.polyline_bbox(p.polygon) for p in parcels]
-    pair_link, pair_parcel = (a.tolist() for a in geo._candidates(boxes, parcel_boxes))
-    within = geo.polygon_polyline_within(
-        [parcels[i].polygon for i in pair_parcel], [links[k].geometry for k in pair_link], b
-    )
+    lines = geo._Shapes([link.geometry for link in links], False)
+    rings = geo._Shapes([p.polygon for p in parcels], True)
+    pair_link, pair_parcel = geo._candidates(geo._padded(lines.boxes(), b), rings.boxes())
+    within = geo.polygon_polyline_within(rings, pair_parcel, lines, pair_link, b)
     best = [None] * len(links)
     # candidates come in input order, so the strict > keeps the first of equals
-    for k, i, ok in zip(pair_link, pair_parcel, within.tolist()):
-        if ok:
-            parcel, top = parcels[i], best[k]
-            if top is None or (parcel.area, -parcel.id) > (top.area, -top.id):
-                best[k] = parcel
+    for k, i in zip(pair_link[within].tolist(), pair_parcel[within].tolist()):
+        parcel, top = parcels[i], best[k]
+        if top is None or (parcel.area, -parcel.id) > (top.area, -top.id):
+            best[k] = parcel
     return [LandUse.OTHER if p is None else p.land_use for p in best]
 
 
@@ -124,13 +121,20 @@ def classify_network(network, parcels, adjacency_buffer_m: float = 20.0) -> dict
 
 
 def load_parcels(path: str) -> list[Parcel]:
+    """Parcels in file order. `land_use` must be one of the codes R, C, I,
+    P, O; errors name the file and the feature."""
     codes = {u.value: u for u in LandUse}
     parcels = []
-    for parcel_id, props, ring in geo._load_polygon_features(path, "parcel_id"):
+    features = geo._load_polygon_features(path, "parcel_id")
+    for number, (parcel_id, props, ring) in enumerate(features, start=1):
         code = props.get("land_use")
-        if code not in codes:
-            raise ValueError(f"{path}: bad land_use {code!r} (want one of R,C,I,P,O)")
-        parcels.append(Parcel(id=parcel_id, polygon=ring, land_use=codes[code]))
+        if not (isinstance(code, str) and code in codes):  # `in` raises TypeError on a list
+            raise ValueError(f"{path}: bad land_use {code!r}, want one of R,C,I,P,O "
+                             f"(feature {number})")
+        try:
+            parcels.append(Parcel(id=parcel_id, polygon=ring, land_use=codes[code]))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc} (feature {number})") from None
     return parcels
 
 

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from flowscore import costs, qdta
+from flowscore.geo import links_within_radii
 from flowscore.indicators import congested_miles, daily_stats
 from flowscore.network import (LINK_COLUMNS, METERS_PER_MILE, NODE_COLUMNS, Link, Network, Node,
                                write_csv)
@@ -228,6 +229,12 @@ def joined(*tables) -> Departures:
     """The rows of each Departures table, one table after the other."""
     return Departures(*(np.concatenate([getattr(t, f.name) for t in tables])
                         for f in dataclasses.fields(Departures)))
+
+
+def school_buffers(network: Network, schools, radius_m=250.0) -> list[list[int]]:
+    """Each school's buffer, joined as the command line joins it; 250 m is
+    the default config's school_radius_m."""
+    return links_within_radii([(s.x, s.y) for s in schools], radius_m, network)
 
 
 def square(cx, cy, half):

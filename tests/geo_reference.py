@@ -5,14 +5,22 @@ exactly.
 Each predicate does the same IEEE operations, in the same order, as its
 batched counterpart (`_segment_within`, `_on_segments`,
 `_points_in_rings`, `polygon_polyline_within`), so the tests require
-equal answers, with no tolerance. The joins at the end scan every
-candidate with these predicates. Boundary cases are inclusive, as in
-flowscore.geo.
+equal answers, with no tolerance; `polyline_bbox` is the same for
+`_Shapes.boxes`. The joins at the end scan every candidate with these
+predicates. Boundary cases are inclusive, as in flowscore.geo.
 """
 import math
 
-from flowscore.geo import _EPS, BBox, Point, _closed_ring, _crosses_properly, _orient, link_midpoint
+from flowscore.geo import _EPS, Point, _closed_ring, _crosses_properly, _orient, link_midpoint
 from flowscore.typology import LandUse
+
+BBox = tuple[float, float, float, float]
+
+
+def polyline_bbox(polyline) -> BBox:
+    xs = [p[0] for p in polyline]
+    ys = [p[1] for p in polyline]
+    return (min(xs), min(ys), max(xs), max(ys))
 
 
 def bboxes_overlap(a: BBox, b: BBox) -> bool:

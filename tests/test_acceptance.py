@@ -45,6 +45,7 @@ from fixtures import (
     pigou_network,
     perf_network,
     perf_trips,
+    school_buffers,
     straight_link,
     two_route_network,
     uniform_trips,
@@ -270,7 +271,8 @@ def test_criterion_08_school_exposure_boundaries():
     # one 3600 s interval makes each link's ADT equal its flow
     stats = LinkDailyStats(net, [(np.arange(len(adts)), np.array(adts), net.free_flow_h)], 3600.0)
     schools = [School(i + 1, M / 2.0, 10_000.0 * i, 50.0) for i in range(len(adts))]
-    levels = {sid: e.level for sid, e in school_exposure(stats, schools).items()}
+    exposures = school_exposure(stats, schools, school_buffers(net, schools))
+    levels = {sid: e.level for sid, e in exposures.items()}
     assert levels[1] is ExposureLevel.NONE     # 24,999
     assert levels[2] is ExposureLevel.MEDIUM   # 25,000
     assert levels[3] is ExposureLevel.MEDIUM   # 50,000

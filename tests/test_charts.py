@@ -80,14 +80,14 @@ def test_emit_chart_byte_identical(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def test_emit_chart_accepts_csv_path(tmp_path):
+def test_emit_chart_of_a_loaded_csv(tmp_path):
     table = small_table()
     csv_path = tmp_path / "comparison.csv"
     write_comparison(csv_path, table)
     from_table = tmp_path / "t.svg"
     from_path = tmp_path / "p.svg"
     emit_chart(table, from_table)
-    emit_chart(csv_path, from_path)
+    emit_chart(load_comparison(csv_path), from_path)
     assert from_table.read_bytes() == from_path.read_bytes()
 
 

@@ -452,25 +452,30 @@ def test_run_keeps_the_days_written_before_an_objective_fails(tmp_path, monkeypa
 
 
 def test_exposure_and_daily_stats_computed_once_per_report(tmp_path, monkeypatch, town_run):
-    from flowscore import indicators
+    from flowscore import geo, indicators
 
-    calls = {"school_exposure": 0, "daily_stats": 0}
-    for name in calls:
-        real = getattr(indicators, name)
+    counted_names = ((indicators, "school_exposure"), (indicators, "daily_stats"),
+                     (geo, "links_within_radii"), (indicators, "link_tract_ids"))
+    calls = dict.fromkeys((name for _, name in counted_names), 0)
+    for module, name in counted_names:
+        real = getattr(module, name)
 
         def counted(*args, _real=real, _name=name, **kwargs):
             calls[_name] += 1
             return _real(*args, **kwargs)
 
-        monkeypatch.setattr(indicators, name, counted)
+        monkeypatch.setattr(module, name, counted)
     cfg, _ = town_run
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
-    assert calls == {"school_exposure": 3, "daily_stats": 3}
-    calls.update(school_exposure=0, daily_stats=0)
+    # the school buffers and the link tracts are joined once, not once per objective
+    assert calls == {"school_exposure": 3, "daily_stats": 3, "links_within_radii": 1,
+                     "link_tract_ids": 1}
+    calls.update(dict.fromkeys(calls, 0))
     assert main(["indicators", "--config", cfg, "--objective", "uet",
                  "--out", str(tmp_path / "run")]) == 0
     # the stats come from flows_uet.csv
-    assert calls == {"school_exposure": 1, "daily_stats": 0}
+    assert calls == {"school_exposure": 1, "daily_stats": 0, "links_within_radii": 1,
+                     "link_tract_ids": 1}
 
 
 def traced_run(tmp_path, cfg, run_out):
@@ -854,3 +859,12 @@ def test_compare_cities_input_validation(tmp_path, town_run):
     stub.write_text("theme,indicator,unit,uet\nMobility,VMT,miles,1.0\n")
     with pytest.raises(ValueError, match="indicator rows differ"):
         compare_cities([good, stub])
+
+    # every name is there, so only the repeat can tell that VMT is 1.0 twice over
+    repeated = tmp_path / "repeated.csv"
+    lines = good.read_text().splitlines()
+    assert len(lines) == 16
+    repeated.write_text("\n".join([*lines, "Mobility,VMT,miles,1.0,1.0,1.0"]) + "\n")
+    with pytest.raises(ValueError,
+                       match=re.escape(f"repeated indicator 'VMT' in {repeated}, row 17")):
+        compare_cities([good, repeated])

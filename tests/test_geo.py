@@ -14,7 +14,6 @@ from flowscore.geo import (
     load_tracts,
     point_along_polyline,
     polygon_area,
-    polyline_bbox,
     polyline_length,
     validate_tracts,
 )
@@ -29,6 +28,7 @@ from geo_reference import (
     point_polyline_distance,
     point_segment_distance,
     polygon_polyline_distance,
+    polyline_bbox,
     segment_segment_distance,
     segments_intersect,
 )
@@ -114,7 +114,8 @@ def test_bbox_helpers():
     assert bboxes_overlap((0, 0, 1, 1), (1, 1, 2, 2))  # edge touch counts
     assert not bboxes_overlap((0, 0, 1, 1), (1.01, 0, 2, 1))
     net = grid_network(2, 3)
-    assert geo.build_link_index(net).tolist() == [list(polyline_bbox(link.geometry)) for link in net.links]
+    want = [list(polyline_bbox(link.geometry)) for link in net.links]
+    assert geo.build_link_index(net).boxes().tolist() == want
 
 
 def test_spatial_index_matches_brute_force():

@@ -30,7 +30,7 @@ from flowscore.network import Network, Node
 from flowscore.qdta import FlowState, TripTable
 from flowscore.typology import StreetType
 
-from fixtures import M, assignment_of, square, straight_link, write_schools_csv
+from fixtures import M, assignment_of, school_buffers, square, straight_link, write_schools_csv
 from qdta_reference import dense_states
 
 
@@ -227,7 +227,7 @@ def exposure_fixture(adts):
 
 def test_school_exposure_threshold_boundaries():
     net, stats, schools = exposure_fixture([24_999.0, 25_000.0, 50_000.0, 50_001.0])
-    out = school_exposure(stats, schools)
+    out = school_exposure(stats, schools, school_buffers(stats.network, schools))
     assert out[1].level is ExposureLevel.NONE
     assert out[2].level is ExposureLevel.MEDIUM
     assert out[3].level is ExposureLevel.MEDIUM
@@ -238,7 +238,7 @@ def test_school_exposure_threshold_boundaries():
 def test_school_exposure_outside_buffer_is_none():
     net, stats, _ = exposure_fixture([60_000.0])
     far = School(9, M / 2.0, 300.0, 90.0)
-    out = school_exposure(stats, [far])
+    out = school_exposure(stats, [far], school_buffers(net, [far]))
     assert out[9].level is ExposureLevel.NONE
     assert out[9].link_ids == ()
     assert out[9].buffer_vmt_morning == 0.0
@@ -250,7 +250,8 @@ def test_school_exposure_morning_vmt():
     flows[28:32, 0] = 1000.0  # 07:00-08:00
     stats = make_stats(net, flows)
     school = School(1, M / 2.0, 0.0, 50.0)
-    out = school_exposure(stats, [school], morning_s=(25200.0, 28800.0))
+    out = school_exposure(stats, [school], school_buffers(net, [school]),
+                          morning_s=(25200.0, 28800.0))
     assert out[1].buffer_vmt_morning == pytest.approx(1000.0)
 
 
@@ -272,14 +273,15 @@ def test_school_exposure_monotone_in_flow():
     net = isolated_links_network(specs)
     schools = [School(i, M / 2.0, 10_000.0 * (i - 1), 50.0) for i in range(1, 7)]
     rank = {ExposureLevel.NONE: 0, ExposureLevel.MEDIUM: 1, ExposureLevel.HIGH: 2}
+    buffers = school_buffers(net, schools)
     for _ in range(50):
         flows = rng.uniform(0.0, 15_000.0, size=(24, 6))
         stats = make_stats(net, flows, interval_s=3600.0)
-        before = school_exposure(stats, schools)
+        before = school_exposure(stats, schools, buffers)
         bumped = flows.copy()
         j = int(rng.integers(0, 6))
         bumped[:, j] += rng.uniform(0.0, 30_000.0)
-        after = school_exposure(make_stats(net, bumped, interval_s=3600.0), schools)
+        after = school_exposure(make_stats(net, bumped, interval_s=3600.0), schools, buffers)
         for sid in before:
             assert rank[after[sid].level] >= rank[before[sid].level]
 
@@ -406,7 +408,7 @@ def report_fixture():
 def report_of(assignment, types, schools, tracts, trips=None):
     """build_report on the fixture's day, as the command line scores it."""
     stats = daily_stats(assignment)
-    exposures = school_exposure(stats, schools)
+    exposures = school_exposure(stats, schools, school_buffers(stats.network, schools))
     if trips is None:
         trips = assignment.trips
     return build_report(stats, exposures, trips, types, schools, tracts, [1, 2, 2, 2])
@@ -416,8 +418,9 @@ def test_build_report_rows_match_single_ops():
     assignment, types, schools, tracts = report_fixture()
     tract_of = [1, 2, 2, 2]
     stats = daily_stats(assignment)
-    report = build_report(stats, school_exposure(stats, schools), assignment.trips,
-                          types, schools, tracts, tract_of)
+    report = build_report(stats,
+                          school_exposure(stats, schools, school_buffers(stats.network, schools)),
+                          assignment.trips, types, schools, tracts, tract_of)
     net = assignment.network
 
     nr_vmt, nr_vhd = filtered_vmt_vhd(
@@ -425,7 +428,7 @@ def test_build_report_rows_match_single_ops():
     assert report.by_name("VMT on neighborhood residential streets") == pytest.approx(nr_vmt)
     assert report.by_name("VHD on neighborhood residential streets") == pytest.approx(nr_vhd)
 
-    exposures = school_exposure(stats, schools)
+    exposures = school_exposure(stats, schools, school_buffers(stats.network, schools))
     assert exposures[1].link_ids == (1,)
     assert exposures[2].link_ids == (1, 2)
     assert exposures[3].link_ids == ()

@@ -78,6 +78,22 @@ def test_candidates_match_brute_force(seed, n_boxes, n_items):
     assert list(zip(k.tolist(), j.tolist())) == brute
 
 
+coordinate = st.floats(-1e6, 1e6)  # -0.0 and 0.0 among them
+shape = st.lists(st.tuples(coordinate, coordinate), min_size=1, max_size=6)
+
+
+@cases
+@given(shapes=st.lists(st.tuples(shape, st.booleans()), max_size=6), closed=st.booleans())
+def test_shape_boxes_match_polyline_bbox(shapes, closed):
+    # each shape is given open or already closed; one-point shapes and no shapes at all included
+    shapes = [s + s[:1] if close else s for s, close in shapes]
+    boxes = geo._Shapes(shapes, closed).boxes()
+    assert boxes.shape == (len(shapes), 4)
+    assert list(map(tuple, boxes.tolist())) == [geo_reference.polyline_bbox(s) for s in shapes]
+    assert geo._Shapes([], closed).boxes().shape == (0, 4)
+    assert geo._Shapes([[(1.5, -2.0)]], closed).boxes().tolist() == [[1.5, -2.0, 1.5, -2.0]]
+
+
 def regular_polygon(rng, cx, cy):
     n = int(rng.integers(3, 8))
     radius = rng.uniform(3.0, 40.0)
@@ -130,12 +146,16 @@ def test_polygon_polyline_within_matches_scalar_distance(seed, buffer_m):
     rng = np.random.default_rng(seed)
     network = street_network(rng, 8)
     parcels = random_parcels(rng, network, 15)
-    pairs = [(p.polygon, link.geometry) for p in parcels for link in network.links]
     # a closed ring and a one-point polyline exercise the edge cases of both shapes
-    pairs.append((parcels[0].polygon + parcels[0].polygon[:1], network.links[0].geometry))
-    pairs.append((parcels[0].polygon, network.links[0].geometry[:1]))
-    got = geo.polygon_polyline_within([g for g, _ in pairs], [line for _, line in pairs], buffer_m)
-    want = [geo_reference.polygon_polyline_distance(g, line) <= buffer_m for g, line in pairs]
+    polygons = [p.polygon for p in parcels] + [parcels[0].polygon + parcels[0].polygon[:1]]
+    lines = [link.geometry for link in network.links] + [network.links[0].geometry[:1]]
+    pairs = [(g, k) for g in range(len(parcels)) for k in range(len(network.links))]
+    pairs += [(len(parcels), 0), (0, len(network.links))]
+    ring_of, line_of = np.array(pairs).T
+    got = geo.polygon_polyline_within(geo._Shapes(polygons, True), ring_of,
+                                      geo._Shapes(lines, False), line_of, buffer_m)
+    want = [geo_reference.polygon_polyline_distance(polygons[g], lines[k]) <= buffer_m
+            for g, k in pairs]
     assert got.tolist() == want
 
 
@@ -149,7 +169,9 @@ def test_within_uses_the_scalar_distance_at_the_radius():
     d = geo_reference.polygon_polyline_distance(triangle, line)
     assert d == math.hypot(x, y)
     for radius in (d, math.nextafter(d, 0.0), math.nextafter(d, math.inf)):
-        got = geo.polygon_polyline_within([triangle], [line], radius)
+        first = np.zeros(1, dtype=np.int64)
+        got = geo.polygon_polyline_within(geo._Shapes([triangle], True), first,
+                                          geo._Shapes([line], False), first, radius)
         assert got.tolist() == [d <= radius]
 
 

@@ -292,10 +292,16 @@ def test_sof_matches_total_fuel_grid_search():
 
 def test_zero_demand_interval():
     net = pigou_network()
-    state = assign_interval(net, {}, Objective.UET)
-    assert state.converged and state.gap == 0.0 and state.iterations == 1
-    assert not state.flow_vph.any()
-    assert np.array_equal(state.time_h, net.free_flow_h)
+    config = SolverConfig()
+    zeros = np.zeros(net.n_links)
+    for objective in Objective:
+        for demand in ({}, {(1, 2): 0.0}):
+            state = assign_interval(net, demand, objective, config)
+            assert state.converged and state.gap == 0.0 and state.iterations == 1
+            assert state.log == [(0.0, 0.0)] and state.unreachable == []
+            assert not state.flow_vph.any()
+            assert np.array_equal(state.time_h, net.free_flow_h)
+            assert np.array_equal(state.cost, qdta._cost_vector(net, objective, zeros, config))
 
 
 def test_objective_value_never_increases_along_iterations():

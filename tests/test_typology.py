@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -194,6 +195,24 @@ def test_load_parcels_roundtrip_and_validation(tmp_path):
     )
     with pytest.raises(ValueError, match="parcel_id 'P1' is not an integer"):
         load_parcels(str(stringy))
+
+
+@pytest.mark.parametrize("land_use, ring, rule", [
+    ("X", [[0, 0], [1, 0], [1, 1], [0, 0]], "bad land_use 'X', want one of R,C,I,P,O"),
+    (["R"], [[0, 0], [1, 0], [1, 1], [0, 0]], "bad land_use ['R'], want one of R,C,I,P,O"),
+    ("R", [[0, 0], [1, 0], [2, 0], [0, 0]], "parcel 2 has zero area"),
+    ("R", [[0, 0], [1, 0], [0, 0]], "parcel 2 polygon needs >= 3 points"),
+])
+def test_load_parcels_errors_name_the_file_and_the_feature(tmp_path, land_use, ring, rule):
+    path = tmp_path / "parcels.geojson"
+    write_parcels_geojson(path, [Parcel(1, square(0.0, 0.0, 30.0), LandUse.COMMERCIAL)])
+    doc = json.loads(path.read_text())
+    doc["features"].append({"type": "Feature", "properties": {"parcel_id": 2, "land_use": land_use},
+                            "geometry": {"type": "Polygon", "coordinates": [ring]}})
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as caught:
+        load_parcels(str(path))
+    assert str(caught.value) == f"{path}: {rule} (feature 2)"
 
 
 def test_link_types_csv_roundtrip(tmp_path):
