@@ -247,7 +247,7 @@ def read_flows_csv(path, network, config: SolverConfig) -> indicators.LinkDailyS
     columns = read_columns(path, "flows", dict(zip(FLOW_COLUMNS, (INT64, INT64, FINITE, FINITE))))
     k, link_id = (np.array(columns[name], dtype=np.int64) for name in ("interval", "link_id"))
     flow, time_h = np.array(columns["flow_vph"]), np.array(columns["time_h"])
-    pos = np.array([network.link_index.get(i, -1) for i in columns["link_id"]], dtype=np.int64)
+    pos = network.link_positions(link_id)
     n = config.n_intervals
     with naming_rows(path):
         check_rows({"k": k, "link_id": link_id}, {
@@ -468,12 +468,13 @@ def _cmd_indicators(args) -> int:
     types_path = out / "link_types.csv"
     if types_path.exists():
         street_types = typology.read_link_types(types_path)
-        missing = [link.id for link in network.links if link.id not in street_types]
+        missing = [i for i in network.link_ids.tolist() if i not in street_types]
         if missing:
             raise ValueError(f"{types_path} has no street type for link {missing[0]}")
         with naming_rows(types_path):  # street_types holds the rows in file order
-            check_rows({"link_id": list(street_types)},
-                       {"unknown link_id {link_id}": [i not in network.link_index for i in street_types]})
+            ids = list(street_types)
+            check_rows({"link_id": ids},
+                       {"unknown link_id {link_id}": network.link_positions(ids) < 0})
     else:
         street_types = _classify_streets(scenario, network)
     _score(scenario, tag, read_flows_csv(flows_path, network, scenario.solver),

@@ -78,9 +78,9 @@ def point_along_polyline(polyline, distance: float) -> Point:
 
 
 def build_link_index(network) -> _Shapes:
-    """The links' vertex table, in network.links order; its boxes() are
-    the links' bounding boxes."""
-    return _Shapes([link.geometry for link in network.links], False)
+    """The links' vertex table, in row order; its boxes() are the links'
+    bounding boxes."""
+    return _Shapes(network.geometry, False)
 
 
 def links_within_radii(points, radius_m: float, network) -> list[list[int]]:
@@ -111,18 +111,21 @@ class Tract:
     def __post_init__(self) -> None:
         if len(self.polygon) < 3:
             raise ValueError(f"tract {self.id} polygon needs >= 3 points")
+        if polygon_area(self.polygon) <= 0:
+            raise ValueError(f"tract {self.id} has zero area")
         if not (math.isfinite(self.population) and self.population >= 0):
             raise ValueError(f"tract {self.id} population must be finite and nonnegative")
 
 
-def link_midpoint(link) -> Point:
-    return point_along_polyline(link.geometry, polyline_length(link.geometry) / 2.0)
+def link_midpoint(geometry) -> Point:
+    return point_along_polyline(geometry, polyline_length(geometry) / 2.0)
 
 
-def link_tracts(links, tracts) -> list:
-    """Per link, the id of the first tract in input order that holds the link's
-    length midpoint, boundary included, or None (validate_tracts reports overlaps)."""
-    mids = np.array([link_midpoint(link) for link in links], dtype=float).reshape(-1, 2)
+def link_tracts(geometries, tracts) -> list:
+    """Per link geometry, the id of the first tract in input order that holds
+    its length midpoint, boundary included, or None (validate_tracts reports
+    overlaps)."""
+    mids = np.array([link_midpoint(g) for g in geometries], dtype=float).reshape(-1, 2)
     rings = _Shapes([t.polygon for t in tracts], True)
     link, tract = _candidates(_padded(np.hstack([mids, mids]), 0.0), rings.boxes())
     inside = np.zeros(len(link), dtype=bool)

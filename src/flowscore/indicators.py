@@ -111,7 +111,7 @@ def filtered_vmt_vhd(stats: LinkDailyStats, link_mask) -> tuple[float, float]:
 
 
 def street_type_mask(network, street_types: dict[int, StreetType], wanted: StreetType) -> np.ndarray:
-    return np.array([street_types[link.id] is wanted for link in network.links], dtype=bool)
+    return np.array([street_types[i] is wanted for i in network.link_ids.tolist()], dtype=bool)
 
 
 def congested_miles(stats: LinkDailyStats, window_s=MORNING_PEAK_S) -> float:
@@ -145,11 +145,16 @@ def school_exposure(stats: LinkDailyStats, schools, buffers,
     High needs one buffered link with ADT above 50,000; Medium needs one
     in the 25,000..50,000 band (inclusive); anything less is None.
     """
+    if len(schools) != len(buffers):
+        raise ValueError(f"{len(schools)} schools but {len(buffers)} buffers")
     network = stats.network
     morning_vmt = stats.window_vmt(morning_s)
     out: dict[int, SchoolExposure] = {}
     for school, ids in zip(schools, buffers):
-        idx = np.array([network.link_index[i] for i in ids], dtype=np.int64)
+        idx = network.link_positions(ids)
+        if (idx < 0).any():
+            raise ValueError(f"school {school.id}: buffer link {ids[np.argmax(idx < 0)]} "
+                             f"is not in the network")
         adts = stats.adt[idx]
         if float(adts.max(initial=0.0)) > ADT_HIGH:
             level = ExposureLevel.HIGH
@@ -179,7 +184,7 @@ class EquityShares:
 
 
 def link_tract_ids(network, tracts) -> list:
-    return geo.link_tracts(network.links, tracts)
+    return geo.link_tracts(network.geometry, tracts)
 
 
 def equity_shares(stats: LinkDailyStats, tracts, tract_of_link: list) -> EquityShares:
@@ -193,9 +198,10 @@ def highway_accidents(stats: LinkDailyStats, street_types: dict[int, StreetType]
     """Expected yearly crashes summed over highway links at their ADT."""
     network = stats.network
     total = 0.0
-    for pos, link in enumerate(network.links):
-        if street_types[link.id] is StreetType.HIGHWAY:
-            total += costs.spf_accidents(link.lanes, link.length_miles, float(stats.adt[pos]))
+    for link_id, lanes, length, adt in zip(network.link_ids.tolist(), network.lanes.tolist(),
+                                           network.length_miles.tolist(), stats.adt.tolist()):
+        if street_types[link_id] is StreetType.HIGHWAY:
+            total += costs.spf_accidents(lanes, length, adt)
     return total
 
 
@@ -274,7 +280,7 @@ def build_report(
 
     exposed = [e for e in exposures.values() if e.level is not ExposureLevel.NONE]
     buffered_links = sorted({lid for e in exposures.values() for lid in e.link_ids})
-    buffered_idx = np.array([network.link_index[i] for i in buffered_links], dtype=np.int64)
+    buffered_idx = network.link_positions(buffered_links)
     school_vmt = float(stats.window_vmt(school_morning_s)[buffered_idx].sum())
 
     accidents = highway_accidents(stats, street_types)

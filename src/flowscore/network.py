@@ -8,6 +8,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import math
+import re
 from array import array
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -48,45 +49,6 @@ class _BadRow(ValueError):
         self.position, self.table = position, table
 
 
-@dataclass(frozen=True)
-class Node:
-    id: int
-    x: float
-    y: float
-
-
-@dataclass(frozen=True)
-class Link:
-    """One directed road segment."""
-
-    id: int
-    from_node: int
-    to_node: int
-    length_miles: float
-    speed_mph: float
-    capacity_vph: float
-    fclass: int
-    lanes: int
-    geometry: tuple[tuple[float, float], ...]
-
-    def __post_init__(self) -> None:
-        if self.from_node == self.to_node:
-            raise ValueError(f"link {self.id} is a self loop")
-        for name in ("length_miles", "speed_mph", "capacity_vph"):
-            value = getattr(self, name)
-            if not math.isfinite(value) or value <= 0:
-                raise ValueError(f"nonpositive {name} on link {self.id}")
-        if self.fclass not in (1, 2, 3, 4, 5):
-            raise ValueError(f"fclass {self.fclass} on link {self.id} not in 1..5")
-        if not 1 <= self.lanes <= 8:
-            raise ValueError(f"lanes {self.lanes} on link {self.id} not in 1..8")
-        if len(self.geometry) < 2:
-            raise ValueError(f"link {self.id} geometry needs >= 2 points")
-        for x, y in self.geometry:
-            if not (math.isfinite(x) and math.isfinite(y)):
-                raise ValueError(f"non-finite geometry on link {self.id}")
-
-
 @dataclass
 class ValidationReport:
     warnings: list[str] = field(default_factory=list)
@@ -99,69 +61,78 @@ class ValidationReport:
 
 
 class Network:
-    """Immutable node/link collection with dense arrays for the solvers.
+    """Immutable node/link columns, in input row order, for the solvers.
 
-    Links iterate in input row order; parallel links between the same
-    node pair are allowed and keep distinct ids. Node and link ids are
-    unique, and every link joins two of the nodes. The main component is
-    the largest weakly connected one; of components that tie for largest,
+    `nodes` and `links` map the NODE_COLUMNS and LINK_COLUMNS names to
+    their columns, as `read_columns` gives them, with each wkt_geometry
+    parsed to a tuple of points. Parallel links between the same node
+    pair are allowed and keep distinct ids. Node and link ids are unique,
+    and every link joins two of the nodes. The main component is the
+    largest weakly connected one; of components that tie for largest,
     the one holding the first node.
     """
 
-    def __init__(self, nodes: list[Node], links: list[Link]):
-        self.nodes: list[Node] = list(nodes)
-        self.links: list[Link] = list(links)
-        self.node_ids = np.array([n.id for n in self.nodes], dtype=np.int64)
+    def __init__(self, nodes: dict, links: dict):
+        self.node_ids = np.array(nodes["node_id"], dtype=np.int64)
+        self.node_x, self.node_y = (np.array(nodes[c], dtype=float) for c in ("x", "y"))
+        self.link_ids = np.array(links["link_id"], dtype=np.int64)
+        from_ids, to_ids = (np.array(links[c], dtype=np.int64) for c in ("from", "to"))
+        self.length_miles, self.speed_mph, self.capacity_vph = (
+            np.array(links[c], dtype=float) for c in ("length_miles", "speed_mph", "capacity_vph"))
+        self.fclass, self.lanes = (np.array(links[c], dtype=np.int64) for c in ("fclass", "lanes"))
+        self.geometry: list[tuple[tuple[float, float], ...]] = list(links["wkt_geometry"])
+        lines = geo._Shapes(self.geometry, False)
+        bad_vertex = ~(np.isfinite(lines.x) & np.isfinite(lines.y))
+        nonfinite = geo._any_per(geo._ragged(lines.n_segments + 1)[0], bad_vertex, self.n_links)
+        check_rows({"id": self.link_ids, "fclass": self.fclass, "lanes": self.lanes}, {
+            "link {id} is a self loop": from_ids == to_ids,
+            **{f"nonpositive {name} on link {{id}}": ~(np.isfinite(v) & (v > 0)) for name, v in (
+                ("length_miles", self.length_miles), ("speed_mph", self.speed_mph),
+                ("capacity_vph", self.capacity_vph))},
+            "fclass {fclass} on link {id} not in 1..5": (self.fclass < 1) | (self.fclass > 5),
+            "lanes {lanes} on link {id} not in 1..8": (self.lanes < 1) | (self.lanes > 8),
+            "link {id} geometry needs >= 2 points": lines.n_segments < 1,
+            "non-finite geometry on link {id}": nonfinite,
+        }, "links")
         check_rows({"id": self.node_ids}, {"duplicate node id {id}": repeats(self.node_ids)},
                    "nodes")
-        self._node_order = np.argsort(self.node_ids)
-        self.link_ids = np.array([l.id for l in self.links], dtype=np.int64)
-        from_ids = np.array([l.from_node for l in self.links], dtype=np.int64)
-        to_ids = np.array([l.to_node for l in self.links], dtype=np.int64)
+        self._node_order, self._link_order = np.argsort(self.node_ids), np.argsort(self.link_ids)
         self.link_from, self.link_to = self.node_positions(from_ids), self.node_positions(to_ids)
         check_rows({"id": self.link_ids, "from": from_ids, "to": to_ids}, {
             "duplicate link id {id}": repeats(self.link_ids),
             "unknown node {from} (from) on link {id}": self.link_from < 0,
             "unknown node {to} (to) on link {id}": self.link_to < 0}, "links")
-
-        self.link_index: dict[int, int] = {l.id: i for i, l in enumerate(self.links)}
-        self.length_miles = np.array([l.length_miles for l in self.links], dtype=float)
-        self.speed_mph = np.array([l.speed_mph for l in self.links], dtype=float)
-        self.capacity_vph = np.array([l.capacity_vph for l in self.links], dtype=float)
         self.free_flow_h = self.length_miles / self.speed_mph
-        self.lanes = np.array([l.lanes for l in self.links], dtype=np.int64)
-        self.fclass = np.array([l.fclass for l in self.links], dtype=np.int64)
         self._routing_cache = None
         self.validation = self._validate()
 
     @property
     def n_nodes(self) -> int:
-        return len(self.nodes)
+        return len(self.node_ids)
 
     @property
     def n_links(self) -> int:
-        return len(self.links)
+        return len(self.link_ids)
 
     def node_positions(self, ids) -> np.ndarray:
-        """The position in `nodes` of each node id in ids, -1 where no node has it."""
-        ids = np.asarray(ids, dtype=np.int64)
-        if not self.n_nodes:
-            return np.full(ids.shape, -1, dtype=np.int64)
-        at = np.take(self._node_order, np.searchsorted(self.node_ids, ids, sorter=self._node_order),
-                     mode="clip")
-        return np.where(self.node_ids[at] == ids, at, -1)
+        """The row of each node id in ids, -1 where no node has it."""
+        return _positions(self.node_ids, self._node_order, ids)
+
+    def link_positions(self, ids) -> np.ndarray:
+        """The row of each link id in ids, -1 where no link has it."""
+        return _positions(self.link_ids, self._link_order, ids)
 
     def _validate(self) -> ValidationReport:
         report = ValidationReport()
-        for link in self.links:
-            measured = geo.polyline_length(link.geometry) / METERS_PER_MILE
-            declared = link.length_miles
+        for link_id, geometry, declared in zip(self.link_ids.tolist(), self.geometry,
+                                               self.length_miles.tolist()):
+            measured = geo.polyline_length(geometry) / METERS_PER_MILE
             if abs(measured - declared) > 0.05 * declared:
                 report.warnings.append(
-                    f"link {link.id}: geometry length {measured:.4f} mi "
+                    f"link {link_id}: geometry length {measured:.4f} mi "
                     f"differs from declared {declared:.4f} mi by more than 5%"
                 )
-        if not self.nodes:
+        if not self.n_nodes:
             return report
         n = self.n_nodes
         graph = csr_matrix((np.ones(self.n_links), (self.link_from, self.link_to)), shape=(n, n))
@@ -183,17 +154,26 @@ class Network:
         return report
 
 
+def _positions(keys: np.ndarray, order: np.ndarray, ids) -> np.ndarray:
+    """The position in keys, sorted by order, of each of ids; -1 where none."""
+    ids = np.asarray(ids, dtype=np.int64)
+    if not keys.size:
+        return np.full(ids.shape, -1, dtype=np.int64)
+    at = np.take(order, np.searchsorted(keys, ids, sorter=order), mode="clip")
+    return np.where(keys[at] == ids, at, -1)
+
+
+_WKT_LINESTRING = re.compile(r"\s*LINESTRING\s*\(([^()]*)\)\s*", re.IGNORECASE)
+
+
 def parse_wkt_linestring(text: str) -> tuple[tuple[float, float], ...]:
-    body = text.strip()
-    upper = body.upper()
-    if not upper.startswith("LINESTRING"):
-        raise ValueError(f"not a LINESTRING: {text!r}")
-    open_idx = body.find("(")
-    close_idx = body.rfind(")")
-    if open_idx < 0 or close_idx < open_idx:
-        raise ValueError(f"malformed LINESTRING: {text!r}")
+    """The points of a WKT LINESTRING: the word in any case, then one
+    parenthesised list of `x y` pairs, and nothing else but whitespace."""
+    match = _WKT_LINESTRING.fullmatch(text)
+    if match is None:
+        raise ValueError(f"not a WKT LINESTRING: {text!r}")
     points = []
-    for chunk in body[open_idx + 1 : close_idx].split(","):
+    for chunk in match[1].split(","):
         parts = chunk.split()
         if len(parts) != 2:
             raise ValueError(f"malformed coordinate {chunk!r} in {text!r}")
@@ -348,15 +328,14 @@ def check_rows(columns: dict, rules: dict, table: str = "") -> None:
 
 
 def load_network(nodes_path: str, links_path: str) -> Network:
-    """Read the node and link CSVs; `Link` and `Network` check the rows.
+    """Read the node and link CSVs; `Network` checks the rows.
 
     Errors name the file, the offending row (the header is row 1), and
     the column or the broken rule, so bad inputs can be fixed without
     spelunking.
     """
-    nodes = read_rows(nodes_path, "nodes", dict(zip(NODE_COLUMNS, (INT64, FINITE, FINITE))), Node)
-    links = read_rows(links_path, "links", dict(zip(LINK_COLUMNS, (
-        INT64, INT64, INT64, FINITE, FINITE, FINITE, INT64, INT64, WKT))), Link)
+    nodes = read_columns(nodes_path, "nodes", dict(zip(NODE_COLUMNS, (INT64, FINITE, FINITE))))
+    links = read_columns(links_path, "links", dict(zip(LINK_COLUMNS, (
+        INT64, INT64, INT64, FINITE, FINITE, FINITE, INT64, INT64, WKT))))
     with naming_rows(links_path, nodes=nodes_path):
         return Network(nodes, links)
-

@@ -51,32 +51,32 @@ class Parcel:
             raise ValueError(f"parcel {self.id} has zero area")
 
 
-def transport_context(link) -> TransportContext:
+def transport_context(fclass: int, speed_mph: float) -> TransportContext:
     """Map functional class (and speed, for class 3) to a road context."""
-    if link.fclass in (1, 2):
+    if fclass in (1, 2):
         return TransportContext.HIGHWAY
-    if link.fclass == 3:
-        if link.speed_mph > 50.0:
+    if fclass == 3:
+        if speed_mph > 50.0:
             return TransportContext.HIGHWAY
         return TransportContext.THROUGHWAY
-    if link.fclass == 4:
+    if fclass == 4:
         return TransportContext.THROUGHWAY
     return TransportContext.NEIGHBORHOOD_STREET
 
 
-def _dominant_land_uses(links, parcels, adjacency_buffer_m) -> list[LandUse]:
-    """Per link, the land use of the largest parcel within the buffer of it.
+def _dominant_land_uses(geometries, parcels, adjacency_buffer_m) -> list[LandUse]:
+    """Per link geometry, the land use of the largest parcel within the buffer of it.
 
     Ties go to the smaller parcel id; no parcel in range means OTHER.
     """
     b = adjacency_buffer_m
     if not 0 <= b < math.inf:  # NaN fails too
         raise ValueError("adjacency buffer must be finite and nonnegative")
-    lines = geo._Shapes([link.geometry for link in links], False)
+    lines = geo._Shapes(geometries, False)
     rings = geo._Shapes([p.polygon for p in parcels], True)
     pair_link, pair_parcel = geo._candidates(geo._padded(lines.boxes(), b), rings.boxes())
     within = geo.polygon_polyline_within(rings, pair_parcel, lines, pair_link, b)
-    best = [None] * len(links)
+    best = [None] * len(geometries)
     # candidates come in input order, so the strict > keeps the first of equals
     for k, i in zip(pair_link[within].tolist(), pair_parcel[within].tolist()):
         parcel, top = parcels[i], best[k]
@@ -107,16 +107,15 @@ def classify_street(context: TransportContext, land_use: LandUse) -> StreetType:
 
 
 def classify_network(network, parcels, adjacency_buffer_m: float = 20.0) -> dict[int, StreetType]:
-    contexts = [transport_context(link) for link in network.links]
+    contexts = list(map(transport_context, network.fclass.tolist(), network.speed_mph.tolist()))
     # land use cannot change a highway's type, so highways skip the geometry work
-    streets = [
-        link for link, context in zip(network.links, contexts) if context is not TransportContext.HIGHWAY
-    ]
+    streets = [geometry for geometry, context in zip(network.geometry, contexts)
+               if context is not TransportContext.HIGHWAY]
     uses = iter(_dominant_land_uses(streets, parcels, adjacency_buffer_m))
     return {
-        link.id: StreetType.HIGHWAY if context is TransportContext.HIGHWAY
+        link_id: StreetType.HIGHWAY if context is TransportContext.HIGHWAY
         else classify_street(context, next(uses))
-        for link, context in zip(network.links, contexts)
+        for link_id, context in zip(network.link_ids.tolist(), contexts)
     }
 
 
@@ -140,7 +139,7 @@ def load_parcels(path: str) -> list[Parcel]:
 
 def write_link_types(path: str, street_types: dict[int, StreetType], network) -> None:
     write_csv(path, ["link_id", "street_type"],
-              ([link.id, street_types[link.id].value] for link in network.links))
+              ([i, street_types[i].value] for i in network.link_ids.tolist()))
 
 
 def read_link_types(path: str) -> dict[int, StreetType]:

@@ -6,6 +6,7 @@ import csv
 import dataclasses
 import json
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -13,12 +14,54 @@ import pytest
 from flowscore import costs, qdta
 from flowscore.geo import links_within_radii
 from flowscore.indicators import congested_miles, daily_stats
-from flowscore.network import (LINK_COLUMNS, METERS_PER_MILE, NODE_COLUMNS, Link, Network, Node,
-                               write_csv)
+from flowscore.network import LINK_COLUMNS, METERS_PER_MILE, NODE_COLUMNS, Network, write_csv
 from flowscore.qdta import (AssignmentResult, Departures, FlowState, IntervalRecord, Objective,
                             SolverConfig)
 
 M = METERS_PER_MILE
+
+
+class Node(NamedTuple):
+    """One row of a nodes table."""
+
+    id: int
+    x: float
+    y: float
+
+
+class Link(NamedTuple):
+    """One row of a links table: one directed road segment."""
+
+    id: int
+    from_node: int
+    to_node: int
+    length_miles: float
+    speed_mph: float
+    capacity_vph: float
+    fclass: int
+    lanes: int
+    geometry: tuple[tuple[float, float], ...]
+
+
+def network(nodes, links) -> Network:
+    """The Network of these Node and Link rows, in order."""
+    def columns(names, rows):
+        return {name: [row[k] for row in rows] for k, name in enumerate(names)}
+
+    return Network(columns(NODE_COLUMNS, nodes), columns(LINK_COLUMNS, links))
+
+
+def nodes_of(net: Network) -> list[Node]:
+    """The network's nodes as rows, in row order."""
+    return list(map(Node, net.node_ids.tolist(), net.node_x.tolist(), net.node_y.tolist()))
+
+
+def links_of(net: Network) -> list[Link]:
+    """The network's links as rows, in row order."""
+    return list(map(Link, net.link_ids.tolist(), net.node_ids[net.link_from].tolist(),
+                    net.node_ids[net.link_to].tolist(), net.length_miles.tolist(),
+                    net.speed_mph.tolist(), net.capacity_vph.tolist(), net.fclass.tolist(),
+                    net.lanes.tolist(), net.geometry))
 
 
 def straight_link(link_id, a: Node, b: Node, speed_mph, capacity_vph, fclass, lanes,
@@ -56,7 +99,7 @@ def pigou_network() -> Network:
     b = Node(2, 10.0 * M, 0.0)
     wide = Link(1, 1, 2, 10.0, 10.0, 1e6, 1, 2, ((a.x, a.y), (b.x, b.y)))
     narrow = Link(2, 1, 2, 10.0, 20.0, 1000.0, 3, 2, detour_geometry(a, b, 10.0))
-    return Network([a, b], [wide, narrow])
+    return network([a, b], [wide, narrow])
 
 
 PIGOU_DEMAND_VPH = 3000.0
@@ -99,7 +142,7 @@ def corridor_network(capacity_vph=900.0, rows=5, cols=17, spacing_miles=0.25,
         nid = mid * cols + c + 1
         add(nid, nid + 1, 65.0, 1, 4, capacity_vph, length=overlay_miles)
         add(nid + 1, nid, 65.0, 1, 4, capacity_vph, length=overlay_miles)
-    return Network(nodes, links)
+    return network(nodes, links)
 
 
 def corridor_od(network_rows=5, network_cols=17):
@@ -125,16 +168,16 @@ def two_route_network() -> Network:
         Link(3, 1, 3, 1.3, 30.0, 1400.0, 5, 2, detour_geometry(n1, n3, 1.3)),
         Link(4, 3, 4, 1.3, 30.0, 1400.0, 5, 2, detour_geometry(n3, n4, 1.3)),
     ]
-    return Network([n1, n2, n3, n4], links)
+    return network([n1, n2, n3, n4], links)
 
 
-def blanket_parcel(network: Network, land_use="R", parcel_id=1):
+def blanket_parcel(net: Network, land_use="R", parcel_id=1):
     """One parcel covering the whole network bbox, so every street that
     consults land use sees it."""
     from flowscore.typology import LandUse, Parcel
 
-    xs = [p[0] for link in network.links for p in link.geometry]
-    ys = [p[1] for link in network.links for p in link.geometry]
+    xs = [p[0] for geometry in net.geometry for p in geometry]
+    ys = [p[1] for geometry in net.geometry for p in geometry]
     pad = 50.0
     poly = (
         (min(xs) - pad, min(ys) - pad),
@@ -167,15 +210,15 @@ def grid_network(rows, cols, spacing_miles=0.5, speed_mph=30.0, capacity_vph=800
             if r + 1 < rows:
                 add(nid, nid + cols)
                 add(nid + cols, nid)
-    return Network(nodes, links)
+    return network(nodes, links)
 
 
 def perf_network() -> Network:
     """50x50 grid plus 100 diagonal shortcut pairs: exactly 10,000 links."""
     rows = cols = 50
     net = grid_network(rows, cols, spacing_miles=0.5)
-    nodes = list(net.nodes)
-    links = list(net.links)
+    nodes = nodes_of(net)
+    links = links_of(net)
     by_id = {n.id: n for n in nodes}
     diag_len = 0.5 * math.sqrt(2.0)
     for a in range(10):
@@ -189,7 +232,7 @@ def perf_network() -> Network:
                                   length_miles=diag_len)
                 )
     assert len(links) == 10_000
-    return Network(nodes, links)
+    return network(nodes, links)
 
 
 def perf_trips(n_trips=100_000, seed=42, rows=50, cols=50) -> Departures:
@@ -300,10 +343,10 @@ def format_wkt_linestring(points) -> str:
     return f"LINESTRING ({inner})"
 
 
-def save_network(network: Network, nodes_path: str, links_path: str) -> None:
+def save_network(net: Network, nodes_path: str, links_path: str) -> None:
     """Write the network back out; load_network(save_network(n)) == n."""
     write_csv(nodes_path, NODE_COLUMNS,
-              ([node.id, repr(float(node.x)), repr(float(node.y))] for node in network.nodes))
+              ([node.id, repr(float(node.x)), repr(float(node.y))] for node in nodes_of(net)))
     write_csv(links_path, LINK_COLUMNS, (
         [
             link.id,
@@ -316,7 +359,7 @@ def save_network(network: Network, nodes_path: str, links_path: str) -> None:
             link.lanes,
             format_wkt_linestring(link.geometry),
         ]
-        for link in network.links
+        for link in links_of(net)
     ))
 
 

@@ -121,8 +121,8 @@ def polygon_polyline_distance(polygon, polyline) -> float:
 
 def links_within_radius(point: Point, radius_m: float, network) -> list[int]:
     """Sorted ids of the links within radius_m of point, every link tested."""
-    return sorted(link.id for link in network.links
-                  if point_polyline_distance(point, link.geometry) <= radius_m)
+    return sorted(link_id for link_id, geometry in zip(network.link_ids.tolist(), network.geometry)
+                  if point_polyline_distance(point, geometry) <= radius_m)
 
 
 def dominant_land_use(link, parcels, buffer_m: float) -> LandUse:
@@ -138,5 +138,5 @@ def dominant_land_use(link, parcels, buffer_m: float) -> LandUse:
 
 def link_tract(link, tracts):
     """Id of the first tract that holds the link's midpoint, or None."""
-    mid = link_midpoint(link)
+    mid = link_midpoint(link.geometry)
     return next((t.id for t in tracts if point_in_polygon(mid, t.polygon)), None)

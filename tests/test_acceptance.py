@@ -36,9 +36,11 @@ from flowscore.cli import main
 from flowscore.qdta import Objective, SolverConfig, assign_interval, run_day
 from flowscore.typology import StreetType, classify_network
 
+import fixtures
 import geo_reference
 from fixtures import (
     M,
+    Node,
     blanket_parcel,
     corridor_network,
     corridor_od,
@@ -52,7 +54,6 @@ from fixtures import (
 )
 from test_cli import town_scenario
 from test_typology import hand_labeled_fixture
-from flowscore.network import Network, Node
 
 
 def ok(n, label):
@@ -90,7 +91,7 @@ def test_criterion_01_equilibrium_matches_grid_search():
     best_narrow = float(f_narrow[np.argmin(total)])
     best_wide = demand_vph - best_narrow
 
-    wide_idx, narrow_idx = net.link_index[1], net.link_index[2]
+    wide_idx, narrow_idx = net.link_positions([1, 2])
     assert fs.flow_vph[narrow_idx] == pytest.approx(best_narrow, rel=0.005)
     assert fs.flow_vph[wide_idx] == pytest.approx(best_wide, rel=0.005)
 
@@ -136,7 +137,7 @@ def test_criterion_03_residential_share_increases_toward_sof():
     o, d = corridor_od()
     cfg = SolverConfig(max_iterations=400)
     demand = {(o, d): 2000.0 * cfg.interval_h}
-    nr_mask = np.array([link.fclass == 5 for link in net.links])
+    nr_mask = net.fclass == 5
 
     shares = {}
     for obj in (Objective.UET, Objective.SOT, Objective.SOF):
@@ -267,7 +268,7 @@ def test_criterion_08_school_exposure_boundaries():
         b = Node(2 * i + 2, M, 10_000.0 * i)
         nodes.extend([a, b])
         links.append(straight_link(i + 1, a, b, 30.0, 600.0, 5, 2))
-    net = Network(nodes, links)
+    net = fixtures.network(nodes, links)
     # one 3600 s interval makes each link's ADT equal its flow
     stats = LinkDailyStats(net, [(np.arange(len(adts)), np.array(adts), net.free_flow_h)], 3600.0)
     schools = [School(i + 1, M / 2.0, 10_000.0 * i, 50.0) for i in range(len(adts))]
@@ -300,7 +301,7 @@ def test_criterion_09_pipeline_determinism(tmp_path):
 def test_criterion_10_desk_scale_performance():
     net = perf_network()
     trips = perf_trips()
-    assert len(net.links) == 10_000
+    assert net.n_links == 10_000
     assert trips.trip_id.size == 100_000
     cfg = SolverConfig()
     assert cfg.n_intervals == 96

@@ -27,12 +27,14 @@ from flowscore.cli import (
 from flowscore import cli, qdta
 from flowscore.indicators import INDICATOR_NAMES, School, congested_miles, daily_stats
 from flowscore.geo import Tract
-from flowscore.network import LoadError, Network, Node, load_network
+from flowscore.network import LoadError, Network, load_network
 from flowscore.qdta import Objective, load_trips, run_day
 from flowscore.typology import StreetType, read_link_types
 
+import fixtures
 from fixtures import (
     M,
+    Node,
     assert_dense_figures,
     assert_same_states,
     assigned_day,
@@ -63,7 +65,7 @@ def town_network(scale=1.0) -> Network:
         straight_link(3, n1, n3, 45.0, 1200.0, 4, 2),
         straight_link(4, n3, n4, 45.0, 1200.0, 4, 2),
     ]
-    return Network([n1, n2, n3, n4], links)
+    return fixtures.network([n1, n2, n3, n4], links)
 
 
 def town_scenario(dirpath, config_overrides=None, scale=1.0, late_trips=0) -> str:
@@ -108,7 +110,7 @@ def test_readme_library_use_runs_in_a_scenario_directory(tmp_path, monkeypatch):
     assert main(["classify", "--config", cfg]) == 0
     section = (ROOT / "README.md").read_text().split("\n## Library use\n")[1].split("\n## ")[0]
     blocks = re.findall(r"```python\n(.*?)```", section, flags=re.S)
-    assert len(blocks) == 6
+    assert len(blocks) == 7
     monkeypatch.chdir(tmp_path)
     namespace = {}
     for block in blocks:  # in order: each block reads the names the earlier ones set
@@ -737,6 +739,8 @@ _STATUSES = "completed, forced, failed"
     ("indicators", "links.csv", 2, "to", "1", "link 1 is a self loop in {path}, row 2"),
     ("indicators", "links.csv", 2, "wkt_geometry", "nonsense",
      "wkt_geometry 'nonsense' is not a WKT LINESTRING in {path}, row 2"),
+    ("indicators", "links.csv", 2, "wkt_geometry", "LINESTRING (0 0, 1 1) trailing",
+     "wkt_geometry 'LINESTRING (0 0, 1 1) trailing' is not a WKT LINESTRING in {path}, row 2"),
     ("assign", "trips.csv", 3, "trip_id", "1", "duplicate trip_id 1 in {path}, row 3"),
     ("assign", "trips.csv", None, "depart_s", None, "missing trips column 'depart_s' in {path}, row 1"),
     ("assign", "trips.csv", 2, "destination", "x", "destination 'x' is not an int64 in {path}, row 2"),
@@ -760,6 +764,7 @@ _STATUSES = "completed, forced, failed"
         "missing_node_column", "non_numeric_node", "nan_node", "repeated_node", "repeated_link",
         "unknown_node", "nonpositive_length", "nonpositive_speed", "nonpositive_capacity",
         "fclass_out_of_range", "lanes_out_of_range", "self_loop", "bad_geometry",
+        "geometry_with_trailing_text",
         "repeated_trip_request", "missing_departure_column", "non_numeric_trip_request",
         "trip_to_its_origin", "trip_id_beyond_int64", "missing_school_column",
         "school_minority_share_out_of_range", "repeated_school", "nan_school_x", "inf_school_y",

@@ -17,10 +17,10 @@ from flowscore.geo import (
     polyline_length,
     validate_tracts,
 )
-from flowscore.network import Link
 from flowscore.typology import LandUse, Parcel, load_parcels
 
-from fixtures import grid_network, square, write_parcels_geojson, write_tracts_geojson
+from fixtures import (Link, grid_network, links_of, square, write_parcels_geojson,
+                      write_tracts_geojson)
 import geo_reference
 from geo_reference import (
     bboxes_overlap,
@@ -114,7 +114,7 @@ def test_bbox_helpers():
     assert bboxes_overlap((0, 0, 1, 1), (1, 1, 2, 2))  # edge touch counts
     assert not bboxes_overlap((0, 0, 1, 1), (1.01, 0, 2, 1))
     net = grid_network(2, 3)
-    want = [list(polyline_bbox(link.geometry)) for link in net.links]
+    want = [list(polyline_bbox(geometry)) for geometry in net.geometry]
     assert geo.build_link_index(net).boxes().tolist() == want
 
 
@@ -172,7 +172,7 @@ def test_spatial_index_query_visits_only_occupied_cells(items, occupied_cells, m
 
 def test_links_within_radius_inclusive_and_sorted():
     net = grid_network(2, 2, spacing_miles=1.0)
-    spacing_m = geo.polyline_length(net.links[0].geometry)
+    spacing_m = geo.polyline_length(net.geometry[0])
     # query at a node: every incident link touches it, distance 0
     at_node = links_within_radii([(0.0, 0.0)], 0.0, net)[0]
     assert at_node == sorted(at_node)
@@ -181,7 +181,7 @@ def test_links_within_radius_inclusive_and_sorted():
     mid = (spacing_m / 2.0, spacing_m / 2.0)
     d = spacing_m / 2.0
     hits = links_within_radii([mid], d, net)[0]
-    assert len(hits) == len(net.links)  # all edges of the unit cell touch
+    assert len(hits) == net.n_links  # all edges of the unit cell touch
     just_inside = links_within_radii([mid], d * 0.999, net)[0]
     assert just_inside == []
 
@@ -207,25 +207,30 @@ def test_tract_validation():
         Tract(1, ((0.0, 0.0), (1.0, 0.0)), 100.0, False)
     with pytest.raises(ValueError):
         Tract(1, UNIT_SQUARE, -5.0, False)
+    # a degenerate ring's edge would otherwise hold the midpoints of
+    # grid_network(2, 2)'s links 1 and 2
+    for ring in (((0.0, 0.0), (500.0, 0.0), (804.672, 0.0)), ((0.0, 0.0), (1.0, 1.0), (0.0, 0.0))):
+        with pytest.raises(ValueError, match="^tract 5 has zero area$"):
+            Tract(5, ring, 10.0, True)
 
 
 def test_link_midpoint_multi_segment():
     net = grid_network(1, 2, spacing_miles=1.0)
-    link = net.links[0]
-    mid = link_midpoint(link)
+    link = links_of(net)[0]
+    mid = link_midpoint(link.geometry)
     length_m = polyline_length(link.geometry)
     assert mid == pytest.approx((length_m / 2.0, 0.0))
 
 
 def test_link_tract_first_match_wins_on_overlap():
     net = grid_network(1, 2, spacing_miles=1.0)
-    link = net.links[0]
+    geometries = net.geometry[:1]
     big = Tract(10, square(800.0, 0.0, 900.0), 1000.0, False)
     small = Tract(20, square(800.0, 0.0, 900.0), 500.0, True)
-    assert link_tracts([link], [big, small]) == [10]
-    assert link_tracts([link], [small, big]) == [20]
+    assert link_tracts(geometries, [big, small]) == [10]
+    assert link_tracts(geometries, [small, big]) == [20]
     far = Tract(30, square(1e6, 1e6, 10.0), 10.0, False)
-    assert link_tracts([link], [far]) == [None]
+    assert link_tracts(geometries, [far]) == [None]
 
 
 @pytest.mark.parametrize("side, want", [(1.0, None), (-1.0, 1)], ids=["outside", "inside"])
@@ -237,8 +242,9 @@ def test_link_tracts_edge_band_does_not_grow_with_the_coordinates(side, want):
     off = side * 7.0 / math.sqrt(2.0)
     mx, my = x0 + 500.0 - off, y0 + 500.0 + off
     link = Link(1, 1, 2, 20.0 / 1609.344, 25.0, 800.0, 5, 2, ((mx - 10.0, my), (mx + 10.0, my)))
-    assert link_midpoint(link) == pytest.approx((mx, my), abs=1e-6)
-    assert link_tracts([link], [tract]) == [geo_reference.link_tract(link, [tract])] == [want]
+    assert link_midpoint(link.geometry) == pytest.approx((mx, my), abs=1e-6)
+    assert (link_tracts([link.geometry], [tract]) == [geo_reference.link_tract(link, [tract])]
+            == [want])
 
 
 def test_validate_tracts_flags_overlaps_only():
@@ -352,6 +358,17 @@ def test_load_tracts_names_the_file_of_malformed_geojson(tmp_path, text, message
     good = tmp_path / "good.geojson"  # the same file with a well-formed second ring loads
     good.write_text(second_polygon(', "coordinates": [[[0, 0], [1, 0], [1, 1]]]'))
     assert [t.id for t in load_tracts(str(good))] == [1, 2]
+
+
+@pytest.mark.parametrize("ring", ["[[0, 0], [500, 0], [804.672, 0]]",
+                                  "[[0, 0], [1, 1], [0, 0], [0, 0]]"],
+                         ids=["collinear", "out_and_back"])
+def test_load_tracts_rejects_zero_area(tmp_path, ring):
+    path = tmp_path / "tracts.geojson"
+    path.write_text(second_polygon(f', "coordinates": [{ring}]'))
+    message = f"{path}: tract 2 has zero area (feature 2)"
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        load_tracts(str(path))
 
 
 def two_feature_file(path, id_key):

@@ -26,11 +26,12 @@ from flowscore.indicators import (
     school_exposure,
     street_type_mask,
 )
-from flowscore.network import Network, Node
 from flowscore.qdta import FlowState, TripTable
 from flowscore.typology import StreetType
 
-from fixtures import M, assignment_of, school_buffers, square, straight_link, write_schools_csv
+import fixtures
+from fixtures import (M, Node, assignment_of, school_buffers, square, straight_link,
+                      write_schools_csv)
 from qdta_reference import dense_states
 
 
@@ -46,7 +47,7 @@ def isolated_links_network(specs):
         b = Node(1001 + 2 * row, length * M, y)
         nodes.extend([a, b])
         links.append(straight_link(lid, a, b, speed, cap, fclass, lanes))
-    return Network(nodes, links)
+    return fixtures.network(nodes, links)
 
 
 def dense_rows(flows, times):
@@ -244,6 +245,14 @@ def test_school_exposure_outside_buffer_is_none():
     assert out[9].buffer_vmt_morning == 0.0
 
 
+def test_school_exposure_checks_its_buffers():
+    net, stats, schools = exposure_fixture([24_999.0, 60_000.0])
+    with pytest.raises(ValueError, match="^2 schools but 1 buffers$"):
+        school_exposure(stats, schools, [[1]])
+    with pytest.raises(ValueError, match="^school 2: buffer link 99 is not in the network$"):
+        school_exposure(stats, schools, [[1], [2, 99]])
+
+
 def test_school_exposure_morning_vmt():
     net = isolated_links_network([(1, 1.0, 30.0, 600.0, 5, 2)])
     flows = np.full((96, 1), 40.0)
@@ -371,7 +380,7 @@ def report_fixture():
         straight_link(3, n5, n6, 65.0, 2000.0, 1, 4),
         straight_link(4, n7, n8, 45.0, 900.0, 4, 2),
     ]
-    net = Network([n1, n2, n3, n4, n5, n6, n7, n8], links)
+    net = fixtures.network([n1, n2, n3, n4, n5, n6, n7, n8], links)
     types = {1: StreetType.NEIGHBORHOOD_RESIDENTIAL,
              2: StreetType.NEIGHBORHOOD_RESIDENTIAL,
              3: StreetType.HIGHWAY,

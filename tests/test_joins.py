@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 
 from flowscore import geo, indicators
 from flowscore.geo import Tract
-from flowscore.network import Link, Network, Node
 from flowscore.typology import (
     LandUse,
     Parcel,
@@ -23,8 +22,9 @@ from flowscore.typology import (
     transport_context,
 )
 
+import fixtures
 import geo_reference
-from fixtures import square
+from fixtures import Link, Node, links_of, nodes_of, square
 
 BUFFER = 20.0
 # on the buffer, and one ulp either side of it
@@ -54,7 +54,7 @@ def street_network(rng, n_links):
         nodes += [a, b]
         length = geo.polyline_length(geometry) / 1609.344
         links.append(Link(k + 1, a.id, b.id, length, 25.0, 800.0, 5, 2, geometry))
-    return Network(nodes, links)
+    return fixtures.network(nodes, links)
 
 
 def integer_boxes(rng, n, lo, hi):
@@ -109,7 +109,7 @@ def random_parcels(rng, network, n_random):
     """Scattered polygons, squares at exactly the buffer gap from straight
     streets, and copies with identical bboxes; ids unique, order shuffled."""
     polygons = [regular_polygon(rng, *rng.uniform(-50.0, 650.0, 2)) for _ in range(n_random)]
-    for link in network.links[::2]:
+    for link in links_of(network)[::2]:
         (x0, y), (x1, _) = link.geometry
         gap = EDGE_GAPS[int(rng.integers(len(EDGE_GAPS)))]
         half = float(rng.integers(5, 30))
@@ -132,10 +132,10 @@ def test_classify_network_matches_scans(seed, n_links, n_random):
     network = street_network(rng, n_links)
     parcels = random_parcels(rng, network, n_random)
     got = classify_network(network, parcels, BUFFER)
-    for link in network.links:
-        use = _dominant_land_uses([link], parcels, BUFFER)[0]
+    for link in links_of(network):
+        use = _dominant_land_uses([link.geometry], parcels, BUFFER)[0]
         assert geo_reference.dominant_land_use(link, parcels, BUFFER) is use
-        assert got[link.id] is classify_street(transport_context(link), use)
+        assert got[link.id] is classify_street(transport_context(link.fclass, link.speed_mph), use)
     reordered = [parcels[i] for i in rng.permutation(len(parcels))]
     assert classify_network(network, reordered, BUFFER) == got
 
@@ -148,9 +148,9 @@ def test_polygon_polyline_within_matches_scalar_distance(seed, buffer_m):
     parcels = random_parcels(rng, network, 15)
     # a closed ring and a one-point polyline exercise the edge cases of both shapes
     polygons = [p.polygon for p in parcels] + [parcels[0].polygon + parcels[0].polygon[:1]]
-    lines = [link.geometry for link in network.links] + [network.links[0].geometry[:1]]
-    pairs = [(g, k) for g in range(len(parcels)) for k in range(len(network.links))]
-    pairs += [(len(parcels), 0), (0, len(network.links))]
+    lines = network.geometry + [network.geometry[0][:1]]
+    pairs = [(g, k) for g in range(len(parcels)) for k in range(network.n_links)]
+    pairs += [(len(parcels), 0), (0, network.n_links)]
     ring_of, line_of = np.array(pairs).T
     got = geo.polygon_polyline_within(geo._Shapes(polygons, True), ring_of,
                                       geo._Shapes(lines, False), line_of, buffer_m)
@@ -192,9 +192,9 @@ def radius_points(rng, network, radius_m, n_random):
     from both ends of every straight link, each also one ulp either side."""
     points = [tuple(p) for p in rng.uniform(-80.0, 700.0, (n_random, 2)).tolist()]
     points.append(PROBE)
-    for link in network.links:
-        (x0, y0), (x1, y1) = link.geometry[0], link.geometry[-1]
-        if len(link.geometry) != 2 or y0 != y1:
+    for geometry in network.geometry:
+        (x0, y0), (x1, y1) = geometry[0], geometry[-1]
+        if len(geometry) != 2 or y0 != y1:
             continue
         inner = x0 + float(rng.integers(1, x1 - x0))
         for y in (y0 + radius_m, y0 - radius_m):
@@ -214,8 +214,9 @@ def test_links_within_radii_matches_scan(radius_m, seed, n_links, n_random):
     ends = Node(10**6, -60.0, 0.0), Node(10**6 + 1, 0.0, 0.0)
     probe = Link(10**6, ends[0].id, ends[1].id, 60.0 / 1609.344, 25.0, 800.0, 5, 2,
                  ((-60.0, 0.0), (0.0, 0.0)))
-    links = streets.links + [probe]
-    network = Network(streets.nodes + list(ends), [links[i] for i in rng.permutation(len(links))])
+    links = links_of(streets) + [probe]
+    network = fixtures.network(nodes_of(streets) + list(ends),
+                               [links[i] for i in rng.permutation(len(links))])
     points = radius_points(rng, network, radius_m, n_random)
     want = [geo_reference.links_within_radius(p, radius_m, network) for p in points]
     assert geo.links_within_radii(points, radius_m, network) == want
@@ -228,9 +229,9 @@ def test_parcels_sharing_an_id_still_join_by_position():
     far = Parcel(7, square(5100.0, 5000.0, 20.0), LandUse.RESIDENTIAL)
     a, b = Node(1, 0.0, 0.0), Node(2, 200.0, 0.0)
     link = Link(1, 1, 2, 200.0 / 1609.344, 25.0, 800.0, 5, 2, ((0.0, 0.0), (200.0, 0.0)))
-    network = Network([a, b], [link])
+    network = fixtures.network([a, b], [link])
     for parcels in ([near, far], [far, near]):
-        assert _dominant_land_uses([link], parcels, BUFFER)[0] is LandUse.COMMERCIAL
+        assert _dominant_land_uses([link.geometry], parcels, BUFFER)[0] is LandUse.COMMERCIAL
         assert geo_reference.dominant_land_use(link, parcels, BUFFER) is LandUse.COMMERCIAL
         assert classify_network(network, parcels) == {1: StreetType.NEIGHBORHOOD_COMMERCIAL}
 
@@ -243,7 +244,7 @@ def test_index_keeps_parcels_that_rounding_would_drop():
     assert geo_reference.point_segment_distance((6.0, 50.0), (x, 0.0), (x, 100.0)) == 35.5
     link = Link(1, 1, 2, 100.0 / 1609.344, 25.0, 800.0, 5, 2, ((x, 0.0), (x, 100.0)))
     parcels = [Parcel(1, square(13.0, 50.0, 7.0), LandUse.COMMERCIAL)]
-    assert _dominant_land_uses([link], parcels, 35.5)[0] is LandUse.COMMERCIAL
+    assert _dominant_land_uses([link.geometry], parcels, 35.5)[0] is LandUse.COMMERCIAL
     assert geo_reference.dominant_land_use(link, parcels, 35.5) is LandUse.COMMERCIAL
 
 
@@ -285,7 +286,7 @@ def edge_links(rng, n_side, side):
         nodes += [a, b]
         length = max(math.dist(p, q), 1.0) / 1609.344
         links.append(Link(k + 1, a.id, b.id, length, 25.0, 800.0, 5, 2, (p, q)))
-    return Network(nodes, links)
+    return fixtures.network(nodes, links)
 
 
 @cases
@@ -296,8 +297,8 @@ def test_link_tract_matches_scan(seed, n_side, n_random, closed):
     tracts, side = tract_city(rng, n_side, n_random, closed)
     network = edge_links(rng, n_side, side)
     got = indicators.link_tract_ids(network, tracts)
-    for link, tract_id in zip(network.links, got):
-        assert geo.link_tracts([link], tracts) == [tract_id]
+    for link, tract_id in zip(links_of(network), got):
+        assert geo.link_tracts([link.geometry], tracts) == [tract_id]
         assert geo_reference.link_tract(link, tracts) == tract_id
 
 
@@ -307,9 +308,10 @@ def test_link_tracts_index_keeps_midpoints_within_the_edge_tolerance():
     tracts = [Tract(1, square(50.0, 50.0, 50.0), 10.0, True)]
     for x in (math.nextafter(100.0, math.inf), math.nextafter(0.0, -math.inf)):
         link = Link(1, 1, 2, 20.0 / 1609.344, 25.0, 800.0, 5, 2, ((x, 40.0), (x, 60.0)))
-        mid = geo.link_midpoint(link)
+        mid = geo.link_midpoint(link.geometry)
         assert mid == (x, 50.0) and geo_reference.point_in_polygon(mid, tracts[0].polygon)
-        assert geo.link_tracts([link], tracts) == [geo_reference.link_tract(link, tracts)] == [1]
+        assert (geo.link_tracts([link.geometry], tracts) == [geo_reference.link_tract(link, tracts)]
+                == [1])
 
 
 def scan_tract_overlaps(tracts):

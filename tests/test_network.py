@@ -1,17 +1,16 @@
 import csv
+import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from flowscore.network import (
-    METERS_PER_MILE,
-    Link,
-    Network,
-    Node,
-    load_network,
-    parse_wkt_linestring,
-)
+from flowscore.network import METERS_PER_MILE, _BadRow, load_network, parse_wkt_linestring
 
-from fixtures import format_wkt_linestring, grid_network, pigou_network, save_network, straight_link
+import fixtures
+import network_reference
+from fixtures import (Link, Node, format_wkt_linestring, grid_network, links_of, nodes_of,
+                      pigou_network, save_network, straight_link)
 
 
 def write_csv(path, header, rows):
@@ -41,9 +40,9 @@ def valid_files(tmp_path):
 def test_load_minimal_network(tmp_path):
     net = load_network(*valid_files(tmp_path))
     assert net.n_nodes == 2 and net.n_links == 1
-    link = net.links[net.link_index[10]]
+    link = links_of(net)[net.link_positions(10)]
     assert link.from_node == 1 and link.to_node == 2
-    assert net.free_flow_h[net.link_index[10]] == pytest.approx(1.0 / 30.0)
+    assert net.free_flow_h[net.link_positions(10)] == pytest.approx(1.0 / 30.0)
     assert net.validation.warnings == []
     assert net.validation.primary_component_ok
 
@@ -58,6 +57,10 @@ def test_wkt_roundtrip():
         parse_wkt_linestring("LINESTRING (0 0, 1)")
     with pytest.raises(ValueError):
         parse_wkt_linestring("LINESTRING 0 0, 1 1")
+    with pytest.raises(ValueError):
+        parse_wkt_linestring("LINESTRING (0 0, 1 1) trailing")
+    with pytest.raises(ValueError):
+        parse_wkt_linestring("LINESTRINGFOO (0 0, 1 1)")
 
 
 def test_save_load_roundtrip(tmp_path):
@@ -66,21 +69,22 @@ def test_save_load_roundtrip(tmp_path):
     links = str(tmp_path / "l.csv")
     save_network(net, nodes, links)
     loaded = load_network(nodes, links)
-    assert [n.id for n in loaded.nodes] == [n.id for n in net.nodes]
-    for a, b in zip(net.links, loaded.links):
-        assert a == b  # frozen dataclasses compare by value
+    assert [n.id for n in nodes_of(loaded)] == [n.id for n in nodes_of(net)]
+    for a, b in zip(links_of(net), links_of(loaded)):
+        assert a == b
 
 
 def test_link_constructor_validation():
     geom = ((0.0, 0.0), (1609.344, 0.0))
+    nodes = [Node(1, 0.0, 0.0), Node(2, 1609.344, 0.0)]
     with pytest.raises(ValueError):
-        Link(1, 2, 2, 1.0, 30.0, 600.0, 5, 2, geom)
+        fixtures.network(nodes, [Link(1, 2, 2, 1.0, 30.0, 600.0, 5, 2, geom)])
     with pytest.raises(ValueError):
-        Link(1, 1, 2, 1.0, 30.0, 600.0, 0, 2, geom)
+        fixtures.network(nodes, [Link(1, 1, 2, 1.0, 30.0, 600.0, 0, 2, geom)])
     with pytest.raises(ValueError):
-        Link(1, 1, 2, 1.0, 30.0, 600.0, 5, 2, ((0.0, 0.0),))
+        fixtures.network(nodes, [Link(1, 1, 2, 1.0, 30.0, 600.0, 5, 2, ((0.0, 0.0),))])
     with pytest.raises(ValueError):
-        Link(1, 1, 2, float("inf"), 30.0, 600.0, 5, 2, geom)
+        fixtures.network(nodes, [Link(1, 1, 2, float("inf"), 30.0, 600.0, 5, 2, geom)])
 
 
 def test_geometry_length_warning(tmp_path):
@@ -99,18 +103,18 @@ def test_geometry_length_warning(tmp_path):
 def test_component_analysis():
     # 3x3 grid plus two stranded nodes tied to each other
     base = grid_network(3, 3, spacing_miles=0.5)
-    extra_nodes = list(base.nodes) + [Node(100, 9e4, 9e4), Node(101, 9e4, 9e4 + 804.672)]
-    extra_links = list(base.links) + [
+    extra_nodes = nodes_of(base) + [Node(100, 9e4, 9e4), Node(101, 9e4, 9e4 + 804.672)]
+    extra_links = links_of(base) + [
         straight_link(900, extra_nodes[-2], extra_nodes[-1], 30.0, 600.0, 5, 2)
     ]
-    net = Network(extra_nodes, extra_links)
+    net = fixtures.network(extra_nodes, extra_links)
     assert net.validation.orphans == [100, 101]
     assert net.validation.main_component_share == pytest.approx(9.0 / 11.0)
     assert not net.validation.primary_component_ok
     assert any("largest weakly connected" in w for w in net.validation.warnings)
     # of two components that tie for largest, the main one holds the first node
     a, b, c, d = (Node(i, 1000.0 * i, 0.0) for i in (1, 2, 3, 4))
-    tied = Network([a, b, c, d], [straight_link(1, a, d, 30.0, 600.0, 5, 2),
+    tied = fixtures.network([a, b, c, d], [straight_link(1, a, d, 30.0, 600.0, 5, 2),
                                   straight_link(2, b, c, 30.0, 600.0, 5, 2)])
     assert tied.validation.orphans == [2, 3]
     assert tied.validation.main_component_share == 0.5
@@ -118,8 +122,8 @@ def test_component_analysis():
 
 def test_orphans_listed_when_component_still_ok():
     base = grid_network(5, 5, spacing_miles=0.5)
-    nodes = list(base.nodes) + [Node(200, 5e4, 5e4)]
-    net = Network(nodes, list(base.links))
+    nodes = nodes_of(base) + [Node(200, 5e4, 5e4)]
+    net = fixtures.network(nodes, links_of(base))
     assert net.validation.orphans == [200]
     assert net.validation.primary_component_ok
     assert any("outside the main component" in w for w in net.validation.warnings)
@@ -129,16 +133,87 @@ def test_parallel_links_kept_distinct():
     net = pigou_network()
     assert net.n_links == 2
     assert net.link_ids[net.link_from == net.node_positions([1])[0]].tolist() == [1, 2]
-    assert net.capacity_vph[net.link_index[1]] != net.capacity_vph[net.link_index[2]]
+    assert net.capacity_vph[net.link_positions(1)] != net.capacity_vph[net.link_positions(2)]
 
 
 def test_network_rejects_duplicate_and_dangling():
     nodes = [Node(1, 0.0, 0.0), Node(2, 100.0, 0.0)]
     link = straight_link(1, nodes[0], nodes[1], 30.0, 600.0, 5, 2)
     with pytest.raises(ValueError, match="duplicate node id"):
-        Network(nodes + [Node(1, 5.0, 5.0)], [link])
+        fixtures.network(nodes + [Node(1, 5.0, 5.0)], [link])
     with pytest.raises(ValueError, match="duplicate link id"):
-        Network(nodes, [link, link])
+        fixtures.network(nodes, [link, link])
     dangling = Link(2, 1, 3, 1.0, 30.0, 600.0, 5, 2, ((0.0, 0.0), (1.0, 1.0)))
     with pytest.raises(ValueError, match="unknown node 3"):
-        Network(nodes, [link, dangling])
+        fixtures.network(nodes, [link, dangling])
+
+
+def random_tables(rng):
+    """Valid node and link rows: unique shuffled ids, links between two
+    distinct nodes drawn with two or three points."""
+    n_nodes, n_links = int(rng.integers(2, 8)), int(rng.integers(2, 10))
+    node_ids = (rng.permutation(10 * n_nodes)[:n_nodes] + 1).tolist()
+    xy = rng.uniform(0.0, 5000.0, (n_nodes, 2)).tolist()
+    nodes = [Node(i, x, y) for i, (x, y) in zip(node_ids, xy)]
+    links = []
+    for link_id in (rng.permutation(10 * n_links)[:n_links] + 1).tolist():
+        a, b = (nodes[k] for k in rng.choice(n_nodes, 2, replace=False))
+        bend = map(tuple, rng.uniform(0.0, 5000.0, (int(rng.integers(0, 2)), 2)).tolist())
+        links.append(Link(link_id, a.id, b.id, float(rng.uniform(0.1, 3.0)),
+                          float(rng.uniform(15.0, 70.0)), float(rng.uniform(100.0, 2000.0)),
+                          int(rng.integers(1, 6)), int(rng.integers(1, 9)),
+                          ((a.x, a.y), *bend, (b.x, b.y))))
+    return nodes, links
+
+
+BAD_NUMBERS = (0.0, -1.5, math.nan, math.inf, -math.inf)
+
+
+def plant(rng, nodes, links) -> None:
+    """Break one cell of a random row, by any of the network's rules."""
+    k = int(rng.integers(len(links)))
+    link = links[k]
+    unknown = max(n.id for n in nodes) + 1 + int(rng.integers(3))
+    kind = int(rng.integers(11))
+    if kind == 0:
+        i, j = (int(r) for r in rng.choice(len(nodes), 2, replace=False))
+        nodes[i] = nodes[i]._replace(id=nodes[j].id)
+    elif kind == 1:
+        other = (k + 1 + int(rng.integers(len(links) - 1))) % len(links)
+        links[k] = link._replace(id=links[other].id)
+    elif kind == 2:
+        links[k] = link._replace(to_node=link.from_node)
+    elif kind in (3, 4, 5):
+        name = ("length_miles", "speed_mph", "capacity_vph")[kind - 3]
+        links[k] = link._replace(**{name: BAD_NUMBERS[int(rng.integers(len(BAD_NUMBERS)))]})
+    elif kind == 6:
+        links[k] = link._replace(fclass=int(rng.choice([-1, 0, 6, 99])))
+    elif kind == 7:
+        links[k] = link._replace(lanes=int(rng.choice([-2, 0, 9])))
+    elif kind == 8:
+        links[k] = link._replace(geometry=link.geometry[:1])
+    elif kind == 9:
+        points = list(link.geometry)
+        m = int(rng.integers(len(points)))
+        points[m] = (math.nan, points[m][1]) if rng.random() < 0.5 else (points[m][0], -math.inf)
+        links[k] = link._replace(geometry=tuple(points))
+    else:
+        links[k] = link._replace(**{str(rng.choice(["from_node", "to_node"])): unknown})
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n_bad=st.integers(1, 3))
+def test_network_rules_match_the_row_by_row_reference(seed, n_bad):
+    rng = np.random.default_rng(seed)
+    nodes, links = random_tables(rng)
+    assert network_reference.first_error(nodes, links) is None
+    for _ in range(n_bad):
+        plant(rng, nodes, links)
+    want = network_reference.first_error(nodes, links)
+    assert want is not None or n_bad > 1  # a later plant can mend an earlier one
+    try:
+        fixtures.network(nodes, links)
+        got = None
+    except _BadRow as exc:
+        got = (exc.table, exc.position, str(exc))
+    assert got == want

@@ -6,7 +6,7 @@ import pytest
 from flowscore import costs, qdta
 from flowscore.costs import fuel_per_mile
 from flowscore.indicators import daily_stats
-from flowscore.network import Link, Network, Node
+from flowscore.network import Network
 from flowscore.qdta import (
     FlowState,
     IntervalRecord,
@@ -19,8 +19,11 @@ from flowscore.qdta import (
 from costs_reference import bpr_speed
 from qdta_reference import dense_entered, dense_states
 
+import fixtures
 from fixtures import (
     PIGOU_DEMAND_VPH,
+    Link,
+    Node,
     assert_same_states,
     assignment_of,
     corridor_network,
@@ -29,6 +32,7 @@ from fixtures import (
     detour_geometry,
     grid_network,
     joined,
+    links_of,
     pigou_network,
     uniform_trips,
 )
@@ -53,7 +57,7 @@ def diamond_network() -> Network:
         link(3, 1, 3, 6.0, 40.0, 1200.0),
         link(4, 3, 4, 6.0, 40.0, 1200.0),
     ]
-    return Network(nodes, links)
+    return fixtures.network(nodes, links)
 
 
 def chain_network(capacity_vph=1e6) -> Network:
@@ -67,7 +71,7 @@ def chain_network(capacity_vph=1e6) -> Network:
              detour_geometry(by_id[a], by_id[b], length))
         for lid, a, b, length in spec
     ]
-    return Network(nodes, links)
+    return fixtures.network(nodes, links)
 
 
 def node_at(network, node_id) -> int:
@@ -94,7 +98,7 @@ def test_bucket_demand_interval_boundaries():
     # 1 mi each way at 30 mph: every trip finishes in the interval it leaves in,
     # so each interval's flow is its departures at 4 veh/h per trip
     a, b = Node(1, 0.0, 0.0), Node(2, 1609.344, 0.0)
-    net = Network([a, b], [Link(1, 1, 2, 1.0, 30.0, 1e6, 5, 2, ((a.x, a.y), (b.x, b.y))),
+    net = fixtures.network([a, b], [Link(1, 1, 2, 1.0, 30.0, 1e6, 5, 2, ((a.x, a.y), (b.x, b.y))),
                            Link(2, 2, 1, 1.0, 30.0, 1e6, 5, 2, ((b.x, b.y), (a.x, a.y)))])
     trips = departures(
         (1, 1, 2, 0.0),
@@ -197,11 +201,11 @@ def test_aon_tie_breaks_to_smaller_link_id():
         Link(9, 1, 2, 10.0, 30.0, 1000.0, 5, 2, geom),
         Link(7, 1, 2, 10.0, 30.0, 1000.0, 5, 2, geom),
     ]
-    net = Network(nodes, links)
+    net = fixtures.network(nodes, links)
     flows, unreachable = all_or_nothing(net, {(1, 2): 600.0}, net.free_flow_h.copy())
     assert unreachable == []
-    assert flows[net.link_index[7]] == 600.0
-    assert flows[net.link_index[9]] == 0.0
+    assert flows[net.link_positions(7)] == 600.0
+    assert flows[net.link_positions(9)] == 0.0
 
 
 def test_aon_takes_cheapest_path_and_reports_unreachable():
@@ -209,16 +213,16 @@ def test_aon_takes_cheapest_path_and_reports_unreachable():
     cost = net.free_flow_h.copy()  # route via 1-2-4: 0.22 h, via 1-3-4: 0.30 h
     flows, unreachable = all_or_nothing(net, {(1, 4): 100.0, (4, 1): 50.0}, cost)
     assert unreachable == [(4, 1, 50.0)]
-    assert flows[net.link_index[1]] == 100.0
-    assert flows[net.link_index[2]] == 100.0
-    assert flows[net.link_index[3]] == 0.0
+    assert flows[net.link_positions(1)] == 100.0
+    assert flows[net.link_positions(2)] == 100.0
+    assert flows[net.link_positions(3)] == 0.0
 
     # make the other route cheaper and the flow must move
     cost2 = cost.copy()
-    cost2[net.link_index[1]] = 10.0
+    cost2[net.link_positions(1)] = 10.0
     flows2, _ = all_or_nothing(net, {(1, 4): 100.0}, cost2)
-    assert flows2[net.link_index[3]] == 100.0
-    assert flows2[net.link_index[1]] == 0.0
+    assert flows2[net.link_positions(3)] == 100.0
+    assert flows2[net.link_positions(1)] == 0.0
 
 
 def test_aon_demand_validation():
@@ -235,7 +239,7 @@ def test_aon_demand_validation():
 def pigou_grid(objective: Objective, step=0.1):
     """Brute-force the narrow-link flow on the Pigou fixture."""
     net = pigou_network()
-    wide, narrow = net.links[0], net.links[1]
+    wide, narrow = links_of(net)[:2]
     f_narrow = np.arange(0.0, PIGOU_DEMAND_VPH + step / 2, step)
     f_wide = PIGOU_DEMAND_VPH - f_narrow
     t0w, t0n = 1.0, 0.5
@@ -260,7 +264,7 @@ def test_uet_matches_beckmann_grid_search():
     state = assign_interval(net, {(1, 2): 750}, Objective.UET, TIGHT)
     assert state.converged
     f_star, _ = pigou_grid(Objective.UET)
-    got = state.flow_vph[net.link_index[2]]
+    got = state.flow_vph[net.link_positions(2)]
     assert abs(got - f_star) / f_star <= 0.005
     # used-path times equalize
     t = state.time_h
@@ -271,7 +275,7 @@ def test_sot_matches_total_time_grid_search():
     net = pigou_network()
     state = assign_interval(net, {(1, 2): 750}, Objective.SOT, TIGHT)
     f_star, z_star = pigou_grid(Objective.SOT)
-    got = state.flow_vph[net.link_index[2]]
+    got = state.flow_vph[net.link_positions(2)]
     assert abs(got - f_star) / f_star <= 0.01
     z_solver = float(np.sum(state.flow_vph * state.time_h))
     assert z_solver <= z_star * (1 + 1e-6)
@@ -282,7 +286,7 @@ def test_sof_matches_total_fuel_grid_search():
     net = pigou_network()
     state = assign_interval(net, {(1, 2): 750}, Objective.SOF, TIGHT)
     f_star, z_star = pigou_grid(Objective.SOF)
-    got = state.flow_vph[net.link_index[2]]
+    got = state.flow_vph[net.link_positions(2)]
     assert abs(got - f_star) / max(f_star, 1.0) <= 0.02 * PIGOU_DEMAND_VPH
     v = np.clip(state.speed_mph, 5.0, 90.0)
     z_solver = float(np.sum(state.flow_vph * net.length_miles * fuel_per_mile(v)))
@@ -317,12 +321,12 @@ def test_wardrop_on_diamond():
     net = diamond_network()
     state = assign_interval(net, {(1, 4): 625}, Objective.UET, TIGHT)  # 2500 vph
     assert state.converged
-    idx = net.link_index
+    idx = net.link_positions
     f = state.flow_vph
-    assert f[idx[1]] > 0 and f[idx[3]] > 0  # both routes in use
-    assert f[idx[1]] == pytest.approx(f[idx[2]], rel=1e-9)
-    t_fast = state.time_h[idx[1]] + state.time_h[idx[2]]
-    t_slow = state.time_h[idx[3]] + state.time_h[idx[4]]
+    assert f[idx(1)] > 0 and f[idx(3)] > 0  # both routes in use
+    assert f[idx(1)] == pytest.approx(f[idx(2)], rel=1e-9)
+    t_fast = state.time_h[idx(1)] + state.time_h[idx(2)]
+    t_slow = state.time_h[idx(3)] + state.time_h[idx(4)]
     assert abs(t_fast - t_slow) / max(t_fast, t_slow) <= 0.01
 
 
@@ -371,14 +375,14 @@ def test_advance_trips_budget_walk():
     arrived, residual, entered = qdta.advance_trips(net, state, trips, np.arange(1), CONFIG)
     # 20 min first link overruns the 15 min budget but is still taken whole
     assert arrived.size == 0 and residual.tolist() == [0]
-    assert net.nodes[trips.node[0]].id == 2
+    assert net.node_ids[trips.node[0]] == 2
     assert trips.time_h[0] == pytest.approx(10.0 / 30.0)
     assert entered.tolist() == [1, 0, 0]
 
     arrived, residual, entered = qdta.advance_trips(net, state, trips, residual, CONFIG)
     # second link ends exactly at the budget boundary; the third must wait
     assert arrived.size == 0 and residual.tolist() == [0]
-    assert net.nodes[trips.node[0]].id == 3
+    assert net.node_ids[trips.node[0]] == 3
     assert entered.tolist() == [0, 1, 0]
 
     arrived, residual, entered = qdta.advance_trips(net, state, trips, residual, CONFIG)
@@ -463,8 +467,8 @@ def test_run_day_residuals_reenter_next_interval():
     assert entered[1].tolist() == [0, 1, 0]
     assert entered[2].tolist() == [0, 0, 1]
     # carried-over demand shows up as interval-1 flow on the tail links
-    assert states[1].flow_vph[net.link_index[2]] > 0
-    assert states[1].flow_vph[net.link_index[1]] == 0.0
+    assert states[1].flow_vph[net.link_positions(2)] > 0
+    assert states[1].flow_vph[net.link_positions(1)] == 0.0
     rec = result.records[0]
     assert rec.status == "completed"
     assert rec.time_h == pytest.approx(40.0 / 60.0)
@@ -528,7 +532,7 @@ def test_shortest_paths_recomputes_after_in_place_cost_change(monkeypatch):
     assert pred[0, node_at(net, 4)] == node_at(net, 2)
     again = graph.shortest_paths(source.copy(), cost.copy())
     assert np.array_equal(again[0], dist) and len(calls) == 1
-    cost[net.link_index[1]] = 100.0
+    cost[net.link_positions(1)] = 100.0
     dist, pred, _ = graph.shortest_paths(source, cost)
     assert len(calls) == 2
     assert pred[0, node_at(net, 4)] == node_at(net, 3)
@@ -572,7 +576,7 @@ def test_shortest_paths_in_place_edit_misses_beside_a_kept_vector(monkeypatch):
     cost = net.free_flow_h.copy()
     graph.shortest_paths(source, cost)
     graph.shortest_paths(source, other)
-    cost[net.link_index[1]] = 100.0
+    cost[net.link_positions(1)] = 100.0
     dist, pred, _ = graph.shortest_paths(source, cost)
     assert len(calls) == 3
     assert pred[0, node_at(net, 4)] == node_at(net, 3)
@@ -608,7 +612,7 @@ def test_forced_completion_fuel_uses_link_speeds():
     links = [Link(lid, a, b, length, speed, 1e6, 5, 2,
                   detour_geometry(by_id[a], by_id[b], length))
              for lid, a, b, length, speed in spec]
-    net = Network(nodes, links)
+    net = fixtures.network(nodes, links)
     derived = net.length_miles / net.free_flow_h
     assert not np.array_equal(derived, net.speed_mph)
 
@@ -629,7 +633,7 @@ def test_forced_completion_fuel_uses_link_speeds():
 def test_run_day_failed_trip():
     nodes = [Node(1, 0.0, 0.0), Node(2, 16093.44, 0.0), Node(3, 0.0, 16093.44)]
     links = [Link(1, 1, 2, 10.0, 30.0, 1000.0, 5, 2, ((0.0, 0.0), (16093.44, 0.0)))]
-    net = Network(nodes, links)
+    net = fixtures.network(nodes, links)
     result = run_day(net, departures((1, 1, 3, 100.0)), Objective.UET)
     assert result.counts()["failed"] == 1
     assert result.records[0].distance_miles == 0.0

@@ -4,7 +4,6 @@ import math
 import numpy as np
 import pytest
 
-from flowscore.network import Link, Network, Node
 from flowscore.typology import (
     LandUse,
     Parcel,
@@ -19,8 +18,9 @@ from flowscore.typology import (
     write_link_types,
 )
 
+import fixtures
 import geo_reference
-from fixtures import grid_network, square, write_parcels_geojson
+from fixtures import Link, Node, grid_network, links_of, square, write_parcels_geojson
 
 HALF_MILE_M = 804.672
 
@@ -82,7 +82,7 @@ def hand_labeled_fixture(scale: float = 1.0):
                 Parcel(parcel_id, square(cx, -(g + h), h), LandUse(code))
             )
             parcel_id += 1
-    return Network(nodes, links), parcels, expected
+    return fixtures.network(nodes, links), parcels, expected
 
 
 def _street(fclass, speed, link_id=1):
@@ -91,13 +91,13 @@ def _street(fclass, speed, link_id=1):
 
 
 def test_transport_context_rules():
-    assert transport_context(_street(1, 65.0)) is TransportContext.HIGHWAY
-    assert transport_context(_street(2, 40.0)) is TransportContext.HIGHWAY
-    assert transport_context(_street(3, 50.1)) is TransportContext.HIGHWAY
-    assert transport_context(_street(3, 50.0)) is TransportContext.THROUGHWAY
-    assert transport_context(_street(3, 35.0)) is TransportContext.THROUGHWAY
-    assert transport_context(_street(4, 55.0)) is TransportContext.THROUGHWAY
-    assert transport_context(_street(5, 25.0)) is TransportContext.NEIGHBORHOOD_STREET
+    assert transport_context(1, 65.0) is TransportContext.HIGHWAY
+    assert transport_context(2, 40.0) is TransportContext.HIGHWAY
+    assert transport_context(3, 50.1) is TransportContext.HIGHWAY
+    assert transport_context(3, 50.0) is TransportContext.THROUGHWAY
+    assert transport_context(3, 35.0) is TransportContext.THROUGHWAY
+    assert transport_context(4, 55.0) is TransportContext.THROUGHWAY
+    assert transport_context(5, 25.0) is TransportContext.NEIGHBORHOOD_STREET
 
 
 def test_classify_street_total_mapping():
@@ -132,9 +132,9 @@ def test_classification_survives_similarity_scaling():
 
 def test_dominant_land_use_index_agrees_with_scan():
     network, parcels, _ = hand_labeled_fixture()
-    for link in network.links:
+    for link in links_of(network):
         want = geo_reference.dominant_land_use(link, parcels, 20.0)
-        assert _dominant_land_uses([link], parcels, 20.0)[0] is want
+        assert _dominant_land_uses([link.geometry], parcels, 20.0)[0] is want
 
 
 def test_dominant_land_use_rejects_a_negative_or_non_finite_buffer():
@@ -143,14 +143,14 @@ def test_dominant_land_use_rejects_a_negative_or_non_finite_buffer():
     # a non-finite one has no cells to look in
     for buffer_m in (-5.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="finite and nonnegative"):
-            _dominant_land_uses([network.links[0]], parcels, buffer_m)
+            _dominant_land_uses(network.geometry[:1], parcels, buffer_m)
         with pytest.raises(ValueError, match="finite and nonnegative"):
             classify_network(network, parcels, buffer_m)
 
 
 def test_dominant_land_use_no_candidates():
     link = _street(5, 25.0)
-    assert _dominant_land_uses([link], [], 20.0)[0] is LandUse.OTHER
+    assert _dominant_land_uses([link.geometry], [], 20.0)[0] is LandUse.OTHER
 
 
 def test_classify_network_without_parcels_gives_others():

@@ -15,10 +15,10 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from flowscore import costs, qdta
-from flowscore.network import Link, Network, Node
 from flowscore.qdta import TripRecord
 
-from fixtures import assert_dense_figures, assert_same_states, departures
+import fixtures
+from fixtures import Link, Node, assert_dense_figures, assert_same_states, departures
 from qdta_reference import dense_entered, dense_states
 
 cases = settings(max_examples=40, deadline=None, derandomize=True)
@@ -133,14 +133,14 @@ def random_grid(rng):
             if way > 0.2:
                 add(nodes[nb], nodes[k])
     order = rng.permutation(len(links))
-    return Network(nodes, [links[i] for i in order])
+    return fixtures.network(nodes, [links[i] for i in order])
 
 
 def random_trips(rng, network):
     """Trips with shuffled ids that share a few ODs, some of them
     unreachable, half of them with walked distance and links already on
     the clock."""
-    node_ids = [n.id for n in network.nodes]
+    node_ids = network.node_ids.tolist()
     ods = []
     while len(ods) < 6:
         o, d = (int(x) for x in rng.choice(node_ids, 2))
@@ -215,7 +215,7 @@ def test_walk_matches_scalar_reference_on_long_paths(seed):
                   float(rng.uniform(15.0, 70.0)), 900.0, 5, 2,
                   ((1000.0 * k, 0.0), (1000.0 * (k + 1), 0.0)))
              for k in range(n)]
-    net = Network(nodes, links)
+    net = fixtures.network(nodes, links)
     time_h = net.free_flow_h * rng.uniform(1.0, 3.0, n)
     rows = []
     for k in range(20):
@@ -240,7 +240,7 @@ def reference_day(network, trips, objective, config):
                trips.destination.tolist())
     states = sorted((RefTrip(trip_id, depart_s, index[o], index[d], 0.0, 0.0, 0.0, 0.0, [], None)
                      for trip_id, depart_s, o, d in rows), key=lambda t: t.trip_id)
-    node_ids = [n.id for n in network.nodes]
+    node_ids = network.node_ids.tolist()
     residual, flow_states, entered = [], [], []
     for k in range(config.n_intervals):
         fresh = [t for t in states if int(t.depart_s // config.interval_s) == k]
@@ -264,7 +264,7 @@ def test_run_day_matches_reference_day(seed):
     # to interval and the last ones are forced at midnight
     rng = np.random.default_rng(seed)
     net = random_grid(rng)
-    node_ids = [n.id for n in net.nodes]
+    node_ids = net.node_ids.tolist()
     rows = []
     for trip_id in rng.permutation(int(rng.integers(1, 80))) + 1:
         o, d = (int(x) for x in rng.choice(node_ids, 2, replace=False))
