@@ -289,8 +289,8 @@ def _load_schools_and_tracts(scenario: Scenario, network):
     tracts = geo.load_tracts(str(scenario.tracts))
     for warning in geo.validate_tracts(tracts):
         logger.warning("tracts: %s", warning)
-    buffers = geo.links_within_radii([(s.x, s.y) for s in schools], scenario.school_radius_m,
-                                     network)
+    buffers = geo.links_within_radii(np.column_stack([schools.x, schools.y]),
+                                     scenario.school_radius_m, network)
     return schools, buffers, tracts, indicators.link_tract_ids(network, tracts)
 
 

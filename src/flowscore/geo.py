@@ -1,17 +1,19 @@
 """Planar geometry helpers and the spatial joins built on them.
 
-Everything works in meters on projected coordinates. Each join builds one
-vertex table (`_Shapes`) per input, takes its candidate pairs from one
-box join, `_candidates`, over the tables' boxes, and decides every pair
-with the batched exact predicates, which index those tables. Boundary
-cases are inclusive throughout: a point on a polygon edge is inside, a
-geometry at exactly the query radius is returned.
+Everything works in meters on projected coordinates. Each input holds
+one vertex table (`_Shapes`), built when the input is loaded: the
+network's `lines` and the `rings` of the tracts or the parcels. Each
+join takes its candidate pairs from one box join, `_candidates`, over
+the tables' boxes, and decides every pair with the batched exact
+predicates, which index those tables. Boundary cases are inclusive
+throughout: a point on a polygon edge is inside, a geometry at exactly
+the query radius is returned.
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+import numbers
 
 import numpy as np
 
@@ -54,6 +56,17 @@ def polygon_area(polygon) -> float:
     return abs(acc) / 2.0
 
 
+def ring_rules(kind: str, polygons) -> tuple[dict, np.ndarray]:
+    """The ring rules (3 points, a finite positive area) as `check_rows`
+    masks, and each ring's area: NaN under 3 points, as such a ring is not read."""
+    short = np.array([len(polygon) < 3 for polygon in polygons], dtype=bool)
+    area = np.array([math.nan if few else polygon_area(polygon)
+                     for polygon, few in zip(polygons, short)], dtype=float)
+    return {f"{kind} {{id}} polygon needs >= 3 points": short,
+            f"{kind} {{id}} has zero area": area == 0.0,
+            f"{kind} {{id}} has a non-finite area": ~np.isfinite(area)}, area
+
+
 def polyline_length(polyline) -> float:
     # added left to right: sum() compensates float rounding on Python >= 3.12,
     # which can move a midpoint by an ulp and so flip a tract on a shared edge
@@ -78,8 +91,8 @@ def point_along_polyline(polyline, distance: float) -> Point:
 
 
 def build_link_index(network) -> _Shapes:
-    """The links' vertex table, in row order; its boxes() are the links'
-    bounding boxes."""
+    """The links' vertex table, in row order, which a Network builds once
+    as `lines`; its boxes() are the links' bounding boxes."""
     return _Shapes(network.geometry, False)
 
 
@@ -89,7 +102,7 @@ def links_within_radii(points, radius_m: float, network) -> list[list[int]]:
     if not 0 <= radius_m < math.inf:  # NaN fails too
         raise ValueError("radius must be finite and nonnegative")
     p = np.array(points, dtype=float).reshape(-1, 2)
-    lines = build_link_index(network)
+    lines = network.lines
     point, link = _candidates(_padded(np.hstack([p, p]), radius_m), lines.boxes())
     within = np.zeros(len(point), dtype=bool)
     for lo, hi in _chunks(lines.n_segments[link].tolist()):
@@ -101,56 +114,65 @@ def links_within_radii(points, radius_m: float, network) -> list[list[int]]:
     return [sorted(ids.tolist()) for ids in np.split(network.link_ids[link[within]], ends)[:-1]]
 
 
-@dataclass(frozen=True)
-class Tract:
-    id: int
-    polygon: tuple[Point, ...]
-    population: float
-    is_coc: bool
+class Tracts:
+    """Tracts as columns, in input order: `ids`, `population`, `is_coc` and
+    `rings`, the polygons' closed vertex table. Each is_coc is a boolean or
+    0/1, each population a finite number >= 0 and not a boolean, and each
+    ring keeps `ring_rules`; the error names the first bad row, from 0."""
 
-    def __post_init__(self) -> None:
-        if len(self.polygon) < 3:
-            raise ValueError(f"tract {self.id} polygon needs >= 3 points")
-        if polygon_area(self.polygon) <= 0:
-            raise ValueError(f"tract {self.id} has zero area")
-        if not (math.isfinite(self.population) and self.population >= 0):
-            raise ValueError(f"tract {self.id} population must be finite and nonnegative")
+    def __init__(self, ids, polygons, population, is_coc):
+        from .network import check_rows  # network imports geo
+
+        self.ids = np.array(ids, dtype=np.int64)
+        number = np.array([isinstance(v, numbers.Real) and not isinstance(v, bool)
+                           for v in population], dtype=bool)
+        self.population = np.array([v if ok else math.nan for v, ok in zip(population, number)],
+                                   dtype=float)
+        check_rows({"id": self.ids, "population": population, "is_coc": is_coc}, {
+            "is_coc {is_coc!r} is not a boolean or 0/1":
+                np.array([v not in (0, 1) for v in is_coc], dtype=bool),
+            "population {population!r} is not a number": ~number,
+            **ring_rules("tract", polygons)[0],
+            "tract {id} population must be finite and nonnegative":
+                ~(np.isfinite(self.population) & (self.population >= 0))})
+        self.is_coc = np.array(is_coc, dtype=bool)
+        self.rings = _Shapes(polygons, True)
 
 
 def link_midpoint(geometry) -> Point:
     return point_along_polyline(geometry, polyline_length(geometry) / 2.0)
 
 
-def link_tracts(geometries, tracts) -> list:
-    """Per link geometry, the id of the first tract in input order that holds
-    its length midpoint, boundary included, or None (validate_tracts reports
-    overlaps)."""
+def link_tracts(geometries, tracts: Tracts) -> np.ndarray:
+    """Per link geometry, the row of the first tract in input order that
+    holds its length midpoint, boundary included, or -1 (validate_tracts
+    reports overlaps)."""
     mids = np.array([link_midpoint(g) for g in geometries], dtype=float).reshape(-1, 2)
-    rings = _Shapes([t.polygon for t in tracts], True)
+    rings = tracts.rings
     link, tract = _candidates(_padded(np.hstack([mids, mids]), 0.0), rings.boxes())
     inside = np.zeros(len(link), dtype=bool)
     for lo, hi in _chunks(rings.n_segments[tract].tolist()):
         k = link[lo:hi]
         on, odd = _points_in_rings((mids[k, 0], mids[k, 1]), tract[lo:hi], rings)
         inside[lo:hi] = on | odd
-    first: dict[int, int] = {}  # pairs run by link and then by tract position
-    for k, j in zip(link[inside].tolist(), tract[inside].tolist()):
-        first.setdefault(k, j)
-    return [tracts[first[k]].id if k in first else None for k in range(len(mids))]
+    # pairs run by link and then by tract row, so a link's first pair is its tract
+    held, first = np.unique(link[inside], return_index=True)
+    rows = np.full(len(mids), -1, dtype=np.int64)
+    rows[held] = tract[inside][first]
+    return rows
 
 
-def validate_tracts(tracts) -> list[str]:
+def validate_tracts(tracts: Tracts) -> list[str]:
     """Warn on tract pairs whose interiors appear to overlap.
 
     Only pairs whose bboxes touch are tested; warnings follow input order.
     """
-    rings = _Shapes([t.polygon for t in tracts], True)
-    boxes = rings.boxes()
+    boxes = tracts.rings.boxes()
     i, j = _candidates(boxes, boxes)
     i, j = i[j > i], j[j > i]
-    overlap = polygons_overlap(rings, i, j)
-    return [f"tracts {tracts[a].id} and {tracts[b].id} overlap"
-            for a, b in zip(i[overlap].tolist(), j[overlap].tolist())]
+    overlap = polygons_overlap(tracts.rings, i, j)
+    return [f"tracts {a} and {b} overlap"
+            for a, b in zip(tracts.ids[i[overlap]].tolist(), tracts.ids[j[overlap]].tolist())]
 
 
 # Batched exact predicates. They run over numpy columns with the same
@@ -386,12 +408,17 @@ def polygons_overlap(rings: _Shapes, a, b) -> np.ndarray:
     return out
 
 
-def _load_polygon_features(path: str, id_key: str):
-    """(id, properties, ring) of each Polygon feature, in file order.
+def _load_polygon_table(path: str, id_key: str, table, defaults: dict):
+    """table(ids, rings, *columns) of the Polygon features, in file order,
+    with one column per property named in `defaults`, which gives its
+    value where a feature lacks it.
 
     Ids must be unique whole numbers, not booleans, and coordinates
-    finite; errors name the file and the feature, counting from 1.
+    finite. Errors, and the rules that the table checks, name the file
+    and the feature, counting from 1.
     """
+    from .network import _BadRow  # network imports geo
+
     with open(path) as fh:
         try:
             doc = json.load(fh)
@@ -404,7 +431,7 @@ def _load_polygon_features(path: str, id_key: str):
         raise ValueError(f"{path}: features must be a list")
     kind = id_key.removesuffix("_id")
     first_use: dict[int, int] = {}
-    out = []
+    rings, columns = [], [[] for _ in defaults]
     for number, feature in enumerate(features, start=1):
         feature = feature if isinstance(feature, dict) else {}
         geom = feature.get("geometry")
@@ -433,29 +460,24 @@ def _load_polygon_features(path: str, id_key: str):
             raise ValueError(
                 f"{path}: {id_key} {value!r} is not an integer (feature {number})"
             ) from None
+        if not -(1 << 63) <= feature_id < 1 << 63:  # the tables hold ids as int64
+            raise ValueError(f"{path}: {id_key} {value!r} is not an int64 (feature {number})")
         if feature_id in first_use:
             raise ValueError(
                 f"{path}: duplicate {id_key} {feature_id} in feature {number}"
                 f" (first in feature {first_use[feature_id]})"
             )
         first_use[feature_id] = number
-        out.append((feature_id, props, tuple(ring)))
-    return out
+        rings.append(tuple(ring))
+        for column, (name, default) in zip(columns, defaults.items()):
+            column.append(props.get(name, default))
+    try:  # first_use holds the ids in file order
+        return table(list(first_use), rings, *columns)
+    except _BadRow as exc:
+        raise ValueError(f"{path}: {exc} (feature {exc.position + 1})") from None
 
 
-def load_tracts(path: str) -> list[Tract]:
-    """Tracts in file order. `population` must be a finite number >= 0, not
-    a boolean, and `is_coc` a JSON boolean or 0/1; errors name the feature."""
-    tracts = []
-    features = _load_polygon_features(path, "tract_id")
-    for number, (tract_id, props, ring) in enumerate(features, start=1):
-        is_coc, population = props.get("is_coc", False), props.get("population", 0.0)
-        if not (isinstance(is_coc, (int, float)) and is_coc in (0, 1)):
-            raise ValueError(f"{path}: is_coc {is_coc!r} is not a boolean or 0/1 (feature {number})")
-        if isinstance(population, bool):
-            raise ValueError(f"{path}: population {population!r} is not a number (feature {number})")
-        try:
-            tracts.append(Tract(tract_id, ring, float(population), bool(is_coc)))
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"{path}: {exc} (feature {number})") from None
-    return tracts
+def load_tracts(path: str) -> Tracts:
+    """Tracts in file order, as `Tracts` checks them; a missing `population`
+    is 0 and a missing `is_coc` false. Errors name the feature."""
+    return _load_polygon_table(path, "tract_id", Tracts, {"population": 0.0, "is_coc": False})

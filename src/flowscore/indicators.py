@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import costs, geo
-from .network import INT64, NUMBER, check_rows, naming_rows, read_rows, repeats
+from .network import INT64, NUMBER, check_rows, naming_rows, read_columns, repeats
 from .typology import StreetType
 
 MORNING_PEAK_S = (25200.0, 32400.0)  # 07:00-09:00
@@ -23,28 +23,27 @@ ADT_MEDIUM = 25000.0
 MINORITY_PCT = 75.0
 
 
-@dataclass(frozen=True)
-class School:
-    id: int
-    x: float
-    y: float
-    pct_minority: float
+class Schools:
+    """Schools as columns, in input order: `ids`, `x`, `y` and `pct_minority`.
+    Coordinates are finite and pct_minority in [0, 100], then ids are
+    unique; the error names the first bad row, from 0."""
 
-    def __post_init__(self) -> None:
-        if not np.isfinite([self.x, self.y]).all():
-            raise ValueError(f"school {self.id}: non-finite coordinate")
-        if not 0.0 <= self.pct_minority <= 100.0:
-            raise ValueError(f"school {self.id}: pct_minority outside [0, 100]")
+    def __init__(self, ids, x, y, pct_minority):
+        self.ids = np.array(ids, dtype=np.int64)
+        self.x, self.y, self.pct_minority = (np.array(c, dtype=float) for c in (x, y, pct_minority))
+        check_rows({"id": self.ids}, {
+            "school {id}: non-finite coordinate": ~(np.isfinite(self.x) & np.isfinite(self.y)),
+            "school {id}: pct_minority outside [0, 100]":
+                ~((0.0 <= self.pct_minority) & (self.pct_minority <= 100.0))})
+        check_rows({"id": self.ids}, {"duplicate school_id {id}": repeats(self.ids)})
 
 
-def load_schools(path: str) -> list[School]:
-    """Schools in file order; ids must be unique and coordinates finite."""
-    schools = read_rows(path, "schools", {"school_id": INT64, "x": NUMBER, "y": NUMBER,
-                                          "pct_minority": NUMBER}, School)
-    ids = [s.id for s in schools]
+def load_schools(path: str) -> Schools:
+    """Schools in file order, as `Schools` checks them; errors name the row."""
+    columns = read_columns(path, "schools", {"school_id": INT64, "x": NUMBER, "y": NUMBER,
+                                             "pct_minority": NUMBER})
     with naming_rows(path):
-        check_rows({"id": ids}, {"duplicate school_id {id}": repeats(ids)})
-    return schools
+        return Schools(*columns.values())
 
 
 class LinkDailyStats:
@@ -137,7 +136,7 @@ class SchoolExposure:
     link_ids: tuple[int, ...]
 
 
-def school_exposure(stats: LinkDailyStats, schools, buffers,
+def school_exposure(stats: LinkDailyStats, schools: Schools, buffers,
                     morning_s=SCHOOL_MORNING_S) -> dict[int, SchoolExposure]:
     """Traffic exposure of each school from the links in its buffer: per
     school, the sorted link ids that `geo.links_within_radii` gives.
@@ -145,15 +144,15 @@ def school_exposure(stats: LinkDailyStats, schools, buffers,
     High needs one buffered link with ADT above 50,000; Medium needs one
     in the 25,000..50,000 band (inclusive); anything less is None.
     """
-    if len(schools) != len(buffers):
-        raise ValueError(f"{len(schools)} schools but {len(buffers)} buffers")
+    if len(schools.ids) != len(buffers):
+        raise ValueError(f"{len(schools.ids)} schools but {len(buffers)} buffers")
     network = stats.network
     morning_vmt = stats.window_vmt(morning_s)
     out: dict[int, SchoolExposure] = {}
-    for school, ids in zip(schools, buffers):
+    for school_id, ids in zip(schools.ids.tolist(), buffers):
         idx = network.link_positions(ids)
         if (idx < 0).any():
-            raise ValueError(f"school {school.id}: buffer link {ids[np.argmax(idx < 0)]} "
+            raise ValueError(f"school {school_id}: buffer link {ids[np.argmax(idx < 0)]} "
                              f"is not in the network")
         adts = stats.adt[idx]
         if float(adts.max(initial=0.0)) > ADT_HIGH:
@@ -163,17 +162,17 @@ def school_exposure(stats: LinkDailyStats, schools, buffers,
         else:
             level = ExposureLevel.NONE
         vmt = float(morning_vmt[idx].sum())
-        out[school.id] = SchoolExposure(school.id, level, vmt, tuple(ids))
+        out[school_id] = SchoolExposure(school_id, level, vmt, tuple(ids))
     return out
 
 
-def minority_exposure_share(exposures: dict[int, SchoolExposure], schools):
+def minority_exposure_share(exposures: dict[int, SchoolExposure], schools: Schools):
     """Percent of exposed schools that are minority schools; None if no school is exposed."""
-    by_id = {s.id: s for s in schools}
+    pct = dict(zip(schools.ids.tolist(), schools.pct_minority.tolist()))
     exposed = [e for e in exposures.values() if e.level is not ExposureLevel.NONE]
     if not exposed:
         return None
-    minority = sum(1 for e in exposed if by_id[e.school_id].pct_minority >= MINORITY_PCT)
+    minority = sum(1 for e in exposed if pct[e.school_id] >= MINORITY_PCT)
     return 100.0 * minority / len(exposed)
 
 
@@ -183,14 +182,15 @@ class EquityShares:
     coc_vhd: float
 
 
-def link_tract_ids(network, tracts) -> list:
+def link_tract_ids(network, tracts: geo.Tracts) -> np.ndarray:
+    """Each link's tract row, -1 for none: `geo.link_tracts` of the network."""
     return geo.link_tracts(network.geometry, tracts)
 
 
-def equity_shares(stats: LinkDailyStats, tracts, tract_of_link: list) -> EquityShares:
-    """Daily VMT and VHD on links in communities of concern."""
-    coc_ids = {t.id for t in tracts if t.is_coc}
-    mask = np.array([tid in coc_ids for tid in tract_of_link], dtype=bool)
+def equity_shares(stats: LinkDailyStats, tracts: geo.Tracts, tract_of_link) -> EquityShares:
+    """Daily VMT and VHD on links in communities of concern; tract_of_link
+    holds each link's tract row, and its -1, no tract, reads the False appended."""
+    mask = np.append(tracts.is_coc, False)[np.asarray(tract_of_link, dtype=np.int64)]
     return EquityShares(*filtered_vmt_vhd(stats, mask))
 
 
@@ -259,9 +259,9 @@ def build_report(
     exposures: dict[int, SchoolExposure],
     trips,
     street_types: dict[int, StreetType],
-    schools,
-    tracts,
-    tract_of_link: list,
+    schools: Schools,
+    tracts: geo.Tracts,
+    tract_of_link,
     morning_window_s=MORNING_PEAK_S,
     school_morning_s=SCHOOL_MORNING_S,
 ) -> IndicatorReport:

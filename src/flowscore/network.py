@@ -65,7 +65,8 @@ class Network:
 
     `nodes` and `links` map the NODE_COLUMNS and LINK_COLUMNS names to
     their columns, as `read_columns` gives them, with each wkt_geometry
-    parsed to a tuple of points. Parallel links between the same node
+    parsed to a tuple of points; `lines` is the links' vertex table, which
+    every join with the links reads. Parallel links between the same node
     pair are allowed and keep distinct ids. Node and link ids are unique,
     and every link joins two of the nodes. The main component is the
     largest weakly connected one; of components that tie for largest,
@@ -81,7 +82,7 @@ class Network:
             np.array(links[c], dtype=float) for c in ("length_miles", "speed_mph", "capacity_vph"))
         self.fclass, self.lanes = (np.array(links[c], dtype=np.int64) for c in ("fclass", "lanes"))
         self.geometry: list[tuple[tuple[float, float], ...]] = list(links["wkt_geometry"])
-        lines = geo._Shapes(self.geometry, False)
+        lines = self.lines = geo.build_link_index(self)
         bad_vertex = ~(np.isfinite(lines.x) & np.isfinite(lines.y))
         nonfinite = geo._any_per(geo._ragged(lines.n_segments + 1)[0], bad_vertex, self.n_links)
         check_rows({"id": self.link_ids, "fclass": self.fclass, "lanes": self.lanes}, {
@@ -292,19 +293,6 @@ def naming_rows(path, **paths):
         yield
     except _BadRow as exc:
         raise LoadError(f"{exc} in {paths.get(exc.table, path)}, row {exc.position + 2}") from None
-
-
-def read_rows(path, kind: str, parsers: dict[str, Cell], make) -> list:
-    """make(*row) for each row of `read_columns`, columns in `parsers` order;
-    a ValueError that make raises names the file and the row."""
-    columns = read_columns(path, kind, parsers)
-    made = []
-    try:
-        for row in zip(*columns.values()):
-            made.append(make(*row))
-    except ValueError as exc:
-        raise LoadError(f"{exc} in {path}, row {len(made) + 2}") from None
-    return made
 
 
 def repeats(keys) -> np.ndarray:

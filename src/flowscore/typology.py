@@ -3,7 +3,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+
+import numpy as np
 
 from . import geo
 from .network import INT64, check_rows, naming_rows, one_of, read_columns, repeats, write_csv
@@ -34,21 +35,26 @@ class StreetType(enum.Enum):
     OTHERS = "Others"
 
 
-@dataclass(frozen=True)
-class Parcel:
-    """A land parcel polygon with a coarse use code; area is the polygon's."""
+_LAND_USES = {key: use for use in LandUse for key in (use, use.value)}
 
-    id: int
-    polygon: tuple[tuple[float, float], ...]
-    land_use: LandUse
-    area: float = field(init=False)
 
-    def __post_init__(self) -> None:
-        if len(self.polygon) < 3:
-            raise ValueError(f"parcel {self.id} polygon needs >= 3 points")
-        object.__setattr__(self, "area", geo.polygon_area(self.polygon))
-        if self.area <= 0:
-            raise ValueError(f"parcel {self.id} has zero area")
+class Parcels:
+    """Land parcels as columns, in input order: `ids`, `land_use` (each
+    given as a LandUse or as its code), `area` and `rings`, the polygons'
+    closed vertex table. Each ring keeps `geo.ring_rules`; the error names
+    the first bad row, from 0."""
+
+    def __init__(self, ids, polygons, land_use):
+        self.ids = np.array(ids, dtype=np.int64)
+        # a dict lookup raises TypeError on a list
+        uses = [_LAND_USES.get(v) if isinstance(v, (str, LandUse)) else None for v in land_use]
+        rings, self.area = geo.ring_rules("parcel", polygons)
+        check_rows({"id": self.ids, "land_use": land_use}, {
+            "bad land_use {land_use!r}, want one of R,C,I,P,O": np.array(
+                [use is None for use in uses], dtype=bool),
+            **rings})
+        self.land_use = np.array(uses, dtype=object)
+        self.rings = geo._Shapes(polygons, True)
 
 
 def transport_context(fclass: int, speed_mph: float) -> TransportContext:
@@ -64,25 +70,24 @@ def transport_context(fclass: int, speed_mph: float) -> TransportContext:
     return TransportContext.NEIGHBORHOOD_STREET
 
 
-def _dominant_land_uses(geometries, parcels, adjacency_buffer_m) -> list[LandUse]:
-    """Per link geometry, the land use of the largest parcel within the buffer of it.
-
-    Ties go to the smaller parcel id; no parcel in range means OTHER.
-    """
+def _dominant_land_uses(lines, rows, parcels: Parcels, adjacency_buffer_m) -> list[LandUse]:
+    """Per row of `rows`, the land use of the largest parcel within the
+    buffer of that row's line in the vertex table `lines`; ties go to the
+    smaller parcel id, then the earlier parcel. No parcel means OTHER."""
     b = adjacency_buffer_m
     if not 0 <= b < math.inf:  # NaN fails too
         raise ValueError("adjacency buffer must be finite and nonnegative")
-    lines = geo._Shapes(geometries, False)
-    rings = geo._Shapes([p.polygon for p in parcels], True)
-    pair_link, pair_parcel = geo._candidates(geo._padded(lines.boxes(), b), rings.boxes())
-    within = geo.polygon_polyline_within(rings, pair_parcel, lines, pair_link, b)
-    best = [None] * len(geometries)
-    # candidates come in input order, so the strict > keeps the first of equals
-    for k, i in zip(pair_link[within].tolist(), pair_parcel[within].tolist()):
-        parcel, top = parcels[i], best[k]
-        if top is None or (parcel.area, -parcel.id) > (top.area, -top.id):
-            best[k] = parcel
-    return [LandUse.OTHER if p is None else p.land_use for p in best]
+    rows = np.asarray(rows, dtype=np.int64)
+    rings = parcels.rings
+    pair_row, pair_parcel = geo._candidates(geo._padded(lines.boxes()[rows], b), rings.boxes())
+    within = geo.polygon_polyline_within(rings, pair_parcel, lines, rows[pair_row], b)
+    k, j = pair_row[within], pair_parcel[within]
+    # per row, the largest parcel first, then the smaller id, then the earlier parcel
+    order = np.lexsort((j, parcels.ids[j], -parcels.area[j], k))
+    held, top = np.unique(k[order], return_index=True)
+    uses = np.full(len(rows), LandUse.OTHER, dtype=object)
+    uses[held] = parcels.land_use[j[order][top]]
+    return uses.tolist()
 
 
 _NON_HIGHWAY_TABLE = {
@@ -109,32 +114,16 @@ def classify_street(context: TransportContext, land_use: LandUse) -> StreetType:
 def classify_network(network, parcels, adjacency_buffer_m: float = 20.0) -> dict[int, StreetType]:
     contexts = list(map(transport_context, network.fclass.tolist(), network.speed_mph.tolist()))
     # land use cannot change a highway's type, so highways skip the geometry work
-    streets = [geometry for geometry, context in zip(network.geometry, contexts)
-               if context is not TransportContext.HIGHWAY]
-    uses = iter(_dominant_land_uses(streets, parcels, adjacency_buffer_m))
-    return {
-        link_id: StreetType.HIGHWAY if context is TransportContext.HIGHWAY
-        else classify_street(context, next(uses))
-        for link_id, context in zip(network.link_ids.tolist(), contexts)
-    }
+    streets = [k for k, context in enumerate(contexts) if context is not TransportContext.HIGHWAY]
+    uses = np.full(network.n_links, LandUse.OTHER, dtype=object)
+    uses[streets] = _dominant_land_uses(network.lines, streets, parcels, adjacency_buffer_m)
+    return dict(zip(network.link_ids.tolist(), map(classify_street, contexts, uses)))
 
 
-def load_parcels(path: str) -> list[Parcel]:
-    """Parcels in file order. `land_use` must be one of the codes R, C, I,
-    P, O; errors name the file and the feature."""
-    codes = {u.value: u for u in LandUse}
-    parcels = []
-    features = geo._load_polygon_features(path, "parcel_id")
-    for number, (parcel_id, props, ring) in enumerate(features, start=1):
-        code = props.get("land_use")
-        if not (isinstance(code, str) and code in codes):  # `in` raises TypeError on a list
-            raise ValueError(f"{path}: bad land_use {code!r}, want one of R,C,I,P,O "
-                             f"(feature {number})")
-        try:
-            parcels.append(Parcel(id=parcel_id, polygon=ring, land_use=codes[code]))
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc} (feature {number})") from None
-    return parcels
+def load_parcels(path: str) -> Parcels:
+    """Parcels in file order, as `Parcels` checks them, each `land_use` one
+    of the codes R, C, I, P, O; errors name the file and the feature."""
+    return geo._load_polygon_table(path, "parcel_id", Parcels, {"land_use": None})
 
 
 def write_link_types(path: str, street_types: dict[int, StreetType], network) -> None:

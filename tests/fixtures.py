@@ -12,11 +12,12 @@ import numpy as np
 import pytest
 
 from flowscore import costs, qdta
-from flowscore.geo import links_within_radii
-from flowscore.indicators import congested_miles, daily_stats
+from flowscore.geo import Tracts, links_within_radii, polygon_area
+from flowscore.indicators import Schools, congested_miles, daily_stats
 from flowscore.network import LINK_COLUMNS, METERS_PER_MILE, NODE_COLUMNS, Network, write_csv
 from flowscore.qdta import (AssignmentResult, Departures, FlowState, IntervalRecord, Objective,
                             SolverConfig)
+from flowscore.typology import LandUse, Parcels
 
 M = METERS_PER_MILE
 
@@ -62,6 +63,79 @@ def links_of(net: Network) -> list[Link]:
                     net.node_ids[net.link_to].tolist(), net.length_miles.tolist(),
                     net.speed_mph.tolist(), net.capacity_vph.tolist(), net.fclass.tolist(),
                     net.lanes.tolist(), net.geometry))
+
+
+class Parcel(NamedTuple):
+    """One row of a parcels table: a land parcel polygon with a coarse use code."""
+
+    id: int
+    polygon: tuple[tuple[float, float], ...]
+    land_use: LandUse
+
+    @property
+    def area(self) -> float:
+        return polygon_area(self.polygon)
+
+
+class Tract(NamedTuple):
+    """One row of a tracts table."""
+
+    id: int
+    polygon: tuple[tuple[float, float], ...]
+    population: float
+    is_coc: bool
+
+
+class School(NamedTuple):
+    """One row of a schools table."""
+
+    id: int
+    x: float
+    y: float
+    pct_minority: float
+
+
+def _columns(row_type, rows):
+    return ([getattr(row, name) for row in rows] for name in row_type._fields)
+
+
+def parcel_table(rows) -> Parcels:
+    """The Parcels table of these Parcel rows, in order."""
+    return Parcels(*_columns(Parcel, rows))
+
+
+def tract_table(rows) -> Tracts:
+    """The Tracts table of these Tract rows, in order."""
+    return Tracts(*_columns(Tract, rows))
+
+
+def school_table(rows) -> Schools:
+    """The Schools table of these School rows, in order."""
+    return Schools(*_columns(School, rows))
+
+
+def polygons_of(rings) -> list[tuple[tuple[float, float], ...]]:
+    """Each ring of a closed vertex table as a polygon, without the closing point."""
+    return [tuple(zip(rings.x[a:a + n].tolist(), rings.y[a:a + n].tolist()))
+            for a, n in zip(rings.first.tolist(), rings.n_segments.tolist())]
+
+
+def parcels_of(parcels: Parcels) -> list[Parcel]:
+    """The table's parcels as rows, in row order."""
+    return list(map(Parcel, parcels.ids.tolist(), polygons_of(parcels.rings),
+                    parcels.land_use.tolist()))
+
+
+def tracts_of(tracts: Tracts) -> list[Tract]:
+    """The table's tracts as rows, in row order."""
+    return list(map(Tract, tracts.ids.tolist(), polygons_of(tracts.rings),
+                    tracts.population.tolist(), tracts.is_coc.tolist()))
+
+
+def schools_of(schools: Schools) -> list[School]:
+    """The table's schools as rows, in row order."""
+    return list(map(School, schools.ids.tolist(), schools.x.tolist(), schools.y.tolist(),
+                    schools.pct_minority.tolist()))
 
 
 def straight_link(link_id, a: Node, b: Node, speed_mph, capacity_vph, fclass, lanes,
@@ -171,11 +245,9 @@ def two_route_network() -> Network:
     return network([n1, n2, n3, n4], links)
 
 
-def blanket_parcel(net: Network, land_use="R", parcel_id=1):
+def blanket_parcel(net: Network, land_use="R", parcel_id=1) -> Parcel:
     """One parcel covering the whole network bbox, so every street that
     consults land use sees it."""
-    from flowscore.typology import LandUse, Parcel
-
     xs = [p[0] for geometry in net.geometry for p in geometry]
     ys = [p[1] for geometry in net.geometry for p in geometry]
     pad = 50.0
@@ -274,10 +346,10 @@ def joined(*tables) -> Departures:
                         for f in dataclasses.fields(Departures)))
 
 
-def school_buffers(network: Network, schools, radius_m=250.0) -> list[list[int]]:
+def school_buffers(network: Network, schools: Schools, radius_m=250.0) -> list[list[int]]:
     """Each school's buffer, joined as the command line joins it; 250 m is
     the default config's school_radius_m."""
-    return links_within_radii([(s.x, s.y) for s in schools], radius_m, network)
+    return links_within_radii(np.column_stack([schools.x, schools.y]), radius_m, network)
 
 
 def square(cx, cy, half):

@@ -127,7 +127,7 @@ def links_within_radius(point: Point, radius_m: float, network) -> list[int]:
 
 def dominant_land_use(link, parcels, buffer_m: float) -> LandUse:
     """Land use of the largest parcel within buffer_m, every parcel tested;
-    ties go to the smaller id."""
+    ties go to the smaller id, then the earlier parcel."""
     best = None
     for parcel in parcels:
         if polygon_polyline_distance(parcel.polygon, link.geometry) <= buffer_m:
@@ -136,7 +136,7 @@ def dominant_land_use(link, parcels, buffer_m: float) -> LandUse:
     return LandUse.OTHER if best is None else best.land_use
 
 
-def link_tract(link, tracts):
-    """Id of the first tract that holds the link's midpoint, or None."""
+def link_tract(link, tracts) -> int:
+    """Position of the first tract that holds the link's midpoint, or -1."""
     mid = link_midpoint(link.geometry)
-    return next((t.id for t in tracts if point_in_polygon(mid, t.polygon)), None)
+    return next((k for k, t in enumerate(tracts) if point_in_polygon(mid, t.polygon)), -1)

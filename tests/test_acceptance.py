@@ -26,7 +26,6 @@ from flowscore.geo import _candidates, links_within_radii
 from flowscore.indicators import (
     ExposureLevel,
     LinkDailyStats,
-    School,
     daily_stats,
     filtered_vmt_vhd,
     school_exposure,
@@ -41,6 +40,7 @@ import geo_reference
 from fixtures import (
     M,
     Node,
+    School,
     blanket_parcel,
     corridor_network,
     corridor_od,
@@ -213,7 +213,7 @@ def test_criterion_06_conservation_and_partition():
 
     # street-type VMT partition on the corridor run
     net = last.network
-    types = classify_network(net, [blanket_parcel(net, "R")])
+    types = classify_network(net, fixtures.parcel_table([blanket_parcel(net, "R")]))
     stats = daily_stats(last)
     total_vmt, total_vhd = filtered_vmt_vhd(stats, np.ones(net.n_links, dtype=bool))
     part_vmt = sum(
@@ -271,7 +271,8 @@ def test_criterion_08_school_exposure_boundaries():
     net = fixtures.network(nodes, links)
     # one 3600 s interval makes each link's ADT equal its flow
     stats = LinkDailyStats(net, [(np.arange(len(adts)), np.array(adts), net.free_flow_h)], 3600.0)
-    schools = [School(i + 1, M / 2.0, 10_000.0 * i, 50.0) for i in range(len(adts))]
+    schools = fixtures.school_table([School(i + 1, M / 2.0, 10_000.0 * i, 50.0)
+                                     for i in range(len(adts))])
     exposures = school_exposure(stats, schools, school_buffers(net, schools))
     levels = {sid: e.level for sid, e in exposures.items()}
     assert levels[1] is ExposureLevel.NONE     # 24,999

@@ -25,8 +25,7 @@ from flowscore.cli import (
     read_trips_csv,
 )
 from flowscore import cli, qdta
-from flowscore.indicators import INDICATOR_NAMES, School, congested_miles, daily_stats
-from flowscore.geo import Tract
+from flowscore.indicators import INDICATOR_NAMES, congested_miles, daily_stats
 from flowscore.network import LoadError, Network, load_network
 from flowscore.qdta import Objective, load_trips, run_day
 from flowscore.typology import StreetType, read_link_types
@@ -35,6 +34,8 @@ import fixtures
 from fixtures import (
     M,
     Node,
+    School,
+    Tract,
     assert_dense_figures,
     assert_same_states,
     assigned_day,
@@ -68,7 +69,8 @@ def town_network(scale=1.0) -> Network:
     return fixtures.network([n1, n2, n3, n4], links)
 
 
-def town_scenario(dirpath, config_overrides=None, scale=1.0, late_trips=0) -> str:
+def town(scale=1.0, late_trips=0):
+    """The town's network, trips, parcel rows, school rows and tract rows."""
     net = town_network(scale)
     trips = joined(uniform_trips(1, 4, 600, start_s=25_200.0, spacing_s=0.5),
                    uniform_trips(1, 4, late_trips, start_s=86_000.0, first_id=601))
@@ -78,8 +80,11 @@ def town_scenario(dirpath, config_overrides=None, scale=1.0, late_trips=0) -> st
         Tract(1, square(scale * M / 2.0, 0.0, scale * 1000.0), 1000.0, True),
         Tract(2, square(scale * 3000.0, 0.0, scale * 1090.0), 9000.0, False),
     ]
-    return write_scenario(dirpath, net, trips, parcels, schools, tracts,
-                          config_overrides)
+    return net, trips, parcels, schools, tracts
+
+
+def town_scenario(dirpath, config_overrides=None, scale=1.0, late_trips=0) -> str:
+    return write_scenario(dirpath, *town(scale, late_trips), config_overrides=config_overrides)
 
 
 def long_town_scenario(dirpath) -> str:
@@ -110,7 +115,7 @@ def test_readme_library_use_runs_in_a_scenario_directory(tmp_path, monkeypatch):
     assert main(["classify", "--config", cfg]) == 0
     section = (ROOT / "README.md").read_text().split("\n## Library use\n")[1].split("\n## ")[0]
     blocks = re.findall(r"```python\n(.*?)```", section, flags=re.S)
-    assert len(blocks) == 7
+    assert len(blocks) == 8
     monkeypatch.chdir(tmp_path)
     namespace = {}
     for block in blocks:  # in order: each block reads the names the earlier ones set
@@ -478,6 +483,32 @@ def test_exposure_and_daily_stats_computed_once_per_report(tmp_path, monkeypatch
     # the stats come from flows_uet.csv
     assert calls == {"school_exposure": 1, "daily_stats": 0, "links_within_radii": 1,
                      "link_tract_ids": 1}
+
+
+def test_run_builds_one_vertex_table_per_input(tmp_path, monkeypatch, town_run):
+    # the links, the tracts and the parcels each build their vertex table
+    # once, when they are loaded; every join reads the tables it is given
+    from flowscore import geo
+
+    built = []
+
+    class CountedShapes(geo._Shapes):
+        def __init__(self, shapes, closed):
+            built.append("rings" if closed else "lines")
+            super().__init__(shapes, closed)
+
+    monkeypatch.setattr(geo, "_Shapes", CountedShapes)
+    cfg, _ = town_run
+    out = tmp_path / "run"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    assert built == ["lines", "rings", "rings"]  # links, tracts, parcels
+    built.clear()
+    assert main(["indicators", "--config", cfg, "--objective", "uet", "--out", str(out)]) == 0
+    assert built == ["lines", "rings"]  # the street types come from link_types.csv
+    built.clear()
+    (out / "link_types.csv").unlink()
+    assert main(["indicators", "--config", cfg, "--objective", "uet", "--out", str(out)]) == 0
+    assert built == ["lines", "rings", "rings"]
 
 
 def traced_run(tmp_path, cfg, run_out):

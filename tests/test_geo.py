@@ -1,3 +1,4 @@
+import json
 import math
 import re
 
@@ -6,7 +7,6 @@ import pytest
 
 from flowscore import geo
 from flowscore.geo import (
-    Tract,
     _candidates,
     link_midpoint,
     link_tracts,
@@ -17,10 +17,10 @@ from flowscore.geo import (
     polyline_length,
     validate_tracts,
 )
-from flowscore.typology import LandUse, Parcel, load_parcels
+from flowscore.typology import LandUse, load_parcels
 
-from fixtures import (Link, grid_network, links_of, square, write_parcels_geojson,
-                      write_tracts_geojson)
+from fixtures import (Link, Parcel, Tract, grid_network, links_of, square, tract_table, tracts_of,
+                      write_parcels_geojson, write_tracts_geojson)
 import geo_reference
 from geo_reference import (
     bboxes_overlap,
@@ -204,14 +204,14 @@ def test_links_within_radius_rejects_negative():
 
 def test_tract_validation():
     with pytest.raises(ValueError):
-        Tract(1, ((0.0, 0.0), (1.0, 0.0)), 100.0, False)
+        tract_table([Tract(1, ((0.0, 0.0), (1.0, 0.0)), 100.0, False)])
     with pytest.raises(ValueError):
-        Tract(1, UNIT_SQUARE, -5.0, False)
+        tract_table([Tract(1, UNIT_SQUARE, -5.0, False)])
     # a degenerate ring's edge would otherwise hold the midpoints of
     # grid_network(2, 2)'s links 1 and 2
     for ring in (((0.0, 0.0), (500.0, 0.0), (804.672, 0.0)), ((0.0, 0.0), (1.0, 1.0), (0.0, 0.0))):
         with pytest.raises(ValueError, match="^tract 5 has zero area$"):
-            Tract(5, ring, 10.0, True)
+            tract_table([Tract(5, ring, 10.0, True)])
 
 
 def test_link_midpoint_multi_segment():
@@ -227,13 +227,14 @@ def test_link_tract_first_match_wins_on_overlap():
     geometries = net.geometry[:1]
     big = Tract(10, square(800.0, 0.0, 900.0), 1000.0, False)
     small = Tract(20, square(800.0, 0.0, 900.0), 500.0, True)
-    assert link_tracts(geometries, [big, small]) == [10]
-    assert link_tracts(geometries, [small, big]) == [20]
     far = Tract(30, square(1e6, 1e6, 10.0), 10.0, False)
-    assert link_tracts(geometries, [far]) == [None]
+    for tracts, want in (([big, small], 10), ([small, big], 20), ([far, small, big], 20)):
+        table = tract_table(tracts)
+        assert table.ids[link_tracts(geometries, table)].tolist() == [want]
+    assert link_tracts(geometries, tract_table([far])).tolist() == [-1]
 
 
-@pytest.mark.parametrize("side, want", [(1.0, None), (-1.0, 1)], ids=["outside", "inside"])
+@pytest.mark.parametrize("side, want", [(1.0, -1), (-1.0, 0)], ids=["outside", "inside"])
 def test_link_tracts_edge_band_does_not_grow_with_the_coordinates(side, want):
     # projected coordinates near (5e5, 4e6): a midpoint 7 m off a 1,414 m
     # diagonal tract edge is 7 m outside or inside it, not on it
@@ -243,8 +244,8 @@ def test_link_tracts_edge_band_does_not_grow_with_the_coordinates(side, want):
     mx, my = x0 + 500.0 - off, y0 + 500.0 + off
     link = Link(1, 1, 2, 20.0 / 1609.344, 25.0, 800.0, 5, 2, ((mx - 10.0, my), (mx + 10.0, my)))
     assert link_midpoint(link.geometry) == pytest.approx((mx, my), abs=1e-6)
-    assert (link_tracts([link.geometry], [tract]) == [geo_reference.link_tract(link, [tract])]
-            == [want])
+    assert (link_tracts([link.geometry], tract_table([tract])).tolist()
+            == [geo_reference.link_tract(link, [tract])] == [want])
 
 
 def test_validate_tracts_flags_overlaps_only():
@@ -252,12 +253,12 @@ def test_validate_tracts_flags_overlaps_only():
     b = Tract(2, square(5.0, 3.0, 10.0), 100.0, False)  # corner inside a
     c = Tract(3, square(40.0, 0.0, 10.0), 100.0, False)  # disjoint
     d = Tract(4, square(55.0, 0.0, 5.0), 100.0, False)  # edge-tangent to c only
-    warnings = validate_tracts([a, b, c, d])
+    warnings = validate_tracts(tract_table([a, b, c, d]))
     assert warnings == ["tracts 1 and 2 overlap"]
     # crossing boundaries with no vertex containment still count
     e = Tract(5, ((-20.0, -1.0), (20.0, -1.0), (20.0, 1.0), (-20.0, 1.0)), 50.0, False)
     f = Tract(6, ((-1.0, -20.0), (1.0, -20.0), (1.0, 20.0), (-1.0, 20.0)), 50.0, False)
-    assert validate_tracts([e, f]) == ["tracts 5 and 6 overlap"]
+    assert validate_tracts(tract_table([e, f])) == ["tracts 5 and 6 overlap"]
 
 
 def test_load_tracts_roundtrip(tmp_path):
@@ -267,11 +268,7 @@ def test_load_tracts_roundtrip(tmp_path):
     ]
     path = tmp_path / "tracts.geojson"
     write_tracts_geojson(path, tracts)
-    loaded = load_tracts(str(path))
-    assert [t.id for t in loaded] == [7, 8]
-    assert loaded[0].is_coc and not loaded[1].is_coc
-    assert loaded[0].population == 1200.0
-    assert loaded[0].polygon == tracts[0].polygon
+    assert tracts_of(load_tracts(str(path))) == tracts
 
 
 def test_load_tracts_rejects_non_polygon(tmp_path):
@@ -357,7 +354,7 @@ def test_load_tracts_names_the_file_of_malformed_geojson(tmp_path, text, message
         load_tracts(str(path))
     good = tmp_path / "good.geojson"  # the same file with a well-formed second ring loads
     good.write_text(second_polygon(', "coordinates": [[[0, 0], [1, 0], [1, 1]]]'))
-    assert [t.id for t in load_tracts(str(good))] == [1, 2]
+    assert load_tracts(str(good)).ids.tolist() == [1, 2]
 
 
 @pytest.mark.parametrize("ring", ["[[0, 0], [500, 0], [804.672, 0]]",
@@ -411,7 +408,7 @@ def test_load_features_reject_a_fractional_id(tmp_path, id_key, load, bad):
 def test_load_features_read_whole_ids(tmp_path, id_key, load, value, want):
     path = two_feature_file(tmp_path / "ids.geojson", id_key)
     path.write_text(path.read_text().replace(f'"{id_key}": 2', f'"{id_key}": {value}'))
-    assert [f.id for f in load(str(path))] == [1, want]
+    assert load(str(path)).ids.tolist() == [1, want]
 
 
 def two_tract_file(path, second_population=250.0):
@@ -443,7 +440,7 @@ def test_load_tracts_rejects_a_boolean_population(tmp_path):
 def test_load_tracts_reads_is_coc_as_boolean_or_0_1(tmp_path, value, want):
     path = two_tract_file(tmp_path / "coc.geojson")
     path.write_text(path.read_text().replace('"is_coc": 1', f'"is_coc": {value}'))
-    assert [t.is_coc for t in load_tracts(str(path))] == [False, want]
+    assert load_tracts(str(path)).is_coc.tolist() == [False, want]
 
 
 @pytest.mark.parametrize("bad", ['"false"', '"true"', "2", "null", "0.5"])
@@ -452,4 +449,50 @@ def test_load_tracts_rejects_other_is_coc(tmp_path, bad):
     path.write_text(path.read_text().replace('"is_coc": 1', f'"is_coc": {bad}'))
     with pytest.raises(ValueError, match=r"coc.geojson: is_coc .* is not a boolean or 0/1 "
                                          r"\(feature 2\)"):
+        load_tracts(str(path))
+
+
+@LOADERS
+@pytest.mark.parametrize("ring", [
+    "[[1e200, 1e200], [2e200, 1e200], [2e200, 2e200], [1e200, 2e200]]",  # inf - inf: NaN
+    "[[0, 0], [1e200, 0], [1e200, 1e200], [0, 1e200]]",  # inf
+], ids=["nan", "inf"])
+def test_load_features_reject_a_non_finite_area(tmp_path, id_key, load, ring):
+    # the coordinates are finite, but the shoelace sum overflows
+    path = two_feature_file(tmp_path / "area.geojson", id_key)
+    doc = json.loads(path.read_text())
+    doc["features"][1]["geometry"]["coordinates"] = [json.loads(ring)]
+    path.write_text(json.dumps(doc))
+    kind = id_key.removesuffix("_id")
+    with pytest.raises(ValueError, match="^" + re.escape(
+            f"{path}: {kind} 2 has a non-finite area (feature 2)") + "$"):
+        load(str(path))
+
+
+# a broken rule planted in a tract feature, and the message that names it
+BREAKS = {
+    "zero_area": (lambda f: f["geometry"].update(coordinates=[[[0, 0], [1, 0], [2, 0], [0, 0]]]),
+                  "tract {id} has zero area"),
+    "is_coc": (lambda f: f["properties"].update(is_coc="yes"),
+               "is_coc 'yes' is not a boolean or 0/1"),
+    "population": (lambda f: f["properties"].update(population=-1.0),
+                   "tract {id} population must be finite and nonnegative"),
+}
+
+
+@pytest.mark.parametrize("first, second", [
+    ("zero_area", "is_coc"), ("is_coc", "zero_area"), ("population", "zero_area"),
+    ("zero_area", "population"), (None, "is_coc"),
+])
+def test_load_tracts_names_the_first_bad_feature(tmp_path, first, second):
+    # whatever the rules broken, the error names the first bad feature in file order
+    path = two_tract_file(tmp_path / "tracts.geojson")
+    doc = json.loads(path.read_text())
+    for feature, broken in zip(doc["features"], (first, second)):
+        if broken:
+            BREAKS[broken][0](feature)
+    path.write_text(json.dumps(doc))
+    number, broken = (1, first) if first else (2, second)
+    message = f"{path}: {BREAKS[broken][1].format(id=number)} (feature {number})"
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
         load_tracts(str(path))

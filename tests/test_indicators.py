@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from flowscore.costs import link_fuel, spf_accidents
-from flowscore.geo import Tract
 from flowscore.indicators import (
     INDICATOR_META,
     INDICATOR_NAMES,
@@ -12,7 +11,6 @@ from flowscore.indicators import (
     IndicatorReport,
     IndicatorValue,
     LinkDailyStats,
-    School,
     SchoolExposure,
     build_report,
     congested_miles,
@@ -30,8 +28,8 @@ from flowscore.qdta import FlowState, TripTable
 from flowscore.typology import StreetType
 
 import fixtures
-from fixtures import (M, Node, assignment_of, school_buffers, square, straight_link,
-                      write_schools_csv)
+from fixtures import (M, Node, School, Tract, assignment_of, school_buffers, school_table,
+                      schools_of, square, straight_link, tract_table, write_schools_csv)
 from qdta_reference import dense_states
 
 
@@ -220,9 +218,9 @@ def exposure_fixture(adts):
     net = isolated_links_network(specs)
     flows = np.array([list(adts)], dtype=float)
     stats = make_stats(net, flows, interval_s=3600.0)
-    schools = [
+    schools = school_table([
         School(i + 1, M / 2.0, 10_000.0 * i, 50.0) for i in range(len(adts))
-    ]
+    ])
     return net, stats, schools
 
 
@@ -238,8 +236,8 @@ def test_school_exposure_threshold_boundaries():
 
 def test_school_exposure_outside_buffer_is_none():
     net, stats, _ = exposure_fixture([60_000.0])
-    far = School(9, M / 2.0, 300.0, 90.0)
-    out = school_exposure(stats, [far], school_buffers(net, [far]))
+    far = school_table([School(9, M / 2.0, 300.0, 90.0)])
+    out = school_exposure(stats, far, school_buffers(net, far))
     assert out[9].level is ExposureLevel.NONE
     assert out[9].link_ids == ()
     assert out[9].buffer_vmt_morning == 0.0
@@ -258,8 +256,8 @@ def test_school_exposure_morning_vmt():
     flows = np.full((96, 1), 40.0)
     flows[28:32, 0] = 1000.0  # 07:00-08:00
     stats = make_stats(net, flows)
-    school = School(1, M / 2.0, 0.0, 50.0)
-    out = school_exposure(stats, [school], school_buffers(net, [school]),
+    school = school_table([School(1, M / 2.0, 0.0, 50.0)])
+    out = school_exposure(stats, school, school_buffers(net, school),
                           morning_s=(25200.0, 28800.0))
     assert out[1].buffer_vmt_morning == pytest.approx(1000.0)
 
@@ -280,7 +278,7 @@ def test_school_exposure_monotone_in_flow():
     rng = np.random.default_rng(7)
     specs = [(i, 1.0, 30.0, 600.0, 5, 2) for i in range(1, 7)]
     net = isolated_links_network(specs)
-    schools = [School(i, M / 2.0, 10_000.0 * (i - 1), 50.0) for i in range(1, 7)]
+    schools = school_table([School(i, M / 2.0, 10_000.0 * (i - 1), 50.0) for i in range(1, 7)])
     rank = {ExposureLevel.NONE: 0, ExposureLevel.MEDIUM: 1, ExposureLevel.HIGH: 2}
     buffers = school_buffers(net, schools)
     for _ in range(50):
@@ -296,7 +294,7 @@ def test_school_exposure_monotone_in_flow():
 
 
 def test_minority_share_over_exposed_schools():
-    schools = [School(1, 0, 0, 80.0), School(2, 0, 0, 10.0), School(3, 0, 0, 75.0)]
+    schools = school_table([School(1, 0, 0, 80.0), School(2, 0, 0, 10.0), School(3, 0, 0, 75.0)])
 
     def exp(sid, level):
         return SchoolExposure(sid, level, 0.0, ())
@@ -315,14 +313,14 @@ def test_equity_shares_population_and_vmt():
     specs = [(1, 1.0, 30.0, 600.0, 5, 2), (2, 1.0, 30.0, 600.0, 5, 2),
              (3, 1.0, 30.0, 600.0, 5, 2)]
     net = isolated_links_network(specs)
-    tracts = [
+    tracts = tract_table([
         Tract(1, square(0.0, 0.0, 50_000.0), 3200.0, True),
         Tract(2, square(200_000.0, 0.0, 50_000.0), 6800.0, False),
-    ]
+    ])
     # link 1 in the COC tract carries 400 of 1000 daily VMT
     flows = np.array([[400.0, 300.0, 300.0]])
     stats = make_stats(net, flows, interval_s=3600.0)
-    shares = equity_shares(stats, tracts, tract_of_link=[1, 2, 2])
+    shares = equity_shares(stats, tracts, tract_of_link=[0, 1, 1])
     assert shares.coc_vmt == pytest.approx(400.0)
     assert shares.coc_vhd == 0.0
 
@@ -330,22 +328,26 @@ def test_equity_shares_population_and_vmt():
 def test_equity_shares_degenerate_cases():
     net = isolated_links_network([(1, 1.0, 30.0, 600.0, 5, 2)])
     stats = make_stats(net, np.zeros((4, 1)))
-    no_coc = [Tract(1, square(0.0, 0.0, 5000.0), 100.0, False)]
-    shares = equity_shares(stats, no_coc, tract_of_link=[1])
+    no_coc = tract_table([Tract(1, square(0.0, 0.0, 5000.0), 100.0, False)])
+    shares = equity_shares(stats, no_coc, tract_of_link=[0])
     assert (shares.coc_vmt, shares.coc_vhd) == (0.0, 0.0)
 
-    all_coc = [Tract(1, square(0.0, 0.0, 5000.0), 100.0, True)]
+    all_coc = tract_table([Tract(1, square(0.0, 0.0, 5000.0), 100.0, True)])
     busy = make_stats(net, np.full((4, 1), 500.0))
-    shares = equity_shares(busy, all_coc, tract_of_link=[1])
+    shares = equity_shares(busy, all_coc, tract_of_link=[0])
     assert shares.coc_vmt == pytest.approx(float(busy.vmt.sum()))
+    # -1, a link in no tract, is outside every community of concern
+    assert equity_shares(busy, all_coc, tract_of_link=[-1]).coc_vmt == 0.0
+    assert equity_shares(busy, tract_table([]), tract_of_link=[-1]).coc_vmt == 0.0
 
 
 def test_equity_shares_resolves_tracts_geometrically():
     net = isolated_links_network([(1, 1.0, 30.0, 600.0, 5, 2),
                                   (2, 1.0, 30.0, 600.0, 5, 2)])
     # tract 1 encloses link 1's midpoint; link 2 (10 km north) is offshore
-    tracts = [Tract(1, square(M / 2.0, 0.0, 2000.0), 1000.0, True)]
+    tracts = tract_table([Tract(1, square(M / 2.0, 0.0, 2000.0), 1000.0, True)])
     stats = make_stats(net, np.array([[100.0, 100.0]]), interval_s=3600.0)
+    assert link_tract_ids(net, tracts).tolist() == [0, -1]
     shares = equity_shares(stats, tracts, link_tract_ids(net, tracts))
     assert shares.coc_vmt == pytest.approx(100.0)
 
@@ -385,15 +387,15 @@ def report_fixture():
              2: StreetType.NEIGHBORHOOD_RESIDENTIAL,
              3: StreetType.HIGHWAY,
              4: StreetType.COMMERCIAL_THROUGHWAY}
-    schools = [
+    schools = school_table([
         School(1, M / 2.0, 0.0, 80.0),          # buffers link 1
         School(2, M + 50.0, 10.0, 10.0),        # buffers links 1 and 2
         School(3, 0.0, 60_000.0, 90.0),         # nothing within 250 m
-    ]
-    tracts = [
+    ])
+    tracts = tract_table([
         Tract(1, square(M / 2.0, 0.0, 3000.0), 3200.0, True),
         Tract(2, square(M / 2.0, 30_000.0, 15_000.0), 6800.0, False),
-    ]
+    ])
     rng = np.random.default_rng(23)
     flows = rng.uniform(50.0, 400.0, size=(40, 4))
     flows[:, 0] = 3000.0  # ADT 30,000 (medium band) and v/c > 1 all morning
@@ -420,12 +422,12 @@ def report_of(assignment, types, schools, tracts, trips=None):
     exposures = school_exposure(stats, schools, school_buffers(stats.network, schools))
     if trips is None:
         trips = assignment.trips
-    return build_report(stats, exposures, trips, types, schools, tracts, [1, 2, 2, 2])
+    return build_report(stats, exposures, trips, types, schools, tracts, [0, 1, 1, 1])
 
 
 def test_build_report_rows_match_single_ops():
     assignment, types, schools, tracts = report_fixture()
-    tract_of = [1, 2, 2, 2]
+    tract_of = [0, 1, 1, 1]
     stats = daily_stats(assignment)
     report = build_report(stats,
                           school_exposure(stats, schools, school_buffers(stats.network, schools)),
@@ -574,6 +576,9 @@ def test_school_loader_round_trip(tmp_path):
     schools = [School(1, 100.0, 200.0, 0.0), School(2, -5.5, 3.25, 100.0)]
     path = tmp_path / "schools.csv"
     write_schools_csv(path, schools)
-    assert load_schools(str(path)) == schools
+    assert schools_of(load_schools(str(path))) == schools
     with pytest.raises(ValueError, match="pct_minority"):
-        School(1, 0.0, 0.0, -1.0)
+        school_table([School(1, 0.0, 0.0, -1.0)])
+    # a repeated id made school_exposure keep one of the two schools
+    with pytest.raises(ValueError, match="^duplicate school_id 1$"):
+        school_table([School(1, 0.0, 0.0, 50.0), School(1, 9.0, 9.0, 50.0)])

@@ -2,7 +2,8 @@
 
 The reference scans in geo_reference visit every parcel, tract or link
 with the scalar geometry functions. Random cities come from hypothesis-drawn seeds, derandomized,
-so every run checks the same cases.
+so every run checks the same cases. The joins must also not change when a
+whole city moves to projected-CRS coordinates.
 """
 import math
 
@@ -11,10 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flowscore import geo, indicators
-from flowscore.geo import Tract
 from flowscore.typology import (
     LandUse,
-    Parcel,
     StreetType,
     classify_network,
     _dominant_land_uses,
@@ -24,7 +23,9 @@ from flowscore.typology import (
 
 import fixtures
 import geo_reference
-from fixtures import Link, Node, links_of, nodes_of, square
+from fixtures import (Link, Node, Parcel, School, Tract, links_of, nodes_of, parcel_table, square,
+                      tract_table)
+from test_cli import town
 
 BUFFER = 20.0
 # on the buffer, and one ulp either side of it
@@ -131,13 +132,14 @@ def test_classify_network_matches_scans(seed, n_links, n_random):
     rng = np.random.default_rng(seed)
     network = street_network(rng, n_links)
     parcels = random_parcels(rng, network, n_random)
-    got = classify_network(network, parcels, BUFFER)
-    for link in links_of(network):
-        use = _dominant_land_uses([link.geometry], parcels, BUFFER)[0]
+    table = parcel_table(parcels)
+    got = classify_network(network, table, BUFFER)
+    for row, link in enumerate(links_of(network)):
+        use = _dominant_land_uses(network.lines, [row], table, BUFFER)[0]
         assert geo_reference.dominant_land_use(link, parcels, BUFFER) is use
         assert got[link.id] is classify_street(transport_context(link.fclass, link.speed_mph), use)
     reordered = [parcels[i] for i in rng.permutation(len(parcels))]
-    assert classify_network(network, reordered, BUFFER) == got
+    assert classify_network(network, parcel_table(reordered), BUFFER) == got
 
 
 @cases
@@ -231,9 +233,17 @@ def test_parcels_sharing_an_id_still_join_by_position():
     link = Link(1, 1, 2, 200.0 / 1609.344, 25.0, 800.0, 5, 2, ((0.0, 0.0), (200.0, 0.0)))
     network = fixtures.network([a, b], [link])
     for parcels in ([near, far], [far, near]):
-        assert _dominant_land_uses([link.geometry], parcels, BUFFER)[0] is LandUse.COMMERCIAL
+        table = parcel_table(parcels)
+        assert _dominant_land_uses(network.lines, [0], table, BUFFER)[0] is LandUse.COMMERCIAL
         assert geo_reference.dominant_land_use(link, parcels, BUFFER) is LandUse.COMMERCIAL
-        assert classify_network(network, parcels) == {1: StreetType.NEIGHBORHOOD_COMMERCIAL}
+        assert classify_network(network, table) == {1: StreetType.NEIGHBORHOOD_COMMERCIAL}
+    # one id and one area, both in the buffer: the earlier parcel wins, in either order
+    left = Parcel(3, square(50.0, -30.0, 20.0), LandUse.INDUSTRIAL)
+    right = Parcel(3, square(150.0, 30.0, 20.0), LandUse.PUBLIC)
+    for parcels in ([left, right], [right, left]):
+        want = parcels[0].land_use
+        assert _dominant_land_uses(network.lines, [0], parcel_table(parcels), BUFFER)[0] is want
+        assert geo_reference.dominant_land_use(link, parcels, BUFFER) is want
 
 
 def test_index_keeps_parcels_that_rounding_would_drop():
@@ -244,7 +254,8 @@ def test_index_keeps_parcels_that_rounding_would_drop():
     assert geo_reference.point_segment_distance((6.0, 50.0), (x, 0.0), (x, 100.0)) == 35.5
     link = Link(1, 1, 2, 100.0 / 1609.344, 25.0, 800.0, 5, 2, ((x, 0.0), (x, 100.0)))
     parcels = [Parcel(1, square(13.0, 50.0, 7.0), LandUse.COMMERCIAL)]
-    assert _dominant_land_uses([link.geometry], parcels, 35.5)[0] is LandUse.COMMERCIAL
+    lines = geo._Shapes([link.geometry], False)
+    assert _dominant_land_uses(lines, [0], parcel_table(parcels), 35.5)[0] is LandUse.COMMERCIAL
     assert geo_reference.dominant_land_use(link, parcels, 35.5) is LandUse.COMMERCIAL
 
 
@@ -296,10 +307,11 @@ def test_link_tract_matches_scan(seed, n_side, n_random, closed):
     rng = np.random.default_rng(seed)
     tracts, side = tract_city(rng, n_side, n_random, closed)
     network = edge_links(rng, n_side, side)
-    got = indicators.link_tract_ids(network, tracts)
-    for link, tract_id in zip(links_of(network), got):
-        assert geo.link_tracts([link.geometry], tracts) == [tract_id]
-        assert geo_reference.link_tract(link, tracts) == tract_id
+    table = tract_table(tracts)
+    got = indicators.link_tract_ids(network, table)
+    for link, row in zip(links_of(network), got.tolist()):
+        assert geo.link_tracts([link.geometry], table).tolist() == [row]
+        assert geo_reference.link_tract(link, tracts) == row
 
 
 def test_link_tracts_index_keeps_midpoints_within_the_edge_tolerance():
@@ -310,8 +322,8 @@ def test_link_tracts_index_keeps_midpoints_within_the_edge_tolerance():
         link = Link(1, 1, 2, 20.0 / 1609.344, 25.0, 800.0, 5, 2, ((x, 40.0), (x, 60.0)))
         mid = geo.link_midpoint(link.geometry)
         assert mid == (x, 50.0) and geo_reference.point_in_polygon(mid, tracts[0].polygon)
-        assert (geo.link_tracts([link.geometry], tracts) == [geo_reference.link_tract(link, tracts)]
-                == [1])
+        assert (geo.link_tracts([link.geometry], tract_table(tracts)).tolist()
+                == [geo_reference.link_tract(link, tracts)] == [0])
 
 
 def scan_tract_overlaps(tracts):
@@ -351,37 +363,71 @@ def scan_tract_overlaps(tracts):
 def test_validate_tracts_matches_all_pairs_scan(seed, n_side, n_random, closed):
     rng = np.random.default_rng(seed)
     tracts, _ = tract_city(rng, n_side, n_random, closed)
-    assert geo.validate_tracts(tracts) == scan_tract_overlaps(tracts)
+    assert geo.validate_tracts(tract_table(tracts)) == scan_tract_overlaps(tracts)
 
 
-class CountingList(list):
-    """A list that counts whole-list passes: iterations and slices."""
-
-    def __init__(self, items):
-        super().__init__(items)
-        self.scans = 0
-
-    def __iter__(self):
-        self.scans += 1
-        return super().__iter__()
-
-    def __getitem__(self, key):
-        if isinstance(key, slice):
-            self.scans += 1
-        return super().__getitem__(key)
+# a projected-CRS origin: UTM zone 10N, near the paper's Bay Area cities
+OFFSET = (5e5, 4.2e6)
 
 
-def test_joins_scan_their_inputs_once():
-    rng = np.random.default_rng(5)
-    for n_links in (4, 40):
-        network = street_network(rng, n_links)
-        parcels = CountingList(random_parcels(rng, network, 30))
-        classify_network(network, parcels, BUFFER)
-        assert parcels.scans == 1  # taking their boxes
-        tracts = CountingList(tract_city(rng, 3, 10, False)[0])
-        indicators.link_tract_ids(network, tracts)
-        assert tracts.scans == 1
-        tracts.scans = 0
-        geo.validate_tracts(tracts)
-        assert tracts.scans == 1
+def moved(scene, dx, dy):
+    """The scene's node, link, parcel, school and tract rows, every
+    coordinate moved by (dx, dy)."""
+    nodes, links, parcels, schools, tracts = scene
 
+    def move(points):
+        return tuple((x + dx, y + dy) for x, y in points)
+
+    return ([node._replace(x=node.x + dx, y=node.y + dy) for node in nodes],
+            [link._replace(geometry=move(link.geometry)) for link in links],
+            [parcel._replace(polygon=move(parcel.polygon)) for parcel in parcels],
+            [school._replace(x=school.x + dx, y=school.y + dy) for school in schools],
+            [tract._replace(polygon=move(tract.polygon)) for tract in tracts])
+
+
+def joins(nodes, links, parcels, schools, tracts):
+    """Street types, each school's buffer, each link's tract and the
+    tract-overlap warnings, as `flowscore run` joins them."""
+    network, tracts = fixtures.network(nodes, links), tract_table(tracts)
+    return (classify_network(network, parcel_table(parcels), BUFFER),
+            fixtures.school_buffers(network, fixtures.school_table(schools)),
+            indicators.link_tract_ids(network, tracts).tolist(), geo.validate_tracts(tracts))
+
+
+@pytest.mark.parametrize("scale, late_trips", [(1.0, 0), (12.0, 40)], ids=["town", "long_town"])
+def test_town_joins_ignore_a_translation(scale, late_trips):
+    network, _, parcels, schools, tracts = town(scale, late_trips)
+    scene = (nodes_of(network), links_of(network), parcels, schools, tracts)
+    assert joins(*moved(scene, *OFFSET)) == joins(*scene)
+
+
+def whole_meter_city(rng, n):
+    """n straight links, parcels and schools, and 2n tracts, on whole-meter
+    coordinates, which OFFSET moves exactly. The polygons are rectangles
+    and right triangles, so their edges run in every direction."""
+    def corner():
+        return tuple(float(v) for v in rng.integers(0, 1500, 2))
+
+    def polygon():
+        x, y = corner()
+        w, h = (float(v) for v in rng.choice([-1, 1], 2) * rng.integers(20, 300, 2))
+        rectangle = ((x, y), (x + w, y), (x + w, y + h), (x, y + h))
+        return rectangle[:3] if rng.random() < 0.5 else rectangle  # [:3], a right triangle
+
+    nodes, links = [], []
+    for k in range(n):
+        p, q = corner(), corner()
+        nodes += [Node(2 * k + 1, *p), Node(2 * k + 2, *q)]
+        length = max(math.dist(p, q), 1.0) / 1609.344
+        links.append(Link(k + 1, 2 * k + 1, 2 * k + 2, length, 25.0, 800.0, 5, 2, (p, q)))
+    parcels = [Parcel(k + 1, polygon(), USES[int(rng.integers(len(USES)))]) for k in range(n)]
+    schools = [School(k + 1, *corner(), 50.0) for k in range(n)]
+    tracts = [Tract(k + 1, polygon(), 100.0, bool(rng.integers(2))) for k in range(2 * n)]
+    return nodes, links, parcels, schools, tracts
+
+
+@cases
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 25))
+def test_joins_ignore_a_translation(seed, n):
+    scene = whole_meter_city(np.random.default_rng(seed), n)
+    assert joins(*moved(scene, *OFFSET)) == joins(*scene)

@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from flowscore import geo
 from flowscore.typology import (
     LandUse,
-    Parcel,
     StreetType,
     TransportContext,
     _dominant_land_uses,
@@ -20,7 +20,8 @@ from flowscore.typology import (
 
 import fixtures
 import geo_reference
-from fixtures import Link, Node, grid_network, links_of, square, write_parcels_geojson
+from fixtures import (Link, Node, Parcel, grid_network, links_of, parcel_table, parcels_of, square,
+                      write_parcels_geojson)
 
 HALF_MILE_M = 804.672
 
@@ -58,8 +59,8 @@ HAND_CASES = [
 def hand_labeled_fixture(scale: float = 1.0):
     """100 isolated street segments with parcels placed at exact gaps.
 
-    Returns (network, parcels, expected labels by link id). Labels come
-    from the HAND_CASES table, not from the classifier.
+    Returns (network, parcels table, expected labels by link id). Labels
+    come from the HAND_CASES table, not from the classifier.
     """
     nodes, links, parcels = [], [], []
     expected = {}
@@ -82,7 +83,7 @@ def hand_labeled_fixture(scale: float = 1.0):
                 Parcel(parcel_id, square(cx, -(g + h), h), LandUse(code))
             )
             parcel_id += 1
-    return fixtures.network(nodes, links), parcels, expected
+    return fixtures.network(nodes, links), parcel_table(parcels), expected
 
 
 def _street(fclass, speed, link_id=1):
@@ -132,9 +133,9 @@ def test_classification_survives_similarity_scaling():
 
 def test_dominant_land_use_index_agrees_with_scan():
     network, parcels, _ = hand_labeled_fixture()
-    for link in links_of(network):
-        want = geo_reference.dominant_land_use(link, parcels, 20.0)
-        assert _dominant_land_uses([link.geometry], parcels, 20.0)[0] is want
+    for row, link in enumerate(links_of(network)):
+        want = geo_reference.dominant_land_use(link, parcels_of(parcels), 20.0)
+        assert _dominant_land_uses(network.lines, [row], parcels, 20.0)[0] is want
 
 
 def test_dominant_land_use_rejects_a_negative_or_non_finite_buffer():
@@ -143,28 +144,28 @@ def test_dominant_land_use_rejects_a_negative_or_non_finite_buffer():
     # a non-finite one has no cells to look in
     for buffer_m in (-5.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="finite and nonnegative"):
-            _dominant_land_uses(network.geometry[:1], parcels, buffer_m)
+            _dominant_land_uses(network.lines, [0], parcels, buffer_m)
         with pytest.raises(ValueError, match="finite and nonnegative"):
             classify_network(network, parcels, buffer_m)
 
 
 def test_dominant_land_use_no_candidates():
-    link = _street(5, 25.0)
-    assert _dominant_land_uses([link.geometry], [], 20.0)[0] is LandUse.OTHER
+    lines = geo._Shapes([_street(5, 25.0).geometry], False)
+    assert _dominant_land_uses(lines, [0], parcel_table([]), 20.0)[0] is LandUse.OTHER
 
 
 def test_classify_network_without_parcels_gives_others():
-    types = classify_network(grid_network(3, 3), [])
+    types = classify_network(grid_network(3, 3), parcel_table([]))
     assert set(types.values()) == {StreetType.OTHERS}
 
 
 def test_parcel_area_validation():
     poly = square(0.0, 0.0, 50.0)  # area 10,000
-    assert Parcel(1, poly, LandUse.RESIDENTIAL).area == pytest.approx(10_000.0)
+    assert parcel_table([Parcel(1, poly, LandUse.RESIDENTIAL)]).area[0] == pytest.approx(10_000.0)
     with pytest.raises(ValueError, match="zero area"):
-        Parcel(2, ((0.0, 0.0), (1.0, 0.0), (2.0, 0.0)), LandUse.RESIDENTIAL)
+        parcel_table([Parcel(2, ((0.0, 0.0), (1.0, 0.0), (2.0, 0.0)), LandUse.RESIDENTIAL)])
     with pytest.raises(ValueError, match=">= 3 points"):
-        Parcel(3, ((0.0, 0.0), (1.0, 0.0)), LandUse.RESIDENTIAL)
+        parcel_table([Parcel(3, ((0.0, 0.0), (1.0, 0.0)), LandUse.RESIDENTIAL)])
 
 
 def test_load_parcels_roundtrip_and_validation(tmp_path):
@@ -174,9 +175,7 @@ def test_load_parcels_roundtrip_and_validation(tmp_path):
     ]
     path = tmp_path / "parcels.geojson"
     write_parcels_geojson(path, parcels)
-    loaded = load_parcels(str(path))
-    assert [(p.id, p.land_use) for p in loaded] == [(1, LandUse.COMMERCIAL), (2, LandUse.PUBLIC)]
-    assert loaded[0].polygon == parcels[0].polygon
+    assert parcels_of(load_parcels(str(path))) == parcels
 
     bad = tmp_path / "bad.geojson"
     bad.write_text(
@@ -202,6 +201,10 @@ def test_load_parcels_roundtrip_and_validation(tmp_path):
     (["R"], [[0, 0], [1, 0], [1, 1], [0, 0]], "bad land_use ['R'], want one of R,C,I,P,O"),
     ("R", [[0, 0], [1, 0], [2, 0], [0, 0]], "parcel 2 has zero area"),
     ("R", [[0, 0], [1, 0], [0, 0]], "parcel 2 polygon needs >= 3 points"),
+    # finite coordinates whose shoelace sum overflows: inf - inf is NaN, then inf
+    ("I", [[1e200, 1e200], [2e200, 1e200], [2e200, 2e200], [1e200, 2e200]],
+     "parcel 2 has a non-finite area"),
+    ("I", [[0, 0], [1e200, 0], [1e200, 1e200], [0, 1e200]], "parcel 2 has a non-finite area"),
 ])
 def test_load_parcels_errors_name_the_file_and_the_feature(tmp_path, land_use, ring, rule):
     path = tmp_path / "parcels.geojson"
