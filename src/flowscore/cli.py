@@ -190,23 +190,23 @@ def _reprs(values) -> map:
     return map(repr, np.asarray(values, dtype=float).tolist())
 
 
-def write_flows_csv(path, result: AssignmentResult) -> None:
-    """One row per (interval, link) with nonzero assigned flow."""
-    net = result.network
+# One flows row as csv.writer writes it: an int or a float's repr needs no
+# quoting, and the excel dialect ends each row with \r\n.
+_FLOW_ROW = "{},{},{!r},{!r},{!r}\r\n".format
 
-    def rows():
+
+def write_flows_csv(path, result: AssignmentResult) -> None:
+    """One row per (interval, link) with nonzero assigned flow, in the
+    bytes csv.writer writes; each row's text is joined here."""
+    net = result.network
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(FLOW_COLUMNS) + "\r\n")
         for k, rec in enumerate(result.intervals):
             j = np.nonzero(rec.flow_vph > 0)[0]
             i = rec.links[j]
-            yield from zip(
-                itertools.repeat(k),
-                net.link_ids[i].tolist(),
-                _reprs(rec.flow_vph[j]),
-                _reprs(rec.time_h[j]),
-                _reprs(net.length_miles[i] / rec.time_h[j]),
-            )
-
-    write_csv(path, FLOW_COLUMNS, rows())
+            fh.writelines(map(_FLOW_ROW, itertools.repeat(k), net.link_ids[i].tolist(),
+                              rec.flow_vph[j].tolist(), rec.time_h[j].tolist(),
+                              (net.length_miles[i] / rec.time_h[j]).tolist()))
 
 
 def write_trips_csv(path, result: AssignmentResult) -> None:

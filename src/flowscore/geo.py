@@ -126,8 +126,8 @@ class Tracts:
         self.ids = np.array(ids, dtype=np.int64)
         number = np.array([isinstance(v, numbers.Real) and not isinstance(v, bool)
                            for v in population], dtype=bool)
-        self.population = np.array([v if ok else math.nan for v, ok in zip(population, number)],
-                                   dtype=float)
+        self.population = np.array([_as_float(v) if ok else math.nan
+                                    for v, ok in zip(population, number)], dtype=float)
         check_rows({"id": self.ids, "population": population, "is_coc": is_coc}, {
             "is_coc {is_coc!r} is not a boolean or 0/1":
                 np.array([v not in (0, 1) for v in is_coc], dtype=bool),
@@ -137,6 +137,15 @@ class Tracts:
                 ~(np.isfinite(self.population) & (self.population >= 0))})
         self.is_coc = np.array(is_coc, dtype=bool)
         self.rings = _Shapes(polygons, True)
+
+
+def _as_float(number) -> float:
+    """float(number), or an infinity of its sign for an integer too large
+    for a float."""
+    try:
+        return float(number)
+    except OverflowError:
+        return math.inf if number > 0 else -math.inf
 
 
 def link_midpoint(geometry) -> Point:
@@ -438,7 +447,7 @@ def _load_polygon_table(path: str, id_key: str, table, defaults: dict):
         if not isinstance(geom, dict) or geom.get("type") != "Polygon":
             raise ValueError(f"{path}: only Polygon geometries are supported (feature {number})")
         try:  # exterior ring only; holes are out of scope for these inputs
-            ring = [(float(x), float(y)) for x, y in geom["coordinates"][0]]
+            ring = [(_as_float(x), _as_float(y)) for x, y in geom["coordinates"][0]]
         except (KeyError, IndexError, TypeError, ValueError):
             raise ValueError(f"{path}: feature {number} coordinates are not a ring of "
                              f"[x, y] numbers") from None

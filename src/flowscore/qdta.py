@@ -12,6 +12,7 @@ working range.
 """
 from __future__ import annotations
 
+import copy
 import enum
 import logging
 import math
@@ -32,8 +33,16 @@ DAY_SECONDS = 86400.0
 # line_search_tol is below 2**-60.
 _LINE_SEARCH_MAX_ITER = 60
 # Cost vectors whose shortest-path rows RoutingGraph keeps: each interval's
-# zero-flow costs and the latest Frank-Wolfe costs, whose tree the walk reuses.
+# zero-flow costs, whose rows are full searches, and the latest Frank-Wolfe
+# costs, whose rows may stop at their farthest destination; the walk asks
+# for the same (source, destination) pairs at those costs, so they answer it.
 _KEPT_COST_VECTORS = 2
+# Sources whose search limits lie within this ratio of the smallest among
+# them share one Dijkstra run, stopped at the largest of their limits.
+_LIMIT_RATIO = 1.5
+# Dijkstra needs strictly positive weights; the cost models are positive
+# for sane parameters, this floor only guards float dust.
+_MIN_EDGE_COST = 1e-12
 
 
 class Objective(enum.Enum):
@@ -277,6 +286,8 @@ class RoutingGraph:
             if e - s > 1
         ]
         self.indptr = np.searchsorted(self.edge_u, np.arange(n + 1)).astype(np.int32)
+        # the edge matrix's structure; each cost vector's copy takes its own edge costs
+        self.matrix = csr_matrix((np.ones(self.edge_v.size), self.edge_v, self.indptr), shape=(n, n))
         self._trees: list[_SolvedRows] = []  # most recently used first
 
     def collapse(self, link_costs: np.ndarray):
@@ -287,55 +298,98 @@ class RoutingGraph:
             chosen[gi] = self.perm[s + int(np.argmin(cs[s:e]))]
         return edge_cost, chosen
 
-    def shortest_paths(self, source_idx: np.ndarray, link_costs: np.ndarray):
+    def shortest_paths(self, source_idx: np.ndarray, link_costs: np.ndarray, needs=None,
+                       limit=None):
         """(dist, pred, chosen) at link_costs: one dist and pred row per
         source, in the order asked for, and the link chosen per edge.
 
+        needs, if given, is (entries, dests): the row of source_idx[entries[i]]
+        must settle node dests[i]. Without it every node is needed. limit,
+        if given, is a distance per entry of source_idx at which a search
+        not yet run at these costs may stop. A row from a stopped search
+        holds dist inf and pred -9999 past its limit, so it answers only a
+        request whose needed nodes it settled; any other source is solved
+        again without a limit. So only a full search calls a node
+        unreachable.
+
         Rows solved for the two most recently used cost vectors are kept,
-        so Dijkstra runs only for sources without a row at these costs.
-        scipy solves each source on its own, so a row is the same whichever
-        batch solved it.
+        so Dijkstra runs only for sources without a row that answers.
+        scipy solves each source on its own, and a row gives the nodes it
+        settles the same dist and pred whichever batch solved it and at
+        whichever limit (tests check this on heavily tied weights).
         """
-        tree = next((t for t in self._trees if np.array_equal(t.costs, link_costs)), None)
+        key = np.asarray(link_costs, dtype=float).tobytes()  # so a vector edited in place misses
+        tree = next((t for t in self._trees if t.key == key), None)
         if tree is None:
-            tree = _SolvedRows(self, link_costs)
+            tree = _SolvedRows(self, link_costs, key)
         self._trees = [tree] + [t for t in self._trees if t is not tree][:_KEPT_COST_VECTORS - 1]
-        return tree.rows(source_idx)
+        return tree.rows(source_idx, needs, limit)
 
     def edge_slot(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         return np.searchsorted(self.edge_key, u.astype(np.int64) * self.n_nodes + v)
 
 
 class _SolvedRows:
-    """Shortest-path rows solved so far at one cost vector."""
+    """Shortest-path rows solved so far at one cost vector, each with the
+    limit its search stopped at (inf for a full search). A source solved
+    again gets a new row."""
 
-    def __init__(self, graph: RoutingGraph, link_costs: np.ndarray):
-        # a copy, so a cost vector edited in place misses
-        self.costs = np.array(link_costs)
+    def __init__(self, graph: RoutingGraph, link_costs: np.ndarray, key: bytes):
+        self.key = key  # the bytes of the float64 cost vector
         edge_cost, self.chosen = graph.collapse(link_costs)
         self.chosen.flags.writeable = False  # every caller shares it
-        # Dijkstra needs strictly positive weights; the cost models are
-        # positive for sane parameters, this only guards float dust.
-        edge_cost = np.maximum(edge_cost, 1e-12)
+        self.graph = copy.copy(graph.matrix)  # shares the structure, checked once
+        self.graph.data = np.maximum(edge_cost, _MIN_EDGE_COST)
         n = graph.n_nodes
-        self.graph = csr_matrix((edge_cost, graph.edge_v, graph.indptr), shape=(n, n))
-        self.row_of: dict[int, int] = {}
+        self.row_at = np.full(n, -1, dtype=np.intp)  # each node's latest row
+        self.limit = np.empty(0, dtype=float)
         self.dist = np.empty((0, n), dtype=float)
         self.pred = np.empty((0, n), dtype=np.int32)
 
-    def rows(self, source_idx: np.ndarray):
-        sources = np.asarray(source_idx).tolist()
-        missing = [s for s in dict.fromkeys(sources) if s not in self.row_of]
-        if missing:
-            dist, pred = _csgraph_dijkstra(
-                self.graph, directed=True, indices=np.array(missing, dtype=np.int64),
-                return_predecessors=True,
-            )
-            self.row_of.update(zip(missing, range(len(self.row_of), len(self.row_of) + len(missing))))
-            self.dist = np.concatenate((self.dist, dist))
-            self.pred = np.concatenate((self.pred, pred))
-        rows = [self.row_of[s] for s in sources]
-        return self.dist[rows], self.pred[rows], self.chosen
+    def rows(self, source_idx: np.ndarray, needs, limit):
+        sources = np.asarray(source_idx, dtype=np.intp)
+        row = self.row_at[sources]
+        missing = row < 0
+        if np.count_nonzero(missing):
+            self._solve(sources[missing], None if limit is None else np.asarray(limit)[missing])
+            row = self.row_at[sources]
+        short = self._short(row, needs)
+        if np.count_nonzero(short):
+            self._solve(sources[short], None)
+            row = self.row_at[sources]
+        return self.dist[row], self.pred[row], self.chosen
+
+    def _short(self, row: np.ndarray, needs) -> np.ndarray:
+        """Per entry, whether its row stopped short of a node it needs."""
+        stopped = self.limit[row] < math.inf
+        if needs is None or not np.count_nonzero(stopped):
+            return stopped
+        entries, dests = needs
+        short = np.zeros(row.size, dtype=bool)
+        short[entries[np.isinf(self.dist[row[entries], dests])]] = True
+        return short & stopped
+
+    def _solve(self, sources: np.ndarray, limits) -> None:
+        """Solve each source once, into a new row. Sources whose limits lie
+        within _LIMIT_RATIO of the smallest among them share a run, in order
+        of first appearance; no limits means one full run."""
+        first = np.sort(np.unique(sources, return_index=True)[1])
+        sources = sources[first]
+        limits = np.full(first.size, math.inf) if limits is None else limits[first]
+        by_limit = np.argsort(limits, kind="stable")
+        sources, limits = sources[by_limit], limits[by_limit]
+        self.row_at[sources] = np.arange(self.limit.size, self.limit.size + sources.size)
+        runs = []
+        start = 0
+        while start < sources.size:
+            end = max(start + 1, int(np.searchsorted(limits, limits[start] * _LIMIT_RATIO, "right")))
+            limits[start:end] = limits[end - 1]
+            runs.append(_csgraph_dijkstra(self.graph, directed=True, indices=sources[start:end],
+                                          return_predecessors=True, limit=limits[end - 1]))
+            start = end
+        self.limit = np.concatenate((self.limit, limits))
+        self.dist = np.concatenate((self.dist, *(dist for dist, _ in runs)))
+        self.pred = np.concatenate((self.pred, *(pred for _, pred in runs)))
 
 
 def _routing(network: Network) -> RoutingGraph:
@@ -429,20 +483,45 @@ def _backward_steps(graph: RoutingGraph, pred, chosen, row, dest, origin):
             cur, row, origin, pos = cur[keep], row[keep], origin[keep], pos[keep]
 
 
-def _load_all_or_nothing(graph: RoutingGraph, batch: _DemandBatch, link_costs: np.ndarray):
-    """Put each OD's whole demand on its least-cost path at link_costs."""
-    dist, pred, chosen = graph.shortest_paths(batch.source_idx, link_costs)
+def _path_limits(batch: _DemandBatch, paths, link_costs: np.ndarray) -> np.ndarray:
+    """Per source of batch, a distance at link_costs that every one of its
+    destinations lies within: the largest cost at link_costs of its ODs'
+    paths in the path table `paths`, padded for summation order, or inf
+    when one of its ODs has no path there."""
+    od, links = paths
+    n = batch.od_dest.size
+    cost = np.bincount(od, np.maximum(link_costs[links], _MIN_EDGE_COST), minlength=n).astype(float)
+    cost[np.bincount(od, minlength=n) == 0] = math.inf
+    first = np.searchsorted(batch.od_row, np.arange(batch.source_idx.size))
+    return np.maximum.reduceat(cost, first) * (1.0 + 1e-9)
+
+
+def _load_all_or_nothing(graph: RoutingGraph, batch: _DemandBatch, link_costs: np.ndarray,
+                         paths=None):
+    """Put each OD's whole demand on its least-cost path at link_costs.
+
+    Returns (flows, unreachable ODs, path table). The path table holds the
+    links of every reachable OD's path as (batch OD position, link index)
+    pairs. Given an earlier load's path table, each source's search stops
+    at the cost its known paths have at link_costs (see `_path_limits`).
+    """
+    limit = None if paths is None else _path_limits(batch, paths, link_costs)
+    dist, pred, chosen = graph.shortest_paths(batch.source_idx, link_costs,
+                                              (batch.od_row, batch.od_dest), limit)
     flows = np.zeros(graph.net.n_links, dtype=float)
     reachable = np.isfinite(dist[batch.od_row, batch.od_dest])
     unreachable = list(zip(batch.o_id[~reachable].tolist(), batch.d_id[~reachable].tolist(),
                            batch.od_rate[~reachable].tolist()))
-    row = batch.od_row[reachable]
-    rate = batch.od_rate[reachable]
-    steps = _backward_steps(graph, pred, chosen, row, batch.od_dest[reachable],
-                            batch.source_idx[row])
+    od = np.flatnonzero(reachable)
+    row = batch.od_row[od]
+    rate = batch.od_rate[od]
+    steps = _backward_steps(graph, pred, chosen, row, batch.od_dest[od], batch.source_idx[row])
+    path_od, path_links = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
     for pos, links in steps:
         np.add.at(flows, links, rate[pos])
-    return flows, unreachable
+        path_od.append(od[pos])
+        path_links.append(links)
+    return flows, unreachable, (np.concatenate(path_od), np.concatenate(path_links))
 
 
 def _line_search(network, objective, config, f, d) -> float:
@@ -486,7 +565,7 @@ def assign_interval(
                          len(log), log, [(o, d, r * config.interval_h) for o, d, r in unreachable])
 
     cost0 = _cost_vector(network, objective, np.zeros(network.n_links), config)
-    f, unreachable = _load_all_or_nothing(graph, batch, cost0)
+    f, unreachable, paths = _load_all_or_nothing(graph, batch, cost0)
 
     best_lower_bound = -math.inf
     log: list[tuple[float, float]] = []
@@ -494,7 +573,7 @@ def assign_interval(
     gap = math.inf
     for it in range(1, config.max_iterations + 1):
         cost = _cost_vector(network, objective, f, config)
-        y, unreachable = _load_all_or_nothing(graph, batch, cost)
+        y, unreachable, paths = _load_all_or_nothing(graph, batch, cost, paths)
         value = _objective_value(network, objective, f, config)
         if objective is Objective.UET:
             lb = value + float(cost @ (y - f))
@@ -548,7 +627,7 @@ def _walk(network: Network, trips: _Trips, active: np.ndarray, link_costs, time_
                                     return_inverse=True)
     pair_origin, pair_dest = np.divmod(pair_key, n_nodes)
     sources, pair_row = np.unique(pair_origin, return_inverse=True)
-    dist, pred, chosen = graph.shortest_paths(sources, link_costs)
+    dist, pred, chosen = graph.shortest_paths(sources, link_costs, (pair_row, pair_dest))
 
     # paths[p, :length[p]] holds pair p's link indices, origin first
     reached = np.nonzero(np.isfinite(dist[pair_row, pair_dest]))[0]

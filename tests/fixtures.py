@@ -308,13 +308,15 @@ def perf_network() -> Network:
 
 
 def perf_trips(n_trips=100_000, seed=42, rows=50, cols=50) -> Departures:
-    """Morning-heavy demand between 64 zone centroids.
+    """Morning-heavy demand between zone centroids on a square grid of
+    rows x cols nodes: every sixth row and column from the fourth, so 64
+    zones on the 50 x 50 grid.
 
     Destinations are adjacent zones only (3 mi hauls) so congestion, not
     distance, decides whether a trip spills into the next interval.
     """
     rng = np.random.default_rng(seed)
-    zone_rc = 3 + 6 * np.arange(8)
+    zone_rc = np.arange(3, min(rows, cols), 6)
     origins = rng.integers(0, zone_rc.size ** 2, size=n_trips)
     offsets = np.array(((-1, 0), (1, 0), (0, -1), (0, 1)))
     pick = rng.integers(0, len(offsets), size=n_trips)

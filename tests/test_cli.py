@@ -401,6 +401,30 @@ def test_trips_csv_bytes_do_not_depend_on_the_write_block(tmp_path, monkeypatch)
     assert len(read_trips_csv(tmp_path / "blocks.csv").trip_id) == 640
 
 
+def test_flows_csv_has_the_bytes_of_csv_writer(tmp_path):
+    net = town_network()
+    # the smallest subnormal, whole numbers, 1e16 (past 2**53), 0.1, and a
+    # zero flow, which writes no row
+    flows = [np.array([5e-324, 1e16, 0.1, 0.0]), np.array([3.0, 2.5e-8, 1e300, 7.0])]
+    times = [np.array([0.1, 3.0, 1e16, 0.25]), np.array([0.125, 1.0, 0.1, 2.0])]
+    none = np.empty(0, dtype=np.int32)
+    intervals = [qdta.IntervalRecord(np.arange(4, dtype=np.int32), f, t, none, none, True, 0.0,
+                                     1, [], []) for f, t in zip(flows, times)]
+    result = qdta.AssignmentResult(Objective.UET, qdta.SolverConfig(), intervals, None,
+                                   np.zeros(4, dtype=np.int64), net)
+    cli.write_flows_csv(tmp_path / "flows.csv", result)
+    with open(tmp_path / "want.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(cli.FLOW_COLUMNS)
+        for k, (f, t) in enumerate(zip(flows, times)):
+            writer.writerows([k, int(net.link_ids[i]), float(f[i]), float(t[i]),
+                              float(net.length_miles[i] / t[i])]
+                             for i in range(4) if f[i] > 0)
+    want = (tmp_path / "want.csv").read_bytes()
+    assert b"5e-324" in want and b"1e+16" in want and b",3.0," in want
+    assert (tmp_path / "flows.csv").read_bytes() == want
+
+
 def write_trips_rows(path, links_cells) -> None:
     """A trips CSV with one completed trip per links cell, ids from 1."""
     row = ",completed,0.0,60.0,1.0,0.1,0.1,0.0,0.5,"

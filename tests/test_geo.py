@@ -314,7 +314,8 @@ def test_load_tracts_rejects_duplicate_ids(tmp_path):
         load_tracts(str(path))
 
 
-@pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity",
+                                 pytest.param("1" + "0" * 400, id="too_large_for_a_float")])
 def test_load_tracts_rejects_non_finite_coordinates(tmp_path, bad):
     path = tmp_path / "nan.geojson"
     write_tracts_geojson(path, [
@@ -419,7 +420,8 @@ def two_tract_file(path, second_population=250.0):
     return path
 
 
-@pytest.mark.parametrize("bad", ["NaN", "Infinity", "-1.0"])
+@pytest.mark.parametrize("bad", ["NaN", "Infinity", "-1.0",
+                                 pytest.param("1" + "0" * 400, id="too_large_for_a_float")])
 def test_load_tracts_rejects_bad_population(tmp_path, bad):
     path = two_tract_file(tmp_path / "pop.geojson")
     path.write_text(path.read_text().replace("250.0", bad))

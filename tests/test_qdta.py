@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flowscore import costs, qdta
 from flowscore.costs import fuel_per_mile
@@ -202,7 +203,7 @@ def test_aon_tie_breaks_to_smaller_link_id():
         Link(7, 1, 2, 10.0, 30.0, 1000.0, 5, 2, geom),
     ]
     net = fixtures.network(nodes, links)
-    flows, unreachable = all_or_nothing(net, {(1, 2): 600.0}, net.free_flow_h.copy())
+    flows, unreachable, _ = all_or_nothing(net, {(1, 2): 600.0}, net.free_flow_h.copy())
     assert unreachable == []
     assert flows[net.link_positions(7)] == 600.0
     assert flows[net.link_positions(9)] == 0.0
@@ -211,7 +212,7 @@ def test_aon_tie_breaks_to_smaller_link_id():
 def test_aon_takes_cheapest_path_and_reports_unreachable():
     net = diamond_network()
     cost = net.free_flow_h.copy()  # route via 1-2-4: 0.22 h, via 1-3-4: 0.30 h
-    flows, unreachable = all_or_nothing(net, {(1, 4): 100.0, (4, 1): 50.0}, cost)
+    flows, unreachable, _ = all_or_nothing(net, {(1, 4): 100.0, (4, 1): 50.0}, cost)
     assert unreachable == [(4, 1, 50.0)]
     assert flows[net.link_positions(1)] == 100.0
     assert flows[net.link_positions(2)] == 100.0
@@ -220,7 +221,7 @@ def test_aon_takes_cheapest_path_and_reports_unreachable():
     # make the other route cheaper and the flow must move
     cost2 = cost.copy()
     cost2[net.link_positions(1)] = 10.0
-    flows2, _ = all_or_nothing(net, {(1, 4): 100.0}, cost2)
+    flows2, _, _ = all_or_nothing(net, {(1, 4): 100.0}, cost2)
     assert flows2[net.link_positions(3)] == 100.0
     assert flows2[net.link_positions(1)] == 0.0
 
@@ -491,12 +492,16 @@ def test_run_day_forces_leftovers_at_midnight():
     assert result.counts()["forced"] == 1
 
 
-def count_dijkstra(monkeypatch) -> list:
+def count_dijkstra(monkeypatch, limits=None) -> list:
+    """The sources of each Dijkstra run, in order; each run's limit is
+    appended to `limits` when given."""
     calls = []
     real = qdta._csgraph_dijkstra
 
     def counted(*args, **kwargs):
         calls.append(np.atleast_1d(kwargs["indices"]).tolist())
+        if limits is not None:
+            limits.append(kwargs.get("limit", math.inf))
         return real(*args, **kwargs)
 
     monkeypatch.setattr(qdta, "_csgraph_dijkstra", counted)
@@ -601,6 +606,114 @@ def test_shortest_paths_third_cost_vector_evicts_least_recently_used(monkeypatch
     assert len(calls) == 3
     graph.shortest_paths(source, second)
     assert len(calls) == 4
+
+
+NO_NEEDS = (np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp))
+
+
+def test_shortest_paths_solves_a_destination_past_a_kept_limit_again_in_full(monkeypatch):
+    limits = []
+    calls = count_dijkstra(monkeypatch, limits)
+    net = chain_network()  # 1 -> 2 -> 3 -> 4 at 20, 15 and 5 minutes
+    graph = qdta._routing(net)
+    source = np.array([node_at(net, 1)])
+    two, four = node_at(net, 2), node_at(net, 4)
+    cost = net.free_flow_h.copy()
+    dist, pred, _ = graph.shortest_paths(source, cost, (np.array([0]), np.array([two])),
+                                         np.array([0.5]))
+    assert limits == [0.5]
+    assert dist[0, two] == pytest.approx(1 / 3) and math.isinf(dist[0, four])
+    assert pred[0, four] == -9999
+    # the kept row settled node 2, so it answers a request for node 2 alone
+    graph.shortest_paths(source, cost.copy(), (np.array([0]), np.array([two])), np.array([9.0]))
+    assert len(calls) == 1
+    # node 4 lies past the row's limit: solved again, without one
+    dist, pred, _ = graph.shortest_paths(source, cost.copy(), (np.array([0]), np.array([four])),
+                                         np.array([0.5]))
+    assert limits == [0.5, math.inf]
+    assert dist[0, four] == pytest.approx(2 / 3) and pred[0, four] == node_at(net, 3)
+    # a caller that names no destination needs every node, so only a full row answers
+    graph.shortest_paths(source, cost.copy())
+    assert len(calls) == 2
+
+
+def test_shortest_paths_without_needs_solves_a_stopped_row_again(monkeypatch):
+    limits = []
+    count_dijkstra(monkeypatch, limits)
+    net = chain_network()
+    graph = qdta._routing(net)
+    source = np.array([node_at(net, 1)])
+    graph.shortest_paths(source, net.free_flow_h, NO_NEEDS, np.array([0.1]))
+    dist, _, _ = graph.shortest_paths(source, net.free_flow_h)
+    assert limits == [0.1, math.inf] and np.isfinite(dist).all()
+
+
+def test_aon_reports_an_od_unreachable_only_after_a_full_search(monkeypatch):
+    limits = []
+    calls = count_dijkstra(monkeypatch, limits)
+    net = diamond_network()  # one way: 4 reaches no node
+    graph = qdta._routing(net)
+    batch = qdta._DemandBatch(net, {(1, 4): 100.0, (4, 1): 50.0}, 1.0)
+    cost = net.free_flow_h.copy()
+    _, unreachable, paths = qdta._load_all_or_nothing(graph, batch, cost)
+    assert unreachable == [(4, 1, 50.0)] and limits == [math.inf]
+    assert paths[0].tolist() == [0, 0]  # OD (4, 1) has no path
+    # a path table that gives OD (4, 1) a path bounds node 4's search; that
+    # search settles only node 4, so node 4 is solved again, in full
+    od, links = paths
+    forged = (np.append(od, 1), np.append(links, net.link_positions(1)))
+    y, unreachable, _ = qdta._load_all_or_nothing(graph, batch, cost * 2.0, forged)
+    assert unreachable == [(4, 1, 50.0)]
+    assert y[net.link_positions(1)] == 100.0
+    four = node_at(net, 4)
+    assert calls[1:] == [[four], [node_at(net, 1)], [four]]  # by limit: the forged one is shorter
+    assert limits[1] < limits[2] < math.inf and limits[3] == math.inf
+
+
+def test_frank_wolfe_bounds_every_search_after_the_first(monkeypatch):
+    limits = []
+    calls = count_dijkstra(monkeypatch, limits)
+    net = diamond_network()
+    state = assign_interval(net, {(1, 4): 625}, Objective.UET, TIGHT)
+    assert state.iterations >= 2
+    # the zero-flow load runs in full; each iteration's load stops at the
+    # cost its source's last path has at the new costs
+    assert len(calls) == state.iterations + 1
+    assert limits[0] == math.inf and all(math.isfinite(x) for x in limits[1:])
+
+
+def test_path_limits_bound_each_source_by_its_farthest_known_path():
+    net = chain_network()
+    batch = qdta._DemandBatch(net, {(1, 2): 1.0, (1, 4): 1.0, (2, 3): 1.0, (3, 1): 1.0}, 1.0)
+    cost = net.free_flow_h * 2.0
+    # OD (1, 4) drove links 1, 2 and 3; OD (1, 2) link 1; OD (2, 3) link 2;
+    # OD (3, 1) is unreachable
+    paths = (np.array([0, 1, 1, 1, 2]), np.array([0, 0, 1, 2, 1]))
+    got = qdta._path_limits(batch, paths, cost)
+    want = [cost.sum(), cost[1], math.inf]
+    assert got.tolist() == [w * (1 + 1e-9) for w in want]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(2, 10), cols=st.integers(2, 10))
+def test_a_stopped_search_settles_its_nodes_as_a_full_search_does(seed, rows, cols):
+    """Heavily tied weights: a search stopped at a limit must give every node
+    it settles the full search's dist and pred, whatever the heap's tie
+    order, and leave unsettled only nodes beyond its limit."""
+    rng = np.random.default_rng(seed)
+    net = grid_network(rows, cols)
+    cost = rng.integers(1, 4, size=net.n_links).astype(float)
+    sources = np.arange(net.n_nodes)
+    full_dist, full_pred, _ = qdta.RoutingGraph(net).shortest_paths(sources, cost)
+    for _ in range(3):
+        # limits on the distances of random nodes, so ties sit at the limit too
+        limit = full_dist[sources, rng.integers(0, net.n_nodes, size=sources.size)]
+        dist, pred, _ = qdta.RoutingGraph(net).shortest_paths(sources, cost, NO_NEEDS, limit)
+        settled = np.isfinite(dist)
+        assert np.array_equal(dist[settled], full_dist[settled])
+        assert np.array_equal(pred[settled], full_pred[settled])
+        beyond = full_dist > limit[:, None]
+        assert beyond[~settled].all()
 
 
 def test_forced_completion_fuel_uses_link_speeds():

@@ -248,3 +248,13 @@ def test_load_parcels_rejects_non_finite_coordinates(tmp_path):
     path.write_text(path.read_text().replace("[60.0, 60.0]", "[60.0, NaN]"))
     with pytest.raises(ValueError, match="nan.geojson: feature 2 has a non-finite coordinate"):
         load_parcels(str(path))
+
+
+def test_load_parcels_rejects_a_coordinate_too_large_for_a_float(tmp_path):
+    ok = Parcel(1, square(0.0, 0.0, 30.0), LandUse.COMMERCIAL)
+    bad = Parcel(2, ((0.0, 0.0), (60.0, 0.0), (60.0, 60.0), (0.0, 60.0)), LandUse.RESIDENTIAL)
+    path = tmp_path / "huge.geojson"
+    write_parcels_geojson(path, [ok, bad])
+    path.write_text(path.read_text().replace("[60.0, 60.0]", "[60.0, 1" + "0" * 400 + "]"))
+    with pytest.raises(ValueError, match="huge.geojson: feature 2 has a non-finite coordinate"):
+        load_parcels(str(path))
