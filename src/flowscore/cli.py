@@ -185,14 +185,12 @@ def load_scenario(path) -> Scenario:
     )
 
 
-def _reprs(values) -> map:
-    """Each value as _fmt_value writes a float, for a whole column at once."""
-    return map(repr, np.asarray(values, dtype=float).tolist())
-
-
 # One flows row as csv.writer writes it: an int or a float's repr needs no
 # quoting, and the excel dialect ends each row with \r\n.
 _FLOW_ROW = "{},{},{!r},{!r},{!r}\r\n".format
+# One trips row likewise: a status and a links cell ("|"-joined link ids)
+# need no quoting either.
+_TRIP_ROW = "{},{},{!r},{!r},{!r},{!r},{!r},{!r},{!r},{}\r\n".format
 
 
 def write_flows_csv(path, result: AssignmentResult) -> None:
@@ -210,19 +208,19 @@ def write_flows_csv(path, result: AssignmentResult) -> None:
 
 
 def write_trips_csv(path, result: AssignmentResult) -> None:
+    """One row per trip, in the bytes csv.writer writes; each row's text is
+    joined here, a block of rows at a time, never a whole day's."""
     t = result.trips
     link_texts = ("|".join(map(str, links)) for links in t.link_lists())
-
-    def rows():  # a block of rows is made into text as it is written, never a whole day's
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(TRIP_COLUMNS) + "\r\n")
         for a in range(0, t.trip_id.size, _TRIP_BLOCK):
             b = slice(a, a + _TRIP_BLOCK)
-            yield from zip(t.trip_id[b].tolist(), t.status[b].tolist(),
-                           *map(_reprs, (t.start_s[b], t.end_s[b], t.distance_miles[b], t.time_h[b],
-                                         t.free_flow_h[b], t.time_h[b] - t.free_flow_h[b],
-                                         t.fuel_l[b])),
-                           itertools.islice(link_texts, _TRIP_BLOCK))
-
-    write_csv(path, TRIP_COLUMNS, rows())
+            fh.writelines(map(_TRIP_ROW, t.trip_id[b].tolist(), t.status[b].tolist(),
+                              *(c[b].tolist() for c in (t.start_s, t.end_s, t.distance_miles,
+                                                        t.time_h, t.free_flow_h)),
+                              (t.time_h[b] - t.free_flow_h[b]).tolist(), t.fuel_l[b].tolist(),
+                              itertools.islice(link_texts, _TRIP_BLOCK)))
 
 
 def write_convergence_csv(path, result: AssignmentResult) -> None:

@@ -104,7 +104,6 @@ class Network:
             "unknown node {from} (from) on link {id}": self.link_from < 0,
             "unknown node {to} (to) on link {id}": self.link_to < 0}, "links")
         self.free_flow_h = self.length_miles / self.speed_mph
-        self._routing_cache = None
         self.validation = self._validate()
 
     @property

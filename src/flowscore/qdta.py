@@ -17,6 +17,7 @@ import enum
 import logging
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -32,11 +33,6 @@ DAY_SECONDS = 86400.0
 # Caps the step-size bisection, which otherwise never ends when
 # line_search_tol is below 2**-60.
 _LINE_SEARCH_MAX_ITER = 60
-# Cost vectors whose shortest-path rows RoutingGraph keeps: each interval's
-# zero-flow costs, whose rows are full searches, and the latest Frank-Wolfe
-# costs, whose rows may stop at their farthest destination; the walk asks
-# for the same (source, destination) pairs at those costs, so they answer it.
-_KEPT_COST_VECTORS = 2
 # Sources whose search limits lie within this ratio of the smallest among
 # them share one Dijkstra run, stopped at the largest of their limits.
 _LIMIT_RATIO = 1.5
@@ -125,7 +121,9 @@ class SolverConfig:
 
 @dataclass
 class FlowState:
-    """Converged link flows for one interval plus derived quantities."""
+    """Converged link flows for one interval plus derived quantities;
+    paths, which equality leaves out, are the last all-or-nothing load's
+    paths at `cost`, which the trip walk follows."""
 
     flow_vph: np.ndarray
     time_h: np.ndarray
@@ -136,6 +134,7 @@ class FlowState:
     iterations: int
     log: list[tuple[float, float]] = field(default_factory=list)
     unreachable: list[tuple[int, int, float]] = field(default_factory=list)
+    paths: _Paths | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(eq=False)
@@ -288,7 +287,7 @@ class RoutingGraph:
         self.indptr = np.searchsorted(self.edge_u, np.arange(n + 1)).astype(np.int32)
         # the edge matrix's structure; each cost vector's copy takes its own edge costs
         self.matrix = csr_matrix((np.ones(self.edge_v.size), self.edge_v, self.indptr), shape=(n, n))
-        self._trees: list[_SolvedRows] = []  # most recently used first
+        self._kept: _SolvedRows | None = None
 
     def collapse(self, link_costs: np.ndarray):
         cs = link_costs[self.perm]
@@ -300,8 +299,10 @@ class RoutingGraph:
 
     def shortest_paths(self, source_idx: np.ndarray, link_costs: np.ndarray, needs=None,
                        limit=None):
-        """(dist, pred, chosen) at link_costs: one dist and pred row per
-        source, in the order asked for, and the link chosen per edge.
+        """(row, dist, pred, chosen) at link_costs: dist[row[i]] and
+        pred[row[i]] are the rows of source_idx[i], and chosen is the link
+        chosen per edge. dist, pred and chosen are shared and read-only, so
+        no row is copied.
 
         needs, if given, is (entries, dests): the row of source_idx[entries[i]]
         must settle node dests[i]. Without it every node is needed. limit,
@@ -312,18 +313,23 @@ class RoutingGraph:
         again without a limit. So only a full search calls a node
         unreachable.
 
-        Rows solved for the two most recently used cost vectors are kept,
-        so Dijkstra runs only for sources without a row that answers.
-        scipy solves each source on its own, and a row gives the nodes it
-        settles the same dist and pred whichever batch solved it and at
-        whichever limit (tests check this on heavily tied weights).
+        The graph keeps the rows of one cost vector: the last one asked for
+        without a limit, which in `run_day` is the zero-flow costs that
+        every interval's first load and the forced walk ask for. Dijkstra
+        runs only for sources without a kept row that answers. Rows at any
+        other cost vector serve the one call that solved them. scipy
+        solves each source on its own, and a row gives the nodes it settles
+        the same dist and pred whichever batch solved it and at whichever
+        limit (tests check this on heavily tied weights).
         """
         key = np.asarray(link_costs, dtype=float).tobytes()  # so a vector edited in place misses
-        tree = next((t for t in self._trees if t.key == key), None)
-        if tree is None:
+        tree = self._kept
+        if tree is None or tree.key != key:
             tree = _SolvedRows(self, link_costs, key)
-        self._trees = [tree] + [t for t in self._trees if t is not tree][:_KEPT_COST_VECTORS - 1]
-        return tree.rows(source_idx, needs, limit)
+        if limit is None:
+            self._kept = tree
+        row = tree.rows(source_idx, needs, limit)
+        return row, tree.dist, tree.pred, tree.chosen
 
     def edge_slot(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         return np.searchsorted(self.edge_key, u.astype(np.int64) * self.n_nodes + v)
@@ -347,6 +353,7 @@ class _SolvedRows:
         self.pred = np.empty((0, n), dtype=np.int32)
 
     def rows(self, source_idx: np.ndarray, needs, limit):
+        """Each source's row, after solving the sources no row answers."""
         sources = np.asarray(source_idx, dtype=np.intp)
         row = self.row_at[sources]
         missing = row < 0
@@ -357,7 +364,7 @@ class _SolvedRows:
         if np.count_nonzero(short):
             self._solve(sources[short], None)
             row = self.row_at[sources]
-        return self.dist[row], self.pred[row], self.chosen
+        return row
 
     def _short(self, row: np.ndarray, needs) -> np.ndarray:
         """Per entry, whether its row stopped short of a node it needs."""
@@ -372,14 +379,15 @@ class _SolvedRows:
     def _solve(self, sources: np.ndarray, limits) -> None:
         """Solve each source once, into a new row. Sources whose limits lie
         within _LIMIT_RATIO of the smallest among them share a run, in order
-        of first appearance; no limits means one full run."""
+        of first appearance; no limits means one full run. The rows of a
+        tree that one run fills are Dijkstra's own arrays."""
         first = np.sort(np.unique(sources, return_index=True)[1])
         sources = sources[first]
         limits = np.full(first.size, math.inf) if limits is None else limits[first]
         by_limit = np.argsort(limits, kind="stable")
         sources, limits = sources[by_limit], limits[by_limit]
         self.row_at[sources] = np.arange(self.limit.size, self.limit.size + sources.size)
-        runs = []
+        runs = [(self.dist, self.pred)] if self.limit.size else []
         start = 0
         while start < sources.size:
             end = max(start + 1, int(np.searchsorted(limits, limits[start] * _LIMIT_RATIO, "right")))
@@ -388,14 +396,8 @@ class _SolvedRows:
                                           return_predecessors=True, limit=limits[end - 1]))
             start = end
         self.limit = np.concatenate((self.limit, limits))
-        self.dist = np.concatenate((self.dist, *(dist for dist, _ in runs)))
-        self.pred = np.concatenate((self.pred, *(pred for _, pred in runs)))
-
-
-def _routing(network: Network) -> RoutingGraph:
-    if network._routing_cache is None:
-        network._routing_cache = RoutingGraph(network)
-    return network._routing_cache
+        self.dist, self.pred = runs[0] if len(runs) == 1 else map(np.concatenate, zip(*runs))
+        self.dist.flags.writeable = self.pred.flags.writeable = False  # every caller shares them
 
 
 def _cost_vector(network: Network, objective: Objective, flows, config: SolverConfig) -> np.ndarray:
@@ -465,63 +467,67 @@ class _DemandBatch:
         self.source_idx, self.od_row = o_at[first], np.cumsum(first) - 1
 
 
-def _backward_steps(graph: RoutingGraph, pred, chosen, row, dest, origin):
-    """Trace least-cost paths from their destinations back to their origins.
+class _Paths(NamedTuple):
+    """The least-cost path of each OD of a `_DemandBatch`, as one load
+    traced them, in batch order. OD i runs from node index key[i] //
+    n_nodes to key[i] % n_nodes over the link indices links[i, :length[i]],
+    origin first; length 0 means it has no path. Other entries are 0."""
 
-    Path i runs origin[i] -> dest[i] in pred's row row[i]. Step s yields
-    (positions of the paths that have an s-th link counted from the
-    destination end, those links' indices).
-    """
-    cur = dest
-    pos = np.arange(dest.size)
-    while cur.size:
-        prev = pred[row, cur].astype(np.int64)
-        yield pos, chosen[graph.edge_slot(prev, cur)]
-        cur = prev
-        keep = cur != origin
-        if not keep.all():
-            cur, row, origin, pos = cur[keep], row[keep], origin[keep], pos[keep]
+    key: np.ndarray
+    length: np.ndarray
+    links: np.ndarray
 
 
-def _path_limits(batch: _DemandBatch, paths, link_costs: np.ndarray) -> np.ndarray:
+def _path_limits(batch: _DemandBatch, paths: _Paths, link_costs: np.ndarray) -> np.ndarray:
     """Per source of batch, a distance at link_costs that every one of its
     destinations lies within: the largest cost at link_costs of its ODs'
-    paths in the path table `paths`, padded for summation order, or inf
-    when one of its ODs has no path there."""
-    od, links = paths
-    n = batch.od_dest.size
-    cost = np.bincount(od, np.maximum(link_costs[links], _MIN_EDGE_COST), minlength=n).astype(float)
-    cost[np.bincount(od, minlength=n) == 0] = math.inf
+    paths in `paths`, padded for summation order, or inf when one of its
+    ODs has no path there."""
+    on_path = np.arange(paths.links.shape[1]) < paths.length[:, None]
+    cost = np.where(on_path, np.maximum(link_costs[paths.links], _MIN_EDGE_COST), 0.0).sum(axis=1)
+    cost[paths.length == 0] = math.inf
     first = np.searchsorted(batch.od_row, np.arange(batch.source_idx.size))
     return np.maximum.reduceat(cost, first) * (1.0 + 1e-9)
 
 
 def _load_all_or_nothing(graph: RoutingGraph, batch: _DemandBatch, link_costs: np.ndarray,
-                         paths=None):
+                         paths: _Paths | None = None):
     """Put each OD's whole demand on its least-cost path at link_costs.
 
-    Returns (flows, unreachable ODs, path table). The path table holds the
-    links of every reachable OD's path as (batch OD position, link index)
-    pairs. Given an earlier load's path table, each source's search stops
-    at the cost its known paths have at link_costs (see `_path_limits`).
+    Returns (flows, unreachable ODs, the `_Paths` traced). Given an earlier
+    load's paths, each source's search stops at the cost its known paths
+    have at link_costs (see `_path_limits`).
     """
     limit = None if paths is None else _path_limits(batch, paths, link_costs)
-    dist, pred, chosen = graph.shortest_paths(batch.source_idx, link_costs,
-                                              (batch.od_row, batch.od_dest), limit)
-    flows = np.zeros(graph.net.n_links, dtype=float)
-    reachable = np.isfinite(dist[batch.od_row, batch.od_dest])
+    row, dist, pred, chosen = graph.shortest_paths(batch.source_idx, link_costs,
+                                                   (batch.od_row, batch.od_dest), limit)
+    od_row = row[batch.od_row]  # each OD's row of dist and pred
+    reachable = np.isfinite(dist[od_row, batch.od_dest])
     unreachable = list(zip(batch.o_id[~reachable].tolist(), batch.d_id[~reachable].tolist(),
                            batch.od_rate[~reachable].tolist()))
+    # trace every reachable OD from its destination back to its origin, one
+    # link per step; steps[s] holds the ODs that have an s-th link from the end
     od = np.flatnonzero(reachable)
-    row = batch.od_row[od]
-    rate = batch.od_rate[od]
-    steps = _backward_steps(graph, pred, chosen, row, batch.od_dest[od], batch.source_idx[row])
-    path_od, path_links = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
-    for pos, links in steps:
-        np.add.at(flows, links, rate[pos])
-        path_od.append(od[pos])
-        path_links.append(links)
-    return flows, unreachable, (np.concatenate(path_od), np.concatenate(path_links))
+    row, node, source = od_row[od], batch.od_dest[od], batch.source_idx[batch.od_row[od]]
+    steps, heads, tails = [], [], []
+    while od.size:
+        prev = pred[row, node]
+        steps.append(od)
+        heads.append(prev)
+        tails.append(node)
+        keep = prev != source
+        od, row, node, source = od[keep], row[keep], prev[keep], source[keep]
+    step_od, head, tail = (np.concatenate([np.empty(0, np.intp), *parts])
+                           for parts in (steps, heads, tails))
+    links = chosen[graph.edge_slot(head, tail)]
+    flows = np.zeros(graph.net.n_links, dtype=float)
+    np.add.at(flows, links, batch.od_rate[step_od])  # step-major: a fixed order of addition
+    length = np.bincount(step_od, minlength=batch.od_dest.size)
+    table = np.zeros((batch.od_dest.size, len(steps)), dtype=np.intp)
+    step = np.repeat(np.arange(len(steps)), [s.size for s in steps])
+    table[step_od, length[step_od] - 1 - step] = links
+    key = batch.source_idx[batch.od_row] * graph.n_nodes + batch.od_dest
+    return flows, unreachable, _Paths(key, length, table)
 
 
 def _line_search(network, objective, config, f, d) -> float:
@@ -548,21 +554,19 @@ def assign_interval(
     od_demand,
     objective: Objective,
     config: SolverConfig | None = None,
+    *,
+    graph: RoutingGraph | None = None,
 ) -> FlowState:
     """Frank-Wolfe assignment of one interval's demand.
 
     od_demand maps (origin, destination) to trip counts for the
-    interval; counts become hourly rates via the interval length.
+    interval; counts become hourly rates via the interval length. graph,
+    a RoutingGraph of network, lets calls share its kept zero-flow rows;
+    without it a fresh one is built.
     """
     config = config or SolverConfig()
-    graph = _routing(network)
+    graph = RoutingGraph(network) if graph is None else graph
     batch = _DemandBatch(network, od_demand, config.interval_h)
-
-    def finish(flows, cost, converged, gap, log, unreachable):
-        time_h = np.asarray(costs.bpr_time(network.free_flow_h, flows, network.capacity_vph,
-                                           config.bpr))
-        return FlowState(flows, time_h, network.length_miles / time_h, cost, converged, gap,
-                         len(log), log, [(o, d, r * config.interval_h) for o, d, r in unreachable])
 
     cost0 = _cost_vector(network, objective, np.zeros(network.n_links), config)
     f, unreachable, paths = _load_all_or_nothing(graph, batch, cost0)
@@ -599,53 +603,43 @@ def assign_interval(
             config.max_iterations,
             gap,
         )
-    # f moves only after the stopping tests, so cost is still cost(f)
-    return finish(f, cost, converged, gap, log, unreachable)
+    # f moves only after the stopping tests, so cost is still cost(f), the
+    # costs of the last load's paths
+    time_h = np.asarray(costs.bpr_time(network.free_flow_h, f, network.capacity_vph, config.bpr))
+    return FlowState(f, time_h, network.length_miles / time_h, cost, converged, gap, len(log), log,
+                     [(o, d, r * config.interval_h) for o, d, r in unreachable], paths)
 
 
-def _walk(network: Network, trips: _Trips, active: np.ndarray, link_costs, time_h, speed_mph,
-          budget_h: float, config: SolverConfig, finished: str):
-    """Walk the trips at positions `active` along their least-cost paths at
-    link_costs until they arrive (status `finished`) or budget_h runs out.
-    Fuel is burnt at speed_mph clamped to the config's speed range.
+def _walk(network: Network, trips: _Trips, active: np.ndarray, paths: _Paths, time_h,
+          speed_mph, budget_h: float, config: SolverConfig, finished: str):
+    """Walk the trips at positions `active` along their paths in `paths`,
+    which must hold every trip's (current node, destination) pair, until
+    they arrive (status `finished`) or budget_h runs out. Fuel is burnt at
+    speed_mph clamped to the config's speed range.
 
     Every trip fully traverses at least one link; a link is started
     whenever budget remains, so the last link may overdraw the budget
     (the overdraft simply shows up in the recorded travel time). A trip
     with no path gets status "failed".
 
-    All trips walk at once: one padded matrix holds the path of every
-    distinct (current node, destination) pair, and each trip's sums run
-    over its row with the same numpy reductions as over a 1-D path.
+    All trips walk at once: each trip's row of the padded path matrix
+    holds its path, and its sums run over that row with the same numpy
+    reductions as over a 1-D path.
 
     Returns (positions that arrived, positions still walking, per-link
     entry counts).
     """
-    graph = _routing(network)
-    n_nodes = network.n_nodes
-    pair_key, trip_pair = np.unique(trips.node[active] * n_nodes + trips.dest[active],
-                                    return_inverse=True)
-    pair_origin, pair_dest = np.divmod(pair_key, n_nodes)
-    sources, pair_row = np.unique(pair_origin, return_inverse=True)
-    dist, pred, chosen = graph.shortest_paths(sources, link_costs, (pair_row, pair_dest))
-
-    # paths[p, :length[p]] holds pair p's link indices, origin first
-    reached = np.nonzero(np.isfinite(dist[pair_row, pair_dest]))[0]
-    steps = list(_backward_steps(graph, pred, chosen, pair_row[reached], pair_dest[reached],
-                                 pair_origin[reached]))
-    length = np.zeros(pair_key.size, dtype=np.int64)
-    for pos, _ in steps:
-        length[reached[pos]] += 1
-    paths = np.zeros((pair_key.size, len(steps)), dtype=np.int64)
-    for s, (pos, links) in enumerate(steps):
-        p = reached[pos]
-        paths[p, length[p] - 1 - s] = links
-
-    walking = length[trip_pair] > 0
+    want = trips.node[active] * network.n_nodes + trips.dest[active]
+    order = np.argsort(paths.key)
+    at = np.searchsorted(paths.key, want, sorter=order)
+    if np.count_nonzero(at == order.size) or not np.array_equal(paths.key[order[at]], want):
+        raise ValueError("the path table lacks a walking trip's (node, destination) pair")
+    od = order[at]
+    path_len = paths.length[od]
+    walking = path_len > 0
     trips.status[active[~walking]] = "failed"
     moved = active[walking]
-    path = paths[trip_pair[walking]]
-    path_len = length[trip_pair[walking]]
+    path, path_len = paths.links[od[walking]], path_len[walking]
     times = time_h[path]
     elapsed_before = np.zeros_like(times)
     elapsed_before[:, 1:] = np.cumsum(times, axis=1)[:, :-1]
@@ -679,13 +673,16 @@ def advance_trips(
     active_trips: np.ndarray,
     config: SolverConfig,
 ):
-    """Walk the trips at positions active_trips along their least-cost
-    paths for one interval of `config`.
+    """Walk the trips at positions active_trips for one interval of
+    `config`, along the paths that flow_state's last all-or-nothing load
+    traced at its costs; flow_state must be the interval's state from
+    `assign_interval` over these trips' (current node, destination) pairs.
+    No shortest path is solved here.
 
     Returns (positions that arrived, positions still walking, per-link
     entry counts).
     """
-    return _walk(network, trips, active_trips, flow_state.cost, flow_state.time_h,
+    return _walk(network, trips, active_trips, flow_state.paths, flow_state.time_h,
                  flow_state.speed_mph, config.interval_h, config, "completed")
 
 
@@ -757,27 +754,33 @@ class AssignmentResult:
 
 def run_day(network: Network, trips: Departures, objective: Objective,
             config: SolverConfig | None = None) -> AssignmentResult:
-    """Assign and advance a whole day of trips for one objective."""
+    """Assign and advance a whole day of trips for one objective, on one
+    RoutingGraph of its own: the network keeps no routing state."""
     config = config or SolverConfig()
     day = _Trips(network, trips)
     bucket = day.depart_s // config.interval_s
     n_nodes = network.n_nodes
+    graph = RoutingGraph(network)
+
+    def demand(at: np.ndarray) -> dict:
+        """Trips per (current node id, destination id) over positions at."""
+        od_key, count = np.unique(day.node[at] * n_nodes + day.dest[at], return_counts=True)
+        o, d = (network.node_ids[i].tolist() for i in np.divmod(od_key, n_nodes))
+        return dict(zip(zip(o, d), count.tolist()))
 
     residual = np.empty(0, dtype=np.int64)
     intervals: list[IntervalRecord] = []
     for k in range(config.n_intervals):
         active = np.union1d(residual, np.flatnonzero(bucket == k))  # in trip-id order
-        od_key, count = np.unique(day.node[active] * n_nodes + day.dest[active],
-                                  return_counts=True)
-        o, d = (network.node_ids[at].tolist() for at in np.divmod(od_key, n_nodes))
-        state = assign_interval(network, dict(zip(zip(o, d), count.tolist())), objective, config)
+        state = assign_interval(network, demand(active), objective, config, graph=graph)
         _, residual, entered = advance_trips(network, state, day, active, config)
         intervals.append(IntervalRecord.of(state, entered))
 
-    # day over: finish leftovers on free-flow paths and flag them, at speed_mph
-    # (length / free_flow_h can differ in the last bit, and so the fuel)
+    # day over: finish leftovers on their zero-flow paths and flag them, at
+    # speed_mph (length / free_flow_h can differ in the last bit, and so the fuel)
     cost0 = _cost_vector(network, objective, np.zeros(network.n_links), config)
-    _, _, forced_entered = _walk(network, day, residual, cost0, network.free_flow_h,
+    _, _, paths = _load_all_or_nothing(graph, _DemandBatch(network, demand(residual), 1.0), cost0)
+    _, _, forced_entered = _walk(network, day, residual, paths, network.free_flow_h,
                                  network.speed_mph, math.inf, config, "forced")
     return AssignmentResult(objective, config, intervals, day.table(network), forced_entered,
                             network)

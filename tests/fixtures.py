@@ -496,11 +496,28 @@ def assigned_day(network, trips, objective, config):
     return result, states, entered
 
 
+def path_table(network, trips, active, link_costs):
+    """The paths at link_costs of the (current node, destination) pairs of
+    the `_Trips` at positions active, as an all-or-nothing load traces them."""
+    ids = network.node_ids
+    od = {(int(ids[o]), int(ids[d])): 1.0 for o, d in zip(trips.node[active], trips.dest[active])}
+    batch = qdta._DemandBatch(network, od, 1.0)
+    return qdta._load_all_or_nothing(qdta.RoutingGraph(network), batch, link_costs)[2]
+
+
+def shortest_rows(graph, *args):
+    """`graph.shortest_paths(*args)` as (dist, pred, chosen), with one dist
+    and pred row per source, in the order asked for."""
+    row, dist, pred, chosen = graph.shortest_paths(*args)
+    return dist[row], pred[row], chosen
+
+
 def assert_same_states(got, want) -> None:
-    """FlowStates equal field by field, arrays in dtype and bytes."""
+    """FlowStates equal field by field, arrays in dtype and bytes, over the
+    fields that take part in equality."""
     assert len(got) == len(want)
     for a, b in zip(got, want):
-        for f in dataclasses.fields(FlowState):
+        for f in [f for f in dataclasses.fields(FlowState) if f.compare]:
             x, y = getattr(a, f.name), getattr(b, f.name)
             if isinstance(y, np.ndarray):
                 assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), f.name

@@ -425,6 +425,33 @@ def test_flows_csv_has_the_bytes_of_csv_writer(tmp_path):
     assert (tmp_path / "flows.csv").read_bytes() == want
 
 
+def test_trips_csv_has_the_bytes_of_csv_writer(tmp_path):
+    # completed, forced and failed trips; a failed trip's empty link list;
+    # -0.0, 1e-05, the smallest subnormal and 1e16 (past 2**53)
+    columns = {"trip_id": [3, 1, 2], "status": ["completed", "forced", "failed"],
+               "start_s": [-0.0, 1e-05, 86_399.5], "end_s": [60.0, 1e16, 86_399.5],
+               "distance_miles": [1.5, 0.1, -0.0], "time_h": [0.25, 5e-324, 0.0],
+               "free_flow_h": [0.125, 0.0, 0.0], "fuel_l": [1e-05, 2.5, 0.0]}
+    links = [[7, 8, 9], [4], []]
+    offsets = np.cumsum([0, *map(len, links)])
+    table = qdta.TripTable(*(np.array(c) for c in columns.values()), offsets,
+                           np.array(sum(links, []), dtype=np.int64))
+    result = qdta.AssignmentResult(Objective.UET, qdta.SolverConfig(), [], table,
+                                   np.zeros(4, dtype=np.int64), town_network())
+    cli.write_trips_csv(tmp_path / "trips.csv", result)
+    with open(tmp_path / "want.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(cli.TRIP_COLUMNS)
+        for i, cells in enumerate(zip(*columns.values())):
+            trip_id, status, start, end, distance, time_h, free_flow_h, fuel = cells
+            writer.writerow([trip_id, status, start, end, distance, time_h, free_flow_h,
+                             time_h - free_flow_h, fuel, "|".join(map(str, links[i]))])
+    want = (tmp_path / "want.csv").read_bytes()
+    assert b",-0.0," in want and b",1e-05," in want and b",failed," in want
+    assert want.endswith(b",0.0,\r\n")  # the failed trip's empty links cell
+    assert (tmp_path / "trips.csv").read_bytes() == want
+
+
 def write_trips_rows(path, links_cells) -> None:
     """A trips CSV with one completed trip per links cell, ids from 1."""
     row = ",completed,0.0,60.0,1.0,0.1,0.1,0.0,0.5,"
@@ -579,6 +606,38 @@ def test_benchmark_tracer_counts_every_walked_trip_once(tmp_path, long_town_run)
     assert metrics["qdta.forced_trips"] == statuses.count("forced")
     assert (metrics["qdta.trips_walked"], metrics["qdta.trips_spilled"],
             metrics["qdta.forced_trips"]) == (3720, 1920, 120)
+
+
+@pytest.mark.parametrize("scale, late_trips", [(1.0, 0), (12.0, 40)], ids=["town", "long_town"])
+def test_dijkstra_work_belongs_to_one_day(monkeypatch, scale, late_trips):
+    """A day's Dijkstra runs and sources are the same whichever days ran
+    before it on the same network, and a day leaves the network as it was."""
+    work = []
+    real = qdta._csgraph_dijkstra
+
+    def counted(*args, **kwargs):
+        work[-1][0] += 1
+        work[-1][1] += np.atleast_1d(kwargs["indices"]).size
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(qdta, "_csgraph_dijkstra", counted)
+    trips = town(scale, late_trips)[1]
+
+    def day(network, objective):
+        """(Dijkstra runs, sources) of one run_day."""
+        work.append([0, 0])
+        run_day(network, trips, objective)
+        return tuple(work[-1])
+
+    alone = {obj: day(town_network(scale), obj) for obj in Objective}
+    for first in Objective:
+        shared = town_network(scale)
+        before = dict(vars(shared))
+        day(shared, first)
+        for obj in Objective:
+            assert day(shared, obj) == alone[obj], (first, obj)
+        assert vars(shared).keys() == before.keys()
+        assert all(vars(shared)[name] is value for name, value in before.items())
 
 
 def test_pipeline_builds_no_trip_records(tmp_path, monkeypatch):

@@ -35,6 +35,7 @@ from fixtures import (
     joined,
     links_of,
     pigou_network,
+    shortest_rows,
     uniform_trips,
 )
 
@@ -79,7 +80,9 @@ def node_at(network, node_id) -> int:
     return int(network.node_positions([node_id])[0])
 
 
-def free_flow_state(network) -> FlowState:
+def free_flow_state(network, trips, active) -> FlowState:
+    """A zero-flow state whose paths, at free-flow times, are those of the
+    trips at positions active from where they stand."""
     t = network.free_flow_h.copy()
     return FlowState(
         flow_vph=np.zeros(network.n_links),
@@ -89,6 +92,7 @@ def free_flow_state(network) -> FlowState:
         converged=True,
         gap=0.0,
         iterations=1,
+        paths=fixtures.path_table(network, trips, active, t),
     )
 
 
@@ -162,7 +166,7 @@ def test_objective_parse():
 
 def all_or_nothing(net, od_demand, link_costs):
     """Each OD's whole demand on its least-cost path at link_costs."""
-    return qdta._load_all_or_nothing(qdta._routing(net), qdta._DemandBatch(net, od_demand, 1.0),
+    return qdta._load_all_or_nothing(qdta.RoutingGraph(net), qdta._DemandBatch(net, od_demand, 1.0),
                                      link_costs)
 
 
@@ -369,24 +373,28 @@ def test_non_convergence_warns_and_flags(caplog):
 # trip advancement
 
 
+def advance(net, trips, active):
+    """advance_trips for one 15-minute interval at free-flow times."""
+    return qdta.advance_trips(net, free_flow_state(net, trips, active), trips, active, CONFIG)
+
+
 def test_advance_trips_budget_walk():
     net = chain_network()
-    state = free_flow_state(net)
     trips = qdta._Trips(net, departures((1, 1, 4, 0.0)))
-    arrived, residual, entered = qdta.advance_trips(net, state, trips, np.arange(1), CONFIG)
+    arrived, residual, entered = advance(net, trips, np.arange(1))
     # 20 min first link overruns the 15 min budget but is still taken whole
     assert arrived.size == 0 and residual.tolist() == [0]
     assert net.node_ids[trips.node[0]] == 2
     assert trips.time_h[0] == pytest.approx(10.0 / 30.0)
     assert entered.tolist() == [1, 0, 0]
 
-    arrived, residual, entered = qdta.advance_trips(net, state, trips, residual, CONFIG)
+    arrived, residual, entered = advance(net, trips, residual)
     # second link ends exactly at the budget boundary; the third must wait
     assert arrived.size == 0 and residual.tolist() == [0]
     assert net.node_ids[trips.node[0]] == 3
     assert entered.tolist() == [0, 1, 0]
 
-    arrived, residual, entered = qdta.advance_trips(net, state, trips, residual, CONFIG)
+    arrived, residual, entered = advance(net, trips, residual)
     assert residual.size == 0 and arrived.tolist() == [0]
     table = trips.table(net)
     assert table.status.tolist() == ["completed"]
@@ -400,10 +408,9 @@ def test_advance_trips_budget_walk():
 
 def test_advance_trips_completes_inside_budget():
     net = chain_network()
-    state = free_flow_state(net)
     # start at node 3: 5 minutes of path in a 15 minute budget
     trips = qdta._Trips(net, departures((2, 3, 4, 0.0)))
-    arrived, residual, entered = qdta.advance_trips(net, state, trips, np.arange(1), CONFIG)
+    arrived, residual, entered = advance(net, trips, np.arange(1))
     assert residual.size == 0
     table = trips.table(net)
     assert table.status.tolist() == ["completed"]
@@ -413,9 +420,8 @@ def test_advance_trips_completes_inside_budget():
 
 def test_advance_trips_unreachable_fails():
     net = diamond_network()
-    state = free_flow_state(net)
     trips = qdta._Trips(net, departures((3, 4, 1, 0.0)))
-    arrived, residual, entered = qdta.advance_trips(net, state, trips, np.arange(1), CONFIG)
+    arrived, residual, entered = advance(net, trips, np.arange(1))
     assert residual.size == 0 and not entered.any()
     table = trips.table(net)
     assert table.status.tolist() == ["failed"]
@@ -425,15 +431,23 @@ def test_advance_trips_unreachable_fails():
 
 def test_advance_trips_fuel_uses_congested_speeds():
     net = chain_network()
-    state = free_flow_state(net)
     trips = qdta._Trips(net, departures((4, 1, 4, 0.0)))
     active = np.arange(1)
     for _ in range(3):
-        arrived, active, _ = qdta.advance_trips(net, state, trips, active, CONFIG)
+        arrived, active, _ = advance(net, trips, active)
         if arrived.size:
             break
     want = 20.0 * fuel_per_mile(30.0)
     assert trips.table(net).fuel_l[0] == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("paths_of", [[0], [1], []])
+def test_advance_trips_rejects_a_path_table_without_a_walking_trip(paths_of):
+    net = chain_network()
+    trips = qdta._Trips(net, departures((1, 1, 4, 0.0), (2, 2, 4, 0.0)))
+    state = free_flow_state(net, trips, np.array(paths_of, dtype=np.intp))
+    with pytest.raises(ValueError, match="lacks a walking trip"):
+        qdta.advance_trips(net, state, trips, np.arange(2), CONFIG)
 
 
 # whole-day runs
@@ -509,36 +523,48 @@ def count_dijkstra(monkeypatch, limits=None) -> list:
 
 
 @pytest.mark.parametrize("objective", list(Objective))
-def test_run_day_walk_reuses_final_frank_wolfe_tree(monkeypatch, objective):
+def test_run_day_walk_reuses_final_frank_wolfe_tree(
+        monkeypatch, objective):
     calls = count_dijkstra(monkeypatch)
+    in_walk, advance = [], qdta.advance_trips
+
+    def walk(*args, **kwargs):
+        before = len(calls)
+        walked = advance(*args, **kwargs)
+        in_walk.append(len(calls) - before)
+        return walked
+
+    monkeypatch.setattr(qdta, "advance_trips", walk)
     # capacity low enough that one trip moves the costs off free flow
     net = chain_network(capacity_vph=10.0)
-    # three 5-minute trips in three intervals, one forced at midnight
-    trips = departures(*[(i + 1, 3, 4, 3600.0 * i) for i in range(3)], (4, 1, 4, 86_000.0))
+    # three 5-minute trips from node 3 in three intervals; a trip from node 2
+    # that spills at node 3; a trip from node 1 that stops at node 2 and is
+    # forced at midnight
+    trips = departures(*[(i + 1, 3, 4, 3600.0 * i) for i in range(3)], (4, 2, 4, 10_800.0),
+                       (5, 1, 4, 86_000.0))
     result = run_day(net, trips, objective)
     busy = [fs for fs in dense_states(result) if fs.flow_vph.any()]
-    assert len(busy) == 4 and all(fs.iterations == 1 for fs in busy)
-    assert result.counts() == {"completed": 3, "forced": 1, "failed": 0}
-    # Rows are kept per source for the last two cost vectors. Node 3's first
-    # interval solves free-flow costs and cost(f), whose tree the walk reuses;
-    # its next two intervals have the same costs and source and solve nothing.
-    # Node 1's interval solves a new source at free-flow costs and a new
-    # cost(f), and the forced walk from node 2 at free-flow costs one more.
-    assert len(calls) == 2 + 0 + 0 + 2 + 1
+    assert len(busy) == 6 and all(fs.iterations == 1 for fs in busy)
+    assert result.counts() == {"completed": 4, "forced": 1, "failed": 0}
+    assert len(in_walk) == 96 and not any(in_walk)
+    # Each busy interval's one iteration solves its source at its own cost(f).
+    # The zero-flow rows of nodes 3, 2 and 1 are solved once each and kept
+    # for the day, so the forced walk's load from node 2 solves nothing.
+    assert len(calls) == 6 + 3
 
 
 def test_shortest_paths_recomputes_after_in_place_cost_change(monkeypatch):
     calls = count_dijkstra(monkeypatch)
     net = diamond_network()
-    graph = qdta._routing(net)
+    graph = qdta.RoutingGraph(net)
     source = np.array([node_at(net, 1)])
     cost = net.free_flow_h.copy()
-    dist, pred, _ = graph.shortest_paths(source, cost)
+    dist, pred, _ = shortest_rows(graph, source, cost)
     assert pred[0, node_at(net, 4)] == node_at(net, 2)
-    again = graph.shortest_paths(source.copy(), cost.copy())
+    again = shortest_rows(graph, source.copy(), cost.copy())
     assert np.array_equal(again[0], dist) and len(calls) == 1
     cost[net.link_positions(1)] = 100.0
-    dist, pred, _ = graph.shortest_paths(source, cost)
+    dist, pred, _ = shortest_rows(graph, source, cost)
     assert len(calls) == 2
     assert pred[0, node_at(net, 4)] == node_at(net, 3)
     assert dist[0, node_at(net, 4)] == pytest.approx(0.3)
@@ -547,14 +573,14 @@ def test_shortest_paths_recomputes_after_in_place_cost_change(monkeypatch):
 def test_shortest_paths_solves_each_source_once_per_cost_vector(monkeypatch):
     calls = count_dijkstra(monkeypatch)
     net = diamond_network()
-    graph = qdta._routing(net)
+    graph = qdta.RoutingGraph(net)
     a, b, c = (node_at(net, n) for n in (1, 2, 3))
     cost = net.free_flow_h.copy()
-    first = graph.shortest_paths(np.array([b, a]), cost)
-    second = graph.shortest_paths(np.array([a, c, b, a]), cost.copy())
+    first = shortest_rows(graph, np.array([b, a]), cost)
+    second = shortest_rows(graph, np.array([a, c, b, a]), cost.copy())
     assert calls == [[b, a], [c]]
     # rows come back in the order asked for, as a batch of their own solves them
-    fresh = qdta.RoutingGraph(net).shortest_paths(np.array([a, c, b, a]), cost)
+    fresh = shortest_rows(qdta.RoutingGraph(net), np.array([a, c, b, a]), cost)
     for got, want in zip(second, fresh):
         assert np.array_equal(got, want)
     assert np.array_equal(second[0][[2, 0]], first[0])
@@ -564,63 +590,61 @@ def test_shortest_paths_solves_each_source_once_per_cost_vector(monkeypatch):
 def test_shortest_paths_subset_of_solved_sources_runs_no_dijkstra(monkeypatch):
     calls = count_dijkstra(monkeypatch)
     net = diamond_network()
-    graph = qdta._routing(net)
+    graph = qdta.RoutingGraph(net)
     sources = np.array([node_at(net, n) for n in (1, 2, 3)])
-    dist, pred, _ = graph.shortest_paths(sources, net.free_flow_h)
-    sub = graph.shortest_paths(sources[[2, 0]], net.free_flow_h.copy())
+    dist, pred, _ = shortest_rows(graph, sources, net.free_flow_h)
+    sub = shortest_rows(graph, sources[[2, 0]], net.free_flow_h.copy())
     assert len(calls) == 1
     assert np.array_equal(sub[0], dist[[2, 0]]) and np.array_equal(sub[1], pred[[2, 0]])
 
 
-def test_shortest_paths_in_place_edit_misses_beside_a_kept_vector(monkeypatch):
+def test_shortest_paths_keeps_only_the_last_cost_vector_asked_without_a_limit(monkeypatch):
     calls = count_dijkstra(monkeypatch)
     net = diamond_network()
-    graph = qdta._routing(net)
+    graph = qdta.RoutingGraph(net)
     source = np.array([node_at(net, 1)])
-    other = net.free_flow_h * 2.0
-    cost = net.free_flow_h.copy()
-    graph.shortest_paths(source, cost)
-    graph.shortest_paths(source, other)
-    cost[net.link_positions(1)] = 100.0
-    dist, pred, _ = graph.shortest_paths(source, cost)
-    assert len(calls) == 3
-    assert pred[0, node_at(net, 4)] == node_at(net, 3)
-    graph.shortest_paths(source, other)
-    assert len(calls) == 3
-
-
-def test_shortest_paths_third_cost_vector_evicts_least_recently_used(monkeypatch):
-    calls = count_dijkstra(monkeypatch)
-    net = diamond_network()
-    graph = qdta._routing(net)
-    source = np.array([node_at(net, 1)])
-    first, second, third = (net.free_flow_h * k for k in (1.0, 2.0, 3.0))
+    first, second = net.free_flow_h.copy(), net.free_flow_h * 2.0
     graph.shortest_paths(source, first)
-    graph.shortest_paths(source, second)
-    graph.shortest_paths(source, first)  # a hit makes first the most recent
+    graph.shortest_paths(source, first.copy())
+    assert len(calls) == 1
+    graph.shortest_paths(source, second)  # replaces first's rows
+    graph.shortest_paths(source, second.copy())
     assert len(calls) == 2
-    graph.shortest_paths(source, third)  # evicts second
+    dist, _, _ = shortest_rows(graph, source, first)
+    assert len(calls) == 3 and dist[0, node_at(net, 4)] == pytest.approx(0.22)
+
+
+def test_shortest_paths_rows_solved_with_a_limit_serve_only_their_call(monkeypatch):
+    limits = []
+    calls = count_dijkstra(monkeypatch, limits)
+    net = chain_network()
+    graph = qdta.RoutingGraph(net)
+    source = np.array([node_at(net, 1)])
+    zero_flow, loaded = net.free_flow_h.copy(), net.free_flow_h * 2.0
+    graph.shortest_paths(source, zero_flow)
+    for _ in range(2):  # a limit at other costs: solved each time, kept never
+        graph.shortest_paths(source, loaded, NO_NEEDS, np.array([5.0]))
+    assert limits == [math.inf, 5.0, 5.0]
+    # and the zero-flow rows are still kept
+    graph.shortest_paths(source, zero_flow.copy(), NO_NEEDS, np.array([5.0]))
     assert len(calls) == 3
-    graph.shortest_paths(source, first)
-    graph.shortest_paths(source, third)
-    assert len(calls) == 3
-    graph.shortest_paths(source, second)
-    assert len(calls) == 4
 
 
 NO_NEEDS = (np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp))
 
 
-def test_shortest_paths_solves_a_destination_past_a_kept_limit_again_in_full(monkeypatch):
+def test_shortest_paths_a_stopped_row_at_the_kept_costs_answers_only_what_it_settled(
+        monkeypatch):
     limits = []
     calls = count_dijkstra(monkeypatch, limits)
     net = chain_network()  # 1 -> 2 -> 3 -> 4 at 20, 15 and 5 minutes
-    graph = qdta._routing(net)
+    graph = qdta.RoutingGraph(net)
     source = np.array([node_at(net, 1)])
     two, four = node_at(net, 2), node_at(net, 4)
     cost = net.free_flow_h.copy()
-    dist, pred, _ = graph.shortest_paths(source, cost, (np.array([0]), np.array([two])),
-                                         np.array([0.5]))
+    graph.shortest_paths(np.empty(0, dtype=np.intp), cost)  # cost's rows are kept
+    dist, pred, _ = shortest_rows(graph, source, cost.copy(), (np.array([0]), np.array([two])),
+                                  np.array([0.5]))
     assert limits == [0.5]
     assert dist[0, two] == pytest.approx(1 / 3) and math.isinf(dist[0, four])
     assert pred[0, four] == -9999
@@ -628,8 +652,8 @@ def test_shortest_paths_solves_a_destination_past_a_kept_limit_again_in_full(mon
     graph.shortest_paths(source, cost.copy(), (np.array([0]), np.array([two])), np.array([9.0]))
     assert len(calls) == 1
     # node 4 lies past the row's limit: solved again, without one
-    dist, pred, _ = graph.shortest_paths(source, cost.copy(), (np.array([0]), np.array([four])),
-                                         np.array([0.5]))
+    dist, pred, _ = shortest_rows(graph, source, cost.copy(), (np.array([0]), np.array([four])),
+                                  np.array([0.5]))
     assert limits == [0.5, math.inf]
     assert dist[0, four] == pytest.approx(2 / 3) and pred[0, four] == node_at(net, 3)
     # a caller that names no destination needs every node, so only a full row answers
@@ -641,10 +665,11 @@ def test_shortest_paths_without_needs_solves_a_stopped_row_again(monkeypatch):
     limits = []
     count_dijkstra(monkeypatch, limits)
     net = chain_network()
-    graph = qdta._routing(net)
+    graph = qdta.RoutingGraph(net)
     source = np.array([node_at(net, 1)])
+    graph.shortest_paths(np.empty(0, dtype=np.intp), net.free_flow_h)  # its rows are kept
     graph.shortest_paths(source, net.free_flow_h, NO_NEEDS, np.array([0.1]))
-    dist, _, _ = graph.shortest_paths(source, net.free_flow_h)
+    dist, _, _ = shortest_rows(graph, source, net.free_flow_h)
     assert limits == [0.1, math.inf] and np.isfinite(dist).all()
 
 
@@ -652,16 +677,17 @@ def test_aon_reports_an_od_unreachable_only_after_a_full_search(monkeypatch):
     limits = []
     calls = count_dijkstra(monkeypatch, limits)
     net = diamond_network()  # one way: 4 reaches no node
-    graph = qdta._routing(net)
+    graph = qdta.RoutingGraph(net)
     batch = qdta._DemandBatch(net, {(1, 4): 100.0, (4, 1): 50.0}, 1.0)
     cost = net.free_flow_h.copy()
     _, unreachable, paths = qdta._load_all_or_nothing(graph, batch, cost)
     assert unreachable == [(4, 1, 50.0)] and limits == [math.inf]
-    assert paths[0].tolist() == [0, 0]  # OD (4, 1) has no path
+    assert paths.length.tolist() == [2, 0]  # OD (4, 1) has no path
     # a path table that gives OD (4, 1) a path bounds node 4's search; that
     # search settles only node 4, so node 4 is solved again, in full
-    od, links = paths
-    forged = (np.append(od, 1), np.append(links, net.link_positions(1)))
+    links = paths.links.copy()
+    links[1, 0] = net.link_positions(1)
+    forged = paths._replace(length=np.array([2, 1]), links=links)
     y, unreachable, _ = qdta._load_all_or_nothing(graph, batch, cost * 2.0, forged)
     assert unreachable == [(4, 1, 50.0)]
     assert y[net.link_positions(1)] == 100.0
@@ -686,9 +712,10 @@ def test_path_limits_bound_each_source_by_its_farthest_known_path():
     net = chain_network()
     batch = qdta._DemandBatch(net, {(1, 2): 1.0, (1, 4): 1.0, (2, 3): 1.0, (3, 1): 1.0}, 1.0)
     cost = net.free_flow_h * 2.0
-    # OD (1, 4) drove links 1, 2 and 3; OD (1, 2) link 1; OD (2, 3) link 2;
+    # OD (1, 2) drove link 1; OD (1, 4) links 1, 2 and 3; OD (2, 3) link 2;
     # OD (3, 1) is unreachable
-    paths = (np.array([0, 1, 1, 1, 2]), np.array([0, 0, 1, 2, 1]))
+    paths = qdta._Paths(np.zeros(4, dtype=np.int64), np.array([1, 3, 1, 0]),
+                        np.array([[0, 0, 0], [0, 1, 2], [1, 0, 0], [0, 0, 0]]))
     got = qdta._path_limits(batch, paths, cost)
     want = [cost.sum(), cost[1], math.inf]
     assert got.tolist() == [w * (1 + 1e-9) for w in want]
@@ -704,11 +731,11 @@ def test_a_stopped_search_settles_its_nodes_as_a_full_search_does(seed, rows, co
     net = grid_network(rows, cols)
     cost = rng.integers(1, 4, size=net.n_links).astype(float)
     sources = np.arange(net.n_nodes)
-    full_dist, full_pred, _ = qdta.RoutingGraph(net).shortest_paths(sources, cost)
+    full_dist, full_pred, _ = shortest_rows(qdta.RoutingGraph(net), sources, cost)
     for _ in range(3):
         # limits on the distances of random nodes, so ties sit at the limit too
         limit = full_dist[sources, rng.integers(0, net.n_nodes, size=sources.size)]
-        dist, pred, _ = qdta.RoutingGraph(net).shortest_paths(sources, cost, NO_NEEDS, limit)
+        dist, pred, _ = shortest_rows(qdta.RoutingGraph(net), sources, cost, NO_NEEDS, limit)
         settled = np.isfinite(dist)
         assert np.array_equal(dist[settled], full_dist[settled])
         assert np.array_equal(pred[settled], full_pred[settled])

@@ -61,13 +61,13 @@ def snapshot(trips) -> list[RefTrip]:
 def reference_walk(network, trips, link_costs, time_h, speed_mph, budget_h, config, finished):
     """Walk the RefTrips one at a time along their own traced paths, in
     place; returns the per-link entry counts."""
-    graph = qdta._routing(network)
+    graph = qdta.RoutingGraph(network)
     entered = np.zeros(network.n_links, dtype=np.int64)
     if not trips:
         return entered
     sources = sorted({t.node for t in trips})
     row_of = {s: i for i, s in enumerate(sources)}
-    dist, pred, chosen = graph.shortest_paths(np.array(sources, dtype=np.int64), link_costs)
+    dist, pred, chosen = fixtures.shortest_rows(graph, np.array(sources, dtype=np.int64), link_costs)
 
     def path_links(row, origin_idx, dest_idx):
         if not math.isfinite(dist[row, dest_idx]):
@@ -167,7 +167,8 @@ def walk_both(net, trips, active, *walk):
     snapshot; returns the positions still walking."""
     want = snapshot(trips)
     want_entered = reference_walk(net, [want[i] for i in active.tolist()], *walk)
-    arrived, residual, entered = qdta._walk(net, trips, active, *walk)
+    paths = fixtures.path_table(net, trips, active, walk[0])
+    arrived, residual, entered = qdta._walk(net, trips, active, paths, *walk[1:])
     got = snapshot(trips)
     for g, w in zip(got, want):
         assert (g.status, g.node, g.time_h, g.distance_miles, g.free_flow_h, g.fuel_l) == (
