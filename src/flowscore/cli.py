@@ -231,13 +231,14 @@ def write_convergence_csv(path, result: AssignmentResult) -> None:
 
 def write_indicators_csv(path, report: indicators.IndicatorReport) -> None:
     write_csv(path, ["theme", "indicator", "unit", "value"],
-              ([v.theme, v.name, v.unit, _fmt_value(v.value)] for v in report.values))
+              ([*meta, _fmt_value(v)] for meta, v in zip(indicators.INDICATOR_META, report.values)))
 
 
-def write_exposure_csv(path, exposures: dict[int, indicators.SchoolExposure]) -> None:
+def write_exposure_csv(path, schools, exposures: indicators.SchoolExposure) -> None:
+    order = np.argsort(schools.ids)  # a row per school, in school-id order
     write_csv(path, ["school_id", "exposure", "buffer_vmt_7_8am"],
-              ([i, exposures[i].level.value, _fmt_value(exposures[i].buffer_vmt_morning)]
-               for i in sorted(exposures)))
+              zip(schools.ids[order].tolist(), (level.value for level in exposures.level[order]),
+                  map(_fmt_value, exposures.buffer_vmt_morning[order].tolist())))
 
 
 def read_flows_csv(path, network, config: SolverConfig) -> indicators.LinkDailyStats:
@@ -281,8 +282,8 @@ def _load_city_network(scenario: Scenario):
 
 
 def _load_schools_and_tracts(scenario: Scenario, network):
-    """The schools, the links in each school's buffer, the tracts, and each
-    link's tract: every join with the network is made once per run."""
+    """The schools, the link rows in each school's buffer, the tracts, and
+    each link's tract row: every join with the network is made once per run."""
     schools = indicators.load_schools(str(scenario.schools))
     tracts = geo.load_tracts(str(scenario.tracts))
     for warning in geo.validate_tracts(tracts):
@@ -340,11 +341,11 @@ def _score(scenario: Scenario, tag: str, stats, trips, street_types, schools, bu
            tract_of_link) -> indicators.IndicatorReport:
     """Score one objective's day and write its indicator and exposure tables."""
     exposures = indicators.school_exposure(stats, schools, buffers, scenario.school_morning_s)
-    report = indicators.build_report(stats, exposures, trips, street_types, schools, tracts,
-                                     tract_of_link, morning_window_s=scenario.morning_window_s,
-                                     school_morning_s=scenario.school_morning_s)
+    report = indicators.build_report(stats, exposures, buffers, trips, street_types, schools,
+                                     tracts, tract_of_link, scenario.morning_window_s,
+                                     scenario.school_morning_s)
     write_indicators_csv(scenario.out_dir / f"indicators_{tag}.csv", report)
-    write_exposure_csv(scenario.out_dir / f"school_exposure_{tag}.csv", exposures)
+    write_exposure_csv(scenario.out_dir / f"school_exposure_{tag}.csv", schools, exposures)
     return report
 
 
@@ -370,7 +371,7 @@ def run_scenario(scenario: Scenario) -> int:
             del result
 
     table = ComparisonTable(tuple(o.value for o in scenario.objectives), tuple(
-        ComparisonRow(*meta, tuple(report.values[i].value for report in reports))
+        ComparisonRow(*meta, tuple(report.values[i] for report in reports))
         for i, meta in enumerate(indicators.INDICATOR_META)))
     charts.write_comparison(out / "comparison.csv", table)
     charts.emit_chart(table, out / "chart.svg")
@@ -465,14 +466,7 @@ def _cmd_indicators(args) -> int:
     places = _load_schools_and_tracts(scenario, network)
     types_path = out / "link_types.csv"
     if types_path.exists():
-        street_types = typology.read_link_types(types_path)
-        missing = [i for i in network.link_ids.tolist() if i not in street_types]
-        if missing:
-            raise ValueError(f"{types_path} has no street type for link {missing[0]}")
-        with naming_rows(types_path):  # street_types holds the rows in file order
-            ids = list(street_types)
-            check_rows({"link_id": ids},
-                       {"unknown link_id {link_id}": network.link_positions(ids) < 0})
+        street_types = typology.read_link_types(types_path, network)
     else:
         street_types = _classify_streets(scenario, network)
     _score(scenario, tag, read_flows_csv(flows_path, network, scenario.solver),

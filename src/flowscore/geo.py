@@ -96,9 +96,9 @@ def build_link_index(network) -> _Shapes:
     return _Shapes(network.geometry, False)
 
 
-def links_within_radii(points, radius_m: float, network) -> list[list[int]]:
-    """Per point, the sorted ids of the links whose geometry comes within
-    radius_m of it (inclusive)."""
+def links_within_radii(points, radius_m: float, network) -> list[np.ndarray]:
+    """Per point, the rows of the links whose geometry comes within
+    radius_m of it (inclusive), in link-id order."""
     if not 0 <= radius_m < math.inf:  # NaN fails too
         raise ValueError("radius must be finite and nonnegative")
     p = np.array(points, dtype=float).reshape(-1, 2)
@@ -110,8 +110,9 @@ def links_within_radii(points, radius_m: float, network) -> list[list[int]]:
         k = point[lo:hi][pair]
         near = _segment_within((p[k, 0], p[k, 1]), *lines.segment(link[lo:hi][pair], m), radius_m)
         within[lo:hi] = _any_per(pair, near, hi - lo)
-    ends = np.cumsum(np.bincount(point[within], minlength=len(p)))
-    return [sorted(ids.tolist()) for ids in np.split(network.link_ids[link[within]], ends)[:-1]]
+    point, link = point[within], link[within]
+    ends = np.cumsum(np.bincount(point, minlength=len(p)))
+    return np.split(link[np.lexsort((network.link_ids[link], point))], ends)[:-1]
 
 
 class Tracts:

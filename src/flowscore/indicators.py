@@ -109,10 +109,6 @@ def filtered_vmt_vhd(stats: LinkDailyStats, link_mask) -> tuple[float, float]:
     return float(stats.vmt[mask].sum()), float(stats.vhd[mask].sum())
 
 
-def street_type_mask(network, street_types: dict[int, StreetType], wanted: StreetType) -> np.ndarray:
-    return np.array([street_types[i] is wanted for i in network.link_ids.tolist()], dtype=bool)
-
-
 def congested_miles(stats: LinkDailyStats, window_s=MORNING_PEAK_S) -> float:
     """Miles of links hitting v/c >= 1 in any interval of the window."""
     network = stats.network
@@ -130,50 +126,43 @@ class ExposureLevel(enum.Enum):
 
 @dataclass(frozen=True)
 class SchoolExposure:
-    school_id: int
-    level: ExposureLevel
-    buffer_vmt_morning: float
-    link_ids: tuple[int, ...]
+    """Per school row: its ExposureLevel, in an object array, and its buffer's morning VMT."""
+
+    level: np.ndarray
+    buffer_vmt_morning: np.ndarray
 
 
 def school_exposure(stats: LinkDailyStats, schools: Schools, buffers,
-                    morning_s=SCHOOL_MORNING_S) -> dict[int, SchoolExposure]:
+                    morning_s=SCHOOL_MORNING_S) -> SchoolExposure:
     """Traffic exposure of each school from the links in its buffer: per
-    school, the sorted link ids that `geo.links_within_radii` gives.
+    school row, the link rows that `geo.links_within_radii` gives, in the
+    link-id order that each buffer's VMT adds in.
 
     High needs one buffered link with ADT above 50,000; Medium needs one
     in the 25,000..50,000 band (inclusive); anything less is None.
     """
     if len(schools.ids) != len(buffers):
         raise ValueError(f"{len(schools.ids)} schools but {len(buffers)} buffers")
-    network = stats.network
     morning_vmt = stats.window_vmt(morning_s)
-    out: dict[int, SchoolExposure] = {}
-    for school_id, ids in zip(schools.ids.tolist(), buffers):
-        idx = network.link_positions(ids)
-        if (idx < 0).any():
-            raise ValueError(f"school {school_id}: buffer link {ids[np.argmax(idx < 0)]} "
-                             f"is not in the network")
-        adts = stats.adt[idx]
+    level = np.full(len(buffers), ExposureLevel.NONE, dtype=object)
+    vmt = np.zeros(len(buffers))
+    for k, rows in enumerate(buffers):
+        adts = stats.adt[rows]
         if float(adts.max(initial=0.0)) > ADT_HIGH:
-            level = ExposureLevel.HIGH
+            level[k] = ExposureLevel.HIGH
         elif bool(((adts >= ADT_MEDIUM) & (adts <= ADT_HIGH)).any()):
-            level = ExposureLevel.MEDIUM
-        else:
-            level = ExposureLevel.NONE
-        vmt = float(morning_vmt[idx].sum())
-        out[school_id] = SchoolExposure(school_id, level, vmt, tuple(ids))
-    return out
+            level[k] = ExposureLevel.MEDIUM
+        vmt[k] = morning_vmt[rows].sum()
+    return SchoolExposure(level, vmt)
 
 
-def minority_exposure_share(exposures: dict[int, SchoolExposure], schools: Schools):
+def minority_exposure_share(exposures: SchoolExposure, schools: Schools):
     """Percent of exposed schools that are minority schools; None if no school is exposed."""
-    pct = dict(zip(schools.ids.tolist(), schools.pct_minority.tolist()))
-    exposed = [e for e in exposures.values() if e.level is not ExposureLevel.NONE]
-    if not exposed:
+    exposed = exposures.level != ExposureLevel.NONE
+    if not exposed.any():
         return None
-    minority = sum(1 for e in exposed if pct[e.school_id] >= MINORITY_PCT)
-    return 100.0 * minority / len(exposed)
+    minority = exposed & (schools.pct_minority >= MINORITY_PCT)
+    return 100.0 * np.count_nonzero(minority) / np.count_nonzero(exposed)
 
 
 @dataclass(frozen=True)
@@ -194,23 +183,15 @@ def equity_shares(stats: LinkDailyStats, tracts: geo.Tracts, tract_of_link) -> E
     return EquityShares(*filtered_vmt_vhd(stats, mask))
 
 
-def highway_accidents(stats: LinkDailyStats, street_types: dict[int, StreetType]) -> float:
-    """Expected yearly crashes summed over highway links at their ADT."""
+def highway_accidents(stats: LinkDailyStats, street_types: np.ndarray) -> float:
+    """Expected yearly crashes summed over highway links at their ADT, in row order."""
     network = stats.network
+    rows = np.flatnonzero(street_types == StreetType.HIGHWAY)
     total = 0.0
-    for link_id, lanes, length, adt in zip(network.link_ids.tolist(), network.lanes.tolist(),
-                                           network.length_miles.tolist(), stats.adt.tolist()):
-        if street_types[link_id] is StreetType.HIGHWAY:
-            total += costs.spf_accidents(lanes, length, adt)
+    for lanes, length, adt in zip(network.lanes[rows].tolist(),
+                                  network.length_miles[rows].tolist(), stats.adt[rows].tolist()):
+        total += costs.spf_accidents(lanes, length, adt)
     return total
-
-
-@dataclass(frozen=True)
-class IndicatorValue:
-    theme: str
-    name: str
-    unit: str
-    value: float | None
 
 
 # fixed report order: (theme, name, unit)
@@ -237,28 +218,29 @@ INDICATOR_NAMES = tuple(meta[1] for meta in INDICATOR_META)
 
 @dataclass(frozen=True)
 class IndicatorReport:
-    values: tuple[IndicatorValue, ...]
+    """The 15 indicator values, each a number or None, in INDICATOR_META order."""
+
+    values: tuple[float | None, ...]
 
     def __post_init__(self) -> None:
-        names = tuple(v.name for v in self.values)
-        if names != INDICATOR_NAMES:
-            raise ValueError("indicator report rows out of order")
-        for v in self.values:
-            if v.value is not None and (not np.isfinite(v.value) or v.value < 0):
-                raise ValueError(f"indicator {v.name!r} has bad value {v.value}")
+        if len(self.values) != len(INDICATOR_META):
+            raise ValueError(f"{len(self.values)} indicator values, not {len(INDICATOR_META)}")
+        for name, value in zip(INDICATOR_NAMES, self.values):
+            if value is not None and (not np.isfinite(value) or value < 0):
+                raise ValueError(f"indicator {name!r} has bad value {value}")
 
     def by_name(self, name: str) -> float | None:
-        for v in self.values:
-            if v.name == name:
-                return v.value
-        raise KeyError(name)
+        if name not in INDICATOR_NAMES:
+            raise KeyError(name)
+        return self.values[INDICATOR_NAMES.index(name)]
 
 
 def build_report(
     stats: LinkDailyStats,
-    exposures: dict[int, SchoolExposure],
+    exposures: SchoolExposure,
+    buffers,
     trips,
-    street_types: dict[int, StreetType],
+    street_types: np.ndarray,
     schools: Schools,
     tracts: geo.Tracts,
     tract_of_link,
@@ -266,22 +248,24 @@ def build_report(
     school_morning_s=SCHOOL_MORNING_S,
 ) -> IndicatorReport:
     """Assemble the 15-indicator report for one objective's day from its
-    link stats, its school exposures and its trips.
+    link stats, its school exposures and their buffers, and its trips.
 
     trips has the columns of `qdta.TripTable` (status, distance_miles,
     time_h, free_flow_h, fuel_l). The trip averages are over completed
     trips, None when there is none; total fuel counts every trip. Each
-    sum runs left to right in row order.
+    sum runs left to right in row order, except the VMT near schools,
+    which adds the union of the buffers in link-id order.
     """
     network = stats.network
 
-    nr_mask = street_type_mask(network, street_types, StreetType.NEIGHBORHOOD_RESIDENTIAL)
-    nr_vmt, nr_vhd = filtered_vmt_vhd(stats, nr_mask)
+    nr_vmt, nr_vhd = filtered_vmt_vhd(stats, street_types == StreetType.NEIGHBORHOOD_RESIDENTIAL)
 
-    exposed = [e for e in exposures.values() if e.level is not ExposureLevel.NONE]
-    buffered_links = sorted({lid for e in exposures.values() for lid in e.link_ids})
-    buffered_idx = network.link_positions(buffered_links)
-    school_vmt = float(stats.window_vmt(school_morning_s)[buffered_idx].sum())
+    n_exposed = np.count_nonzero(exposures.level != ExposureLevel.NONE)
+    buffered = np.zeros(network.n_links, dtype=bool)
+    for rows in buffers:
+        buffered[rows] = True
+    by_id = np.argsort(network.link_ids)
+    school_vmt = float(stats.window_vmt(school_morning_s)[by_id[buffered[by_id]]].sum())
 
     accidents = highway_accidents(stats, street_types)
     total_vmt, total_vhd = filtered_vmt_vhd(stats, np.ones(network.n_links, dtype=bool))
@@ -300,12 +284,10 @@ def build_report(
     minority = minority_exposure_share(exposures, schools)
     equity = equity_shares(stats, tracts, tract_of_link)
 
-    numbers = (
-        nr_vmt, nr_vhd, float(len(exposed)), school_vmt,  # Neighborhood
+    return IndicatorReport((
+        nr_vmt, nr_vhd, float(n_exposed), school_vmt,  # Neighborhood
         accidents,  # Safety
         total_vmt, total_vhd, congested, avg_len, avg_delay,  # Mobility
         minority, equity.coc_vmt, equity.coc_vhd,  # Equity
         total_fuel, avg_fuel,  # Environment
-    )
-    return IndicatorReport(tuple(IndicatorValue(*meta, value)
-                                 for meta, value in zip(INDICATOR_META, numbers)))
+    ))

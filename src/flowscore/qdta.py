@@ -297,21 +297,19 @@ class RoutingGraph:
             chosen[gi] = self.perm[s + int(np.argmin(cs[s:e]))]
         return edge_cost, chosen
 
-    def shortest_paths(self, source_idx: np.ndarray, link_costs: np.ndarray, needs=None,
-                       limit=None):
+    def shortest_paths(self, source_idx: np.ndarray, link_costs: np.ndarray, needs, limit=None):
         """(row, dist, pred, chosen) at link_costs: dist[row[i]] and
         pred[row[i]] are the rows of source_idx[i], and chosen is the link
         chosen per edge. dist, pred and chosen are shared and read-only, so
         no row is copied.
 
-        needs, if given, is (entries, dests): the row of source_idx[entries[i]]
-        must settle node dests[i]. Without it every node is needed. limit,
-        if given, is a distance per entry of source_idx at which a search
-        not yet run at these costs may stop. A row from a stopped search
-        holds dist inf and pred -9999 past its limit, so it answers only a
-        request whose needed nodes it settled; any other source is solved
-        again without a limit. So only a full search calls a node
-        unreachable.
+        needs is (entries, dests): the row of source_idx[entries[i]] must
+        settle node dests[i]. limit, if given, is a distance per entry of
+        source_idx at which a search not yet run at these costs may stop.
+        A row from a stopped search holds dist inf and pred -9999 past its
+        limit, so it answers only a request whose needed nodes it settled;
+        any other source is solved again without a limit. So only a full
+        search calls a node unreachable.
 
         The graph keeps the rows of one cost vector: the last one asked for
         without a limit, which in `run_day` is the zero-flow costs that
@@ -369,7 +367,7 @@ class _SolvedRows:
     def _short(self, row: np.ndarray, needs) -> np.ndarray:
         """Per entry, whether its row stopped short of a node it needs."""
         stopped = self.limit[row] < math.inf
-        if needs is None or not np.count_nonzero(stopped):
+        if not np.count_nonzero(stopped):
             return stopped
         entries, dests = needs
         short = np.zeros(row.size, dtype=bool)

@@ -111,13 +111,14 @@ def classify_street(context: TransportContext, land_use: LandUse) -> StreetType:
     return _NON_HIGHWAY_TABLE[(context, land_use)]
 
 
-def classify_network(network, parcels, adjacency_buffer_m: float = 20.0) -> dict[int, StreetType]:
+def classify_network(network, parcels, adjacency_buffer_m: float = 20.0) -> np.ndarray:
+    """Each link row's StreetType, in an object array."""
     contexts = list(map(transport_context, network.fclass.tolist(), network.speed_mph.tolist()))
     # land use cannot change a highway's type, so highways skip the geometry work
     streets = [k for k, context in enumerate(contexts) if context is not TransportContext.HIGHWAY]
     uses = np.full(network.n_links, LandUse.OTHER, dtype=object)
     uses[streets] = _dominant_land_uses(network.lines, streets, parcels, adjacency_buffer_m)
-    return dict(zip(network.link_ids.tolist(), map(classify_street, contexts, uses)))
+    return np.array(list(map(classify_street, contexts, uses)), dtype=object)
 
 
 def load_parcels(path: str) -> Parcels:
@@ -126,15 +127,24 @@ def load_parcels(path: str) -> Parcels:
     return geo._load_polygon_table(path, "parcel_id", Parcels, {"land_use": None})
 
 
-def write_link_types(path: str, street_types: dict[int, StreetType], network) -> None:
+def write_link_types(path: str, street_types: np.ndarray, network) -> None:
+    """One row per link row: its id and its street type's name."""
     write_csv(path, ["link_id", "street_type"],
-              ([i, street_types[i].value] for i in network.link_ids.tolist()))
+              zip(network.link_ids.tolist(), (t.value for t in street_types)))
 
 
-def read_link_types(path: str) -> dict[int, StreetType]:
-    """Each link's street type, in file order; a link may appear once."""
+def read_link_types(path: str, network) -> np.ndarray:
+    """Each link row's street type, as `classify_network` gives them, from
+    a file that names every link of the network once and no other."""
     columns = read_columns(path, "link types", {
         "link_id": INT64, "street_type": one_of({t.value: t for t in StreetType})})
+    row = network.link_positions(columns["link_id"])
     with naming_rows(path):
         check_rows(columns, {"duplicate link_id {link_id}": repeats(columns["link_id"])})
-    return dict(zip(columns["link_id"], columns["street_type"]))
+        types = np.full(network.n_links, None, dtype=object)
+        types[row[row >= 0]] = np.array(columns["street_type"], dtype=object)[row >= 0]
+        missing = np.flatnonzero(np.equal(types, None))
+        if missing.size:
+            raise ValueError(f"{path} has no street type for link {network.link_ids[missing[0]]}")
+        check_rows(columns, {"unknown link_id {link_id}": row < 0})
+    return types

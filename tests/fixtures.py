@@ -348,10 +348,15 @@ def joined(*tables) -> Departures:
                         for f in dataclasses.fields(Departures)))
 
 
-def school_buffers(network: Network, schools: Schools, radius_m=250.0) -> list[list[int]]:
-    """Each school's buffer, joined as the command line joins it; 250 m is
-    the default config's school_radius_m."""
+def school_buffers(network: Network, schools: Schools, radius_m=250.0) -> list[np.ndarray]:
+    """Each school's buffer, its link rows in link-id order, joined as the
+    command line joins it; 250 m is the default config's school_radius_m."""
     return links_within_radii(np.column_stack([schools.x, schools.y]), radius_m, network)
+
+
+def buffer_ids(network: Network, buffers) -> list[list[int]]:
+    """Each buffer's link rows as the links' ids, in the buffer's order."""
+    return [network.link_ids[rows].tolist() for rows in buffers]
 
 
 def square(cx, cy, half):
@@ -503,6 +508,10 @@ def path_table(network, trips, active, link_costs):
     od = {(int(ids[o]), int(ids[d])): 1.0 for o, d in zip(trips.node[active], trips.dest[active])}
     batch = qdta._DemandBatch(network, od, 1.0)
     return qdta._load_all_or_nothing(qdta.RoutingGraph(network), batch, link_costs)[2]
+
+
+# the needs of a `RoutingGraph.shortest_paths` call that names no destination
+NO_NEEDS = (np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp))
 
 
 def shortest_rows(graph, *args):

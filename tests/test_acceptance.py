@@ -29,7 +29,6 @@ from flowscore.indicators import (
     daily_stats,
     filtered_vmt_vhd,
     school_exposure,
-    street_type_mask,
 )
 from flowscore.cli import main
 from flowscore.qdta import Objective, SolverConfig, assign_interval, run_day
@@ -216,12 +215,8 @@ def test_criterion_06_conservation_and_partition():
     types = classify_network(net, fixtures.parcel_table([blanket_parcel(net, "R")]))
     stats = daily_stats(last)
     total_vmt, total_vhd = filtered_vmt_vhd(stats, np.ones(net.n_links, dtype=bool))
-    part_vmt = sum(
-        filtered_vmt_vhd(stats, street_type_mask(net, types, st))[0] for st in StreetType
-    )
-    part_vhd = sum(
-        filtered_vmt_vhd(stats, street_type_mask(net, types, st))[1] for st in StreetType
-    )
+    part_vmt = sum(filtered_vmt_vhd(stats, types == st)[0] for st in StreetType)
+    part_vhd = sum(filtered_vmt_vhd(stats, types == st)[1] for st in StreetType)
     assert abs(part_vmt - total_vmt) <= 1e-9 * total_vmt
     assert abs(part_vhd - total_vhd) <= 1e-9 * max(total_vhd, 1.0)
     ok(6, "trip-flow conservation and VMT partition additivity")
@@ -230,7 +225,8 @@ def test_criterion_06_conservation_and_partition():
 def test_criterion_07_classification_and_index_oracles():
     network, parcels, expected = hand_labeled_fixture()
     got = classify_network(network, parcels)
-    mismatches = {lid: (got[lid], want) for lid, want in expected.items() if got[lid] is not want}
+    mismatches = {row: (label, want) for row, (label, want) in enumerate(zip(got, expected))
+                  if label is not want}
     assert not mismatches, mismatches
 
     # 1,000 random boxes joined with 1,000 query boxes vs brute force
@@ -256,7 +252,7 @@ def test_criterion_07_classification_and_index_oracles():
         pt = (float(rng.uniform(-500.0, 7000.0)), float(rng.uniform(-500.0, 2500.0)))
         radius = float(rng.uniform(10.0, 800.0))
         want = geo_reference.links_within_radius(pt, radius, net)
-        assert links_within_radii([pt], radius, net)[0] == want
+        assert net.link_ids[links_within_radii([pt], radius, net)[0]].tolist() == want
     ok(7, "hand-labeled typology and index-vs-scan equality")
 
 
@@ -274,11 +270,11 @@ def test_criterion_08_school_exposure_boundaries():
     schools = fixtures.school_table([School(i + 1, M / 2.0, 10_000.0 * i, 50.0)
                                      for i in range(len(adts))])
     exposures = school_exposure(stats, schools, school_buffers(net, schools))
-    levels = {sid: e.level for sid, e in exposures.items()}
-    assert levels[1] is ExposureLevel.NONE     # 24,999
-    assert levels[2] is ExposureLevel.MEDIUM   # 25,000
-    assert levels[3] is ExposureLevel.MEDIUM   # 50,000
-    assert levels[4] is ExposureLevel.HIGH     # 50,001
+    levels = exposures.level  # by school row: schools 1 to 4
+    assert levels[0] is ExposureLevel.NONE     # 24,999
+    assert levels[1] is ExposureLevel.MEDIUM   # 25,000
+    assert levels[2] is ExposureLevel.MEDIUM   # 50,000
+    assert levels[3] is ExposureLevel.HIGH     # 50,001
     ok(8, "exposure thresholds at 24,999 / 25,000 / 50,000 / 50,001")
 
 

@@ -4,6 +4,7 @@ import importlib.util
 import json
 import math
 import os
+import random
 import re
 import shutil
 import subprocess
@@ -47,6 +48,7 @@ from fixtures import (
     write_scenario,
 )
 
+import geo_reference
 from qdta_reference import dense_entered, dense_states
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -92,6 +94,29 @@ def long_town_scenario(dirpath) -> str:
     interval, so each trip spills into the next interval, and the trips that
     leave in the last interval are forced to finish at the end of the day."""
     return town_scenario(dirpath, scale=12.0, late_trips=40)
+
+
+def school_town_scenario(dirpath) -> str:
+    """Three links out of node 1, in rows 30, 20, 10: the highway 30 to
+    node 2, which all 66,000 trips take (ADT above 50,000), then the
+    neighborhood street 10 to node 3 (36,000 trips, Medium ADT) and the
+    throughway 20 to node 4 (8,000). School 7, a minority school, sees all
+    three links and is High; school 3 shares link 10 with it and is
+    Medium; school 5, a minority school too, sees only link 20 and school
+    9 no link, so both are None. School 7's three morning VMTs add up to
+    other bits in row order than in link-id order."""
+    a, b = Node(1, 0.0, 0.0), Node(2, 1703.9, 41.3)
+    c, d = Node(3, 3391.7, -17.9), Node(4, 1650.2, 1815.9)
+    net = fixtures.network([a, b, c, d], [straight_link(30, a, b, 65.0, 20000.0, 1, 3),
+                                          straight_link(20, b, d, 35.0, 10000.0, 4, 2),
+                                          straight_link(10, b, c, 30.0, 10000.0, 5, 2)])
+    trips = joined(uniform_trips(1, 2, 22_000, start_s=0.0, spacing_s=3.6),
+                   uniform_trips(1, 3, 36_000, start_s=1.0, spacing_s=2.2, first_id=22_001),
+                   uniform_trips(1, 4, 8_000, start_s=2.0, spacing_s=9.9, first_id=58_001))
+    schools = [School(7, 1703.9, 191.3, 80.0), School(3, 2500.0, 160.0, 20.0),
+               School(5, 1830.0, 1200.0, 90.0), School(9, 10 * M, 10 * M, 10.0)]
+    tracts = [Tract(1, square(2500.0, 0.0, 1000.0), 1000.0, True)]
+    return write_scenario(dirpath, net, trips, [blanket_parcel(net, "R")], schools, tracts)
 
 
 @pytest.fixture(scope="module")
@@ -233,6 +258,14 @@ def test_main_maps_load_error_to_exit_1(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.fixture(scope="module")
+def school_town_run(tmp_path_factory):
+    base = tmp_path_factory.mktemp("school_town")
+    cfg = school_town_scenario(base)
+    assert main(["run", "--config", cfg]) == 0
+    return cfg, base / "out"
+
+
 def test_run_writes_every_artifact(town_run):
     _, out = town_run
     expected = {"link_types.csv", "comparison.csv", "chart.svg"}
@@ -317,11 +350,11 @@ def test_rerun_and_parallel_run_are_byte_identical(tmp_path, town_run):
 def test_classify_command(tmp_path):
     cfg = town_scenario(tmp_path)
     assert main(["classify", "--config", cfg, "--out", str(tmp_path / "cls")]) == 0
-    types = read_link_types(tmp_path / "cls" / "link_types.csv")
-    assert types[1] is StreetType.NEIGHBORHOOD_RESIDENTIAL
-    assert types[2] is StreetType.NEIGHBORHOOD_RESIDENTIAL
-    assert types[3] is StreetType.RESIDENTIAL_THROUGHWAY
-    assert types[4] is StreetType.RESIDENTIAL_THROUGHWAY
+    types = read_link_types(tmp_path / "cls" / "link_types.csv", town_network())
+    assert types.tolist() == [StreetType.NEIGHBORHOOD_RESIDENTIAL,  # links 1 to 4
+                              StreetType.NEIGHBORHOOD_RESIDENTIAL,
+                              StreetType.RESIDENTIAL_THROUGHWAY,
+                              StreetType.RESIDENTIAL_THROUGHWAY]
 
 
 def test_long_town_spills_and_forces_trips(long_town_run):
@@ -373,20 +406,69 @@ def test_read_flows_csv_equals_daily_stats_of_the_day(tmp_path, town_run):
                 == np.float64(congested_miles(want, windows[0])).tobytes()), tag
 
 
-def test_run_ignores_the_row_order_of_trips_csv(tmp_path, town_run):
-    cfg, run_out = town_run
+def assert_row_order_ignored(tmp_path, run, name, shuffle):
+    """Run the scenario of `run` with the data rows of its input `name`
+    put in place by shuffle(rows); every output file must keep its bytes."""
+    cfg, run_out = run
     base = tmp_path / "shuffled"
     shutil.copytree(Path(cfg).parent, base, ignore=shutil.ignore_patterns("out"))
-    lines = (base / "trips.csv").read_text().splitlines(keepends=True)
+    lines = (base / name).read_text().splitlines(keepends=True)
     rows = lines[1:]
-    np.random.default_rng(11).shuffle(rows)
+    shuffle(rows)
     assert rows != lines[1:]
-    (base / "trips.csv").write_text("".join(lines[:1] + rows))
+    (base / name).write_text("".join(lines[:1] + rows))
     assert main(["run", "--config", str(base / "config.json")]) == 0
     names = sorted(p.name for p in run_out.iterdir())
     assert sorted(p.name for p in (base / "out").iterdir()) == names
     for name in names:
         assert (base / "out" / name).read_bytes() == (run_out / name).read_bytes(), name
+
+
+def test_run_ignores_the_row_order_of_trips_csv(tmp_path, town_run):
+    assert_row_order_ignored(tmp_path, town_run, "trips.csv", np.random.default_rng(11).shuffle)
+
+
+def test_run_ignores_the_row_order_of_schools_csv(tmp_path, school_town_run):
+    # every per-school result is written, and every buffer summed, in id order
+    assert_row_order_ignored(tmp_path, school_town_run, "schools.csv", random.Random(7).shuffle)
+
+
+def test_school_town_scores_every_exposure_level(school_town_run):
+    cfg, out = school_town_run
+    base = Path(cfg).parent
+    network = load_network(str(base / "nodes.csv"), str(base / "links.csv"))
+    with open(base / "schools.csv", newline="") as fh:
+        buffers = {int(r["school_id"]): geo_reference.links_within_radius(
+            (float(r["x"]), float(r["y"])), 250.0, network) for r in csv.DictReader(fh)}
+    assert buffers == {7: [10, 20, 30], 3: [10], 5: [20], 9: []}
+    length = dict(zip(network.link_ids.tolist(), network.length_miles.tolist()))
+    for tag in ("uet", "sot", "sof"):
+        flow = dict.fromkeys(length, 0.0)
+        with open(out / f"flows_{tag}.csv", newline="") as fh:
+            for r in csv.DictReader(fh):
+                if 28 <= int(r["interval"]) < 32:  # 07:00-08:00, added in interval order
+                    flow[int(r["link_id"])] += float(r["flow_vph"])
+        vmt = {i: (f * 0.25) * length[i] for i, f in flow.items()}
+
+        def buffer_vmt(ids):
+            total = 0.0
+            for i in ids:
+                total += vmt[i]
+            return total
+
+        with open(out / f"school_exposure_{tag}.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["school_id"], r["exposure"]) for r in rows] == [
+            ("3", "Medium"), ("5", "None"), ("7", "High"), ("9", "None")]
+        for r in rows:  # each buffer adds in link-id order
+            assert float(r["buffer_vmt_7_8am"]) == buffer_vmt(buffers[int(r["school_id"])]), tag
+        assert buffer_vmt(network.link_ids.tolist()) != buffer_vmt(buffers[7])  # row order
+        with open(out / f"indicators_{tag}.csv", newline="") as fh:
+            value = {r["indicator"]: r["value"] for r in csv.DictReader(fh)}
+        assert value["Schools near high and medium traffic streets"] == "2.0"
+        assert value["Minority schools near high and medium traffic streets"] == "50.0"
+        assert float(value["VMT near schools in morning hours"]) == buffer_vmt([10, 20, 30])
+        assert float(value["Estimated highway accidents per year"]) > 0.0
 
 
 def test_trips_csv_bytes_do_not_depend_on_the_write_block(tmp_path, monkeypatch):

@@ -174,7 +174,7 @@ def test_links_within_radius_inclusive_and_sorted():
     net = grid_network(2, 2, spacing_miles=1.0)
     spacing_m = geo.polyline_length(net.geometry[0])
     # query at a node: every incident link touches it, distance 0
-    at_node = links_within_radii([(0.0, 0.0)], 0.0, net)[0]
+    at_node = net.link_ids[links_within_radii([(0.0, 0.0)], 0.0, net)[0]].tolist()
     assert at_node == sorted(at_node)
     assert len(at_node) == 4  # two outgoing, two incoming
     # exactly at the radius boundary
@@ -183,7 +183,7 @@ def test_links_within_radius_inclusive_and_sorted():
     hits = links_within_radii([mid], d, net)[0]
     assert len(hits) == net.n_links  # all edges of the unit cell touch
     just_inside = links_within_radii([mid], d * 0.999, net)[0]
-    assert just_inside == []
+    assert just_inside.tolist() == []
 
 
 def test_links_within_radius_index_agrees_with_scan():
@@ -192,7 +192,8 @@ def test_links_within_radius_index_agrees_with_scan():
     for _ in range(100):
         p = (float(rng.uniform(-500, 2500)), float(rng.uniform(-500, 2000)))
         r = float(rng.uniform(0, 600))
-        assert links_within_radii([p], r, net)[0] == geo_reference.links_within_radius(p, r, net)
+        want = geo_reference.links_within_radius(p, r, net)
+        assert net.link_ids[links_within_radii([p], r, net)[0]].tolist() == want
 
 
 def test_links_within_radius_rejects_negative():

@@ -9,7 +9,6 @@ from flowscore.indicators import (
     INDICATOR_NAMES,
     ExposureLevel,
     IndicatorReport,
-    IndicatorValue,
     LinkDailyStats,
     SchoolExposure,
     build_report,
@@ -22,7 +21,6 @@ from flowscore.indicators import (
     load_schools,
     minority_exposure_share,
     school_exposure,
-    street_type_mask,
 )
 from flowscore.qdta import FlowState, TripTable
 from flowscore.typology import StreetType
@@ -165,7 +163,7 @@ def test_partition_additivity_over_street_types():
     all_types = list(StreetType)
     specs = [(i, 0.3 + 0.1 * i, 35.0, 700.0, 3, 2) for i in range(1, 25)]
     net = isolated_links_network(specs)
-    types = {lid: all_types[rng.integers(0, len(all_types))] for lid, *_ in specs}
+    types = np.array([all_types[rng.integers(0, len(all_types))] for _ in specs], dtype=object)
     flows = rng.uniform(0.0, 1500.0, size=(96, 24))
     times = net.free_flow_h * rng.uniform(1.0, 3.0, size=(96, 24))
     stats = make_stats(net, flows, times)
@@ -173,13 +171,12 @@ def test_partition_additivity_over_street_types():
     part_vmt = 0.0
     part_vhd = 0.0
     for st in all_types:
-        v, h = filtered_vmt_vhd(stats, street_type_mask(net, types, st))
+        v, h = filtered_vmt_vhd(stats, types == st)
         part_vmt += v
         part_vhd += h
     assert abs(part_vmt - total_vmt) <= 1e-9 * total_vmt
     assert abs(part_vhd - total_vhd) <= 1e-9 * max(total_vhd, 1.0)
-    none_mask = street_type_mask(net, {lid: StreetType.OTHERS for lid, *_ in specs},
-                                 StreetType.PSP)
+    none_mask = np.full(len(specs), StreetType.OTHERS, dtype=object) == StreetType.PSP
     assert filtered_vmt_vhd(stats, none_mask) == (0.0, 0.0)
 
 
@@ -226,29 +223,27 @@ def exposure_fixture(adts):
 
 def test_school_exposure_threshold_boundaries():
     net, stats, schools = exposure_fixture([24_999.0, 25_000.0, 50_000.0, 50_001.0])
-    out = school_exposure(stats, schools, school_buffers(stats.network, schools))
-    assert out[1].level is ExposureLevel.NONE
-    assert out[2].level is ExposureLevel.MEDIUM
-    assert out[3].level is ExposureLevel.MEDIUM
-    assert out[4].level is ExposureLevel.HIGH
-    assert out[4].link_ids == (4,)
+    buffers = school_buffers(stats.network, schools)
+    out = school_exposure(stats, schools, buffers)
+    assert out.level.tolist() == [ExposureLevel.NONE, ExposureLevel.MEDIUM,
+                                  ExposureLevel.MEDIUM, ExposureLevel.HIGH]
+    assert net.link_ids[buffers[3]].tolist() == [4]
 
 
 def test_school_exposure_outside_buffer_is_none():
     net, stats, _ = exposure_fixture([60_000.0])
     far = school_table([School(9, M / 2.0, 300.0, 90.0)])
-    out = school_exposure(stats, far, school_buffers(net, far))
-    assert out[9].level is ExposureLevel.NONE
-    assert out[9].link_ids == ()
-    assert out[9].buffer_vmt_morning == 0.0
+    buffers = school_buffers(net, far)
+    out = school_exposure(stats, far, buffers)
+    assert out.level.tolist() == [ExposureLevel.NONE]
+    assert buffers[0].tolist() == []
+    assert out.buffer_vmt_morning.tolist() == [0.0]
 
 
 def test_school_exposure_checks_its_buffers():
     net, stats, schools = exposure_fixture([24_999.0, 60_000.0])
     with pytest.raises(ValueError, match="^2 schools but 1 buffers$"):
-        school_exposure(stats, schools, [[1]])
-    with pytest.raises(ValueError, match="^school 2: buffer link 99 is not in the network$"):
-        school_exposure(stats, schools, [[1], [2, 99]])
+        school_exposure(stats, schools, [np.array([0])])
 
 
 def test_school_exposure_morning_vmt():
@@ -259,7 +254,7 @@ def test_school_exposure_morning_vmt():
     school = school_table([School(1, M / 2.0, 0.0, 50.0)])
     out = school_exposure(stats, school, school_buffers(net, school),
                           morning_s=(25200.0, 28800.0))
-    assert out[1].buffer_vmt_morning == pytest.approx(1000.0)
+    assert out.buffer_vmt_morning[0] == pytest.approx(1000.0)
 
 
 def test_window_vmt_computed_once_per_window():
@@ -289,24 +284,21 @@ def test_school_exposure_monotone_in_flow():
         j = int(rng.integers(0, 6))
         bumped[:, j] += rng.uniform(0.0, 30_000.0)
         after = school_exposure(make_stats(net, bumped, interval_s=3600.0), schools, buffers)
-        for sid in before:
-            assert rank[after[sid].level] >= rank[before[sid].level]
+        for was, now in zip(before.level, after.level, strict=True):
+            assert rank[now] >= rank[was]
 
 
 def test_minority_share_over_exposed_schools():
     schools = school_table([School(1, 0, 0, 80.0), School(2, 0, 0, 10.0), School(3, 0, 0, 75.0)])
 
-    def exp(sid, level):
-        return SchoolExposure(sid, level, 0.0, ())
+    def exp(*levels):
+        return SchoolExposure(np.array(levels, dtype=object), np.zeros(len(levels)))
 
-    two_exposed = {1: exp(1, ExposureLevel.HIGH), 2: exp(2, ExposureLevel.MEDIUM),
-                   3: exp(3, ExposureLevel.NONE)}
-    assert minority_exposure_share(two_exposed, schools) == pytest.approx(50.0)
+    high, medium, none = ExposureLevel.HIGH, ExposureLevel.MEDIUM, ExposureLevel.NONE
+    assert minority_exposure_share(exp(high, medium, none), schools) == pytest.approx(50.0)
     # pct_minority exactly at the 75 cutoff counts
-    all_minority = {1: exp(1, ExposureLevel.HIGH), 3: exp(3, ExposureLevel.MEDIUM)}
-    assert minority_exposure_share(all_minority, schools) == pytest.approx(100.0)
-    nobody = {1: exp(1, ExposureLevel.NONE)}
-    assert minority_exposure_share(nobody, schools) is None
+    assert minority_exposure_share(exp(high, none, medium), schools) == pytest.approx(100.0)
+    assert minority_exposure_share(exp(none, none, none), schools) is None
 
 
 def test_equity_shares_population_and_vmt():
@@ -358,14 +350,14 @@ def test_highway_accidents_sums_spf_over_highways():
     net = isolated_links_network(specs)
     stats = make_stats(net, np.array([[10_000.0, 10_000.0, 10_000.0]]),
                        interval_s=3600.0)
-    types = {1: StreetType.HIGHWAY, 2: StreetType.HIGHWAY,
-             3: StreetType.NEIGHBORHOOD_RESIDENTIAL}
+    types = np.array([StreetType.HIGHWAY, StreetType.HIGHWAY,
+                      StreetType.NEIGHBORHOOD_RESIDENTIAL], dtype=object)
     total = highway_accidents(stats, types)
     one = spf_accidents(4, 1.0, 10_000.0)
     assert total == pytest.approx(2.0 * one, rel=1e-12)
     assert one == pytest.approx(5.886, abs=1e-3)
-    no_highway = {1: StreetType.OTHERS, 2: StreetType.OTHERS,
-                  3: StreetType.NEIGHBORHOOD_RESIDENTIAL}
+    no_highway = np.array([StreetType.OTHERS, StreetType.OTHERS,
+                           StreetType.NEIGHBORHOOD_RESIDENTIAL], dtype=object)
     assert highway_accidents(stats, no_highway) == 0.0
 
 
@@ -383,10 +375,10 @@ def report_fixture():
         straight_link(4, n7, n8, 45.0, 900.0, 4, 2),
     ]
     net = fixtures.network([n1, n2, n3, n4, n5, n6, n7, n8], links)
-    types = {1: StreetType.NEIGHBORHOOD_RESIDENTIAL,
-             2: StreetType.NEIGHBORHOOD_RESIDENTIAL,
-             3: StreetType.HIGHWAY,
-             4: StreetType.COMMERCIAL_THROUGHWAY}
+    types = np.array([StreetType.NEIGHBORHOOD_RESIDENTIAL,  # links 1 to 4, in row order
+                      StreetType.NEIGHBORHOOD_RESIDENTIAL,
+                      StreetType.HIGHWAY,
+                      StreetType.COMMERCIAL_THROUGHWAY], dtype=object)
     schools = school_table([
         School(1, M / 2.0, 0.0, 80.0),          # buffers link 1
         School(2, M + 50.0, 10.0, 10.0),        # buffers links 1 and 2
@@ -419,31 +411,29 @@ def report_fixture():
 def report_of(assignment, types, schools, tracts, trips=None):
     """build_report on the fixture's day, as the command line scores it."""
     stats = daily_stats(assignment)
-    exposures = school_exposure(stats, schools, school_buffers(stats.network, schools))
+    buffers = school_buffers(stats.network, schools)
+    exposures = school_exposure(stats, schools, buffers)
     if trips is None:
         trips = assignment.trips
-    return build_report(stats, exposures, trips, types, schools, tracts, [0, 1, 1, 1])
+    return build_report(stats, exposures, buffers, trips, types, schools, tracts, [0, 1, 1, 1])
 
 
 def test_build_report_rows_match_single_ops():
     assignment, types, schools, tracts = report_fixture()
     tract_of = [0, 1, 1, 1]
     stats = daily_stats(assignment)
-    report = build_report(stats,
-                          school_exposure(stats, schools, school_buffers(stats.network, schools)),
-                          assignment.trips, types, schools, tracts, tract_of)
+    buffers = school_buffers(stats.network, schools)
+    exposures = school_exposure(stats, schools, buffers)
+    report = build_report(stats, exposures, buffers, assignment.trips, types, schools, tracts,
+                          tract_of)
     net = assignment.network
 
-    nr_vmt, nr_vhd = filtered_vmt_vhd(
-        stats, street_type_mask(net, types, StreetType.NEIGHBORHOOD_RESIDENTIAL))
+    nr_vmt, nr_vhd = filtered_vmt_vhd(stats, types == StreetType.NEIGHBORHOOD_RESIDENTIAL)
     assert report.by_name("VMT on neighborhood residential streets") == pytest.approx(nr_vmt)
     assert report.by_name("VHD on neighborhood residential streets") == pytest.approx(nr_vhd)
 
-    exposures = school_exposure(stats, schools, school_buffers(stats.network, schools))
-    assert exposures[1].link_ids == (1,)
-    assert exposures[2].link_ids == (1, 2)
-    assert exposures[3].link_ids == ()
-    n_exposed = sum(1 for e in exposures.values() if e.level is not ExposureLevel.NONE)
+    assert [net.link_ids[rows].tolist() for rows in buffers] == [[1], [1, 2], []]
+    n_exposed = np.count_nonzero(exposures.level != ExposureLevel.NONE)
     assert report.by_name("Schools near high and medium traffic streets") == float(n_exposed)
     assert n_exposed == 2
 
@@ -454,7 +444,7 @@ def test_build_report_rows_match_single_ops():
         ((flows[sel].sum(axis=0) * stats.interval_h) * net.length_miles)[:2].sum()
     )
     assert report.by_name("VMT near schools in morning hours") == pytest.approx(union_vmt)
-    per_school = exposures[1].buffer_vmt_morning + exposures[2].buffer_vmt_morning
+    per_school = exposures.buffer_vmt_morning[0] + exposures.buffer_vmt_morning[1]
     assert union_vmt < per_school
 
     assert report.by_name("Estimated highway accidents per year") == pytest.approx(
@@ -480,7 +470,7 @@ def test_build_report_rows_match_single_ops():
     assert report.by_name("VMT in communities of concern") == pytest.approx(shares.coc_vmt)
     assert report.by_name("VHD in communities of concern") == pytest.approx(shares.coc_vhd)
 
-    assert tuple((v.theme, v.name, v.unit) for v in report.values) == INDICATOR_META
+    assert len(report.values) == len(INDICATOR_META)
 
 
 def test_build_report_is_deterministic():
@@ -546,19 +536,17 @@ def test_build_report_clamps_negative_average_delay():
 def test_report_validation_rejects_bad_rows():
     assignment, types, schools, tracts = report_fixture()
     good = report_of(assignment, types, schools, tracts)
+    with pytest.raises(ValueError, match="^14 indicator values, not 15$"):
+        IndicatorReport(good.values[:-1])
+
     rows = list(good.values)
-    rows[0], rows[1] = rows[1], rows[0]
-    with pytest.raises(ValueError, match="out of order"):
+    rows[5] = -1.0
+    with pytest.raises(ValueError, match="^indicator 'VMT' has bad value -1.0$"):
         IndicatorReport(tuple(rows))
 
     rows = list(good.values)
-    rows[5] = IndicatorValue(rows[5].theme, rows[5].name, rows[5].unit, -1.0)
-    with pytest.raises(ValueError, match="bad value"):
-        IndicatorReport(tuple(rows))
-
-    rows = list(good.values)
-    rows[6] = IndicatorValue(rows[6].theme, rows[6].name, rows[6].unit, math.nan)
-    with pytest.raises(ValueError, match="bad value"):
+    rows[6] = math.nan
+    with pytest.raises(ValueError, match="^indicator 'VHD' has bad value nan$"):
         IndicatorReport(tuple(rows))
 
     with pytest.raises(KeyError):

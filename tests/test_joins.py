@@ -137,9 +137,9 @@ def test_classify_network_matches_scans(seed, n_links, n_random):
     for row, link in enumerate(links_of(network)):
         use = _dominant_land_uses(network.lines, [row], table, BUFFER)[0]
         assert geo_reference.dominant_land_use(link, parcels, BUFFER) is use
-        assert got[link.id] is classify_street(transport_context(link.fclass, link.speed_mph), use)
+        assert got[row] is classify_street(transport_context(link.fclass, link.speed_mph), use)
     reordered = [parcels[i] for i in rng.permutation(len(parcels))]
-    assert classify_network(network, parcel_table(reordered), BUFFER) == got
+    assert classify_network(network, parcel_table(reordered), BUFFER).tolist() == got.tolist()
 
 
 @cases
@@ -221,8 +221,9 @@ def test_links_within_radii_matches_scan(radius_m, seed, n_links, n_random):
                                [links[i] for i in rng.permutation(len(links))])
     points = radius_points(rng, network, radius_m, n_random)
     want = [geo_reference.links_within_radius(p, radius_m, network) for p in points]
-    assert geo.links_within_radii(points, radius_m, network) == want
-    assert geo.links_within_radii([PROBE], radius_m, network)[0] == want[n_random]
+    assert fixtures.buffer_ids(network, geo.links_within_radii(points, radius_m, network)) == want
+    assert fixtures.buffer_ids(network, geo.links_within_radii([PROBE], radius_m, network)) == [
+        want[n_random]]
     assert geo.links_within_radii([], radius_m, network) == []
 
 
@@ -236,7 +237,7 @@ def test_parcels_sharing_an_id_still_join_by_position():
         table = parcel_table(parcels)
         assert _dominant_land_uses(network.lines, [0], table, BUFFER)[0] is LandUse.COMMERCIAL
         assert geo_reference.dominant_land_use(link, parcels, BUFFER) is LandUse.COMMERCIAL
-        assert classify_network(network, table) == {1: StreetType.NEIGHBORHOOD_COMMERCIAL}
+        assert classify_network(network, table).tolist() == [StreetType.NEIGHBORHOOD_COMMERCIAL]
     # one id and one area, both in the buffer: the earlier parcel wins, in either order
     left = Parcel(3, square(50.0, -30.0, 20.0), LandUse.INDUSTRIAL)
     right = Parcel(3, square(150.0, 30.0, 20.0), LandUse.PUBLIC)
@@ -389,8 +390,9 @@ def joins(nodes, links, parcels, schools, tracts):
     """Street types, each school's buffer, each link's tract and the
     tract-overlap warnings, as `flowscore run` joins them."""
     network, tracts = fixtures.network(nodes, links), tract_table(tracts)
-    return (classify_network(network, parcel_table(parcels), BUFFER),
-            fixtures.school_buffers(network, fixtures.school_table(schools)),
+    return (classify_network(network, parcel_table(parcels), BUFFER).tolist(),
+            fixtures.buffer_ids(network, fixtures.school_buffers(
+                network, fixtures.school_table(schools))),
             indicators.link_tract_ids(network, tracts).tolist(), geo.validate_tracts(tracts))
 
 

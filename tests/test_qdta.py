@@ -24,6 +24,7 @@ import fixtures
 from fixtures import (
     PIGOU_DEMAND_VPH,
     Link,
+    NO_NEEDS,
     Node,
     assert_same_states,
     assignment_of,
@@ -559,12 +560,12 @@ def test_shortest_paths_recomputes_after_in_place_cost_change(monkeypatch):
     graph = qdta.RoutingGraph(net)
     source = np.array([node_at(net, 1)])
     cost = net.free_flow_h.copy()
-    dist, pred, _ = shortest_rows(graph, source, cost)
+    dist, pred, _ = shortest_rows(graph, source, cost, NO_NEEDS)
     assert pred[0, node_at(net, 4)] == node_at(net, 2)
-    again = shortest_rows(graph, source.copy(), cost.copy())
+    again = shortest_rows(graph, source.copy(), cost.copy(), NO_NEEDS)
     assert np.array_equal(again[0], dist) and len(calls) == 1
     cost[net.link_positions(1)] = 100.0
-    dist, pred, _ = shortest_rows(graph, source, cost)
+    dist, pred, _ = shortest_rows(graph, source, cost, NO_NEEDS)
     assert len(calls) == 2
     assert pred[0, node_at(net, 4)] == node_at(net, 3)
     assert dist[0, node_at(net, 4)] == pytest.approx(0.3)
@@ -576,11 +577,11 @@ def test_shortest_paths_solves_each_source_once_per_cost_vector(monkeypatch):
     graph = qdta.RoutingGraph(net)
     a, b, c = (node_at(net, n) for n in (1, 2, 3))
     cost = net.free_flow_h.copy()
-    first = shortest_rows(graph, np.array([b, a]), cost)
-    second = shortest_rows(graph, np.array([a, c, b, a]), cost.copy())
+    first = shortest_rows(graph, np.array([b, a]), cost, NO_NEEDS)
+    second = shortest_rows(graph, np.array([a, c, b, a]), cost.copy(), NO_NEEDS)
     assert calls == [[b, a], [c]]
     # rows come back in the order asked for, as a batch of their own solves them
-    fresh = shortest_rows(qdta.RoutingGraph(net), np.array([a, c, b, a]), cost)
+    fresh = shortest_rows(qdta.RoutingGraph(net), np.array([a, c, b, a]), cost, NO_NEEDS)
     for got, want in zip(second, fresh):
         assert np.array_equal(got, want)
     assert np.array_equal(second[0][[2, 0]], first[0])
@@ -592,8 +593,8 @@ def test_shortest_paths_subset_of_solved_sources_runs_no_dijkstra(monkeypatch):
     net = diamond_network()
     graph = qdta.RoutingGraph(net)
     sources = np.array([node_at(net, n) for n in (1, 2, 3)])
-    dist, pred, _ = shortest_rows(graph, sources, net.free_flow_h)
-    sub = shortest_rows(graph, sources[[2, 0]], net.free_flow_h.copy())
+    dist, pred, _ = shortest_rows(graph, sources, net.free_flow_h, NO_NEEDS)
+    sub = shortest_rows(graph, sources[[2, 0]], net.free_flow_h.copy(), NO_NEEDS)
     assert len(calls) == 1
     assert np.array_equal(sub[0], dist[[2, 0]]) and np.array_equal(sub[1], pred[[2, 0]])
 
@@ -604,13 +605,13 @@ def test_shortest_paths_keeps_only_the_last_cost_vector_asked_without_a_limit(mo
     graph = qdta.RoutingGraph(net)
     source = np.array([node_at(net, 1)])
     first, second = net.free_flow_h.copy(), net.free_flow_h * 2.0
-    graph.shortest_paths(source, first)
-    graph.shortest_paths(source, first.copy())
+    graph.shortest_paths(source, first, NO_NEEDS)
+    graph.shortest_paths(source, first.copy(), NO_NEEDS)
     assert len(calls) == 1
-    graph.shortest_paths(source, second)  # replaces first's rows
-    graph.shortest_paths(source, second.copy())
+    graph.shortest_paths(source, second, NO_NEEDS)  # replaces first's rows
+    graph.shortest_paths(source, second.copy(), NO_NEEDS)
     assert len(calls) == 2
-    dist, _, _ = shortest_rows(graph, source, first)
+    dist, _, _ = shortest_rows(graph, source, first, NO_NEEDS)
     assert len(calls) == 3 and dist[0, node_at(net, 4)] == pytest.approx(0.22)
 
 
@@ -621,16 +622,13 @@ def test_shortest_paths_rows_solved_with_a_limit_serve_only_their_call(monkeypat
     graph = qdta.RoutingGraph(net)
     source = np.array([node_at(net, 1)])
     zero_flow, loaded = net.free_flow_h.copy(), net.free_flow_h * 2.0
-    graph.shortest_paths(source, zero_flow)
+    graph.shortest_paths(source, zero_flow, NO_NEEDS)
     for _ in range(2):  # a limit at other costs: solved each time, kept never
         graph.shortest_paths(source, loaded, NO_NEEDS, np.array([5.0]))
     assert limits == [math.inf, 5.0, 5.0]
     # and the zero-flow rows are still kept
     graph.shortest_paths(source, zero_flow.copy(), NO_NEEDS, np.array([5.0]))
     assert len(calls) == 3
-
-
-NO_NEEDS = (np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp))
 
 
 def test_shortest_paths_a_stopped_row_at_the_kept_costs_answers_only_what_it_settled(
@@ -642,7 +640,7 @@ def test_shortest_paths_a_stopped_row_at_the_kept_costs_answers_only_what_it_set
     source = np.array([node_at(net, 1)])
     two, four = node_at(net, 2), node_at(net, 4)
     cost = net.free_flow_h.copy()
-    graph.shortest_paths(np.empty(0, dtype=np.intp), cost)  # cost's rows are kept
+    graph.shortest_paths(np.empty(0, dtype=np.intp), cost, NO_NEEDS)  # cost's rows are kept
     dist, pred, _ = shortest_rows(graph, source, cost.copy(), (np.array([0]), np.array([two])),
                                   np.array([0.5]))
     assert limits == [0.5]
@@ -656,21 +654,6 @@ def test_shortest_paths_a_stopped_row_at_the_kept_costs_answers_only_what_it_set
                                   np.array([0.5]))
     assert limits == [0.5, math.inf]
     assert dist[0, four] == pytest.approx(2 / 3) and pred[0, four] == node_at(net, 3)
-    # a caller that names no destination needs every node, so only a full row answers
-    graph.shortest_paths(source, cost.copy())
-    assert len(calls) == 2
-
-
-def test_shortest_paths_without_needs_solves_a_stopped_row_again(monkeypatch):
-    limits = []
-    count_dijkstra(monkeypatch, limits)
-    net = chain_network()
-    graph = qdta.RoutingGraph(net)
-    source = np.array([node_at(net, 1)])
-    graph.shortest_paths(np.empty(0, dtype=np.intp), net.free_flow_h)  # its rows are kept
-    graph.shortest_paths(source, net.free_flow_h, NO_NEEDS, np.array([0.1]))
-    dist, _, _ = shortest_rows(graph, source, net.free_flow_h)
-    assert limits == [0.1, math.inf] and np.isfinite(dist).all()
 
 
 def test_aon_reports_an_od_unreachable_only_after_a_full_search(monkeypatch):
@@ -731,7 +714,7 @@ def test_a_stopped_search_settles_its_nodes_as_a_full_search_does(seed, rows, co
     net = grid_network(rows, cols)
     cost = rng.integers(1, 4, size=net.n_links).astype(float)
     sources = np.arange(net.n_nodes)
-    full_dist, full_pred, _ = shortest_rows(qdta.RoutingGraph(net), sources, cost)
+    full_dist, full_pred, _ = shortest_rows(qdta.RoutingGraph(net), sources, cost, NO_NEEDS)
     for _ in range(3):
         # limits on the distances of random nodes, so ties sit at the limit too
         limit = full_dist[sources, rng.integers(0, net.n_nodes, size=sources.size)]

@@ -59,11 +59,11 @@ HAND_CASES = [
 def hand_labeled_fixture(scale: float = 1.0):
     """100 isolated street segments with parcels placed at exact gaps.
 
-    Returns (network, parcels table, expected labels by link id). Labels
+    Returns (network, parcels table, expected label per link row). Labels
     come from the HAND_CASES table, not from the classifier.
     """
     nodes, links, parcels = [], [], []
-    expected = {}
+    expected = []
     parcel_id = 1
     for k in range(100):
         fclass, speed, specs, label = HAND_CASES[k % len(HAND_CASES)]
@@ -75,7 +75,7 @@ def hand_labeled_fixture(scale: float = 1.0):
         link = Link(k + 1, a.id, b.id, 0.5, speed, 800.0, fclass, 2,
                     ((x0, 0.0), (x1, 0.0)))
         links.append(link)
-        expected[link.id] = label
+        expected.append(label)
         cx = (x0 + x1) / 2.0
         for code, gap, half in specs:
             g, h = gap * scale, half * scale
@@ -119,7 +119,8 @@ def test_classify_street_total_mapping():
 def test_hand_labeled_fixture_zero_mismatches():
     network, parcels, expected = hand_labeled_fixture()
     got = classify_network(network, parcels)
-    mismatches = {i: (got[i], expected[i]) for i in expected if got[i] is not expected[i]}
+    mismatches = {row: (label, want) for row, (label, want) in enumerate(zip(got, expected))
+                  if label is not want}
     assert mismatches == {}
     assert len(got) == 100
 
@@ -128,7 +129,7 @@ def test_classification_survives_similarity_scaling():
     # same labels when the whole plane and the buffer scale together
     network, parcels, expected = hand_labeled_fixture(scale=3.7)
     got = classify_network(network, parcels, adjacency_buffer_m=20.0 * 3.7)
-    assert {i: got[i].value for i in got} == {i: expected[i].value for i in expected}
+    assert [t.value for t in got] == [t.value for t in expected]
 
 
 def test_dominant_land_use_index_agrees_with_scan():
@@ -156,7 +157,7 @@ def test_dominant_land_use_no_candidates():
 
 def test_classify_network_without_parcels_gives_others():
     types = classify_network(grid_network(3, 3), parcel_table([]))
-    assert set(types.values()) == {StreetType.OTHERS}
+    assert set(types.tolist()) == {StreetType.OTHERS}
 
 
 def test_parcel_area_validation():
@@ -223,12 +224,15 @@ def test_link_types_csv_roundtrip(tmp_path):
     types = classify_network(network, parcels)
     path = tmp_path / "link_types.csv"
     write_link_types(path, types, network)
-    assert read_link_types(path) == types
+    assert read_link_types(path, network).tolist() == types.tolist()
     # rows follow network link order
     lines = path.read_text().splitlines()
     assert lines[0] == "link_id,street_type"
     assert lines[1].startswith("1,")
     assert len(lines) == 101
+    # a file in another row order reads back in the network's
+    path.write_text("\n".join(lines[:1] + lines[:0:-1]))
+    assert read_link_types(path, network).tolist() == types.tolist()
 
 
 def test_load_parcels_rejects_duplicate_ids(tmp_path):
@@ -258,3 +262,19 @@ def test_load_parcels_rejects_a_coordinate_too_large_for_a_float(tmp_path):
     path.write_text(path.read_text().replace("[60.0, 60.0]", "[60.0, 1" + "0" * 400 + "]"))
     with pytest.raises(ValueError, match="huge.geojson: feature 2 has a non-finite coordinate"):
         load_parcels(str(path))
+
+
+@pytest.mark.parametrize("ids, message", [
+    ([1, 1, 2, 3], "duplicate link_id 1 in {path}, row 3"),
+    ([1, 2, 3, 99], "{path} has no street type for link 4"),
+    ([1, 2, 3, 4, 99, 2], "duplicate link_id 2 in {path}, row 7"),
+    ([7, 1, 2, 3, 4, 99], "unknown link_id 7 in {path}, row 2"),
+], ids=["repeat_before_missing", "missing_before_unknown", "repeat_before_unknown",
+        "first_unknown"])
+def test_read_link_types_names_the_first_of_several_faults(tmp_path, ids, message):
+    network = grid_network(1, 3)  # links 1 to 4
+    path = tmp_path / "link_types.csv"
+    path.write_text("".join(["link_id,street_type\n", *(f"{i},Highway\n" for i in ids)]))
+    with pytest.raises(ValueError) as caught:
+        read_link_types(path, network)
+    assert str(caught.value) == message.format(path=path)

@@ -67,7 +67,8 @@ def reference_walk(network, trips, link_costs, time_h, speed_mph, budget_h, conf
         return entered
     sources = sorted({t.node for t in trips})
     row_of = {s: i for i, s in enumerate(sources)}
-    dist, pred, chosen = fixtures.shortest_rows(graph, np.array(sources, dtype=np.int64), link_costs)
+    dist, pred, chosen = fixtures.shortest_rows(
+        graph, np.array(sources, dtype=np.int64), link_costs, fixtures.NO_NEEDS)
 
     def path_links(row, origin_idx, dest_idx):
         if not math.isfinite(dist[row, dest_idx]):
