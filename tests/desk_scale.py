@@ -19,10 +19,10 @@ import resource
 import statistics
 import time
 
-import numpy as np
-
-from flowscore import qdta
+from flowscore import qdta  # first, so its one-thread BLAS setting is in place before numpy loads
 from fixtures import grid_network, perf_network, perf_trips
+
+import numpy as np
 
 
 def main() -> None:

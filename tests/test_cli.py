@@ -169,6 +169,28 @@ def test_importing_the_cli_loads_no_xml_or_http_modules():
     assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
 
 
+@pytest.mark.parametrize("preset", [None, "2"])
+def test_importing_flowscore_keeps_blas_to_one_thread(preset):
+    # each OpenBLAS helper thread spins after every BLAS call, and a ddot over
+    # 10,000+ elements rounds by the thread count; a user's own setting stays
+    if not os.path.isdir("/proc/self/task"):
+        pytest.skip("thread count is read from /proc/self/task")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    code = ("import flowscore.cli, os, numpy as np; np.ones(20_001) @ np.ones(20_001); "
+            "print(os.environ['OPENBLAS_NUM_THREADS'], len(os.listdir('/proc/self/task')))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    value, threads = done.stdout.split()
+    assert value == (preset or "1")
+    if preset is None:
+        assert threads == "1"
+
+
 def test_every_public_name_resolves():
     import flowscore
 

@@ -3,7 +3,7 @@ flowscore: a name nothing in `src/` uses is dead code, even if a test
 calls it.
 
 A reference is a `Name` or an `Attribute` node anywhere in a module
-outside the definition itself. The package's `__init__.py` only
+outside the definition itself. The package's `__init__.py`
 re-exports, so its imports do not count, and a name that only a
 docstring mentions is not in the syntax tree at all.
 """
