@@ -11,7 +11,6 @@ from .costs import (
     DEFAULT_FUEL,
     BprParams,
     FuelParams,
-    bpr_integral,
     bpr_time,
     eco_assignment_cost,
     fuel_per_mile,
@@ -84,7 +83,6 @@ __all__ = [
     "TransportContext",
     "TripRecord",
     "assign_interval",
-    "bpr_integral",
     "bpr_time",
     "build_link_index",
     "build_report",

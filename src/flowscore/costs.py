@@ -89,15 +89,6 @@ def bpr_time(free_flow_h, flow_vph, capacity_vph, params: BprParams | None = Non
     return _ret(np.asarray(free_flow_h, dtype=float) * (1.0 + p.alpha * ratio**p.beta))
 
 
-def bpr_integral(free_flow_h, flow_vph, capacity_vph, params: BprParams | None = None):
-    """Closed-form integral of bpr_time from 0 to the given flow."""
-    p = params or DEFAULT_BPR
-    flow = _check_flow(flow_vph)
-    ratio = flow / np.asarray(capacity_vph, dtype=float)
-    factor = 1.0 + (p.alpha / (p.beta + 1.0)) * ratio**p.beta
-    return _ret(np.asarray(free_flow_h, dtype=float) * flow * factor)
-
-
 def bpr_time_gradient(free_flow_h, flow_vph, capacity_vph, params: BprParams | None = None):
     p = params or DEFAULT_BPR
     flow = _check_flow(flow_vph)

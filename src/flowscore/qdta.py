@@ -107,8 +107,13 @@ class SolverConfig:
             raise ValueError("relative_gap must be in (0, 1)")
         if not 0 < self.line_search_tol < 1:
             raise ValueError("line_search_tol must be in (0, 1)")
-        if not 0 < self.speed_floor_mph < self.speed_cap_mph:
-            raise ValueError("need 0 < speed floor < speed cap")
+        # the clamped speeds must lie where the fuel curve is fitted
+        if self.speed_floor_mph < costs.FUEL_SPEED_MIN:
+            raise ValueError(f"speed_floor_mph must be at least {costs.FUEL_SPEED_MIN} mph")
+        if self.speed_cap_mph > costs.FUEL_SPEED_MAX:
+            raise ValueError(f"speed_cap_mph must be at most {costs.FUEL_SPEED_MAX} mph")
+        if not self.speed_floor_mph < self.speed_cap_mph:
+            raise ValueError("need speed floor < speed cap")
 
     @property
     def interval_h(self) -> float:
@@ -398,34 +403,119 @@ class _SolvedRows:
         self.dist.flags.writeable = self.pred.flags.writeable = False  # every caller shares them
 
 
-def _cost_vector(network: Network, objective: Objective, flows, config: SolverConfig) -> np.ndarray:
-    """Link costs per objective."""
-    if objective is Objective.UET:
-        out = costs.bpr_time(network.free_flow_h, flows, network.capacity_vph, config.bpr)
-    elif objective is Objective.SOT:
-        out = costs.marginal_time_cost(network.free_flow_h, flows, network.capacity_vph, config.bpr)
-    else:
-        out = costs.eco_assignment_cost(
-            network.length_miles,
-            network.speed_mph,
-            flows,
-            network.capacity_vph,
-            config.bpr,
-            config.fuel,
-            config.speed_floor_mph,
-            config.speed_cap_mph,
-        )
-    return np.asarray(out, dtype=float)
+class _Pricing:
+    """One objective's link costs on one network, its per-link constants
+    computed once.
 
+    `at(flow)` gives the cost vector, the objective value and the BPR time
+    from one (flow / capacity)**beta, with the bits of the objective's
+    public cost function (`costs.bpr_time`, `costs.marginal_time_cost` or
+    `costs.eco_assignment_cost`), of its closed-form objective, and of
+    `costs.bpr_time`. Flows are not checked here: FW checks each
+    all-or-nothing load, and every iterate lies between two checked loads.
+    `free_cost`, the zero-flow costs that every interval's first load and
+    the forced walk route on, is priced once, by the public function.
+    """
 
-def _objective_value(network: Network, objective: Objective, flows, config: SolverConfig) -> float:
-    if objective is Objective.UET:
-        return float(np.sum(costs.bpr_integral(network.free_flow_h, flows, network.capacity_vph, config.bpr)))
-    if objective is Objective.SOT:
-        return float(np.sum(flows * costs.bpr_time(network.free_flow_h, flows, network.capacity_vph, config.bpr)))
-    t = np.asarray(costs.bpr_time(network.free_flow_h, flows, network.capacity_vph, config.bpr))
-    v = np.clip(network.length_miles / t, config.speed_floor_mph, config.speed_cap_mph)
-    return float(np.sum(flows * costs.link_fuel(network.length_miles, v, config.fuel)))
+    def __init__(self, network: Network, objective: Objective, config: SolverConfig):
+        self.objective, self.config, self.link_ids = objective, config, network.link_ids
+        self.free_flow_h, self.capacity_vph = network.free_flow_h, network.capacity_vph
+        self.per_link = ("free_flow_h", "capacity_vph")
+        bpr, zero = config.bpr, np.zeros(network.n_links)
+        if objective is Objective.UET:
+            self.free_cost = costs.bpr_time(network.free_flow_h, zero, network.capacity_vph, bpr)
+        elif objective is Objective.SOT:
+            self.free_cost = costs.marginal_time_cost(network.free_flow_h, zero,
+                                                      network.capacity_vph, bpr)
+        else:
+            self.free_cost = costs.eco_assignment_cost(
+                network.length_miles, network.speed_mph, zero, network.capacity_vph, bpr,
+                config.fuel, config.speed_floor_mph, config.speed_cap_mph)
+            # the constants of the chain term, multiplied as bpr_time_gradient does
+            self.length_miles = network.length_miles
+            self.slope_scale = network.free_flow_h * bpr.alpha * bpr.beta
+            self.capacity_pow = network.capacity_vph ** bpr.beta
+            self.per_link += ("length_miles", "slope_scale", "capacity_pow")
+
+    def _price(self, flow: np.ndarray):
+        """(cost, BPR time, (flow / capacity)**beta, per-link fuel or None) at flow."""
+        bpr = self.config.bpr
+        ratio_pow = (flow / self.capacity_vph) ** bpr.beta
+        time_h = self.free_flow_h * (1.0 + bpr.alpha * ratio_pow)
+        if self.objective is Objective.UET:
+            return time_h, time_h, ratio_pow, None
+        if self.objective is Objective.SOT:
+            return (self.free_flow_h * (1.0 + bpr.alpha * (1.0 + bpr.beta) * ratio_pow), time_h,
+                    ratio_pow, None)
+        config, fuel, length = self.config, self.config.fuel, self.length_miles
+        v_raw = length / time_h
+        v = np.clip(v_raw, config.speed_floor_mph, config.speed_cap_mph)
+        burn = length * (fuel.a + fuel.b / v + fuel.c * v**2)
+        dm_dv = length * (-fuel.b / v**2 + 2.0 * fuel.c * v)
+        dv_df = -length * (self.slope_scale * flow ** (bpr.beta - 1.0) / self.capacity_pow) / time_h**2
+        unclamped = (v_raw >= config.speed_floor_mph) & (v_raw <= config.speed_cap_mph)
+        return burn + np.where(unclamped, flow * dm_dv * dv_df, 0.0), time_h, ratio_pow, burn
+
+    def take(self, links: np.ndarray) -> _Pricing:
+        """The pricing of the links at positions `links` alone."""
+        part = copy.copy(self)
+        for name in self.per_link:
+            setattr(part, name, getattr(self, name)[links])
+        return part
+
+    def cost(self, flow: np.ndarray) -> np.ndarray:
+        return self._price(flow)[0]
+
+    def at(self, flow: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
+        """(cost, objective value, BPR time) at flow. A link whose cost or
+        time is not finite, say because (flow / capacity)**beta overflows,
+        raises a ValueError that names it."""
+        cost, time_h, ratio_pow, burn = self._price(flow)
+        if not (np.isfinite(cost).all() and np.isfinite(time_h).all()):
+            i = int(np.argmin(np.isfinite(cost) & np.isfinite(time_h)))
+            raise ValueError(
+                f"link {self.link_ids[i]}: cost not finite at flow {flow[i]} vph and capacity "
+                f"{self.capacity_vph[i]} vph ({self.objective.value} cost {cost[i]}, "
+                f"time {time_h[i]} h)")
+        if self.objective is Objective.UET:  # the integral of the time
+            bpr = self.config.bpr
+            terms = self.free_flow_h * flow * (1.0 + (bpr.alpha / (bpr.beta + 1.0)) * ratio_pow)
+        else:  # vehicle-hours or liters
+            terms = flow * (time_h if burn is None else burn)
+        return cost, float(terms.sum()), time_h
+
+    def slope_along(self, f: np.ndarray, d: np.ndarray, cost: np.ndarray):
+        """sigma -> d @ cost(max(f + sigma * d, 0)), where cost is cost(f).
+
+        Only the links where d is not zero move, so only they are priced,
+        into a copy of cost: the slope stays one dot product over every
+        link, with the bits of one over a vector priced whole.
+        """
+        moving = np.flatnonzero(d)
+        part, f_moving, d_moving, c = self.take(moving), f[moving], d[moving], cost.copy()
+
+        def slope(sigma: float) -> float:
+            c[moving] = part.cost(np.maximum(f_moving + sigma * d_moving, 0.0))
+            return float(d @ c)
+
+        return slope
+
+    def line_search(self, f: np.ndarray, d: np.ndarray, cost: np.ndarray) -> float:
+        """The step in [0, 1] along d from f that bisection on
+        `slope_along(f, d, cost)` finds."""
+        slope = self.slope_along(f, d, cost)
+        if slope(1.0) <= 0.0:
+            return 1.0
+        lo, hi = 0.0, 1.0
+        for _ in range(_LINE_SEARCH_MAX_ITER):
+            if hi - lo <= self.config.line_search_tol:
+                break
+            mid = 0.5 * (lo + hi)
+            if slope(mid) < 0.0:
+                lo = mid
+            else:
+                hi = mid
+        return 0.5 * (lo + hi)
 
 
 class _DemandBatch:
@@ -528,25 +618,6 @@ def _load_all_or_nothing(graph: RoutingGraph, batch: _DemandBatch, link_costs: n
     return flows, unreachable, _Paths(key, length, table)
 
 
-def _line_search(network, objective, config, f, d) -> float:
-    def slope(sigma: float) -> float:
-        x = np.maximum(f + sigma * d, 0.0)
-        return float(d @ _cost_vector(network, objective, x, config))
-
-    if slope(1.0) <= 0.0:
-        return 1.0
-    lo, hi = 0.0, 1.0
-    for _ in range(_LINE_SEARCH_MAX_ITER):
-        if hi - lo <= config.line_search_tol:
-            break
-        mid = 0.5 * (lo + hi)
-        if slope(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def assign_interval(
     network: Network,
     od_demand,
@@ -554,31 +625,35 @@ def assign_interval(
     config: SolverConfig | None = None,
     *,
     graph: RoutingGraph | None = None,
+    pricing: _Pricing | None = None,
 ) -> FlowState:
     """Frank-Wolfe assignment of one interval's demand.
 
     od_demand maps (origin, destination) to trip counts for the
     interval; counts become hourly rates via the interval length. graph,
-    a RoutingGraph of network, lets calls share its kept zero-flow rows;
-    without it a fresh one is built.
+    a RoutingGraph of network, lets calls share its kept zero-flow rows,
+    and pricing, a `_Pricing` of network, objective and config, its
+    per-link constants; without them fresh ones are built.
     """
     config = config or SolverConfig()
     graph = RoutingGraph(network) if graph is None else graph
+    pricing = _Pricing(network, objective, config) if pricing is None else pricing
     batch = _DemandBatch(network, od_demand, config.interval_h)
 
-    cost0 = _cost_vector(network, objective, np.zeros(network.n_links), config)
-    f, unreachable, paths = _load_all_or_nothing(graph, batch, cost0)
+    f, unreachable, paths = _load_all_or_nothing(graph, batch, pricing.free_cost)
+    costs._check_flow(f)
 
     best_lower_bound = -math.inf
     log: list[tuple[float, float]] = []
     converged = False
     gap = math.inf
     for it in range(1, config.max_iterations + 1):
-        cost = _cost_vector(network, objective, f, config)
+        cost, value, time_h = pricing.at(f)
         y, unreachable, paths = _load_all_or_nothing(graph, batch, cost, paths)
-        value = _objective_value(network, objective, f, config)
+        costs._check_flow(y)
+        d = y - f
         if objective is Objective.UET:
-            lb = value + float(cost @ (y - f))
+            lb = value + float(cost @ d)
             best_lower_bound = max(best_lower_bound, lb)
             gap = (value - best_lower_bound) / abs(value) if value != 0.0 else 0.0
         else:
@@ -591,8 +666,8 @@ def assign_interval(
             break
         if it == config.max_iterations:
             break
-        sigma = _line_search(network, objective, config, f, y - f)
-        f = np.maximum(f + sigma * (y - f), 0.0)
+        sigma = pricing.line_search(f, d, cost)
+        f = np.maximum(f + sigma * d, 0.0)
 
     if not converged:
         logger.warning(
@@ -601,9 +676,8 @@ def assign_interval(
             config.max_iterations,
             gap,
         )
-    # f moves only after the stopping tests, so cost is still cost(f), the
-    # costs of the last load's paths
-    time_h = np.asarray(costs.bpr_time(network.free_flow_h, f, network.capacity_vph, config.bpr))
+    # f moves only after the stopping tests, so cost and time_h are still
+    # at f, and cost is the costs of the last load's paths
     return FlowState(f, time_h, network.length_miles / time_h, cost, converged, gap, len(log), log,
                      [(o, d, r * config.interval_h) for o, d, r in unreachable], paths)
 
@@ -758,7 +832,7 @@ def run_day(network: Network, trips: Departures, objective: Objective,
     day = _Trips(network, trips)
     bucket = day.depart_s // config.interval_s
     n_nodes = network.n_nodes
-    graph = RoutingGraph(network)
+    graph, pricing = RoutingGraph(network), _Pricing(network, objective, config)
 
     def demand(at: np.ndarray) -> dict:
         """Trips per (current node id, destination id) over positions at."""
@@ -770,14 +844,15 @@ def run_day(network: Network, trips: Departures, objective: Objective,
     intervals: list[IntervalRecord] = []
     for k in range(config.n_intervals):
         active = np.union1d(residual, np.flatnonzero(bucket == k))  # in trip-id order
-        state = assign_interval(network, demand(active), objective, config, graph=graph)
+        state = assign_interval(network, demand(active), objective, config, graph=graph,
+                                pricing=pricing)
         _, residual, entered = advance_trips(network, state, day, active, config)
         intervals.append(IntervalRecord.of(state, entered))
 
     # day over: finish leftovers on their zero-flow paths and flag them, at
     # speed_mph (length / free_flow_h can differ in the last bit, and so the fuel)
-    cost0 = _cost_vector(network, objective, np.zeros(network.n_links), config)
-    _, _, paths = _load_all_or_nothing(graph, _DemandBatch(network, demand(residual), 1.0), cost0)
+    _, _, paths = _load_all_or_nothing(graph, _DemandBatch(network, demand(residual), 1.0),
+                                       pricing.free_cost)
     _, _, forced_entered = _walk(network, day, residual, paths, network.free_flow_h,
                                  network.speed_mph, math.inf, config, "forced")
     return AssignmentResult(objective, config, intervals, day.table(network), forced_entered,

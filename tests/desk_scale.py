@@ -1,16 +1,20 @@
 """Time one objective's day at criterion 10's desk scale, or at four times it.
 
     PYTHONPATH=src:tests python3 tests/desk_scale.py --scale 4 --objective uet --repeat 1
+    PYTHONPATH=src:tests python3 tests/desk_scale.py --scale 1 --congested --objective uet
 
 Scale 1 is criterion 10's case: `fixtures.perf_network()` (10,000 links)
 and `fixtures.perf_trips()` (100,000 trips between 64 zones). Scale 4 is a
 100 x 100 grid (39,600 links) with 400,000 trips between 289 zones, each
-to an adjacent zone. It runs --repeat days in one process. For each day it
-prints the day's CPU seconds, the CPU seconds spent inside scipy's
-Dijkstra, the Dijkstra runs and sources, and the nodes settled (finite
-distances Dijkstra returned); then the median day CPU seconds and the
+to an adjacent zone. --congested divides every capacity by 8 and lets
+Frank-Wolfe run up to 100 iterations per interval, so that FW, not
+Dijkstra, has the work. It runs --repeat days in one process. For each
+day it prints the day's CPU seconds; the CPU seconds spent inside scipy's
+Dijkstra, its runs and sources, and the nodes settled (finite distances
+Dijkstra returned); and the FW pricing kernel's evaluations and the CPU
+seconds spent in them. Then it prints the median day CPU seconds and the
 process's peak resident memory. It is not part of the test suite, since
-scale 4 runs for many seconds.
+scale 4 and --congested run for many seconds.
 """
 from __future__ import annotations
 
@@ -20,7 +24,7 @@ import statistics
 import time
 
 from flowscore import qdta  # first, so its one-thread BLAS setting is in place before numpy loads
-from fixtures import grid_network, perf_network, perf_trips
+from fixtures import grid_network, links_of, network, nodes_of, perf_network, perf_trips
 
 import numpy as np
 
@@ -30,6 +34,8 @@ def main() -> None:
     parser.add_argument("--scale", type=int, choices=(1, 4), default=4)
     parser.add_argument("--objective", choices=[o.value for o in qdta.Objective], default="uet")
     parser.add_argument("--repeat", type=int, default=1, help="days to run (default 1)")
+    parser.add_argument("--congested", action="store_true",
+                        help="capacities / 8 and max_iterations 100")
     args = parser.parse_args()
     if args.repeat < 1:
         parser.error("--repeat must be at least 1")
@@ -37,6 +43,11 @@ def main() -> None:
         net, trips = perf_network(), perf_trips()
     else:
         net, trips = grid_network(100, 100), perf_trips(400_000, rows=100, cols=100)
+    config = qdta.SolverConfig()
+    if args.congested:
+        net = network(nodes_of(net), [link._replace(capacity_vph=link.capacity_vph / 8.0)
+                                      for link in links_of(net)])
+        config = qdta.SolverConfig(max_iterations=100)
 
     real = qdta._csgraph_dijkstra
 
@@ -51,19 +62,31 @@ def main() -> None:
         dijkstra["counting_s"] += time.process_time() - stop
         return dist, pred
 
+    def counted_pricing(*a, **kw):
+        start = time.process_time()
+        out = real_price(*a, **kw)
+        stop = time.process_time()
+        pricing["cpu_s"] += stop - start
+        pricing["evals"] += 1
+        pricing["counting_s"] += time.process_time() - stop
+        return out
+
     qdta._csgraph_dijkstra = counted
+    real_price, qdta._Pricing._price = qdta._Pricing._price, counted_pricing
     days = []
     for k in range(args.repeat):
         dijkstra = dict.fromkeys(("runs", "sources", "settled", "cpu_s", "counting_s"), 0)
+        pricing = dict.fromkeys(("evals", "cpu_s", "counting_s"), 0)
         start = time.process_time()
-        result = qdta.run_day(net, trips, qdta.Objective(args.objective))
-        days.append(time.process_time() - start - dijkstra["counting_s"])
+        result = qdta.run_day(net, trips, qdta.Objective(args.objective), config)
+        days.append(time.process_time() - start - dijkstra["counting_s"] - pricing["counting_s"])
         if k == 0:
-            print(f"scale {args.scale} {args.objective}: {net.n_links} links, "
-                  f"{trips.trip_id.size} trips, {result.counts()}")
+            print(f"scale {args.scale}{' congested' if args.congested else ''} {args.objective}: "
+                  f"{net.n_links} links, {trips.trip_id.size} trips, {result.counts()}")
         print(f"day {k + 1}: day_cpu_s {days[-1]:.2f} dijkstra_cpu_s {dijkstra['cpu_s']:.2f} "
               f"dijkstra_runs {dijkstra['runs']} dijkstra_sources {dijkstra['sources']} "
-              f"settled_nodes {dijkstra['settled']}")
+              f"settled_nodes {dijkstra['settled']} pricing_cpu_s {pricing['cpu_s']:.2f} "
+              f"pricing_evals {pricing['evals']}")
     print(f"median_day_cpu_s {statistics.median(days):.3f} over {args.repeat} days "
           f"peak_rss_mb {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.0f}")
 

@@ -1,15 +1,69 @@
-"""A day's dense per-interval states, rebuilt from the sparse interval
-records that `run_day` keeps: the reference that tests compare the
-records against.
+"""References that tests compare the solver against.
 
-Time and speed come from the same whole-vector calls on the same flows
-as in `assign_interval`, and cost from `_cost_vector`, so a rebuilt
-state has the bits of the state `assign_interval` returned.
+The link pricing that `qdta._Pricing` replaced, built from the public
+cost functions and priced over whole vectors: `cost_vector`,
+`objective_value` and the bisection `line_search`. And a day's dense
+per-interval states, rebuilt from the sparse interval records that
+`run_day` keeps: time and speed come from `costs.bpr_time` on the same
+flows, and cost from `cost_vector`, so a rebuilt state has the bits of
+the state `assign_interval` returned.
 """
 import numpy as np
 
 from flowscore import costs, qdta
-from flowscore.qdta import FlowState
+from flowscore.qdta import FlowState, Objective
+
+from costs_reference import bpr_integral
+
+
+def cost_vector(network, objective, flows, config) -> np.ndarray:
+    """Link costs per objective."""
+    if objective is Objective.UET:
+        out = costs.bpr_time(network.free_flow_h, flows, network.capacity_vph, config.bpr)
+    elif objective is Objective.SOT:
+        out = costs.marginal_time_cost(network.free_flow_h, flows, network.capacity_vph, config.bpr)
+    else:
+        out = costs.eco_assignment_cost(
+            network.length_miles,
+            network.speed_mph,
+            flows,
+            network.capacity_vph,
+            config.bpr,
+            config.fuel,
+            config.speed_floor_mph,
+            config.speed_cap_mph,
+        )
+    return np.asarray(out, dtype=float)
+
+
+def objective_value(network, objective, flows, config) -> float:
+    if objective is Objective.UET:
+        return float(np.sum(bpr_integral(network.free_flow_h, flows, network.capacity_vph, config.bpr)))
+    if objective is Objective.SOT:
+        return float(np.sum(flows * costs.bpr_time(network.free_flow_h, flows, network.capacity_vph, config.bpr)))
+    t = np.asarray(costs.bpr_time(network.free_flow_h, flows, network.capacity_vph, config.bpr))
+    v = np.clip(network.length_miles / t, config.speed_floor_mph, config.speed_cap_mph)
+    return float(np.sum(flows * costs.link_fuel(network.length_miles, v, config.fuel)))
+
+
+def line_search(network, objective, config, f, d) -> float:
+    """Bisection on the slope d @ cost_vector(max(f + sigma * d, 0))."""
+    def slope(sigma: float) -> float:
+        x = np.maximum(f + sigma * d, 0.0)
+        return float(d @ cost_vector(network, objective, x, config))
+
+    if slope(1.0) <= 0.0:
+        return 1.0
+    lo, hi = 0.0, 1.0
+    for _ in range(qdta._LINE_SEARCH_MAX_ITER):
+        if hi - lo <= config.line_search_tol:
+            break
+        mid = 0.5 * (lo + hi)
+        if slope(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def dense_states(result) -> list[FlowState]:
@@ -22,7 +76,7 @@ def dense_states(result) -> list[FlowState]:
         time_h = np.asarray(costs.bpr_time(net.free_flow_h, flows, net.capacity_vph, config.bpr))
         states.append(FlowState(
             flows, time_h, net.length_miles / time_h,
-            qdta._cost_vector(net, result.objective, flows, config), rec.converged, rec.gap,
+            cost_vector(net, result.objective, flows, config), rec.converged, rec.gap,
             rec.iterations, list(rec.log), list(rec.unreachable)))
     return states
 

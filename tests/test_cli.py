@@ -817,6 +817,33 @@ def test_run_rejects_non_finite_solver_settings(tmp_path, capsys, key, named, va
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("key, value", [("speed_floor_mph", 0.5), ("speed_cap_mph", 150.0)])
+def test_run_rejects_a_speed_clamp_outside_the_fuel_model(tmp_path, capsys, key, value):
+    cfg = town_scenario(tmp_path, config_overrides={key: value})
+    assert main(["run", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: bad solver settings: ") and key in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy reports the overflow
+def test_run_names_the_link_whose_cost_overflows(tmp_path, capsys):
+    cfg = town_scenario(tmp_path)
+    links = tmp_path / "links.csv"
+    with links.open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    for row in rows:
+        row["capacity_vph"] = "1e-80"
+    with links.open("w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+    assert main(["run", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert re.search(r"^error: link \d+: cost not finite at flow \S+ vph and capacity 1e-80 vph",
+                     err, re.M), err
+
+
 def test_long_town_flow_vmt_exceeds_trip_vmt(long_town_run):
     # Each interval loads a spilled trip's whole remaining path, but the
     # trip drives only part of it before the interval ends, so flow-based

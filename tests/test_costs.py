@@ -9,7 +9,6 @@ from flowscore.costs import (
     FUEL_SPEED_MIN,
     BprParams,
     FuelParams,
-    bpr_integral,
     bpr_time,
     bpr_time_gradient,
     eco_assignment_cost,
@@ -19,7 +18,7 @@ from flowscore.costs import (
     spf_accidents,
 )
 
-from costs_reference import bpr_speed
+from costs_reference import bpr_integral, bpr_speed
 
 
 def simpson(fn, a, b, n=2000):

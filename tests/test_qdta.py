@@ -17,8 +17,8 @@ from flowscore.qdta import (
     run_day,
 )
 
-from costs_reference import bpr_speed
-from qdta_reference import dense_entered, dense_states
+from costs_reference import bpr_integral, bpr_speed
+from qdta_reference import cost_vector, dense_entered, dense_states
 
 import fixtures
 from fixtures import (
@@ -156,6 +156,14 @@ def test_solver_config_validation():
         SolverConfig(max_iterations=0)
 
 
+def test_solver_config_keeps_the_speed_clamp_inside_the_fuel_model():
+    SolverConfig(speed_floor_mph=costs.FUEL_SPEED_MIN, speed_cap_mph=costs.FUEL_SPEED_MAX)
+    with pytest.raises(ValueError, match="speed_floor_mph must be at least 1.0 mph"):
+        SolverConfig(speed_floor_mph=0.5)
+    with pytest.raises(ValueError, match="speed_cap_mph must be at most 120.0 mph"):
+        SolverConfig(speed_cap_mph=150.0)
+
+
 def test_objective_parse():
     assert Objective.parse(" SOT ") is Objective.SOT
     with pytest.raises(ValueError, match="unknown objective"):
@@ -250,7 +258,7 @@ def pigou_grid(objective: Objective, step=0.1):
     f_wide = PIGOU_DEMAND_VPH - f_narrow
     t0w, t0n = 1.0, 0.5
     if objective is Objective.UET:
-        z = costs.bpr_integral(t0w, f_wide, wide.capacity_vph) + costs.bpr_integral(
+        z = bpr_integral(t0w, f_wide, wide.capacity_vph) + bpr_integral(
             t0n, f_narrow, narrow.capacity_vph
         )
     elif objective is Objective.SOT:
@@ -311,7 +319,7 @@ def test_zero_demand_interval():
             assert state.log == [(0.0, 0.0)] and state.unreachable == []
             assert not state.flow_vph.any()
             assert np.array_equal(state.time_h, net.free_flow_h)
-            assert np.array_equal(state.cost, qdta._cost_vector(net, objective, zeros, config))
+            assert np.array_equal(state.cost, cost_vector(net, objective, zeros, config))
 
 
 def test_objective_value_never_increases_along_iterations():
@@ -342,13 +350,25 @@ def test_unreachable_demand_reported_in_counts():
     assert state.unreachable == [(4, 1, pytest.approx(7.0))]
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy reports the overflow
+@pytest.mark.parametrize("objective", list(Objective), ids=lambda o: o.value)
+def test_link_costs_that_overflow_name_the_link(objective):
+    # (flow / capacity)**4 overflows on every loaded link; sof's clamped
+    # speed keeps its cost finite, but not its time
+    net = diamond_network()
+    demand = {(1, 4): 1e307, (2, 4): 1e307, (3, 4): 1e307}
+    with pytest.raises(ValueError, match=r"^link 1: cost not finite at flow 4e\+307 vph and "
+                                         r"capacity 800.0 vph \(" + objective.value):
+        assign_interval(net, demand, objective, CONFIG)
+
+
 def test_assignment_cost_scalar_helper():
     # the objective -> cost mapping, read off the narrow Pigou link
     net = pigou_network()
 
     def narrow_cost(objective, flow):
         flows = np.array([0.0, flow])
-        return qdta._cost_vector(net, objective, flows, SolverConfig())[1]
+        return cost_vector(net, objective, flows, SolverConfig())[1]
 
     assert narrow_cost(Objective.UET, 1000.0) == pytest.approx(
         costs.bpr_time(0.5, 1000.0, 1000.0)
@@ -808,7 +828,7 @@ def test_interval_record_keeps_a_negative_zero_flow():
     config = SolverConfig()
     time_h = np.asarray(costs.bpr_time(net.free_flow_h, flows, net.capacity_vph, config.bpr))
     state = FlowState(flows, time_h, net.length_miles / time_h,
-                      qdta._cost_vector(net, Objective.SOF, flows, config), True, 0.0, 1,
+                      cost_vector(net, Objective.SOF, flows, config), True, 0.0, 1,
                       [(0.0, 1.0)], [])
     entered = np.array([0, 0, 3], dtype=np.int64)
     record = IntervalRecord.of(state, entered)

@@ -19,7 +19,7 @@ from flowscore.qdta import TripRecord
 
 import fixtures
 from fixtures import Link, Node, assert_dense_figures, assert_same_states, departures
-from qdta_reference import dense_entered, dense_states
+from qdta_reference import cost_vector, dense_entered, dense_states
 
 cases = settings(max_examples=40, deadline=None, derandomize=True)
 
@@ -200,7 +200,7 @@ def test_walk_matches_scalar_reference(seed):
     for _ in range(4):  # residual trips restart mid-route
         active = walk_both(net, trips, active, *walk)
     # the forced completion: free-flow costs, no budget, at the links' speeds
-    cost0 = qdta._cost_vector(net, qdta.Objective.SOF, np.zeros(net.n_links), qdta.SolverConfig())
+    cost0 = cost_vector(net, qdta.Objective.SOF, np.zeros(net.n_links), qdta.SolverConfig())
     forced = (cost0, net.free_flow_h, net.speed_mph, math.inf, qdta.SolverConfig(), "forced")
     assert walk_both(net, trips, active, *forced).size == 0
 
@@ -253,7 +253,7 @@ def reference_day(network, trips, objective, config):
                                       config.interval_h, config, "completed"))
         flow_states.append(state)
         residual = [t for t in active if t.status is None]
-    cost0 = qdta._cost_vector(network, objective, np.zeros(network.n_links), config)
+    cost0 = cost_vector(network, objective, np.zeros(network.n_links), config)
     forced_entered = reference_walk(network, residual, cost0, network.free_flow_h,
                                     network.speed_mph, math.inf, config, "forced")
     return [t.record(network) for t in states], flow_states, entered, forced_entered
