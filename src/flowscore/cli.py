@@ -59,7 +59,7 @@ DEFAULT_CONFIG = {
 FLOW_COLUMNS = ("interval", "link_id", "flow_vph", "time_h", "speed_mph")
 TRIP_COLUMNS = ("trip_id", "status", "start_s", "end_s", "distance_miles", "time_h", "free_flow_h",
                 "delay_h", "fuel_l", "links")
-_TRIP_BLOCK = 1 << 14  # trip rows written at a time
+_ROW_BLOCK = 1 << 10  # rows formatted at a time, so a day's text is never held whole
 
 
 class ConfigError(ValueError):
@@ -185,42 +185,55 @@ def load_scenario(path) -> Scenario:
     )
 
 
-# One flows row as csv.writer writes it: an int or a float's repr needs no
-# quoting, and the excel dialect ends each row with \r\n.
-_FLOW_ROW = "{},{},{!r},{!r},{!r}\r\n".format
-# One trips row likewise: a status and a links cell ("|"-joined link ids)
-# need no quoting either.
-_TRIP_ROW = "{},{},{!r},{!r},{!r},{!r},{!r},{!r},{!r},{}\r\n".format
+# One flows row and one trips row as csv.writer writes them, from their
+# cell texts: an int, a float's repr, a status and a links cell ("|"-joined
+# link ids) need no quoting, and the excel dialect ends each row with \r\n.
+_FLOW_ROW = "{},{},{},{},{}\r\n".format
+_TRIP_ROW = "{},{},{},{},{},{},{},{},{},{}\r\n".format
+
+
+def _cell_texts(values: np.ndarray) -> list[str]:
+    """Each value's cell text: repr of a float64, str of an int64. Each
+    distinct value is formatted once; floats are keyed by their bits, so 0.0
+    and -0.0 keep their own texts."""
+    distinct, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    texts = map(repr, distinct.view(values.dtype).tolist())  # an int's repr is its str
+    return np.array(list(texts), dtype=object)[inverse].tolist()
 
 
 def write_flows_csv(path, result: AssignmentResult) -> None:
     """One row per (interval, link) with nonzero assigned flow, in the
-    bytes csv.writer writes; each row's text is joined here."""
+    bytes csv.writer writes; each row's text is joined here, a block of an
+    interval's rows at a time."""
     net = result.network
     with open(path, "w", newline="") as fh:
         fh.write(",".join(FLOW_COLUMNS) + "\r\n")
         for k, rec in enumerate(result.intervals):
-            j = np.nonzero(rec.flow_vph > 0)[0]
-            i = rec.links[j]
-            fh.writelines(map(_FLOW_ROW, itertools.repeat(k), net.link_ids[i].tolist(),
-                              rec.flow_vph[j].tolist(), rec.time_h[j].tolist(),
-                              (net.length_miles[i] / rec.time_h[j]).tolist()))
+            nonzero = np.nonzero(rec.flow_vph > 0)[0]
+            for a in range(0, nonzero.size, _ROW_BLOCK):
+                j = nonzero[a:a + _ROW_BLOCK]
+                i, time_h = rec.links[j], rec.time_h[j]
+                fh.writelines(map(_FLOW_ROW, itertools.repeat(k), net.link_ids[i].tolist(),
+                                  *map(_cell_texts, (rec.flow_vph[j], time_h,
+                                                     net.length_miles[i] / time_h))))
 
 
 def write_trips_csv(path, result: AssignmentResult) -> None:
     """One row per trip, in the bytes csv.writer writes; each row's text is
     joined here, a block of rows at a time, never a whole day's."""
     t = result.trips
-    link_texts = ("|".join(map(str, links)) for links in t.link_lists())
     with open(path, "w", newline="") as fh:
         fh.write(",".join(TRIP_COLUMNS) + "\r\n")
-        for a in range(0, t.trip_id.size, _TRIP_BLOCK):
-            b = slice(a, a + _TRIP_BLOCK)
+        for a in range(0, t.trip_id.size, _ROW_BLOCK):
+            b = slice(a, a + _ROW_BLOCK)
+            bounds = t.offsets[a:a + _ROW_BLOCK + 1]
+            link_texts = _cell_texts(t.links[bounds[0]:bounds[-1]])
+            bounds = (bounds - bounds[0]).tolist()
             fh.writelines(map(_TRIP_ROW, t.trip_id[b].tolist(), t.status[b].tolist(),
-                              *(c[b].tolist() for c in (t.start_s, t.end_s, t.distance_miles,
-                                                        t.time_h, t.free_flow_h)),
-                              (t.time_h[b] - t.free_flow_h[b]).tolist(), t.fuel_l[b].tolist(),
-                              itertools.islice(link_texts, _TRIP_BLOCK)))
+                              *map(_cell_texts, (t.start_s[b], t.end_s[b], t.distance_miles[b],
+                                                 t.time_h[b], t.free_flow_h[b],
+                                                 t.time_h[b] - t.free_flow_h[b], t.fuel_l[b])),
+                              ("|".join(link_texts[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))))
 
 
 def write_convergence_csv(path, result: AssignmentResult) -> None:

@@ -12,18 +12,23 @@ Dijkstra, has the work. It runs --repeat days in one process. For each
 day it prints the day's CPU seconds; the CPU seconds spent inside scipy's
 Dijkstra, its runs and sources, and the nodes settled (finite distances
 Dijkstra returned); and the FW pricing kernel's evaluations and the CPU
-seconds spent in them. Then it prints the median day CPU seconds and the
-process's peak resident memory. It is not part of the test suite, since
-scale 4 and --congested run for many seconds.
+seconds spent in them. It then writes the day's flows and trips CSVs, as
+`flowscore run` does, into a temporary directory, and prints each
+writer's CPU seconds and the bytes it wrote. Then it prints the median
+day CPU seconds and the process's peak resident memory. It is not part of
+the test suite, since scale 4 and --congested run for many seconds.
 """
 from __future__ import annotations
 
 import argparse
 import resource
 import statistics
+import tempfile
 import time
+from pathlib import Path
 
-from flowscore import qdta  # first, so its one-thread BLAS setting is in place before numpy loads
+# flowscore first, so its one-thread BLAS setting is in place before numpy loads
+from flowscore import cli, qdta
 from fixtures import grid_network, links_of, network, nodes_of, perf_network, perf_trips
 
 import numpy as np
@@ -87,6 +92,13 @@ def main() -> None:
               f"dijkstra_runs {dijkstra['runs']} dijkstra_sources {dijkstra['sources']} "
               f"settled_nodes {dijkstra['settled']} pricing_cpu_s {pricing['cpu_s']:.2f} "
               f"pricing_evals {pricing['evals']}")
+        with tempfile.TemporaryDirectory() as out:
+            for name, write in (("flows", cli.write_flows_csv), ("trips", cli.write_trips_csv)):
+                path = Path(out) / f"{name}_{args.objective}.csv"
+                start = time.process_time()
+                write(path, result)
+                print(f"  write_{name}_csv_cpu_s {time.process_time() - start:.3f} "
+                      f"{name}_bytes {path.stat().st_size}")
     print(f"median_day_cpu_s {statistics.median(days):.3f} over {args.repeat} days "
           f"peak_rss_mb {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.0f}")
 

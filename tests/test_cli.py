@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flowscore.charts import load_comparison
 from flowscore.cli import (
@@ -499,44 +500,87 @@ def test_trips_csv_bytes_do_not_depend_on_the_write_block(tmp_path, monkeypatch)
                    uniform_trips(1, 4, 40, start_s=86_000.0, first_id=601))
     result = run_day(town_network(12.0), trips, Objective.SOT)
     cli.write_trips_csv(tmp_path / "whole.csv", result)
-    monkeypatch.setattr(cli, "_TRIP_BLOCK", 7)  # 640 rows: 91 full blocks and one of 3
+    monkeypatch.setattr(cli, "_ROW_BLOCK", 7)  # 640 rows: 91 full blocks and one of 3
     cli.write_trips_csv(tmp_path / "blocks.csv", result)
     assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
     assert len(read_trips_csv(tmp_path / "blocks.csv").trip_id) == 640
 
 
+def test_flows_csv_bytes_do_not_depend_on_the_write_block(tmp_path, monkeypatch):
+    # the long town's sot day splits its flow over both routes, so some
+    # intervals load all four links
+    trips = joined(uniform_trips(1, 4, 600, start_s=25_200.0, spacing_s=0.5),
+                   uniform_trips(1, 4, 40, start_s=86_000.0, first_id=601))
+    result = run_day(town_network(12.0), trips, Objective.SOT)
+    cli.write_flows_csv(tmp_path / "whole.csv", result)
+    monkeypatch.setattr(cli, "_ROW_BLOCK", 3)  # a four-row interval is a block of 3 and one of 1
+    cli.write_flows_csv(tmp_path / "blocks.csv", result)
+    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+    with open(tmp_path / "blocks.csv", newline="") as fh:
+        rows_per_interval = np.bincount([int(r["interval"]) for r in csv.DictReader(fh)])
+    assert rows_per_interval.max() == 4
+
+
+def test_a_day_with_no_flow_and_no_trips_writes_only_the_headers(tmp_path):
+    zero = qdta.IntervalRecord(np.arange(4, dtype=np.int32), np.zeros(4), np.full(4, 0.25),
+                               np.empty(0, dtype=np.int32), np.empty(0, dtype=np.int32), True,
+                               0.0, 1, [], [])
+    empty = np.empty(0)
+    table = qdta.TripTable(np.empty(0, dtype=np.int64), np.empty(0, dtype=object),
+                           *(empty for _ in range(6)), np.zeros(1, dtype=np.int64),
+                           np.empty(0, dtype=np.int64))
+    result = qdta.AssignmentResult(Objective.UET, qdta.SolverConfig(), [zero, zero], table,
+                                   np.zeros(4, dtype=np.int64), town_network())
+    cli.write_flows_csv(tmp_path / "flows.csv", result)
+    cli.write_trips_csv(tmp_path / "trips.csv", result)
+    assert (tmp_path / "flows.csv").read_bytes() == (
+        b"interval,link_id,flow_vph,time_h,speed_mph\r\n")
+    assert (tmp_path / "trips.csv").read_bytes() == (
+        b"trip_id,status,start_s,end_s,distance_miles,time_h,free_flow_h,delay_h,fuel_l,links\r\n")
+
+
 def test_flows_csv_has_the_bytes_of_csv_writer(tmp_path):
     net = town_network()
     # the smallest subnormal, whole numbers, 1e16 (past 2**53), 0.1, and a
-    # zero flow, which writes no row
-    flows = [np.array([5e-324, 1e16, 0.1, 0.0]), np.array([3.0, 2.5e-8, 1e300, 7.0])]
-    times = [np.array([0.1, 3.0, 1e16, 0.25]), np.array([0.125, 1.0, 0.1, 2.0])]
+    # zero flow, which writes no row; then flows one ulp apart, and times of
+    # 0.0 and -0.0 in one column (speeds inf and -inf)
+    flows = [np.array([5e-324, 1e16, 0.1, 0.0]), np.array([3.0, 2.5e-8, 1e300, 7.0]),
+             np.array([1.0, 1.0000000000000002, 1.0, 1.0000000000000002])]
+    times = [np.array([0.1, 3.0, 1e16, 0.25]), np.array([0.125, 1.0, 0.1, 2.0]),
+             np.array([0.0, -0.0, 0.0, 0.25])]
     none = np.empty(0, dtype=np.int32)
     intervals = [qdta.IntervalRecord(np.arange(4, dtype=np.int32), f, t, none, none, True, 0.0,
                                      1, [], []) for f, t in zip(flows, times)]
     result = qdta.AssignmentResult(Objective.UET, qdta.SolverConfig(), intervals, None,
                                    np.zeros(4, dtype=np.int64), net)
-    cli.write_flows_csv(tmp_path / "flows.csv", result)
-    with open(tmp_path / "want.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(cli.FLOW_COLUMNS)
-        for k, (f, t) in enumerate(zip(flows, times)):
-            writer.writerows([k, int(net.link_ids[i]), float(f[i]), float(t[i]),
-                              float(net.length_miles[i] / t[i])]
-                             for i in range(4) if f[i] > 0)
+    with np.errstate(divide="ignore"):
+        cli.write_flows_csv(tmp_path / "flows.csv", result)
+        with open(tmp_path / "want.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(cli.FLOW_COLUMNS)
+            for k, (f, t) in enumerate(zip(flows, times)):
+                writer.writerows([k, int(net.link_ids[i]), float(f[i]), float(t[i]),
+                                  float(net.length_miles[i] / t[i])]
+                                 for i in range(4) if f[i] > 0)
     want = (tmp_path / "want.csv").read_bytes()
     assert b"5e-324" in want and b"1e+16" in want and b",3.0," in want
+    assert b"\r\n2,1,1.0,0.0,inf\r\n2,2,1.0000000000000002,-0.0,-inf\r\n" in want
     assert (tmp_path / "flows.csv").read_bytes() == want
 
 
 def test_trips_csv_has_the_bytes_of_csv_writer(tmp_path):
     # completed, forced and failed trips; a failed trip's empty link list;
-    # -0.0, 1e-05, the smallest subnormal and 1e16 (past 2**53)
-    columns = {"trip_id": [3, 1, 2], "status": ["completed", "forced", "failed"],
-               "start_s": [-0.0, 1e-05, 86_399.5], "end_s": [60.0, 1e16, 86_399.5],
-               "distance_miles": [1.5, 0.1, -0.0], "time_h": [0.25, 5e-324, 0.0],
-               "free_flow_h": [0.125, 0.0, 0.0], "fuel_l": [1e-05, 2.5, 0.0]}
-    links = [[7, 8, 9], [4], []]
+    # links that several trips share; -0.0 beside 0.0 in one column, times
+    # one ulp apart, 1e-05, the smallest subnormal and 1e16 (past 2**53)
+    columns = {"trip_id": [3, 1, 5, 4, 2],
+               "status": ["completed", "forced", "completed", "completed", "failed"],
+               "start_s": [-0.0, 1e-05, 0.0, 0.0, 86_399.5],
+               "end_s": [60.0, 1e16, 60.0, 1.0, 86_399.5],
+               "distance_miles": [1.5, 0.1, 0.0, 1.5, -0.0],
+               "time_h": [0.25, 5e-324, 1.0, 1.0000000000000002, 0.0],
+               "free_flow_h": [0.125, 0.0, 1.0, 1.0, 0.0],
+               "fuel_l": [1e-05, 2.5, -0.0, 1e-05, 0.0]}
+    links = [[7, 8, 9], [4], [8, 7], [9, 8, 4], []]
     offsets = np.cumsum([0, *map(len, links)])
     table = qdta.TripTable(*(np.array(c) for c in columns.values()), offsets,
                            np.array(sum(links, []), dtype=np.int64))
@@ -552,8 +596,30 @@ def test_trips_csv_has_the_bytes_of_csv_writer(tmp_path):
                              time_h - free_flow_h, fuel, "|".join(map(str, links[i]))])
     want = (tmp_path / "want.csv").read_bytes()
     assert b",-0.0," in want and b",1e-05," in want and b",failed," in want
+    assert b"\r\n5,completed,0.0,60.0,0.0,1.0,1.0,0.0,-0.0,8|7\r\n" in want
+    assert b",1.0000000000000002,1.0,2.220446049250313e-16," in want
     assert want.endswith(b",0.0,\r\n")  # the failed trip's empty links cell
     assert (tmp_path / "trips.csv").read_bytes() == want
+
+
+# float64 bit patterns the formatter must tell apart or treat alike: the
+# zeros, the infinities, quiet and signalling NaNs with payloads of either
+# sign, the smallest and largest subnormals, and neighbours one ulp apart
+_SPECIAL_BITS = [int(b) for b in np.array([
+    0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 2.225073858507201e-308, 1.0,
+    1.0000000000000002, 0.9999999999999999, 0.1, 1e16, 1.7976931348623157e308]).view(np.int64)] + [
+    0x7FF8000000000000, 0x7FF0000000000001, 0x7FFFFFFFFFFFFFFF, -0x0008000000000001, -1]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(pool=st.lists(st.one_of(st.sampled_from(_SPECIAL_BITS),
+                               st.integers(-2**63, 2**63 - 1)), min_size=1, max_size=8),
+       picks=st.lists(st.integers(0, 7), max_size=40))
+def test_cell_texts_are_repr_and_str_of_each_value(pool, picks):
+    bits = np.array([pool[p % len(pool)] for p in picks], dtype=np.int64)
+    floats = bits.view(np.float64)
+    assert cli._cell_texts(floats) == list(map(repr, floats.tolist()))
+    assert cli._cell_texts(bits) == list(map(str, bits.tolist()))
 
 
 def write_trips_rows(path, links_cells) -> None:
