@@ -13,8 +13,6 @@ from .costs import (
     FuelParams,
     bpr_time,
     eco_assignment_cost,
-    fuel_per_mile,
-    link_fuel,
     marginal_time_cost,
     spf_accidents,
 )
@@ -91,8 +89,6 @@ __all__ = [
     "daily_stats",
     "eco_assignment_cost",
     "emit_chart",
-    "fuel_per_mile",
-    "link_fuel",
     "load_comparison",
     "load_network",
     "load_parcels",

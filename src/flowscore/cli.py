@@ -110,6 +110,8 @@ def load_scenario(path) -> Scenario:
 
     def number(key: str, value) -> float:
         try:
+            if isinstance(value, bool):  # float(True) is 1.0
+                raise TypeError
             return float(value)
         except (TypeError, ValueError, OverflowError):  # a JSON int can outgrow a float
             raise ConfigError(f"{key}: {value!r} is not a number") from None

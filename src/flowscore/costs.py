@@ -1,8 +1,11 @@
-"""Link cost functions: BPR delay, fuel burn, marginal costs, accidents.
+"""Link cost curves: BPR delay, fuel burn, marginal costs, accidents.
 
-All flow/time functions accept scalars or numpy arrays and broadcast;
-scalar inputs come back as plain floats. Units: hours, miles, mph,
-veh/h, liters.
+Every expression that reads a BPR or fuel coefficient lives here once, in
+a private helper that fixes its order of operations and so its bits:
+Frank-Wolfe's pricing kernel (`qdta._Pricing`), the public cost
+functions and the trip walk's fuel all call them. The public functions
+accept scalars or numpy arrays and broadcast; scalar inputs come back as
+plain floats. Units: hours, miles, mph, veh/h, liters.
 """
 from __future__ import annotations
 
@@ -81,86 +84,87 @@ def _check_flow(flow):
     return arr
 
 
-def bpr_time(free_flow_h, flow_vph, capacity_vph, params: BprParams | None = None):
-    """Congested travel time, free_flow_h * (1 + alpha*(f/C)^beta)."""
-    p = params or DEFAULT_BPR
-    flow = _check_flow(flow_vph)
-    ratio = flow / np.asarray(capacity_vph, dtype=float)
-    return _ret(np.asarray(free_flow_h, dtype=float) * (1.0 + p.alpha * ratio**p.beta))
+def _bpr(free_flow_h, flow, capacity, bpr: BprParams):
+    """((flow / capacity)**beta, the BPR time free_flow_h * (1 + alpha * that))."""
+    ratio_pow = (flow / capacity) ** bpr.beta
+    return ratio_pow, free_flow_h * (1.0 + bpr.alpha * ratio_pow)
 
 
-def bpr_time_gradient(free_flow_h, flow_vph, capacity_vph, params: BprParams | None = None):
-    p = params or DEFAULT_BPR
-    flow = _check_flow(flow_vph)
-    cap = np.asarray(capacity_vph, dtype=float)
-    return _ret(
-        np.asarray(free_flow_h, dtype=float)
-        * p.alpha
-        * p.beta
-        * flow ** (p.beta - 1.0)
-        / cap**p.beta
-    )
+def _marginal_time(free_flow_h, ratio_pow, bpr: BprParams):
+    """d(f * time(f))/df, from ratio_pow = (f / capacity)**beta."""
+    return free_flow_h * (1.0 + bpr.alpha * (1.0 + bpr.beta) * ratio_pow)
 
 
-def marginal_time_cost(free_flow_h, flow_vph, capacity_vph, params: BprParams | None = None):
-    """d(f * time(f))/df, the system-time price of one more vehicle."""
-    p = params or DEFAULT_BPR
-    flow = _check_flow(flow_vph)
-    ratio = flow / np.asarray(capacity_vph, dtype=float)
-    return _ret(
-        np.asarray(free_flow_h, dtype=float)
-        * (1.0 + p.alpha * (1.0 + p.beta) * ratio**p.beta)
-    )
+def _time_integral(free_flow_h, flow, ratio_pow, bpr: BprParams):
+    """The BPR time integrated from 0 to flow, from ratio_pow = (flow / capacity)**beta."""
+    return free_flow_h * flow * (1.0 + (bpr.alpha / (bpr.beta + 1.0)) * ratio_pow)
 
 
-def fuel_per_mile(speed_mph, params: FuelParams | None = None):
-    p = params or DEFAULT_FUEL
-    speed = np.asarray(speed_mph, dtype=float)
-    if np.any(speed < FUEL_SPEED_MIN) or np.any(speed > FUEL_SPEED_MAX):
-        raise ValueError(
-            f"speed outside fuel model domain [{FUEL_SPEED_MIN}, {FUEL_SPEED_MAX}] mph"
-        )
-    return _ret(p.a + p.b / speed + p.c * speed**2)
+def _chain_constants(free_flow_h, capacity, bpr: BprParams):
+    """(free_flow_h * alpha * beta, capacity**beta), the per-link constants of
+    d time / d flow = free_flow_h * alpha * beta * flow**(beta - 1) / capacity**beta."""
+    return free_flow_h * bpr.alpha * bpr.beta, capacity**bpr.beta
 
 
-def link_fuel(length_miles, speed_mph, params: FuelParams | None = None):
-    """Liters to traverse length_miles at a steady speed."""
-    length = np.asarray(length_miles, dtype=float)
-    if np.any(length < 0):
-        raise ValueError("length must be nonnegative")
-    return _ret(length * fuel_per_mile(speed_mph, params))
+def _burn(length, speed, fuel: FuelParams):
+    """Liters to cover length miles at a steady speed, length * (a + b/v + c*v^2)."""
+    return length * (fuel.a + fuel.b / speed + fuel.c * speed**2)
 
 
-def eco_assignment_cost(
-    length_miles,
-    free_speed_mph,
-    flow_vph,
-    capacity_vph,
-    bpr: BprParams | None = None,
-    fuel: FuelParams | None = None,
-    speed_floor_mph: float = 5.0,
-    speed_cap_mph: float = 90.0,
-):
-    """Fuel marginal with the speed clamped to [floor, cap].
+def _fuel_marginal(length, flow, time_h, slope_scale, capacity_pow, bpr: BprParams,
+                   fuel: FuelParams, speed_floor_mph, speed_cap_mph):
+    """(fuel marginal, burn at the clamped speed) at flow and its BPR time_h,
+    with the chain constants of `_chain_constants`.
 
     Where the clamp binds, speed no longer responds to flow, so the
     chain term drops and the cost is just the fuel at the clamped speed.
     Stays the exact derivative of f * fuel(clamped v(f)) off the kinks.
     """
-    fp = fuel or DEFAULT_FUEL
-    length = np.asarray(length_miles, dtype=float)
-    free_speed = np.asarray(free_speed_mph, dtype=float)
-    flow = _check_flow(flow_vph)
-    fft = length / free_speed
-    t = np.asarray(bpr_time(fft, flow, capacity_vph, bpr), dtype=float)
-    v_raw = length / t
+    v_raw = length / time_h
     v = np.clip(v_raw, speed_floor_mph, speed_cap_mph)
-    m = length * (fp.a + fp.b / v + fp.c * v**2)
-    dm_dv = length * (-fp.b / v**2 + 2.0 * fp.c * v)
-    c_prime = np.asarray(bpr_time_gradient(fft, flow, capacity_vph, bpr), dtype=float)
-    dv_df = -length * c_prime / t**2
+    burn = _burn(length, v, fuel)
+    dm_dv = length * (-fuel.b / v**2 + 2.0 * fuel.c * v)
+    dv_df = -length * (slope_scale * flow ** (bpr.beta - 1.0) / capacity_pow) / time_h**2
     unclamped = (v_raw >= speed_floor_mph) & (v_raw <= speed_cap_mph)
-    return _ret(m + np.where(unclamped, flow * dm_dv * dv_df, 0.0))
+    return burn + np.where(unclamped, flow * dm_dv * dv_df, 0.0), burn
+
+
+def _check_burn_positive(fuel: FuelParams, speed_floor_mph, speed_cap_mph) -> None:
+    """Raise unless the per-mile burn is positive at every speed in [floor,
+    cap]. For b, c > 0 the curve is convex, so its least value there is at
+    its minimum, (b / 2c)**(1/3) mph, clipped to the range."""
+    speed = min(max((fuel.b / (2.0 * fuel.c)) ** (1.0 / 3.0), speed_floor_mph), speed_cap_mph)
+    if not _burn(1.0, speed, fuel) > 0:
+        raise ValueError(f"fuel curve nonpositive at {speed} mph, inside the speed clamp "
+                         f"[{speed_floor_mph}, {speed_cap_mph}] mph")
+
+
+def bpr_time(free_flow_h, flow_vph, capacity_vph, params: BprParams | None = None):
+    """Congested travel time, free_flow_h * (1 + alpha*(f/C)^beta)."""
+    flow = _check_flow(flow_vph)
+    return _ret(_bpr(np.asarray(free_flow_h, dtype=float), flow,
+                     np.asarray(capacity_vph, dtype=float), params or DEFAULT_BPR)[1])
+
+
+def marginal_time_cost(free_flow_h, flow_vph, capacity_vph, params: BprParams | None = None):
+    """d(f * time(f))/df, the system-time price of one more vehicle."""
+    p, free_flow_h = params or DEFAULT_BPR, np.asarray(free_flow_h, dtype=float)
+    flow = _check_flow(flow_vph)
+    ratio_pow = _bpr(free_flow_h, flow, np.asarray(capacity_vph, dtype=float), p)[0]
+    return _ret(_marginal_time(free_flow_h, ratio_pow, p))
+
+
+def eco_assignment_cost(length_miles, free_speed_mph, flow_vph, capacity_vph,
+                        bpr: BprParams | None = None, fuel: FuelParams | None = None,
+                        speed_floor_mph: float = 5.0, speed_cap_mph: float = 90.0):
+    """Fuel marginal with the speed clamped to [floor, cap], as `_fuel_marginal`."""
+    p, length = bpr or DEFAULT_BPR, np.asarray(length_miles, dtype=float)
+    flow = _check_flow(flow_vph)
+    fft = length / np.asarray(free_speed_mph, dtype=float)
+    capacity = np.asarray(capacity_vph, dtype=float)
+    time_h = _bpr(fft, flow, capacity, p)[1]
+    return _ret(_fuel_marginal(length, flow, time_h, *_chain_constants(fft, capacity, p), p,
+                               fuel or DEFAULT_FUEL, speed_floor_mph, speed_cap_mph)[0])
 
 
 def spf_accidents(lanes: int, length_miles: float, adt: float) -> float:

@@ -114,6 +114,7 @@ class SolverConfig:
             raise ValueError(f"speed_cap_mph must be at most {costs.FUEL_SPEED_MAX} mph")
         if not self.speed_floor_mph < self.speed_cap_mph:
             raise ValueError("need speed floor < speed cap")
+        costs._check_burn_positive(self.fuel, self.speed_floor_mph, self.speed_cap_mph)
 
     @property
     def interval_h(self) -> float:
@@ -408,13 +409,13 @@ class _Pricing:
     computed once.
 
     `at(flow)` gives the cost vector, the objective value and the BPR time
-    from one (flow / capacity)**beta, with the bits of the objective's
-    public cost function (`costs.bpr_time`, `costs.marginal_time_cost` or
-    `costs.eco_assignment_cost`), of its closed-form objective, and of
-    `costs.bpr_time`. Flows are not checked here: FW checks each
-    all-or-nothing load, and every iterate lies between two checked loads.
-    `free_cost`, the zero-flow costs that every interval's first load and
-    the forced walk route on, is priced once, by the public function.
+    from one (flow / capacity)**beta, through the formula helpers of
+    `costs` that the objective's public cost function (`costs.bpr_time`,
+    `costs.marginal_time_cost` or `costs.eco_assignment_cost`) calls too.
+    Flows are not checked here: FW checks each all-or-nothing load, and
+    every iterate lies between two checked loads. `free_cost`, the
+    zero-flow costs that every interval's first load and the forced walk
+    route on, is priced once, by the public function.
     """
 
     def __init__(self, network: Network, objective: Objective, config: SolverConfig):
@@ -431,30 +432,24 @@ class _Pricing:
             self.free_cost = costs.eco_assignment_cost(
                 network.length_miles, network.speed_mph, zero, network.capacity_vph, bpr,
                 config.fuel, config.speed_floor_mph, config.speed_cap_mph)
-            # the constants of the chain term, multiplied as bpr_time_gradient does
             self.length_miles = network.length_miles
-            self.slope_scale = network.free_flow_h * bpr.alpha * bpr.beta
-            self.capacity_pow = network.capacity_vph ** bpr.beta
+            self.slope_scale, self.capacity_pow = costs._chain_constants(
+                network.free_flow_h, network.capacity_vph, bpr)
             self.per_link += ("length_miles", "slope_scale", "capacity_pow")
 
     def _price(self, flow: np.ndarray):
         """(cost, BPR time, (flow / capacity)**beta, per-link fuel or None) at flow."""
-        bpr = self.config.bpr
-        ratio_pow = (flow / self.capacity_vph) ** bpr.beta
-        time_h = self.free_flow_h * (1.0 + bpr.alpha * ratio_pow)
+        config = self.config
+        ratio_pow, time_h = costs._bpr(self.free_flow_h, flow, self.capacity_vph, config.bpr)
         if self.objective is Objective.UET:
             return time_h, time_h, ratio_pow, None
         if self.objective is Objective.SOT:
-            return (self.free_flow_h * (1.0 + bpr.alpha * (1.0 + bpr.beta) * ratio_pow), time_h,
+            return (costs._marginal_time(self.free_flow_h, ratio_pow, config.bpr), time_h,
                     ratio_pow, None)
-        config, fuel, length = self.config, self.config.fuel, self.length_miles
-        v_raw = length / time_h
-        v = np.clip(v_raw, config.speed_floor_mph, config.speed_cap_mph)
-        burn = length * (fuel.a + fuel.b / v + fuel.c * v**2)
-        dm_dv = length * (-fuel.b / v**2 + 2.0 * fuel.c * v)
-        dv_df = -length * (self.slope_scale * flow ** (bpr.beta - 1.0) / self.capacity_pow) / time_h**2
-        unclamped = (v_raw >= config.speed_floor_mph) & (v_raw <= config.speed_cap_mph)
-        return burn + np.where(unclamped, flow * dm_dv * dv_df, 0.0), time_h, ratio_pow, burn
+        cost, burn = costs._fuel_marginal(
+            self.length_miles, flow, time_h, self.slope_scale, self.capacity_pow, config.bpr,
+            config.fuel, config.speed_floor_mph, config.speed_cap_mph)
+        return cost, time_h, ratio_pow, burn
 
     def take(self, links: np.ndarray) -> _Pricing:
         """The pricing of the links at positions `links` alone."""
@@ -478,8 +473,7 @@ class _Pricing:
                 f"{self.capacity_vph[i]} vph ({self.objective.value} cost {cost[i]}, "
                 f"time {time_h[i]} h)")
         if self.objective is Objective.UET:  # the integral of the time
-            bpr = self.config.bpr
-            terms = self.free_flow_h * flow * (1.0 + (bpr.alpha / (bpr.beta + 1.0)) * ratio_pow)
+            terms = costs._time_integral(self.free_flow_h, flow, ratio_pow, self.config.bpr)
         else:  # vehicle-hours or liters
             terms = flow * (time_h if burn is None else burn)
         return cost, float(terms.sum()), time_h
@@ -720,7 +714,7 @@ def _walk(network: Network, trips: _Trips, active: np.ndarray, paths: _Paths, ti
     n_take = np.clip(n_take, 1, path_len)
 
     speeds = np.clip(speed_mph, config.speed_floor_mph, config.speed_cap_mph)
-    link_fuel_l = costs.link_fuel(network.length_miles, speeds, config.fuel)
+    link_fuel_l = costs._burn(network.length_miles, speeds, config.fuel)
     for n in np.unique(n_take):
         sel = np.nonzero(n_take == n)[0]
         taken, at = path[sel, :n], moved[sel]
@@ -810,7 +804,7 @@ class AssignmentResult:
             v = np.clip(length[rec.links] / rec.time_h, config.speed_floor_mph,
                         config.speed_cap_mph)
             total += float(self._row_sum(
-                rec, costs.link_fuel(rec.flow_vph * length[rec.links], v, config.fuel)))
+                rec, costs._burn(rec.flow_vph * length[rec.links], v, config.fuel)))
         return total * self.interval_h
 
     def conservation(self) -> tuple[float, float, float]:

@@ -11,13 +11,15 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from flowscore import costs, qdta
+from flowscore import qdta
 from flowscore.geo import Tracts, links_within_radii, polygon_area
 from flowscore.indicators import Schools, congested_miles, daily_stats
 from flowscore.network import LINK_COLUMNS, METERS_PER_MILE, NODE_COLUMNS, Network, write_csv
 from flowscore.qdta import (AssignmentResult, Departures, FlowState, IntervalRecord, Objective,
                             SolverConfig)
 from flowscore.typology import LandUse, Parcels
+
+from costs_reference import fuel_per_mile
 
 M = METERS_PER_MILE
 
@@ -566,7 +568,7 @@ def assert_dense_figures(result, states, entered, window_s=(25_200.0, 32_400.0))
     fuel = 0.0
     for fs in states:
         v = np.clip(fs.speed_mph, config.speed_floor_mph, config.speed_cap_mph)
-        per_mile = np.asarray(costs.fuel_per_mile(v, config.fuel))
+        per_mile = np.asarray(fuel_per_mile(v, config.fuel))
         fuel += float((fs.flow_vph * net.length_miles * per_mile).sum())
     assert result.total_fuel_from_flows() == fuel * result.interval_h
 

@@ -1,29 +1,30 @@
 """References that tests compare the solver against.
 
-The link pricing that `qdta._Pricing` replaced, built from the public
-cost functions and priced over whole vectors: `cost_vector`,
+The link pricing that `qdta._Pricing` replaced, built from the closed
+forms in `costs_reference` and priced over whole vectors: `cost_vector`,
 `objective_value` and the bisection `line_search`. And a day's dense
 per-interval states, rebuilt from the sparse interval records that
-`run_day` keeps: time and speed come from `costs.bpr_time` on the same
+`run_day` keeps: time and speed come from `bpr_time` on the same
 flows, and cost from `cost_vector`, so a rebuilt state has the bits of
 the state `assign_interval` returned.
 """
 import numpy as np
 
-from flowscore import costs, qdta
+from flowscore import qdta
 from flowscore.qdta import FlowState, Objective
 
-from costs_reference import bpr_integral
+from costs_reference import (bpr_integral, bpr_time, eco_assignment_cost, link_fuel,
+                             marginal_time_cost)
 
 
 def cost_vector(network, objective, flows, config) -> np.ndarray:
     """Link costs per objective."""
     if objective is Objective.UET:
-        out = costs.bpr_time(network.free_flow_h, flows, network.capacity_vph, config.bpr)
+        out = bpr_time(network.free_flow_h, flows, network.capacity_vph, config.bpr)
     elif objective is Objective.SOT:
-        out = costs.marginal_time_cost(network.free_flow_h, flows, network.capacity_vph, config.bpr)
+        out = marginal_time_cost(network.free_flow_h, flows, network.capacity_vph, config.bpr)
     else:
-        out = costs.eco_assignment_cost(
+        out = eco_assignment_cost(
             network.length_miles,
             network.speed_mph,
             flows,
@@ -40,10 +41,10 @@ def objective_value(network, objective, flows, config) -> float:
     if objective is Objective.UET:
         return float(np.sum(bpr_integral(network.free_flow_h, flows, network.capacity_vph, config.bpr)))
     if objective is Objective.SOT:
-        return float(np.sum(flows * costs.bpr_time(network.free_flow_h, flows, network.capacity_vph, config.bpr)))
-    t = np.asarray(costs.bpr_time(network.free_flow_h, flows, network.capacity_vph, config.bpr))
+        return float(np.sum(flows * bpr_time(network.free_flow_h, flows, network.capacity_vph, config.bpr)))
+    t = np.asarray(bpr_time(network.free_flow_h, flows, network.capacity_vph, config.bpr))
     v = np.clip(network.length_miles / t, config.speed_floor_mph, config.speed_cap_mph)
-    return float(np.sum(flows * costs.link_fuel(network.length_miles, v, config.fuel)))
+    return float(np.sum(flows * link_fuel(network.length_miles, v, config.fuel)))
 
 
 def line_search(network, objective, config, f, d) -> float:
@@ -73,7 +74,7 @@ def dense_states(result) -> list[FlowState]:
     for rec in result.intervals:
         flows = np.zeros(net.n_links)
         flows[rec.links] = rec.flow_vph
-        time_h = np.asarray(costs.bpr_time(net.free_flow_h, flows, net.capacity_vph, config.bpr))
+        time_h = np.asarray(bpr_time(net.free_flow_h, flows, net.capacity_vph, config.bpr))
         states.append(FlowState(
             flows, time_h, net.length_miles / time_h,
             cost_vector(net, result.objective, flows, config), rec.converged, rec.gap,

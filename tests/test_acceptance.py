@@ -17,8 +17,6 @@ from flowscore.costs import (
     FUEL_SPEED_MIN,
     bpr_time,
     eco_assignment_cost,
-    fuel_per_mile,
-    link_fuel,
     marginal_time_cost,
     spf_accidents,
 )
@@ -36,6 +34,7 @@ from flowscore.typology import StreetType, classify_network
 
 import fixtures
 import geo_reference
+from costs_reference import fuel_per_mile, link_fuel
 from fixtures import (
     M,
     Node,

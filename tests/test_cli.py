@@ -892,6 +892,28 @@ def test_run_rejects_a_speed_clamp_outside_the_fuel_model(tmp_path, capsys, key,
     assert not (tmp_path / "out").exists()
 
 
+def test_run_rejects_a_fuel_curve_nonpositive_inside_the_speed_clamp(tmp_path, capsys):
+    # FuelParams accepts the curve, positive from 5 to 90 mph; it burns
+    # -0.00165 L/mile at the 120 mph cap
+    cfg = town_scenario(tmp_path, config_overrides={
+        "fuel_a": -0.0175, "fuel_b": 1.9, "fuel_c": 1e-9, "speed_cap_mph": 120.0})
+    assert main(["run", "--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: bad solver settings: fuel curve nonpositive at 120.0 mph")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key, value", [("max_iterations", True), ("workers", True),
+                                        ("bpr_beta", True), ("morning_window_s", [True, 32400.0])])
+def test_run_rejects_a_boolean_for_a_number(tmp_path, capsys, key, value):
+    cfg = town_scenario(tmp_path, config_overrides={key: value})
+    with pytest.raises(ConfigError, match=f"{key}: True is not a number"):
+        load_scenario(cfg)
+    assert main(["run", "--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy reports the overflow
 def test_run_names_the_link_whose_cost_overflows(tmp_path, capsys):
     cfg = town_scenario(tmp_path)

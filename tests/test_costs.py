@@ -10,15 +10,12 @@ from flowscore.costs import (
     BprParams,
     FuelParams,
     bpr_time,
-    bpr_time_gradient,
     eco_assignment_cost,
-    fuel_per_mile,
-    link_fuel,
     marginal_time_cost,
     spf_accidents,
 )
 
-from costs_reference import bpr_integral, bpr_speed
+from costs_reference import bpr_integral, bpr_speed, bpr_time_gradient, fuel_per_mile, link_fuel
 
 
 def simpson(fn, a, b, n=2000):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from flowscore.costs import link_fuel, spf_accidents
+from flowscore.costs import spf_accidents
 from flowscore.indicators import (
     INDICATOR_META,
     INDICATOR_NAMES,
@@ -26,6 +26,7 @@ from flowscore.qdta import FlowState, TripTable
 from flowscore.typology import StreetType
 
 import fixtures
+from costs_reference import link_fuel
 from fixtures import (M, Node, School, Tract, assignment_of, school_buffers, school_table,
                       schools_of, square, straight_link, tract_table, write_schools_csv)
 from qdta_reference import dense_states

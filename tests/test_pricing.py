@@ -17,6 +17,7 @@ from flowscore.qdta import Objective, SolverConfig
 
 import fixtures
 from fixtures import Link, Node
+from costs_reference import bpr_time
 from qdta_reference import cost_vector, line_search, objective_value
 
 SEEDS = st.integers(0, 2**32 - 1)
@@ -50,7 +51,7 @@ def random_case(seed, max_links=40):
 @given(seed=SEEDS)
 def test_pricing_has_the_bits_of_the_whole_vector_reference(seed):
     net, config, flows = random_case(seed)
-    time_h = np.asarray(costs.bpr_time(net.free_flow_h, flows, net.capacity_vph, config.bpr))
+    time_h = np.asarray(bpr_time(net.free_flow_h, flows, net.capacity_vph, config.bpr))
     for objective in Objective:
         pricing = qdta._Pricing(net, objective, config)
         cost, value, time = pricing.at(flows)
@@ -65,7 +66,7 @@ def test_random_cases_clamp_the_speed_at_both_ends():
     seen = set()
     for seed in range(40):
         net, config, flows = random_case(seed)
-        time_h = np.asarray(costs.bpr_time(net.free_flow_h, flows, net.capacity_vph, config.bpr))
+        time_h = np.asarray(bpr_time(net.free_flow_h, flows, net.capacity_vph, config.bpr))
         speed = net.length_miles / time_h
         seen |= {"floor"} if np.any(speed < config.speed_floor_mph) else set()
         seen |= {"cap"} if np.any(speed > config.speed_cap_mph) else set()

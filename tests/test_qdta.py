@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flowscore import costs, qdta
-from flowscore.costs import fuel_per_mile
 from flowscore.indicators import daily_stats
 from flowscore.network import Network
 from flowscore.qdta import (
@@ -17,7 +16,7 @@ from flowscore.qdta import (
     run_day,
 )
 
-from costs_reference import bpr_integral, bpr_speed
+from costs_reference import bpr_integral, bpr_speed, fuel_per_mile
 from qdta_reference import cost_vector, dense_entered, dense_states
 
 import fixtures
@@ -162,6 +161,40 @@ def test_solver_config_keeps_the_speed_clamp_inside_the_fuel_model():
         SolverConfig(speed_floor_mph=0.5)
     with pytest.raises(ValueError, match="speed_cap_mph must be at most 120.0 mph"):
         SolverConfig(speed_cap_mph=150.0)
+
+
+def test_solver_config_needs_a_fuel_curve_positive_inside_the_speed_clamp():
+    # FuelParams checks the curve from 5 to 90 mph; the clamp may reach 1 and 120
+    least_at_cap = costs.FuelParams(-0.0175, 1.9, 1e-9)  # -0.00165 L/mile at 120 mph
+    SolverConfig(fuel=least_at_cap)
+    with pytest.raises(ValueError, match=r"fuel curve nonpositive at 120\.0 mph"):
+        SolverConfig(fuel=least_at_cap, speed_cap_mph=120.0)
+    dip = costs.FuelParams(-0.6, 1.0, 1.0 / 54.0)  # least at 3 mph, -0.1 L/mile
+    SolverConfig(fuel=dip)
+    with pytest.raises(ValueError, match=r"fuel curve nonpositive at 3\.0\d* mph"):
+        SolverConfig(fuel=dip, speed_floor_mph=1.0)
+    # the check agrees with a dense scan of the clamp wherever the scan is clear
+    rng = np.random.default_rng(7)
+    checked = 0
+    for _ in range(300):
+        floor, cap = np.sort(rng.uniform(costs.FUEL_SPEED_MIN, costs.FUEL_SPEED_MAX, 2))
+        b, c = 10.0 ** rng.uniform(-1.0, 1.0), 10.0 ** rng.uniform(-6.0, -1.0)
+        a = -rng.uniform(0.0, 1.2) * 3.0 * (b / 2.0) ** (2.0 / 3.0) * c ** (1.0 / 3.0)
+        try:
+            fuel = costs.FuelParams(float(a), float(b), float(c))
+        except ValueError:
+            continue
+        v = np.linspace(floor, cap, 20_001)
+        least = float(np.min(a + b / v + c * v**2))
+        if abs(least) < 1e-9:
+            continue
+        checked += 1
+        if least > 0:
+            SolverConfig(speed_floor_mph=float(floor), speed_cap_mph=float(cap), fuel=fuel)
+        else:
+            with pytest.raises(ValueError, match="fuel curve nonpositive"):
+                SolverConfig(speed_floor_mph=float(floor), speed_cap_mph=float(cap), fuel=fuel)
+    assert checked > 100
 
 
 def test_objective_parse():

@@ -14,11 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from flowscore import costs, qdta
+from flowscore import qdta
 from flowscore.qdta import TripRecord
 
 import fixtures
 from fixtures import Link, Node, assert_dense_figures, assert_same_states, departures
+from costs_reference import fuel_per_mile
 from qdta_reference import cost_vector, dense_entered, dense_states
 
 cases = settings(max_examples=40, deadline=None, derandomize=True)
@@ -84,7 +85,7 @@ def reference_walk(network, trips, link_costs, time_h, speed_mph, budget_h, conf
         return chosen[graph.edge_slot(heads, tails)]
 
     speeds = np.clip(speed_mph, config.speed_floor_mph, config.speed_cap_mph)
-    link_fuel_l = network.length_miles * np.asarray(costs.fuel_per_mile(speeds, config.fuel))
+    link_fuel_l = network.length_miles * np.asarray(fuel_per_mile(speeds, config.fuel))
     for trip in trips:
         path = path_links(row_of[trip.node], trip.node, trip.dest)
         if path is None:
