@@ -9,13 +9,12 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import itertools
+import gc
 import json
 import logging
 import math
 import sys
 from collections.abc import Iterator
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -205,19 +204,22 @@ def _cell_texts(values: np.ndarray) -> list[str]:
 
 def write_flows_csv(path, result: AssignmentResult) -> None:
     """One row per (interval, link) with nonzero assigned flow, in the
-    bytes csv.writer writes; each row's text is joined here, a block of an
-    interval's rows at a time."""
-    net = result.network
+    bytes csv.writer writes. The day's nonzero rows are gathered once, and
+    each row's text is joined here, a block of rows at a time; a block may
+    span intervals."""
+    net, intervals = result.network, result.intervals
+    k = np.repeat(np.arange(len(intervals)), [rec.links.size for rec in intervals])
+    i, flow, time_h = (np.concatenate([getattr(rec, name) for rec in intervals])
+                       for name in ("links", "flow_vph", "time_h"))
+    kept = flow > 0
+    k, i, flow, time_h = k[kept], i[kept], flow[kept], time_h[kept]
+    link_ids, speed = net.link_ids[i], net.length_miles[i] / time_h
     with open(path, "w", newline="") as fh:
         fh.write(",".join(FLOW_COLUMNS) + "\r\n")
-        for k, rec in enumerate(result.intervals):
-            nonzero = np.nonzero(rec.flow_vph > 0)[0]
-            for a in range(0, nonzero.size, _ROW_BLOCK):
-                j = nonzero[a:a + _ROW_BLOCK]
-                i, time_h = rec.links[j], rec.time_h[j]
-                fh.writelines(map(_FLOW_ROW, itertools.repeat(k), net.link_ids[i].tolist(),
-                                  *map(_cell_texts, (rec.flow_vph[j], time_h,
-                                                     net.length_miles[i] / time_h))))
+        for a in range(0, k.size, _ROW_BLOCK):
+            b = slice(a, a + _ROW_BLOCK)
+            fh.writelines(map(_FLOW_ROW, k[b].tolist(), link_ids[b].tolist(),
+                              *map(_cell_texts, (flow[b], time_h[b], speed[b]))))
 
 
 def write_trips_csv(path, result: AssignmentResult) -> None:
@@ -318,6 +320,8 @@ def _assign_all(network, trips, scenario: Scenario) -> Iterator[AssignmentResult
     day is assigned only when the caller asks for it."""
     tasks = [(network, trips, obj, scenario.solver) for obj in scenario.objectives]
     if scenario.workers > 1 and len(tasks) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
+
         with ProcessPoolExecutor(max_workers=min(scenario.workers, len(tasks))) as pool:
             yield from pool.map(_run_one, tasks)
     else:
@@ -551,6 +555,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; returns its exit code.
+
+    Without argv, main runs this process's own command line (`python -m
+    flowscore.cli` and the `flowscore` script), and it first freezes every
+    object alive since the imports: no collection, at exit or during the
+    run, walks numpy's and scipy's import-time objects again. A caller that
+    passes argv (a test, a library user) keeps its heap as it is.
+    """
+    if argv is None:
+        gc.freeze()
     if not logging.getLogger().handlers:
         logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()

@@ -34,7 +34,9 @@ class BprParams:
 
 @dataclass(frozen=True)
 class FuelParams:
-    """Coefficients of the per-mile burn curve a + b/v + c*v^2 (liters)."""
+    """Coefficients of the per-mile burn curve a + b/v + c*v^2 (liters).
+    Whether it burns fuel at every speed depends on the speed clamp, so
+    `SolverConfig` and `eco_assignment_cost` check that on theirs."""
 
     a: float = -0.00654170
     b: float = 1.902150
@@ -46,11 +48,6 @@ class FuelParams:
                 raise ValueError(f"fuel curve coefficient {name} must be finite")
         if self.b <= 0 or self.c <= 0:
             raise ValueError("fuel curve needs b > 0 and c > 0")
-        speeds = np.arange(5.0, 90.0 + 1e-9, 0.5)
-        per_mile = self.a + self.b / speeds + self.c * speeds**2
-        if np.any(per_mile <= 0):
-            bad = float(speeds[np.argmin(per_mile)])
-            raise ValueError(f"fuel curve nonpositive near {bad} mph")
 
 
 # per lane count, (intercept, ADT exponent) of the crash frequency fit
@@ -157,14 +154,16 @@ def marginal_time_cost(free_flow_h, flow_vph, capacity_vph, params: BprParams | 
 def eco_assignment_cost(length_miles, free_speed_mph, flow_vph, capacity_vph,
                         bpr: BprParams | None = None, fuel: FuelParams | None = None,
                         speed_floor_mph: float = 5.0, speed_cap_mph: float = 90.0):
-    """Fuel marginal with the speed clamped to [floor, cap], as `_fuel_marginal`."""
-    p, length = bpr or DEFAULT_BPR, np.asarray(length_miles, dtype=float)
-    flow = _check_flow(flow_vph)
+    """Fuel marginal with the speed clamped to [floor, cap], as `_fuel_marginal`;
+    the burn must be positive on the whole clamp."""
+    p, fuel = bpr or DEFAULT_BPR, fuel or DEFAULT_FUEL
+    _check_burn_positive(fuel, speed_floor_mph, speed_cap_mph)
+    length, flow = np.asarray(length_miles, dtype=float), _check_flow(flow_vph)
     fft = length / np.asarray(free_speed_mph, dtype=float)
     capacity = np.asarray(capacity_vph, dtype=float)
     time_h = _bpr(fft, flow, capacity, p)[1]
     return _ret(_fuel_marginal(length, flow, time_h, *_chain_constants(fft, capacity, p), p,
-                               fuel or DEFAULT_FUEL, speed_floor_mph, speed_cap_mph)[0])
+                               fuel, speed_floor_mph, speed_cap_mph)[0])
 
 
 def spf_accidents(lanes: int, length_miles: float, adt: float) -> float:

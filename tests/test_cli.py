@@ -55,6 +55,13 @@ from qdta_reference import dense_entered, dense_states
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def src_env() -> dict:
+    """This process's environment with the package's sources first on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
 def town_network(scale=1.0) -> Network:
     """Two routes between nodes 1 and 4: a low-capacity residential pair and
     a faster diagonal pair, so congestion splits the flow. scale stretches
@@ -161,13 +168,49 @@ def test_no_command_exits_2():
 def test_importing_the_cli_loads_no_xml_or_http_modules():
     # every command's process pays for what `import flowscore.cli` loads;
     # xml.sax.saxutils once pulled in urllib.request and http.client, ~40 ms
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     code = ("import sys, flowscore.cli; "
             "print(sorted({'xml.sax', 'urllib.request', 'http.client'} & set(sys.modules)))")
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                          timeout=60)
+    done = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True,
+                          text=True, timeout=60)
     assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # only a run with more than one worker needs multiprocessing
+    code = ("import sys, flowscore.cli; print(sorted({'multiprocessing', "
+            "'concurrent.futures.process'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True,
+                          text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
+
+
+def test_main_with_argv_leaves_the_heap_unfrozen():
+    frozen = gc.get_freeze_count()
+    assert main(["--print-config"]) == 0
+    assert gc.get_freeze_count() == frozen
+
+
+def test_main_without_argv_freezes_the_heap():
+    code = ("import gc, sys; from flowscore.cli import main; frozen = gc.get_freeze_count(); "
+            "sys.argv = ['flowscore', '--print-config']; code = main(); "
+            "print(code, frozen, gc.get_freeze_count() > 0)")
+    done = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "0 0 True"
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_the_entry_point_writes_what_main_writes(tmp_path, town_run, workers):
+    _, main_out = town_run
+    cfg = town_scenario(tmp_path, config_overrides={"workers": workers})
+    done = subprocess.run([sys.executable, "-m", "flowscore.cli", "run", "--config", cfg],
+                          env=src_env(), capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stdout) == (0, ""), done.stderr
+    names = sorted(p.name for p in main_out.iterdir())
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == names
+    for name in names:
+        assert (tmp_path / "out" / name).read_bytes() == (main_out / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("preset", [None, "2"])
@@ -176,8 +219,7 @@ def test_importing_flowscore_keeps_blas_to_one_thread(preset):
     # 10,000+ elements rounds by the thread count; a user's own setting stays
     if not os.path.isdir("/proc/self/task"):
         pytest.skip("thread count is read from /proc/self/task")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    env = src_env()
     env.pop("OPENBLAS_NUM_THREADS", None)
     if preset is not None:
         env["OPENBLAS_NUM_THREADS"] = preset
@@ -513,12 +555,14 @@ def test_flows_csv_bytes_do_not_depend_on_the_write_block(tmp_path, monkeypatch)
                    uniform_trips(1, 4, 40, start_s=86_000.0, first_id=601))
     result = run_day(town_network(12.0), trips, Objective.SOT)
     cli.write_flows_csv(tmp_path / "whole.csv", result)
-    monkeypatch.setattr(cli, "_ROW_BLOCK", 3)  # a four-row interval is a block of 3 and one of 1
+    monkeypatch.setattr(cli, "_ROW_BLOCK", 3)  # blocks cross from one interval into the next
     cli.write_flows_csv(tmp_path / "blocks.csv", result)
     assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
     with open(tmp_path / "blocks.csv", newline="") as fh:
-        rows_per_interval = np.bincount([int(r["interval"]) for r in csv.DictReader(fh)])
-    assert rows_per_interval.max() == 4
+        intervals = [int(r["interval"]) for r in csv.DictReader(fh)]
+    assert np.bincount(intervals).max() == 4
+    # a block of 3 holds the end of one interval's rows and the start of the next's
+    assert any(len(set(intervals[a:a + 3])) > 1 for a in range(0, len(intervals), 3))
 
 
 def test_a_day_with_no_flow_and_no_trips_writes_only_the_headers(tmp_path):
@@ -740,11 +784,9 @@ def traced_run(tmp_path, cfg, run_out):
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
     out, spans_path = tmp_path / "traced", tmp_path / "spans.json"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     done = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "tracer.py"), cfg, str(out), str(spans_path)],
-        env=env, capture_output=True, text=True, timeout=300,
+        env=src_env(), capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr
     traced = json.loads(spans_path.read_text())
@@ -893,8 +935,8 @@ def test_run_rejects_a_speed_clamp_outside_the_fuel_model(tmp_path, capsys, key,
 
 
 def test_run_rejects_a_fuel_curve_nonpositive_inside_the_speed_clamp(tmp_path, capsys):
-    # FuelParams accepts the curve, positive from 5 to 90 mph; it burns
-    # -0.00165 L/mile at the 120 mph cap
+    # the curve is positive from 5 to 90 mph; it burns -0.00165 L/mile at
+    # the 120 mph cap
     cfg = town_scenario(tmp_path, config_overrides={
         "fuel_a": -0.0175, "fuel_b": 1.9, "fuel_c": 1e-9, "speed_cap_mph": 120.0})
     assert main(["run", "--config", cfg]) == 2

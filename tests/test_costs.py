@@ -14,6 +14,7 @@ from flowscore.costs import (
     marginal_time_cost,
     spf_accidents,
 )
+from flowscore.qdta import SolverConfig
 
 from costs_reference import bpr_integral, bpr_speed, bpr_time_gradient, fuel_per_mile, link_fuel
 
@@ -231,6 +232,20 @@ def test_param_validation():
     with pytest.raises(ValueError):
         BprParams(beta=0.5)
     with pytest.raises(ValueError):
-        FuelParams(a=-0.5, b=1.0, c=1e-5)  # nonpositive burn at city speeds
-    with pytest.raises(ValueError):
         FuelParams(b=-1.0)
+    below_zero = FuelParams(a=-0.5, b=1.0, c=1e-5)  # nonpositive burn at city speeds
+    with pytest.raises(ValueError, match=r"fuel curve nonpositive at 36\.8"):
+        eco_assignment_cost(1.0, 30.0, 0.0, 1000.0, fuel=below_zero)
+    with pytest.raises(ValueError, match=r"fuel curve nonpositive at 36\.8"):
+        SolverConfig(fuel=below_zero)
+
+
+def test_fuel_curve_is_checked_on_the_speed_clamp_only():
+    # least at 3 mph: -0.037 L/mile at 5 mph, but at least 1.25 L/mile from 10 to 90
+    dip = FuelParams(-0.7, 1.0, 1.0 / 54.0)
+    SolverConfig(fuel=dip, speed_floor_mph=10.0)
+    assert eco_assignment_cost(1.0, 30.0, 0.0, 1000.0, fuel=dip, speed_floor_mph=10.0) > 0
+    with pytest.raises(ValueError, match=r"fuel curve nonpositive at 5\.0 mph"):
+        SolverConfig(fuel=dip)
+    with pytest.raises(ValueError, match=r"fuel curve nonpositive at 5\.0 mph"):
+        eco_assignment_cost(1.0, 30.0, 0.0, 1000.0, fuel=dip)

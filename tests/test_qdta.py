@@ -164,7 +164,7 @@ def test_solver_config_keeps_the_speed_clamp_inside_the_fuel_model():
 
 
 def test_solver_config_needs_a_fuel_curve_positive_inside_the_speed_clamp():
-    # FuelParams checks the curve from 5 to 90 mph; the clamp may reach 1 and 120
+    # the clamp may reach 1 and 120 mph
     least_at_cap = costs.FuelParams(-0.0175, 1.9, 1e-9)  # -0.00165 L/mile at 120 mph
     SolverConfig(fuel=least_at_cap)
     with pytest.raises(ValueError, match=r"fuel curve nonpositive at 120\.0 mph"):
@@ -180,10 +180,7 @@ def test_solver_config_needs_a_fuel_curve_positive_inside_the_speed_clamp():
         floor, cap = np.sort(rng.uniform(costs.FUEL_SPEED_MIN, costs.FUEL_SPEED_MAX, 2))
         b, c = 10.0 ** rng.uniform(-1.0, 1.0), 10.0 ** rng.uniform(-6.0, -1.0)
         a = -rng.uniform(0.0, 1.2) * 3.0 * (b / 2.0) ** (2.0 / 3.0) * c ** (1.0 / 3.0)
-        try:
-            fuel = costs.FuelParams(float(a), float(b), float(c))
-        except ValueError:
-            continue
+        fuel = costs.FuelParams(float(a), float(b), float(c))
         v = np.linspace(floor, cap, 20_001)
         least = float(np.min(a + b / v + c * v**2))
         if abs(least) < 1e-9:
