@@ -99,17 +99,21 @@ def load_scenario(path) -> Scenario:
     cfg = {**DEFAULT_CONFIG, **raw}
     base = p.parent
 
-    def input_path(key: str) -> Path:
+    def path(key: str) -> Path:
+        if not isinstance(cfg[key], str):
+            raise ConfigError(f"{key}: {cfg[key]!r} is not a path")
         q = Path(cfg[key])
-        if not q.is_absolute():
-            q = base / q
+        return q if q.is_absolute() else base / q
+
+    def input_path(key: str) -> Path:
+        q = path(key)
         if not q.exists():
             raise ConfigError(f"missing input file for '{key}': {q}")
         return q
 
     def number(key: str, value) -> float:
         try:
-            if isinstance(value, bool):  # float(True) is 1.0
+            if isinstance(value, (bool, str)):  # float(True) is 1.0, float("900") 900.0
                 raise TypeError
             return float(value)
         except (TypeError, ValueError, OverflowError):  # a JSON int can outgrow a float
@@ -165,9 +169,6 @@ def load_scenario(path) -> Scenario:
     if workers < 1:
         raise ConfigError("workers must be >= 1")
 
-    out_dir = Path(cfg["out_dir"])
-    if not out_dir.is_absolute():
-        out_dir = base / out_dir
     return Scenario(
         nodes=input_path("nodes"),
         links=input_path("links"),
@@ -175,7 +176,7 @@ def load_scenario(path) -> Scenario:
         parcels=input_path("parcels"),
         schools=input_path("schools"),
         tracts=input_path("tracts"),
-        out_dir=out_dir,
+        out_dir=path("out_dir"),
         objectives=objectives,
         solver=solver,
         adjacency_buffer_m=buffer_m,

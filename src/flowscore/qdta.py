@@ -54,6 +54,17 @@ class Objective(enum.Enum):
             raise ValueError(f"unknown objective {name!r} (want uet, sot or sof)") from None
 
 
+def _columns(table: str, names: str, ids, values):
+    """ids as int64 columns and values as a float64 one, all 1-D and of one length."""
+    ids = [np.asarray(c) for c in ids]
+    if any(c.size and c.dtype.kind not in "iu" for c in ids):
+        raise ValueError(f"{names} must hold integers")
+    values = np.asarray(values, dtype=float)
+    if {c.shape for c in (*ids, values)} != {(ids[0].size,)}:
+        raise ValueError(f"{table} columns must be 1-D and of one length")
+    return (*(c.astype(np.int64) for c in ids), values)
+
+
 @dataclass(eq=False)
 class Departures:
     """A day's trip requests as columns, one row per trip: trip_id, the
@@ -69,13 +80,9 @@ class Departures:
     depart_s: np.ndarray
 
     def __post_init__(self) -> None:
-        ids = [np.asarray(c) for c in (self.trip_id, self.origin, self.destination)]
-        if any(c.size and c.dtype.kind not in "iu" for c in ids):
-            raise ValueError("trip_id, origin and destination must hold integers")
-        self.trip_id, self.origin, self.destination = (c.astype(np.int64) for c in ids)
-        self.depart_s = np.asarray(self.depart_s, dtype=float)
-        if {c.shape for c in (*ids, self.depart_s)} != {(self.trip_id.size,)}:
-            raise ValueError("departure columns must be 1-D and of one length")
+        self.trip_id, self.origin, self.destination, self.depart_s = _columns(
+            "departure", "trip_id, origin and destination",
+            (self.trip_id, self.origin, self.destination), self.depart_s)
         check_rows(vars(self), {
             "duplicate trip_id {trip_id}": repeats(self.trip_id),
             "trip {trip_id}: origin equals destination": self.origin == self.destination,
@@ -129,7 +136,8 @@ class SolverConfig:
 class FlowState:
     """Converged link flows for one interval plus derived quantities;
     paths, which equality leaves out, are the last all-or-nothing load's
-    paths at `cost`, which the trip walk follows."""
+    paths at `cost`, which the trip walk follows, and unreachable holds the
+    (origin id, destination id, trips) of each OD that load found no path for."""
 
     flow_vph: np.ndarray
     time_h: np.ndarray
@@ -513,37 +521,33 @@ class _Pricing:
 
 
 class _DemandBatch:
-    """The ODs of `od_demand` that carry demand, sorted by (origin id,
-    destination id), each at rate demand / hours, with node indices
-    resolved once.
+    """The demand rows that carry trips, sorted by (origin id, destination
+    id), each at rate count / hours, with node indices resolved once.
 
     OD i runs from node o_id[i] to node d_id[i], at node indices
-    source_idx[od_row[i]] and od_dest[i]. A demand that is negative or
-    not finite, or an unknown or equal origin and destination, raises a
-    ValueError naming the first OD that has it.
+    source_idx[od_row[i]] and od_dest[i], and carries count[i] trips. Every
+    row needs a finite, nonnegative rate, a known origin and destination
+    that differ, and an (origin, destination) pair no earlier row holds; a
+    ValueError names the first row that breaks one.
     """
 
-    def __init__(self, network: Network, od_demand, hours: float):
-        n = len(od_demand)
-        bad_keys = ValueError("OD keys must be (origin, destination) pairs of integer node ids")
-        try:
-            ids = np.array(list(od_demand))
-        except ValueError:  # ragged keys
-            raise bad_keys from None
-        if n and (ids.shape != (n, 2) or ids.dtype.kind not in "iu"):
-            raise bad_keys
-        o_id, d_id = ids.reshape(n, 2).T.astype(np.int64)
-        rate = np.fromiter(od_demand.values(), dtype=float, count=n) / hours
-        check_rows({"o": o_id, "d": d_id}, {"demand for ({o}, {d}) must be finite and nonnegative":
-                                            ~((0 <= rate) & (rate < math.inf))})
-        order = np.flatnonzero(rate > 0)
-        order = order[np.lexsort((d_id[order], o_id[order]))]
+    def __init__(self, network: Network, origin, destination, count, hours: float):
+        o_id, d_id, count = _columns("demand", "origin and destination", (origin, destination),
+                                     count)
+        rate, n = count / hours, count.size
+        at = network.node_positions(np.concatenate((o_id, d_id)))
+        order = np.lexsort((d_id, o_id))  # stable: a repeated pair's first row leads
+        pairs, repeated = np.stack((o_id, d_id))[:, order], np.zeros(n, dtype=bool)
+        repeated[order[1:]] = (pairs[:, 1:] == pairs[:, :-1]).all(axis=0)
+        check_rows({"o": o_id, "d": d_id}, {
+            "demand for ({o}, {d}) must be finite and nonnegative":
+                ~((0 <= rate) & (rate < math.inf)),
+            "unknown origin node {o}": at[:n] < 0, "unknown destination node {d}": at[n:] < 0,
+            "origin equals destination for node {o}": o_id == d_id,
+            "repeated OD ({o}, {d})": repeated})
+        order = order[rate[order] > 0]
         self.o_id, self.d_id, self.od_rate = o_id[order], d_id[order], rate[order]
-        at = network.node_positions(np.append(self.o_id, self.d_id))
-        o_at, self.od_dest = at[:order.size], at[order.size:]
-        check_rows({"o": self.o_id, "d": self.d_id}, {
-            "unknown origin node {o}": o_at < 0, "unknown destination node {d}": self.od_dest < 0,
-            "origin equals destination for node {o}": self.o_id == self.d_id})
+        self.count, o_at, self.od_dest = count[order], at[order], at[n + order]
         first = np.ones(order.size, dtype=bool)  # rows run by origin
         first[1:] = self.o_id[1:] != self.o_id[:-1]
         self.source_idx, self.od_row = o_at[first], np.cumsum(first) - 1
@@ -576,17 +580,15 @@ def _load_all_or_nothing(graph: RoutingGraph, batch: _DemandBatch, link_costs: n
                          paths: _Paths | None = None):
     """Put each OD's whole demand on its least-cost path at link_costs.
 
-    Returns (flows, unreachable ODs, the `_Paths` traced). Given an earlier
-    load's paths, each source's search stops at the cost its known paths
-    have at link_costs (see `_path_limits`).
+    Returns (flows, whether each OD has a path, the `_Paths` traced).
+    Given an earlier load's paths, each source's search stops at the cost
+    its known paths have at link_costs (see `_path_limits`).
     """
     limit = None if paths is None else _path_limits(batch, paths, link_costs)
     row, dist, pred, chosen = graph.shortest_paths(batch.source_idx, link_costs,
                                                    (batch.od_row, batch.od_dest), limit)
     od_row = row[batch.od_row]  # each OD's row of dist and pred
     reachable = np.isfinite(dist[od_row, batch.od_dest])
-    unreachable = list(zip(batch.o_id[~reachable].tolist(), batch.d_id[~reachable].tolist(),
-                           batch.od_rate[~reachable].tolist()))
     # trace every reachable OD from its destination back to its origin, one
     # link per step; steps[s] holds the ODs that have an s-th link from the end
     od = np.flatnonzero(reachable)
@@ -609,22 +611,17 @@ def _load_all_or_nothing(graph: RoutingGraph, batch: _DemandBatch, link_costs: n
     step = np.repeat(np.arange(len(steps)), [s.size for s in steps])
     table[step_od, length[step_od] - 1 - step] = links
     key = batch.source_idx[batch.od_row] * graph.n_nodes + batch.od_dest
-    return flows, unreachable, _Paths(key, length, table)
+    return flows, reachable, _Paths(key, length, table)
 
 
-def assign_interval(
-    network: Network,
-    od_demand,
-    objective: Objective,
-    config: SolverConfig | None = None,
-    *,
-    graph: RoutingGraph | None = None,
-    pricing: _Pricing | None = None,
-) -> FlowState:
+def assign_interval(network: Network, origin, destination, count, objective: Objective,
+                    config: SolverConfig | None = None, *, graph: RoutingGraph | None = None,
+                    pricing: _Pricing | None = None) -> FlowState:
     """Frank-Wolfe assignment of one interval's demand.
 
-    od_demand maps (origin, destination) to trip counts for the
-    interval; counts become hourly rates via the interval length. graph,
+    Row i of the equal-length columns origin, destination (node ids) and
+    count puts count[i] trips on that OD (`_DemandBatch` gives the rules of
+    a row); counts become hourly rates via the interval length. graph,
     a RoutingGraph of network, lets calls share its kept zero-flow rows,
     and pricing, a `_Pricing` of network, objective and config, its
     per-link constants; without them fresh ones are built.
@@ -632,9 +629,9 @@ def assign_interval(
     config = config or SolverConfig()
     graph = RoutingGraph(network) if graph is None else graph
     pricing = _Pricing(network, objective, config) if pricing is None else pricing
-    batch = _DemandBatch(network, od_demand, config.interval_h)
+    batch = _DemandBatch(network, origin, destination, count, config.interval_h)
 
-    f, unreachable, paths = _load_all_or_nothing(graph, batch, pricing.free_cost)
+    f, _, paths = _load_all_or_nothing(graph, batch, pricing.free_cost)
     costs._check_flow(f)
 
     best_lower_bound = -math.inf
@@ -643,7 +640,7 @@ def assign_interval(
     gap = math.inf
     for it in range(1, config.max_iterations + 1):
         cost, value, time_h = pricing.at(f)
-        y, unreachable, paths = _load_all_or_nothing(graph, batch, cost, paths)
+        y, reachable, paths = _load_all_or_nothing(graph, batch, cost, paths)
         costs._check_flow(y)
         d = y - f
         if objective is Objective.UET:
@@ -672,8 +669,9 @@ def assign_interval(
         )
     # f moves only after the stopping tests, so cost and time_h are still
     # at f, and cost is the costs of the last load's paths
+    unreachable = zip(*(c[~reachable].tolist() for c in (batch.o_id, batch.d_id, batch.count)))
     return FlowState(f, time_h, network.length_miles / time_h, cost, converged, gap, len(log), log,
-                     [(o, d, r * config.interval_h) for o, d, r in unreachable], paths)
+                     list(unreachable), paths)
 
 
 def _walk(network: Network, trips: _Trips, active: np.ndarray, paths: _Paths, time_h,
@@ -828,24 +826,24 @@ def run_day(network: Network, trips: Departures, objective: Objective,
     n_nodes = network.n_nodes
     graph, pricing = RoutingGraph(network), _Pricing(network, objective, config)
 
-    def demand(at: np.ndarray) -> dict:
-        """Trips per (current node id, destination id) over positions at."""
+    def demand(at: np.ndarray):
+        """(origin ids, destination ids, trips) of the ODs over positions at."""
         od_key, count = np.unique(day.node[at] * n_nodes + day.dest[at], return_counts=True)
-        o, d = (network.node_ids[i].tolist() for i in np.divmod(od_key, n_nodes))
-        return dict(zip(zip(o, d), count.tolist()))
+        o, d = np.divmod(od_key, n_nodes)
+        return network.node_ids[o], network.node_ids[d], count
 
     residual = np.empty(0, dtype=np.int64)
     intervals: list[IntervalRecord] = []
     for k in range(config.n_intervals):
         active = np.union1d(residual, np.flatnonzero(bucket == k))  # in trip-id order
-        state = assign_interval(network, demand(active), objective, config, graph=graph,
+        state = assign_interval(network, *demand(active), objective, config, graph=graph,
                                 pricing=pricing)
         _, residual, entered = advance_trips(network, state, day, active, config)
         intervals.append(IntervalRecord.of(state, entered))
 
     # day over: finish leftovers on their zero-flow paths and flag them, at
     # speed_mph (length / free_flow_h can differ in the last bit, and so the fuel)
-    _, _, paths = _load_all_or_nothing(graph, _DemandBatch(network, demand(residual), 1.0),
+    _, _, paths = _load_all_or_nothing(graph, _DemandBatch(network, *demand(residual), 1.0),
                                        pricing.free_cost)
     _, _, forced_entered = _walk(network, day, residual, paths, network.free_flow_h,
                                  network.speed_mph, math.inf, config, "forced")

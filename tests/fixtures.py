@@ -506,9 +506,8 @@ def assigned_day(network, trips, objective, config):
 def path_table(network, trips, active, link_costs):
     """The paths at link_costs of the (current node, destination) pairs of
     the `_Trips` at positions active, as an all-or-nothing load traces them."""
-    ids = network.node_ids
-    od = {(int(ids[o]), int(ids[d])): 1.0 for o, d in zip(trips.node[active], trips.dest[active])}
-    batch = qdta._DemandBatch(network, od, 1.0)
+    od = np.unique(np.column_stack((trips.node[active], trips.dest[active])), axis=0)
+    batch = qdta._DemandBatch(network, *network.node_ids[od.T], np.ones(len(od)), 1.0)
     return qdta._load_all_or_nothing(qdta.RoutingGraph(network), batch, link_costs)[2]
 
 

@@ -72,7 +72,7 @@ def test_criterion_01_equilibrium_matches_grid_search():
     net = pigou_network()
     cfg = SolverConfig(relative_gap=1e-6)
     demand_vph = 3000.0
-    fs = assign_interval(net, {(1, 2): demand_vph * cfg.interval_h}, Objective.UET, cfg)
+    fs = assign_interval(net, [1], [2], [demand_vph * cfg.interval_h], Objective.UET, cfg)
 
     # independent oracle: scan the narrow-link flow at 0.1 veh/h and pick
     # the split minimizing the closed-form Beckmann sum
@@ -115,7 +115,7 @@ def test_criterion_02_objective_orderings():
     def solve_all(net, od, demand_vph):
         out = {}
         for obj in (Objective.UET, Objective.SOT, Objective.SOF):
-            fs = assign_interval(net, {od: demand_vph * cfg.interval_h}, obj, cfg)
+            fs = assign_interval(net, [od[0]], [od[1]], [demand_vph * cfg.interval_h], obj, cfg)
             out[obj] = (system_time_vehh(fs), system_fuel_rate(net, fs))
         return out
 
@@ -134,12 +134,12 @@ def test_criterion_03_residential_share_increases_toward_sof():
     net = corridor_network(900.0)
     o, d = corridor_od()
     cfg = SolverConfig(max_iterations=400)
-    demand = {(o, d): 2000.0 * cfg.interval_h}
+    demand = ([o], [d], [2000.0 * cfg.interval_h])
     nr_mask = net.fclass == 5
 
     shares = {}
     for obj in (Objective.UET, Objective.SOT, Objective.SOF):
-        fs = assign_interval(net, demand, obj, cfg)
+        fs = assign_interval(net, *demand, obj, cfg)
         vmt = fs.flow_vph * net.length_miles
         shares[obj] = float(vmt[nr_mask].sum() / vmt.sum())
 

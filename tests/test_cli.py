@@ -148,7 +148,7 @@ def test_readme_library_use_runs_in_a_scenario_directory(tmp_path, monkeypatch):
     assert main(["classify", "--config", cfg]) == 0
     section = (ROOT / "README.md").read_text().split("\n## Library use\n")[1].split("\n## ")[0]
     blocks = re.findall(r"```python\n(.*?)```", section, flags=re.S)
-    assert len(blocks) == 8
+    assert len(blocks) == 9
     monkeypatch.chdir(tmp_path)
     namespace = {}
     for block in blocks:  # in order: each block reads the names the earlier ones set
@@ -289,7 +289,10 @@ def test_load_scenario_rejects_bad_configs(tmp_path, capsys):
     capsys.readouterr()
     for key, value in [("workers", math.inf), ("workers", "abc"), ("workers", math.nan),
                        ("workers", 2.7), ("max_iterations", 4.5), ("adjacency_buffer_m", "abc"),
-                       ("morning_window_s", ["a", 1]), ("objectives", "uet")]:
+                       ("morning_window_s", ["a", 1]), ("objectives", "uet"), ("nodes", 5),
+                       ("tracts", None), ("out_dir", ["out"]), ("trips", {"path": "trips.csv"}),
+                       ("interval_s", "900"), ("workers", "2"),
+                       ("morning_window_s", ["25200", "32400"])]:
         with pytest.raises(ConfigError, match=key):
             load_scenario(with_cfg(**{key: value}))
         assert main(["run", "--config", with_cfg(**{key: value})]) == 2

@@ -34,6 +34,7 @@ from fixtures import (
     grid_network,
     joined,
     links_of,
+    nodes_of,
     pigou_network,
     shortest_rows,
     uniform_trips,
@@ -203,38 +204,88 @@ def test_objective_parse():
 # all-or-nothing loading
 
 
-def all_or_nothing(net, od_demand, link_costs):
-    """Each OD's whole demand on its least-cost path at link_costs."""
-    return qdta._load_all_or_nothing(qdta.RoutingGraph(net), qdta._DemandBatch(net, od_demand, 1.0),
-                                     link_costs)
+def all_or_nothing(net, origin, destination, count, link_costs):
+    """Each OD's whole demand on its least-cost path at link_costs: (flows,
+    the (origin, destination, count) of each OD with no path, the paths)."""
+    batch = qdta._DemandBatch(net, origin, destination, count, 1.0)
+    flows, reachable, paths = qdta._load_all_or_nothing(qdta.RoutingGraph(net), batch, link_costs)
+    lost = ~reachable
+    return flows, list(zip(batch.o_id[lost].tolist(), batch.d_id[lost].tolist(),
+                           batch.count[lost].tolist())), paths
 
 
 @pytest.mark.parametrize("demand", [math.nan, math.inf, -math.inf, -1.0],
                          ids=["nan", "inf", "-inf", "negative"])
 def test_bad_demand_is_rejected_naming_its_od(demand):
     net = diamond_network()
-    od_demand = {(1, 4): 10.0, (2, 4): demand}
+    od_demand = ([1, 2], [4, 4], [10.0, demand])
     named = r"^demand for \(2, 4\) must be finite and nonnegative$"
     with pytest.raises(ValueError, match=named):
-        assign_interval(net, od_demand, Objective.UET)
+        assign_interval(net, *od_demand, Objective.UET)
     with pytest.raises(ValueError, match=named):
-        all_or_nothing(net, od_demand, net.free_flow_h)
+        all_or_nothing(net, *od_demand, net.free_flow_h)
 
 
-@pytest.mark.parametrize("od_demand", [
-    {(1, 2, 3): 10.0, (4,): 5.0},
-    {(1, 4): 10.0, 2: 5.0},
-    {(1, 2, 4): 10.0},
-    {(1.0, 4.0): 10.0},
-    {("1", "4"): 10.0},
-], ids=["ragged", "scalar", "triple", "float", "text"])
-def test_bad_od_keys_are_rejected(od_demand):
+@pytest.mark.parametrize("od_demand, named", [
+    (([1.0], [4.0], [10.0]), r"^origin and destination must hold integers$"),
+    ((["1"], ["4"], [10.0]), r"^origin and destination must hold integers$"),
+    (([1, 2], [4], [10.0, 5.0]), r"^demand columns must be 1-D and of one length$"),
+    (([1], [4], [10.0, 5.0]), r"^demand columns must be 1-D and of one length$"),
+    (([[1, 2]], [[4, 4]], [[10.0, 5.0]]), r"^demand columns must be 1-D and of one length$"),
+], ids=["float", "text", "unequal_ids", "unequal_count", "2d"])
+def test_bad_od_keys_are_rejected(od_demand, named):
     net = diamond_network()
-    named = r"^OD keys must be \(origin, destination\) pairs of integer node ids$"
     with pytest.raises(ValueError, match=named):
-        assign_interval(net, od_demand, Objective.UET)
+        assign_interval(net, *od_demand, Objective.UET)
     with pytest.raises(ValueError, match=named):
-        all_or_nothing(net, od_demand, net.free_flow_h)
+        all_or_nothing(net, *od_demand, net.free_flow_h)
+
+
+@pytest.mark.parametrize("od_demand, named", [
+    (([1, 1, 4], [4, 999, 4], [10.0, 0.0, 0.0]), r"^unknown destination node 999$"),
+    (([1, 4, 1], [4, 4, 999], [10.0, 0.0, 0.0]), r"^origin equals destination for node 4$"),
+    (([7, 1], [4, 4], [0.0, 10.0]), r"^unknown origin node 7$"),
+    (([1, 2, 1], [4, 4, 4], [10.0, 5.0, 0.0]), r"^repeated OD \(1, 4\)$"),
+    (([1, 2, 1], [4, 4, 4], [0.0, 5.0, 10.0]), r"^repeated OD \(1, 4\)$"),
+], ids=["unknown_node_at_zero", "equal_ends_at_zero", "unknown_origin", "repeat_at_zero",
+        "repeat_of_a_zero_row"])
+def test_every_demand_row_is_checked_even_at_zero_trips(od_demand, named):
+    # the first bad row in input order is named, whatever its count
+    net = fixtures.two_route_network()
+    with pytest.raises(ValueError, match=named):
+        assign_interval(net, *od_demand, Objective.UET)
+    with pytest.raises(ValueError, match=named):
+        all_or_nothing(net, *od_demand, net.free_flow_h)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_the_order_of_the_demand_rows_does_not_matter(seed):
+    """A permutation of the demand rows gives the bits of the rows in their
+    own order. On a grid whose node rows run by descending id and that lacks
+    some links, a batch runs by ascending (origin id, destination id): the
+    order in which np.add.at sums the loads."""
+    rng = np.random.default_rng(seed)
+    grid = grid_network(int(rng.integers(2, 5)), int(rng.integers(2, 5)),
+                        capacity_vph=float(rng.uniform(20.0, 800.0)))
+    links = [link for link in links_of(grid) if rng.random() < 0.85]
+    net = fixtures.network(nodes_of(grid)[::-1], links)
+    ids = net.node_ids.tolist()
+    pairs = np.array([(o, d) for o in ids for d in ids if o != d])
+    od = pairs[rng.choice(len(pairs), size=int(rng.integers(1, 13)), replace=False)]
+    count = np.where(rng.random(len(od)) < 0.25, 0.0, rng.uniform(0.1, 60.0, len(od)))
+    objective = Objective(str(rng.choice(["uet", "sot", "sof"])))
+    config = SolverConfig(max_iterations=int(rng.integers(1, 6)))
+    perm = rng.permutation(len(od))
+    states = [assign_interval(net, rows[:, 0], rows[:, 1], c, objective, config)
+              for rows, c in ((od, count), (od[perm], count[perm]))]
+    assert_same_states(states[1:], states[:1])
+    for name in ("key", "length", "links"):
+        got, want = getattr(states[1].paths, name), getattr(states[0].paths, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+    batch = qdta._DemandBatch(net, od[perm, 0], od[perm, 1], count[perm], 1.0)
+    kept = sorted(map(tuple, od[count > 0].tolist()))
+    assert list(zip(batch.o_id.tolist(), batch.d_id.tolist())) == kept
 
 
 def test_aon_tie_breaks_to_smaller_link_id():
@@ -246,7 +297,7 @@ def test_aon_tie_breaks_to_smaller_link_id():
         Link(7, 1, 2, 10.0, 30.0, 1000.0, 5, 2, geom),
     ]
     net = fixtures.network(nodes, links)
-    flows, unreachable, _ = all_or_nothing(net, {(1, 2): 600.0}, net.free_flow_h.copy())
+    flows, unreachable, _ = all_or_nothing(net, [1], [2], [600.0], net.free_flow_h.copy())
     assert unreachable == []
     assert flows[net.link_positions(7)] == 600.0
     assert flows[net.link_positions(9)] == 0.0
@@ -255,7 +306,7 @@ def test_aon_tie_breaks_to_smaller_link_id():
 def test_aon_takes_cheapest_path_and_reports_unreachable():
     net = diamond_network()
     cost = net.free_flow_h.copy()  # route via 1-2-4: 0.22 h, via 1-3-4: 0.30 h
-    flows, unreachable, _ = all_or_nothing(net, {(1, 4): 100.0, (4, 1): 50.0}, cost)
+    flows, unreachable, _ = all_or_nothing(net, [1, 4], [4, 1], [100.0, 50.0], cost)
     assert unreachable == [(4, 1, 50.0)]
     assert flows[net.link_positions(1)] == 100.0
     assert flows[net.link_positions(2)] == 100.0
@@ -264,7 +315,7 @@ def test_aon_takes_cheapest_path_and_reports_unreachable():
     # make the other route cheaper and the flow must move
     cost2 = cost.copy()
     cost2[net.link_positions(1)] = 10.0
-    flows2, _, _ = all_or_nothing(net, {(1, 4): 100.0}, cost2)
+    flows2, _, _ = all_or_nothing(net, [1], [4], [100.0], cost2)
     assert flows2[net.link_positions(3)] == 100.0
     assert flows2[net.link_positions(1)] == 0.0
 
@@ -272,9 +323,9 @@ def test_aon_takes_cheapest_path_and_reports_unreachable():
 def test_aon_demand_validation():
     net = diamond_network()
     with pytest.raises(ValueError):
-        all_or_nothing(net, {(1, 99): 10.0}, net.free_flow_h.copy())
+        all_or_nothing(net, [1], [99], [10.0], net.free_flow_h.copy())
     with pytest.raises(ValueError):
-        all_or_nothing(net, {(1, 4): -5.0}, net.free_flow_h.copy())
+        all_or_nothing(net, [1], [4], [-5.0], net.free_flow_h.copy())
 
 
 # Frank-Wolfe equilibria against brute-force grid searches
@@ -305,7 +356,7 @@ def pigou_grid(objective: Objective, step=0.1):
 
 def test_uet_matches_beckmann_grid_search():
     net = pigou_network()
-    state = assign_interval(net, {(1, 2): 750}, Objective.UET, TIGHT)
+    state = assign_interval(net, [1], [2], [750], Objective.UET, TIGHT)
     assert state.converged
     f_star, _ = pigou_grid(Objective.UET)
     got = state.flow_vph[net.link_positions(2)]
@@ -317,7 +368,7 @@ def test_uet_matches_beckmann_grid_search():
 
 def test_sot_matches_total_time_grid_search():
     net = pigou_network()
-    state = assign_interval(net, {(1, 2): 750}, Objective.SOT, TIGHT)
+    state = assign_interval(net, [1], [2], [750], Objective.SOT, TIGHT)
     f_star, z_star = pigou_grid(Objective.SOT)
     got = state.flow_vph[net.link_positions(2)]
     assert abs(got - f_star) / f_star <= 0.01
@@ -328,7 +379,7 @@ def test_sot_matches_total_time_grid_search():
 
 def test_sof_matches_total_fuel_grid_search():
     net = pigou_network()
-    state = assign_interval(net, {(1, 2): 750}, Objective.SOF, TIGHT)
+    state = assign_interval(net, [1], [2], [750], Objective.SOF, TIGHT)
     f_star, z_star = pigou_grid(Objective.SOF)
     got = state.flow_vph[net.link_positions(2)]
     assert abs(got - f_star) / max(f_star, 1.0) <= 0.02 * PIGOU_DEMAND_VPH
@@ -343,8 +394,8 @@ def test_zero_demand_interval():
     config = SolverConfig()
     zeros = np.zeros(net.n_links)
     for objective in Objective:
-        for demand in ({}, {(1, 2): 0.0}):
-            state = assign_interval(net, demand, objective, config)
+        for demand in (([], [], []), ([1], [2], [0.0])):
+            state = assign_interval(net, *demand, objective, config)
             assert state.converged and state.gap == 0.0 and state.iterations == 1
             assert state.log == [(0.0, 0.0)] and state.unreachable == []
             assert not state.flow_vph.any()
@@ -355,7 +406,7 @@ def test_zero_demand_interval():
 def test_objective_value_never_increases_along_iterations():
     net = diamond_network()
     for objective in Objective:
-        state = assign_interval(net, {(1, 4): 625}, objective, TIGHT)
+        state = assign_interval(net, [1], [4], [625], objective, TIGHT)
         values = [v for _, v in state.log]
         for a, b in zip(values, values[1:]):
             assert b <= a * (1 + 1e-12)
@@ -363,7 +414,7 @@ def test_objective_value_never_increases_along_iterations():
 
 def test_wardrop_on_diamond():
     net = diamond_network()
-    state = assign_interval(net, {(1, 4): 625}, Objective.UET, TIGHT)  # 2500 vph
+    state = assign_interval(net, [1], [4], [625], Objective.UET, TIGHT)  # 2500 vph
     assert state.converged
     idx = net.link_positions
     f = state.flow_vph
@@ -376,7 +427,7 @@ def test_wardrop_on_diamond():
 
 def test_unreachable_demand_reported_in_counts():
     net = diamond_network()
-    state = assign_interval(net, {(1, 4): 10, (4, 1): 7}, Objective.UET, TIGHT)
+    state = assign_interval(net, [1, 4], [4, 1], [10, 7], Objective.UET, TIGHT)
     assert state.unreachable == [(4, 1, pytest.approx(7.0))]
 
 
@@ -386,10 +437,10 @@ def test_link_costs_that_overflow_name_the_link(objective):
     # (flow / capacity)**4 overflows on every loaded link; sof's clamped
     # speed keeps its cost finite, but not its time
     net = diamond_network()
-    demand = {(1, 4): 1e307, (2, 4): 1e307, (3, 4): 1e307}
+    demand = ([1, 2, 3], [4, 4, 4], [1e307, 1e307, 1e307])
     with pytest.raises(ValueError, match=r"^link 1: cost not finite at flow 4e\+307 vph and "
                                          r"capacity 800.0 vph \(" + objective.value):
-        assign_interval(net, demand, objective, CONFIG)
+        assign_interval(net, *demand, objective, CONFIG)
 
 
 def test_assignment_cost_scalar_helper():
@@ -415,7 +466,7 @@ def test_non_convergence_warns_and_flags(caplog):
     net = diamond_network()
     cfg = SolverConfig(max_iterations=2, relative_gap=1e-12)
     with caplog.at_level("WARNING"):
-        state = assign_interval(net, {(1, 4): 625}, Objective.UET, cfg)
+        state = assign_interval(net, [1], [4], [625], Objective.UET, cfg)
     assert not state.converged
     assert state.iterations == 2
     assert any("max_iterations" in r.message for r in caplog.records)
@@ -509,7 +560,7 @@ def test_run_day_pigou_matches_single_interval():
     trips = uniform_trips(1, 2, 750, start_s=8 * 3600.0)
     cfg = SolverConfig(relative_gap=1e-6)
     result = run_day(net, trips, Objective.UET, cfg)
-    single = assign_interval(net, {(1, 2): 750}, Objective.UET, cfg)
+    single = assign_interval(net, [1], [2], [750], Objective.UET, cfg)
     k = int(8 * 3600 // 900)
     states = dense_states(result)
     assert np.array_equal(states[k].flow_vph, single.flow_vph)
@@ -711,18 +762,18 @@ def test_aon_reports_an_od_unreachable_only_after_a_full_search(monkeypatch):
     calls = count_dijkstra(monkeypatch, limits)
     net = diamond_network()  # one way: 4 reaches no node
     graph = qdta.RoutingGraph(net)
-    batch = qdta._DemandBatch(net, {(1, 4): 100.0, (4, 1): 50.0}, 1.0)
+    batch = qdta._DemandBatch(net, [1, 4], [4, 1], [100.0, 50.0], 1.0)
     cost = net.free_flow_h.copy()
-    _, unreachable, paths = qdta._load_all_or_nothing(graph, batch, cost)
-    assert unreachable == [(4, 1, 50.0)] and limits == [math.inf]
+    _, reachable, paths = qdta._load_all_or_nothing(graph, batch, cost)
+    assert reachable.tolist() == [True, False] and limits == [math.inf]
     assert paths.length.tolist() == [2, 0]  # OD (4, 1) has no path
     # a path table that gives OD (4, 1) a path bounds node 4's search; that
     # search settles only node 4, so node 4 is solved again, in full
     links = paths.links.copy()
     links[1, 0] = net.link_positions(1)
     forged = paths._replace(length=np.array([2, 1]), links=links)
-    y, unreachable, _ = qdta._load_all_or_nothing(graph, batch, cost * 2.0, forged)
-    assert unreachable == [(4, 1, 50.0)]
+    y, reachable, _ = qdta._load_all_or_nothing(graph, batch, cost * 2.0, forged)
+    assert reachable.tolist() == [True, False]
     assert y[net.link_positions(1)] == 100.0
     four = node_at(net, 4)
     assert calls[1:] == [[four], [node_at(net, 1)], [four]]  # by limit: the forged one is shorter
@@ -733,7 +784,7 @@ def test_frank_wolfe_bounds_every_search_after_the_first(monkeypatch):
     limits = []
     calls = count_dijkstra(monkeypatch, limits)
     net = diamond_network()
-    state = assign_interval(net, {(1, 4): 625}, Objective.UET, TIGHT)
+    state = assign_interval(net, [1], [4], [625], Objective.UET, TIGHT)
     assert state.iterations >= 2
     # the zero-flow load runs in full; each iteration's load stops at the
     # cost its source's last path has at the new costs
@@ -743,7 +794,7 @@ def test_frank_wolfe_bounds_every_search_after_the_first(monkeypatch):
 
 def test_path_limits_bound_each_source_by_its_farthest_known_path():
     net = chain_network()
-    batch = qdta._DemandBatch(net, {(1, 2): 1.0, (1, 4): 1.0, (2, 3): 1.0, (3, 1): 1.0}, 1.0)
+    batch = qdta._DemandBatch(net, [1, 1, 2, 3], [2, 4, 3, 1], [1.0, 1.0, 1.0, 1.0], 1.0)
     cost = net.free_flow_h * 2.0
     # OD (1, 2) drove link 1; OD (1, 4) links 1, 2 and 3; OD (2, 3) link 2;
     # OD (3, 1) is unreachable

@@ -249,7 +249,9 @@ def reference_day(network, trips, objective, config):
         fresh = [t for t in states if int(t.depart_s // config.interval_s) == k]
         active = sorted(residual + fresh, key=lambda t: t.trip_id)
         demand = Counter((node_ids[t.node], node_ids[t.dest]) for t in active)
-        state = qdta.assign_interval(network, demand, objective, config)
+        origin, destination = zip(*demand) if demand else ((), ())
+        state = qdta.assign_interval(network, origin, destination, list(demand.values()),
+                                     objective, config)
         entered.append(reference_walk(network, active, state.cost, state.time_h, state.speed_mph,
                                       config.interval_h, config, "completed"))
         flow_states.append(state)
