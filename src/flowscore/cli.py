@@ -85,7 +85,7 @@ class Scenario:
 
 def load_scenario(path) -> Scenario:
     p = Path(path)
-    if not p.exists():
+    if not p.is_file():
         raise ConfigError(f"config file not found: {p}")
     try:
         raw = json.loads(p.read_text())
@@ -107,7 +107,7 @@ def load_scenario(path) -> Scenario:
 
     def input_path(key: str) -> Path:
         q = path(key)
-        if not q.exists():
+        if not q.is_file():
             raise ConfigError(f"missing input file for '{key}': {q}")
         return q
 
@@ -204,16 +204,12 @@ def _cell_texts(values: np.ndarray) -> list[str]:
 
 
 def write_flows_csv(path, result: AssignmentResult) -> None:
-    """One row per (interval, link) with nonzero assigned flow, in the
-    bytes csv.writer writes. The day's nonzero rows are gathered once, and
-    each row's text is joined here, a block of rows at a time; a block may
-    span intervals."""
-    net, intervals = result.network, result.intervals
-    k = np.repeat(np.arange(len(intervals)), [rec.links.size for rec in intervals])
-    i, flow, time_h = (np.concatenate([getattr(rec, name) for rec in intervals])
-                       for name in ("links", "flow_vph", "time_h"))
-    kept = flow > 0
-    k, i, flow, time_h = k[kept], i[kept], flow[kept], time_h[kept]
+    """One row per (interval, link) with positive assigned flow, in the
+    bytes csv.writer writes, from the day's `qdta.DayFlows`. Each row's text
+    is joined here, a block of rows at a time; a block may span intervals."""
+    net, f = result.network, result.flows
+    kept = f.flow_vph > 0
+    k, i, flow, time_h = (c[kept] for c in (f.intervals(), f.links, f.flow_vph, f.time_h))
     link_ids, speed = net.link_ids[i], net.length_miles[i] / time_h
     with open(path, "w", newline="") as fh:
         fh.write(",".join(FLOW_COLUMNS) + "\r\n")
@@ -259,8 +255,8 @@ def write_exposure_csv(path, schools, exposures: indicators.SchoolExposure) -> N
                   map(_fmt_value, exposures.buffer_vmt_morning[order].tolist())))
 
 
-def read_flows_csv(path, network, config: SolverConfig) -> indicators.LinkDailyStats:
-    """The day's link stats from a flows CSV; absent rows are zero flow at free-flow time."""
+def read_flows_csv(path, network, config: SolverConfig) -> qdta.DayFlows:
+    """A flows CSV's rows as a `qdta.DayFlows`; absent rows are zero flow at free-flow time."""
     columns = read_columns(path, "flows", dict(zip(FLOW_COLUMNS, (INT64, INT64, FINITE, FINITE))))
     k, link_id = (np.array(columns[name], dtype=np.int64) for name in ("interval", "link_id"))
     flow, time_h = np.array(columns["flow_vph"]), np.array(columns["time_h"])
@@ -273,8 +269,8 @@ def read_flows_csv(path, network, config: SolverConfig) -> indicators.LinkDailyS
             "unknown link_id {link_id}": pos < 0,
             "duplicate interval {k}, link_id {link_id}": repeats(k * network.n_links + pos)})
     order = np.argsort(k, kind="stable")  # an interval's rows stay in file order
-    return indicators.LinkDailyStats(network, ((pos[r], flow[r], time_h[r]) for r in np.split(
-        order, np.searchsorted(k[order], np.arange(1, n)))), config.interval_s)
+    return qdta.DayFlows(np.searchsorted(k[order], np.arange(n + 1)), pos[order].astype(np.int32),
+                         flow[order], time_h[order])
 
 
 def read_trips_csv(path) -> TripTable:
@@ -489,8 +485,9 @@ def _cmd_indicators(args) -> int:
         street_types = typology.read_link_types(types_path, network)
     else:
         street_types = _classify_streets(scenario, network)
-    _score(scenario, tag, read_flows_csv(flows_path, network, scenario.solver),
-           read_trips_csv(trips_path), street_types, *places)
+    stats = indicators.LinkDailyStats(network, read_flows_csv(flows_path, network, scenario.solver),
+                                      scenario.solver.interval_s)
+    _score(scenario, tag, stats, read_trips_csv(trips_path), street_types, *places)
     return 0
 
 

@@ -47,49 +47,46 @@ def load_schools(path: str) -> Schools:
 
 
 class LinkDailyStats:
-    """Per-link daily aggregates of a day's sparse interval rows, kept as given.
+    """Per-link daily aggregates of a `qdta.DayFlows`, kept as given.
 
-    Each row is one interval's (links, flow_vph, time_h): link positions,
-    each at most once, and their flow and time; other links carry no flow.
-    The sums add the rows in order onto zero, as `.sum(axis=0)` of the
-    dense (interval x link) matrix does on two or more links.
+    Each link's sums add its rows in row order onto zero, as `.sum(axis=0)`
+    of the dense (interval x link) matrix does on two or more links.
     """
 
-    def __init__(self, network, rows, interval_s: float):
+    def __init__(self, network, flows, interval_s: float):
         self.network = network
-        self.rows = list(rows)
+        self.flows = flows
         self.interval_s = interval_s
         self.interval_h = interval_s / 3600.0
-        self.adt = np.zeros(network.n_links)
-        self.vhd = np.zeros(network.n_links)
-        for links, flow, time_h in self.rows:
-            veh = flow * self.interval_h
-            self.adt[links] += veh
-            self.vhd[links] += veh * (time_h - network.free_flow_h[links])
+        veh = flows.flow_vph * self.interval_h
+        delay_h = flows.time_h - network.free_flow_h[flows.links]
+        self.adt = np.bincount(flows.links, veh, network.n_links)
+        self.vhd = np.bincount(flows.links, veh * delay_h, network.n_links)
         self.vmt = self.adt * network.length_miles
         self._window_vmt: dict[tuple, np.ndarray] = {}
 
     @property
     def n_intervals(self) -> int:
-        return len(self.rows)
+        return self.flows.offsets.size - 1
 
     def intervals_overlapping(self, window_s) -> np.ndarray:
         start, end = window_s
         k = np.arange(self.n_intervals)
         return (k * self.interval_s < end) & ((k + 1) * self.interval_s > start)
 
-    def window_rows(self, window_s):
-        """The rows of the intervals overlapping window_s, in order."""
-        return (row for row, hit in zip(self.rows, self.intervals_overlapping(window_s)) if hit)
+    def window_slice(self, window_s) -> slice:
+        """The rows of the intervals overlapping window_s, which are contiguous."""
+        k = np.flatnonzero(self.intervals_overlapping(window_s))
+        return slice(*self.flows.offsets[[k[0], k[-1] + 1]]) if k.size else slice(0)
 
     def window_vmt(self, window_s) -> np.ndarray:
         """Per-link VMT over the intervals overlapping window_s, computed
         once per window; the array is read-only, since callers share it."""
         key = tuple(window_s)
         if key not in self._window_vmt:
-            flow = np.zeros(self.network.n_links)
-            for links, flow_vph, _ in self.window_rows(window_s):
-                flow[links] += flow_vph
+            rows = self.window_slice(window_s)
+            flow = np.bincount(self.flows.links[rows], self.flows.flow_vph[rows],
+                               self.network.n_links)
             vmt = (flow * self.interval_h) * self.network.length_miles
             vmt.flags.writeable = False
             self._window_vmt[key] = vmt
@@ -97,10 +94,8 @@ class LinkDailyStats:
 
 
 def daily_stats(assignment) -> LinkDailyStats:
-    """The link stats of a `qdta.AssignmentResult`'s interval records."""
-    return LinkDailyStats(assignment.network,
-                          ((rec.links, rec.flow_vph, rec.time_h) for rec in assignment.intervals),
-                          assignment.interval_s)
+    """The link stats of a `qdta.AssignmentResult`'s flows."""
+    return LinkDailyStats(assignment.network, assignment.flows, assignment.interval_s)
 
 
 def filtered_vmt_vhd(stats: LinkDailyStats, link_mask) -> tuple[float, float]:
@@ -111,11 +106,10 @@ def filtered_vmt_vhd(stats: LinkDailyStats, link_mask) -> tuple[float, float]:
 
 def congested_miles(stats: LinkDailyStats, window_s=MORNING_PEAK_S) -> float:
     """Miles of links hitting v/c >= 1 in any interval of the window."""
-    network = stats.network
-    congested = np.zeros(network.n_links, dtype=bool)
-    for links, flow_vph, _ in stats.window_rows(window_s):
-        congested[links] |= flow_vph / network.capacity_vph[links] >= 1.0
-    return float(network.length_miles[congested].sum())
+    network, rows = stats.network, stats.window_slice(window_s)
+    links = stats.flows.links[rows]
+    congested = links[stats.flows.flow_vph[rows] / network.capacity_vph[links] >= 1.0]
+    return float(network.length_miles[np.unique(congested)].sum())
 
 
 class ExposureLevel(enum.Enum):

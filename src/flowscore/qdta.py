@@ -54,15 +54,16 @@ class Objective(enum.Enum):
             raise ValueError(f"unknown objective {name!r} (want uet, sot or sof)") from None
 
 
-def _columns(table: str, names: str, ids, values):
-    """ids as int64 columns and values as a float64 one, all 1-D and of one length."""
-    ids = [np.asarray(c) for c in ids]
+def _columns(table: str, names: str, ids, name: str, values):
+    """ids as int64 columns and values, column name, as a float64 one, all 1-D and of one length."""
+    ids, values = [np.asarray(c) for c in ids], np.asarray(values)
     if any(c.size and c.dtype.kind not in "iu" for c in ids):
         raise ValueError(f"{names} must hold integers")
-    values = np.asarray(values, dtype=float)
+    if values.size and values.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must hold numbers")
     if {c.shape for c in (*ids, values)} != {(ids[0].size,)}:
         raise ValueError(f"{table} columns must be 1-D and of one length")
-    return (*(c.astype(np.int64) for c in ids), values)
+    return (*(c.astype(np.int64) for c in ids), values.astype(float))
 
 
 @dataclass(eq=False)
@@ -82,7 +83,7 @@ class Departures:
     def __post_init__(self) -> None:
         self.trip_id, self.origin, self.destination, self.depart_s = _columns(
             "departure", "trip_id, origin and destination",
-            (self.trip_id, self.origin, self.destination), self.depart_s)
+            (self.trip_id, self.origin, self.destination), "depart_s", self.depart_s)
         check_rows(vars(self), {
             "duplicate trip_id {trip_id}": repeats(self.trip_id),
             "trip {trip_id}: origin equals destination": self.origin == self.destination,
@@ -153,18 +154,9 @@ class FlowState:
 
 @dataclass(eq=False)
 class IntervalRecord:
-    """One interval of a day as `run_day` keeps it.
+    """One interval of a day as `run_day` keeps it, less its flows (see `DayFlows`): trips
+    entered link entered_links[j] entered_count[j] times, and the solver's outcome."""
 
-    Only the links whose flow is not zero are held: their positions, in
-    ascending order, and their flow and time. A link is kept by the bits
-    of its flow, so a -0.0 flow stays. Every other link has zero flow and,
-    since bpr_time(t0, 0) is t0, its free-flow time. Trips entered link
-    entered_links[j] entered_count[j] times.
-    """
-
-    links: np.ndarray
-    flow_vph: np.ndarray
-    time_h: np.ndarray
     entered_links: np.ndarray
     entered_count: np.ndarray
     converged: bool
@@ -176,11 +168,28 @@ class IntervalRecord:
     @classmethod
     def of(cls, state: FlowState, entered: np.ndarray) -> "IntervalRecord":
         """The record of a state whose trips entered link i entered[i] times."""
-        links = np.flatnonzero(state.flow_vph.view(np.int64)).astype(np.int32)
         entered_links = np.flatnonzero(entered).astype(np.int32)
-        return cls(links, state.flow_vph[links], state.time_h[links], entered_links,
-                   entered[entered_links], state.converged, state.gap, state.iterations,
-                   state.log, state.unreachable)
+        return cls(entered_links, entered[entered_links], state.converged, state.gap,
+                   state.iterations, state.log, state.unreachable)
+
+
+class DayFlows(NamedTuple):
+    """A day's link flows as columns. Interval k's rows are
+    offsets[k]:offsets[k + 1], each a link position (int32), at most once per
+    interval, with its flow and time. A link is held when its flow is not zero
+    by its bits, so a -0.0 flow stays and each interval's dense state is
+    rebuilt exactly: every other link has zero flow and, since bpr_time(t0, 0)
+    is t0, its free-flow time. `run_day` holds an interval's links in
+    ascending order, `cli.read_flows_csv` in file order."""
+
+    offsets: np.ndarray
+    links: np.ndarray
+    flow_vph: np.ndarray
+    time_h: np.ndarray
+
+    def intervals(self) -> np.ndarray:
+        """Each row's interval."""
+        return np.repeat(np.arange(self.offsets.size - 1), np.diff(self.offsets))
 
 
 @dataclass(frozen=True)
@@ -533,7 +542,7 @@ class _DemandBatch:
 
     def __init__(self, network: Network, origin, destination, count, hours: float):
         o_id, d_id, count = _columns("demand", "origin and destination", (origin, destination),
-                                     count)
+                                     "count", count)
         rate, n = count / hours, count.size
         at = network.node_positions(np.concatenate((o_id, d_id)))
         order = np.lexsort((d_id, o_id))  # stable: a repeated pair's first row leads
@@ -752,11 +761,12 @@ def advance_trips(
 
 @dataclass
 class AssignmentResult:
-    """A day of interval records plus every trip's itinerary."""
+    """A day of interval records and flows plus every trip's itinerary."""
 
     objective: Objective
     config: SolverConfig
     intervals: list[IntervalRecord]
+    flows: DayFlows
     trips: TripTable
     forced_entered: np.ndarray
     network: Network
@@ -782,28 +792,23 @@ class AssignmentResult:
         return {s: int(np.count_nonzero(self.trips.status == s))
                 for s in ("completed", "forced", "failed")}
 
-    def _row_sum(self, rec: IntervalRecord, values: np.ndarray):
-        """The sum of a row of every link that holds values at rec.links and
-        zero elsewhere, with the bits of the same sum over a dense row."""
-        row = np.zeros(self.network.n_links)
-        row[rec.links] = values
-        return row.sum()
+    def _day_total(self, values: np.ndarray) -> float:
+        """The day's total of values at the flow rows: each interval sums its
+        dense link row, as `.sum(axis=1)` does, and the intervals add in order."""
+        rows = np.zeros((self.flows.offsets.size - 1, self.network.n_links))
+        rows[self.flows.intervals(), self.flows.links] = values
+        return sum(rows.sum(axis=1).tolist()) * self.interval_h
 
     def total_system_time_h(self) -> float:
         """Vehicle-hours implied by the converged interval flows."""
-        return float(sum(self._row_sum(rec, rec.flow_vph * rec.time_h) for rec in self.intervals)
-                     * self.interval_h)
+        return self._day_total(self.flows.flow_vph * self.flows.time_h)
 
     def total_fuel_from_flows(self) -> float:
         """Liters implied by the converged interval flows."""
-        length, config = self.network.length_miles, self.config
-        total = 0.0
-        for rec in self.intervals:
-            v = np.clip(length[rec.links] / rec.time_h, config.speed_floor_mph,
-                        config.speed_cap_mph)
-            total += float(self._row_sum(
-                rec, costs._burn(rec.flow_vph * length[rec.links], v, config.fuel)))
-        return total * self.interval_h
+        f, config = self.flows, self.config
+        length = self.network.length_miles[f.links]
+        v = np.clip(length / f.time_h, config.speed_floor_mph, config.speed_cap_mph)
+        return self._day_total(costs._burn(f.flow_vph * length, v, config.fuel))
 
     def conservation(self) -> tuple[float, float, float]:
         """(trip miles, tallied link miles, relative error)."""
@@ -833,13 +838,15 @@ def run_day(network: Network, trips: Departures, objective: Objective,
         return network.node_ids[o], network.node_ids[d], count
 
     residual = np.empty(0, dtype=np.int64)
-    intervals: list[IntervalRecord] = []
+    intervals, kept = [], []  # IntervalRecords, and each interval's (links, flow_vph, time_h)
     for k in range(config.n_intervals):
         active = np.union1d(residual, np.flatnonzero(bucket == k))  # in trip-id order
         state = assign_interval(network, *demand(active), objective, config, graph=graph,
                                 pricing=pricing)
         _, residual, entered = advance_trips(network, state, day, active, config)
         intervals.append(IntervalRecord.of(state, entered))
+        links = np.flatnonzero(state.flow_vph.view(np.int64)).astype(np.int32)  # -0.0 stays
+        kept.append((links, state.flow_vph[links], state.time_h[links]))
 
     # day over: finish leftovers on their zero-flow paths and flag them, at
     # speed_mph (length / free_flow_h can differ in the last bit, and so the fuel)
@@ -847,8 +854,9 @@ def run_day(network: Network, trips: Departures, objective: Objective,
                                        pricing.free_cost)
     _, _, forced_entered = _walk(network, day, residual, paths, network.free_flow_h,
                                  network.speed_mph, math.inf, config, "forced")
-    return AssignmentResult(objective, config, intervals, day.table(network), forced_entered,
-                            network)
+    flows = DayFlows(np.cumsum([0, *(r[0].size for r in kept)]), *map(np.concatenate, zip(*kept)))
+    return AssignmentResult(objective, config, intervals, flows, day.table(network),
+                            forced_entered, network)
 
 
 def load_trips(path: str) -> Departures:

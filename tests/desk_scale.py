@@ -14,9 +14,13 @@ Dijkstra, its runs and sources, and the nodes settled (finite distances
 Dijkstra returned); and the FW pricing kernel's evaluations and the CPU
 seconds spent in them. It then writes the day's flows and trips CSVs, as
 `flowscore run` does, into a temporary directory, and prints each
-writer's CPU seconds and the bytes it wrote. Then it prints the median
-day CPU seconds and the process's peak resident memory. It is not part of
-the test suite, since scale 4 and --congested run for many seconds.
+writer's CPU seconds and the bytes it wrote. It also prints the rows of
+the day's flow table, the CPU seconds of scoring's flow inputs
+(`indicators.daily_stats`, the morning and school windows' `window_vmt`
+and `congested_miles`) and of `cli.read_flows_csv` on the file written.
+Then it prints the median day CPU seconds and the process's peak resident
+memory. It is not part of the test suite, since scale 4 and --congested
+run for many seconds.
 """
 from __future__ import annotations
 
@@ -28,7 +32,7 @@ import time
 from pathlib import Path
 
 # flowscore first, so its one-thread BLAS setting is in place before numpy loads
-from flowscore import cli, qdta
+from flowscore import cli, indicators, qdta
 from fixtures import grid_network, links_of, network, nodes_of, perf_network, perf_trips
 
 import numpy as np
@@ -92,6 +96,13 @@ def main() -> None:
               f"dijkstra_runs {dijkstra['runs']} dijkstra_sources {dijkstra['sources']} "
               f"settled_nodes {dijkstra['settled']} pricing_cpu_s {pricing['cpu_s']:.2f} "
               f"pricing_evals {pricing['evals']}")
+        start = time.process_time()
+        stats = indicators.daily_stats(result)
+        for window in (indicators.MORNING_PEAK_S, indicators.SCHOOL_MORNING_S):
+            stats.window_vmt(window)
+        indicators.congested_miles(stats, indicators.MORNING_PEAK_S)
+        print(f"  flow_rows {result.flows.links.size} "
+              f"link_stats_cpu_s {time.process_time() - start:.4f}")
         with tempfile.TemporaryDirectory() as out:
             for name, write in (("flows", cli.write_flows_csv), ("trips", cli.write_trips_csv)):
                 path = Path(out) / f"{name}_{args.objective}.csv"
@@ -99,6 +110,9 @@ def main() -> None:
                 write(path, result)
                 print(f"  write_{name}_csv_cpu_s {time.process_time() - start:.3f} "
                       f"{name}_bytes {path.stat().st_size}")
+            start = time.process_time()
+            cli.read_flows_csv(Path(out) / f"flows_{args.objective}.csv", net, config)
+            print(f"  read_flows_csv_cpu_s {time.process_time() - start:.3f}")
     print(f"median_day_cpu_s {statistics.median(days):.3f} over {args.repeat} days "
           f"peak_rss_mb {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.0f}")
 

@@ -15,8 +15,8 @@ from flowscore import qdta
 from flowscore.geo import Tracts, links_within_radii, polygon_area
 from flowscore.indicators import Schools, congested_miles, daily_stats
 from flowscore.network import LINK_COLUMNS, METERS_PER_MILE, NODE_COLUMNS, Network, write_csv
-from flowscore.qdta import (AssignmentResult, Departures, FlowState, IntervalRecord, Objective,
-                            SolverConfig)
+from flowscore.qdta import (AssignmentResult, DayFlows, Departures, FlowState, IntervalRecord,
+                            Objective, SolverConfig)
 from flowscore.typology import LandUse, Parcels
 
 from costs_reference import fuel_per_mile
@@ -473,12 +473,23 @@ def assignment_of(network, states, trips, interval_s=900.0, objective=Objective.
                   entered=None) -> AssignmentResult:
     """A day of hand-made FlowStates as `run_day` keeps one: an interval
     record per state, with entered[k] the entry counts of state k, and no
-    link entered when entered is None."""
+    link entered when entered is None, and the states' flow table, which
+    holds a link when its flow is not zero by its bits."""
     no_entries = np.zeros(network.n_links, dtype=np.int64)
     intervals = [IntervalRecord.of(fs, no_entries if entered is None else entered[k])
                  for k, fs in enumerate(states)]
-    return AssignmentResult(objective, SolverConfig(interval_s=interval_s), intervals, trips,
+    flows = np.stack([fs.flow_vph for fs in states])
+    day = flow_table(flows, np.stack([fs.time_h for fs in states]), flows.view(np.int64) != 0)
+    return AssignmentResult(objective, SolverConfig(interval_s=interval_s), intervals, day, trips,
                             no_entries, network)
+
+
+def flow_table(flows, times, keep=None) -> DayFlows:
+    """The DayFlows of dense (interval x link) flows and times that holds
+    the links keep marks in each interval, every link when keep is None."""
+    keep = np.ones(flows.shape, dtype=bool) if keep is None else keep
+    return DayFlows(np.concatenate(([0], np.cumsum(keep.sum(axis=1)))),
+                    np.nonzero(keep)[1].astype(np.int32), flows[keep], times[keep])
 
 
 def assigned_day(network, trips, objective, config):

@@ -3,8 +3,8 @@
 The link pricing that `qdta._Pricing` replaced, built from the closed
 forms in `costs_reference` and priced over whole vectors: `cost_vector`,
 `objective_value` and the bisection `line_search`. And a day's dense
-per-interval states, rebuilt from the sparse interval records that
-`run_day` keeps: time and speed come from `bpr_time` on the same
+per-interval states, rebuilt from the flow table and the interval
+records that `run_day` keeps: time and speed come from `bpr_time` on the same
 flows, and cost from `cost_vector`, so a rebuilt state has the bits of
 the state `assign_interval` returned.
 """
@@ -69,11 +69,12 @@ def line_search(network, objective, config, f, d) -> float:
 
 def dense_states(result) -> list[FlowState]:
     """One dense FlowState per interval of an AssignmentResult."""
-    net, config = result.network, result.config
+    net, config, day = result.network, result.config, result.flows
+    bounds = day.offsets.tolist()
     states = []
-    for rec in result.intervals:
+    for rec, a, b in zip(result.intervals, bounds[:-1], bounds[1:], strict=True):
         flows = np.zeros(net.n_links)
-        flows[rec.links] = rec.flow_vph
+        flows[day.links[a:b]] = day.flow_vph[a:b]
         time_h = np.asarray(bpr_time(net.free_flow_h, flows, net.capacity_vph, config.bpr))
         states.append(FlowState(
             flows, time_h, net.length_miles / time_h,

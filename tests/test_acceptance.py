@@ -42,6 +42,7 @@ from fixtures import (
     blanket_parcel,
     corridor_network,
     corridor_od,
+    flow_table,
     pigou_network,
     perf_network,
     perf_trips,
@@ -265,7 +266,7 @@ def test_criterion_08_school_exposure_boundaries():
         links.append(straight_link(i + 1, a, b, 30.0, 600.0, 5, 2))
     net = fixtures.network(nodes, links)
     # one 3600 s interval makes each link's ADT equal its flow
-    stats = LinkDailyStats(net, [(np.arange(len(adts)), np.array(adts), net.free_flow_h)], 3600.0)
+    stats = LinkDailyStats(net, flow_table(np.array([adts]), net.free_flow_h[None, :]), 3600.0)
     schools = fixtures.school_table([School(i + 1, M / 2.0, 10_000.0 * i, 50.0)
                                      for i in range(len(adts))])
     exposures = school_exposure(stats, schools, school_buffers(net, schools))

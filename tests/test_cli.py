@@ -10,6 +10,7 @@ import shutil
 import subprocess
 import sys
 import weakref
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,7 @@ from flowscore.cli import (
     read_trips_csv,
 )
 from flowscore import cli, qdta
-from flowscore.indicators import INDICATOR_NAMES, congested_miles, daily_stats
+from flowscore.indicators import INDICATOR_NAMES, LinkDailyStats, congested_miles, daily_stats
 from flowscore.network import LoadError, Network, load_network
 from flowscore.qdta import Objective, load_trips, run_day
 from flowscore.typology import StreetType, read_link_types
@@ -42,6 +43,7 @@ from fixtures import (
     assert_same_states,
     assigned_day,
     blanket_parcel,
+    flow_table,
     joined,
     square,
     straight_link,
@@ -153,7 +155,8 @@ def test_readme_library_use_runs_in_a_scenario_directory(tmp_path, monkeypatch):
     namespace = {}
     for block in blocks:  # in order: each block reads the names the earlier ones set
         exec(compile(block, "README.md", "exec"), namespace)
-    assert namespace["flows"][namespace["rec"].links].tolist() == namespace["rec"].flow_vph.tolist()
+    day, rows = namespace["day"], namespace["rows"]
+    assert namespace["flows"][day.links[rows]].tolist() == day.flow_vph[rows].tolist()
 
 
 def test_print_config(capsys):
@@ -253,6 +256,8 @@ def test_load_scenario_rejects_bad_configs(tmp_path, capsys):
 
     with pytest.raises(ConfigError, match="config file not found"):
         load_scenario(tmp_path / "nope.json")
+    with pytest.raises(ConfigError, match="config file not found"):
+        load_scenario(tmp_path)  # a directory
 
     (tmp_path / "broken.json").write_text("{not json")
     with pytest.raises(ConfigError, match="bad JSON"):
@@ -292,7 +297,7 @@ def test_load_scenario_rejects_bad_configs(tmp_path, capsys):
                        ("morning_window_s", ["a", 1]), ("objectives", "uet"), ("nodes", 5),
                        ("tracts", None), ("out_dir", ["out"]), ("trips", {"path": "trips.csv"}),
                        ("interval_s", "900"), ("workers", "2"),
-                       ("morning_window_s", ["25200", "32400"])]:
+                       ("morning_window_s", ["25200", "32400"]), ("nodes", "")]:
         with pytest.raises(ConfigError, match=key):
             load_scenario(with_cfg(**{key: value}))
         assert main(["run", "--config", with_cfg(**{key: value})]) == 2
@@ -464,7 +469,8 @@ def test_read_flows_csv_equals_daily_stats_of_the_day(tmp_path, town_run):
         tag = objective.value
         assert main(["assign", "--config", cfg, "--objective", tag, "--out", str(out)]) == 0
         want = daily_stats(run_day(network, trips, objective, scenario.solver))
-        got = read_flows_csv(out / f"flows_{tag}.csv", network, scenario.solver)
+        got = LinkDailyStats(network, read_flows_csv(out / f"flows_{tag}.csv", network,
+                                                     scenario.solver), scenario.solver.interval_s)
         assert (got.interval_s, got.n_intervals) == (want.interval_s, want.n_intervals)
         for name in ("adt", "vmt", "vhd"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (tag, name)
@@ -472,6 +478,27 @@ def test_read_flows_csv_equals_daily_stats_of_the_day(tmp_path, town_run):
             assert got.window_vmt(window).tobytes() == want.window_vmt(window).tobytes(), tag
         assert (np.float64(congested_miles(got, windows[0])).tobytes()
                 == np.float64(congested_miles(want, windows[0])).tobytes()), tag
+
+
+@pytest.mark.parametrize("objective", ["uet", "sot", "sof"])
+def test_indicators_ignore_the_row_order_of_the_flows_csv(tmp_path, long_town_run, objective):
+    # links carry flow in several intervals, so the reader must put the rows
+    # back in interval order for each link's sums and each window's rows
+    cfg, run_out = long_town_run
+    out = tmp_path / "steps"
+    shutil.copytree(run_out, out)
+    lines = (out / f"flows_{objective}.csv").read_bytes().splitlines(keepends=True)
+    rows = lines[1:]
+    random.Random(3).shuffle(rows)
+    assert rows != lines[1:]
+    assert max(Counter(row.split(b",")[1] for row in rows).values()) > 1
+    (out / f"flows_{objective}.csv").write_bytes(b"".join(lines[:1] + rows))
+    scored = (f"indicators_{objective}.csv", f"school_exposure_{objective}.csv")
+    for name in scored:
+        (out / name).unlink()
+    assert main(["indicators", "--config", cfg, "--objective", objective, "--out", str(out)]) == 0
+    for name in scored:
+        assert (out / name).read_bytes() == (run_out / name).read_bytes(), name
 
 
 def assert_row_order_ignored(tmp_path, run, name, shuffle):
@@ -569,15 +596,15 @@ def test_flows_csv_bytes_do_not_depend_on_the_write_block(tmp_path, monkeypatch)
 
 
 def test_a_day_with_no_flow_and_no_trips_writes_only_the_headers(tmp_path):
-    zero = qdta.IntervalRecord(np.arange(4, dtype=np.int32), np.zeros(4), np.full(4, 0.25),
-                               np.empty(0, dtype=np.int32), np.empty(0, dtype=np.int32), True,
+    zero = qdta.IntervalRecord(np.empty(0, dtype=np.int32), np.empty(0, dtype=np.int32), True,
                                0.0, 1, [], [])
+    flows = flow_table(np.zeros((2, 4)), np.full((2, 4), 0.25))
     empty = np.empty(0)
     table = qdta.TripTable(np.empty(0, dtype=np.int64), np.empty(0, dtype=object),
                            *(empty for _ in range(6)), np.zeros(1, dtype=np.int64),
                            np.empty(0, dtype=np.int64))
-    result = qdta.AssignmentResult(Objective.UET, qdta.SolverConfig(), [zero, zero], table,
-                                   np.zeros(4, dtype=np.int64), town_network())
+    result = qdta.AssignmentResult(Objective.UET, qdta.SolverConfig(), [zero, zero], flows,
+                                   table, np.zeros(4, dtype=np.int64), town_network())
     cli.write_flows_csv(tmp_path / "flows.csv", result)
     cli.write_trips_csv(tmp_path / "trips.csv", result)
     assert (tmp_path / "flows.csv").read_bytes() == (
@@ -596,9 +623,9 @@ def test_flows_csv_has_the_bytes_of_csv_writer(tmp_path):
     times = [np.array([0.1, 3.0, 1e16, 0.25]), np.array([0.125, 1.0, 0.1, 2.0]),
              np.array([0.0, -0.0, 0.0, 0.25])]
     none = np.empty(0, dtype=np.int32)
-    intervals = [qdta.IntervalRecord(np.arange(4, dtype=np.int32), f, t, none, none, True, 0.0,
-                                     1, [], []) for f, t in zip(flows, times)]
-    result = qdta.AssignmentResult(Objective.UET, qdta.SolverConfig(), intervals, None,
+    intervals = [qdta.IntervalRecord(none, none, True, 0.0, 1, [], []) for _ in flows]
+    result = qdta.AssignmentResult(Objective.UET, qdta.SolverConfig(), intervals,
+                                   flow_table(np.stack(flows), np.stack(times)), None,
                                    np.zeros(4, dtype=np.int64), net)
     with np.errstate(divide="ignore"):
         cli.write_flows_csv(tmp_path / "flows.csv", result)
@@ -631,7 +658,7 @@ def test_trips_csv_has_the_bytes_of_csv_writer(tmp_path):
     offsets = np.cumsum([0, *map(len, links)])
     table = qdta.TripTable(*(np.array(c) for c in columns.values()), offsets,
                            np.array(sum(links, []), dtype=np.int64))
-    result = qdta.AssignmentResult(Objective.UET, qdta.SolverConfig(), [], table,
+    result = qdta.AssignmentResult(Objective.UET, qdta.SolverConfig(), [], None, table,
                                    np.zeros(4, dtype=np.int64), town_network())
     cli.write_trips_csv(tmp_path / "trips.csv", result)
     with open(tmp_path / "want.csv", "w", newline="") as fh:

@@ -27,8 +27,9 @@ from flowscore.typology import StreetType
 
 import fixtures
 from costs_reference import link_fuel
-from fixtures import (M, Node, School, Tract, assignment_of, school_buffers, school_table,
-                      schools_of, square, straight_link, tract_table, write_schools_csv)
+from fixtures import (M, Node, School, Tract, assignment_of, flow_table, school_buffers,
+                      school_table, schools_of, square, straight_link, tract_table,
+                      write_schools_csv)
 from qdta_reference import dense_states
 
 
@@ -47,26 +48,11 @@ def isolated_links_network(specs):
     return fixtures.network(nodes, links)
 
 
-def dense_rows(flows, times):
-    """One (links, flow_vph, time_h) row per interval that lists every link."""
-    links = np.arange(flows.shape[1])
-    return [(links, flow, time_h) for flow, time_h in zip(flows, times, strict=True)]
-
-
-def sparse_rows(flows, times):
-    """One row per interval that lists only the links whose flow is not zero by its bits."""
-    rows = []
-    for flow, time_h in zip(flows, times, strict=True):
-        links = np.flatnonzero(flow.view(np.int64))
-        rows.append((links, flow[links], time_h[links]))
-    return rows
-
-
 def make_stats(network, flows_vph, times_h=None, interval_s=900.0):
     flows = np.asarray(flows_vph, dtype=float)
     if times_h is None:
         times_h = np.broadcast_to(network.free_flow_h, flows.shape).copy()
-    return LinkDailyStats(network, dense_rows(flows, np.asarray(times_h, dtype=float)),
+    return LinkDailyStats(network, flow_table(flows, np.asarray(times_h, dtype=float)),
                           interval_s)
 
 
@@ -102,9 +88,9 @@ def test_adt_is_interval_sum():
 
 @pytest.mark.parametrize("seed", range(6))
 def test_link_daily_stats_equal_the_stacked_sums(seed):
-    # the stats add one interval at a time, from rows that list every link
-    # or only the loaded ones; on two or more links that must give the
-    # bytes of the stacked (interval x link) formulas
+    # the stats add each link's rows in interval order, from a table that
+    # lists every link or only the loaded ones; on two or more links that
+    # must give the bytes of the stacked (interval x link) formulas
     rng = np.random.default_rng(seed)
     n_links = int(rng.integers(2, 40))
     net = isolated_links_network([(i + 1, float(rng.uniform(0.05, 3.0)),
@@ -127,8 +113,8 @@ def test_link_daily_stats_equal_the_stacked_sums(seed):
         "vhd": (veh * (times - net.free_flow_h)).sum(axis=0),
         "window_vmt": (flows[sel].sum(axis=0) * (interval_s / 3600.0)) * net.length_miles,
     }
-    for rows in (dense_rows(flows, times), iter(sparse_rows(flows, times))):
-        stats = LinkDailyStats(net, rows, interval_s)
+    for keep in (None, flows.view(np.int64) != 0):
+        stats = LinkDailyStats(net, flow_table(flows, times, keep), interval_s)
         got = {"adt": stats.adt, "vmt": stats.vmt, "vhd": stats.vhd,
                "window_vmt": stats.window_vmt(window)}
         for name in want:

@@ -26,6 +26,7 @@ from fixtures import (
     NO_NEEDS,
     Node,
     assert_same_states,
+    assigned_day,
     assignment_of,
     corridor_network,
     corridor_od,
@@ -141,6 +142,9 @@ def test_trip_request_validation():
         departures((1.5, 1, 2, 0.0))
     with pytest.raises(ValueError, match="one length"):
         qdta.Departures([1, 2], [1, 1], [2, 2], [0.0])
+    for depart_s in (["5"], [True]):
+        with pytest.raises(ValueError, match="^depart_s must hold numbers$"):
+            qdta.Departures(trip_id=[1], origin=[1], destination=[2], depart_s=depart_s)
 
 
 def test_solver_config_validation():
@@ -232,7 +236,9 @@ def test_bad_demand_is_rejected_naming_its_od(demand):
     (([1, 2], [4], [10.0, 5.0]), r"^demand columns must be 1-D and of one length$"),
     (([1], [4], [10.0, 5.0]), r"^demand columns must be 1-D and of one length$"),
     (([[1, 2]], [[4, 4]], [[10.0, 5.0]]), r"^demand columns must be 1-D and of one length$"),
-], ids=["float", "text", "unequal_ids", "unequal_count", "2d"])
+    (([1], [4], ["10"]), r"^count must hold numbers$"),
+    (([1], [4], [True]), r"^count must hold numbers$"),
+], ids=["float", "text", "unequal_ids", "unequal_count", "2d", "text_count", "bool_count"])
 def test_bad_od_keys_are_rejected(od_demand, named):
     net = diamond_network()
     with pytest.raises(ValueError, match=named):
@@ -903,7 +909,7 @@ def test_total_system_time_and_fuel_accessors():
     assert result.total_fuel_from_flows() > 0
 
 
-def test_interval_record_keeps_a_negative_zero_flow():
+def test_interval_record_keeps_a_negative_zero_flow(monkeypatch):
     net = chain_network()
     flows = np.array([-0.0, 0.0, 250.0])
     config = SolverConfig()
@@ -913,27 +919,40 @@ def test_interval_record_keeps_a_negative_zero_flow():
                       [(0.0, 1.0)], [])
     entered = np.array([0, 0, 3], dtype=np.int64)
     record = IntervalRecord.of(state, entered)
-    assert record.links.tolist() == [0, 2]
     assert (record.entered_links.tolist(), record.entered_count.tolist()) == ([2], [3])
     result = assignment_of(net, [state], trips=None, objective=Objective.SOF, entered=[entered])
     assert_same_states(dense_states(result), [state])
-    # the stats read the record's own arrays, the -0.0 flow included
-    record = result.intervals[0]
-    links, flow_vph, time_h = daily_stats(result).rows[0]
-    assert links is record.links and flow_vph is record.flow_vph and time_h is record.time_h
-    assert flow_vph.tobytes() == flows[[0, 2]].tobytes()
+    # run_day holds a link by the bits of its flow, so every -0.0 flow stays,
+    # and the stats read the day's own table
+    assign = qdta.assign_interval
+
+    def signed_zeros(*args, **kwargs):
+        state = assign(*args, **kwargs)
+        state.flow_vph[state.flow_vph == 0.0] = -0.0
+        return state
+
+    monkeypatch.setattr(qdta, "assign_interval", signed_zeros)
+    result, states, _ = assigned_day(net, departures((1, 1, 4, 0.0)), Objective.SOF, config)
+    day = result.flows
+    assert (day.offsets.tolist(), day.links.dtype) == (list(range(0, 3 * 97, 3)), np.int32)
+    assert day.flow_vph.tobytes() == np.concatenate([fs.flow_vph for fs in states]).tobytes()
+    assert np.signbit(day.flow_vph).any() and (day.flow_vph > 0).any()
+    assert_same_states(dense_states(result), states)
+    assert daily_stats(result).flows is day
 
 
 def test_interval_records_grow_with_loaded_links_not_with_the_day():
     net = grid_network(12, 12)  # 528 links
     trips = uniform_trips(1, 144, 40, start_s=8 * 3600.0)
     result = run_day(net, trips, Objective.UET)
-    loaded = sum(rec.links.size for rec in result.intervals)
+    day = result.flows
+    loaded = day.links.size
     entered = sum(rec.entered_links.size for rec in result.intervals)
-    nbytes = sum(a.nbytes for rec in result.intervals
-                 for a in (rec.links, rec.flow_vph, rec.time_h, rec.entered_links,
-                           rec.entered_count))
+    nbytes = sum(a.nbytes for a in day[1:]) + sum(
+        a.nbytes for rec in result.intervals for a in (rec.entered_links, rec.entered_count))
     # a link position, its flow and its time; a link position and its count
     assert nbytes == 20 * loaded + 12 * entered
+    assert day.offsets.size == 97
     assert 0 < loaded == sum(np.count_nonzero(fs.flow_vph) for fs in dense_states(result))
-    assert nbytes * 100 < 96 * net.n_links * 5 * 8  # five dense link arrays per interval
+    # five dense link arrays per interval
+    assert (nbytes + day.offsets.nbytes) * 100 < 96 * net.n_links * 5 * 8
