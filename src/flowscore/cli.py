@@ -199,7 +199,9 @@ def _cell_texts(values: np.ndarray) -> list[str]:
     distinct value is formatted once; floats are keyed by their bits, so 0.0
     and -0.0 keep their own texts."""
     distinct, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    texts = map(repr, distinct.view(values.dtype).tolist())  # an int's repr is its str
+    if distinct.size == values.size:  # no text to reuse
+        return list(map(repr, values.tolist()))  # an int's repr is its str
+    texts = map(repr, distinct.view(values.dtype).tolist())
     return np.array(list(texts), dtype=object)[inverse].tolist()
 
 
@@ -257,9 +259,8 @@ def write_exposure_csv(path, schools, exposures: indicators.SchoolExposure) -> N
 
 def read_flows_csv(path, network, config: SolverConfig) -> qdta.DayFlows:
     """A flows CSV's rows as a `qdta.DayFlows`; absent rows are zero flow at free-flow time."""
-    columns = read_columns(path, "flows", dict(zip(FLOW_COLUMNS, (INT64, INT64, FINITE, FINITE))))
-    k, link_id = (np.array(columns[name], dtype=np.int64) for name in ("interval", "link_id"))
-    flow, time_h = np.array(columns["flow_vph"]), np.array(columns["time_h"])
+    k, link_id, flow, time_h = read_columns(path, "flows", dict(zip(
+        FLOW_COLUMNS, (INT64, INT64, FINITE, FINITE)))).values()
     pos = network.link_positions(link_id)
     n = config.n_intervals
     with naming_rows(path):
@@ -275,17 +276,13 @@ def read_flows_csv(path, network, config: SolverConfig) -> qdta.DayFlows:
 
 def read_trips_csv(path) -> TripTable:
     """A trips CSV's rows, in file order; delay_h is left out, as time_h - free_flow_h."""
-    columns = read_columns(path, "trips", {
+    trip_id, status, *numbers, (counts, links) = read_columns(path, "trips", {
         "trip_id": INT64, "status": one_of({s: s for s in ("completed", "forced", "failed")}),
         **dict.fromkeys(("start_s", "end_s", "distance_miles", "time_h", "free_flow_h", "fuel_l"),
-                        FINITE), "links": LINK_IDS})
-    links = columns.pop("links")
-    offsets = np.cumsum([0, *map(len, links)])
-    links = np.frombuffer(bytearray().join(links), dtype=np.int64)
+                        FINITE), "links": LINK_IDS}).values()
     with naming_rows(path):
-        return TripTable(np.array(columns.pop("trip_id"), dtype=np.int64),
-                         np.array(columns.pop("status"), dtype=object),
-                         *map(np.array, columns.values()), offsets, links)
+        return TripTable(trip_id, np.array(status, dtype=object), *numbers,
+                         np.concatenate([[0], np.cumsum(counts)]), links)
 
 
 def _load_city_network(scenario: Scenario):

@@ -11,6 +11,7 @@ the query radius is returned.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import numbers
@@ -41,59 +42,70 @@ def _crosses_properly(a: Point, b: Point, c: Point, d: Point):
     )
 
 
-def _closed_ring(polygon) -> list[Point]:
-    ring = list(polygon)
-    if ring[0] != ring[-1]:
-        ring.append(ring[0])
-    return ring
-
-
-def polygon_area(polygon) -> float:
-    ring = _closed_ring(polygon)
-    acc = 0.0
-    for (x0, y0), (x1, y1) in zip(ring, ring[1:]):
-        acc += x0 * y1 - x1 * y0
-    return abs(acc) / 2.0
-
-
-def ring_rules(kind: str, polygons) -> tuple[dict, np.ndarray]:
-    """The ring rules (3 points, a finite positive area) as `check_rows`
-    masks, and each ring's area: NaN under 3 points, as such a ring is not read."""
-    short = np.array([len(polygon) < 3 for polygon in polygons], dtype=bool)
-    area = np.array([math.nan if few else polygon_area(polygon)
-                     for polygon, few in zip(polygons, short)], dtype=float)
+def ring_rules(kind: str, sizes, rings: _Shapes) -> tuple[dict, np.ndarray]:
+    """The ring rules (3 points given, a finite positive area) as `check_rows`
+    masks, and each ring's area from its closed vertex table `rings`: NaN
+    under 3 points, as such a ring is not read. `sizes` holds each ring's
+    point count as given, open or closed."""
+    short = np.asarray(sizes) < 3
+    (x0, y0), (x1, y1) = rings.segment(*_ragged(np.maximum(rings.n_segments, 0)))
+    with np.errstate(over="ignore", invalid="ignore"):  # coordinates near 1e200 overflow
+        twice = abs(_sums(rings.n_segments, x0 * y1 - x1 * y0)[1])
+    area = np.where(short, math.nan, twice / 2.0)
     return {f"{kind} {{id}} polygon needs >= 3 points": short,
             f"{kind} {{id}} has zero area": area == 0.0,
             f"{kind} {{id}} has a non-finite area": ~np.isfinite(area)}, area
 
 
-def polyline_length(polyline) -> float:
-    # added left to right: sum() compensates float rounding on Python >= 3.12,
-    # which can move a midpoint by an ulp and so flip a tract on a shared edge
-    total = 0.0
-    for (x0, y0), (x1, y1) in zip(polyline, polyline[1:]):
-        total += math.hypot(x1 - x0, y1 - y0)
-    return total
+_FEW = 8  # groups left when _sums adds each of them in one call
 
 
-def point_along_polyline(polyline, distance: float) -> Point:
-    """Point at the given arc length from the start, clamped to the ends."""
-    if distance <= 0:
-        return polyline[0]
-    walked = 0.0
-    for a, b in zip(polyline, polyline[1:]):
-        seg = math.hypot(b[0] - a[0], b[1] - a[1])
-        if walked + seg >= distance and seg > 0:
-            t = (distance - walked) / seg
-            return (a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]))
-        walked += seg
-    return polyline[-1]
+def _sums(counts, values) -> tuple[np.ndarray, np.ndarray]:
+    """Per value, the sum of the values before it in its group, and per
+    group its total, for groups of counts[k] consecutive values. Each group
+    is added left to right from 0.0, as a Python loop adds it: numpy's own
+    sums add pairwise, which can move the last bit, and so a midpoint on a
+    shared tract edge. Values are added one position of every group at a
+    time, and the last few long groups each by one np.cumsum, which also
+    adds in order."""
+    counts = np.maximum(counts, 0)
+    start = np.cumsum(counts) - counts
+    before, totals = np.zeros(len(values)), np.zeros(len(counts))
+    group, m = np.flatnonzero(counts), 0
+    while len(group) > _FEW:
+        at = start[group] + m
+        before[at] = totals[group]
+        totals[group] += values[at]
+        m += 1
+        group = group[counts[group] > m]
+    for k in group.tolist():
+        rest = slice(start[k] + m, start[k] + counts[k])
+        run = np.cumsum(np.append(totals[k], values[rest]))
+        before[rest], totals[k] = run[:-1], run[-1]
+    return before, totals
 
 
-def build_link_index(network) -> _Shapes:
-    """The links' vertex table, in row order, which a Network builds once
-    as `lines`; its boxes() are the links' bounding boxes."""
-    return _Shapes(network.geometry, False)
+def _segment_lengths(shapes: _Shapes):
+    """Every segment's shape, its start and end points and its length by
+    math.hypot (np.hypot can differ in the last bit), in vertex order."""
+    k, m = _ragged(shapes.n_segments)
+    (ax, ay), (bx, by) = shapes.segment(k, m)
+    with np.errstate(over="ignore"):
+        dx, dy = (bx - ax).tolist(), (by - ay).tolist()
+    return k, (ax, ay), (bx, by), np.array(list(map(math.hypot, dx, dy)), dtype=float)
+
+
+def polyline_lengths(lines: _Shapes) -> np.ndarray:
+    """Each line's length, its segments added left to right."""
+    return _sums(lines.n_segments, _segment_lengths(lines)[-1])[1]
+
+
+def build_link_index(xy, sizes) -> _Shapes:
+    """The links' vertex table, in row order: link k's sizes[k] vertices
+    are the next rows of the (N, 2) array xy. A Network builds it once, as
+    `lines`, from its `wkt_geometry` column; its boxes() are the links'
+    bounding boxes."""
+    return _Shapes(xy, sizes, False)
 
 
 def links_within_radii(points, radius_m: float, network) -> list[np.ndarray]:
@@ -117,11 +129,13 @@ def links_within_radii(points, radius_m: float, network) -> list[np.ndarray]:
 
 class Tracts:
     """Tracts as columns, in input order: `ids`, `population`, `is_coc` and
-    `rings`, the polygons' closed vertex table. Each is_coc is a boolean or
-    0/1, each population a finite number >= 0 and not a boolean, and each
-    ring keeps `ring_rules`; the error names the first bad row, from 0."""
+    `rings`, the polygons' closed vertex table, built from the (N, 2)
+    vertices `xy` of every polygon, `sizes[k]` of them polygon k's. Each
+    is_coc is a boolean or 0/1, each population a finite number >= 0 and
+    not a boolean, and each ring keeps `ring_rules`; the error names the
+    first bad row, from 0."""
 
-    def __init__(self, ids, polygons, population, is_coc):
+    def __init__(self, ids, xy, sizes, population, is_coc):
         from .network import check_rows  # network imports geo
 
         self.ids = np.array(ids, dtype=np.int64)
@@ -129,15 +143,15 @@ class Tracts:
                            for v in population], dtype=bool)
         self.population = np.array([_as_float(v) if ok else math.nan
                                     for v, ok in zip(population, number)], dtype=float)
+        self.rings = _Shapes(xy, sizes, True)
         check_rows({"id": self.ids, "population": population, "is_coc": is_coc}, {
             "is_coc {is_coc!r} is not a boolean or 0/1":
                 np.array([v not in (0, 1) for v in is_coc], dtype=bool),
             "population {population!r} is not a number": ~number,
-            **ring_rules("tract", polygons)[0],
+            **ring_rules("tract", sizes, self.rings)[0],
             "tract {id} population must be finite and nonnegative":
                 ~(np.isfinite(self.population) & (self.population >= 0))})
         self.is_coc = np.array(is_coc, dtype=bool)
-        self.rings = _Shapes(polygons, True)
 
 
 def _as_float(number) -> float:
@@ -149,15 +163,31 @@ def _as_float(number) -> float:
         return math.inf if number > 0 else -math.inf
 
 
-def link_midpoint(geometry) -> Point:
-    return point_along_polyline(geometry, polyline_length(geometry) / 2.0)
+def _midpoints(lines: _Shapes) -> np.ndarray:
+    """Each line's point at half its length along it, as an (n, 2) array:
+    its first vertex if the length is not positive, else the point on its
+    first nonzero segment that reaches half the length, else its last
+    vertex. The operations are `link_midpoint`'s in tests/geo_reference.py."""
+    k, (ax, ay), (bx, by), length = _segment_lengths(lines)
+    walked, total = _sums(lines.n_segments, length)
+    half = total / 2.0
+    end = np.where(half <= 0, lines.first, lines.first + lines.n_segments)
+    mids = np.column_stack([lines.x[end], lines.y[end]])
+    reach = (half[k] > 0) & (walked + length >= half[k]) & (length > 0)
+    held, first = np.unique(k[reach], return_index=True)
+    s = np.flatnonzero(reach)[first]
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = (half[held] - walked[s]) / length[s]
+        mids[held, 0] = ax[s] + t * (bx[s] - ax[s])
+        mids[held, 1] = ay[s] + t * (by[s] - ay[s])
+    return mids
 
 
-def link_tracts(geometries, tracts: Tracts) -> np.ndarray:
-    """Per link geometry, the row of the first tract in input order that
-    holds its length midpoint, boundary included, or -1 (validate_tracts
-    reports overlaps)."""
-    mids = np.array([link_midpoint(g) for g in geometries], dtype=float).reshape(-1, 2)
+def link_tracts(lines: _Shapes, tracts: Tracts) -> np.ndarray:
+    """Per line of the vertex table `lines`, the row of the first tract in
+    input order that holds its length midpoint, boundary included, or -1
+    (validate_tracts reports overlaps)."""
+    mids = _midpoints(lines)
     rings = tracts.rings
     link, tract = _candidates(_padded(np.hstack([mids, mids]), 0.0), rings.boxes())
     inside = np.zeros(len(link), dtype=bool)
@@ -196,20 +226,31 @@ _CHUNK = 1 << 14
 class _Shapes:
     """Vertices of many polylines or rings as flat numpy columns.
 
-    Shape k's vertices start at first[k]; its n_segments[k] segments join
-    consecutive vertices. Rings are closed the way _closed_ring closes them.
+    Built from the (N, 2) array xy of every shape's vertices, shape k's
+    being the next sizes[k] rows. Shape k's vertices start at first[k];
+    its n_segments[k] segments join consecutive vertices. A ring is closed
+    by repeating its first vertex after its last where the two differ.
+    A negative size, or sizes that do not add up to the rows of xy, raise
+    a ValueError.
     """
 
-    def __init__(self, shapes, closed: bool):
-        points, sizes = [], []
-        for shape in shapes:
-            pts = _closed_ring(shape) if closed else shape
-            points.extend(pts)
-            sizes.append(len(pts))
-        xy = np.array(points, dtype=float).reshape(-1, 2)
+    def __init__(self, xy, sizes, closed: bool):
+        xy = np.asarray(xy, dtype=float).reshape(-1, 2)
+        sizes = np.array(sizes, dtype=np.int64).reshape(-1)
+        if (sizes < 0).any():
+            raise ValueError(f"shape size {sizes.min()} is negative")
+        if sizes.sum() != len(xy):
+            raise ValueError(f"shape sizes add up to {sizes.sum()} vertices, "
+                             f"not the {len(xy)} given")
+        first = np.cumsum(sizes) - sizes
+        if closed:
+            k = np.flatnonzero(sizes)
+            k = k[(xy[first[k]] != xy[first[k] + sizes[k] - 1]).any(axis=1)]
+            xy = np.insert(xy, first[k] + sizes[k], xy[first[k]], axis=0)
+            sizes[k] += 1
+            first = np.cumsum(sizes) - sizes
         self.x, self.y = xy[:, 0], xy[:, 1]
-        sizes = np.array(sizes, dtype=np.int64)
-        self.first = np.cumsum(sizes) - sizes
+        self.first = first
         self.n_segments = sizes - 1
 
     def boxes(self) -> np.ndarray:
@@ -419,7 +460,9 @@ def polygons_overlap(rings: _Shapes, a, b) -> np.ndarray:
 
 
 def _load_polygon_table(path: str, id_key: str, table, defaults: dict):
-    """table(ids, rings, *columns) of the Polygon features, in file order,
+    """table(ids, xy, sizes, *columns) of the Polygon features, in file
+    order: their exterior rings' vertices as one (N, 2) array and each
+    ring's vertex count, a closing point that repeats the first left out,
     with one column per property named in `defaults`, which gives its
     value where a feature lacks it.
 
@@ -442,49 +485,93 @@ def _load_polygon_table(path: str, id_key: str, table, defaults: dict):
     kind = id_key.removesuffix("_id")
     first_use: dict[int, int] = {}
     rings, columns = [], [[] for _ in defaults]
-    for number, feature in enumerate(features, start=1):
-        feature = feature if isinstance(feature, dict) else {}
-        geom = feature.get("geometry")
-        if not isinstance(geom, dict) or geom.get("type") != "Polygon":
-            raise ValueError(f"{path}: only Polygon geometries are supported (feature {number})")
-        try:  # exterior ring only; holes are out of scope for these inputs
-            ring = [(_as_float(x), _as_float(y)) for x, y in geom["coordinates"][0]]
-        except (KeyError, IndexError, TypeError, ValueError):
-            raise ValueError(f"{path}: feature {number} coordinates are not a ring of "
-                             f"[x, y] numbers") from None
-        if not all(math.isfinite(x) and math.isfinite(y) for x, y in ring):
-            raise ValueError(f"{path}: feature {number} has a non-finite coordinate")
-        if len(ring) > 1 and ring[0] == ring[-1]:
-            ring = ring[:-1]
-        props = feature.get("properties") or {}
-        if not isinstance(props, dict):
-            raise ValueError(f"{path}: feature {number} properties are not an object")
-        if id_key not in props:
-            raise ValueError(f"{path}: {kind} feature {number} missing {id_key}")
-        value = props[id_key]
-        try:  # int() would truncate 1.5 and take true as 1
-            if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-                raise ValueError
-            feature_id = int(value)
-        except (TypeError, ValueError):
-            raise ValueError(
-                f"{path}: {id_key} {value!r} is not an integer (feature {number})"
-            ) from None
-        if not -(1 << 63) <= feature_id < 1 << 63:  # the tables hold ids as int64
-            raise ValueError(f"{path}: {id_key} {value!r} is not an int64 (feature {number})")
-        if feature_id in first_use:
-            raise ValueError(
-                f"{path}: duplicate {id_key} {feature_id} in feature {number}"
-                f" (first in feature {first_use[feature_id]})"
-            )
-        first_use[feature_id] = number
-        rings.append(tuple(ring))
-        for column, (name, default) in zip(columns, defaults.items()):
-            column.append(props.get(name, default))
+    try:
+        for number, feature in enumerate(features, start=1):
+            feature = feature if isinstance(feature, dict) else {}
+            geom = feature.get("geometry")
+            if not isinstance(geom, dict) or geom.get("type") != "Polygon":
+                raise ValueError(
+                    f"{path}: only Polygon geometries are supported (feature {number})")
+            try:  # exterior ring only; holes are out of scope for these inputs
+                rings.append(geom["coordinates"][0])
+            except (KeyError, IndexError, TypeError):
+                raise ValueError(_not_a_ring(path, number)) from None
+            props = feature.get("properties") or {}
+            if not isinstance(props, dict):
+                raise ValueError(f"{path}: feature {number} properties are not an object")
+            if id_key not in props:
+                raise ValueError(f"{path}: {kind} feature {number} missing {id_key}")
+            value = props[id_key]
+            try:  # int() would truncate 1.5 and take true as 1
+                if isinstance(value, bool) or (isinstance(value, float)
+                                               and not value.is_integer()):
+                    raise ValueError
+                feature_id = int(value)
+            except (TypeError, ValueError):
+                raise ValueError(
+                    f"{path}: {id_key} {value!r} is not an integer (feature {number})"
+                ) from None
+            if not -(1 << 63) <= feature_id < 1 << 63:  # the tables hold ids as int64
+                raise ValueError(
+                    f"{path}: {id_key} {value!r} is not an int64 (feature {number})")
+            if feature_id in first_use:
+                raise ValueError(
+                    f"{path}: duplicate {id_key} {feature_id} in feature {number}"
+                    f" (first in feature {first_use[feature_id]})"
+                )
+            first_use[feature_id] = number
+            for column, (name, default) in zip(columns, defaults.items()):
+                column.append(props.get(name, default))
+    except ValueError:
+        _ring_vertices(path, rings)  # a bad ring up to this feature comes first
+        raise
+    xy, sizes = _ring_vertices(path, rings)
+    ends = np.cumsum(sizes)
+    k = np.flatnonzero(sizes > 1)
+    k = k[(xy[ends[k] - sizes[k]] == xy[ends[k] - 1]).all(axis=1)]  # rings given closed
+    xy = np.delete(xy, ends[k] - 1, axis=0)
+    sizes[k] -= 1
     try:  # first_use holds the ids in file order
-        return table(list(first_use), rings, *columns)
+        return table(list(first_use), xy, sizes, *columns)
     except _BadRow as exc:
         raise ValueError(f"{path}: {exc} (feature {exc.position + 1})") from None
+
+
+def _not_a_ring(path: str, number: int) -> str:
+    return f"{path}: feature {number} coordinates are not a ring of [x, y] numbers"
+
+
+def _ring_vertices(path: str, rings: list) -> tuple[np.ndarray, np.ndarray]:
+    """The vertices of the GeoJSON rings as one (N, 2) float array, and each
+    ring's vertex count. A ring that is not a list of [x, y] numbers, or a
+    non-finite coordinate, raises a ValueError that names the first such
+    feature; numbers too large for a float count as infinite."""
+    try:
+        sizes = np.fromiter(map(len, rings), np.int64, len(rings))
+        vertices = list(itertools.chain.from_iterable(rings))
+        xy = np.array(vertices, dtype=float)  # numpy converts each number with float()
+        if xy.shape == (len(vertices), 2) and np.isfinite(xy).all():
+            return xy, sizes
+    except (TypeError, ValueError, OverflowError):
+        pass
+    return _ring_vertices_by_feature(path, rings)
+
+
+def _ring_vertices_by_feature(path: str, rings: list) -> tuple[np.ndarray, np.ndarray]:
+    """`_ring_vertices` one feature at a time, each coordinate by `_as_float`:
+    the reference its one-pass conversion must match, which also names
+    the first bad feature."""
+    points = []
+    for number, ring in enumerate(rings, start=1):
+        try:
+            ring = [(_as_float(x), _as_float(y)) for x, y in ring]
+        except (TypeError, ValueError):
+            raise ValueError(_not_a_ring(path, number)) from None
+        if not all(math.isfinite(x) and math.isfinite(y) for x, y in ring):
+            raise ValueError(f"{path}: feature {number} has a non-finite coordinate")
+        points.append(ring)
+    sizes = np.array(list(map(len, points)), dtype=np.int64)
+    return np.array([p for ring in points for p in ring], dtype=float).reshape(-1, 2), sizes
 
 
 def load_tracts(path: str) -> Tracts:

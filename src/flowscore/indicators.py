@@ -167,7 +167,7 @@ class EquityShares:
 
 def link_tract_ids(network, tracts: geo.Tracts) -> np.ndarray:
     """Each link's tract row, -1 for none: `geo.link_tracts` of the network."""
-    return geo.link_tracts(network.geometry, tracts)
+    return geo.link_tracts(network.lines, tracts)
 
 
 def equity_shares(stats: LinkDailyStats, tracts: geo.Tracts, tract_of_link) -> EquityShares:

@@ -7,7 +7,9 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import itertools
 import math
+import operator
 import re
 from array import array
 from dataclasses import dataclass, field
@@ -64,13 +66,15 @@ class Network:
     """Immutable node/link columns, in input row order, for the solvers.
 
     `nodes` and `links` map the NODE_COLUMNS and LINK_COLUMNS names to
-    their columns, as `read_columns` gives them, with each wkt_geometry
-    parsed to a tuple of points; `lines` is the links' vertex table, which
-    every join with the links reads. Parallel links between the same node
-    pair are allowed and keep distinct ids. Node and link ids are unique,
-    and every link joins two of the nodes. The main component is the
-    largest weakly connected one; of components that tie for largest,
-    the one holding the first node.
+    their columns, as `read_columns` gives them: `wkt_geometry` is the
+    pair of every link's points, as one (N, 2) array, and each link's
+    point count. From it the network builds `lines`, the links' vertex
+    table (`geo.build_link_index`), the one form of link geometry, which
+    every length, midpoint and join reads. Parallel links between the
+    same node pair are allowed and keep distinct ids. Node and link ids
+    are unique, and every link joins two of the nodes. The main component
+    is the largest weakly connected one; of components that tie for
+    largest, the one holding the first node.
     """
 
     def __init__(self, nodes: dict, links: dict):
@@ -81,8 +85,7 @@ class Network:
         self.length_miles, self.speed_mph, self.capacity_vph = (
             np.array(links[c], dtype=float) for c in ("length_miles", "speed_mph", "capacity_vph"))
         self.fclass, self.lanes = (np.array(links[c], dtype=np.int64) for c in ("fclass", "lanes"))
-        self.geometry: list[tuple[tuple[float, float], ...]] = list(links["wkt_geometry"])
-        lines = self.lines = geo.build_link_index(self)
+        lines = self.lines = geo.build_link_index(*links["wkt_geometry"])
         bad_vertex = ~(np.isfinite(lines.x) & np.isfinite(lines.y))
         nonfinite = geo._any_per(geo._ragged(lines.n_segments + 1)[0], bad_vertex, self.n_links)
         check_rows({"id": self.link_ids, "fclass": self.fclass, "lanes": self.lanes}, {
@@ -124,14 +127,13 @@ class Network:
 
     def _validate(self) -> ValidationReport:
         report = ValidationReport()
-        for link_id, geometry, declared in zip(self.link_ids.tolist(), self.geometry,
-                                               self.length_miles.tolist()):
-            measured = geo.polyline_length(geometry) / METERS_PER_MILE
-            if abs(measured - declared) > 0.05 * declared:
-                report.warnings.append(
-                    f"link {link_id}: geometry length {measured:.4f} mi "
-                    f"differs from declared {declared:.4f} mi by more than 5%"
-                )
+        measured = geo.polyline_lengths(self.lines) / METERS_PER_MILE
+        declared = self.length_miles
+        for k in np.flatnonzero(abs(measured - declared) > 0.05 * declared).tolist():
+            report.warnings.append(
+                f"link {self.link_ids[k]}: geometry length {measured[k]:.4f} mi "
+                f"differs from declared {declared[k]:.4f} mi by more than 5%"
+            )
         if not self.n_nodes:
             return report
         n = self.n_nodes
@@ -181,6 +183,24 @@ def parse_wkt_linestring(text: str) -> tuple[tuple[float, float], ...]:
     return tuple(points)
 
 
+def _linestrings(texts) -> tuple[np.ndarray, np.ndarray]:
+    """The points of WKT LINESTRING texts as `parse_wkt_linestring` reads
+    each, as one (N, 2) array of every text's points and each text's
+    point count: one match per text, then one float conversion of every
+    coordinate. Raises ValueError if any text is not a LINESTRING."""
+    matches = list(map(_WKT_LINESTRING.fullmatch, texts))
+    if None in matches:
+        raise ValueError("not a WKT LINESTRING")
+    inners = list(map(operator.itemgetter(1), matches))
+    # each comma-separated chunk must hold two words: x y, x y, ...
+    words = ",".join(inners).replace(",", " , ").split()
+    x, y, commas = words[0::3], words[1::3], words[2::3]
+    if inners and (len(words) % 3 != 2 or set(commas) - {","} or "," in x or "," in y):
+        raise ValueError("malformed coordinate")
+    sizes = np.fromiter(map(str.count, inners, itertools.repeat(",")), np.int64, len(inners)) + 1
+    return np.column_stack([np.array(x, dtype=float), np.array(y, dtype=float)]), sizes
+
+
 def write_csv(path, header, rows) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -190,10 +210,17 @@ def write_csv(path, header, rows) -> None:
 
 class Cell(NamedTuple):
     """How the cells of one CSV column parse: `parse(text)` raises
-    ValueError, OverflowError or KeyError on a cell that is not `want`."""
+    ValueError, OverflowError or KeyError on a cell that is not `want`.
+
+    `column(texts)` parses many cells in one pass into an array, or a
+    tuple of arrays, that `read_columns` joins end to end with the next
+    cells'; it raises one of those errors when `parse` would raise on some
+    cell. Without it the column is the list of parsed cells.
+    """
 
     parse: Callable[[str], object]
     want: str
+    column: Callable | None = None
 
 
 def _int64(text: str) -> int:
@@ -210,20 +237,37 @@ def _finite(text: str) -> float:
     raise ValueError(text)
 
 
-INT64 = Cell(_int64, "an int64")
-FINITE = Cell(_finite, "a finite number")
-NUMBER = Cell(float, "a number")
+def _finite_column(texts) -> np.ndarray:
+    values = np.array(texts, dtype=float)
+    if np.isfinite(values).all():
+        return values
+    raise ValueError("non-finite number")
+
+
+# numpy converts each str with Python's int() or float(); an int beyond
+# int64 raises OverflowError
+INT64 = Cell(_int64, "an int64", lambda texts: np.array(texts, dtype=np.int64))
+FINITE = Cell(_finite, "a finite number", _finite_column)
+NUMBER = Cell(float, "a number", lambda texts: np.array(texts, dtype=float))
 TEXT = Cell(str, "text")
-WKT = Cell(parse_wkt_linestring, "a WKT LINESTRING")
+WKT = Cell(parse_wkt_linestring, "a WKT LINESTRING", _linestrings)
 
 
 def _link_ids(text: str) -> array:
-    """A trip's links as int64s in an array("q"), which holds them in 8
-    bytes each where a list of ints holds a pointer and an int object."""
+    """A trip's links as int64s in an array("q"), which rejects an id
+    beyond int64 as the column's one pass does."""
     return array("q", map(int, text.split("|")) if text else ())
 
 
-LINK_IDS = Cell(_link_ids, "int64 link ids joined by '|'")
+def _link_id_column(texts) -> tuple[np.ndarray, np.ndarray]:
+    """Each cell's count of link ids, and every cell's int64 ids end to end."""
+    counts = np.fromiter(map(str.count, texts, itertools.repeat("|")), np.int64, len(texts)) + 1
+    counts[np.fromiter(map(len, texts), np.int64, len(texts)) == 0] = 0
+    joined = "|".join(filter(None, texts))
+    return counts, np.array(joined.split("|") if joined else [], dtype=np.int64)
+
+
+LINK_IDS = Cell(_link_ids, "int64 link ids joined by '|'", _link_id_column)
 
 
 def one_of(choices: dict) -> Cell:
@@ -248,14 +292,17 @@ def _csv_rows(path, fh):
 
 
 def read_columns(path, kind: str, parsers: dict[str, Cell], rest: Cell | None = None) -> dict:
-    """The columns named in `parsers` of the CSV file at `path`, each a list
-    of its cells parsed in row order; with `rest`, every other column of
-    the header too, parsed by `rest`, in header order.
+    """The columns named in `parsers` of the CSV file at `path`, in row
+    order, each as its Cell's `column` gives it (an array of int64 or of
+    float64 for INT64, FINITE and NUMBER); with `rest`, every other column
+    of the header too, parsed by `rest`, in header order.
 
     A missing or repeated column, a row whose cell count differs from the
     header's, or a cell its parser rejects raises a LoadError that names
     the file and the row, and the column and its value. Blank lines are
-    skipped.
+    skipped. The cells parse _CSV_ROWS rows at a time, a column in one
+    pass; when a pass fails, the file is read again a row at a time to
+    name the first bad row.
     """
     with open(path, newline="") as fh:
         rows = _csv_rows(path, fh)
@@ -268,20 +315,58 @@ def read_columns(path, kind: str, parsers: dict[str, Cell], rest: Cell | None = 
                 raise LoadError(f"repeated {kind} column {name!r} in {path}, row 1")
         if rest is not None:
             parsers = {**parsers, **{name: rest for name in header if name not in parsers}}
-        columns = {name: [] for name in parsers}
-        cells = [(name, columns[name], header.index(name), cell.parse)
-                 for name, cell in parsers.items()]
+        parts = {name: [] for name in parsers}
+        columns = [(parts[name], header.index(name), cell) for name, cell in parsers.items()]
+        try:
+            while True:  # once at least, so that a header-only file gives typed columns
+                chunk = list(itertools.islice(rows, _CSV_ROWS))
+                if set(map(len, chunk)) - {len(header)}:
+                    raise ValueError("a row's cell count differs from the header's")
+                texts = list(zip(*chunk)) or [()] * len(header)
+                for part, i, cell in columns:
+                    part.append(cell.column(texts[i]) if cell.column
+                                else list(map(cell.parse, texts[i])))
+                if len(chunk) < _CSV_ROWS:
+                    break
+        except (ValueError, OverflowError, KeyError):  # a LoadError is a ValueError
+            _name_bad_row(path, header, parsers)  # a bad cell before an unreadable row comes first
+            raise
+    return {name: _joined(part) for name, part in parts.items()}
+
+
+_CSV_ROWS = 1 << 9  # rows whose cells parse at a time
+
+
+def _joined(parts: list):
+    """One column from its chunks' parts: arrays and lists end to end, and
+    tuples of them part by part."""
+    if len(parts) == 1:
+        return parts[0]
+    if isinstance(parts[0], tuple):
+        return tuple(_joined(list(part)) for part in zip(*parts))
+    if isinstance(parts[0], np.ndarray):
+        return np.concatenate(parts)
+    return [value for part in parts for value in part]
+
+
+def _name_bad_row(path, header, parsers: dict[str, Cell]) -> None:
+    """Raise the LoadError of the first row of the CSV file at `path` (row
+    2 on) that the csv module cannot read, whose cell count is not the
+    header's or that has a cell its parser rejects."""
+    cells = [(name, header.index(name), cell.parse) for name, cell in parsers.items()]
+    with open(path, newline="") as fh:
+        rows = _csv_rows(path, fh)
+        next(rows)  # the header
         for row_no, row in enumerate(rows, start=2):
             if len(row) != len(header):
                 raise LoadError(f"{len(row)} cells under a {len(header)}-column header "
                                 f"in {path}, row {row_no}")
-            try:
-                for name, column, i, parse in cells:
-                    column.append(parse(row[i]))
-            except (ValueError, OverflowError, KeyError):
-                raise LoadError(f"{name} {row[i]!r} is not {parsers[name].want} "
-                                f"in {path}, row {row_no}") from None
-    return columns
+            for name, i, parse in cells:
+                try:
+                    parse(row[i])
+                except (ValueError, OverflowError, KeyError):
+                    raise LoadError(f"{name} {row[i]!r} is not {parsers[name].want} "
+                                    f"in {path}, row {row_no}") from None
 
 
 @contextlib.contextmanager

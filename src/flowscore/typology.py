@@ -41,20 +41,21 @@ _LAND_USES = {key: use for use in LandUse for key in (use, use.value)}
 class Parcels:
     """Land parcels as columns, in input order: `ids`, `land_use` (each
     given as a LandUse or as its code), `area` and `rings`, the polygons'
-    closed vertex table. Each ring keeps `geo.ring_rules`; the error names
-    the first bad row, from 0."""
+    closed vertex table, built from the (N, 2) vertices `xy` of every
+    polygon, `sizes[k]` of them polygon k's. Each ring keeps
+    `geo.ring_rules`; the error names the first bad row, from 0."""
 
-    def __init__(self, ids, polygons, land_use):
+    def __init__(self, ids, xy, sizes, land_use):
         self.ids = np.array(ids, dtype=np.int64)
         # a dict lookup raises TypeError on a list
         uses = [_LAND_USES.get(v) if isinstance(v, (str, LandUse)) else None for v in land_use]
-        rings, self.area = geo.ring_rules("parcel", polygons)
+        self.rings = geo._Shapes(xy, sizes, True)
+        rings, self.area = geo.ring_rules("parcel", sizes, self.rings)
         check_rows({"id": self.ids, "land_use": land_use}, {
             "bad land_use {land_use!r}, want one of R,C,I,P,O": np.array(
                 [use is None for use in uses], dtype=bool),
             **rings})
         self.land_use = np.array(uses, dtype=object)
-        self.rings = geo._Shapes(polygons, True)
 
 
 def transport_context(fclass: int, speed_mph: float) -> TransportContext:

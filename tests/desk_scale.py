@@ -17,7 +17,9 @@ seconds spent in them. It then writes the day's flows and trips CSVs, as
 writer's CPU seconds and the bytes it wrote. It also prints the rows of
 the day's flow table, the CPU seconds of scoring's flow inputs
 (`indicators.daily_stats`, the morning and school windows' `window_vmt`
-and `congested_miles`) and of `cli.read_flows_csv` on the file written.
+and `congested_miles`), and the CPU seconds of `cli.read_flows_csv` and
+of `cli.read_trips_csv` on the files written (`read_flows_csv_cpu_s`
+and `read_trips_csv_cpu_s`).
 Then it prints the median day CPU seconds and the process's peak resident
 memory. It is not part of the test suite, since scale 4 and --congested
 run for many seconds.
@@ -113,6 +115,9 @@ def main() -> None:
             start = time.process_time()
             cli.read_flows_csv(Path(out) / f"flows_{args.objective}.csv", net, config)
             print(f"  read_flows_csv_cpu_s {time.process_time() - start:.3f}")
+            start = time.process_time()
+            cli.read_trips_csv(Path(out) / f"trips_{args.objective}.csv")
+            print(f"  read_trips_csv_cpu_s {time.process_time() - start:.3f}")
     print(f"median_day_cpu_s {statistics.median(days):.3f} over {args.repeat} days "
           f"peak_rss_mb {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.0f}")
 

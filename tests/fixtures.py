@@ -11,8 +11,8 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from flowscore import qdta
-from flowscore.geo import Tracts, links_within_radii, polygon_area
+from flowscore import geo, qdta
+from flowscore.geo import Tracts, links_within_radii
 from flowscore.indicators import Schools, congested_miles, daily_stats
 from flowscore.network import LINK_COLUMNS, METERS_PER_MILE, NODE_COLUMNS, Network, write_csv
 from flowscore.qdta import (AssignmentResult, DayFlows, Departures, FlowState, IntervalRecord,
@@ -20,6 +20,7 @@ from flowscore.qdta import (AssignmentResult, DayFlows, Departures, FlowState, I
 from flowscore.typology import LandUse, Parcels
 
 from costs_reference import fuel_per_mile
+from geo_reference import polygon_area, polylines_of
 
 M = METERS_PER_MILE
 
@@ -51,7 +52,22 @@ def network(nodes, links) -> Network:
     def columns(names, rows):
         return {name: [row[k] for row in rows] for k, name in enumerate(names)}
 
-    return Network(columns(NODE_COLUMNS, nodes), columns(LINK_COLUMNS, links))
+    links = columns(LINK_COLUMNS, links)
+    links["wkt_geometry"] = flat(links["wkt_geometry"])
+    return Network(columns(NODE_COLUMNS, nodes), links)
+
+
+def flat(shapes):
+    """Every point of these point sequences as one (N, 2) array, and each
+    sequence's point count: the form the vertex tables are built from."""
+    shapes = list(shapes)
+    points = [point for shape in shapes for point in shape]
+    return np.array(points, dtype=float).reshape(-1, 2), [len(shape) for shape in shapes]
+
+
+def vertex_table(shapes, closed: bool) -> geo._Shapes:
+    """The vertex table of these point sequences, rings if closed."""
+    return geo._Shapes(*flat(shapes), closed)
 
 
 def nodes_of(net: Network) -> list[Node]:
@@ -64,7 +80,7 @@ def links_of(net: Network) -> list[Link]:
     return list(map(Link, net.link_ids.tolist(), net.node_ids[net.link_from].tolist(),
                     net.node_ids[net.link_to].tolist(), net.length_miles.tolist(),
                     net.speed_mph.tolist(), net.capacity_vph.tolist(), net.fclass.tolist(),
-                    net.lanes.tolist(), net.geometry))
+                    net.lanes.tolist(), polylines_of(net.lines)))
 
 
 class Parcel(NamedTuple):
@@ -103,12 +119,14 @@ def _columns(row_type, rows):
 
 def parcel_table(rows) -> Parcels:
     """The Parcels table of these Parcel rows, in order."""
-    return Parcels(*_columns(Parcel, rows))
+    ids, polygons, land_use = _columns(Parcel, rows)
+    return Parcels(ids, *flat(polygons), land_use)
 
 
 def tract_table(rows) -> Tracts:
     """The Tracts table of these Tract rows, in order."""
-    return Tracts(*_columns(Tract, rows))
+    ids, polygons, population, is_coc = _columns(Tract, rows)
+    return Tracts(ids, *flat(polygons), population, is_coc)
 
 
 def school_table(rows) -> Schools:
@@ -250,8 +268,7 @@ def two_route_network() -> Network:
 def blanket_parcel(net: Network, land_use="R", parcel_id=1) -> Parcel:
     """One parcel covering the whole network bbox, so every street that
     consults land use sees it."""
-    xs = [p[0] for geometry in net.geometry for p in geometry]
-    ys = [p[1] for geometry in net.geometry for p in geometry]
+    xs, ys = net.lines.x.tolist(), net.lines.y.tolist()
     pad = 50.0
     poly = (
         (min(xs) - pad, min(ys) - pad),

@@ -6,15 +6,65 @@ Each predicate does the same IEEE operations, in the same order, as its
 batched counterpart (`_segment_within`, `_on_segments`,
 `_points_in_rings`, `polygon_polyline_within`), so the tests require
 equal answers, with no tolerance; `polyline_bbox` is the same for
-`_Shapes.boxes`. The joins at the end scan every candidate with these
-predicates. Boundary cases are inclusive, as in flowscore.geo.
+`_Shapes.boxes`. `polyline_length`, `polygon_area` and `link_midpoint`
+are the same for the lengths, areas and midpoints that flowscore.geo
+takes from its vertex tables. The joins at the end scan every candidate
+with these predicates. Boundary cases are inclusive, as in flowscore.geo.
 """
 import math
 
-from flowscore.geo import _EPS, Point, _closed_ring, _crosses_properly, _orient, link_midpoint
+from flowscore.geo import _EPS, Point, _crosses_properly, _orient
 from flowscore.typology import LandUse
 
 BBox = tuple[float, float, float, float]
+
+
+def polylines_of(shapes) -> list[tuple[Point, ...]]:
+    """Each shape of a vertex table (`geo._Shapes`) as a tuple of its points."""
+    return [tuple(zip(shapes.x[a:a + n + 1].tolist(), shapes.y[a:a + n + 1].tolist()))
+            for a, n in zip(shapes.first.tolist(), shapes.n_segments.tolist())]
+
+
+def _closed_ring(polygon) -> list[Point]:
+    ring = list(polygon)
+    if ring[0] != ring[-1]:
+        ring.append(ring[0])
+    return ring
+
+
+def polygon_area(polygon) -> float:
+    ring = _closed_ring(polygon)
+    acc = 0.0
+    for (x0, y0), (x1, y1) in zip(ring, ring[1:]):
+        acc += x0 * y1 - x1 * y0
+    return abs(acc) / 2.0
+
+
+def polyline_length(polyline) -> float:
+    # added left to right: sum() compensates float rounding on Python >= 3.12,
+    # which can move a midpoint by an ulp and so flip a tract on a shared edge
+    total = 0.0
+    for (x0, y0), (x1, y1) in zip(polyline, polyline[1:]):
+        total += math.hypot(x1 - x0, y1 - y0)
+    return total
+
+
+def point_along_polyline(polyline, distance: float) -> Point:
+    """Point at the given arc length from the start, clamped to the ends."""
+    if distance <= 0:
+        return polyline[0]
+    walked = 0.0
+    for a, b in zip(polyline, polyline[1:]):
+        seg = math.hypot(b[0] - a[0], b[1] - a[1])
+        if walked + seg >= distance and seg > 0:
+            t = (distance - walked) / seg
+            return (a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]))
+        walked += seg
+    return polyline[-1]
+
+
+def link_midpoint(geometry) -> Point:
+    return point_along_polyline(geometry, polyline_length(geometry) / 2.0)
 
 
 def polyline_bbox(polyline) -> BBox:
@@ -121,7 +171,8 @@ def polygon_polyline_distance(polygon, polyline) -> float:
 
 def links_within_radius(point: Point, radius_m: float, network) -> list[int]:
     """Sorted ids of the links within radius_m of point, every link tested."""
-    return sorted(link_id for link_id, geometry in zip(network.link_ids.tolist(), network.geometry)
+    return sorted(link_id for link_id, geometry in zip(network.link_ids.tolist(),
+                                                       polylines_of(network.lines))
                   if point_polyline_distance(point, geometry) <= radius_m)
 
 

@@ -3,9 +3,13 @@ the `check_rows` masks of flowscore.network.Network must match.
 
 `link_error` is the per-link check that the network's link objects once
 made as each was built; `first_error` adds the table-wide rules after it,
-in the network's order.
+in the network's order. `read_columns_by_row` is the CSV column reader's
+row loop, which the column-at-a-time reader must match.
 """
+import csv
 import math
+
+from flowscore.network import LoadError
 
 
 def link_error(link) -> str | None:
@@ -50,3 +54,30 @@ def first_error(nodes, links):
             if node_id not in node_ids:
                 return "links", row, f"unknown node {node_id} ({end}) on link {link.id}"
     return None
+
+
+def read_columns_by_row(path, kind: str, parsers: dict) -> dict:
+    """`flowscore.network.read_columns` one cell at a time: the csv module's
+    rows, each cell parsed by its Cell's `parse`, each column the list of
+    its parsed cells. A missing column, a row whose cell count differs
+    from the header's, or a cell that does not parse raises read_columns'
+    LoadError, for the first such row."""
+    with open(path, newline="") as fh:
+        rows = filter(None, csv.reader(fh))
+        header = next(rows, [])
+        for name in parsers:
+            if name not in header:
+                raise LoadError(f"missing {kind} column {name!r} in {path}, row 1")
+        columns = {name: [] for name in parsers}
+        for row_no, row in enumerate(rows, start=2):
+            if len(row) != len(header):
+                raise LoadError(f"{len(row)} cells under a {len(header)}-column header "
+                                f"in {path}, row {row_no}")
+            for name, cell in parsers.items():
+                text = row[header.index(name)]
+                try:
+                    columns[name].append(cell.parse(text))
+                except (ValueError, OverflowError, KeyError):
+                    raise LoadError(f"{name} {text!r} is not {cell.want} "
+                                    f"in {path}, row {row_no}") from None
+    return columns

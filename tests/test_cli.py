@@ -722,6 +722,20 @@ def test_read_columns_names_the_row_the_csv_module_cannot_read(tmp_path):
     assert str(caught.value) == f"field larger than field limit (100) in {path}, row 3"
 
 
+def test_read_columns_names_a_bad_cell_before_a_row_the_csv_module_cannot_read(tmp_path):
+    # both rows are in the first chunk that the column passes parse
+    path = tmp_path / "trips_uet.csv"
+    write_trips_rows(path, ["10000|x", "|".join(map(str, range(10_000, 10_030)))])
+    limit = csv.field_size_limit(100)
+    try:
+        with pytest.raises(LoadError) as caught:
+            read_trips_csv(path)
+    finally:
+        csv.field_size_limit(limit)
+    assert str(caught.value) == (f"links '10000|x' is not int64 link ids joined by '|' "
+                                 f"in {path}, row 2")
+
+
 def test_run_releases_each_day_before_the_next(tmp_path, monkeypatch):
     days, alive = [], []
 
@@ -788,9 +802,9 @@ def test_run_builds_one_vertex_table_per_input(tmp_path, monkeypatch, town_run):
     built = []
 
     class CountedShapes(geo._Shapes):
-        def __init__(self, shapes, closed):
+        def __init__(self, xy, sizes, closed):
             built.append("rings" if closed else "lines")
-            super().__init__(shapes, closed)
+            super().__init__(xy, sizes, closed)
 
     monkeypatch.setattr(geo, "_Shapes", CountedShapes)
     cfg, _ = town_run

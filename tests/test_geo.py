@@ -1,34 +1,38 @@
 import json
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flowscore import geo
 from flowscore.geo import (
     _candidates,
-    link_midpoint,
     link_tracts,
     links_within_radii,
     load_tracts,
-    point_along_polyline,
-    polygon_area,
-    polyline_length,
     validate_tracts,
 )
-from flowscore.typology import LandUse, load_parcels
+from flowscore.network import Network
+from flowscore.typology import LandUse, Parcels, load_parcels
 
-from fixtures import (Link, Parcel, Tract, grid_network, links_of, square, tract_table, tracts_of,
-                      write_parcels_geojson, write_tracts_geojson)
+from fixtures import (Link, Parcel, Tract, flat, grid_network, links_of, square, tract_table,
+                      tracts_of, vertex_table, write_parcels_geojson, write_tracts_geojson)
 import geo_reference
 from geo_reference import (
     bboxes_overlap,
+    link_midpoint,
+    point_along_polyline,
     point_in_polygon,
     point_polyline_distance,
     point_segment_distance,
+    polygon_area,
     polygon_polyline_distance,
     polyline_bbox,
+    polyline_length,
+    polylines_of,
     segment_segment_distance,
     segments_intersect,
 )
@@ -114,8 +118,8 @@ def test_bbox_helpers():
     assert bboxes_overlap((0, 0, 1, 1), (1, 1, 2, 2))  # edge touch counts
     assert not bboxes_overlap((0, 0, 1, 1), (1.01, 0, 2, 1))
     net = grid_network(2, 3)
-    want = [list(polyline_bbox(geometry)) for geometry in net.geometry]
-    assert geo.build_link_index(net).boxes().tolist() == want
+    want = [list(polyline_bbox(geometry)) for geometry in polylines_of(net.lines)]
+    assert net.lines.boxes().tolist() == want
 
 
 def test_spatial_index_matches_brute_force():
@@ -172,7 +176,7 @@ def test_spatial_index_query_visits_only_occupied_cells(items, occupied_cells, m
 
 def test_links_within_radius_inclusive_and_sorted():
     net = grid_network(2, 2, spacing_miles=1.0)
-    spacing_m = geo.polyline_length(net.geometry[0])
+    spacing_m = polyline_length(polylines_of(net.lines)[0])
     # query at a node: every incident link touches it, distance 0
     at_node = net.link_ids[links_within_radii([(0.0, 0.0)], 0.0, net)[0]].tolist()
     assert at_node == sorted(at_node)
@@ -215,6 +219,24 @@ def test_tract_validation():
             tract_table([Tract(5, ring, 10.0, True)])
 
 
+@pytest.mark.parametrize("sizes, message", [
+    ([4, 3], "shape sizes add up to 7 vertices, not the 8 given"),
+    ([4, 5], "shape sizes add up to 9 vertices, not the 8 given"),
+    ([9, -1], "shape size -1 is negative"),
+])
+def test_tables_built_by_hand_reject_sizes_that_do_not_fit_the_vertices(sizes, message):
+    xy = np.array(UNIT_SQUARE * 2)
+    nodes = {"node_id": [1, 2], "x": [0.0, 1.0], "y": [0.0, 0.0]}
+    links = {"link_id": [10, 11], "from": [1, 2], "to": [2, 1], "length_miles": [1.0, 1.0],
+             "speed_mph": [30.0, 30.0], "capacity_vph": [900.0, 900.0], "fclass": [4, 4],
+             "lanes": [1, 1], "wkt_geometry": (xy, sizes)}
+    for build in (lambda: geo.Tracts([1, 2], xy, sizes, [0, 0], [0, 0]),
+                  lambda: Parcels([1, 2], xy, sizes, ["R", "R"]),
+                  lambda: Network(nodes, links)):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build()
+
+
 def test_link_midpoint_multi_segment():
     net = grid_network(1, 2, spacing_miles=1.0)
     link = links_of(net)[0]
@@ -225,7 +247,7 @@ def test_link_midpoint_multi_segment():
 
 def test_link_tract_first_match_wins_on_overlap():
     net = grid_network(1, 2, spacing_miles=1.0)
-    geometries = net.geometry[:1]
+    geometries = vertex_table(polylines_of(net.lines)[:1], False)
     big = Tract(10, square(800.0, 0.0, 900.0), 1000.0, False)
     small = Tract(20, square(800.0, 0.0, 900.0), 500.0, True)
     far = Tract(30, square(1e6, 1e6, 10.0), 10.0, False)
@@ -245,7 +267,7 @@ def test_link_tracts_edge_band_does_not_grow_with_the_coordinates(side, want):
     mx, my = x0 + 500.0 - off, y0 + 500.0 + off
     link = Link(1, 1, 2, 20.0 / 1609.344, 25.0, 800.0, 5, 2, ((mx - 10.0, my), (mx + 10.0, my)))
     assert link_midpoint(link.geometry) == pytest.approx((mx, my), abs=1e-6)
-    assert (link_tracts([link.geometry], tract_table([tract])).tolist()
+    assert (link_tracts(vertex_table([link.geometry], False), tract_table([tract])).tolist()
             == [geo_reference.link_tract(link, [tract])] == [want])
 
 
@@ -499,3 +521,88 @@ def test_load_tracts_names_the_first_bad_feature(tmp_path, first, second):
     message = f"{path}: {BREAKS[broken][1].format(id=number)} (feature {number})"
     with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
         load_tracts(str(path))
+
+
+def bits(values) -> list[int]:
+    return np.array(list(values), dtype=float).view(np.int64).tolist()
+
+
+# a shape's next point: a new one, or the point before it again (a zero-length segment)
+step = st.one_of(st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)), st.just(None))
+
+
+def shape_of(steps):
+    points = []
+    for point in steps:
+        points.append(points[-1] if point is None and points else point or (0.0, 0.0))
+    return tuple(points)
+
+
+# shapes of up to 20 points: past 8 terms numpy's own sums add pairwise
+shapes = st.lists(st.lists(step, min_size=1, max_size=20).map(shape_of), max_size=6)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(lines=shapes, rings=shapes, closed=st.lists(st.booleans(), min_size=6, max_size=6),
+       few=st.sampled_from((geo._FEW, 0, 2)))
+def test_vertex_table_lengths_areas_and_midpoints_are_the_scalar_ones(lines, rings, closed, few):
+    # each is added left to right over a shape's segments, as the scalar
+    # reference adds it, whichever of the shapes `_sums` adds one by one;
+    # rings are given open, or closed by repeating their first point
+    rings = [ring + ring[:1] if close else ring for ring, close in zip(rings, closed)]
+    xy, sizes = flat(rings)
+    with mock.patch.object(geo, "_FEW", few):
+        table = vertex_table(lines, False)
+        assert (bits(geo.polyline_lengths(table))
+                == bits(map(geo_reference.polyline_length, lines)))
+        assert (bits(geo._midpoints(table).ravel())
+                == bits([c for line in lines for c in geo_reference.link_midpoint(line)]))
+        table = geo._Shapes(xy, sizes, True)
+        assert geo_reference.polylines_of(table) == [tuple(geo_reference._closed_ring(ring))
+                                                     for ring in rings]
+        want = [math.nan if len(ring) < 3 else geo_reference.polygon_area(ring) for ring in rings]
+        assert bits(geo.ring_rules("ring", sizes, table)[1]) == bits(want)
+
+
+# GeoJSON values a coordinate, a point or a ring may hold: numbers, and
+# what a file can hold in their place
+json_number = st.one_of(st.integers(-2**70, 2**70),
+                        st.floats(allow_nan=False, allow_infinity=False))
+json_odd = st.sampled_from((10**400, -10**400, math.inf, True, "1.5", " 2 ", "1_0", "nan", "x",
+                            None, [], [1.0], {"a": 1}, "12"))
+odd_point = st.one_of(json_odd, st.lists(st.one_of(json_number, json_odd), max_size=3))
+clean_ring = st.lists(st.lists(json_number, min_size=2, max_size=2), max_size=5)
+# a ring with one odd point, or an odd value in place of the ring
+odd_ring = st.one_of(st.tuples(clean_ring, st.integers(0, 5), odd_point).map(
+    lambda r: r[0][:r[1]] + [r[2]] + r[0][r[1]:]), json_odd)
+json_ring = st.one_of(clean_ring, clean_ring, odd_ring)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(rings=st.lists(json_ring, max_size=4))
+def test_ring_vertices_match_the_feature_by_feature_reading(rings):
+    # one float conversion of every vertex gives the per-feature reading's
+    # bits and counts, or its error, which names the first bad feature
+    def outcome(read):
+        try:
+            xy, sizes = read("tracts.geojson", rings)
+        except ValueError as exc:
+            return str(exc)
+        return bits(xy.ravel()), sizes.tolist()
+
+    assert outcome(geo._ring_vertices) == outcome(geo._ring_vertices_by_feature)
+
+
+@LOADERS
+@pytest.mark.parametrize("ring", [[], [[0, 0]], [[0, 0], [0, 0]], [[0, 0], [5, 0], [0, 0]]],
+                         ids=["empty", "one_point", "closed_point", "closed_segment"])
+def test_load_features_reject_a_ring_of_under_3_points_last(tmp_path, id_key, load, ring):
+    # the last feature's ring, a closing point that repeats the first left out
+    path = two_feature_file(tmp_path / "short.geojson", id_key)
+    doc = json.loads(path.read_text())
+    doc["features"][1]["geometry"]["coordinates"] = [ring]
+    path.write_text(json.dumps(doc))
+    kind = id_key.removesuffix("_id")
+    with pytest.raises(ValueError, match="^" + re.escape(
+            f"{path}: {kind} 2 polygon needs >= 3 points (feature 2)") + "$"):
+        load(str(path))

@@ -24,7 +24,7 @@ from flowscore.typology import (
 import fixtures
 import geo_reference
 from fixtures import (Link, Node, Parcel, School, Tract, links_of, nodes_of, parcel_table, square,
-                      tract_table)
+                      tract_table, vertex_table)
 from test_cli import town
 
 BUFFER = 20.0
@@ -53,7 +53,7 @@ def street_network(rng, n_links):
         a = Node(2 * k + 1, *geometry[0])
         b = Node(2 * k + 2, *geometry[-1])
         nodes += [a, b]
-        length = geo.polyline_length(geometry) / 1609.344
+        length = geo_reference.polyline_length(geometry) / 1609.344
         links.append(Link(k + 1, a.id, b.id, length, 25.0, 800.0, 5, 2, geometry))
     return fixtures.network(nodes, links)
 
@@ -88,11 +88,11 @@ shape = st.lists(st.tuples(coordinate, coordinate), min_size=1, max_size=6)
 def test_shape_boxes_match_polyline_bbox(shapes, closed):
     # each shape is given open or already closed; one-point shapes and no shapes at all included
     shapes = [s + s[:1] if close else s for s, close in shapes]
-    boxes = geo._Shapes(shapes, closed).boxes()
+    boxes = vertex_table(shapes, closed).boxes()
     assert boxes.shape == (len(shapes), 4)
     assert list(map(tuple, boxes.tolist())) == [geo_reference.polyline_bbox(s) for s in shapes]
-    assert geo._Shapes([], closed).boxes().shape == (0, 4)
-    assert geo._Shapes([[(1.5, -2.0)]], closed).boxes().tolist() == [[1.5, -2.0, 1.5, -2.0]]
+    assert vertex_table([], closed).boxes().shape == (0, 4)
+    assert vertex_table([[(1.5, -2.0)]], closed).boxes().tolist() == [[1.5, -2.0, 1.5, -2.0]]
 
 
 def regular_polygon(rng, cx, cy):
@@ -150,12 +150,13 @@ def test_polygon_polyline_within_matches_scalar_distance(seed, buffer_m):
     parcels = random_parcels(rng, network, 15)
     # a closed ring and a one-point polyline exercise the edge cases of both shapes
     polygons = [p.polygon for p in parcels] + [parcels[0].polygon + parcels[0].polygon[:1]]
-    lines = network.geometry + [network.geometry[0][:1]]
+    geometries = geo_reference.polylines_of(network.lines)
+    lines = geometries + [geometries[0][:1]]
     pairs = [(g, k) for g in range(len(parcels)) for k in range(network.n_links)]
     pairs += [(len(parcels), 0), (0, network.n_links)]
     ring_of, line_of = np.array(pairs).T
-    got = geo.polygon_polyline_within(geo._Shapes(polygons, True), ring_of,
-                                      geo._Shapes(lines, False), line_of, buffer_m)
+    got = geo.polygon_polyline_within(vertex_table(polygons, True), ring_of,
+                                      vertex_table(lines, False), line_of, buffer_m)
     want = [geo_reference.polygon_polyline_distance(polygons[g], lines[k]) <= buffer_m
             for g, k in pairs]
     assert got.tolist() == want
@@ -172,8 +173,8 @@ def test_within_uses_the_scalar_distance_at_the_radius():
     assert d == math.hypot(x, y)
     for radius in (d, math.nextafter(d, 0.0), math.nextafter(d, math.inf)):
         first = np.zeros(1, dtype=np.int64)
-        got = geo.polygon_polyline_within(geo._Shapes([triangle], True), first,
-                                          geo._Shapes([line], False), first, radius)
+        got = geo.polygon_polyline_within(vertex_table([triangle], True), first,
+                                          vertex_table([line], False), first, radius)
         assert got.tolist() == [d <= radius]
 
 
@@ -194,7 +195,7 @@ def radius_points(rng, network, radius_m, n_random):
     from both ends of every straight link, each also one ulp either side."""
     points = [tuple(p) for p in rng.uniform(-80.0, 700.0, (n_random, 2)).tolist()]
     points.append(PROBE)
-    for geometry in network.geometry:
+    for geometry in geo_reference.polylines_of(network.lines):
         (x0, y0), (x1, y1) = geometry[0], geometry[-1]
         if len(geometry) != 2 or y0 != y1:
             continue
@@ -255,7 +256,7 @@ def test_index_keeps_parcels_that_rounding_would_drop():
     assert geo_reference.point_segment_distance((6.0, 50.0), (x, 0.0), (x, 100.0)) == 35.5
     link = Link(1, 1, 2, 100.0 / 1609.344, 25.0, 800.0, 5, 2, ((x, 0.0), (x, 100.0)))
     parcels = [Parcel(1, square(13.0, 50.0, 7.0), LandUse.COMMERCIAL)]
-    lines = geo._Shapes([link.geometry], False)
+    lines = vertex_table([link.geometry], False)
     assert _dominant_land_uses(lines, [0], parcel_table(parcels), 35.5)[0] is LandUse.COMMERCIAL
     assert geo_reference.dominant_land_use(link, parcels, 35.5) is LandUse.COMMERCIAL
 
@@ -311,7 +312,7 @@ def test_link_tract_matches_scan(seed, n_side, n_random, closed):
     table = tract_table(tracts)
     got = indicators.link_tract_ids(network, table)
     for link, row in zip(links_of(network), got.tolist()):
-        assert geo.link_tracts([link.geometry], table).tolist() == [row]
+        assert geo.link_tracts(vertex_table([link.geometry], False), table).tolist() == [row]
         assert geo_reference.link_tract(link, tracts) == row
 
 
@@ -321,9 +322,9 @@ def test_link_tracts_index_keeps_midpoints_within_the_edge_tolerance():
     tracts = [Tract(1, square(50.0, 50.0, 50.0), 10.0, True)]
     for x in (math.nextafter(100.0, math.inf), math.nextafter(0.0, -math.inf)):
         link = Link(1, 1, 2, 20.0 / 1609.344, 25.0, 800.0, 5, 2, ((x, 40.0), (x, 60.0)))
-        mid = geo.link_midpoint(link.geometry)
+        mid = geo_reference.link_midpoint(link.geometry)
         assert mid == (x, 50.0) and geo_reference.point_in_polygon(mid, tracts[0].polygon)
-        assert (geo.link_tracts([link.geometry], tract_table(tracts)).tolist()
+        assert (geo.link_tracts(vertex_table([link.geometry], False), tract_table(tracts)).tolist()
                 == [geo_reference.link_tract(link, tracts)] == [0])
 
 
@@ -331,13 +332,13 @@ def scan_tract_overlaps(tracts):
     """Every pair, with the scalar predicates."""
 
     def interior(p, polygon):
-        ring = geo._closed_ring(polygon)
+        ring = geo_reference._closed_ring(polygon)
         if any(geo_reference._on_segment(p, a, b) for a, b in zip(ring, ring[1:])):
             return False
         return geo_reference.point_in_polygon(p, polygon)
 
     def proper_crossing(polygon_a, polygon_b):
-        ring_a, ring_b = geo._closed_ring(polygon_a), geo._closed_ring(polygon_b)
+        ring_a, ring_b = geo_reference._closed_ring(polygon_a), geo_reference._closed_ring(polygon_b)
         for a0, a1 in zip(ring_a, ring_a[1:]):
             for b0, b1 in zip(ring_b, ring_b[1:]):
                 o = (geo._orient(a0, a1, b0), geo._orient(a0, a1, b1),

@@ -1,11 +1,17 @@
 import csv
+import itertools
 import math
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from flowscore.network import METERS_PER_MILE, _BadRow, load_network, parse_wkt_linestring
+from flowscore import network
+from flowscore.network import (FINITE, INT64, LINK_IDS, METERS_PER_MILE, NUMBER, WKT, LoadError,
+                               _BadRow, load_network, parse_wkt_linestring, read_columns)
 
 import fixtures
 import network_reference
@@ -216,4 +222,125 @@ def test_network_rules_match_the_row_by_row_reference(seed, n_bad):
         got = None
     except _BadRow as exc:
         got = (exc.table, exc.position, str(exc))
+    assert got == want
+
+
+# Cell texts that Python's int() and float() read in ways a C parser may
+# not, or that some Cells must reject: underscores, surrounding spaces,
+# non-ASCII digits, NaN and infinities, overflow, hexadecimal, a fraction
+# or an int beyond int64 in an int64 column, and cells that hold a comma
+NUMBER_TEXTS = ("0", "7", "-12", "+3", "1_000", "1__0", " 12 ", "\u2003 5\t", "\u0661\u0662",
+                "\u0661.\u0665", "nan", "-nan", "NaN", "inf", "-Infinity", "1e400", "-1e400",
+                "1e-400", "0x10", "1.0", "2.5", "-0.0", "1e5", "99999999999999999999",
+                "9223372036854775807", "-9223372036854775808", "9223372036854775808", "",
+                " ", "1,5", "a", "1 2")
+READER_CELLS = {"id": INT64, "x": FINITE, "y": NUMBER, "links": LINK_IDS, "geometry": WKT}
+
+trap = st.sampled_from(NUMBER_TEXTS)
+rarely = st.integers(0, 5).map(lambda k: k == 3)
+int_text = st.one_of(st.integers(-2**63, 2**63 - 1).map(str), trap)
+float_text = st.one_of(st.floats().map(repr), st.integers().map(str), trap)  # NaN and inf too
+link_ids_text = st.lists(int_text, max_size=3).map("|".join)
+wkt_text = st.one_of(
+    st.lists(st.tuples(float_text, float_text), min_size=1, max_size=3).map(
+        lambda points: "LINESTRING (" + ", ".join(f"{x} {y}" for x, y in points) + ")"),
+    st.sampled_from(("LINESTRING (0 0, 1 1)", "linestring(1 2,3 4)", "LINESTRING ()",
+                     "LINESTRING (0 0, 1)", "POINT (0 0)", "LINESTRING (0 0, 1 1) x",
+                     " LINESTRING ( 1_0 \u0661 , -0.0 inf ) ")))
+clean_row = st.tuples(st.integers(-2**63, 2**63 - 1).map(str),
+                      *[st.floats(allow_nan=False, allow_infinity=False).map(repr)] * 2,
+                      st.lists(st.integers(0, 10**6), max_size=3).map(
+                          lambda ids: "|".join(map(str, ids))),
+                      st.sampled_from(("LINESTRING (0 0, 1 1)", "LINESTRING (0 0, 1 1, 2 0)")))
+# a row with one trap, so that the trap alone decides whether the fast pass holds
+trap_row = st.tuples(clean_row, st.sampled_from(range(5)), st.tuples(
+    int_text, float_text, float_text, link_ids_text, wkt_text)).map(
+    lambda row: row[0][:row[1]] + row[2][row[1]:row[1] + 1] + row[0][row[1] + 1:])
+reader_row = st.tuples(st.one_of(clean_row, trap_row),
+                       rarely,  # quote every cell of the row
+                       st.booleans(),  # a blank line after the row
+                       rarely)  # the row loses its last cell
+
+
+def reader_text(rows, newline: str, names) -> str:
+    """A CSV text of a header of these column names and these rows, each
+    cut to as many cells, quoting a cell that holds a comma (as a WKT
+    cell does) or that its row asks to quote."""
+    lines = [",".join(names)]
+    for cells, quoted, blank, short in rows:
+        cells = [f'"{c}"' if quoted or "," in c else c for c in cells[:len(names)]]
+        lines.append(",".join(cells[:-1] if short else cells))
+        lines += [""] * blank
+    return newline.join(lines) + newline
+
+
+def comparable(columns: dict) -> dict:
+    """read_columns' columns with every float as its bits."""
+    counts, ids = columns["links"]
+    got = {"id": columns["id"].tolist(), "x": columns["x"].view(np.int64).tolist(),
+           "y": columns["y"].view(np.int64).tolist(), "links": (counts.tolist(), ids.tolist())}
+    if "geometry" in columns:
+        xy, sizes = columns["geometry"]
+        got["geometry"] = (xy.view(np.int64).tolist(), sizes.tolist())
+    return got
+
+
+def comparable_by_row(columns: dict) -> dict:
+    """The row loop's columns in `comparable`'s form."""
+    want = {"id": columns["id"],
+            "x": np.array(columns["x"], dtype=float).view(np.int64).tolist(),
+            "y": np.array(columns["y"], dtype=float).view(np.int64).tolist(),
+            "links": (list(map(len, columns["links"])),
+                      [i for ids in columns["links"] for i in ids])}
+    if "geometry" in columns:
+        lines = columns["geometry"]
+        xy = np.array([p for line in lines for p in line], dtype=float).reshape(-1, 2)
+        want["geometry"] = (xy.view(np.int64).tolist(), list(map(len, lines)))
+    return want
+
+
+def outcome(read, form):
+    try:
+        return form(read())
+    except LoadError as exc:
+        return str(exc)
+
+
+def one_trap(column: int, text: str):
+    """A clean row, then a row whose one cell at `column` is `text`."""
+    clean = ("1", "0.5", "2.5", "7|8", "LINESTRING (0 0, 1 1)")
+    trapped = clean[:column] + (text,) + clean[column + 1:]
+    return [(clean, False, False, False), (trapped, False, False, False)]
+
+
+def with_each_trap(test):
+    """`test` with an explicit example for each trap named above, so that
+    each is read whatever hypothesis draws."""
+    for column, texts in ((0, ("1_000", " 12 ", "\u0661\u0662", "1.0", "99999999999999999999",
+                               "0x10", "nan")),
+                          (1, ("nan", "inf", "-inf", "1e400", "1_000", "\u0661.\u0665", "1,5")),
+                          (2, ("nan", "1e400", "0x10")),
+                          (3, ("1|99999999999999999999", "1||2", " 3 |\u0664")),
+                          (4, ("LINESTRING (nan 0, 1 1)", "LINESTRING (0x10 0, 1 1)"))):
+        for text, wkt in itertools.product(texts, (column == 4, True)):
+            test = example(rows=one_trap(column, text), newline="\r\n",
+                           csv_rows=network._CSV_ROWS, wkt=wkt)(test)
+    return test
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(rows=st.lists(reader_row, max_size=6), newline=st.sampled_from(("\r\n", "\n", "\r")),
+       csv_rows=st.sampled_from((network._CSV_ROWS, 1, 2)), wkt=st.booleans())
+@with_each_trap
+def test_column_reader_matches_the_row_loop(rows, newline, csv_rows, wkt):
+    # read_columns parses each column in one pass per chunk of rows; its
+    # columns, bit for bit, or its error message must be the row loop's
+    cells = dict(list(READER_CELLS.items())[:5 if wkt else 4])
+    with (tempfile.TemporaryDirectory() as tmp,
+          mock.patch.object(network, "_CSV_ROWS", csv_rows)):
+        path = Path(tmp) / "table.csv"
+        path.write_text(reader_text(rows, newline, cells), newline="")
+        got = outcome(lambda: read_columns(path, "test", cells), comparable)
+        want = outcome(lambda: network_reference.read_columns_by_row(path, "test", cells),
+                       comparable_by_row)
     assert got == want

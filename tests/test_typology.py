@@ -4,7 +4,6 @@ import math
 import numpy as np
 import pytest
 
-from flowscore import geo
 from flowscore.typology import (
     LandUse,
     StreetType,
@@ -21,7 +20,7 @@ from flowscore.typology import (
 import fixtures
 import geo_reference
 from fixtures import (Link, Node, Parcel, grid_network, links_of, parcel_table, parcels_of, square,
-                      write_parcels_geojson)
+                      vertex_table, write_parcels_geojson)
 
 HALF_MILE_M = 804.672
 
@@ -151,7 +150,7 @@ def test_dominant_land_use_rejects_a_negative_or_non_finite_buffer():
 
 
 def test_dominant_land_use_no_candidates():
-    lines = geo._Shapes([_street(5, 25.0).geometry], False)
+    lines = vertex_table([_street(5, 25.0).geometry], False)
     assert _dominant_land_uses(lines, [0], parcel_table([]), 20.0)[0] is LandUse.OTHER
 
 
