@@ -5,6 +5,7 @@ formatting and no timestamps, ids or randomness.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .network import TEXT, Cell, LoadError, read_columns, write_csv
@@ -47,12 +48,21 @@ def write_comparison(path, table: ComparisonTable) -> None:
               ([row.theme, row.name, row.unit, *map(_fmt_value, row.values)] for row in table.rows))
 
 
+def _value(text: str) -> float | None:
+    """None for NA, else a value `IndicatorReport` keeps: a finite, nonnegative number."""
+    if text == "NA":
+        return None
+    value = float(text)
+    if math.isfinite(value) and value >= 0:
+        return value
+    raise ValueError(text)
+
+
 def load_comparison(path) -> ComparisonTable:
     """A comparison table as write_comparison writes it: theme, indicator,
     unit, then one column of values (or NA) per objective."""
     columns = read_columns(path, "comparison", dict.fromkeys(("theme", "indicator", "unit"), TEXT),
-                           rest=Cell(lambda text: None if text == "NA" else float(text),
-                                     "a number or NA"))
+                           rest=Cell(_value, "NA or a finite, nonnegative number"))
     theme, name, unit, *values = columns.values()
     if not values:
         raise LoadError(f"no objective columns in {path}, row 1")

@@ -38,21 +38,16 @@ DEFAULT_CONFIG = {
     "tracts": "tracts.geojson",
     "out_dir": "out",
     "objectives": ["uet", "sot", "sof"],
-    "interval_s": 900.0,
-    "max_iterations": 100,
-    "relative_gap": 1e-4,
-    "line_search_tol": 1e-6,
-    "speed_floor_mph": 5.0,
-    "speed_cap_mph": 90.0,
-    "bpr_alpha": 0.15,
-    "bpr_beta": 4.0,
-    "fuel_a": -0.0065417,
-    "fuel_b": 1.90215,
-    "fuel_c": 1.588e-05,
-    "adjacency_buffer_m": 20.0,
+    # a dataclass's class attributes hold its fields' defaults
+    **{key: getattr(SolverConfig, key) for key in (
+        "interval_s", "max_iterations", "relative_gap", "line_search_tol", "speed_floor_mph",
+        "speed_cap_mph")},
+    **{f"bpr_{key}": value for key, value in dataclasses.asdict(SolverConfig.bpr).items()},
+    **{f"fuel_{key}": value for key, value in dataclasses.asdict(SolverConfig.fuel).items()},
+    "adjacency_buffer_m": typology.ADJACENCY_BUFFER_M,
     "school_radius_m": 250.0,
-    "morning_window_s": [25200.0, 32400.0],
-    "school_morning_s": [25200.0, 28800.0],
+    "morning_window_s": list(indicators.MORNING_PEAK_S),
+    "school_morning_s": list(indicators.SCHOOL_MORNING_S),
     "workers": 1,
 }
 FLOW_COLUMNS = ("interval", "link_id", "flow_vph", "time_h", "speed_mph")
@@ -262,13 +257,17 @@ def read_flows_csv(path, network, config: SolverConfig) -> qdta.DayFlows:
     k, link_id, flow, time_h = read_columns(path, "flows", dict(zip(
         FLOW_COLUMNS, (INT64, INT64, FINITE, FINITE)))).values()
     pos = network.link_positions(link_id)
+    free_flow_h = network.free_flow_h[pos]
     n = config.n_intervals
     with naming_rows(path):
-        check_rows({"k": k, "link_id": link_id}, {
+        check_rows({"k": k, "link_id": link_id, "time_h": time_h, "free_flow_h": free_flow_h}, {
             "negative flow_vph": flow < 0, "negative time_h": time_h < 0,
             f"interval {{k}} outside the day's {n} intervals": (k < 0) | (k >= n),
             "unknown link_id {link_id}": pos < 0,
-            "duplicate interval {k}, link_id {link_id}": repeats(k * network.n_links + pos)})
+            "duplicate interval {k}, link_id {link_id}": repeats(k * network.n_links + pos),
+            # a BPR time is free_flow_h * (1 + alpha * ratio_pow), never below it
+            "time_h {time_h} below link_id {link_id}'s free-flow time {free_flow_h}":
+                time_h < free_flow_h})
     order = np.argsort(k, kind="stable")  # an interval's rows stay in file order
     return qdta.DayFlows(np.searchsorted(k[order], np.arange(n + 1)), pos[order].astype(np.int32),
                          flow[order], time_h[order])

@@ -223,11 +223,6 @@ class IndicatorReport:
             if value is not None and (not np.isfinite(value) or value < 0):
                 raise ValueError(f"indicator {name!r} has bad value {value}")
 
-    def by_name(self, name: str) -> float | None:
-        if name not in INDICATOR_NAMES:
-            raise KeyError(name)
-        return self.values[INDICATOR_NAMES.index(name)]
-
 
 def build_report(
     stats: LinkDailyStats,

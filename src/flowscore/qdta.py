@@ -776,10 +776,6 @@ class AssignmentResult:
         return self.config.interval_s
 
     @property
-    def interval_h(self) -> float:
-        return self.config.interval_h
-
-    @property
     def records(self) -> list[TripRecord]:
         """One TripRecord per row of `trips`, built anew on each access."""
         t = self.trips
@@ -787,38 +783,6 @@ class AssignmentResult:
                         map(tuple, t.link_lists()),
                         *(c.tolist() for c in (t.start_s, t.end_s, t.distance_miles, t.time_h,
                                                t.free_flow_h, t.fuel_l))))
-
-    def counts(self) -> dict[str, int]:
-        return {s: int(np.count_nonzero(self.trips.status == s))
-                for s in ("completed", "forced", "failed")}
-
-    def _day_total(self, values: np.ndarray) -> float:
-        """The day's total of values at the flow rows: each interval sums its
-        dense link row, as `.sum(axis=1)` does, and the intervals add in order."""
-        rows = np.zeros((self.flows.offsets.size - 1, self.network.n_links))
-        rows[self.flows.intervals(), self.flows.links] = values
-        return sum(rows.sum(axis=1).tolist()) * self.interval_h
-
-    def total_system_time_h(self) -> float:
-        """Vehicle-hours implied by the converged interval flows."""
-        return self._day_total(self.flows.flow_vph * self.flows.time_h)
-
-    def total_fuel_from_flows(self) -> float:
-        """Liters implied by the converged interval flows."""
-        f, config = self.flows, self.config
-        length = self.network.length_miles[f.links]
-        v = np.clip(length / f.time_h, config.speed_floor_mph, config.speed_cap_mph)
-        return self._day_total(costs._burn(f.flow_vph * length, v, config.fuel))
-
-    def conservation(self) -> tuple[float, float, float]:
-        """(trip miles, tallied link miles, relative error)."""
-        trip_miles = sum(self.trips.distance_miles.tolist())
-        entry_total = self.forced_entered.astype(float).copy()
-        for rec in self.intervals:
-            entry_total[rec.entered_links] += rec.entered_count
-        link_miles = float((entry_total * self.network.length_miles).sum())
-        scale = max(abs(trip_miles), abs(link_miles), 1e-12)
-        return trip_miles, link_miles, abs(trip_miles - link_miles) / scale
 
 
 def run_day(network: Network, trips: Departures, objective: Objective,

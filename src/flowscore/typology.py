@@ -9,6 +9,9 @@ import numpy as np
 from . import geo
 from .network import INT64, check_rows, naming_rows, one_of, read_columns, repeats, write_csv
 
+# a street takes the land use of the largest parcel within this many meters
+ADJACENCY_BUFFER_M = 20.0
+
 
 class LandUse(enum.Enum):
     RESIDENTIAL = "R"
@@ -112,7 +115,8 @@ def classify_street(context: TransportContext, land_use: LandUse) -> StreetType:
     return _NON_HIGHWAY_TABLE[(context, land_use)]
 
 
-def classify_network(network, parcels, adjacency_buffer_m: float = 20.0) -> np.ndarray:
+def classify_network(network, parcels,
+                     adjacency_buffer_m: float = ADJACENCY_BUFFER_M) -> np.ndarray:
     """Each link row's StreetType, in an object array."""
     contexts = list(map(transport_context, network.fclass.tolist(), network.speed_mph.tolist()))
     # land use cannot change a highway's type, so highways skip the geometry work

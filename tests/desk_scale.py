@@ -35,7 +35,8 @@ from pathlib import Path
 
 # flowscore first, so its one-thread BLAS setting is in place before numpy loads
 from flowscore import cli, indicators, qdta
-from fixtures import grid_network, links_of, network, nodes_of, perf_network, perf_trips
+from fixtures import (counts, grid_network, links_of, network, nodes_of, perf_network,
+                      perf_trips)
 
 import numpy as np
 
@@ -93,7 +94,7 @@ def main() -> None:
         days.append(time.process_time() - start - dijkstra["counting_s"] - pricing["counting_s"])
         if k == 0:
             print(f"scale {args.scale}{' congested' if args.congested else ''} {args.objective}: "
-                  f"{net.n_links} links, {trips.trip_id.size} trips, {result.counts()}")
+                  f"{net.n_links} links, {trips.trip_id.size} trips, {counts(result)}")
         print(f"day {k + 1}: day_cpu_s {days[-1]:.2f} dijkstra_cpu_s {dijkstra['cpu_s']:.2f} "
               f"dijkstra_runs {dijkstra['runs']} dijkstra_sources {dijkstra['sources']} "
               f"settled_nodes {dijkstra['settled']} pricing_cpu_s {pricing['cpu_s']:.2f} "

@@ -13,14 +13,14 @@ import pytest
 
 from flowscore import geo, qdta
 from flowscore.geo import Tracts, links_within_radii
-from flowscore.indicators import Schools, congested_miles, daily_stats
+from flowscore.indicators import INDICATOR_NAMES, Schools, congested_miles, daily_stats
 from flowscore.network import LINK_COLUMNS, METERS_PER_MILE, NODE_COLUMNS, Network, write_csv
 from flowscore.qdta import (AssignmentResult, DayFlows, Departures, FlowState, IntervalRecord,
                             Objective, SolverConfig)
 from flowscore.typology import LandUse, Parcels
 
-from costs_reference import fuel_per_mile
 from geo_reference import polygon_area, polylines_of
+from qdta_reference import conservation
 
 M = METERS_PER_MILE
 
@@ -564,13 +564,13 @@ def assert_same_states(got, want) -> None:
 
 
 def assert_dense_figures(result, states, entered, window_s=(25_200.0, 32_400.0)) -> None:
-    """daily_stats, the two flow totals and conservation() of a day equal,
-    with ==, the formulas over whole link rows of its dense states and
-    each interval's entry counts."""
+    """daily_stats and the conservation check of a day equal, with ==, the
+    formulas over whole link rows of its dense states and each interval's
+    entry counts."""
     net, config = result.network, result.config
     stats = daily_stats(result)
     flows = np.stack([fs.flow_vph for fs in states])
-    veh = flows * result.interval_h
+    veh = flows * config.interval_h
     adt, vhd = np.zeros(net.n_links), np.zeros(net.n_links)
     for veh_row, fs in zip(veh, states):
         adt += veh_row
@@ -581,7 +581,7 @@ def assert_dense_figures(result, states, entered, window_s=(25_200.0, 32_400.0))
         "adt": adt,
         "vhd": vhd,
         "vmt": adt * net.length_miles,
-        "window_vmt": (flows[sel].sum(axis=0) * result.interval_h) * net.length_miles,
+        "window_vmt": (flows[sel].sum(axis=0) * config.interval_h) * net.length_miles,
     }
     got = {"adt": stats.adt, "vhd": stats.vhd, "vmt": stats.vmt,
            "window_vmt": stats.window_vmt(window_s)}
@@ -590,20 +590,21 @@ def assert_dense_figures(result, states, entered, window_s=(25_200.0, 32_400.0))
     congested = ((flows[sel] / net.capacity_vph) >= 1.0).any(axis=0)
     assert congested_miles(stats, window_s) == float(net.length_miles[congested].sum())
 
-    assert result.total_system_time_h() == float(
-        sum((fs.flow_vph * fs.time_h).sum() for fs in states) * result.interval_h)
-    fuel = 0.0
-    for fs in states:
-        v = np.clip(fs.speed_mph, config.speed_floor_mph, config.speed_cap_mph)
-        per_mile = np.asarray(fuel_per_mile(v, config.fuel))
-        fuel += float((fs.flow_vph * net.length_miles * per_mile).sum())
-    assert result.total_fuel_from_flows() == fuel * result.interval_h
-
     trip_miles = sum(result.trips.distance_miles.tolist())
     entry_total = result.forced_entered.astype(float).copy()
     for row in entered:
         entry_total += row
     link_miles = float((entry_total * net.length_miles).sum())
     scale = max(abs(trip_miles), abs(link_miles), 1e-12)
-    assert result.conservation() == (trip_miles, link_miles,
-                                     abs(trip_miles - link_miles) / scale)
+    assert conservation(result) == (trip_miles, link_miles, abs(trip_miles - link_miles) / scale)
+
+
+def counts(result) -> dict[str, int]:
+    """How many of a day's trips completed, were forced to finish, or failed."""
+    return {s: int(np.count_nonzero(result.trips.status == s))
+            for s in ("completed", "forced", "failed")}
+
+
+def by_name(report, name: str) -> float | None:
+    """The report's value of the indicator called name."""
+    return report.values[INDICATOR_NAMES.index(name)]

@@ -6,7 +6,8 @@ forms in `costs_reference` and priced over whole vectors: `cost_vector`,
 per-interval states, rebuilt from the flow table and the interval
 records that `run_day` keeps: time and speed come from `bpr_time` on the same
 flows, and cost from `cost_vector`, so a rebuilt state has the bits of
-the state `assign_interval` returned.
+the state `assign_interval` returned. And `conservation`, the day's trip
+miles against the miles its link entries add up to.
 """
 import numpy as np
 
@@ -91,3 +92,15 @@ def dense_entered(result) -> list[np.ndarray]:
         row[rec.entered_links] = rec.entered_count
         rows.append(row)
     return rows
+
+
+def conservation(result) -> tuple[float, float, float]:
+    """(trip miles, tallied link miles, relative error) of an AssignmentResult:
+    the miles its trips drove against the miles of every link entry."""
+    trip_miles = sum(result.trips.distance_miles.tolist())
+    entry_total = result.forced_entered.astype(float).copy()
+    for rec in result.intervals:
+        entry_total[rec.entered_links] += rec.entered_count
+    link_miles = float((entry_total * result.network.length_miles).sum())
+    scale = max(abs(trip_miles), abs(link_miles), 1e-12)
+    return trip_miles, link_miles, abs(trip_miles - link_miles) / scale

@@ -51,6 +51,7 @@ from fixtures import (
     two_route_network,
     uniform_trips,
 )
+from qdta_reference import conservation
 from test_cli import town_scenario
 from test_typology import hand_labeled_fixture
 
@@ -205,7 +206,7 @@ def test_criterion_06_conservation_and_partition():
     last = None
     for net, trips, obj in runs:
         result = run_day(net, trips, obj, cfg)
-        trip_miles, link_miles, rel_err = result.conservation()
+        trip_miles, link_miles, rel_err = conservation(result)
         assert trip_miles > 0.0
         assert rel_err <= 1e-6, (obj, rel_err)
         last = result
@@ -306,7 +307,7 @@ def test_criterion_10_desk_scale_performance():
     t0 = time.perf_counter()
     for obj in (Objective.UET, Objective.SOT, Objective.SOF):
         result = run_day(net, trips, obj, cfg)
-        counts = result.counts()
+        counts = fixtures.counts(result)
         assert sum(counts.values()) == 100_000
         assert counts["failed"] == 0
     elapsed = time.perf_counter() - t0

@@ -65,6 +65,11 @@ def test_load_comparison_rejects_bad_files(tmp_path):
     path.write_text("theme,indicator,unit,uet,uet\nMobility,VMT,miles,1.0,2.0\n")
     with pytest.raises(ValueError, match=f"^repeated comparison column 'uet' in {re.escape(str(path))}, row 1$"):
         load_comparison(path)
+    for value in ("inf", "-inf", "nan", "-3.0"):
+        path.write_text(f"theme,indicator,unit,uet,sot\nMobility,VMT,miles,1.0,NA\nMobility,VHD,hours,2.0,{value}\n")
+        with pytest.raises(ValueError, match=f"^sot '{value}' is not NA or a finite, nonnegative number in "
+                                             f"{re.escape(str(path))}, row 3$"):
+            load_comparison(path)
 
 
 def test_render_is_deterministic():

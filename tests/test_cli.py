@@ -52,7 +52,7 @@ from fixtures import (
 )
 
 import geo_reference
-from qdta_reference import dense_entered, dense_states
+from qdta_reference import conservation, dense_entered, dense_states
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -1026,7 +1026,7 @@ def test_long_town_flow_vmt_exceeds_trip_vmt(long_town_run):
     scenario = load_scenario(cfg)
     network = load_network(str(scenario.nodes), str(scenario.links))
     result = run_day(network, load_trips(str(scenario.trips)), Objective.UET, scenario.solver)
-    trip_miles, link_miles, rel = result.conservation()
+    trip_miles, link_miles, rel = conservation(result)
     assert trip_miles == sum(read_trips_csv(out / "trips_uet.csv").distance_miles.tolist())
     assert rel <= 1e-14
     assert trip_miles == pytest.approx(15473.312629199863, rel=1e-12)
@@ -1141,6 +1141,9 @@ _STATUSES = "completed, forced, failed"
      "duplicate interval 28, link_id 1 in {path}, row 3"),
     ("indicators", "out/flows_uet.csv", None, "time_h", None,
      "missing flows column 'time_h' in {path}, row 1"),
+    ("indicators", "out/flows_uet.csv", 2, "time_h", "0.016666666666666666",
+     "time_h 0.016666666666666666 below link_id 1's free-flow time 0.03333333333333333 in {path}, "
+     "row 2"),
     ("indicators", "nodes.csv", None, "y", None, "missing nodes column 'y' in {path}, row 1"),
     ("indicators", "nodes.csv", 3, "x", "abc", "x 'abc' is not a finite number in {path}, row 3"),
     ("indicators", "nodes.csv", 2, "x", "nan", "x 'nan' is not a finite number in {path}, row 2"),
@@ -1180,6 +1183,7 @@ _STATUSES = "completed, forced, failed"
         "negative_trip_distance", "negative_trip_time", "negative_trip_free_flow",
         "negative_trip_fuel", "non_numeric_flow", "negative_flow", "nan_flow",
         "negative_flow_time", "infinite_flow_time", "repeated_flow", "missing_flow_column",
+        "flow_time_below_free_flow",
         "missing_node_column", "non_numeric_node", "nan_node", "repeated_node", "repeated_link",
         "unknown_node", "nonpositive_length", "nonpositive_speed", "nonpositive_capacity",
         "fclass_out_of_range", "lanes_out_of_range", "self_loop", "bad_geometry",
@@ -1266,7 +1270,7 @@ def test_chart_and_compare_reject_a_comparison_row_missing_a_cell(tmp_path, caps
 def test_chart_and_compare_reject_a_non_numeric_comparison_value(tmp_path, capsys, town_run):
     _reject_comparison(tmp_path, capsys, town_run[1] / "comparison.csv",
                        lambda rows: rows[4].__setitem__(4, "abc"),
-                       "sot 'abc' is not a number or NA")
+                       "sot 'abc' is not NA or a finite, nonnegative number")
 
 
 def test_compare_cities_input_validation(tmp_path, town_run):

@@ -27,7 +27,7 @@ from flowscore.typology import StreetType
 
 import fixtures
 from costs_reference import link_fuel
-from fixtures import (M, Node, School, Tract, assignment_of, flow_table, school_buffers,
+from fixtures import (M, Node, School, Tract, assignment_of, by_name, flow_table, school_buffers,
                       school_table, schools_of, square, straight_link, tract_table,
                       write_schools_csv)
 from qdta_reference import dense_states
@@ -416,12 +416,12 @@ def test_build_report_rows_match_single_ops():
     net = assignment.network
 
     nr_vmt, nr_vhd = filtered_vmt_vhd(stats, types == StreetType.NEIGHBORHOOD_RESIDENTIAL)
-    assert report.by_name("VMT on neighborhood residential streets") == pytest.approx(nr_vmt)
-    assert report.by_name("VHD on neighborhood residential streets") == pytest.approx(nr_vhd)
+    assert by_name(report, "VMT on neighborhood residential streets") == pytest.approx(nr_vmt)
+    assert by_name(report, "VHD on neighborhood residential streets") == pytest.approx(nr_vhd)
 
     assert [net.link_ids[rows].tolist() for rows in buffers] == [[1], [1, 2], []]
     n_exposed = np.count_nonzero(exposures.level != ExposureLevel.NONE)
-    assert report.by_name("Schools near high and medium traffic streets") == float(n_exposed)
+    assert by_name(report, "Schools near high and medium traffic streets") == float(n_exposed)
     assert n_exposed == 2
 
     # union of buffered links {1, 2}: shared link 1 is counted once
@@ -430,32 +430,32 @@ def test_build_report_rows_match_single_ops():
     union_vmt = float(
         ((flows[sel].sum(axis=0) * stats.interval_h) * net.length_miles)[:2].sum()
     )
-    assert report.by_name("VMT near schools in morning hours") == pytest.approx(union_vmt)
+    assert by_name(report, "VMT near schools in morning hours") == pytest.approx(union_vmt)
     per_school = exposures.buffer_vmt_morning[0] + exposures.buffer_vmt_morning[1]
     assert union_vmt < per_school
 
-    assert report.by_name("Estimated highway accidents per year") == pytest.approx(
+    assert by_name(report, "Estimated highway accidents per year") == pytest.approx(
         highway_accidents(stats, types))
     total_vmt, total_vhd = filtered_vmt_vhd(stats, np.ones(4, dtype=bool))
-    assert report.by_name("VMT") == pytest.approx(total_vmt)
-    assert report.by_name("VHD") == pytest.approx(total_vhd)
-    assert report.by_name("Congested network miles in morning") == pytest.approx(
+    assert by_name(report, "VMT") == pytest.approx(total_vmt)
+    assert by_name(report, "VHD") == pytest.approx(total_vhd)
+    assert by_name(report, "Congested network miles in morning") == pytest.approx(
         congested_miles(stats))
 
     # averages over the two completed trips; total fuel counts every trip
-    assert report.by_name("Average trip length") == pytest.approx(2.0)
-    assert report.by_name("Average trip delay") == pytest.approx(0.05 * 60.0 / 2)
+    assert by_name(report, "Average trip length") == pytest.approx(2.0)
+    assert by_name(report, "Average trip delay") == pytest.approx(0.05 * 60.0 / 2)
     fuel = link_fuel(1.0, 30.0)
-    assert report.by_name("Total fuel consumption") == pytest.approx(fuel + 0.25 + 0.60)
-    assert report.by_name("Average trip fuel consumption") == pytest.approx((fuel + 0.25) / 2)
+    assert by_name(report, "Total fuel consumption") == pytest.approx(fuel + 0.25 + 0.60)
+    assert by_name(report, "Average trip fuel consumption") == pytest.approx((fuel + 0.25) / 2)
 
     # exposed schools are ids 1 (80% minority) and 2 (10%)
-    assert report.by_name(
-        "Minority schools near high and medium traffic streets") == pytest.approx(50.0)
+    assert by_name(
+        report, "Minority schools near high and medium traffic streets") == pytest.approx(50.0)
 
     shares = equity_shares(stats, tracts, tract_of)
-    assert report.by_name("VMT in communities of concern") == pytest.approx(shares.coc_vmt)
-    assert report.by_name("VHD in communities of concern") == pytest.approx(shares.coc_vhd)
+    assert by_name(report, "VMT in communities of concern") == pytest.approx(shares.coc_vmt)
+    assert by_name(report, "VHD in communities of concern") == pytest.approx(shares.coc_vhd)
 
     assert len(report.values) == len(INDICATOR_META)
 
@@ -475,49 +475,49 @@ def test_build_report_trip_means_and_totals():
         (4, "failed", 0.0, 0.0, 0.0, 0.0),
     )
     report = report_of(assignment, types, schools, tracts, trips)
-    assert report.by_name("Average trip length") == pytest.approx(5.0)
+    assert by_name(report, "Average trip length") == pytest.approx(5.0)
     # delays: 0.05 h and 0 h over two completed trips
-    assert report.by_name("Average trip delay") == pytest.approx(1.5)
-    assert report.by_name("Average trip fuel consumption") == pytest.approx(0.36)
-    assert report.by_name("Total fuel consumption") == pytest.approx(0.30 + 0.42 + 0.80)
+    assert by_name(report, "Average trip delay") == pytest.approx(1.5)
+    assert by_name(report, "Average trip fuel consumption") == pytest.approx(0.36)
+    assert by_name(report, "Total fuel consumption") == pytest.approx(0.30 + 0.42 + 0.80)
 
 
 def test_build_report_free_flow_trip_has_zero_delay():
     assignment, types, schools, tracts = report_fixture()
     trips = trip_table((1, "completed", 2.0, 0.08, 0.08, 0.1))
-    assert report_of(assignment, types, schools, tracts, trips).by_name(
-        "Average trip delay") == 0.0
+    assert by_name(report_of(assignment, types, schools, tracts, trips),
+                   "Average trip delay") == 0.0
 
 
 def test_build_report_without_completed_trips():
     assignment, types, schools, tracts = report_fixture()
     trips = trip_table((1, "forced", 5.0, 0.9, 0.4, 2.5), (2, "failed", 0.0, 0.0, 0.0, 0.0))
     report = report_of(assignment, types, schools, tracts, trips)
-    assert report.by_name("Average trip length") is None
-    assert report.by_name("Average trip delay") is None
-    assert report.by_name("Average trip fuel consumption") is None
-    assert report.by_name("Total fuel consumption") == pytest.approx(2.5)
+    assert by_name(report, "Average trip length") is None
+    assert by_name(report, "Average trip delay") is None
+    assert by_name(report, "Average trip fuel consumption") is None
+    assert by_name(report, "Total fuel consumption") == pytest.approx(2.5)
 
 
 def test_trip_stats_requires_a_completed_trip():
     assignment, types, schools, tracts = report_fixture()
     forced = (1, "forced", 3.0, 0.5, 0.2, 0.4)
     report = report_of(assignment, types, schools, tracts, trip_table(forced))
-    assert report.by_name("Average trip length") is None
+    assert by_name(report, "Average trip length") is None
     # one completed trip alone sets the averages; the forced trip adds only fuel
     trips = trip_table(forced, (2, "completed", 2.0, 0.1, 0.05, 0.3))
     report = report_of(assignment, types, schools, tracts, trips)
-    assert report.by_name("Average trip length") == pytest.approx(2.0)
-    assert report.by_name("Average trip delay") == pytest.approx(3.0)
-    assert report.by_name("Average trip fuel consumption") == pytest.approx(0.3)
-    assert report.by_name("Total fuel consumption") == pytest.approx(0.7)
+    assert by_name(report, "Average trip length") == pytest.approx(2.0)
+    assert by_name(report, "Average trip delay") == pytest.approx(3.0)
+    assert by_name(report, "Average trip fuel consumption") == pytest.approx(0.3)
+    assert by_name(report, "Total fuel consumption") == pytest.approx(0.7)
 
 
 def test_build_report_clamps_negative_average_delay():
     assignment, types, schools, tracts = report_fixture()
     trips = trip_table((1, "completed", 1.0, 0.0332, 1.0 / 30.0, 0.07))
     report = report_of(assignment, types, schools, tracts, trips)
-    assert report.by_name("Average trip delay") == 0.0
+    assert by_name(report, "Average trip delay") == 0.0
 
 
 def test_report_validation_rejects_bad_rows():
@@ -535,9 +535,6 @@ def test_report_validation_rejects_bad_rows():
     rows[6] = math.nan
     with pytest.raises(ValueError, match="^indicator 'VHD' has bad value nan$"):
         IndicatorReport(tuple(rows))
-
-    with pytest.raises(KeyError):
-        good.by_name("not an indicator")
 
 
 def test_indicator_meta_shape():

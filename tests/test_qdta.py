@@ -17,7 +17,7 @@ from flowscore.qdta import (
 )
 
 from costs_reference import bpr_integral, bpr_speed, fuel_per_mile
-from qdta_reference import cost_vector, dense_entered, dense_states
+from qdta_reference import conservation, cost_vector, dense_entered, dense_states, objective_value
 
 import fixtures
 from fixtures import (
@@ -30,6 +30,7 @@ from fixtures import (
     assignment_of,
     corridor_network,
     corridor_od,
+    counts,
     departures,
     detour_geometry,
     grid_network,
@@ -123,7 +124,7 @@ def test_bucket_demand_interval_boundaries():
     want[28] = [4.0, 4.0]
     want[95] = [4.0, 0.0]
     assert np.array_equal(flows, want)
-    assert result.counts() == {"completed": 6, "forced": 0, "failed": 0}
+    assert counts(result) == {"completed": 6, "forced": 0, "failed": 0}
 
 
 def test_trip_request_validation():
@@ -575,8 +576,8 @@ def test_run_day_pigou_matches_single_interval():
             assert not fs.flow_vph.any()
             assert fs.converged and fs.gap == 0.0
     # every pigou trip is one link long, so all complete in their interval
-    assert result.counts() == {"completed": 750, "forced": 0, "failed": 0}
-    trip_miles, link_miles, rel = result.conservation()
+    assert counts(result) == {"completed": 750, "forced": 0, "failed": 0}
+    trip_miles, link_miles, rel = conservation(result)
     assert trip_miles == pytest.approx(7500.0)
     assert rel <= 1e-12
 
@@ -595,7 +596,7 @@ def test_run_day_residuals_reenter_next_interval():
     rec = result.records[0]
     assert rec.status == "completed"
     assert rec.time_h == pytest.approx(40.0 / 60.0)
-    _, _, rel = result.conservation()
+    _, _, rel = conservation(result)
     assert rel <= 1e-12
 
 
@@ -609,9 +610,9 @@ def test_run_day_forces_leftovers_at_midnight():
     assert rec.distance_miles == pytest.approx(20.0)
     assert result.forced_entered.tolist() == [0, 1, 1]
     assert dense_entered(result)[95].tolist() == [1, 0, 0]
-    _, _, rel = result.conservation()
+    _, _, rel = conservation(result)
     assert rel <= 1e-12
-    assert result.counts()["forced"] == 1
+    assert counts(result)["forced"] == 1
 
 
 def count_dijkstra(monkeypatch, limits=None) -> list:
@@ -653,7 +654,7 @@ def test_run_day_walk_reuses_final_frank_wolfe_tree(
     result = run_day(net, trips, objective)
     busy = [fs for fs in dense_states(result) if fs.flow_vph.any()]
     assert len(busy) == 6 and all(fs.iterations == 1 for fs in busy)
-    assert result.counts() == {"completed": 4, "forced": 1, "failed": 0}
+    assert counts(result) == {"completed": 4, "forced": 1, "failed": 0}
     assert len(in_walk) == 96 and not any(in_walk)
     # Each busy interval's one iteration solves its source at its own cost(f).
     # The zero-flow rows of nodes 3, 2 and 1 are solved once each and kept
@@ -865,7 +866,7 @@ def test_run_day_failed_trip():
     links = [Link(1, 1, 2, 10.0, 30.0, 1000.0, 5, 2, ((0.0, 0.0), (16093.44, 0.0)))]
     net = fixtures.network(nodes, links)
     result = run_day(net, departures((1, 1, 3, 100.0)), Objective.UET)
-    assert result.counts()["failed"] == 1
+    assert counts(result)["failed"] == 1
     assert result.records[0].distance_miles == 0.0
     state = dense_states(result)[0]
     assert state.unreachable == [(1, 3, pytest.approx(1.0))]
@@ -903,10 +904,17 @@ def test_run_day_is_deterministic():
 def test_total_system_time_and_fuel_accessors():
     net = pigou_network()
     trips = uniform_trips(1, 2, 750, start_s=0.0)
-    result = run_day(net, trips, Objective.UET, SolverConfig(relative_gap=1e-6))
+    config = SolverConfig(relative_gap=1e-6)
+    states = dense_states(run_day(net, trips, Objective.UET, config))
+
+    def day_total(objective):
+        """Vehicle-hours (SOT) or liters (SOF) of the day's interval flows."""
+        return sum(objective_value(net, objective, fs.flow_vph, config)
+                   for fs in states) * config.interval_h
+
     # one interval at 3000 vph, both routes at 1.0 h: 750 veh-hours
-    assert result.total_system_time_h() == pytest.approx(750.0, rel=2e-3)
-    assert result.total_fuel_from_flows() > 0
+    assert day_total(Objective.SOT) == pytest.approx(750.0, rel=2e-3)
+    assert day_total(Objective.SOF) > 0
 
 
 def test_interval_record_keeps_a_negative_zero_flow(monkeypatch):
