@@ -315,6 +315,7 @@ def _assign_all(network, trips, scenario: Scenario) -> Iterator[AssignmentResult
     if scenario.workers > 1 and len(tasks) > 1:
         from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
 
+        qdta._load_scipy()  # once, before the workers fork, rather than in each of them
         with ProcessPoolExecutor(max_workers=min(scenario.workers, len(tasks))) as pool:
             yield from pool.map(_run_one, tasks)
     else:
@@ -554,8 +555,9 @@ def main(argv=None) -> int:
     Without argv, main runs this process's own command line (`python -m
     flowscore.cli` and the `flowscore` script), and it first freezes every
     object alive since the imports: no collection, at exit or during the
-    run, walks numpy's and scipy's import-time objects again. A caller that
-    passes argv (a test, a library user) keeps its heap as it is.
+    run, walks numpy's import-time objects again. scipy, which only routing
+    imports, is frozen the same way when the first search loads it. A
+    caller that passes argv (a test, a library user) keeps its heap as it is.
     """
     if argv is None:
         gc.freeze()

@@ -16,8 +16,6 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from . import geo
 
@@ -136,12 +134,10 @@ class Network:
             )
         if not self.n_nodes:
             return report
-        n = self.n_nodes
-        graph = csr_matrix((np.ones(self.n_links), (self.link_from, self.link_to)), shape=(n, n))
-        component = connected_components(graph, connection="weak")[1]
+        component = _weak_components(self.n_nodes, self.link_from, self.link_to)
         sizes = np.bincount(component)
-        main = component[np.flatnonzero(sizes[component] == sizes.max())[0]]
-        report.main_component_share = int(sizes[main]) / n
+        main = np.argmax(sizes)  # of tied components, the one labelled by the first node
+        report.main_component_share = int(sizes[main]) / self.n_nodes
         report.orphans = self.node_ids[component != main].tolist()
         if not report.primary_component_ok:
             report.warnings.append(
@@ -154,6 +150,23 @@ class Network:
                 f"{report.orphans}"
             )
         return report
+
+
+def _weak_components(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Each node's weakly connected component, labelled by its smallest
+    node row, for the links from rows u to rows v. Each round hooks the
+    larger root of every link that joins two roots under the smaller one,
+    then points every node at its root; a root only ever points lower."""
+    root = np.arange(n)
+    while True:
+        ru, rv = root[u], root[v]
+        joins = ru != rv
+        if not joins.any():
+            return root
+        np.minimum.at(root, np.maximum(ru, rv)[joins], np.minimum(ru, rv)[joins])
+        up = root[root]
+        while not np.array_equal(up, root):
+            root, up = up, up[up]
 
 
 def _positions(keys: np.ndarray, order: np.ndarray, ids) -> np.ndarray:

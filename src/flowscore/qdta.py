@@ -14,14 +14,14 @@ from __future__ import annotations
 
 import copy
 import enum
+import functools
+import gc
 import logging
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
 from . import costs
 from .costs import BprParams, FuelParams, DEFAULT_BPR, DEFAULT_FUEL
@@ -278,6 +278,26 @@ class _Trips:
             network.link_ids[links[np.argsort(pos, kind="stable")]])
 
 
+@functools.cache
+def _load_scipy():
+    """scipy's csr_matrix and dijkstra, imported at the first call: of
+    flowscore, only routing needs scipy, so no other command pays for it.
+    A process that froze its heap before (`cli.main` without argv does)
+    freezes it again, so that no collection walks scipy's import-time
+    objects."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import dijkstra
+
+    if gc.get_freeze_count():
+        gc.freeze()
+    return csr_matrix, dijkstra
+
+
+def _csgraph_dijkstra(*args, **kwargs):
+    """scipy.sparse.csgraph.dijkstra."""
+    return _load_scipy()[1](*args, **kwargs)
+
+
 class RoutingGraph:
     """Collapsed edge view of a Network for repeated shortest-path runs.
 
@@ -308,6 +328,7 @@ class RoutingGraph:
             if e - s > 1
         ]
         self.indptr = np.searchsorted(self.edge_u, np.arange(n + 1)).astype(np.int32)
+        csr_matrix = _load_scipy()[0]
         # the edge matrix's structure; each cost vector's copy takes its own edge costs
         self.matrix = csr_matrix((np.ones(self.edge_v.size), self.edge_v, self.indptr), shape=(n, n))
         self._kept: _SolvedRows | None = None

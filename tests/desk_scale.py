@@ -21,14 +21,18 @@ and `congested_miles`), and the CPU seconds of `cli.read_flows_csv` and
 of `cli.read_trips_csv` on the files written (`read_flows_csv_cpu_s`
 and `read_trips_csv_cpu_s`).
 Then it prints the median day CPU seconds and the process's peak resident
-memory. It is not part of the test suite, since scale 4 and --congested
-run for many seconds.
+memory, and the CPU seconds and peak resident memory of a fresh
+`python -c "import flowscore.cli"`, which every command pays before it
+starts (`import_cli_cpu_s` and `import_cli_peak_rss_mb`). It is not part
+of the test suite, since scale 4 and --congested run for many seconds.
 """
 from __future__ import annotations
 
 import argparse
 import resource
 import statistics
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -83,6 +87,7 @@ def main() -> None:
         pricing["counting_s"] += time.process_time() - stop
         return out
 
+    qdta._load_scipy()  # routing's import, which the first day would otherwise pay
     qdta._csgraph_dijkstra = counted
     real_price, qdta._Pricing._price = qdta._Pricing._price, counted_pricing
     days = []
@@ -121,6 +126,19 @@ def main() -> None:
             print(f"  read_trips_csv_cpu_s {time.process_time() - start:.3f}")
     print(f"median_day_cpu_s {statistics.median(days):.3f} over {args.repeat} days "
           f"peak_rss_mb {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.0f}")
+    print(subprocess.run([sys.executable, "-c", _IMPORT_CLI], capture_output=True, text=True,
+                         check=True).stdout, end="")
+
+
+# A child's peak RSS counts the memory of the process it was forked from, so a
+# bare interpreter, not this one, starts the process that imports the CLI.
+_IMPORT_CLI = """import os, sys
+pid = os.posix_spawn(sys.executable, [sys.executable, "-c", "import flowscore.cli"], os.environ)
+_, status, usage = os.wait4(pid, 0)
+assert os.waitstatus_to_exitcode(status) == 0
+print(f"import_cli_cpu_s {usage.ru_utime + usage.ru_stime:.3f} "
+      f"import_cli_peak_rss_mb {usage.ru_maxrss / 1024:.1f}")
+"""
 
 
 if __name__ == "__main__":

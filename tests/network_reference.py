@@ -4,12 +4,19 @@ the `check_rows` masks of flowscore.network.Network must match.
 `link_error` is the per-link check that the network's link objects once
 made as each was built; `first_error` adds the table-wide rules after it,
 in the network's order. `read_columns_by_row` is the CSV column reader's
-row loop, which the column-at-a-time reader must match.
+row loop, which the column-at-a-time reader must match. `validation`
+is the network's ValidationReport from scipy's weakly connected
+components, which the network's own numpy count must match.
 """
 import csv
 import math
 
-from flowscore.network import LoadError
+import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
+
+from flowscore import geo
+from flowscore.network import METERS_PER_MILE, LoadError, ValidationReport
 
 
 def link_error(link) -> str | None:
@@ -81,3 +88,36 @@ def read_columns_by_row(path, kind: str, parsers: dict) -> dict:
                     raise LoadError(f"{name} {text!r} is not {cell.want} "
                                     f"in {path}, row {row_no}") from None
     return columns
+
+
+def validation(net) -> ValidationReport:
+    """The network's checks with scipy's `connected_components(connection=
+    "weak")`: the length warnings, then the main component, the largest one
+    (of tied ones, the one holding the first node), its share of the nodes
+    and the nodes outside it."""
+    report = ValidationReport()
+    measured = geo.polyline_lengths(net.lines) / METERS_PER_MILE
+    declared = net.length_miles
+    for k in np.flatnonzero(abs(measured - declared) > 0.05 * declared).tolist():
+        report.warnings.append(
+            f"link {net.link_ids[k]}: geometry length {measured[k]:.4f} mi "
+            f"differs from declared {declared[k]:.4f} mi by more than 5%"
+        )
+    if not net.n_nodes:
+        return report
+    n = net.n_nodes
+    graph = csr_matrix((np.ones(net.n_links), (net.link_from, net.link_to)), shape=(n, n))
+    component = connected_components(graph, connection="weak")[1]
+    sizes = np.bincount(component)
+    main = component[np.flatnonzero(sizes[component] == sizes.max())[0]]
+    report.main_component_share = int(sizes[main]) / n
+    report.orphans = net.node_ids[component != main].tolist()
+    if not report.primary_component_ok:
+        report.warnings.append(
+            f"largest weakly connected component holds only "
+            f"{report.main_component_share:.1%} of nodes"
+        )
+    elif report.orphans:
+        report.warnings.append(
+            f"{len(report.orphans)} node(s) outside the main component: {report.orphans}")
+    return report

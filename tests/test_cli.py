@@ -178,6 +178,37 @@ def test_importing_the_cli_loads_no_xml_or_http_modules():
     assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
 
 
+def scipy_after(*commands) -> tuple[bool, list[int], bool]:
+    """In a fresh process: whether `import flowscore.cli` loads scipy, the
+    exit codes of `main` on each of commands in turn, and whether scipy is
+    loaded after them."""
+    code = ("import json, sys\n"
+            "def scipy(): return any(m.partition('.')[0] == 'scipy' for m in sys.modules)\n"
+            "from flowscore.cli import main\n"
+            "imported = scipy()\n"
+            "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+            "print(json.dumps([imported, codes, scipy()]))")
+    done = subprocess.run([sys.executable, "-c", code, json.dumps(commands)], env=src_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return tuple(json.loads(done.stdout.splitlines()[-1]))
+
+
+def test_only_routing_commands_load_scipy(tmp_path, town_run):
+    # importing scipy costs about as much CPU as the rest of a scoring
+    # command, and ~30 MB; only a search needs it
+    shutil.copytree(Path(town_run[0]).parent, tmp_path, dirs_exist_ok=True)
+    cfg, comparison = str(tmp_path / "config.json"), str(tmp_path / "out" / "comparison.csv")
+    assert scipy_after(["--print-config"], ["classify", "--config", cfg],
+                       *(["indicators", "--config", cfg, "--objective", obj.value]
+                         for obj in Objective),
+                       ["chart", "--comparison", comparison, "--out", str(tmp_path / "c.svg")],
+                       ["compare", comparison, comparison, "--names", "a,b",
+                        "--out", str(tmp_path / "merged.csv")]) == (False, [0] * 7, False)
+    assert scipy_after(["assign", "--config", cfg, "--objective", "uet"]) == (False, [0], True)
+    assert scipy_after(["run", "--config", cfg]) == (False, [0], True)
+
+
 def test_importing_the_cli_loads_no_process_pool():
     # only a run with more than one worker needs multiprocessing
     code = ("import sys, flowscore.cli; print(sorted({'multiprocessing', "
@@ -203,6 +234,37 @@ def test_main_without_argv_freezes_the_heap():
     assert done.stdout.splitlines()[-1] == "0 0 True"
 
 
+def test_main_without_argv_freezes_scipy_when_the_first_search_loads_it(tmp_path):
+    # scipy loads after main's first freeze; freezing again keeps its
+    # import-time objects out of every collection, as numpy's are
+    cfg = town_scenario(tmp_path)
+    code = ("import gc, sys\n"
+            "from flowscore.cli import main\n"
+            "freeze, counts = gc.freeze, []\n"
+            "gc.freeze = lambda: (freeze(), counts.append(gc.get_freeze_count()))\n"
+            "sys.argv = ['flowscore', 'run', '--config', sys.argv[1]]\n"
+            "code = main()\n"
+            "print(code, len(counts), counts[0] < gc.get_freeze_count())")
+    done = subprocess.run([sys.executable, "-c", code, cfg], env=src_env(), capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "0 2 True"
+
+
+def test_a_library_day_that_loads_scipy_leaves_the_heap_unfrozen(tmp_path):
+    town_scenario(tmp_path)
+    code = ("import gc, sys\n"
+            "from flowscore import Objective, load_network, load_trips, run_day\n"
+            "net = load_network('nodes.csv', 'links.csv')\n"
+            "loaded = 'scipy' in sys.modules\n"
+            "run_day(net, load_trips('trips.csv'), Objective.UET)\n"
+            "print(loaded, 'scipy' in sys.modules, gc.get_freeze_count())")
+    done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=src_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False True 0"
+
+
 @pytest.mark.parametrize("workers", [1, 3])
 def test_the_entry_point_writes_what_main_writes(tmp_path, town_run, workers):
     _, main_out = town_run
@@ -217,19 +279,24 @@ def test_the_entry_point_writes_what_main_writes(tmp_path, town_run, workers):
 
 
 @pytest.mark.parametrize("preset", [None, "2"])
-def test_importing_flowscore_keeps_blas_to_one_thread(preset):
+def test_importing_flowscore_keeps_blas_to_one_thread(tmp_path, preset):
     # each OpenBLAS helper thread spins after every BLAS call, and a ddot over
-    # 10,000+ elements rounds by the thread count; a user's own setting stays
+    # 10,000+ elements rounds by the thread count; a user's own setting stays.
+    # The search loads scipy, and with it scipy's own OpenBLAS.
     if not os.path.isdir("/proc/self/task"):
         pytest.skip("thread count is read from /proc/self/task")
+    town_scenario(tmp_path)
     env = src_env()
     env.pop("OPENBLAS_NUM_THREADS", None)
     if preset is not None:
         env["OPENBLAS_NUM_THREADS"] = preset
-    code = ("import flowscore.cli, os, numpy as np; np.ones(20_001) @ np.ones(20_001); "
+    code = ("import flowscore.cli, os, sys, numpy as np; np.ones(20_001) @ np.ones(20_001); "
+            "net = flowscore.load_network('nodes.csv', 'links.csv'); "
+            "flowscore.qdta.RoutingGraph(net).shortest_paths([0], net.free_flow_h, ([0], [3])); "
+            "assert 'scipy' in sys.modules; "
             "print(os.environ['OPENBLAS_NUM_THREADS'], len(os.listdir('/proc/self/task')))")
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                          timeout=60)
+    done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     value, threads = done.stdout.split()
     assert value == (preset or "1")

@@ -126,6 +126,20 @@ def test_component_analysis():
     assert tied.validation.main_component_share == 0.5
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data(), n=st.integers(1, 30))
+def test_components_match_scipys(data, n):
+    """Random multigraphs, with isolated nodes, parallel and opposed links and
+    node ids in any order, give scipy's weakly connected components."""
+    ids = data.draw(st.lists(st.integers(-10**6, 10**6), min_size=n, max_size=n, unique=True))
+    nodes = [Node(node_id, 500.0 * k, 0.0) for k, node_id in enumerate(ids)]
+    ends = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+    pairs = data.draw(st.lists(ends, max_size=2 * n)) if n > 1 else []
+    net = fixtures.network(nodes, [straight_link(k, nodes[a], nodes[b], 30.0, 600.0, 5, 2)
+                                   for k, (a, b) in enumerate(pairs)])
+    assert net.validation == network_reference.validation(net)
+
+
 def test_orphans_listed_when_component_still_ok():
     base = grid_network(5, 5, spacing_miles=0.5)
     nodes = nodes_of(base) + [Node(200, 5e4, 5e4)]
