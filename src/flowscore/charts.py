@@ -8,7 +8,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .network import TEXT, Cell, LoadError, read_columns, write_csv
+from .network import TEXT, Cell, LoadError, per_cell, read_columns, write_csv
 
 OBJECTIVE_COLORS = {
     "uet": "#1f77b4",  # blue
@@ -62,7 +62,7 @@ def load_comparison(path) -> ComparisonTable:
     """A comparison table as write_comparison writes it: theme, indicator,
     unit, then one column of values (or NA) per objective."""
     columns = read_columns(path, "comparison", dict.fromkeys(("theme", "indicator", "unit"), TEXT),
-                           rest=Cell(_value, "NA or a finite, nonnegative number"))
+                           rest=Cell(per_cell(_value), "NA or a finite, nonnegative number"))
     theme, name, unit, *values = columns.values()
     if not values:
         raise LoadError(f"no objective columns in {path}, row 1")

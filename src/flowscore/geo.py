@@ -496,7 +496,8 @@ def _load_polygon_table(path: str, id_key: str, table, defaults: dict):
                 rings.append(geom["coordinates"][0])
             except (KeyError, IndexError, TypeError):
                 raise ValueError(_not_a_ring(path, number)) from None
-            props = feature.get("properties") or {}
+            props = feature.get("properties")
+            props = {} if props is None else props
             if not isinstance(props, dict):
                 raise ValueError(f"{path}: feature {number} properties are not an object")
             if id_key not in props:
@@ -563,7 +564,9 @@ def _ring_vertices_by_feature(path: str, rings: list) -> tuple[np.ndarray, np.nd
     the first bad feature."""
     points = []
     for number, ring in enumerate(rings, start=1):
-        try:
+        try:  # a str or a dict of two items would unpack to x, y too
+            if not all(isinstance(point, list) and len(point) == 2 for point in ring):
+                raise ValueError
             ring = [(_as_float(x), _as_float(y)) for x, y in ring]
         except (TypeError, ValueError):
             raise ValueError(_not_a_ring(path, number)) from None

@@ -95,7 +95,7 @@ class LinkDailyStats:
 
 def daily_stats(assignment) -> LinkDailyStats:
     """The link stats of a `qdta.AssignmentResult`'s flows."""
-    return LinkDailyStats(assignment.network, assignment.flows, assignment.interval_s)
+    return LinkDailyStats(assignment.network, assignment.flows, assignment.config.interval_s)
 
 
 def filtered_vmt_vhd(stats: LinkDailyStats, link_mask) -> tuple[float, float]:
@@ -241,9 +241,12 @@ def build_report(
 
     trips has the columns of `qdta.TripTable` (status, distance_miles,
     time_h, free_flow_h, fuel_l). The trip averages are over completed
-    trips, None when there is none; total fuel counts every trip. Each
-    sum runs left to right in row order, except the VMT near schools,
-    which adds the union of the buffers in link-id order.
+    trips, None when there is none; total fuel counts every trip. The
+    trip sums and the highway accidents add left to right in row order.
+    The link totals (VMT and VHD on neighborhood residential streets, in
+    all and in communities of concern, and the congested miles) are
+    numpy's pairwise `.sum()` over the links in row order, and the VMT
+    near schools is one over the union of the buffers in link-id order.
     """
     network = stats.network
 

@@ -8,10 +8,8 @@ from __future__ import annotations
 import contextlib
 import csv
 import itertools
-import math
 import operator
 import re
-from array import array
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -181,25 +179,11 @@ def _positions(keys: np.ndarray, order: np.ndarray, ids) -> np.ndarray:
 _WKT_LINESTRING = re.compile(r"\s*LINESTRING\s*\(([^()]*)\)\s*", re.IGNORECASE)
 
 
-def parse_wkt_linestring(text: str) -> tuple[tuple[float, float], ...]:
-    """The points of a WKT LINESTRING: the word in any case, then one
-    parenthesised list of `x y` pairs, and nothing else but whitespace."""
-    match = _WKT_LINESTRING.fullmatch(text)
-    if match is None:
-        raise ValueError(f"not a WKT LINESTRING: {text!r}")
-    points = []
-    for chunk in match[1].split(","):
-        parts = chunk.split()
-        if len(parts) != 2:
-            raise ValueError(f"malformed coordinate {chunk!r} in {text!r}")
-        points.append((float(parts[0]), float(parts[1])))
-    return tuple(points)
-
-
 def _linestrings(texts) -> tuple[np.ndarray, np.ndarray]:
-    """The points of WKT LINESTRING texts as `parse_wkt_linestring` reads
-    each, as one (N, 2) array of every text's points and each text's
-    point count: one match per text, then one float conversion of every
+    """The points of WKT LINESTRING texts, each the word in any case, then
+    one parenthesised list of `x y` pairs, and nothing else but whitespace;
+    as one (N, 2) array of every text's points and each text's point
+    count: one match per text, then one float conversion of every
     coordinate. Raises ValueError if any text is not a LINESTRING."""
     matches = list(map(_WKT_LINESTRING.fullmatch, texts))
     if None in matches:
@@ -222,32 +206,20 @@ def write_csv(path, header, rows) -> None:
 
 
 class Cell(NamedTuple):
-    """How the cells of one CSV column parse: `parse(text)` raises
-    ValueError, OverflowError or KeyError on a cell that is not `want`.
-
-    `column(texts)` parses many cells in one pass into an array, or a
-    tuple of arrays, that `read_columns` joins end to end with the next
-    cells'; it raises one of those errors when `parse` would raise on some
-    cell. Without it the column is the list of parsed cells.
+    """How the cells of one CSV column parse: `column(texts)` parses many
+    cells in one pass into a list, an array or a tuple of arrays, that
+    `read_columns` joins end to end with the next cells'. It raises
+    ValueError, OverflowError or KeyError if some cell is not `want`, and
+    raises it on that cell alone too.
     """
 
-    parse: Callable[[str], object]
+    column: Callable
     want: str
-    column: Callable | None = None
 
 
-def _int64(text: str) -> int:
-    value = int(text)
-    if -(1 << 63) <= value < 1 << 63:
-        return value
-    raise OverflowError(text)
-
-
-def _finite(text: str) -> float:
-    value = float(text)
-    if math.isfinite(value):
-        return value
-    raise ValueError(text)
+def per_cell(parse: Callable) -> Callable:
+    """The column function that parses each cell by `parse`."""
+    return lambda texts: list(map(parse, texts))
 
 
 def _finite_column(texts) -> np.ndarray:
@@ -255,21 +227,6 @@ def _finite_column(texts) -> np.ndarray:
     if np.isfinite(values).all():
         return values
     raise ValueError("non-finite number")
-
-
-# numpy converts each str with Python's int() or float(); an int beyond
-# int64 raises OverflowError
-INT64 = Cell(_int64, "an int64", lambda texts: np.array(texts, dtype=np.int64))
-FINITE = Cell(_finite, "a finite number", _finite_column)
-NUMBER = Cell(float, "a number", lambda texts: np.array(texts, dtype=float))
-TEXT = Cell(str, "text")
-WKT = Cell(parse_wkt_linestring, "a WKT LINESTRING", _linestrings)
-
-
-def _link_ids(text: str) -> array:
-    """A trip's links as int64s in an array("q"), which rejects an id
-    beyond int64 as the column's one pass does."""
-    return array("q", map(int, text.split("|")) if text else ())
 
 
 def _link_id_column(texts) -> tuple[np.ndarray, np.ndarray]:
@@ -280,12 +237,19 @@ def _link_id_column(texts) -> tuple[np.ndarray, np.ndarray]:
     return counts, np.array(joined.split("|") if joined else [], dtype=np.int64)
 
 
-LINK_IDS = Cell(_link_ids, "int64 link ids joined by '|'", _link_id_column)
+# numpy converts each str with Python's int() or float(); an int beyond
+# int64 raises OverflowError
+INT64 = Cell(lambda texts: np.array(texts, dtype=np.int64), "an int64")
+FINITE = Cell(_finite_column, "a finite number")
+NUMBER = Cell(lambda texts: np.array(texts, dtype=float), "a number")
+TEXT = Cell(per_cell(str), "text")
+WKT = Cell(_linestrings, "a WKT LINESTRING")
+LINK_IDS = Cell(_link_id_column, "int64 link ids joined by '|'")
 
 
 def one_of(choices: dict) -> Cell:
     """A cell that must be one of the keys of `choices`, parsed to its value."""
-    return Cell(choices.__getitem__, "one of " + ", ".join(choices))
+    return Cell(per_cell(choices.__getitem__), "one of " + ", ".join(choices))
 
 
 # a trips file's `links` cell joins a whole trip's ids: a trip of 30,000
@@ -314,8 +278,8 @@ def read_columns(path, kind: str, parsers: dict[str, Cell], rest: Cell | None = 
     header's, or a cell its parser rejects raises a LoadError that names
     the file and the row, and the column and its value. Blank lines are
     skipped. The cells parse _CSV_ROWS rows at a time, a column in one
-    pass; when a pass fails, the file is read again a row at a time to
-    name the first bad row.
+    pass; when a pass fails, its rows are parsed a cell at a time to name
+    the first bad row.
     """
     with open(path, newline="") as fh:
         rows = _csv_rows(path, fh)
@@ -330,20 +294,23 @@ def read_columns(path, kind: str, parsers: dict[str, Cell], rest: Cell | None = 
             parsers = {**parsers, **{name: rest for name in header if name not in parsers}}
         parts = {name: [] for name in parsers}
         columns = [(parts[name], header.index(name), cell) for name, cell in parsers.items()]
-        try:
-            while True:  # once at least, so that a header-only file gives typed columns
-                chunk = list(itertools.islice(rows, _CSV_ROWS))
+        row_no = 2  # of the chunk's first row
+        while True:  # once at least, so that a header-only file gives typed columns
+            chunk = []
+            try:
+                chunk.extend(itertools.islice(rows, _CSV_ROWS))  # keeps rows read before a raise
                 if set(map(len, chunk)) - {len(header)}:
                     raise ValueError("a row's cell count differs from the header's")
                 texts = list(zip(*chunk)) or [()] * len(header)
                 for part, i, cell in columns:
-                    part.append(cell.column(texts[i]) if cell.column
-                                else list(map(cell.parse, texts[i])))
-                if len(chunk) < _CSV_ROWS:
-                    break
-        except (ValueError, OverflowError, KeyError):  # a LoadError is a ValueError
-            _name_bad_row(path, header, parsers)  # a bad cell before an unreadable row comes first
-            raise
+                    part.append(cell.column(texts[i]))
+            except (ValueError, OverflowError, KeyError):  # a LoadError is a ValueError
+                # a bad cell before an unreadable row comes first
+                _name_bad_row(path, header, parsers, chunk, row_no)
+                raise
+            if len(chunk) < _CSV_ROWS:
+                break
+            row_no += len(chunk)
     return {name: _joined(part) for name, part in parts.items()}
 
 
@@ -362,24 +329,21 @@ def _joined(parts: list):
     return [value for part in parts for value in part]
 
 
-def _name_bad_row(path, header, parsers: dict[str, Cell]) -> None:
-    """Raise the LoadError of the first row of the CSV file at `path` (row
-    2 on) that the csv module cannot read, whose cell count is not the
-    header's or that has a cell its parser rejects."""
-    cells = [(name, header.index(name), cell.parse) for name, cell in parsers.items()]
-    with open(path, newline="") as fh:
-        rows = _csv_rows(path, fh)
-        next(rows)  # the header
-        for row_no, row in enumerate(rows, start=2):
-            if len(row) != len(header):
-                raise LoadError(f"{len(row)} cells under a {len(header)}-column header "
-                                f"in {path}, row {row_no}")
-            for name, i, parse in cells:
-                try:
-                    parse(row[i])
-                except (ValueError, OverflowError, KeyError):
-                    raise LoadError(f"{name} {row[i]!r} is not {parsers[name].want} "
-                                    f"in {path}, row {row_no}") from None
+def _name_bad_row(path, header, parsers: dict[str, Cell], rows: list, row_no: int) -> None:
+    """Raise the LoadError of the first of `rows`, rows `row_no` on of the
+    CSV file at `path`, whose cell count is not the header's or that has a
+    cell its Cell's `column` rejects on its own."""
+    cells = [(name, header.index(name), cell) for name, cell in parsers.items()]
+    for row_no, row in enumerate(rows, start=row_no):
+        if len(row) != len(header):
+            raise LoadError(f"{len(row)} cells under a {len(header)}-column header "
+                            f"in {path}, row {row_no}")
+        for name, i, cell in cells:
+            try:
+                cell.column([row[i]])
+            except (ValueError, OverflowError, KeyError):
+                raise LoadError(f"{name} {row[i]!r} is not {cell.want} "
+                                f"in {path}, row {row_no}") from None
 
 
 @contextlib.contextmanager

@@ -793,10 +793,6 @@ class AssignmentResult:
     network: Network
 
     @property
-    def interval_s(self) -> float:
-        return self.config.interval_s
-
-    @property
     def records(self) -> list[TripRecord]:
         """One TripRecord per row of `trips`, built anew on each access."""
         t = self.trips

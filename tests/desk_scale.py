@@ -19,7 +19,9 @@ the day's flow table, the CPU seconds of scoring's flow inputs
 (`indicators.daily_stats`, the morning and school windows' `window_vmt`
 and `congested_miles`), and the CPU seconds of `cli.read_flows_csv` and
 of `cli.read_trips_csv` on the files written (`read_flows_csv_cpu_s`
-and `read_trips_csv_cpu_s`).
+and `read_trips_csv_cpu_s`), and of `cli.read_trips_csv` on a copy of the
+trips file whose last row's `start_s` is `abc`
+(`read_trips_csv_error_cpu_s`), checking that the LoadError names that row.
 Then it prints the median day CPU seconds and the process's peak resident
 memory, and the CPU seconds and peak resident memory of a fresh
 `python -c "import flowscore.cli"`, which every command pays before it
@@ -39,6 +41,7 @@ from pathlib import Path
 
 # flowscore first, so its one-thread BLAS setting is in place before numpy loads
 from flowscore import cli, indicators, qdta
+from flowscore.network import LoadError
 from fixtures import (counts, grid_network, links_of, network, nodes_of, perf_network,
                       perf_trips)
 
@@ -124,6 +127,20 @@ def main() -> None:
             start = time.process_time()
             cli.read_trips_csv(Path(out) / f"trips_{args.objective}.csv")
             print(f"  read_trips_csv_cpu_s {time.process_time() - start:.3f}")
+            bad = Path(out) / "trips_bad.csv"
+            text = (Path(out) / f"trips_{args.objective}.csv").read_bytes()
+            head, last = text.removesuffix(b"\r\n").rsplit(b"\r\n", 1)
+            cells = last.split(b",")
+            cells[cli.TRIP_COLUMNS.index("start_s")] = b"abc"
+            bad.write_bytes(head + b"\r\n" + b",".join(cells) + b"\r\n")
+            error, start = None, time.process_time()
+            try:
+                cli.read_trips_csv(bad)
+            except LoadError as exc:
+                error = str(exc)
+            print(f"  read_trips_csv_error_cpu_s {time.process_time() - start:.3f}")
+            assert error == (f"start_s 'abc' is not a finite number in {bad}, "
+                             f"row {result.trips.trip_id.size + 1}"), error
     print(f"median_day_cpu_s {statistics.median(days):.3f} over {args.repeat} days "
           f"peak_rss_mb {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.0f}")
     print(subprocess.run([sys.executable, "-c", _IMPORT_CLI], capture_output=True, text=True,

@@ -576,7 +576,7 @@ def assert_dense_figures(result, states, entered, window_s=(25_200.0, 32_400.0))
         adt += veh_row
         vhd += veh_row * (fs.time_h - net.free_flow_h)
     k = np.arange(len(states))
-    sel = (k * result.interval_s < window_s[1]) & ((k + 1) * result.interval_s > window_s[0])
+    sel = (k * config.interval_s < window_s[1]) & ((k + 1) * config.interval_s > window_s[0])
     want = {
         "adt": adt,
         "vhd": vhd,

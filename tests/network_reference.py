@@ -4,19 +4,22 @@ the `check_rows` masks of flowscore.network.Network must match.
 `link_error` is the per-link check that the network's link objects once
 made as each was built; `first_error` adds the table-wide rules after it,
 in the network's order. `read_columns_by_row` is the CSV column reader's
-row loop, which the column-at-a-time reader must match. `validation`
+row loop, which parses each cell by Python's rules, `PARSE`; the
+column-at-a-time reader must match it. `validation`
 is the network's ValidationReport from scipy's weakly connected
 components, which the network's own numpy count must match.
 """
 import csv
 import math
+from array import array
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from flowscore import geo
-from flowscore.network import METERS_PER_MILE, LoadError, ValidationReport
+from flowscore.network import (FINITE, INT64, LINK_IDS, METERS_PER_MILE, NUMBER, WKT, LoadError,
+                               ValidationReport, _WKT_LINESTRING)
 
 
 def link_error(link) -> str | None:
@@ -63,9 +66,49 @@ def first_error(nodes, links):
     return None
 
 
+def int64(text: str) -> int:
+    value = int(text)
+    if -(1 << 63) <= value < 1 << 63:
+        return value
+    raise OverflowError(text)
+
+
+def finite(text: str) -> float:
+    value = float(text)
+    if math.isfinite(value):
+        return value
+    raise ValueError(text)
+
+
+def wkt_linestring(text: str) -> tuple[tuple[float, float], ...]:
+    """The points of a WKT LINESTRING: the word in any case, then one
+    parenthesised list of `x y` pairs, and nothing else but whitespace."""
+    match = _WKT_LINESTRING.fullmatch(text)
+    if match is None:
+        raise ValueError(f"not a WKT LINESTRING: {text!r}")
+    points = []
+    for chunk in match[1].split(","):
+        parts = chunk.split()
+        if len(parts) != 2:
+            raise ValueError(f"malformed coordinate {chunk!r} in {text!r}")
+        points.append((float(parts[0]), float(parts[1])))
+    return tuple(points)
+
+
+def link_ids(text: str) -> array:
+    """A trip's links as int64s in an array("q"), which rejects an id
+    beyond int64 as the column's one pass does."""
+    return array("q", map(int, text.split("|")) if text else ())
+
+
+# each Cell's parser of one cell: it raises ValueError or OverflowError on
+# a cell that is not the Cell's `want`
+PARSE = {INT64: int64, FINITE: finite, NUMBER: float, WKT: wkt_linestring, LINK_IDS: link_ids}
+
+
 def read_columns_by_row(path, kind: str, parsers: dict) -> dict:
     """`flowscore.network.read_columns` one cell at a time: the csv module's
-    rows, each cell parsed by its Cell's `parse`, each column the list of
+    rows, each cell parsed by `PARSE[cell]`, each column the list of
     its parsed cells. A missing column, a row whose cell count differs
     from the header's, or a cell that does not parse raises read_columns'
     LoadError, for the first such row."""
@@ -83,7 +126,7 @@ def read_columns_by_row(path, kind: str, parsers: dict) -> dict:
             for name, cell in parsers.items():
                 text = row[header.index(name)]
                 try:
-                    columns[name].append(cell.parse(text))
+                    columns[name].append(PARSE[cell](text))
                 except (ValueError, OverflowError, KeyError):
                     raise LoadError(f"{name} {text!r} is not {cell.want} "
                                     f"in {path}, row {row_no}") from None

@@ -428,6 +428,48 @@ def test_load_features_reject_a_fractional_id(tmp_path, id_key, load, bad):
 
 
 @LOADERS
+@pytest.mark.parametrize("bad", [2**63, -2**63 - 1])
+def test_load_features_reject_an_id_beyond_int64(tmp_path, id_key, load, bad):
+    path = two_feature_file(tmp_path / "ids.geojson", id_key)
+    path.write_text(path.read_text().replace(f'"{id_key}": 2', f'"{id_key}": {bad}'))
+    with pytest.raises(ValueError, match="^" + re.escape(
+            f"{path}: {id_key} {bad} is not an int64 (feature 2)") + "$"):
+        load(str(path))
+
+
+def with_second_feature(path, key, value):
+    """Rewrite the GeoJSON file at path with the second feature's `key` set to value."""
+    doc = json.loads(path.read_text())
+    doc["features"][1][key] = value
+    path.write_text(json.dumps(doc))
+
+
+@LOADERS
+def test_load_features_reject_a_vertex_that_is_not_an_array(tmp_path, id_key, load):
+    # each 2-character string would unpack to a vertex: a square from (0, 0) to (4, 4)
+    path = two_feature_file(tmp_path / "ring.geojson", id_key)
+    with_second_feature(path, "geometry",
+                        {"type": "Polygon", "coordinates": [["00", "40", "44", "04"]]})
+    with pytest.raises(ValueError, match="^" + re.escape(
+            f"{path}: feature 2 coordinates are not a ring of [x, y] numbers") + "$"):
+        load(str(path))
+
+
+@LOADERS
+@pytest.mark.parametrize("props", [[], 0, "", False], ids=["list", "zero", "text", "false"])
+def test_load_features_reject_properties_that_are_not_an_object(tmp_path, id_key, load, props):
+    path = two_feature_file(tmp_path / "props.geojson", id_key)
+    with_second_feature(path, "properties", props)
+    with pytest.raises(ValueError, match="^" + re.escape(
+            f"{path}: feature 2 properties are not an object") + "$"):
+        load(str(path))
+    with_second_feature(path, "properties", None)  # null is an empty object
+    with pytest.raises(ValueError, match="^" + re.escape(
+            f"{path}: {id_key.removesuffix('_id')} feature 2 missing {id_key}") + "$"):
+        load(str(path))
+
+
+@LOADERS
 @pytest.mark.parametrize("value, want", [("7", 7), ("2.0", 2), ('"7"', 7)])
 def test_load_features_read_whole_ids(tmp_path, id_key, load, value, want):
     path = two_feature_file(tmp_path / "ids.geojson", id_key)

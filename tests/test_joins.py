@@ -6,6 +6,7 @@ so every run checks the same cases. The joins must also not change when a
 whole city moves to projected-CRS coordinates.
 """
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -402,6 +403,16 @@ def test_town_joins_ignore_a_translation(scale, late_trips):
     network, _, parcels, schools, tracts = town(scale, late_trips)
     scene = (nodes_of(network), links_of(network), parcels, schools, tracts)
     assert joins(*moved(scene, *OFFSET)) == joins(*scene)
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_town_joins_ignore_the_chunk_size(chunk):
+    # with a few items per chunk, each join's pairs run in several chunks
+    network, _, parcels, schools, tracts = town()
+    scene = (nodes_of(network), links_of(network), parcels, schools, tracts)
+    want = joins(*scene)
+    with mock.patch.object(geo, "_CHUNK", chunk):
+        assert joins(*scene) == want
 
 
 def whole_meter_city(rng, n):

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from flowscore import network
 from flowscore.network import (FINITE, INT64, LINK_IDS, METERS_PER_MILE, NUMBER, WKT, LoadError,
-                               _BadRow, load_network, parse_wkt_linestring, read_columns)
+                               _BadRow, load_network, read_columns)
 
 import fixtures
 import network_reference
@@ -55,18 +55,16 @@ def test_load_minimal_network(tmp_path):
 
 def test_wkt_roundtrip():
     pts = ((0.0, 0.0), (12.5, -3.75), (100.125, 42.0))
-    assert parse_wkt_linestring(format_wkt_linestring(pts)) == pts
-    assert parse_wkt_linestring("linestring(0 1, 2 3)") == ((0.0, 1.0), (2.0, 3.0))
-    with pytest.raises(ValueError):
-        parse_wkt_linestring("POINT (0 0)")
-    with pytest.raises(ValueError):
-        parse_wkt_linestring("LINESTRING (0 0, 1)")
-    with pytest.raises(ValueError):
-        parse_wkt_linestring("LINESTRING 0 0, 1 1")
-    with pytest.raises(ValueError):
-        parse_wkt_linestring("LINESTRING (0 0, 1 1) trailing")
-    with pytest.raises(ValueError):
-        parse_wkt_linestring("LINESTRINGFOO (0 0, 1 1)")
+    xy, sizes = WKT.column([format_wkt_linestring(pts), "linestring(0 1, 2 3)"])
+    assert xy.tolist() == [[*p] for p in pts + ((0.0, 1.0), (2.0, 3.0))]
+    assert sizes.tolist() == [3, 2]
+    for text, message in (("POINT (0 0)", "not a WKT LINESTRING"),
+                          ("LINESTRING (0 0, 1)", "malformed coordinate"),
+                          ("LINESTRING 0 0, 1 1", "not a WKT LINESTRING"),
+                          ("LINESTRING (0 0, 1 1) trailing", "not a WKT LINESTRING"),
+                          ("LINESTRINGFOO (0 0, 1 1)", "not a WKT LINESTRING")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            WKT.column([text])
 
 
 def test_save_load_roundtrip(tmp_path):

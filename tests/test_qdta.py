@@ -159,6 +159,9 @@ def test_solver_config_validation():
         SolverConfig(speed_floor_mph=50.0, speed_cap_mph=40.0)
     with pytest.raises(ValueError):
         SolverConfig(max_iterations=0)
+    for tol in (0.0, 1.0):
+        with pytest.raises(ValueError, match="^line_search_tol must be in \\(0, 1\\)$"):
+            SolverConfig(line_search_tol=tol)
 
 
 def test_solver_config_keeps_the_speed_clamp_inside_the_fuel_model():
