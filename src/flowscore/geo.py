@@ -139,10 +139,7 @@ class Tracts:
         from .network import check_rows  # network imports geo
 
         self.ids = np.array(ids, dtype=np.int64)
-        number = np.array([isinstance(v, numbers.Real) and not isinstance(v, bool)
-                           for v in population], dtype=bool)
-        self.population = np.array([_as_float(v) if ok else math.nan
-                                    for v, ok in zip(population, number)], dtype=float)
+        number, self.population = _reals(population)
         self.rings = _Shapes(xy, sizes, True)
         check_rows({"id": self.ids, "population": population, "is_coc": is_coc}, {
             "is_coc {is_coc!r} is not a boolean or 0/1":
@@ -152,6 +149,22 @@ class Tracts:
             "tract {id} population must be finite and nonnegative":
                 ~(np.isfinite(self.population) & (self.population >= 0))})
         self.is_coc = np.array(is_coc, dtype=bool)
+
+
+def _reals(values: list) -> tuple[np.ndarray, np.ndarray]:
+    """Which values are numbers, any `numbers.Real` but a boolean, and each
+    as a float: NaN where it is not one, and an infinity of its sign for an
+    integer too large for a float."""
+    if set(map(type, values)) <= {int, float}:  # JSON's numbers, with no test of each value
+        real = np.ones(len(values), dtype=bool)
+    else:
+        real = np.array([isinstance(v, numbers.Real) and not isinstance(v, bool)
+                         for v in values], dtype=bool)
+        values = [v if ok else math.nan for v, ok in zip(values, real.tolist())]
+    try:
+        return real, np.array(values, dtype=float)
+    except OverflowError:  # an int too large for a float
+        return real, np.array(list(map(_as_float, values)), dtype=float)
 
 
 def _as_float(number) -> float:
@@ -466,11 +479,13 @@ def _load_polygon_table(path: str, id_key: str, table, defaults: dict):
     with one column per property named in `defaults`, which gives its
     value where a feature lacks it.
 
-    Ids must be unique whole numbers, not booleans, and coordinates
-    finite. Errors, and the rules that the table checks, name the file
-    and the feature, counting from 1.
+    Ids must be unique whole numbers, not booleans, and each vertex a
+    list of two finite `_reals`. Errors, and the rules that the table
+    checks, name the file and the first bad feature, counting from 1; a
+    feature that breaks several rules is named by the first of the rules
+    below, or else by the table's first.
     """
-    from .network import _BadRow  # network imports geo
+    from .network import _BadRow, check_rows  # network imports geo
 
     with open(path) as fh:
         try:
@@ -483,98 +498,76 @@ def _load_polygon_table(path: str, id_key: str, table, defaults: dict):
     if not isinstance(features, list):
         raise ValueError(f"{path}: features must be a list")
     kind = id_key.removesuffix("_id")
-    first_use: dict[int, int] = {}
-    rings, columns = [], [[] for _ in defaults]
+    not_polygon, rings, props, not_object, whole = [], [], [], [], []
+    for feature in features:
+        feature = feature if isinstance(feature, dict) else {}
+        geom = feature.get("geometry")
+        polygon = isinstance(geom, dict) and geom.get("type") == "Polygon"
+        coords = geom.get("coordinates") if polygon else None
+        # exterior ring only; holes are out of scope for these inputs
+        ring = coords[0] if isinstance(coords, list) and coords else None
+        not_polygon.append(not polygon)
+        rings.append(ring if isinstance(ring, list) else [None])  # a vertex that is not [x, y]
+        given = feature.get("properties")
+        not_object.append(not (given is None or isinstance(given, dict)))
+        props.append(given if isinstance(given, dict) else {})
+        value = props[-1].get(id_key)
+        try:  # int() would truncate 1.5 and take true as 1
+            whole.append(None if isinstance(value, bool) or (
+                isinstance(value, float) and not value.is_integer()) else int(value))
+        except (TypeError, ValueError):
+            whole.append(None)
+    int64 = [v is not None and -(1 << 63) <= v < 1 << 63 for v in whole]
+    ids = np.array([v if ok else 0 for v, ok in zip(whole, int64)], dtype=np.int64)
+    _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+    number, first = np.arange(1, len(features) + 1), first[inverse] + 1
+    xy, sizes, odd, infinite = _ring_vertices(rings)
+
+    def table_of(stop: int):
+        """The table of the first `stop` features, naming the first bad one."""
+        try:
+            return table(ids[:stop], xy[:sizes[:stop].sum()], sizes[:stop], *(
+                [p.get(name, default) for p in props[:stop]] for name, default in defaults.items()))
+        except _BadRow as exc:
+            raise ValueError(f"{path}: {exc} (feature {exc.position + 1})") from None
+
     try:
-        for number, feature in enumerate(features, start=1):
-            feature = feature if isinstance(feature, dict) else {}
-            geom = feature.get("geometry")
-            if not isinstance(geom, dict) or geom.get("type") != "Polygon":
-                raise ValueError(
-                    f"{path}: only Polygon geometries are supported (feature {number})")
-            try:  # exterior ring only; holes are out of scope for these inputs
-                rings.append(geom["coordinates"][0])
-            except (KeyError, IndexError, TypeError):
-                raise ValueError(_not_a_ring(path, number)) from None
-            props = feature.get("properties")
-            props = {} if props is None else props
-            if not isinstance(props, dict):
-                raise ValueError(f"{path}: feature {number} properties are not an object")
-            if id_key not in props:
-                raise ValueError(f"{path}: {kind} feature {number} missing {id_key}")
-            value = props[id_key]
-            try:  # int() would truncate 1.5 and take true as 1
-                if isinstance(value, bool) or (isinstance(value, float)
-                                               and not value.is_integer()):
-                    raise ValueError
-                feature_id = int(value)
-            except (TypeError, ValueError):
-                raise ValueError(
-                    f"{path}: {id_key} {value!r} is not an integer (feature {number})"
-                ) from None
-            if not -(1 << 63) <= feature_id < 1 << 63:  # the tables hold ids as int64
-                raise ValueError(
-                    f"{path}: {id_key} {value!r} is not an int64 (feature {number})")
-            if feature_id in first_use:
-                raise ValueError(
-                    f"{path}: duplicate {id_key} {feature_id} in feature {number}"
-                    f" (first in feature {first_use[feature_id]})"
-                )
-            first_use[feature_id] = number
-            for column, (name, default) in zip(columns, defaults.items()):
-                column.append(props.get(name, default))
-    except ValueError:
-        _ring_vertices(path, rings)  # a bad ring up to this feature comes first
-        raise
-    xy, sizes = _ring_vertices(path, rings)
+        check_rows({"number": number, "value": [p.get(id_key) for p in props], "id": ids,
+                    "first": first}, {
+            "only Polygon geometries are supported (feature {number})": not_polygon,
+            "feature {number} coordinates are not a ring of [x, y] numbers": odd,
+            "feature {number} has a non-finite coordinate": infinite,
+            "feature {number} properties are not an object": not_object,
+            f"{kind} feature {{number}} missing {id_key}": [id_key not in p for p in props],
+            f"{id_key} {{value!r}} is not an integer (feature {{number}})":
+                [v is None for v in whole],
+            f"{id_key} {{value!r}} is not an int64 (feature {{number}})":  # as the tables hold ids
+                [not ok for ok in int64],
+            f"duplicate {id_key} {{id}} in feature {{number}} (first in feature {{first}})":
+                first != number})
+    except _BadRow as exc:
+        table_of(exc.position)  # the table's rules first on the features before this one
+        raise ValueError(f"{path}: {exc}") from None
+    return table_of(len(features))
+
+
+def _ring_vertices(rings: list) -> tuple[np.ndarray, ...]:
+    """The vertices of the GeoJSON rings, each a list, as one (N, 2) float
+    array and each ring's vertex count, a closing point that repeats the
+    first left out; then per ring, whether a vertex of it is not a list of
+    two `_reals` (NaN in the array), and whether one is not finite."""
+    sizes = np.fromiter(map(len, rings), np.int64, len(rings))
+    vertices = [v if isinstance(v, list) and len(v) == 2 else (None, None)
+                for v in itertools.chain.from_iterable(rings)]
+    real, xy = _reals(list(itertools.chain.from_iterable(vertices)))
+    xy, ring = xy.reshape(-1, 2), np.repeat(np.arange(len(rings)), sizes)
+    broken = [_any_per(ring, ~ok.all(axis=1), len(rings))
+              for ok in (real.reshape(-1, 2), np.isfinite(xy))]
     ends = np.cumsum(sizes)
     k = np.flatnonzero(sizes > 1)
     k = k[(xy[ends[k] - sizes[k]] == xy[ends[k] - 1]).all(axis=1)]  # rings given closed
-    xy = np.delete(xy, ends[k] - 1, axis=0)
     sizes[k] -= 1
-    try:  # first_use holds the ids in file order
-        return table(list(first_use), xy, sizes, *columns)
-    except _BadRow as exc:
-        raise ValueError(f"{path}: {exc} (feature {exc.position + 1})") from None
-
-
-def _not_a_ring(path: str, number: int) -> str:
-    return f"{path}: feature {number} coordinates are not a ring of [x, y] numbers"
-
-
-def _ring_vertices(path: str, rings: list) -> tuple[np.ndarray, np.ndarray]:
-    """The vertices of the GeoJSON rings as one (N, 2) float array, and each
-    ring's vertex count. A ring that is not a list of [x, y] numbers, or a
-    non-finite coordinate, raises a ValueError that names the first such
-    feature; numbers too large for a float count as infinite."""
-    try:
-        sizes = np.fromiter(map(len, rings), np.int64, len(rings))
-        vertices = list(itertools.chain.from_iterable(rings))
-        xy = np.array(vertices, dtype=float)  # numpy converts each number with float()
-        if xy.shape == (len(vertices), 2) and np.isfinite(xy).all():
-            return xy, sizes
-    except (TypeError, ValueError, OverflowError):
-        pass
-    return _ring_vertices_by_feature(path, rings)
-
-
-def _ring_vertices_by_feature(path: str, rings: list) -> tuple[np.ndarray, np.ndarray]:
-    """`_ring_vertices` one feature at a time, each coordinate by `_as_float`:
-    the reference its one-pass conversion must match, which also names
-    the first bad feature."""
-    points = []
-    for number, ring in enumerate(rings, start=1):
-        try:  # a str or a dict of two items would unpack to x, y too
-            if not all(isinstance(point, list) and len(point) == 2 for point in ring):
-                raise ValueError
-            ring = [(_as_float(x), _as_float(y)) for x, y in ring]
-        except (TypeError, ValueError):
-            raise ValueError(_not_a_ring(path, number)) from None
-        if not all(math.isfinite(x) and math.isfinite(y) for x, y in ring):
-            raise ValueError(f"{path}: feature {number} has a non-finite coordinate")
-        points.append(ring)
-    sizes = np.array(list(map(len, points)), dtype=np.int64)
-    return np.array([p for ring in points for p in ring], dtype=float).reshape(-1, 2), sizes
+    return np.delete(xy, ends[k] - 1, axis=0), sizes, *broken
 
 
 def load_tracts(path: str) -> Tracts:

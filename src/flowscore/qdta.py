@@ -634,8 +634,8 @@ def _load_all_or_nothing(graph: RoutingGraph, batch: _DemandBatch, link_costs: n
     step_od, head, tail = (np.concatenate([np.empty(0, np.intp), *parts])
                            for parts in (steps, heads, tails))
     links = chosen[graph.edge_slot(head, tail)]
-    flows = np.zeros(graph.net.n_links, dtype=float)
-    np.add.at(flows, links, batch.od_rate[step_od])  # step-major: a fixed order of addition
+    # added step-major, a fixed order; with no link loaded, bincount's zeros are ints
+    flows = np.bincount(links, batch.od_rate[step_od], graph.net.n_links).astype(float)
     length = np.bincount(step_od, minlength=batch.od_dest.size)
     table = np.zeros((batch.od_dest.size, len(steps)), dtype=np.intp)
     step = np.repeat(np.arange(len(steps)), [s.size for s in steps])

@@ -10,7 +10,12 @@ equal answers, with no tolerance; `polyline_bbox` is the same for
 are the same for the lengths, areas and midpoints that flowscore.geo
 takes from its vertex tables. The joins at the end scan every candidate
 with these predicates. Boundary cases are inclusive, as in flowscore.geo.
+
+`read_polygon_features` reads a tracts or parcels GeoJSON file feature by
+feature with `json` and Python's rules, as the reference of the loaders'
+one pass.
 """
+import json
 import math
 
 from flowscore.geo import _EPS, Point, _crosses_properly, _orient
@@ -191,3 +196,102 @@ def link_tract(link, tracts) -> int:
     """Position of the first tract that holds the link's midpoint, or -1."""
     mid = link_midpoint(link.geometry)
     return next((k for k, t in enumerate(tracts) if point_in_polygon(mid, t.polygon)), -1)
+
+
+def _coordinate(value) -> float | None:
+    """A JSON int or float, not a bool, as a float, an int too large for a
+    float an infinity of its sign; None for anything else."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return None
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def _feature_rule(kind: str, feature_id: int, ring: list, values: list) -> str | None:
+    """The first rule of the tracts' or the parcels' table that a feature
+    breaks, in the table's order, or None."""
+    n = len(ring) - 1 if len(ring) > 1 and ring[0] == ring[-1] else len(ring)
+    area = polygon_area(ring) if n >= 3 else math.nan
+    rules = [(n < 3, f"{kind} {feature_id} polygon needs >= 3 points"),
+             (area == 0.0, f"{kind} {feature_id} has zero area"),
+             (not math.isfinite(area), f"{kind} {feature_id} has a non-finite area")]
+    if kind == "parcel":
+        (land_use,) = values
+        known = isinstance(land_use, str) and land_use in {u.value for u in LandUse}
+        rules.insert(0, (not known, f"bad land_use {land_use!r}, want one of R,C,I,P,O"))
+    else:
+        population, is_coc = values
+        number = isinstance(population, (int, float)) and not isinstance(population, bool)
+        finite = number and math.isfinite(_coordinate(population)) and population >= 0
+        rules = [(is_coc not in (0, 1), f"is_coc {is_coc!r} is not a boolean or 0/1"),
+                 (not number, f"population {population!r} is not a number"), *rules,
+                 (not finite, f"tract {feature_id} population must be finite and nonnegative")]
+    return next((rule for broken, rule in rules if broken), None)
+
+
+def read_polygon_features(path, id_key: str, defaults: dict):
+    """The tracts (id_key "tract_id", defaults for population and is_coc)
+    or the parcels ("parcel_id", land_use) of a GeoJSON file, read one
+    feature at a time: (ids, rings, columns), each ring a list of float
+    (x, y) tuples, a closing point that repeats the first left out, and a
+    column of raw property values per name in `defaults`. Or the text of
+    the error that names the first bad feature and its first broken rule."""
+    kind = id_key.removesuffix("_id")
+    with open(path) as fh:
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            return f"{path}: bad JSON: {exc}"
+    if not isinstance(doc, dict) or doc.get("type") != "FeatureCollection":
+        return f"{path}: expected a GeoJSON FeatureCollection"
+    features = doc.get("features", [])
+    if not isinstance(features, list):
+        return f"{path}: features must be a list"
+    ids, rings, columns, first_use = [], [], [[] for _ in defaults], {}
+    for number, feature in enumerate(features, start=1):
+        feature = feature if isinstance(feature, dict) else {}
+        geometry = feature.get("geometry")
+        if not isinstance(geometry, dict) or geometry.get("type") != "Polygon":
+            return f"{path}: only Polygon geometries are supported (feature {number})"
+        coordinates = geometry.get("coordinates")
+        ring = coordinates[0] if isinstance(coordinates, list) and coordinates else None
+        if not isinstance(ring, list) or not all(
+                isinstance(point, list) and len(point) == 2
+                and all(_coordinate(c) is not None for c in point) for point in ring):
+            return f"{path}: feature {number} coordinates are not a ring of [x, y] numbers"
+        ring = [(_coordinate(x), _coordinate(y)) for x, y in ring]
+        if not all(math.isfinite(c) for point in ring for c in point):
+            return f"{path}: feature {number} has a non-finite coordinate"
+        if len(ring) > 1 and ring[0] == ring[-1]:
+            ring.pop()
+        properties = feature.get("properties")
+        properties = {} if properties is None else properties
+        if not isinstance(properties, dict):
+            return f"{path}: feature {number} properties are not an object"
+        if id_key not in properties:
+            return f"{path}: {kind} feature {number} missing {id_key}"
+        value = properties[id_key]
+        fraction = isinstance(value, float) and not value.is_integer()
+        try:
+            feature_id = None if isinstance(value, bool) or fraction else int(value)
+        except (TypeError, ValueError):
+            feature_id = None
+        if feature_id is None:
+            return f"{path}: {id_key} {value!r} is not an integer (feature {number})"
+        if not -2**63 <= feature_id < 2**63:
+            return f"{path}: {id_key} {value!r} is not an int64 (feature {number})"
+        if feature_id in first_use:
+            return (f"{path}: duplicate {id_key} {feature_id} in feature {number}"
+                    f" (first in feature {first_use[feature_id]})")
+        first_use[feature_id] = number
+        values = [properties.get(name, default) for name, default in defaults.items()]
+        rule = _feature_rule(kind, feature_id, ring, values)
+        if rule:
+            return f"{path}: {rule} (feature {number})"
+        ids.append(feature_id)
+        rings.append(ring)
+        for column, value in zip(columns, values):
+            column.append(value)
+    return ids, rings, columns

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from flowscore import geo
 from flowscore.geo import (
@@ -565,6 +565,46 @@ def test_load_tracts_names_the_first_bad_feature(tmp_path, first, second):
         load_tracts(str(path))
 
 
+# a broken loader rule planted in a tract feature, and the message that names
+# it in feature n; each is applied after a table rule's break in the same feature
+LOADER_BREAKS = {
+    "repeated_id": (lambda f: f["properties"].update(tract_id=1),
+                    "duplicate tract_id 1 in feature {n} (first in feature 1)"),
+    "fractional_id": (lambda f: f["properties"].update(tract_id=1.5),
+                      "tract_id 1.5 is not an integer (feature {n})"),
+    "not_polygon": (lambda f: f["geometry"].update(type="Point"),
+                    "only Polygon geometries are supported (feature {n})"),
+    "non_finite": (lambda f: f["geometry"]["coordinates"][0][1].__setitem__(1, math.nan),
+                   "feature {n} has a non-finite coordinate"),
+    "string_vertex": (lambda f: f["geometry"]["coordinates"][0].__setitem__(1, ["1", "0"]),
+                      "feature {n} coordinates are not a ring of [x, y] numbers"),
+}
+
+
+@pytest.mark.parametrize("loader_break", LOADER_BREAKS)
+@pytest.mark.parametrize("table_break", ["zero_area", "is_coc"])
+@pytest.mark.parametrize("order", ["loader_rule_first", "table_rule_first", "same_feature"])
+def test_load_tracts_names_the_first_bad_feature_by_any_rule(tmp_path, loader_break, table_break,
+                                                             order):
+    # a loader rule and a table rule broken in features 2 and 3, either way
+    # round, or both in feature 2: the error names feature 2, and within a
+    # feature the loader's rule comes before the table's
+    path = tmp_path / "tracts.geojson"
+    write_tracts_geojson(path, [Tract(k, square(50.0 * k, 0.0, 10.0), 100.0, False)
+                                for k in (1, 2, 3)])
+    doc = json.loads(path.read_text())
+    second, third = doc["features"][1:]
+    at_table, at_loader = {"loader_rule_first": (third, second), "same_feature": (second, second),
+                           "table_rule_first": (second, third)}[order]
+    BREAKS[table_break][0](at_table)
+    LOADER_BREAKS[loader_break][0](at_loader)
+    path.write_text(json.dumps(doc))
+    message = (f"{BREAKS[table_break][1].format(id=2)} (feature 2)" if order == "table_rule_first"
+               else LOADER_BREAKS[loader_break][1].format(n=2))
+    with pytest.raises(ValueError, match="^" + re.escape(f"{path}: {message}") + "$"):
+        load_tracts(str(path))
+
+
 def bits(values) -> list[int]:
     return np.array(list(values), dtype=float).view(np.int64).tolist()
 
@@ -610,29 +650,98 @@ def test_vertex_table_lengths_areas_and_midpoints_are_the_scalar_ones(lines, rin
 # what a file can hold in their place
 json_number = st.one_of(st.integers(-2**70, 2**70),
                         st.floats(allow_nan=False, allow_infinity=False))
-json_odd = st.sampled_from((10**400, -10**400, math.inf, True, "1.5", " 2 ", "1_0", "nan", "x",
-                            None, [], [1.0], {"a": 1}, "12"))
+json_odd = st.sampled_from((10**400, -10**400, math.inf, True, False, "1.5", " 2 ", "1_0", "nan",
+                            "x", None, [], [1.0], {"a": 1}, "12", "0"))
 odd_point = st.one_of(json_odd, st.lists(st.one_of(json_number, json_odd), max_size=3))
-clean_ring = st.lists(st.lists(json_number, min_size=2, max_size=2), max_size=5)
+good_ring = st.lists(st.lists(json_number, min_size=2, max_size=2), min_size=3, max_size=5)
 # a ring with one odd point, or an odd value in place of the ring
-odd_ring = st.one_of(st.tuples(clean_ring, st.integers(0, 5), odd_point).map(
+odd_ring = st.one_of(st.tuples(good_ring, st.integers(0, 5), odd_point).map(
     lambda r: r[0][:r[1]] + [r[2]] + r[0][r[1]:]), json_odd)
-json_ring = st.one_of(clean_ring, clean_ring, odd_ring)
+
+
+def with_coordinate(ring, k: int, value):
+    """The ring with its k-th coordinate, counted round it, set to value."""
+    ring = [list(point) for point in ring]
+    ring[k // 2 % len(ring)][k % 2] = value
+    return ring
+
+
+# a ring with a coordinate that is not finite, or too large for a float
+infinite_ring = st.builds(with_coordinate, good_ring, st.integers(0, 9),
+                          st.sampled_from((math.inf, -math.inf, math.nan, 10**400, -10**400)))
+# each piece of a feature, well formed (None: as the feature builds it), and what
+# a file may hold in its place
+PIECES = {
+    "ring": (good_ring, st.one_of(odd_ring, infinite_ring)),
+    "geometry": (None, st.sampled_from((None, {"type": "Polygon"}, {"type": "Point"},
+                                        {"type": "Polygon", "coordinates": []}))),
+    "id": (st.integers(1, 8), st.sampled_from((2.0, "3", 1.5, True, 2**63, "x", None))),
+    "population": (json_number, json_odd),
+    "is_coc": (st.sampled_from((True, False, 0, 1, 1.0)), st.sampled_from((2, "true", None))),
+    "land_use": (st.sampled_from("RCIPO"), st.sampled_from(("X", "r", None, ["R"]))),
+    "properties": (None, st.sampled_from((None, [], "x"))),
+    "feature": (None, st.sampled_from((None, 7, {"type": "Feature"}))),
+}
+COLUMNS = {"tract_id": ("population", "is_coc"), "parcel_id": ("land_use",)}
+
+
+@st.composite
+def feature_collections(draw, id_key):
+    """A FeatureCollection of up to four features, each piece of a feature
+    odd one time in sixteen, and each property missing one time in sixteen."""
+    def piece(name, well_formed=None):
+        good, odd = PIECES[name]
+        if draw(st.integers(0, 15)) == 15:
+            return draw(odd)
+        return well_formed if good is None else draw(good)
+
+    features = []
+    for _ in range(draw(st.integers(0, 4))):
+        properties = {key: piece(name) for key, name in [(id_key, "id")] + [
+            (name, name) for name in COLUMNS[id_key]] if draw(st.integers(0, 15)) < 15}
+        features.append(piece("feature", {
+            "type": "Feature", "properties": piece("properties", properties),
+            "geometry": piece("geometry", {"type": "Polygon", "coordinates": [piece("ring")]})}))
+    return {"type": "FeatureCollection", "features": features}
+
+
+def parcel_with(vertex):
+    """A parcels file of one feature whose ring holds vertex third."""
+    return "parcel_id", {"type": "FeatureCollection", "features": [{
+        "type": "Feature", "properties": {"parcel_id": 1, "land_use": "R"},
+        "geometry": {"type": "Polygon", "coordinates": [[[0, 0], [4, 0], vertex, [0, 4]]]}}]}
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(rings=st.lists(json_ring, max_size=4))
-def test_ring_vertices_match_the_feature_by_feature_reading(rings):
-    # one float conversion of every vertex gives the per-feature reading's
-    # bits and counts, or its error, which names the first bad feature
-    def outcome(read):
-        try:
-            xy, sizes = read("tracts.geojson", rings)
-        except ValueError as exc:
-            return str(exc)
-        return bits(xy.ravel()), sizes.tolist()
-
-    assert outcome(geo._ring_vertices) == outcome(geo._ring_vertices_by_feature)
+@given(case=st.sampled_from(("tract_id", "parcel_id")).flatmap(
+    lambda key: st.tuples(st.just(key), feature_collections(key))))
+# vertices that a float() of each item would read as (1, 2), (0, 0) and (1, 0)
+@example(case=parcel_with("12"))
+@example(case=parcel_with(["0", "0"]))
+@example(case=parcel_with([True, 0]))
+def test_loaders_read_every_feature_as_the_reference_does(tmp_path_factory, case):
+    # the same ids, rings and columns as the feature-by-feature reading, or
+    # its error: the first bad feature in file order, and its first rule
+    loader, collection = case
+    path = tmp_path_factory.getbasetemp() / "features.geojson"
+    path.write_text(json.dumps(collection))
+    defaults = ({"population": 0.0, "is_coc": False} if loader == "tract_id"
+                else {"land_use": None})
+    want = geo_reference.read_polygon_features(str(path), loader, defaults)
+    try:
+        table = (load_tracts if loader == "tract_id" else load_parcels)(str(path))
+    except ValueError as exc:
+        assert str(exc) == want
+        return
+    assert not isinstance(want, str), want
+    ids, rings, columns = want
+    assert table.ids.tolist() == ids
+    assert polylines_of(table.rings) == [tuple(geo_reference._closed_ring(r)) for r in rings]
+    if loader == "tract_id":
+        assert table.population.tolist() == [float(v) for v in columns[0]]
+        assert table.is_coc.tolist() == [bool(v) for v in columns[1]]
+    else:
+        assert [use.value for use in table.land_use] == columns[0]
 
 
 @LOADERS

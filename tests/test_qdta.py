@@ -435,6 +435,31 @@ def test_wardrop_on_diamond():
     assert abs(t_fast - t_slow) / max(t_fast, t_slow) <= 0.01
 
 
+@pytest.mark.parametrize("objective", list(Objective), ids=lambda o: o.value)
+def test_reported_gap_is_the_gap_at_the_returned_flow(objective):
+    # each interval's gap again, from the reference costs at the returned
+    # flow and a fresh all-or-nothing load at them: sot's and sof's relative
+    # gap is the reported one, and uet's gap from the latest lower bound is
+    # at least the reported one, taken from the best bound
+    net = corridor_network()
+    o, d = corridor_od()
+    config = SolverConfig(max_iterations=12)  # the gap holds at a stop short of convergence too
+    iterations = []
+    for rate in (1200.0, 2000.0, 2800.0):  # vph out, and half of it back
+        demand = ([o, d], [d, o], [rate * config.interval_h, rate / 2 * config.interval_h])
+        state = assign_interval(net, *demand, objective, config)
+        f = state.flow_vph
+        cost = cost_vector(net, objective, f, config)
+        y = all_or_nothing(net, *demand[:2], [rate, rate / 2], cost)[0]
+        if objective is Objective.UET:
+            latest = float(cost @ (f - y)) / objective_value(net, objective, f, config)
+            assert state.gap <= latest * (1 + 1e-9)
+        else:
+            assert state.gap == pytest.approx(float(cost @ (f - y)) / float(cost @ f), rel=1e-9)
+        iterations.append(state.iterations)
+    assert max(iterations) > 1, iterations
+
+
 def test_unreachable_demand_reported_in_counts():
     net = diamond_network()
     state = assign_interval(net, [1, 4], [4, 1], [10, 7], Objective.UET, TIGHT)
