@@ -11,9 +11,6 @@ from .costs import (
     DEFAULT_FUEL,
     BprParams,
     FuelParams,
-    bpr_time,
-    eco_assignment_cost,
-    marginal_time_cost,
     spf_accidents,
 )
 from .geo import Tracts, build_link_index, load_tracts
@@ -81,13 +78,11 @@ __all__ = [
     "TransportContext",
     "TripRecord",
     "assign_interval",
-    "bpr_time",
     "build_link_index",
     "build_report",
     "classify_network",
     "classify_street",
     "daily_stats",
-    "eco_assignment_cost",
     "emit_chart",
     "load_comparison",
     "load_network",
@@ -95,7 +90,6 @@ __all__ = [
     "load_schools",
     "load_tracts",
     "load_trips",
-    "marginal_time_cost",
     "run_day",
     "school_exposure",
     "spf_accidents",

@@ -2,10 +2,8 @@
 
 Every expression that reads a BPR or fuel coefficient lives here once, in
 a private helper that fixes its order of operations and so its bits:
-Frank-Wolfe's pricing kernel (`qdta._Pricing`), the public cost
-functions and the trip walk's fuel all call them. The public functions
-accept scalars or numpy arrays and broadcast; scalar inputs come back as
-plain floats. Units: hours, miles, mph, veh/h, liters.
+Frank-Wolfe's pricing kernel (`qdta._Pricing`) and the trip walk's fuel
+both call them. Units: hours, miles, mph, veh/h, liters.
 """
 from __future__ import annotations
 
@@ -25,7 +23,7 @@ class BprParams:
     beta: float = 4.0
 
     def __post_init__(self) -> None:
-        # a finite alpha and beta >= 1 keep bpr_time(t0, 0) == t0
+        # a finite alpha and beta >= 1 keep the BPR time at zero flow t0
         if not 0 <= self.alpha < math.inf:
             raise ValueError("alpha must be finite and nonnegative")
         if not 1 <= self.beta < math.inf:
@@ -36,7 +34,7 @@ class BprParams:
 class FuelParams:
     """Coefficients of the per-mile burn curve a + b/v + c*v^2 (liters).
     Whether it burns fuel at every speed depends on the speed clamp, so
-    `SolverConfig` and `eco_assignment_cost` check that on theirs."""
+    `SolverConfig` checks that on its own."""
 
     a: float = -0.00654170
     b: float = 1.902150
@@ -65,20 +63,6 @@ _SPF_TABLE = {
 
 DEFAULT_BPR = BprParams()
 DEFAULT_FUEL = FuelParams()
-
-
-def _ret(out):
-    arr = np.asarray(out, dtype=float)
-    if arr.ndim == 0:
-        return float(arr)
-    return arr
-
-
-def _check_flow(flow):
-    arr = np.asarray(flow, dtype=float)
-    if not np.all((arr >= 0) & (arr < np.inf)):
-        raise ValueError("flow must be finite and nonnegative")
-    return arr
 
 
 def _bpr(free_flow_h, flow, capacity, bpr: BprParams):
@@ -134,36 +118,6 @@ def _check_burn_positive(fuel: FuelParams, speed_floor_mph, speed_cap_mph) -> No
     if not _burn(1.0, speed, fuel) > 0:
         raise ValueError(f"fuel curve nonpositive at {speed} mph, inside the speed clamp "
                          f"[{speed_floor_mph}, {speed_cap_mph}] mph")
-
-
-def bpr_time(free_flow_h, flow_vph, capacity_vph, params: BprParams | None = None):
-    """Congested travel time, free_flow_h * (1 + alpha*(f/C)^beta)."""
-    flow = _check_flow(flow_vph)
-    return _ret(_bpr(np.asarray(free_flow_h, dtype=float), flow,
-                     np.asarray(capacity_vph, dtype=float), params or DEFAULT_BPR)[1])
-
-
-def marginal_time_cost(free_flow_h, flow_vph, capacity_vph, params: BprParams | None = None):
-    """d(f * time(f))/df, the system-time price of one more vehicle."""
-    p, free_flow_h = params or DEFAULT_BPR, np.asarray(free_flow_h, dtype=float)
-    flow = _check_flow(flow_vph)
-    ratio_pow = _bpr(free_flow_h, flow, np.asarray(capacity_vph, dtype=float), p)[0]
-    return _ret(_marginal_time(free_flow_h, ratio_pow, p))
-
-
-def eco_assignment_cost(length_miles, free_speed_mph, flow_vph, capacity_vph,
-                        bpr: BprParams | None = None, fuel: FuelParams | None = None,
-                        speed_floor_mph: float = 5.0, speed_cap_mph: float = 90.0):
-    """Fuel marginal with the speed clamped to [floor, cap], as `_fuel_marginal`;
-    the burn must be positive on the whole clamp."""
-    p, fuel = bpr or DEFAULT_BPR, fuel or DEFAULT_FUEL
-    _check_burn_positive(fuel, speed_floor_mph, speed_cap_mph)
-    length, flow = np.asarray(length_miles, dtype=float), _check_flow(flow_vph)
-    fft = length / np.asarray(free_speed_mph, dtype=float)
-    capacity = np.asarray(capacity_vph, dtype=float)
-    time_h = _bpr(fft, flow, capacity, p)[1]
-    return _ret(_fuel_marginal(length, flow, time_h, *_chain_constants(fft, capacity, p), p,
-                               fuel, speed_floor_mph, speed_cap_mph)[0])
 
 
 def spf_accidents(lanes: int, length_miles: float, adt: float) -> float:

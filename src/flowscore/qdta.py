@@ -178,9 +178,9 @@ class DayFlows(NamedTuple):
     offsets[k]:offsets[k + 1], each a link position (int32), at most once per
     interval, with its flow and time. A link is held when its flow is not zero
     by its bits, so a -0.0 flow stays and each interval's dense state is
-    rebuilt exactly: every other link has zero flow and, since bpr_time(t0, 0)
-    is t0, its free-flow time. `run_day` holds an interval's links in
-    ascending order, `cli.read_flows_csv` in file order."""
+    rebuilt exactly: every other link has zero flow and, since the BPR time
+    at zero flow is t0, its free-flow time. `run_day` holds an interval's
+    links in ascending order, `cli.read_flows_csv` in file order."""
 
     offsets: np.ndarray
     links: np.ndarray
@@ -448,32 +448,23 @@ class _Pricing:
 
     `at(flow)` gives the cost vector, the objective value and the BPR time
     from one (flow / capacity)**beta, through the formula helpers of
-    `costs` that the objective's public cost function (`costs.bpr_time`,
-    `costs.marginal_time_cost` or `costs.eco_assignment_cost`) calls too.
-    Flows are not checked here: FW checks each all-or-nothing load, and
-    every iterate lies between two checked loads. `free_cost`, the
-    zero-flow costs that every interval's first load and the forced walk
-    route on, is priced once, by the public function.
+    `costs`, the one home of each cost formula. Flows are not checked
+    here: `_load_all_or_nothing` checks each load, and every FW iterate
+    lies between two checked loads. `free_cost`, the zero-flow costs that
+    every interval's first load and the forced walk route on, is priced
+    once, by `at`.
     """
 
     def __init__(self, network: Network, objective: Objective, config: SolverConfig):
         self.objective, self.config, self.link_ids = objective, config, network.link_ids
         self.free_flow_h, self.capacity_vph = network.free_flow_h, network.capacity_vph
         self.per_link = ("free_flow_h", "capacity_vph")
-        bpr, zero = config.bpr, np.zeros(network.n_links)
-        if objective is Objective.UET:
-            self.free_cost = costs.bpr_time(network.free_flow_h, zero, network.capacity_vph, bpr)
-        elif objective is Objective.SOT:
-            self.free_cost = costs.marginal_time_cost(network.free_flow_h, zero,
-                                                      network.capacity_vph, bpr)
-        else:
-            self.free_cost = costs.eco_assignment_cost(
-                network.length_miles, network.speed_mph, zero, network.capacity_vph, bpr,
-                config.fuel, config.speed_floor_mph, config.speed_cap_mph)
+        if objective is Objective.SOF:
             self.length_miles = network.length_miles
             self.slope_scale, self.capacity_pow = costs._chain_constants(
-                network.free_flow_h, network.capacity_vph, bpr)
+                network.free_flow_h, network.capacity_vph, config.bpr)
             self.per_link += ("length_miles", "slope_scale", "capacity_pow")
+        self.free_cost = self.at(np.zeros(network.n_links))[0]
 
     def _price(self, flow: np.ndarray):
         """(cost, BPR time, (flow / capacity)**beta, per-link fuel or None) at flow."""
@@ -612,7 +603,9 @@ def _load_all_or_nothing(graph: RoutingGraph, batch: _DemandBatch, link_costs: n
 
     Returns (flows, whether each OD has a path, the `_Paths` traced).
     Given an earlier load's paths, each source's search stops at the cost
-    its known paths have at link_costs (see `_path_limits`).
+    its known paths have at link_costs (see `_path_limits`). A flow that
+    is not finite, say because a link's summed rates overflow, raises a
+    ValueError.
     """
     limit = None if paths is None else _path_limits(batch, paths, link_costs)
     row, dist, pred, chosen = graph.shortest_paths(batch.source_idx, link_costs,
@@ -636,6 +629,8 @@ def _load_all_or_nothing(graph: RoutingGraph, batch: _DemandBatch, link_costs: n
     links = chosen[graph.edge_slot(head, tail)]
     # added step-major, a fixed order; with no link loaded, bincount's zeros are ints
     flows = np.bincount(links, batch.od_rate[step_od], graph.net.n_links).astype(float)
+    if not np.all((flows >= 0) & (flows < math.inf)):
+        raise ValueError("flow must be finite and nonnegative")
     length = np.bincount(step_od, minlength=batch.od_dest.size)
     table = np.zeros((batch.od_dest.size, len(steps)), dtype=np.intp)
     step = np.repeat(np.arange(len(steps)), [s.size for s in steps])
@@ -662,7 +657,6 @@ def assign_interval(network: Network, origin, destination, count, objective: Obj
     batch = _DemandBatch(network, origin, destination, count, config.interval_h)
 
     f, _, paths = _load_all_or_nothing(graph, batch, pricing.free_cost)
-    costs._check_flow(f)
 
     best_lower_bound = -math.inf
     log: list[tuple[float, float]] = []
@@ -671,7 +665,6 @@ def assign_interval(network: Network, origin, destination, count, objective: Obj
     for it in range(1, config.max_iterations + 1):
         cost, value, time_h = pricing.at(f)
         y, reachable, paths = _load_all_or_nothing(graph, batch, cost, paths)
-        costs._check_flow(y)
         d = y - f
         if objective is Objective.UET:
             lb = value + float(cost @ d)

@@ -1,16 +1,31 @@
 """Closed forms of the link costs, written out apart from flowscore.costs,
-as oracles: the kernel and the public cost functions share `costs`' formula
+as oracles: the pricing kernel and the trip walk share `costs`' formula
 helpers, so only an independent copy can tell when a helper is wrong.
 
 `bpr_time`, `bpr_time_gradient`, `marginal_time_cost`, `fuel_per_mile`,
-`link_fuel` and `eco_assignment_cost` are the formulas as `costs` wrote
-them, each with its own order of operations; `bpr_speed` and
-`bpr_integral` are closed forms `costs` never needed.
+`link_fuel` and `eco_assignment_cost` are the formulas as `costs` once
+wrote them as public functions, each with its own order of operations;
+`bpr_speed` and `bpr_integral` are closed forms `costs` never needed.
+Each takes scalars or numpy arrays and broadcasts; scalar inputs come
+back as plain floats.
 """
 import numpy as np
 
-from flowscore.costs import (DEFAULT_BPR, DEFAULT_FUEL, FUEL_SPEED_MAX, FUEL_SPEED_MIN,
-                             _check_flow, _ret)
+from flowscore.costs import DEFAULT_BPR, DEFAULT_FUEL, FUEL_SPEED_MAX, FUEL_SPEED_MIN
+
+
+def _ret(out):
+    arr = np.asarray(out, dtype=float)
+    if arr.ndim == 0:
+        return float(arr)
+    return arr
+
+
+def _check_flow(flow):
+    arr = np.asarray(flow, dtype=float)
+    if not np.all((arr >= 0) & (arr < np.inf)):
+        raise ValueError("flow must be finite and nonnegative")
+    return arr
 
 
 def bpr_time(free_flow_h, flow_vph, capacity_vph, params=None):

@@ -11,7 +11,8 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from flowscore import geo, qdta
+from flowscore import costs, geo, qdta
+from flowscore.costs import DEFAULT_BPR, DEFAULT_FUEL
 from flowscore.geo import Tracts, links_within_radii
 from flowscore.indicators import INDICATOR_NAMES, Schools, congested_miles, daily_stats
 from flowscore.network import LINK_COLUMNS, METERS_PER_MILE, NODE_COLUMNS, Network, write_csv
@@ -537,6 +538,17 @@ def path_table(network, trips, active, link_costs):
     od = np.unique(np.column_stack((trips.node[active], trips.dest[active])), axis=0)
     batch = qdta._DemandBatch(network, *network.node_ids[od.T], np.ones(len(od)), 1.0)
     return qdta._load_all_or_nothing(qdta.RoutingGraph(network), batch, link_costs)[2]
+
+
+def marginal_fuel(length, speed, flow, capacity, floor_mph=5.0, cap_mph=90.0, fuel=DEFAULT_FUEL):
+    """The `sof` link cost at flow, from the `costs` formula helpers as
+    `qdta._Pricing` calls them, on links of free-flow time length / speed
+    whose speed is clamped to [floor_mph, cap_mph]."""
+    free_flow_h = np.divide(length, speed)
+    time_h = costs._bpr(free_flow_h, flow, capacity, DEFAULT_BPR)[1]
+    return costs._fuel_marginal(length, flow, time_h,
+                                *costs._chain_constants(free_flow_h, capacity, DEFAULT_BPR),
+                                DEFAULT_BPR, fuel, floor_mph, cap_mph)[0]
 
 
 # the needs of a `RoutingGraph.shortest_paths` call that names no destination

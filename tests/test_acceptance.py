@@ -11,15 +11,8 @@ import time
 import numpy as np
 import pytest
 
-from flowscore.costs import (
-    DEFAULT_FUEL,
-    FUEL_SPEED_MAX,
-    FUEL_SPEED_MIN,
-    bpr_time,
-    eco_assignment_cost,
-    marginal_time_cost,
-    spf_accidents,
-)
+from flowscore import costs
+from flowscore.costs import DEFAULT_BPR, DEFAULT_FUEL, FUEL_SPEED_MAX, FUEL_SPEED_MIN, spf_accidents
 from flowscore.geo import _candidates, links_within_radii
 from flowscore.indicators import (
     ExposureLevel,
@@ -43,6 +36,7 @@ from fixtures import (
     corridor_network,
     corridor_od,
     flow_table,
+    marginal_fuel,
     pigou_network,
     perf_network,
     perf_trips,
@@ -165,7 +159,7 @@ def test_criterion_04_marginals_match_finite_differences():
         return f * c0 * (1.0 + alpha * (f / cap) ** beta)
 
     fd = (total_time(flow + h) - total_time(flow - h)) / (2.0 * h)
-    got = marginal_time_cost(c0, flow, cap)
+    got = costs._marginal_time(c0, costs._bpr(c0, flow, cap, DEFAULT_BPR)[0], DEFAULT_BPR)
     assert np.max(np.abs(got - fd) / np.abs(fd)) <= 1e-6
 
     length = rng.uniform(0.2, 5.0, n)
@@ -180,15 +174,15 @@ def test_criterion_04_marginals_match_finite_differences():
         return f * length * (fp.a + fp.b / v + fp.c * v**2)
 
     fd = (total_fuel(flow + h) - total_fuel(flow - h)) / (2.0 * h)
-    got = eco_assignment_cost(length, v0, flow, cap, speed_floor_mph=FUEL_SPEED_MIN,
-                              speed_cap_mph=FUEL_SPEED_MAX)
+    got = marginal_fuel(length, v0, flow, cap, FUEL_SPEED_MIN, FUEL_SPEED_MAX)
     assert np.max(np.abs(got - fd) / np.abs(fd)) <= 1e-6
     ok(4, "marginal costs match central differences on 1,000 samples")
 
 
 def test_criterion_05_hand_values():
     c0 = 1.0 / 60.0
-    assert bpr_time(c0, 700.0, 700.0) == pytest.approx(1.15 * c0, rel=1e-12)
+    assert costs._bpr(c0, 700.0, 700.0, DEFAULT_BPR)[1] == pytest.approx(1.15 * c0, rel=1e-12)
+    assert costs._burn(1.0, 30.0, DEFAULT_FUEL) == pytest.approx(0.0711553, abs=1e-7)
     assert link_fuel(1.0, 30.0) == pytest.approx(0.0711553, abs=1e-7)
     assert fuel_per_mile(30.0) == pytest.approx(0.0711553, abs=1e-7)
     assert spf_accidents(4, 1.0, 10_000.0) == pytest.approx(5.886, abs=1e-3)

@@ -52,6 +52,7 @@ from fixtures import (
 )
 
 import geo_reference
+import golden
 from qdta_reference import conservation, dense_entered, dense_states
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -472,6 +473,17 @@ def test_run_comparison_table(town_run):
     assert all(v > 0.0 for v in by_name["Total fuel consumption"])
     # no school sees medium or high ADT in this small town
     assert by_name["Minority schools near high and medium traffic streets"] == (None,) * 3
+
+
+@pytest.mark.parametrize("scenario", golden.SCENARIOS)
+def test_outputs_keep_their_checked_in_digests(request, tmp_path, scenario):
+    # see tests/golden.py for the scenarios, the files left out and the update rule
+    if scenario in golden.TOWNS:
+        out = request.getfixturevalue(f"{scenario}_run")[1]
+    else:
+        out = golden.run_workload(scenario, tmp_path)
+    message = golden.mismatch(scenario, out)
+    assert message is None, message
 
 
 def test_rerun_and_parallel_run_are_byte_identical(tmp_path, town_run):
@@ -901,9 +913,11 @@ def traced_run(tmp_path, cfg, run_out):
     )
     assert done.returncode == 0, done.stderr
     traced = json.loads(spans_path.read_text())
-    assert traced["missing"] == []
+    # the public cost functions left `costs`; FW prices through `qdta._Pricing`
+    gone = list(tracer.COST_FUNCTIONS)
+    assert traced["missing"] == gone
     seen = {span[0] for span in traced["spans"]}
-    assert [name for _, _, name, _ in tracer.LAYERS if name not in seen] == []
+    assert [name for _, _, name, _ in tracer.LAYERS if name not in seen] == gone
     names = sorted(p.name for p in run_out.iterdir())
     assert sorted(p.name for p in out.iterdir()) == names
     for name in names:

@@ -1,8 +1,8 @@
 """Every formula that reads a BPR or fuel coefficient lives in
 `flowscore.costs`: no other module in flowscore reads an attribute named
-`alpha`, `beta`, `a`, `b` or `c`. So the pricing kernel, the public cost
-functions and the trip walk's fuel share one spelling of each formula,
-and the closed forms in `costs_reference` are its only other copy.
+`alpha`, `beta`, `a`, `b` or `c`. So the pricing kernel and the trip
+walk's fuel share one spelling of each formula, and the closed forms in
+`costs_reference` are its only other copy.
 """
 import ast
 from pathlib import Path

@@ -1,22 +1,34 @@
+"""The formula helpers of `costs`, which `qdta._Pricing` and the trip walk
+call, against hand values, quadrature, central differences and the closed
+forms of `costs_reference`; and the checks of the parameter classes."""
 import math
 
 import numpy as np
 import pytest
 
+from flowscore import costs
 from flowscore.costs import (
+    DEFAULT_BPR,
     DEFAULT_FUEL,
     FUEL_SPEED_MAX,
     FUEL_SPEED_MIN,
     BprParams,
     FuelParams,
-    bpr_time,
-    eco_assignment_cost,
-    marginal_time_cost,
     spf_accidents,
 )
 from flowscore.qdta import SolverConfig
 
 from costs_reference import bpr_integral, bpr_speed, bpr_time_gradient, fuel_per_mile, link_fuel
+from fixtures import marginal_fuel
+
+
+def bpr_time(free_flow_h, flow, capacity):
+    return costs._bpr(free_flow_h, flow, capacity, DEFAULT_BPR)[1]
+
+
+def marginal_time(free_flow_h, flow, capacity):
+    ratio_pow = costs._bpr(free_flow_h, flow, capacity, DEFAULT_BPR)[0]
+    return costs._marginal_time(free_flow_h, ratio_pow, DEFAULT_BPR)
 
 
 def simpson(fn, a, b, n=2000):
@@ -49,7 +61,7 @@ def test_bpr_speed_inverts_time():
 
 
 def test_marginal_time_hand_value():
-    assert marginal_time_cost(1.0 / 60.0, 700.0, 700.0) == pytest.approx(0.0291667, abs=5e-8)
+    assert marginal_time(1.0 / 60.0, 700.0, 700.0) == pytest.approx(0.0291667, abs=5e-8)
 
 
 def test_fuel_hand_values():
@@ -57,6 +69,7 @@ def test_fuel_hand_values():
     assert fuel_per_mile(65.0) == pytest.approx(0.0898151, abs=1e-7)
     assert link_fuel(1.0, 30.0) == pytest.approx(0.0711553, abs=1e-7)
     assert link_fuel(2.5, 30.0) == pytest.approx(2.5 * 0.0711553, rel=1e-9)
+    assert costs._burn(1.0, 30.0, DEFAULT_FUEL) == pytest.approx(0.0711553, abs=1e-7)
 
 
 def test_fuel_curve_minimum_inside_city_speed_band():
@@ -94,8 +107,10 @@ def test_bpr_integral_matches_simpson():
         c0 = rng.uniform(0.005, 0.2)
         cap = rng.uniform(300.0, 3000.0)
         f = rng.uniform(0.0, 2.5) * cap
-        want = simpson(lambda s: np.asarray(bpr_time(c0, s, cap)), 0.0, f)
-        got = bpr_integral(c0, f, cap)
+        want = simpson(lambda s: bpr_time(c0, s, cap), 0.0, f)
+        assert bpr_integral(c0, f, cap) == pytest.approx(want, rel=1e-9, abs=1e-12)
+        ratio_pow = costs._bpr(c0, f, cap, DEFAULT_BPR)[0]
+        got = costs._time_integral(c0, f, ratio_pow, DEFAULT_BPR)
         assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
 
 
@@ -118,7 +133,7 @@ def test_marginal_time_matches_finite_difference():
         f = rng.uniform(0.05, 2.5) * cap
         h = 1e-4 * cap
         want = central_diff(lambda s: s * bpr_time(c0, s, cap), f, h)
-        assert marginal_time_cost(c0, f, cap) == pytest.approx(want, rel=1e-6)
+        assert marginal_time(c0, f, cap) == pytest.approx(want, rel=1e-6)
 
 
 def test_marginal_fuel_matches_finite_difference():
@@ -135,15 +150,13 @@ def test_marginal_fuel_matches_finite_difference():
         if not (1.0 + 1e-6 < v_hi <= 120.0):
             continue
         want = central_diff(lambda s: s * length * fuel_per_mile(bpr_speed(speed, s, cap)), f, h)
-        got = eco_assignment_cost(length, speed, f, cap, speed_floor_mph=FUEL_SPEED_MIN,
-                                  speed_cap_mph=FUEL_SPEED_MAX)
+        got = marginal_fuel(length, speed, f, cap, FUEL_SPEED_MIN, FUEL_SPEED_MAX)
         assert got == pytest.approx(want, rel=1e-6)
         checked += 1
 
 
 def test_marginal_fuel_zero_flow_equals_link_fuel():
-    got = eco_assignment_cost(1.0, 65.0, 0.0, 1e6, speed_floor_mph=FUEL_SPEED_MIN,
-                              speed_cap_mph=FUEL_SPEED_MAX)
+    got = marginal_fuel(1.0, 65.0, 0.0, 1e6, FUEL_SPEED_MIN, FUEL_SPEED_MAX)
     assert got == pytest.approx(0.0898151, abs=1e-7)
 
 
@@ -151,21 +164,20 @@ def test_marginal_fuel_zero_flow_equals_link_fuel():
 
 
 def test_eco_cost_matches_unclamped_marginal_inside_band():
-    got = eco_assignment_cost(2.0, 60.0, 900.0, 1000.0)
-    want = eco_assignment_cost(2.0, 60.0, 900.0, 1000.0, speed_floor_mph=FUEL_SPEED_MIN,
-                               speed_cap_mph=FUEL_SPEED_MAX)
+    got = marginal_fuel(2.0, 60.0, 900.0, 1000.0)
+    want = marginal_fuel(2.0, 60.0, 900.0, 1000.0, FUEL_SPEED_MIN, FUEL_SPEED_MAX)
     assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_eco_cost_clamps_slow_links_to_plain_fuel():
     # f = 3C drives the BPR speed to 30/13.15 ~ 2.3 mph, below the floor
-    got = eco_assignment_cost(1.0, 30.0, 3000.0, 1000.0)
+    got = marginal_fuel(1.0, 30.0, 3000.0, 1000.0)
     assert bpr_speed(30.0, 3000.0, 1000.0) < 5.0
     assert got == pytest.approx(link_fuel(1.0, 5.0), rel=1e-12)
 
 
 def test_eco_cost_clamps_fast_links():
-    got = eco_assignment_cost(1.0, 100.0, 0.0, 1000.0)
+    got = marginal_fuel(1.0, 100.0, 0.0, 1000.0)
     assert got == pytest.approx(link_fuel(1.0, 90.0), rel=1e-12)
 
 
@@ -175,35 +187,11 @@ def test_eco_cost_positive_over_operating_range():
     speeds = rng.uniform(15.0, 75.0, size=1000)
     caps = rng.uniform(300.0, 4000.0, size=1000)
     flows = rng.uniform(0.0, 3.0, size=1000) * caps
-    vals = eco_assignment_cost(lengths, speeds, flows, caps)
+    vals = marginal_fuel(lengths, speeds, flows, caps)
     assert np.all(vals > 0)
 
 
 # parameter and domain validation
-
-
-def test_arrays_broadcast_and_scalars_stay_scalar():
-    flows = np.array([0.0, 500.0, 1000.0])
-    out = bpr_time(0.02, flows, 1000.0)
-    assert isinstance(out, np.ndarray) and out.shape == (3,)
-    assert isinstance(bpr_time(0.02, 500.0, 1000.0), float)
-    assert isinstance(fuel_per_mile(np.array([30.0, 40.0])), np.ndarray)
-    assert isinstance(fuel_per_mile(30.0), float)
-
-
-def test_negative_flow_rejected():
-    with pytest.raises(ValueError):
-        bpr_time(0.02, -1.0, 1000.0)
-    with pytest.raises(ValueError):
-        marginal_time_cost(0.02, np.array([5.0, -2.0]), 1000.0)
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
-def test_flow_must_be_finite_and_nonnegative(bad):
-    with pytest.raises(ValueError, match="finite and nonnegative"):
-        bpr_time(1.0, bad, 100.0)
-    with pytest.raises(ValueError, match="finite and nonnegative"):
-        marginal_time_cost(0.02, np.array([5.0, bad]), 1000.0)
 
 
 def test_speed_domain_enforced():
@@ -235,8 +223,6 @@ def test_param_validation():
         FuelParams(b=-1.0)
     below_zero = FuelParams(a=-0.5, b=1.0, c=1e-5)  # nonpositive burn at city speeds
     with pytest.raises(ValueError, match=r"fuel curve nonpositive at 36\.8"):
-        eco_assignment_cost(1.0, 30.0, 0.0, 1000.0, fuel=below_zero)
-    with pytest.raises(ValueError, match=r"fuel curve nonpositive at 36\.8"):
         SolverConfig(fuel=below_zero)
 
 
@@ -244,8 +230,6 @@ def test_fuel_curve_is_checked_on_the_speed_clamp_only():
     # least at 3 mph: -0.037 L/mile at 5 mph, but at least 1.25 L/mile from 10 to 90
     dip = FuelParams(-0.7, 1.0, 1.0 / 54.0)
     SolverConfig(fuel=dip, speed_floor_mph=10.0)
-    assert eco_assignment_cost(1.0, 30.0, 0.0, 1000.0, fuel=dip, speed_floor_mph=10.0) > 0
+    assert marginal_fuel(1.0, 30.0, 0.0, 1000.0, floor_mph=10.0, fuel=dip) > 0
     with pytest.raises(ValueError, match=r"fuel curve nonpositive at 5\.0 mph"):
         SolverConfig(fuel=dip)
-    with pytest.raises(ValueError, match=r"fuel curve nonpositive at 5\.0 mph"):
-        eco_assignment_cost(1.0, 30.0, 0.0, 1000.0, fuel=dip)

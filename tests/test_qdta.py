@@ -16,7 +16,7 @@ from flowscore.qdta import (
     run_day,
 )
 
-from costs_reference import bpr_integral, bpr_speed, fuel_per_mile
+from costs_reference import bpr_integral, bpr_speed, bpr_time, fuel_per_mile, link_fuel
 from qdta_reference import conservation, cost_vector, dense_entered, dense_states, objective_value
 
 import fixtures
@@ -353,7 +353,7 @@ def pigou_grid(objective: Objective, step=0.1):
             t0n, f_narrow, narrow.capacity_vph
         )
     elif objective is Objective.SOT:
-        z = f_wide * costs.bpr_time(t0w, f_wide, wide.capacity_vph) + f_narrow * costs.bpr_time(
+        z = f_wide * bpr_time(t0w, f_wide, wide.capacity_vph) + f_narrow * bpr_time(
             t0n, f_narrow, narrow.capacity_vph
         )
     else:
@@ -460,6 +460,40 @@ def test_reported_gap_is_the_gap_at_the_returned_flow(objective):
     assert max(iterations) > 1, iterations
 
 
+def test_uet_gap_is_taken_from_the_best_lower_bound_when_the_latest_falls():
+    # the corridor at 2800 vph out and 1400 back, stopped at 4 iterations:
+    # the 4th iterate's lower bound, value + cost @ (y - f), falls below
+    # the 3rd's. Each logged gap again, from the reference costs at each
+    # iterate and a fresh all-or-nothing load at them, must use the best
+    # bound so far, not the latest
+    net = corridor_network()
+    o, d = corridor_od()
+    config = SolverConfig(max_iterations=4)
+    rates = [2800.0, 1400.0]
+    demand = ([o, d], [d, o], [r * config.interval_h for r in rates])
+    pricing = qdta._Pricing(net, Objective.UET, config)
+    iterates, at = [], pricing.at
+
+    def keep_iterate(f):
+        iterates.append(f.copy())
+        return at(f)
+
+    pricing.at = keep_iterate
+    state = assign_interval(net, *demand, Objective.UET, config, pricing=pricing)
+
+    bounds, gaps = [], []
+    for f in iterates:
+        cost = cost_vector(net, Objective.UET, f, config)
+        value = objective_value(net, Objective.UET, f, config)
+        y = all_or_nothing(net, *demand[:2], rates, cost)[0]
+        bounds.append(value + float(cost @ (y - f)))
+        gaps.append(max((value - max(bounds)) / value, 0.0))
+    assert len(bounds) == state.iterations == 4 and not state.converged
+    assert bounds[-1] < max(bounds)  # so the latest bound's gap would differ
+    assert [g for g, _ in state.log] == pytest.approx(gaps, rel=1e-9)
+    assert state.gap == pytest.approx(gaps[-1], rel=1e-9)
+
+
 def test_unreachable_demand_reported_in_counts():
     net = diamond_network()
     state = assign_interval(net, [1, 4], [4, 1], [10, 7], Objective.UET, TIGHT)
@@ -478,23 +512,27 @@ def test_link_costs_that_overflow_name_the_link(objective):
         assign_interval(net, *demand, objective, CONFIG)
 
 
+def test_a_load_that_overflows_to_inf_raises_the_flow_error():
+    # every OD's rate is finite, 8e307 trips/h, but all three share link 3,
+    # where the first all-or-nothing load sums them to inf
+    net, demand = chain_network(), ([1, 2, 3], [4, 4, 4], [2e307] * 3)
+    assert CONFIG.interval_h == 0.25
+    with pytest.raises(ValueError, match=r"^flow must be finite and nonnegative$"):
+        assign_interval(net, *demand, Objective.UET, CONFIG)
+
+
 def test_assignment_cost_scalar_helper():
-    # the objective -> cost mapping, read off the narrow Pigou link
+    # the objective -> cost mapping, read off the narrow Pigou link: 10
+    # miles at 20 mph and 1000 vph
     net = pigou_network()
 
     def narrow_cost(objective, flow):
         flows = np.array([0.0, flow])
-        return cost_vector(net, objective, flows, SolverConfig())[1]
+        return qdta._Pricing(net, objective, SolverConfig()).at(flows)[0][1]
 
-    assert narrow_cost(Objective.UET, 1000.0) == pytest.approx(
-        costs.bpr_time(0.5, 1000.0, 1000.0)
-    )
-    assert narrow_cost(Objective.SOT, 1000.0) == pytest.approx(
-        costs.marginal_time_cost(0.5, 1000.0, 1000.0)
-    )
-    assert narrow_cost(Objective.SOF, 0.0) == pytest.approx(
-        costs.eco_assignment_cost(10.0, 20.0, 0.0, 1000.0)
-    )
+    assert narrow_cost(Objective.UET, 1000.0) == pytest.approx(0.5 * 1.15, rel=1e-12)
+    assert narrow_cost(Objective.SOT, 1000.0) == pytest.approx(0.5 * 1.75, rel=1e-12)
+    assert narrow_cost(Objective.SOF, 0.0) == pytest.approx(link_fuel(10.0, 20.0), rel=1e-12)
 
 
 def test_non_convergence_warns_and_flags(caplog):
@@ -949,7 +987,7 @@ def test_interval_record_keeps_a_negative_zero_flow(monkeypatch):
     net = chain_network()
     flows = np.array([-0.0, 0.0, 250.0])
     config = SolverConfig()
-    time_h = np.asarray(costs.bpr_time(net.free_flow_h, flows, net.capacity_vph, config.bpr))
+    time_h = np.asarray(bpr_time(net.free_flow_h, flows, net.capacity_vph, config.bpr))
     state = FlowState(flows, time_h, net.length_miles / time_h,
                       cost_vector(net, Objective.SOF, flows, config), True, 0.0, 1,
                       [(0.0, 1.0)], [])
