@@ -286,7 +286,7 @@ def read_trips_csv(path) -> TripTable:
 
 def _load_city_network(scenario: Scenario):
     network = load_network(str(scenario.nodes), str(scenario.links))
-    for warning in network.validation.warnings:
+    for warning in network.warnings:
         logger.warning("network: %s", warning)
     return network
 

@@ -338,7 +338,8 @@ def _candidates(boxes, items):
         pair, m = _ragged(counts[at])
         k, j = owner[pair] + a, item[start[at[pair]] + m]
         hit = ((items[j, :2] <= boxes[k, 2:]) & (items[j, 2:] >= boxes[k, :2])).all(axis=1)
-        found.append(np.unique(k[hit] * len(items) + j[hit]))
+        pairs = np.sort(k[hit] * len(items) + j[hit])  # np.unique would import numpy.ma
+        found.append(pairs[np.diff(pairs, prepend=-1) != 0])
     return np.divmod(np.concatenate(found), len(items))
 
 

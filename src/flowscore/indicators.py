@@ -109,7 +109,7 @@ def congested_miles(stats: LinkDailyStats, window_s=MORNING_PEAK_S) -> float:
     network, rows = stats.network, stats.window_slice(window_s)
     links = stats.flows.links[rows]
     congested = links[stats.flows.flow_vph[rows] / network.capacity_vph[links] >= 1.0]
-    return float(network.length_miles[np.unique(congested)].sum())
+    return float(network.length_miles[np.bincount(congested, minlength=network.n_links) > 0].sum())
 
 
 class ExposureLevel(enum.Enum):

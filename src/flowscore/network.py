@@ -10,7 +10,6 @@ import csv
 import itertools
 import operator
 import re
-from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -47,17 +46,6 @@ class _BadRow(ValueError):
         self.position, self.table = position, table
 
 
-@dataclass
-class ValidationReport:
-    warnings: list[str] = field(default_factory=list)
-    orphans: list[int] = field(default_factory=list)
-    main_component_share: float = 1.0
-
-    @property
-    def primary_component_ok(self) -> bool:
-        return self.main_component_share >= 0.9
-
-
 class Network:
     """Immutable node/link columns, in input row order, for the solvers.
 
@@ -68,9 +56,10 @@ class Network:
     table (`geo.build_link_index`), the one form of link geometry, which
     every length, midpoint and join reads. Parallel links between the
     same node pair are allowed and keep distinct ids. Node and link ids
-    are unique, and every link joins two of the nodes. The main component
-    is the largest weakly connected one; of components that tie for
-    largest, the one holding the first node.
+    are unique, and every link joins two of the nodes. `warnings` flags
+    geometry lengths more than 5% off and nodes outside the main
+    component, the largest weakly connected one; of components that tie
+    for largest, the one holding the first node.
     """
 
     def __init__(self, nodes: dict, links: dict):
@@ -103,7 +92,7 @@ class Network:
             "unknown node {from} (from) on link {id}": self.link_from < 0,
             "unknown node {to} (to) on link {id}": self.link_to < 0}, "links")
         self.free_flow_h = self.length_miles / self.speed_mph
-        self.validation = self._validate()
+        self.warnings = self._validate()
 
     @property
     def n_nodes(self) -> int:
@@ -121,33 +110,33 @@ class Network:
         """The row of each link id in ids, -1 where no link has it."""
         return _positions(self.link_ids, self._link_order, ids)
 
-    def _validate(self) -> ValidationReport:
-        report = ValidationReport()
+    def _validate(self) -> list[str]:
+        warnings = []
         measured = geo.polyline_lengths(self.lines) / METERS_PER_MILE
         declared = self.length_miles
         for k in np.flatnonzero(abs(measured - declared) > 0.05 * declared).tolist():
-            report.warnings.append(
+            warnings.append(
                 f"link {self.link_ids[k]}: geometry length {measured[k]:.4f} mi "
                 f"differs from declared {declared[k]:.4f} mi by more than 5%"
             )
         if not self.n_nodes:
-            return report
+            return warnings
         component = _weak_components(self.n_nodes, self.link_from, self.link_to)
         sizes = np.bincount(component)
         main = np.argmax(sizes)  # of tied components, the one labelled by the first node
-        report.main_component_share = int(sizes[main]) / self.n_nodes
-        report.orphans = self.node_ids[component != main].tolist()
-        if not report.primary_component_ok:
-            report.warnings.append(
+        share = int(sizes[main]) / self.n_nodes
+        orphans = self.node_ids[component != main].tolist()
+        if share < 0.9:
+            warnings.append(
                 f"largest weakly connected component holds only "
-                f"{report.main_component_share:.1%} of nodes"
+                f"{share:.1%} of nodes"
             )
-        elif report.orphans:
-            report.warnings.append(
-                f"{len(report.orphans)} node(s) outside the main component: "
-                f"{report.orphans}"
+        elif orphans:
+            warnings.append(
+                f"{len(orphans)} node(s) outside the main component: "
+                f"{orphans}"
             )
-        return report
+        return warnings
 
 
 def _weak_components(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:

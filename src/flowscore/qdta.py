@@ -306,7 +306,6 @@ class RoutingGraph:
     """
 
     def __init__(self, network: Network):
-        self.net = network
         n = network.n_nodes
         self.n_nodes = n
         u = network.link_from
@@ -315,22 +314,21 @@ class RoutingGraph:
         self.perm = perm
         key = u[perm].astype(np.int64) * n + v[perm]
         is_first = np.ones(len(key), dtype=bool)
-        if len(key) > 1:
-            is_first[1:] = key[1:] != key[:-1]
+        is_first[1:] = key[1:] != key[:-1]  # empty for fewer than two links
         self.group_start = np.nonzero(is_first)[0]
         self.edge_key = key[self.group_start]
-        self.edge_u = u[perm][self.group_start]
-        self.edge_v = v[perm][self.group_start].astype(np.int32)
+        edge_u = u[perm][self.group_start]
+        edge_v = v[perm][self.group_start].astype(np.int32)
         group_end = np.append(self.group_start[1:], len(key))
         self.multi_groups = [
             (gi, int(s), int(e))
             for gi, (s, e) in enumerate(zip(self.group_start, group_end))
             if e - s > 1
         ]
-        self.indptr = np.searchsorted(self.edge_u, np.arange(n + 1)).astype(np.int32)
+        indptr = np.searchsorted(edge_u, np.arange(n + 1)).astype(np.int32)
         csr_matrix = _load_scipy()[0]
         # the edge matrix's structure; each cost vector's copy takes its own edge costs
-        self.matrix = csr_matrix((np.ones(self.edge_v.size), self.edge_v, self.indptr), shape=(n, n))
+        self.matrix = csr_matrix((np.ones(edge_v.size), edge_v, indptr), shape=(n, n))
         self._kept: _SolvedRows | None = None
 
     def collapse(self, link_costs: np.ndarray):
@@ -342,18 +340,18 @@ class RoutingGraph:
         return edge_cost, chosen
 
     def shortest_paths(self, source_idx: np.ndarray, link_costs: np.ndarray, needs, limit=None):
-        """(row, dist, pred, chosen) at link_costs: dist[row[i]] and
-        pred[row[i]] are the rows of source_idx[i], and chosen is the link
-        chosen per edge. dist, pred and chosen are shared and read-only, so
-        no row is copied.
+        """(row, pred, chosen) at link_costs: pred[row[i]] is the row of
+        source_idx[i], -9999 at the source and at each node it does not
+        reach, and chosen is the link chosen per edge. pred and chosen are
+        shared and read-only, so no row is copied.
 
         needs is (entries, dests): the row of source_idx[entries[i]] must
-        settle node dests[i]. limit, if given, is a distance per entry of
-        source_idx at which a search not yet run at these costs may stop.
-        A row from a stopped search holds dist inf and pred -9999 past its
-        limit, so it answers only a request whose needed nodes it settled;
-        any other source is solved again without a limit. So only a full
-        search calls a node unreachable.
+        settle node dests[i], which is not that source. limit, if given, is
+        a distance per entry of source_idx at which a search not yet run at
+        these costs may stop. A row from a stopped search holds pred -9999
+        past its limit, so it answers only a request whose needed nodes it
+        settled; any other source is solved again without a limit. So only
+        a full search calls a node unreachable.
 
         The graph keeps the rows of one cost vector: the last one asked for
         without a limit, which in `run_day` is the zero-flow costs that
@@ -361,8 +359,8 @@ class RoutingGraph:
         runs only for sources without a kept row that answers. Rows at any
         other cost vector serve the one call that solved them. scipy
         solves each source on its own, and a row gives the nodes it settles
-        the same dist and pred whichever batch solved it and at whichever
-        limit (tests check this on heavily tied weights).
+        the same pred whichever batch solved it and at whichever limit
+        (tests check this on heavily tied weights).
         """
         key = np.asarray(link_costs, dtype=float).tobytes()  # so a vector edited in place misses
         tree = self._kept
@@ -371,16 +369,16 @@ class RoutingGraph:
         if limit is None:
             self._kept = tree
         row = tree.rows(source_idx, needs, limit)
-        return row, tree.dist, tree.pred, tree.chosen
+        return row, tree.pred, tree.chosen
 
     def edge_slot(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         return np.searchsorted(self.edge_key, u.astype(np.int64) * self.n_nodes + v)
 
 
 class _SolvedRows:
-    """Shortest-path rows solved so far at one cost vector, each with the
-    limit its search stopped at (inf for a full search). A source solved
-    again gets a new row."""
+    """Shortest-path predecessor rows solved so far at one cost vector,
+    each with the limit its search stopped at (inf for a full search). A
+    source solved again gets a new row."""
 
     def __init__(self, graph: RoutingGraph, link_costs: np.ndarray, key: bytes):
         self.key = key  # the bytes of the float64 cost vector
@@ -391,7 +389,6 @@ class _SolvedRows:
         n = graph.n_nodes
         self.row_at = np.full(n, -1, dtype=np.intp)  # each node's latest row
         self.limit = np.empty(0, dtype=float)
-        self.dist = np.empty((0, n), dtype=float)
         self.pred = np.empty((0, n), dtype=np.int32)
 
     def rows(self, source_idx: np.ndarray, needs, limit):
@@ -415,31 +412,31 @@ class _SolvedRows:
             return stopped
         entries, dests = needs
         short = np.zeros(row.size, dtype=bool)
-        short[entries[np.isinf(self.dist[row[entries], dests])]] = True
+        short[entries[self.pred[row[entries], dests] < 0]] = True
         return short & stopped
 
     def _solve(self, sources: np.ndarray, limits) -> None:
         """Solve each source once, into a new row. Sources whose limits lie
         within _LIMIT_RATIO of the smallest among them share a run, in order
         of first appearance; no limits means one full run. The rows of a
-        tree that one run fills are Dijkstra's own arrays."""
+        tree that one run fills are Dijkstra's own predecessor array."""
         first = np.sort(np.unique(sources, return_index=True)[1])
         sources = sources[first]
         limits = np.full(first.size, math.inf) if limits is None else limits[first]
         by_limit = np.argsort(limits, kind="stable")
         sources, limits = sources[by_limit], limits[by_limit]
         self.row_at[sources] = np.arange(self.limit.size, self.limit.size + sources.size)
-        runs = [(self.dist, self.pred)] if self.limit.size else []
+        runs = [self.pred] if self.limit.size else []
         start = 0
         while start < sources.size:
             end = max(start + 1, int(np.searchsorted(limits, limits[start] * _LIMIT_RATIO, "right")))
             limits[start:end] = limits[end - 1]
             runs.append(_csgraph_dijkstra(self.graph, directed=True, indices=sources[start:end],
-                                          return_predecessors=True, limit=limits[end - 1]))
+                                          return_predecessors=True, limit=limits[end - 1])[1])
             start = end
         self.limit = np.concatenate((self.limit, limits))
-        self.dist, self.pred = runs[0] if len(runs) == 1 else map(np.concatenate, zip(*runs))
-        self.dist.flags.writeable = self.pred.flags.writeable = False  # every caller shares them
+        self.pred = runs[0] if len(runs) == 1 else np.concatenate(runs)
+        self.pred.flags.writeable = False  # every caller shares it
 
 
 class _Pricing:
@@ -546,10 +543,11 @@ class _DemandBatch:
     id), each at rate count / hours, with node indices resolved once.
 
     OD i runs from node o_id[i] to node d_id[i], at node indices
-    source_idx[od_row[i]] and od_dest[i], and carries count[i] trips. Every
-    row needs a finite, nonnegative rate, a known origin and destination
-    that differ, and an (origin, destination) pair no earlier row holds; a
-    ValueError names the first row that breaks one.
+    source_idx[od_row[i]] and od_dest[i] (key[i] is the first * n_nodes +
+    the second), and carries count[i] trips; source s starts at OD
+    source_start[s]. Every row needs a finite, nonnegative rate, a known
+    origin and destination that differ, and an (origin, destination) pair
+    no earlier row holds; a ValueError names the first row that breaks one.
     """
 
     def __init__(self, network: Network, origin, destination, count, hours: float):
@@ -572,6 +570,7 @@ class _DemandBatch:
         first = np.ones(order.size, dtype=bool)  # rows run by origin
         first[1:] = self.o_id[1:] != self.o_id[:-1]
         self.source_idx, self.od_row = o_at[first], np.cumsum(first) - 1
+        self.source_start, self.key = np.flatnonzero(first), o_at * network.n_nodes + self.od_dest
 
 
 class _Paths(NamedTuple):
@@ -593,8 +592,7 @@ def _path_limits(batch: _DemandBatch, paths: _Paths, link_costs: np.ndarray) -> 
     on_path = np.arange(paths.links.shape[1]) < paths.length[:, None]
     cost = np.where(on_path, np.maximum(link_costs[paths.links], _MIN_EDGE_COST), 0.0).sum(axis=1)
     cost[paths.length == 0] = math.inf
-    first = np.searchsorted(batch.od_row, np.arange(batch.source_idx.size))
-    return np.maximum.reduceat(cost, first) * (1.0 + 1e-9)
+    return np.maximum.reduceat(cost, batch.source_start) * (1.0 + 1e-9)
 
 
 def _load_all_or_nothing(graph: RoutingGraph, batch: _DemandBatch, link_costs: np.ndarray,
@@ -608,10 +606,10 @@ def _load_all_or_nothing(graph: RoutingGraph, batch: _DemandBatch, link_costs: n
     ValueError.
     """
     limit = None if paths is None else _path_limits(batch, paths, link_costs)
-    row, dist, pred, chosen = graph.shortest_paths(batch.source_idx, link_costs,
-                                                   (batch.od_row, batch.od_dest), limit)
-    od_row = row[batch.od_row]  # each OD's row of dist and pred
-    reachable = np.isfinite(dist[od_row, batch.od_dest])
+    row, pred, chosen = graph.shortest_paths(batch.source_idx, link_costs,
+                                             (batch.od_row, batch.od_dest), limit)
+    od_row = row[batch.od_row]  # each OD's row of pred
+    reachable = pred[od_row, batch.od_dest] >= 0
     # trace every reachable OD from its destination back to its origin, one
     # link per step; steps[s] holds the ODs that have an s-th link from the end
     od = np.flatnonzero(reachable)
@@ -628,15 +626,14 @@ def _load_all_or_nothing(graph: RoutingGraph, batch: _DemandBatch, link_costs: n
                            for parts in (steps, heads, tails))
     links = chosen[graph.edge_slot(head, tail)]
     # added step-major, a fixed order; with no link loaded, bincount's zeros are ints
-    flows = np.bincount(links, batch.od_rate[step_od], graph.net.n_links).astype(float)
+    flows = np.bincount(links, batch.od_rate[step_od], link_costs.size).astype(float)
     if not np.all((flows >= 0) & (flows < math.inf)):
         raise ValueError("flow must be finite and nonnegative")
     length = np.bincount(step_od, minlength=batch.od_dest.size)
     table = np.zeros((batch.od_dest.size, len(steps)), dtype=np.intp)
     step = np.repeat(np.arange(len(steps)), [s.size for s in steps])
     table[step_od, length[step_od] - 1 - step] = links
-    key = batch.source_idx[batch.od_row] * graph.n_nodes + batch.od_dest
-    return flows, reachable, _Paths(key, length, table)
+    return flows, reachable, _Paths(batch.key, length, table)
 
 
 def assign_interval(network: Network, origin, destination, count, objective: Objective,

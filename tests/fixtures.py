@@ -556,10 +556,10 @@ NO_NEEDS = (np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp))
 
 
 def shortest_rows(graph, *args):
-    """`graph.shortest_paths(*args)` as (dist, pred, chosen), with one dist
-    and pred row per source, in the order asked for."""
-    row, dist, pred, chosen = graph.shortest_paths(*args)
-    return dist[row], pred[row], chosen
+    """`graph.shortest_paths(*args)` as (pred, chosen), with one pred row
+    per source, in the order asked for."""
+    row, pred, chosen = graph.shortest_paths(*args)
+    return pred[row], chosen
 
 
 def assert_same_states(got, want) -> None:

@@ -211,8 +211,9 @@ def _coordinate(value) -> float | None:
 
 def _feature_rule(kind: str, feature_id: int, ring: list, values: list) -> str | None:
     """The first rule of the tracts' or the parcels' table that a feature
-    breaks, in the table's order, or None."""
-    n = len(ring) - 1 if len(ring) > 1 and ring[0] == ring[-1] else len(ring)
+    breaks, in the table's order, or None. The ring comes without its
+    closing point, so each of its points counts."""
+    n = len(ring)
     area = polygon_area(ring) if n >= 3 else math.nan
     rules = [(n < 3, f"{kind} {feature_id} polygon needs >= 3 points"),
              (area == 0.0, f"{kind} {feature_id} has zero area"),

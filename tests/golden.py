@@ -10,6 +10,13 @@ files are left out: the last bits of their gaps and objective values
 follow the dot-product kernel that OpenBLAS picks by CPU model, until
 `qdta` sums its dot products without BLAS.
 
+The digests also hold only under the SIMD targets that numpy dispatches
+to, which `versions()` records beside the numpy and scipy versions:
+numpy's `**` on arrays takes its last bits from the widest target, so
+`sof`'s costs and then its trips move where AVX512 is missing (with
+`NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"`, four
+`desk_congested` files move). A mismatch prints both sets.
+
 A digest may be rewritten only when CHANGES.md names the file, says why
 it moved and counts its changed rows. To rewrite them all and print the
 files that moved:
@@ -39,7 +46,12 @@ SCENARIOS = TOWNS + WORKLOADS
 
 
 def versions() -> dict[str, str]:
-    return {"numpy": np.__version__, "scipy": scipy.__version__}
+    """numpy's and scipy's versions, and the SIMD targets that numpy
+    finds on this CPU among those it dispatches to."""
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+    return {"numpy": np.__version__, "scipy": scipy.__version__,
+            "simd": ", ".join(t for t in __cpu_dispatch__ if __cpu_features__.get(t))}
 
 
 def digests(out_dir: Path) -> dict[str, str]:
@@ -60,7 +72,8 @@ def recorded() -> dict:
 
 def mismatch(scenario: str, out_dir: Path) -> str | None:
     """None when out_dir has the scenario's recorded digests, else a
-    message that names every moved file and the numpy and scipy versions."""
+    message that names every moved file, and the numpy and scipy versions
+    and SIMD targets of the recording and of this run."""
     golden = recorded()
     names = moved(golden["scenarios"][scenario], digests(out_dir))
     if not names:

@@ -5,9 +5,9 @@ the `check_rows` masks of flowscore.network.Network must match.
 made as each was built; `first_error` adds the table-wide rules after it,
 in the network's order. `read_columns_by_row` is the CSV column reader's
 row loop, which parses each cell by Python's rules, `PARSE`; the
-column-at-a-time reader must match it. `validation`
-is the network's ValidationReport from scipy's weakly connected
-components, which the network's own numpy count must match.
+column-at-a-time reader must match it. `components` labels the weakly
+connected components with scipy, and `warnings` gives the network's
+warnings from them: the network's own numpy count must match both.
 """
 import csv
 import math
@@ -19,7 +19,7 @@ from scipy.sparse.csgraph import connected_components
 
 from flowscore import geo
 from flowscore.network import (FINITE, INT64, LINK_IDS, METERS_PER_MILE, NUMBER, WKT, LoadError,
-                               ValidationReport, _WKT_LINESTRING)
+                               _WKT_LINESTRING)
 
 
 def link_error(link) -> str | None:
@@ -133,34 +133,37 @@ def read_columns_by_row(path, kind: str, parsers: dict) -> dict:
     return columns
 
 
-def validation(net) -> ValidationReport:
-    """The network's checks with scipy's `connected_components(connection=
-    "weak")`: the length warnings, then the main component, the largest one
-    (of tied ones, the one holding the first node), its share of the nodes
-    and the nodes outside it."""
-    report = ValidationReport()
-    measured = geo.polyline_lengths(net.lines) / METERS_PER_MILE
-    declared = net.length_miles
-    for k in np.flatnonzero(abs(measured - declared) > 0.05 * declared).tolist():
-        report.warnings.append(
-            f"link {net.link_ids[k]}: geometry length {measured[k]:.4f} mi "
-            f"differs from declared {declared[k]:.4f} mi by more than 5%"
-        )
-    if not net.n_nodes:
-        return report
+def components(net) -> np.ndarray:
+    """Each node's weakly connected component by scipy's
+    `connected_components(connection="weak")`, labelled by its first node
+    row."""
     n = net.n_nodes
     graph = csr_matrix((np.ones(net.n_links), (net.link_from, net.link_to)), shape=(n, n))
-    component = connected_components(graph, connection="weak")[1]
+    label = connected_components(graph, connection="weak")[1]
+    first = np.full(label.max(initial=-1) + 1, n)
+    np.minimum.at(first, label, np.arange(n))
+    return first[label]
+
+
+def warnings(net) -> list[str]:
+    """The network's warnings from `components`: the length warnings, then
+    the main component, the largest one (of tied ones, the one holding the
+    first node), as its share of the nodes when under 90%, or else the
+    nodes outside it."""
+    measured = geo.polyline_lengths(net.lines) / METERS_PER_MILE
+    declared = net.length_miles
+    found = [f"link {net.link_ids[k]}: geometry length {measured[k]:.4f} mi "
+             f"differs from declared {declared[k]:.4f} mi by more than 5%"
+             for k in np.flatnonzero(abs(measured - declared) > 0.05 * declared).tolist()]
+    if not net.n_nodes:
+        return found
+    component = components(net)
     sizes = np.bincount(component)
     main = component[np.flatnonzero(sizes[component] == sizes.max())[0]]
-    report.main_component_share = int(sizes[main]) / n
-    report.orphans = net.node_ids[component != main].tolist()
-    if not report.primary_component_ok:
-        report.warnings.append(
-            f"largest weakly connected component holds only "
-            f"{report.main_component_share:.1%} of nodes"
-        )
-    elif report.orphans:
-        report.warnings.append(
-            f"{len(report.orphans)} node(s) outside the main component: {report.orphans}")
-    return report
+    share = int(sizes[main]) / net.n_nodes
+    orphans = net.node_ids[component != main].tolist()
+    if share < 0.9:
+        found.append(f"largest weakly connected component holds only {share:.1%} of nodes")
+    elif orphans:
+        found.append(f"{len(orphans)} node(s) outside the main component: {orphans}")
+    return found

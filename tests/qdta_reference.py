@@ -7,8 +7,13 @@ per-interval states, rebuilt from the flow table and the interval
 records that `run_day` keeps: time and speed come from `bpr_time` on the same
 flows, and cost from `cost_vector`, so a rebuilt state has the bits of
 the state `assign_interval` returned. And `conservation`, the day's trip
-miles against the miles its link entries add up to.
+miles against the miles its link entries add up to. And
+`shortest_distances`, a heapq Dijkstra over the network's own links that
+shares no code with `qdta.RoutingGraph` or scipy.
 """
+import heapq
+import math
+
 import numpy as np
 
 from flowscore import qdta
@@ -104,3 +109,28 @@ def conservation(result) -> tuple[float, float, float]:
     link_miles = float((entry_total * result.network.length_miles).sum())
     scale = max(abs(trip_miles), abs(link_miles), 1e-12)
     return trip_miles, link_miles, abs(trip_miles - link_miles) / scale
+
+
+def shortest_distances(network, link_costs, sources) -> np.ndarray:
+    """The least cost at link_costs from each node index of sources to
+    every node index, one row per source, inf where no path leads: Dijkstra
+    with a heap over every link, parallel ones included, each cost floored
+    at `qdta._MIN_EDGE_COST` as the solver floors its edge costs."""
+    out = []
+    leaving = [[] for _ in range(network.n_nodes)]
+    for u, v, cost in zip(network.link_from.tolist(), network.link_to.tolist(),
+                          np.asarray(link_costs, dtype=float).tolist()):
+        leaving[u].append((v, max(cost, qdta._MIN_EDGE_COST)))
+    for source in np.asarray(sources).tolist():
+        dist = [math.inf] * network.n_nodes
+        dist[source], heap = 0.0, [(0.0, source)]
+        while heap:
+            d, u = heapq.heappop(heap)
+            if d > dist[u]:
+                continue
+            for v, cost in leaving[u]:
+                if d + cost < dist[v]:
+                    dist[v] = d + cost
+                    heapq.heappush(heap, (dist[v], v))
+        out.append(dist)
+    return np.array(out, dtype=float).reshape(-1, network.n_nodes)

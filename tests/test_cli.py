@@ -179,18 +179,20 @@ def test_importing_the_cli_loads_no_xml_or_http_modules():
     assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
 
 
-def scipy_after(*commands) -> tuple[bool, list[int], bool]:
-    """In a fresh process: whether `import flowscore.cli` loads scipy, the
-    exit codes of `main` on each of commands in turn, and whether scipy is
-    loaded after them."""
+def loaded_after(module: str, *commands, then: str = "") -> tuple[bool, list[int], bool]:
+    """In a fresh process: whether `import flowscore.cli` loads module or
+    one of its submodules, the exit codes of `main` on each of commands in
+    turn, and whether one is loaded after them and the Python code then."""
     code = ("import json, sys\n"
-            "def scipy(): return any(m.partition('.')[0] == 'scipy' for m in sys.modules)\n"
+            "def loaded(): return any(m == sys.argv[1] or m.startswith(sys.argv[1] + '.')\n"
+            "                         for m in sys.modules)\n"
             "from flowscore.cli import main\n"
-            "imported = scipy()\n"
-            "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
-            "print(json.dumps([imported, codes, scipy()]))")
-    done = subprocess.run([sys.executable, "-c", code, json.dumps(commands)], env=src_env(),
-                          capture_output=True, text=True, timeout=120)
+            "imported = loaded()\n"
+            "codes = [main(argv) for argv in json.loads(sys.argv[2])]\n"
+            f"{then}\n"
+            "print(json.dumps([imported, codes, loaded()]))")
+    done = subprocess.run([sys.executable, "-c", code, module, json.dumps(commands)],
+                          env=src_env(), capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     return tuple(json.loads(done.stdout.splitlines()[-1]))
 
@@ -198,16 +200,39 @@ def scipy_after(*commands) -> tuple[bool, list[int], bool]:
 def test_only_routing_commands_load_scipy(tmp_path, town_run):
     # importing scipy costs about as much CPU as the rest of a scoring
     # command, and ~30 MB; only a search needs it
+    scoring, cfg = scoring_commands(tmp_path, town_run), str(tmp_path / "config.json")
+    assert loaded_after("scipy", ["--print-config"], *scoring) == (False, [0] * 7, False)
+    assert loaded_after("scipy", ["assign", "--config", cfg, "--objective", "uet"]) == (
+        False, [0], True)
+    assert loaded_after("scipy", ["run", "--config", cfg]) == (False, [0], True)
+
+
+def test_loading_and_scoring_leave_numpy_ma_unloaded(tmp_path, town_run):
+    # numpy 2.4's np.unique, asked for no index, inverse or counts, imports
+    # numpy.ma, about 20-40 ms of CPU; only routing, through scipy, needs it
+    assert loaded_after("numpy.ma", *scoring_commands(tmp_path, town_run)) == (
+        False, [0] * 6, False)
+    load_inputs = (  # the six loaders that `run` calls before its first street is classified
+        "from flowscore import cli, geo, indicators, network, qdta, typology\n"
+        f"s = cli.load_scenario({str(tmp_path / 'config.json')!r})\n"
+        "network.load_network(str(s.nodes), str(s.links))\n"
+        "typology.load_parcels(str(s.parcels))\n"
+        "indicators.load_schools(str(s.schools))\n"
+        "geo.validate_tracts(geo.load_tracts(str(s.tracts)))\n"
+        "qdta.load_trips(str(s.trips))")
+    assert loaded_after("numpy.ma", then=load_inputs) == (False, [], False)
+
+
+def scoring_commands(tmp_path, town_run) -> list[list[str]]:
+    """`classify`, `indicators` for each objective, `chart` and `compare`
+    on a copy of the town run in tmp_path."""
     shutil.copytree(Path(town_run[0]).parent, tmp_path, dirs_exist_ok=True)
     cfg, comparison = str(tmp_path / "config.json"), str(tmp_path / "out" / "comparison.csv")
-    assert scipy_after(["--print-config"], ["classify", "--config", cfg],
-                       *(["indicators", "--config", cfg, "--objective", obj.value]
-                         for obj in Objective),
-                       ["chart", "--comparison", comparison, "--out", str(tmp_path / "c.svg")],
-                       ["compare", comparison, comparison, "--names", "a,b",
-                        "--out", str(tmp_path / "merged.csv")]) == (False, [0] * 7, False)
-    assert scipy_after(["assign", "--config", cfg, "--objective", "uet"]) == (False, [0], True)
-    assert scipy_after(["run", "--config", cfg]) == (False, [0], True)
+    return [["classify", "--config", cfg],
+            *(["indicators", "--config", cfg, "--objective", obj.value] for obj in Objective),
+            ["chart", "--comparison", comparison, "--out", str(tmp_path / "c.svg")],
+            ["compare", comparison, comparison, "--names", "a,b",
+             "--out", str(tmp_path / "merged.csv")]]
 
 
 def test_importing_the_cli_loads_no_process_pool():

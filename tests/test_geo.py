@@ -705,11 +705,16 @@ def feature_collections(draw, id_key):
     return {"type": "FeatureCollection", "features": features}
 
 
-def parcel_with(vertex):
-    """A parcels file of one feature whose ring holds vertex third."""
+def parcel_of(ring):
+    """A parcels file of one feature with ring as its exterior ring."""
     return "parcel_id", {"type": "FeatureCollection", "features": [{
         "type": "Feature", "properties": {"parcel_id": 1, "land_use": "R"},
-        "geometry": {"type": "Polygon", "coordinates": [[[0, 0], [4, 0], vertex, [0, 4]]]}}]}
+        "geometry": {"type": "Polygon", "coordinates": [ring]}}]}
+
+
+def parcel_with(vertex):
+    """A parcels file of one feature whose ring holds vertex third."""
+    return parcel_of([[0, 0], [4, 0], vertex, [0, 4]])
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -719,6 +724,8 @@ def parcel_with(vertex):
 @example(case=parcel_with("12"))
 @example(case=parcel_with(["0", "0"]))
 @example(case=parcel_with([True, 0]))
+# three points closed by a fourth, all one point: zero area, not too few points
+@example(case=parcel_of([[0, 0], [0, 0], [0, 0], [0, 0]]))
 def test_loaders_read_every_feature_as_the_reference_does(tmp_path_factory, case):
     # the same ids, rings and columns as the feature-by-feature reading, or
     # its error: the first bad feature in file order, and its first rule

@@ -49,8 +49,7 @@ def test_load_minimal_network(tmp_path):
     link = links_of(net)[net.link_positions(10)]
     assert link.from_node == 1 and link.to_node == 2
     assert net.free_flow_h[net.link_positions(10)] == pytest.approx(1.0 / 30.0)
-    assert net.validation.warnings == []
-    assert net.validation.primary_component_ok
+    assert net.warnings == []
 
 
 def test_wkt_roundtrip():
@@ -99,9 +98,13 @@ def test_geometry_length_warning(tmp_path):
     write_csv(links, header,
               [[10, 1, 2, 2.0, 30.0, 600.0, 5, 2, wkt((0.0, 0.0), (1609.344, 0.0))]])
     net = load_network(nodes, links)
-    assert len(net.validation.warnings) == 1
-    assert "link 10" in net.validation.warnings[0]
-    assert "5%" in net.validation.warnings[0]
+    assert net.warnings == ["link 10: geometry length 1.0000 mi differs from declared 2.0000 mi "
+                            "by more than 5%"]
+
+
+def components(net) -> np.ndarray:
+    """Each node's weakly connected component, as the network finds it."""
+    return network._weak_components(net.n_nodes, net.link_from, net.link_to)
 
 
 def test_component_analysis():
@@ -112,16 +115,14 @@ def test_component_analysis():
         straight_link(900, extra_nodes[-2], extra_nodes[-1], 30.0, 600.0, 5, 2)
     ]
     net = fixtures.network(extra_nodes, extra_links)
-    assert net.validation.orphans == [100, 101]
-    assert net.validation.main_component_share == pytest.approx(9.0 / 11.0)
-    assert not net.validation.primary_component_ok
-    assert any("largest weakly connected" in w for w in net.validation.warnings)
+    assert components(net).tolist() == [0] * 9 + [9, 9]
+    assert net.warnings == ["largest weakly connected component holds only 81.8% of nodes"]
     # of two components that tie for largest, the main one holds the first node
     a, b, c, d = (Node(i, 1000.0 * i, 0.0) for i in (1, 2, 3, 4))
     tied = fixtures.network([a, b, c, d], [straight_link(1, a, d, 30.0, 600.0, 5, 2),
                                   straight_link(2, b, c, 30.0, 600.0, 5, 2)])
-    assert tied.validation.orphans == [2, 3]
-    assert tied.validation.main_component_share == 0.5
+    assert components(tied).tolist() == [0, 1, 1, 0]
+    assert tied.warnings == ["largest weakly connected component holds only 50.0% of nodes"]
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -135,16 +136,15 @@ def test_components_match_scipys(data, n):
     pairs = data.draw(st.lists(ends, max_size=2 * n)) if n > 1 else []
     net = fixtures.network(nodes, [straight_link(k, nodes[a], nodes[b], 30.0, 600.0, 5, 2)
                                    for k, (a, b) in enumerate(pairs)])
-    assert net.validation == network_reference.validation(net)
+    assert np.array_equal(components(net), network_reference.components(net))
+    assert net.warnings == network_reference.warnings(net)
 
 
 def test_orphans_listed_when_component_still_ok():
     base = grid_network(5, 5, spacing_miles=0.5)
     nodes = nodes_of(base) + [Node(200, 5e4, 5e4)]
     net = fixtures.network(nodes, links_of(base))
-    assert net.validation.orphans == [200]
-    assert net.validation.primary_component_ok
-    assert any("outside the main component" in w for w in net.validation.warnings)
+    assert net.warnings == ["1 node(s) outside the main component: [200]"]
 
 
 def test_parallel_links_kept_distinct():

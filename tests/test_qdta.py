@@ -17,7 +17,8 @@ from flowscore.qdta import (
 )
 
 from costs_reference import bpr_integral, bpr_speed, bpr_time, fuel_per_mile, link_fuel
-from qdta_reference import conservation, cost_vector, dense_entered, dense_states, objective_value
+from qdta_reference import (conservation, cost_vector, dense_entered, dense_states, objective_value,
+                            shortest_distances)
 
 import fixtures
 from fixtures import (
@@ -734,15 +735,15 @@ def test_shortest_paths_recomputes_after_in_place_cost_change(monkeypatch):
     graph = qdta.RoutingGraph(net)
     source = np.array([node_at(net, 1)])
     cost = net.free_flow_h.copy()
-    dist, pred, _ = shortest_rows(graph, source, cost, NO_NEEDS)
+    pred, _ = shortest_rows(graph, source, cost, NO_NEEDS)
     assert pred[0, node_at(net, 4)] == node_at(net, 2)
     again = shortest_rows(graph, source.copy(), cost.copy(), NO_NEEDS)
-    assert np.array_equal(again[0], dist) and len(calls) == 1
+    assert np.array_equal(again[0], pred) and len(calls) == 1
     cost[net.link_positions(1)] = 100.0
-    dist, pred, _ = shortest_rows(graph, source, cost, NO_NEEDS)
+    pred, _ = shortest_rows(graph, source, cost, NO_NEEDS)
     assert len(calls) == 2
     assert pred[0, node_at(net, 4)] == node_at(net, 3)
-    assert dist[0, node_at(net, 4)] == pytest.approx(0.3)
+    assert shortest_distances(net, cost, source)[0, node_at(net, 4)] == pytest.approx(0.3)
 
 
 def test_shortest_paths_solves_each_source_once_per_cost_vector(monkeypatch):
@@ -759,7 +760,6 @@ def test_shortest_paths_solves_each_source_once_per_cost_vector(monkeypatch):
     for got, want in zip(second, fresh):
         assert np.array_equal(got, want)
     assert np.array_equal(second[0][[2, 0]], first[0])
-    assert np.array_equal(second[1][[2, 0]], first[1])
 
 
 def test_shortest_paths_subset_of_solved_sources_runs_no_dijkstra(monkeypatch):
@@ -767,10 +767,10 @@ def test_shortest_paths_subset_of_solved_sources_runs_no_dijkstra(monkeypatch):
     net = diamond_network()
     graph = qdta.RoutingGraph(net)
     sources = np.array([node_at(net, n) for n in (1, 2, 3)])
-    dist, pred, _ = shortest_rows(graph, sources, net.free_flow_h, NO_NEEDS)
+    pred, _ = shortest_rows(graph, sources, net.free_flow_h, NO_NEEDS)
     sub = shortest_rows(graph, sources[[2, 0]], net.free_flow_h.copy(), NO_NEEDS)
     assert len(calls) == 1
-    assert np.array_equal(sub[0], dist[[2, 0]]) and np.array_equal(sub[1], pred[[2, 0]])
+    assert np.array_equal(sub[0], pred[[2, 0]])
 
 
 def test_shortest_paths_keeps_only_the_last_cost_vector_asked_without_a_limit(monkeypatch):
@@ -785,8 +785,8 @@ def test_shortest_paths_keeps_only_the_last_cost_vector_asked_without_a_limit(mo
     graph.shortest_paths(source, second, NO_NEEDS)  # replaces first's rows
     graph.shortest_paths(source, second.copy(), NO_NEEDS)
     assert len(calls) == 2
-    dist, _, _ = shortest_rows(graph, source, first, NO_NEEDS)
-    assert len(calls) == 3 and dist[0, node_at(net, 4)] == pytest.approx(0.22)
+    pred, _ = shortest_rows(graph, source, first, NO_NEEDS)
+    assert len(calls) == 3 and pred[0, node_at(net, 4)] == node_at(net, 2)
 
 
 def test_shortest_paths_rows_solved_with_a_limit_serve_only_their_call(monkeypatch):
@@ -815,19 +815,19 @@ def test_shortest_paths_a_stopped_row_at_the_kept_costs_answers_only_what_it_set
     two, four = node_at(net, 2), node_at(net, 4)
     cost = net.free_flow_h.copy()
     graph.shortest_paths(np.empty(0, dtype=np.intp), cost, NO_NEEDS)  # cost's rows are kept
-    dist, pred, _ = shortest_rows(graph, source, cost.copy(), (np.array([0]), np.array([two])),
-                                  np.array([0.5]))
+    pred, _ = shortest_rows(graph, source, cost.copy(), (np.array([0]), np.array([two])),
+                            np.array([0.5]))
     assert limits == [0.5]
-    assert dist[0, two] == pytest.approx(1 / 3) and math.isinf(dist[0, four])
-    assert pred[0, four] == -9999
+    # node 2 lies 1/3 h out, node 3 7/12 h: only node 2 has a predecessor
+    assert pred[0].tolist() == [-9999, node_at(net, 1), -9999, -9999]
     # the kept row settled node 2, so it answers a request for node 2 alone
     graph.shortest_paths(source, cost.copy(), (np.array([0]), np.array([two])), np.array([9.0]))
     assert len(calls) == 1
     # node 4 lies past the row's limit: solved again, without one
-    dist, pred, _ = shortest_rows(graph, source, cost.copy(), (np.array([0]), np.array([four])),
-                                  np.array([0.5]))
+    pred, _ = shortest_rows(graph, source, cost.copy(), (np.array([0]), np.array([four])),
+                            np.array([0.5]))
     assert limits == [0.5, math.inf]
-    assert dist[0, four] == pytest.approx(2 / 3) and pred[0, four] == node_at(net, 3)
+    assert pred[0, four] == node_at(net, 3)
 
 
 def test_aon_reports_an_od_unreachable_only_after_a_full_search(monkeypatch):
@@ -882,20 +882,21 @@ def test_path_limits_bound_each_source_by_its_farthest_known_path():
 @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(2, 10), cols=st.integers(2, 10))
 def test_a_stopped_search_settles_its_nodes_as_a_full_search_does(seed, rows, cols):
     """Heavily tied weights: a search stopped at a limit must give every node
-    it settles the full search's dist and pred, whatever the heap's tie
-    order, and leave unsettled only nodes beyond its limit."""
+    it settles the full search's pred, whatever the heap's tie order, and
+    leave unsettled only nodes beyond its limit."""
     rng = np.random.default_rng(seed)
     net = grid_network(rows, cols)
     cost = rng.integers(1, 4, size=net.n_links).astype(float)
     sources = np.arange(net.n_nodes)
-    full_dist, full_pred, _ = shortest_rows(qdta.RoutingGraph(net), sources, cost, NO_NEEDS)
+    full_pred, _ = shortest_rows(qdta.RoutingGraph(net), sources, cost, NO_NEEDS)
+    full_dist = shortest_distances(net, cost, sources)
     for _ in range(3):
         # limits on the distances of random nodes, so ties sit at the limit too
         limit = full_dist[sources, rng.integers(0, net.n_nodes, size=sources.size)]
-        dist, pred, _ = shortest_rows(qdta.RoutingGraph(net), sources, cost, NO_NEEDS, limit)
-        settled = np.isfinite(dist)
-        assert np.array_equal(dist[settled], full_dist[settled])
+        pred, _ = shortest_rows(qdta.RoutingGraph(net), sources, cost, NO_NEEDS, limit)
+        settled = pred >= 0  # a source has no predecessor
         assert np.array_equal(pred[settled], full_pred[settled])
+        settled[sources, sources] = True
         beyond = full_dist > limit[:, None]
         assert beyond[~settled].all()
 

@@ -4,8 +4,10 @@ The reference walks one trip at a time, on plain per-trip state copied
 from a `_Trips` snapshot: it traces each trip's path through pred, then
 takes links while budget remains, with the 1-D numpy sums the array walk
 must reproduce bit for bit. The reference day drives it the way a day of
-intervals runs. Random grids come from hypothesis-drawn seeds,
-derandomized, so every run checks the same cases.
+intervals runs. And each all-or-nothing load's paths against the
+heapq Dijkstra of `qdta_reference.shortest_distances`. Random grids come
+from hypothesis-drawn seeds, derandomized, so every run checks the same
+cases.
 """
 import math
 from collections import Counter
@@ -20,7 +22,7 @@ from flowscore.qdta import TripRecord
 import fixtures
 from fixtures import Link, Node, assert_dense_figures, assert_same_states, departures
 from costs_reference import fuel_per_mile
-from qdta_reference import cost_vector, dense_entered, dense_states
+from qdta_reference import cost_vector, dense_entered, dense_states, shortest_distances
 
 cases = settings(max_examples=40, deadline=None, derandomize=True)
 
@@ -68,11 +70,11 @@ def reference_walk(network, trips, link_costs, time_h, speed_mph, budget_h, conf
         return entered
     sources = sorted({t.node for t in trips})
     row_of = {s: i for i, s in enumerate(sources)}
-    dist, pred, chosen = fixtures.shortest_rows(
+    pred, chosen = fixtures.shortest_rows(
         graph, np.array(sources, dtype=np.int64), link_costs, fixtures.NO_NEEDS)
 
     def path_links(row, origin_idx, dest_idx):
-        if not math.isfinite(dist[row, dest_idx]):
+        if pred[row, dest_idx] < 0:
             return None
         seq = [dest_idx]
         node = dest_idx
@@ -287,3 +289,40 @@ def test_run_day_matches_reference_day(seed):
         assert got.dtype == want.dtype and np.array_equal(got, want)
     assert np.array_equal(result.forced_entered, forced_entered)
     assert_dense_figures(result, flow_states, entered, window_s=(84_600.0, 86_400.0))
+
+
+@cases
+@given(seed=st.integers(0, 2**32 - 1))
+def test_all_or_nothing_paths_are_the_reference_shortest_paths(seed):
+    """Link costs from a few tied values, some below the edge-cost floor:
+    each OD's traced path, from a full search and from one bounded by the
+    paths of a load at other costs, is a least-cost chain of links from
+    its origin to its destination, on the least-cost, smallest-id link of
+    each node pair, and it has one exactly where the reference reaches."""
+    rng = np.random.default_rng(seed)
+    net = random_grid(rng)
+    ties = np.array([0.0, 0.5, 1.0, 1.5])
+    cost, other = (ties[rng.integers(0, ties.size, net.n_links)] for _ in range(2))
+    o, d = np.divmod(np.flatnonzero(rng.random(net.n_nodes ** 2) < 0.3), net.n_nodes)
+    o, d = o[o != d], d[o != d]
+    batch = qdta._DemandBatch(net, net.node_ids[o], net.node_ids[d], np.ones(o.size), 1.0)
+    origin, dest = batch.source_idx[batch.od_row], batch.od_dest
+    distance = shortest_distances(net, cost, batch.source_idx)[batch.od_row, dest]
+    floored = np.maximum(cost, qdta._MIN_EDGE_COST)
+    pair = net.link_from.astype(np.int64) * net.n_nodes + net.link_to
+    known = qdta._load_all_or_nothing(qdta.RoutingGraph(net), batch, other)[2]
+    for paths in (None, known):
+        _, reachable, traced = qdta._load_all_or_nothing(qdta.RoutingGraph(net), batch, cost,
+                                                         paths)
+        assert np.array_equal(reachable, np.isfinite(distance))
+        assert np.array_equal(traced.length > 0, reachable)
+        assert np.array_equal(traced.key, origin * net.n_nodes + dest)
+        for i in np.flatnonzero(reachable).tolist():
+            links = traced.links[i, :traced.length[i]]
+            assert net.link_from[links[0]] == origin[i] and net.link_to[links[-1]] == dest[i]
+            assert np.array_equal(net.link_to[links[:-1]], net.link_from[links[1:]])
+            assert math.isclose(floored[links].sum(), distance[i], rel_tol=1e-12)
+            for link in links.tolist():
+                rivals = np.flatnonzero(pair == pair[link])
+                cheapest = rivals[cost[rivals] == cost[rivals].min()]
+                assert net.link_ids[link] == net.link_ids[cheapest].min()
